@@ -1,28 +1,20 @@
-// SIMD kernel-tier benchmark: measures what the vectorized tiers and the
-// mixed-precision scoring arm buy over the scalar reference tier.
-//
-//   1. Kernel throughput sweep: GB/s and x-over-scalar for the hot kernels
-//      (dot, MatMulTransposedRange, manhattan, squared_norm, sum,
-//      cosine_scale_row, RowTopKIndices) at every tier the build + CPU
-//      supports, via SetKernelTier between passes.
-//   2. Mixed-precision arm: recall@c of the quantized candidate pass against
-//      the exact dense top-c, plus warm end-to-end CSLS+greedy wall-clock of
-//      the quantized sparse path vs the dense float pipeline, per precision.
+// SIMD kernel-tier benchmark: measures what the vectorized tiers buy over
+// the scalar reference tier. Kernel throughput sweep: GB/s and
+// x-over-scalar for the hot kernels (dot, MatMulTransposedRange, manhattan,
+// squared_norm, sum, cosine_scale_row, RowTopKIndices) at every tier the
+// build + CPU supports, via SetKernelTier between passes.
 //
 // Gate (fatal): MatMulTransposedRange must reach >= 2x over scalar on at
-// least one vector tier, OR some quantized precision must reach >= 2x
-// end-to-end at recall@c >= 0.98. A "SIMD tier" that beats scalar on
-// nothing is dead code, not an optimization.
+// least one vector tier. A "SIMD tier" that beats scalar on nothing is dead
+// code, not an optimization. On machines with only the scalar tier (no
+// AVX2/AVX-512/NEON compiled in or detected) the sweep degenerates to the
+// scalar row and the gate fails.
 //
 // Writes BENCH_simd.json.
 //
 // Usage:
 //   ./bench_simd                     # sizes scaled by EM_BENCH_SCALE
 //   EM_BENCH_SCALE=0.2 ./bench_simd  # CI smoke run
-//
-// On machines with only the scalar tier (no AVX2/AVX-512/NEON compiled in or
-// detected), the kernel sweep degenerates to the scalar row and the gate
-// rides entirely on the quantized arm.
 
 #include <algorithm>
 #include <cmath>
@@ -37,20 +29,14 @@
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "la/kernels/dispatch.h"
-#include "la/kernels/quantized.h"
 #include "la/matrix.h"
 #include "la/topk.h"
-#include "matching/engine.h"
 
 namespace entmatcher {
 namespace {
 
 constexpr size_t kDim = 128;          // micro-kernel vector length
-constexpr size_t kClusters = 32;      // quantized-arm data model
-constexpr size_t kCandidates = 16;    // quantized-arm top-c width
 constexpr double kMatmulGate = 2.0;   // x over scalar
-constexpr double kQuantSpeedupGate = 2.0;
-constexpr double kQuantRecallGate = 0.98;
 
 // Defeats dead-code elimination across timed loops.
 volatile double g_sink = 0.0;
@@ -61,15 +47,6 @@ struct KernelTiming {
   double seconds = 0.0;
   double gbps = 0.0;
   double speedup_vs_scalar = 0.0;  // filled after the scalar row is known
-};
-
-struct QuantResult {
-  std::string precision;
-  double recall = 0.0;
-  double float_seconds = 0.0;
-  double quant_seconds = 0.0;
-  double speedup = 0.0;
-  double agreement = 0.0;
 };
 
 /// Median-of-3 timed runs of `body`, which must fold its result into g_sink.
@@ -83,28 +60,6 @@ double TimeSeconds(Fn&& body) {
   }
   std::sort(best, best + 3);
   return best[1];
-}
-
-/// Same clustered source/target model as bench_index: the regime where the
-/// quantized pre-rank has real structure to preserve.
-void MakeClusteredPair(size_t rows, size_t dim, uint64_t seed, Matrix* src,
-                       Matrix* tgt) {
-  Rng rng(seed);
-  Matrix centers(kClusters, dim);
-  for (size_t c = 0; c < kClusters; ++c) {
-    for (float& v : centers.Row(c)) v = static_cast<float>(rng.NextGaussian());
-  }
-  *tgt = Matrix(rows, dim);
-  *src = Matrix(rows, dim);
-  for (size_t r = 0; r < rows; ++r) {
-    const auto center = centers.Row(r % kClusters);
-    auto t = tgt->Row(r);
-    auto s = src->Row(r);
-    for (size_t d = 0; d < dim; ++d) {
-      t[d] = center[d] + 0.25f * static_cast<float>(rng.NextGaussian());
-      s[d] = t[d] + 0.1f * static_cast<float>(rng.NextGaussian());
-    }
-  }
 }
 
 std::vector<float> RandomVec(size_t n, uint64_t seed) {
@@ -132,13 +87,10 @@ int main() {
   const double scale = bench::GlobalScale();
   const size_t reps = std::max<size_t>(2000, static_cast<size_t>(50000.0 * scale));
   const size_t mm_rows = std::max<size_t>(96, static_cast<size_t>(768.0 * scale));
-  const size_t match_n = std::max<size_t>(96, static_cast<size_t>(2500.0 * scale));
 
   bench::PrintBanner(
-      "SIMD kernel tiers — throughput over scalar and the quantized arm",
-      "Hot-kernel GB/s per tier via runtime dispatch, then the\n"
-      "mixed-precision candidate pass: recall@c against the exact dense\n"
-      "top-c and warm end-to-end wall-clock vs the float pipeline.");
+      "SIMD kernel tiers — throughput over scalar",
+      "Hot-kernel GB/s per tier via runtime dispatch.");
 
   std::vector<KernelTier> tiers = {KernelTier::kScalar};
   for (KernelTier tier :
@@ -261,124 +213,16 @@ int main() {
               << FormatDouble(t.speedup_vs_scalar, 2) << "x over scalar\n";
   }
 
-  // ---- Mixed-precision arm: recall@c + end-to-end CSLS+greedy. ----
-  Status set = SetKernelTier(BestAvailableKernelTier());
-  if (!set.ok()) {
-    std::cerr << "SetKernelTier: " << set.ToString() << "\n";
-    return 1;
-  }
-  Matrix src;
-  Matrix tgt;
-  MakeClusteredPair(match_n, /*dim=*/64, /*seed=*/31, &src, &tgt);
-  const size_t c = std::min(kCandidates, match_n);
-
-  const MatchOptions dense_options = MakePreset(AlgorithmPreset::kCsls);
-  Result<MatchEngine> dense_engine =
-      MatchEngine::Create(src, tgt, dense_options);
-  if (!dense_engine.ok()) {
-    std::cerr << "dense engine: " << dense_engine.status().ToString() << "\n";
-    return 1;
-  }
-  // Exact dense top-c of the raw metric scores — what the quantized
-  // candidate pass must preserve.
-  Result<Matrix> dense_raw =
-      dense_engine->TransformedScores(MakePreset(AlgorithmPreset::kDInf));
-  if (!dense_raw.ok()) {
-    std::cerr << "dense scores: " << dense_raw.status().ToString() << "\n";
-    return 1;
-  }
-  const std::vector<uint32_t> exact_topc = RowTopKIndices(*dense_raw, c);
-  if (!dense_engine->Match().ok()) {
-    std::cerr << "dense warmup failed\n";
-    return 1;
-  }
-  Timer dense_timer;
-  Result<Assignment> dense_run = dense_engine->Match();
-  const double dense_seconds = dense_timer.ElapsedSeconds();
-  if (!dense_run.ok()) {
-    std::cerr << "dense run failed\n";
-    return 1;
-  }
-
-  bool quant_gate_passed = false;
-  std::vector<QuantResult> quant_results;
-  for (ScorePrecision precision :
-       {ScorePrecision::kBf16, ScorePrecision::kInt8}) {
-    MatchOptions options = dense_options;
-    options.score_precision = precision;
-    options.num_candidates = c;
-    Result<MatchEngine> engine = MatchEngine::Create(src, tgt, options);
-    if (!engine.ok()) {
-      std::cerr << "quantized engine: " << engine.status().ToString() << "\n";
-      return 1;
-    }
-    Result<MatchEngine::ScoredBatch> batch = engine->BeginBatch(options);
-    if (!batch.ok()) {
-      std::cerr << "quantized batch: " << batch.status().ToString() << "\n";
-      return 1;
-    }
-    size_t hits = 0;
-    const SparseScores& sparse = batch->sparse_scores();
-    for (size_t i = 0; i < match_n; ++i) {
-      const auto cols = sparse.RowCols(i);
-      for (size_t e = 0; e < c; ++e) {
-        hits += std::binary_search(cols.begin(), cols.end(),
-                                   exact_topc[i * c + e]);
-      }
-    }
-    if (!engine->Match().ok()) {
-      std::cerr << "quantized warmup failed\n";
-      return 1;
-    }
-    Timer quant_timer;
-    Result<Assignment> quant_run = engine->Match();
-    const double quant_seconds = quant_timer.ElapsedSeconds();
-    if (!quant_run.ok()) {
-      std::cerr << "quantized run failed\n";
-      return 1;
-    }
-    size_t agree = 0;
-    for (size_t i = 0; i < match_n; ++i) {
-      agree += (dense_run->target_of_source[i] ==
-                quant_run->target_of_source[i]);
-    }
-    QuantResult result;
-    result.precision = ScorePrecisionName(precision);
-    result.recall =
-        static_cast<double>(hits) / static_cast<double>(match_n * c);
-    result.float_seconds = dense_seconds;
-    result.quant_seconds = quant_seconds;
-    result.speedup =
-        quant_seconds > 0.0 ? dense_seconds / quant_seconds : 0.0;
-    result.agreement =
-        static_cast<double>(agree) / static_cast<double>(match_n);
-    quant_results.push_back(result);
-    if (result.speedup >= kQuantSpeedupGate &&
-        result.recall >= kQuantRecallGate) {
-      quant_gate_passed = true;
-    }
-    std::cout << "\nquantized " << result.precision << " @c=" << c
-              << ": recall " << FormatDouble(result.recall, 3) << ", e2e "
-              << FormatDouble(quant_seconds * 1e3, 1) << " ms vs float "
-              << FormatDouble(dense_seconds * 1e3, 1) << " ms ("
-              << FormatDouble(result.speedup, 2) << "x), assignments agree "
-              << FormatDouble(result.agreement, 3) << "\n";
-  }
-
-  const bool matmul_gate_passed = best_matmul_speedup >= kMatmulGate;
-  const bool ok = matmul_gate_passed || quant_gate_passed;
+  const bool ok = best_matmul_speedup >= kMatmulGate;
   if (!ok) {
     std::cerr << "\nFATAL: no vector tier reached " << kMatmulGate
               << "x on matmul_range (best " << best_matmul_speedup << "x on "
-              << best_matmul_tier << ") and no quantized precision reached "
-              << kQuantSpeedupGate << "x e2e at recall >= " << kQuantRecallGate
-              << "\n";
+              << best_matmul_tier << ")\n";
   }
 
   std::ofstream json("BENCH_simd.json");
   json << "{\n  \"scale\": " << scale << ",\n  \"dim\": " << kDim
-       << ",\n  \"matmul_rows\": " << mm_rows
-       << ",\n  \"match_rows\": " << match_n << ",\n  \"cpu\": \""
+       << ",\n  \"matmul_rows\": " << mm_rows << ",\n  \"cpu\": \""
        << DetectedCpuFeatures() << "\",\n  \"tiers\": [";
   for (size_t i = 0; i < tiers.size(); ++i) {
     json << (i > 0 ? ", " : "") << "\"" << KernelTierName(tiers[i]) << "\"";
@@ -394,21 +238,7 @@ int main() {
   json << "  ],\n  \"matmul_gate\": {\"required\": " << kMatmulGate
        << ", \"best_tier\": \"" << best_matmul_tier
        << "\", \"best_speedup\": " << best_matmul_speedup
-       << ", \"passed\": " << (matmul_gate_passed ? "true" : "false")
-       << "},\n  \"quantized\": [\n";
-  for (size_t i = 0; i < quant_results.size(); ++i) {
-    const QuantResult& q = quant_results[i];
-    json << "    {\"precision\": \"" << q.precision
-         << "\", \"candidates\": " << c << ", \"recall_at_c\": " << q.recall
-         << ", \"float_seconds\": " << q.float_seconds
-         << ", \"quant_seconds\": " << q.quant_seconds
-         << ", \"speedup\": " << q.speedup
-         << ", \"assignment_agreement\": " << q.agreement << "}"
-         << (i + 1 < quant_results.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n  \"quantized_gate\": {\"required_speedup\": "
-       << kQuantSpeedupGate << ", \"required_recall\": " << kQuantRecallGate
-       << ", \"passed\": " << (quant_gate_passed ? "true" : "false")
+       << ", \"passed\": " << (ok ? "true" : "false")
        << "},\n  \"ok\": " << (ok ? "true" : "false") << "\n}\n";
   std::cout << "\nwrote BENCH_simd.json (" << timings.size()
             << " kernel timings)\n";

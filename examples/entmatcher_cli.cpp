@@ -14,7 +14,7 @@
 //                  [--lists=N] [--kmeans-iters=N] [--seed=N]
 //                  [--M=N] [--ef-construction=N]
 //       Build a candidate index over the target embeddings and serialize
-//       it (EIDX2 binary; EIDX1 files still load as IVF). --backend picks
+//       it (EIDX2 binary). --backend picks
 //       the candidate-generation strategy: ivf (default; --lists=0
 //       auto-sizes to ~sqrt(num_targets), --kmeans-iters), hnsw (graph
 //       index; --M link budget, --ef-construction build beam), or exact.
@@ -38,7 +38,7 @@
 //   entmatcher_cli match <dir> <src.emat> <tgt.emat> <algo>
 //                  [--workspace-budget-bytes=N] [--threads=N]
 //                  [--kernel-tier=scalar|avx2|avx512|neon|auto]
-//                  [--precision=float32|bf16|int8] [--mmap]
+//                  [--mmap]
 //                  [--index=PATH --candidates=N [--nprobe=N] [--ef=N]]
 //                  [out_links.tsv]
 //       Run one matching algorithm (DInf, CSLS, RInf, RInf-wr, RInf-pb,
@@ -51,17 +51,14 @@
 //       the sparse pipeline runs in O(n*candidates) workspace.
 //       --kernel-tier forces a vector ISA tier (same grammar as the
 //       EM_KERNEL_TIER environment variable; the flag wins) and fails when
-//       the CPU or build lacks it. --precision=bf16|int8 quantizes the
-//       embeddings for candidate generation with exact float rerank of the
-//       top --candidates=N survivors (works with or without --index).
-//       --nprobe tunes the IVF probe width and --ef the HNSW layer-0 beam;
-//       each backend reads only its own knob. With <dir> = "-" the dataset
-//       is skipped entirely: the engine matches the raw pair and reports
-//       identity-alignment accuracy (row i of the source gold-matches row
-//       i of the target — the synthetic EMBF pairs' convention) instead of
-//       test-split P/R/F1. --mmap reads <src>/<tgt> as EMBF stores via
-//       mmap, so a 1M x 128d pair matches without materializing either
-//       matrix on the heap.
+//       the CPU or build lacks it. --nprobe tunes the IVF probe width and
+//       --ef the HNSW layer-0 beam; each backend reads only its own knob.
+//       With <dir> = "-" the dataset is skipped entirely: the engine
+//       matches the raw pair and reports identity-alignment accuracy (row i
+//       of the source gold-matches row i of the target — the synthetic EMBF
+//       pairs' convention) instead of test-split P/R/F1. --mmap reads
+//       <src>/<tgt> as EMBF stores via mmap, so a 1M x 128d pair matches
+//       without materializing either matrix on the heap.
 //   entmatcher_cli eval <dir> <links.tsv>
 //       Score previously saved predicted links against the test split.
 //   entmatcher_cli serve <src.emat> <tgt.emat> [--mmap] [--socket=PATH]
@@ -180,7 +177,6 @@
 #include "kg/dataset_io.h"
 #include "kg/io.h"
 #include "la/kernels/dispatch.h"
-#include "la/kernels/quantized.h"
 #include "la/matrix_io.h"
 #include "la/mmap_store.h"
 #include "matching/engine.h"
@@ -577,14 +573,6 @@ int CmdMatch(int argc, char** argv) {
     const int tier_matched = MatchKernelTierFlag(arg);
     if (tier_matched < 0) return EXIT_FAILURE;
     if (tier_matched > 0) continue;
-    const std::string precision_flag = "--precision=";
-    if (arg.rfind(precision_flag, 0) == 0) {
-      Result<ScorePrecision> parsed =
-          ParseScorePrecision(arg.substr(precision_flag.size()));
-      if (!parsed.ok()) return Fail(parsed.status());
-      options.score_precision = *parsed;
-      continue;
-    }
     unsigned long long value = 0;
     int matched = MatchUintFlag(arg, "workspace-budget-bytes", &value);
     if (matched < 0) return EXIT_FAILURE;
@@ -616,7 +604,9 @@ int CmdMatch(int argc, char** argv) {
       options.index_ef = static_cast<size_t>(value);
       continue;
     }
-    if (out_path.empty()) {
+    // An unrecognized flag (e.g. the removed --precision=) is an error, not
+    // an output path.
+    if (out_path.empty() && arg.rfind("--", 0) != 0) {
       out_path = arg;
     } else {
       return Usage();
@@ -631,17 +621,8 @@ int CmdMatch(int argc, char** argv) {
     if (!loaded.ok()) return Fail(loaded.status());
     index = std::move(loaded).value();
     options.candidate_index = &*index;
-  } else if (options.num_candidates > 0 &&
-             options.score_precision == ScorePrecision::kFloat32) {
-    std::cerr << "error: --candidates requires --index=PATH or "
-                 "--precision=bf16|int8\n";
-    return EXIT_FAILURE;
-  }
-  if (options.score_precision != ScorePrecision::kFloat32 &&
-      options.num_candidates == 0) {
-    std::cerr << "error: --precision=" << ScorePrecisionName(
-                     options.score_precision)
-              << " requires --candidates=N (N >= 1)\n";
+  } else if (options.num_candidates > 0) {
+    std::cerr << "error: --candidates requires --index=PATH\n";
     return EXIT_FAILURE;
   }
 

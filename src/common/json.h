@@ -66,8 +66,6 @@ class JsonValue {
   const std::string& AsString() const { return string_; }
   const Array& AsArray() const { return array_; }
   const Object& AsObject() const { return object_; }
-  Array& MutableArray() { return array_; }
-  Object& MutableObject() { return object_; }
 
   /// Object member lookup; nullptr when absent or this is not an object.
   const JsonValue* Find(const std::string& key) const;

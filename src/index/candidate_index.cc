@@ -56,15 +56,6 @@ std::span<const uint32_t> CandidateIndex::List(size_t l) const {
   return static_cast<const IvfBackend*>(backend_.get())->List(l);
 }
 
-void CandidateIndex::ProbeLists(
-    const float* x, size_t nprobe,
-    std::vector<std::pair<float, uint32_t>>* scratch,
-    std::vector<uint32_t>* probed) const {
-  assert(backend_->kind() == CandidateBackendKind::kIvf);
-  static_cast<const IvfBackend*>(backend_.get())
-      ->ProbeLists(x, nprobe, scratch, probed);
-}
-
 Status CandidateIndex::FillSparseScores(const Matrix& source,
                                         const Matrix& target,
                                         SimilarityMetric metric,
@@ -174,8 +165,10 @@ Result<SparseScores> CandidateIndex::SparseSimilarity(
   SparseScores out = SparseScores::CreateOwned(
       source.rows(), num_targets(), source.rows() * stride);
   const SimilarityCache cache = BuildSimilarityCache(source, target, metric);
+  ProbeParams params;
+  params.nprobe = nprobe;
   EM_RETURN_NOT_OK(FillSparseScores(source, target, metric, cache,
-                                    num_candidates, nprobe, &out));
+                                    num_candidates, params, &out));
   return out;
 }
 
@@ -192,21 +185,15 @@ Status CandidateIndex::Save(const std::string& path) const {
   return Status::OK();
 }
 
-Status CandidateIndex::SaveAsEidx1(const std::string& path) const {
-  if (backend_->kind() != CandidateBackendKind::kIvf) {
-    return Status::InvalidArgument(
-        "EIDX1 predates the backend tag and can only hold an IVF index");
-  }
-  return static_cast<const IvfBackend*>(backend_.get())
-      ->SaveLegacyEidx1(path);
-}
-
 Result<CandidateIndex> CandidateIndex::Load(const std::string& path) {
   // Chaos point: a short read surfacing as kIoError mid-load. Lives at the
   // facade so every backend's load path shares the same failure mode.
   EM_INJECT_FAULT("index.load.read", StatusCode::kIoError);
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return Status::IoError("cannot open for reading: " + path);
+  const std::streamoff file_size = in.tellg();
+  if (file_size < 0) return Status::IoError("cannot size index file: " + path);
+  in.seekg(0);
   char magic[4];
   in.read(magic, sizeof(magic));
   if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
@@ -215,28 +202,28 @@ Result<CandidateIndex> CandidateIndex::Load(const std::string& path) {
   uint64_t version = 0;
   in.read(reinterpret_cast<char*>(&version), sizeof(version));
   if (!in) return Status::IoError("truncated index header: " + path);
-  if (version == 1) {
-    // Legacy EIDX1: no tag byte, the body is always an IVF index.
-    EM_ASSIGN_OR_RETURN(auto backend, IvfBackend::LoadPayload(in, path));
-    return CandidateIndex(std::move(backend));
-  }
   if (version != kFormatVersion) {
     return Status::IoError("unsupported EIDX version in: " + path);
   }
   uint8_t tag = 0;
   in.read(reinterpret_cast<char*>(&tag), sizeof(tag));
   if (!in) return Status::IoError("truncated index header: " + path);
+  // The loaders size their arrays from header fields; this bound lets them
+  // refuse a header that promises more data than the file holds.
+  const uint64_t payload_bytes = static_cast<uint64_t>(file_size - in.tellg());
   switch (static_cast<CandidateBackendKind>(tag)) {
     case CandidateBackendKind::kExact: {
       EM_ASSIGN_OR_RETURN(auto backend, ExactBackend::LoadPayload(in, path));
       return CandidateIndex(std::move(backend));
     }
     case CandidateBackendKind::kIvf: {
-      EM_ASSIGN_OR_RETURN(auto backend, IvfBackend::LoadPayload(in, path));
+      EM_ASSIGN_OR_RETURN(auto backend,
+                          IvfBackend::LoadPayload(in, payload_bytes, path));
       return CandidateIndex(std::move(backend));
     }
     case CandidateBackendKind::kHnsw: {
-      EM_ASSIGN_OR_RETURN(auto backend, HnswBackend::LoadPayload(in, path));
+      EM_ASSIGN_OR_RETURN(auto backend,
+                          HnswBackend::LoadPayload(in, payload_bytes, path));
       return CandidateIndex(std::move(backend));
     }
   }

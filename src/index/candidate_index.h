@@ -64,16 +64,6 @@ class CandidateIndex {
   /// IVF only: target ids of one inverted list, ascending.
   std::span<const uint32_t> List(size_t l) const;
 
-  /// IVF only: ranks every inverted list by centroid dot product with `x`
-  /// (dim() floats) and appends the ids of the `nprobe` best to `probed`,
-  /// best-first (ties: lower list id). `scratch` is caller-owned so row
-  /// loops can reuse one allocation. The dot runs on the scalar loop at
-  /// every kernel tier: probe selection — and with it candidate coverage —
-  /// must never depend on EM_KERNEL_TIER.
-  void ProbeLists(const float* x, size_t nprobe,
-                  std::vector<std::pair<float, uint32_t>>* scratch,
-                  std::vector<uint32_t>* probed) const;
-
   CandidateListStats Stats() const { return backend_->Stats(); }
 
   /// The probe stage alone: appends the backend's candidate ids for query
@@ -109,33 +99,20 @@ class CandidateIndex {
                           const SimilarityCache& cache, size_t num_candidates,
                           const ProbeParams& params, SparseScores* out) const;
 
-  /// Back-compat shim: probes `nprobe` lists with the default HNSW beam.
-  Status FillSparseScores(const Matrix& source, const Matrix& target,
-                          SimilarityMetric metric,
-                          const SimilarityCache& cache, size_t num_candidates,
-                          size_t nprobe, SparseScores* out) const {
-    ProbeParams params;
-    params.nprobe = nprobe;
-    return FillSparseScores(source, target, metric, cache, num_candidates,
-                            params, out);
-  }
-
-  /// Convenience wrapper: builds the cache and an owned SparseScores.
+  /// Convenience wrapper: builds the cache and an owned SparseScores,
+  /// probing `nprobe` lists (IVF) with the default HNSW beam.
   Result<SparseScores> SparseSimilarity(const Matrix& source,
                                         const Matrix& target,
                                         SimilarityMetric metric,
                                         size_t num_candidates,
                                         size_t nprobe) const;
 
-  /// On-disk round trip. Save writes EIDX2 ("EIDX" magic, version 2, one
-  /// backend tag byte, backend payload); Load also accepts legacy EIDX1
-  /// files, which predate the tag byte and are always IVF.
+  /// On-disk round trip in EIDX2: "EIDX" magic, version 2, one backend tag
+  /// byte, backend payload. Load refuses every other version with
+  /// kIoError, and refuses a payload header that declares more array bytes
+  /// than the file holds before allocating anything.
   Status Save(const std::string& path) const;
   static Result<CandidateIndex> Load(const std::string& path);
-
-  /// Writes the legacy EIDX1 container (IVF only) so the EIDX1
-  /// compatibility path stays testable from current builds.
-  Status SaveAsEidx1(const std::string& path) const;
 
  private:
   explicit CandidateIndex(std::unique_ptr<CandidateBackend> backend)

@@ -386,7 +386,7 @@ Status HnswBackend::SavePayload(std::ostream& out) const {
 }
 
 Result<std::unique_ptr<HnswBackend>> HnswBackend::LoadPayload(
-    std::istream& in, const std::string& path) {
+    std::istream& in, uint64_t payload_bytes, const std::string& path) {
   uint64_t header[8] = {0};
   in.read(reinterpret_cast<char*>(header), sizeof(header));
   if (!in) return Status::IoError("truncated index header: " + path);
@@ -399,6 +399,16 @@ Result<std::unique_ptr<HnswBackend>> HnswBackend::LoadPayload(
       max_links0 != 2 * max_links || header[4] == 0 ||
       header[7] > static_cast<uint64_t>(kMaxLevel) + 1 || header[7] == 0) {
     return Status::IoError("implausible index shape in: " + path);
+  }
+  // Inverse norms, layer-0 degrees and layer-0 link slots, then the upper
+  // layer count. The shape bounds above keep this sum far below 2^64.
+  const uint64_t array_bytes =
+      num_targets * (sizeof(float) + sizeof(uint32_t) +
+                     max_links0 * sizeof(uint32_t)) +
+      sizeof(uint64_t);
+  if (sizeof(header) + array_bytes > payload_bytes) {
+    return Status::IoError("index header declares more data than the file "
+                           "holds: " + path);
   }
   auto index = std::unique_ptr<HnswBackend>(new HnswBackend());
   index->num_targets_ = static_cast<size_t>(num_targets);

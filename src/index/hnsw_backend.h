@@ -52,8 +52,11 @@ class HnswBackend final : public CandidateBackend {
                                                     size_t ef_construction,
                                                     uint64_t seed);
 
+  /// Deserializes the EIDX2 body. `payload_bytes` is what the file holds
+  /// from the body's first byte on; a header declaring larger arrays is
+  /// refused with kIoError before anything is allocated.
   static Result<std::unique_ptr<HnswBackend>> LoadPayload(
-      std::istream& in, const std::string& path);
+      std::istream& in, uint64_t payload_bytes, const std::string& path);
 
   CandidateBackendKind kind() const override {
     return CandidateBackendKind::kHnsw;

@@ -2,19 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 
 #include "common/fault.h"
 #include "common/rng.h"
 #include "la/kmeans.h"
 
 namespace entmatcher {
-
-namespace {
-
-constexpr char kEidxMagic[4] = {'E', 'I', 'D', 'X'};
-
-}  // namespace
 
 Result<std::unique_ptr<IvfBackend>> IvfBackend::Build(const Matrix& target,
                                                       size_t num_lists,
@@ -179,19 +172,8 @@ Status IvfBackend::SavePayload(std::ostream& out) const {
   return Status::OK();
 }
 
-Status IvfBackend::SaveLegacyEidx1(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  out.write(kEidxMagic, sizeof(kEidxMagic));
-  const uint64_t version = 1;
-  out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-  EM_RETURN_NOT_OK(SavePayload(out));
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::OK();
-}
-
 Result<std::unique_ptr<IvfBackend>> IvfBackend::LoadPayload(
-    std::istream& in, const std::string& path) {
+    std::istream& in, uint64_t payload_bytes, const std::string& path) {
   uint64_t header[3] = {0, 0, 0};
   in.read(reinterpret_cast<char*>(header), sizeof(header));
   if (!in) return Status::IoError("truncated index header: " + path);
@@ -203,6 +185,15 @@ Result<std::unique_ptr<IvfBackend>> IvfBackend::LoadPayload(
   if (num_targets > (1ull << 32) || dim > (1ull << 24) ||
       num_lists == 0 || num_lists > num_targets || dim == 0) {
     return Status::IoError("implausible index shape in: " + path);
+  }
+  // Centroids, list offsets and list ids, in that order. The shape bounds
+  // above keep this sum far below 2^64.
+  const uint64_t array_bytes = num_lists * dim * sizeof(float) +
+                               (num_lists + 1) * sizeof(uint64_t) +
+                               num_targets * sizeof(uint32_t);
+  if (sizeof(header) + array_bytes > payload_bytes) {
+    return Status::IoError("index header declares more data than the file "
+                           "holds: " + path);
   }
   auto index = std::unique_ptr<IvfBackend>(new IvfBackend());
   index->num_targets_ = static_cast<size_t>(num_targets);

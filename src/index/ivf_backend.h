@@ -29,10 +29,11 @@ class IvfBackend final : public CandidateBackend {
                                                    size_t kmeans_iterations,
                                                    uint64_t seed);
 
-  /// Deserializes the EIDX2 body (also the whole-body reader for legacy
-  /// EIDX1 files, whose payload layout is identical).
+  /// Deserializes the EIDX2 body. `payload_bytes` is what the file holds
+  /// from the body's first byte on; a header declaring larger arrays is
+  /// refused with kIoError before anything is allocated.
   static Result<std::unique_ptr<IvfBackend>> LoadPayload(
-      std::istream& in, const std::string& path);
+      std::istream& in, uint64_t payload_bytes, const std::string& path);
 
   CandidateBackendKind kind() const override {
     return CandidateBackendKind::kIvf;
@@ -49,15 +50,6 @@ class IvfBackend final : public CandidateBackend {
         list_offsets_[l + 1] - list_offsets_[l]);
   }
 
-  /// Ranks every inverted list by centroid dot product with `x` and appends
-  /// the ids of the `nprobe` best to `probed`, best-first (ties: lower list
-  /// id). The dot runs on the scalar loop at every kernel tier: probe
-  /// selection — and with it candidate coverage — must never depend on
-  /// EM_KERNEL_TIER.
-  void ProbeLists(const float* x, size_t nprobe,
-                  std::vector<std::pair<float, uint32_t>>* scratch,
-                  std::vector<uint32_t>* probed) const;
-
   void Collect(const Matrix& target, const float* x, const ProbeParams& params,
                CandidateScratch* scratch,
                std::vector<uint32_t>* out) const override;
@@ -71,13 +63,17 @@ class IvfBackend final : public CandidateBackend {
   CandidateListStats Stats() const override;
   Status SavePayload(std::ostream& out) const override;
 
-  /// Writes the whole index in the legacy EIDX1 container (magic + v1 header
-  /// + body) so the EIDX1 compatibility path stays testable from current
-  /// builds.
-  Status SaveLegacyEidx1(const std::string& path) const;
-
  private:
   IvfBackend() = default;
+
+  /// Ranks every inverted list by centroid dot product with `x` and appends
+  /// the ids of the `nprobe` best to `probed`, best-first (ties: lower list
+  /// id). The dot runs on the scalar loop at every kernel tier: probe
+  /// selection — and with it candidate coverage — must never depend on
+  /// EM_KERNEL_TIER.
+  void ProbeLists(const float* x, size_t nprobe,
+                  std::vector<std::pair<float, uint32_t>>* scratch,
+                  std::vector<uint32_t>* probed) const;
 
   Matrix centroids_;                    // L × d, rows L2-normalized
   std::vector<uint64_t> list_offsets_;  // L + 1

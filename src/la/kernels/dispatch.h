@@ -38,9 +38,7 @@ inline constexpr size_t kNumKernelTiers = 4;
 ///  - Elementwise ops (scale, scale_copy, cosine_scale_row, accumulate_max,
 ///    accumulate_cols, mul_cols, max, argmax, mask_*) are bit-identical to
 ///    scalar at every tier: same arithmetic per element, no reassociation.
-///  - Reductions (squared_norm, sum, manhattan) and the quantized bf16 dot may
-///    reassociate; int8 dot is integer arithmetic and therefore bit-identical
-///    across tiers.
+///  - Reductions (squared_norm, sum, manhattan) may reassociate.
 struct KernelOps {
   KernelTier tier = KernelTier::kScalar;
   const char* name = "scalar";
@@ -98,14 +96,6 @@ struct KernelOps {
 
   /// Bit i set iff a[i] > threshold, for i < n <= 64.
   uint64_t (*mask_gt_scalar)(const float* a, float threshold, size_t n);
-
-  /// bf16 inner product: operands are float bit patterns truncated to their
-  /// high 16 bits; accumulated in float.
-  float (*dot_bf16)(const uint16_t* a, const uint16_t* b, size_t d);
-
-  /// int8 inner product accumulated in int32 — integer math, bit-identical
-  /// across tiers.
-  int32_t (*dot_i8)(const int8_t* a, const int8_t* b, size_t d);
 };
 
 /// Display name ("scalar", "avx2", "avx512", "neon").

@@ -6,14 +6,13 @@
 // (no FMA contraction where the scalar code had separate mul/add, compares
 // are ordered non-signaling so NaN behaves like the scalar `>`), which keeps
 // them bit-identical to scalar. Reductions (dot, squared_norm, sum,
-// manhattan, dot_bf16) use multiple lanes and so reassociate; they are
-// deterministic per shape but only tolerance-equal to scalar.
+// manhattan) use multiple lanes and so reassociate; they are deterministic
+// per shape but only tolerance-equal to scalar.
 
 #if defined(__x86_64__) || defined(_M_X64)
 
 #include <immintrin.h>
 
-#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -313,53 +312,6 @@ uint64_t MaskGtScalarAvx2(const float* a, float threshold, size_t n) {
   return mask;
 }
 
-inline __m256 LoadBf16(const uint16_t* p) {
-  const __m128i half = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-  const __m256i wide = _mm256_cvtepu16_epi32(half);
-  return _mm256_castsi256_ps(_mm256_slli_epi32(wide, 16));
-}
-
-float DotBf16Avx2(const uint16_t* a, const uint16_t* b, size_t d) {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  size_t k = 0;
-  for (; k + 16 <= d; k += 16) {
-    acc0 = _mm256_fmadd_ps(LoadBf16(a + k), LoadBf16(b + k), acc0);
-    acc1 = _mm256_fmadd_ps(LoadBf16(a + k + 8), LoadBf16(b + k + 8), acc1);
-  }
-  for (; k + 8 <= d; k += 8) {
-    acc0 = _mm256_fmadd_ps(LoadBf16(a + k), LoadBf16(b + k), acc0);
-  }
-  float r = HorizontalSum(_mm256_add_ps(acc0, acc1));
-  for (; k < d; ++k) {
-    r += std::bit_cast<float>(static_cast<uint32_t>(a[k]) << 16) *
-         std::bit_cast<float>(static_cast<uint32_t>(b[k]) << 16);
-  }
-  return r;
-}
-
-int32_t DotI8Avx2(const int8_t* a, const int8_t* b, size_t d) {
-  __m256i acc = _mm256_setzero_si256();
-  size_t k = 0;
-  for (; k + 16 <= d; k += 16) {
-    const __m256i av = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + k)));
-    const __m256i bv = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + k)));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(av, bv));
-  }
-  const __m128i lo = _mm256_castsi256_si128(acc);
-  const __m128i hi = _mm256_extracti128_si256(acc, 1);
-  __m128i s = _mm_add_epi32(lo, hi);
-  s = _mm_add_epi32(s, _mm_unpackhi_epi64(s, s));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0x55));
-  int32_t r = _mm_cvtsi128_si32(s);
-  for (; k < d; ++k) {
-    r += static_cast<int32_t>(a[k]) * static_cast<int32_t>(b[k]);
-  }
-  return r;
-}
-
 const KernelOps kAvx2Ops = {
     /*tier=*/KernelTier::kAvx2,
     /*name=*/"avx2",
@@ -378,8 +330,6 @@ const KernelOps kAvx2Ops = {
     /*mul_cols=*/MulColsAvx2,
     /*mask_gt=*/MaskGtAvx2,
     /*mask_gt_scalar=*/MaskGtScalarAvx2,
-    /*dot_bf16=*/DotBf16Avx2,
-    /*dot_i8=*/DotI8Avx2,
 };
 
 }  // namespace

@@ -9,7 +9,6 @@
 
 #include <immintrin.h>
 
-#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -303,51 +302,6 @@ uint64_t MaskGtScalarAvx512(const float* a, float threshold, size_t n) {
   return mask;
 }
 
-inline __m512 LoadBf16(const uint16_t* p, __mmask16 m) {
-  const __m256i half = _mm256_maskz_loadu_epi16(m, p);
-  const __m512i wide = _mm512_cvtepu16_epi32(half);
-  return _mm512_castsi512_ps(_mm512_slli_epi32(wide, 16));
-}
-
-float DotBf16Avx512(const uint16_t* a, const uint16_t* b, size_t d) {
-  constexpr __mmask16 kFull = 0xFFFF;
-  __m512 acc0 = _mm512_setzero_ps();
-  __m512 acc1 = _mm512_setzero_ps();
-  size_t k = 0;
-  for (; k + 32 <= d; k += 32) {
-    acc0 = _mm512_fmadd_ps(LoadBf16(a + k, kFull), LoadBf16(b + k, kFull),
-                           acc0);
-    acc1 = _mm512_fmadd_ps(LoadBf16(a + k + 16, kFull),
-                           LoadBf16(b + k + 16, kFull), acc1);
-  }
-  for (; k + 16 <= d; k += 16) {
-    acc0 = _mm512_fmadd_ps(LoadBf16(a + k, kFull), LoadBf16(b + k, kFull),
-                           acc0);
-  }
-  if (k < d) {
-    const __mmask16 m = TailMask16(d - k);
-    acc1 = _mm512_fmadd_ps(LoadBf16(a + k, m), LoadBf16(b + k, m), acc1);
-  }
-  return _mm512_reduce_add_ps(_mm512_add_ps(acc0, acc1));
-}
-
-int32_t DotI8Avx512(const int8_t* a, const int8_t* b, size_t d) {
-  __m512i acc = _mm512_setzero_si512();
-  size_t k = 0;
-  for (; k + 32 <= d; k += 32) {
-    const __m512i av = _mm512_cvtepi8_epi16(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + k)));
-    const __m512i bv = _mm512_cvtepi8_epi16(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + k)));
-    acc = _mm512_add_epi32(acc, _mm512_madd_epi16(av, bv));
-  }
-  int32_t r = _mm512_reduce_add_epi32(acc);
-  for (; k < d; ++k) {
-    r += static_cast<int32_t>(a[k]) * static_cast<int32_t>(b[k]);
-  }
-  return r;
-}
-
 const KernelOps kAvx512Ops = {
     /*tier=*/KernelTier::kAvx512,
     /*name=*/"avx512",
@@ -366,8 +320,6 @@ const KernelOps kAvx512Ops = {
     /*mul_cols=*/MulColsAvx512,
     /*mask_gt=*/MaskGtAvx512,
     /*mask_gt_scalar=*/MaskGtScalarAvx512,
-    /*dot_bf16=*/DotBf16Avx512,
-    /*dot_i8=*/DotI8Avx512,
 };
 
 }  // namespace

@@ -269,43 +269,6 @@ uint64_t MaskGtScalarNeon(const float* a, float threshold, size_t n) {
   return mask;
 }
 
-inline float32x4_t LoadBf16(const uint16_t* p) {
-  return vreinterpretq_f32_u32(vshll_n_u16(vld1_u16(p), 16));
-}
-
-float DotBf16Neon(const uint16_t* a, const uint16_t* b, size_t d) {
-  float32x4_t acc0 = vdupq_n_f32(0.0f);
-  float32x4_t acc1 = vdupq_n_f32(0.0f);
-  size_t k = 0;
-  for (; k + 8 <= d; k += 8) {
-    acc0 = vfmaq_f32(acc0, LoadBf16(a + k), LoadBf16(b + k));
-    acc1 = vfmaq_f32(acc1, LoadBf16(a + k + 4), LoadBf16(b + k + 4));
-  }
-  for (; k + 4 <= d; k += 4) {
-    acc0 = vfmaq_f32(acc0, LoadBf16(a + k), LoadBf16(b + k));
-  }
-  float r = vaddvq_f32(vaddq_f32(acc0, acc1));
-  for (; k < d; ++k) {
-    r += std::bit_cast<float>(static_cast<uint32_t>(a[k]) << 16) *
-         std::bit_cast<float>(static_cast<uint32_t>(b[k]) << 16);
-  }
-  return r;
-}
-
-int32_t DotI8Neon(const int8_t* a, const int8_t* b, size_t d) {
-  int32x4_t acc = vdupq_n_s32(0);
-  size_t k = 0;
-  for (; k + 8 <= d; k += 8) {
-    const int16x8_t prod = vmull_s8(vld1_s8(a + k), vld1_s8(b + k));
-    acc = vpadalq_s16(acc, prod);
-  }
-  int32_t r = vaddvq_s32(acc);
-  for (; k < d; ++k) {
-    r += static_cast<int32_t>(a[k]) * static_cast<int32_t>(b[k]);
-  }
-  return r;
-}
-
 const KernelOps kNeonOps = {
     /*tier=*/KernelTier::kNeon,
     /*name=*/"neon",
@@ -324,8 +287,6 @@ const KernelOps kNeonOps = {
     /*mul_cols=*/MulColsNeon,
     /*mask_gt=*/MaskGtNeon,
     /*mask_gt_scalar=*/MaskGtScalarNeon,
-    /*dot_bf16=*/DotBf16Neon,
-    /*dot_i8=*/DotI8Neon,
 };
 
 }  // namespace

@@ -3,7 +3,6 @@
 // code it replaced, and the vector tiers are tested against these ops.
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "la/kernels/dispatch.h"
@@ -120,24 +119,6 @@ uint64_t MaskGtScalarScalarTier(const float* a, float threshold, size_t n) {
   return mask;
 }
 
-float DecodeBf16(uint16_t u) {
-  return std::bit_cast<float>(static_cast<uint32_t>(u) << 16);
-}
-
-float DotBf16Scalar(const uint16_t* a, const uint16_t* b, size_t d) {
-  float acc = 0.0f;
-  for (size_t k = 0; k < d; ++k) acc += DecodeBf16(a[k]) * DecodeBf16(b[k]);
-  return acc;
-}
-
-int32_t DotI8Scalar(const int8_t* a, const int8_t* b, size_t d) {
-  int32_t acc = 0;
-  for (size_t k = 0; k < d; ++k) {
-    acc += static_cast<int32_t>(a[k]) * static_cast<int32_t>(b[k]);
-  }
-  return acc;
-}
-
 const KernelOps kScalarOps = {
     /*tier=*/KernelTier::kScalar,
     /*name=*/"scalar",
@@ -156,8 +137,6 @@ const KernelOps kScalarOps = {
     /*mul_cols=*/MulColsScalar,
     /*mask_gt=*/MaskGtScalarTier,
     /*mask_gt_scalar=*/MaskGtScalarScalarTier,
-    /*dot_bf16=*/DotBf16Scalar,
-    /*dot_i8=*/DotI8Scalar,
 };
 
 }  // namespace

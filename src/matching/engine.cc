@@ -6,7 +6,6 @@
 
 #include "common/fault.h"
 #include "index/candidate_index.h"
-#include "index/quantized_candidates.h"
 #include "matching/pipeline.h"
 #include "matching/sparse_matchers.h"
 #include "matching/sparse_transforms.h"
@@ -40,48 +39,6 @@ size_t MatcherWorkspaceBytes(const MatchOptions& options, size_t rows,
 // clamped to the target count.
 size_t SparseNnzCap(const MatchOptions& options, size_t n, size_t m) {
   return n * std::min(options.num_candidates, m);
-}
-
-// Pre-lease validation of a sparse-path query (candidate index, quantized
-// candidate generation, or both) against this engine's target set. The
-// transform check lives here too so an unsupported transform fails before
-// any buffer is touched, like an over-budget query.
-Status ValidateSparseQuery(const MatchOptions& options, size_t num_targets) {
-  if (options.num_candidates == 0) {
-    return Status::InvalidArgument(
-        "a sparse query (candidate_index or score_precision) needs "
-        "num_candidates >= 1; choose how many candidates to keep per source "
-        "row");
-  }
-  if (UsesCandidateIndex(options)) {
-    // Each backend reads only its own probe knob, so only that knob is
-    // validated — a stray index_ef=0 must not reject an IVF query.
-    if (options.candidate_index->backend() == CandidateBackendKind::kIvf &&
-        options.index_nprobe == 0) {
-      return Status::InvalidArgument("index_nprobe must be >= 1");
-    }
-    if (options.candidate_index->backend() == CandidateBackendKind::kHnsw &&
-        options.index_ef == 0) {
-      return Status::InvalidArgument("index_ef must be >= 1");
-    }
-    if (options.candidate_index->num_targets() != num_targets) {
-      return Status::InvalidArgument(
-          "candidate index was built over a different target set than this "
-          "engine's");
-    }
-  }
-  if (UsesQuantizedCandidates(options) &&
-      options.metric == SimilarityMetric::kNegManhattan) {
-    return Status::InvalidArgument(
-        "manhattan has no quantized surrogate; use score_precision = float32 "
-        "with this metric");
-  }
-  if (!TransformSupportsSparse(options.transform)) {
-    return Status::InvalidArgument(
-        "Sinkhorn needs the full coupling matrix; it has no sparse variant — "
-        "drop the candidate index / quantized precision for this transform");
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -124,7 +81,7 @@ Result<MatchEngine> MatchEngine::Over(
 
 size_t MatchEngine::DeclaredWorkspaceBytesFor(size_t n, size_t m,
                                               const MatchOptions& options) {
-  if (UsesSparsePath(options)) {
+  if (UsesCandidateIndex(options)) {
     // O(n·c) entries instead of the O(n·m) matrix. Sparse matchers lease no
     // arena tables; greedy-1-to-1's nnz-sized order buffer is heap-allocated
     // and tracker-charged, matching the dense convention.
@@ -138,6 +95,36 @@ size_t MatchEngine::DeclaredWorkspaceBytesFor(size_t n, size_t m,
   const size_t stage_bytes = std::max(TransformWorkspaceBytes(options, n, m),
                                       MatcherWorkspaceBytes(options, n, m));
   return scores_bytes + stage_bytes;
+}
+
+Status MatchEngine::ValidateSparseQuery(const MatchOptions& options,
+                                        size_t num_targets) {
+  if (options.num_candidates == 0) {
+    return Status::InvalidArgument(
+        "a candidate-index query needs num_candidates >= 1; choose how many "
+        "candidates to keep per source row");
+  }
+  // Each backend reads only its own probe knob, so only that knob is
+  // validated — a stray index_ef=0 must not reject an IVF query.
+  const CandidateBackendKind backend = options.candidate_index->backend();
+  if (backend == CandidateBackendKind::kIvf && options.index_nprobe == 0) {
+    return Status::InvalidArgument("index_nprobe must be >= 1");
+  }
+  if (backend == CandidateBackendKind::kHnsw && options.index_ef == 0) {
+    return Status::InvalidArgument("index_ef must be >= 1");
+  }
+  if (options.candidate_index->num_targets() != num_targets) {
+    return Status::InvalidArgument(
+        "candidate index was built over " +
+        std::to_string(options.candidate_index->num_targets()) +
+        " targets, not the pair's " + std::to_string(num_targets));
+  }
+  if (!TransformSupportsSparse(options.transform)) {
+    return Status::InvalidArgument(
+        "Sinkhorn needs the full coupling matrix; it has no sparse variant — "
+        "drop the candidate index for this transform");
+  }
+  return Status::OK();
 }
 
 Status MatchEngine::CheckStageDeadline(const char* stage) const {
@@ -182,7 +169,7 @@ Result<MatchEngine::ScoredBatch> MatchEngine::BeginBatch(
   const Matrix& target = snapshot_->target();
   const size_t n = source.rows();
   const size_t m = target.rows();
-  if (UsesSparsePath(options)) {
+  if (UsesCandidateIndex(options)) {
     EM_RETURN_NOT_OK(ValidateSparseQuery(options, m));
     const size_t nnz_cap = SparseNnzCap(options, n, m);
     EM_RETURN_NOT_OK(workspace_->CheckBudget(
@@ -202,18 +189,9 @@ Result<MatchEngine::ScoredBatch> MatchEngine::BeginBatch(
     ProbeParams probe;
     probe.nprobe = options.index_nprobe;
     probe.ef_search = options.index_ef;
-    if (UsesQuantizedCandidates(options)) {
-      EM_ASSIGN_OR_RETURN(const auto* quantized,
-                          snapshot_->EnsureQuantized(options.score_precision));
-      EM_RETURN_NOT_OK(FillQuantizedSparseScores(
-          source, target, quantized->first, quantized->second, options.metric,
-          cache, options.num_candidates, options.candidate_index, probe,
-          &sparse));
-    } else {
-      EM_RETURN_NOT_OK(options.candidate_index->FillSparseScores(
-          source, target, options.metric, cache, options.num_candidates,
-          probe, &sparse));
-    }
+    EM_RETURN_NOT_OK(options.candidate_index->FillSparseScores(
+        source, target, options.metric, cache, options.num_candidates, probe,
+        &sparse));
     EM_RETURN_NOT_OK(CheckStageDeadline("transform"));
     EM_RETURN_NOT_OK(ApplySparseScoreTransformInPlace(&sparse, options,
                                                       workspace_.get()));
@@ -247,10 +225,10 @@ Result<Assignment> MatchEngine::ScoredBatch::Match(const MatchOptions& options) 
 }
 
 Result<Matrix> MatchEngine::TransformedScores(const MatchOptions& options) {
-  if (UsesSparsePath(options)) {
+  if (UsesCandidateIndex(options)) {
     return Status::InvalidArgument(
         "TransformedScores returns a dense matrix; use BeginBatch and "
-        "sparse_scores() for sparse (candidate-index or quantized) queries");
+        "sparse_scores() for candidate-index queries");
   }
   EM_ASSIGN_OR_RETURN(ScoredBatch batch, BeginBatch(options));
   return Matrix(batch.scores());  // deep owned copy; the lease is recycled

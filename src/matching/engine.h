@@ -28,7 +28,7 @@ namespace entmatcher {
 /// Since the snapshot refactor the engine splits into two halves with very
 /// different mutability:
 ///   - the *read path* — embeddings, candidate index, per-metric similarity
-///     caches, quantization arms — lives in an immutable, ref-counted
+///     caches — lives in an immutable, ref-counted
 ///     PairSnapshot that any number of engines (on any number of threads)
 ///     share without synchronization;
 ///   - the *per-session state* — the workspace arena and the stage deadline
@@ -112,8 +112,7 @@ class MatchEngine {
     const Matrix& scores() const { return scores_->get(); }
 
     /// True when the batch was scored over candidate lists (the query
-    /// options carried a candidate_index and/or a quantized
-    /// score_precision).
+    /// options carried a candidate_index).
     bool is_sparse() const { return sparse_.has_value(); }
 
     /// The shared transformed candidate scores (sparse batches only).
@@ -175,6 +174,15 @@ class MatchEngine {
   /// serving layer's admission check uses before any engine exists.
   static size_t DeclaredWorkspaceBytesFor(size_t n, size_t m,
                                           const MatchOptions& options);
+
+  /// The rules a candidate-index query (options.candidate_index set) must
+  /// meet against a pair with `num_targets` targets, all kInvalidArgument:
+  /// num_candidates >= 1, a non-zero probe knob for the index's backend, an
+  /// index built over exactly num_targets targets, and a transform with a
+  /// sparse variant. BeginBatch applies them before leasing anything; the
+  /// serving layer's admission applies the same function before queueing.
+  static Status ValidateSparseQuery(const MatchOptions& options,
+                                    size_t num_targets);
 
   /// Arms a deadline checked *between* pipeline stages (after similarity /
   /// sparse fill, before transform; and before the decision stage): work on

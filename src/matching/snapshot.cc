@@ -55,31 +55,6 @@ const SimilarityCache& PairSnapshot::EnsureCache(
   return *core_->caches[slot];
 }
 
-Result<const std::pair<QuantizedMatrix, QuantizedMatrix>*>
-PairSnapshot::EnsureQuantized(ScorePrecision precision) const {
-  const size_t slot = precision == ScorePrecision::kBf16 ? 0 : 1;
-  std::call_once(core_->quantized_once[slot], [&] {
-    Result<QuantizedMatrix> qsource =
-        QuantizedMatrix::Create(core_->source, precision);
-    if (!qsource.ok()) {
-      core_->quantized_status[slot] = qsource.status();
-      return;
-    }
-    Result<QuantizedMatrix> qtarget =
-        QuantizedMatrix::Create(core_->target, precision);
-    if (!qtarget.ok()) {
-      core_->quantized_status[slot] = qtarget.status();
-      return;
-    }
-    core_->quantized[slot].emplace(std::move(qsource).value(),
-                                   std::move(qtarget).value());
-  });
-  if (!core_->quantized_status[slot].ok()) {
-    return core_->quantized_status[slot];
-  }
-  return &*core_->quantized[slot];
-}
-
 Result<uint64_t> SnapshotRegistry::Publish(
     const std::string& name, std::shared_ptr<PairSnapshot> snapshot,
     uint64_t min_version) {

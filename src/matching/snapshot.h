@@ -13,7 +13,6 @@
 
 #include "common/epoch.h"
 #include "common/status.h"
-#include "la/kernels/quantized.h"
 #include "la/matrix.h"
 #include "la/similarity.h"
 
@@ -23,8 +22,7 @@ class CandidateIndex;
 
 /// An immutable, versioned bundle of everything the read path of matching
 /// needs for one (source, target) embedding pair: the embedding matrices, an
-/// optional candidate index, the per-metric similarity caches, and the
-/// bf16/int8 quantization arms.
+/// optional candidate index, and the per-metric similarity caches.
 ///
 /// PairSnapshot is the unit of publication in the read-mostly serving
 /// architecture: K worker threads execute scores passes against a snapshot
@@ -33,7 +31,7 @@ class CandidateIndex;
 /// through a SnapshotRegistry; in-flight passes keep reading the version
 /// they pinned, so a batch never mixes v and v+1 data.
 ///
-/// The similarity caches and quantization arms are derived data: logically
+/// The similarity caches are derived data: logically
 /// part of the immutable state, but built lazily on first use (a pair served
 /// only with cosine never pays for the euclidean cache). Laziness is hidden
 /// behind std::call_once, so concurrent first readers race benignly — one
@@ -85,12 +83,6 @@ class PairSnapshot {
   /// wait-free const read.
   const SimilarityCache& EnsureCache(SimilarityMetric metric) const;
 
-  /// The (source, target) quantization pair for `precision` (kBf16 or
-  /// kInt8; kFloat32 is a caller bug), building it on first use. A build
-  /// failure is sticky: every caller sees the same status.
-  Result<const std::pair<QuantizedMatrix, QuantizedMatrix>*> EnsureQuantized(
-      ScorePrecision precision) const;
-
  private:
   friend class SnapshotRegistry;
 
@@ -106,13 +98,6 @@ class PairSnapshot {
     // One slot per SimilarityMetric value.
     mutable std::array<std::once_flag, 3> cache_once;
     mutable std::array<std::optional<SimilarityCache>, 3> caches;
-
-    // One slot per non-float ScorePrecision (bf16 = 0, int8 = 1).
-    mutable std::array<std::once_flag, 2> quantized_once;
-    mutable std::array<
-        std::optional<std::pair<QuantizedMatrix, QuantizedMatrix>>, 2>
-        quantized;
-    mutable std::array<Status, 2> quantized_status;
   };
 
   explicit PairSnapshot(std::shared_ptr<const Core> core,

@@ -87,11 +87,6 @@ ScoreSignature ScoreSignature::Of(const MatchOptions& options) {
         break;
     }
   }
-  if (UsesQuantizedCandidates(options)) {
-    sig.score_precision = options.score_precision;
-    // The candidate width shapes coverage even without an index.
-    sig.num_candidates = options.num_candidates;
-  }
   return sig;
 }
 

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "la/kernels/quantized.h"
 #include "la/similarity.h"
 
 namespace entmatcher {
@@ -133,35 +132,12 @@ struct MatchOptions {
   /// signature — for IVF queries.
   size_t index_ef = 64;
 
-  /// Opt-in mixed-precision candidate generation: when not kFloat32, the
-  /// engine quantizes both embedding matrices once (bf16, or int8 with a
-  /// per-row scale), pre-ranks targets with the quantized dot kernel, and
-  /// re-scores the surviving top-`num_candidates` with the exact float
-  /// kernel — so every emitted score is still bit-identical to its dense
-  /// cell and only candidate *coverage* is approximate. Requires
-  /// num_candidates >= 1 and a dot-product-backed metric (cosine or
-  /// euclidean; manhattan has no quantized form and is refused). Composes
-  /// with candidate_index: the quantized pre-rank then runs over the probed
-  /// lists instead of all targets.
-  ScorePrecision score_precision = ScorePrecision::kFloat32;
-
   RlMatcherOptions rl;
 };
 
 /// True when `options` selects the sparse candidate-index path.
 inline bool UsesCandidateIndex(const MatchOptions& options) {
   return options.candidate_index != nullptr;
-}
-
-/// True when `options` selects quantized (bf16/int8) candidate generation.
-inline bool UsesQuantizedCandidates(const MatchOptions& options) {
-  return options.score_precision != ScorePrecision::kFloat32;
-}
-
-/// True when `options` scores sparse candidate lists instead of the dense
-/// n x m matrix — via an IVF index, quantized pre-ranking, or both.
-inline bool UsesSparsePath(const MatchOptions& options) {
-  return UsesCandidateIndex(options) || UsesQuantizedCandidates(options);
 }
 
 /// The part of a MatchOptions that determines the transformed score matrix
@@ -188,10 +164,6 @@ struct ScoreSignature {
   size_t num_candidates = 0;
   size_t index_nprobe = 0;
   size_t index_ef = 0;
-  /// Candidate-generation precision: quantized queries can only coalesce
-  /// with queries quantized the same way (kFloat32 for dense and pure-IVF
-  /// queries, whose candidate coverage is precision-independent).
-  ScorePrecision score_precision = ScorePrecision::kFloat32;
 
   /// Canonical signature of `options`: parameters the active transform does
   /// not read are zeroed, so e.g. two kNone queries with different csls_k

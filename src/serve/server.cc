@@ -68,7 +68,6 @@ std::string MakeResultKey(const std::string& pair, uint64_t version,
   AppendU64(&key, sig.num_candidates);
   AppendU64(&key, sig.index_nprobe);
   AppendU64(&key, sig.index_ef);
-  AppendU64(&key, static_cast<uint64_t>(sig.score_precision));
   AppendU64(&key, static_cast<uint64_t>(request.kind));
   AppendU64(&key, static_cast<uint64_t>(request.options.matcher));
   AppendU64(&key, request.kind == ServeQueryKind::kTopK ? request.topk : 0);
@@ -80,6 +79,26 @@ std::string MakeResultKey(const std::string& pair, uint64_t version,
                       ? 1
                       : 0);
   return key;
+}
+
+// Admission of a candidate-index query: the two refusals only serving
+// needs, then the engine's own sparse-query rules, so a query the engine
+// would refuse at execution is refused before it queues.
+Status AdmitSparseQuery(const ServeRequest& request, size_t num_targets) {
+  if (request.kind == ServeQueryKind::kTopK) {
+    return Status::InvalidArgument(
+        "MatchServer: top-k serving needs the dense score path; drop the "
+        "candidate index for top-k queries");
+  }
+  if (!MatcherSupportsSparse(request.options.matcher)) {
+    return Status::InvalidArgument(
+        "MatchServer: the requested matcher cannot decide over candidate "
+        "lists; drop the candidate index for this query");
+  }
+  const Status rules =
+      MatchEngine::ValidateSparseQuery(request.options, num_targets);
+  if (rules.ok()) return rules;
+  return Status(rules.code(), "MatchServer: " + rules.message());
 }
 
 bool HasRowRange(const ServeRequest& request) {
@@ -282,39 +301,10 @@ std::future<ServeResponse> MatchServer::Submit(ServeRequest request) {
         std::to_string(request.row_end) + ") is empty or exceeds the " +
         std::to_string(snapshot->source().rows()) + " source rows of pair '" +
         request.pair + "'");
-  } else if (UsesSparsePath(request.options) &&
-             request.kind == ServeQueryKind::kTopK) {
-    verdict = Status::InvalidArgument(
-        "MatchServer: top-k serving needs the dense score path; drop the "
-        "candidate index / quantized precision for top-k queries");
-  } else if (UsesSparsePath(request.options) &&
-             request.options.num_candidates == 0) {
-    verdict = Status::InvalidArgument(
-        "MatchServer: a sparse query (candidate_index or score_precision) "
-        "needs num_candidates >= 1");
-  } else if (UsesQuantizedCandidates(request.options) &&
-             request.options.metric == SimilarityMetric::kNegManhattan) {
-    verdict = Status::InvalidArgument(
-        "MatchServer: manhattan has no quantized surrogate; use "
-        "score_precision = float32 with this metric");
-  } else if (UsesSparsePath(request.options) &&
-             !TransformSupportsSparse(request.options.transform)) {
-    verdict = Status::InvalidArgument(
-        "MatchServer: the requested transform has no sparse variant; drop "
-        "the candidate index / quantized precision for this query");
-  } else if (UsesSparsePath(request.options) &&
-             !MatcherSupportsSparse(request.options.matcher)) {
-    verdict = Status::InvalidArgument(
-        "MatchServer: the requested matcher cannot decide over candidate "
-        "lists; drop the candidate index / quantized precision for this "
-        "query");
-  } else if (UsesCandidateIndex(request.options) &&
-             request.options.candidate_index->num_targets() !=
-                 snapshot->target().rows()) {
-    verdict = Status::InvalidArgument(
-        "MatchServer: candidate index was built over a different target set "
-        "than pair '" + request.pair + "'");
-  } else if (config_.workspace_budget_bytes > 0) {
+  } else if (UsesCandidateIndex(request.options)) {
+    verdict = AdmitSparseQuery(request, snapshot->target().rows());
+  }
+  if (verdict.ok() && config_.workspace_budget_bytes > 0) {
     MatchOptions declared = request.options;
     // Top-k runs no decision stage; only stages 1+2 count against it.
     if (request.kind == ServeQueryKind::kTopK) {
@@ -339,7 +329,7 @@ std::future<ServeResponse> MatchServer::Submit(ServeRequest request) {
       verdict.ok() && config_.degrade_watermark > 0 &&
       snapshot->index() != nullptr &&
       request.kind == ServeQueryKind::kMatch &&
-      !UsesSparsePath(request.options) &&
+      !UsesCandidateIndex(request.options) &&
       TransformSupportsSparse(request.options.transform) &&
       MatcherSupportsSparse(request.options.matcher);
 

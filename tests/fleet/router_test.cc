@@ -150,15 +150,19 @@ class Fleet {
     for (std::unique_ptr<MatchServer>& server : servers_) {
       server->Shutdown();
     }
+    // wrappers_ is destroyed after this body, so only once every socket
+    // thread that could call a wrapper has been joined.
   }
 
   /// Replaces shard `i`'s wire handler (decorators) — call before queries.
-  void WrapHandler(size_t i, WireHandler* handler) {
+  /// The fleet owns the wrapper, so it outlives every socket thread.
+  void WrapHandler(size_t i, std::unique_ptr<WireHandler> handler) {
     fronts_[i]->Stop();
     Result<std::unique_ptr<SocketServer>> front =
-        SocketServer::Start(handler, plan_.shards[i].socket_path);
+        SocketServer::Start(handler.get(), plan_.shards[i].socket_path);
     EXPECT_TRUE(front.ok()) << front.status().ToString();
     fronts_[i] = std::move(front).value();
+    wrappers_.push_back(std::move(handler));
   }
 
   /// Stops shard `i`'s socket front end (simulates a dead shard).
@@ -197,6 +201,7 @@ class Fleet {
   ShardPlan plan_;
   std::vector<std::unique_ptr<MatchServer>> servers_;
   std::vector<std::unique_ptr<MatchServerHandler>> handlers_;
+  std::vector<std::unique_ptr<WireHandler>> wrappers_;
   std::vector<std::unique_ptr<SocketServer>> fronts_;
   std::unique_ptr<Router> router_;
 };
@@ -334,8 +339,7 @@ TEST_F(RouterTest, MixedVersionsRefusedAfterDirectShardSwap) {
 
 TEST_F(RouterTest, IncompatibleHelloRefusedPermanently) {
   Fleet fleet(source_, target_, 2, 1, 0);
-  AlienHelloHandler alien;
-  fleet.WrapHandler(0, &alien);
+  fleet.WrapHandler(0, std::make_unique<AlienHelloHandler>());
   Result<WireResponse> read =
       fleet.router().Query(MatchRequest(AlgorithmPreset::kDInf));
   ASSERT_FALSE(read.ok());
@@ -370,8 +374,8 @@ TEST_F(RouterTest, HedgeRacesSlowPrimary) {
   Fleet fleet(source_, target_, 2, 1, /*replicas=*/1, config);
   // Shard 0 answers routed sub-queries only after 400ms; the hedge to the
   // replica should win long before that.
-  SlowHandler slow(fleet.handler(0), /*delay_micros=*/400'000);
-  fleet.WrapHandler(0, &slow);
+  fleet.WrapHandler(0, std::make_unique<SlowHandler>(
+                          fleet.handler(0), /*delay_micros=*/400'000));
   const WireRequest request = MatchRequest(AlgorithmPreset::kDInf);
   const std::vector<int32_t> expected = SoloAnswer(request, 1);
   const auto start = std::chrono::steady_clock::now();
@@ -396,8 +400,9 @@ TEST_F(RouterTest, SwapFanOutIsAllOrNothingWithRepair) {
   swap.source_path = prefix + ".src.emat";
   swap.target_path = prefix + ".tgt.emat";
 
-  FailSwapHandler flaky(fleet.handler(1));
-  fleet.WrapHandler(1, &flaky);
+  auto owned_flaky = std::make_unique<FailSwapHandler>(fleet.handler(1));
+  FailSwapHandler& flaky = *owned_flaky;
+  fleet.WrapHandler(1, std::move(owned_flaky));
   flaky.Arm(true);
   Result<std::string> diverged = fleet.router().Swap(swap);
   ASSERT_FALSE(diverged.ok());

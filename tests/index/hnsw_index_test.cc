@@ -1,6 +1,7 @@
 // HNSW and backend-facade tests: build validation, exact-rerank bit-identity,
 // thread-count invariance, seeded determinism (rebuild and incremental-insert
-// byte equality), EIDX2/EIDX1 serialization, and backend-aware signatures.
+// byte equality), EIDX2 serialization (EIDX1 refused), and backend-aware
+// signatures.
 
 #include <cstdio>
 #include <cstring>
@@ -329,40 +330,29 @@ TEST_F(HnswIndexTest, SaveLoadRoundTripEidx2) {
   }
 }
 
-// EIDX1 files predate the backend tag and must keep loading as IVF.
-TEST_F(HnswIndexTest, LegacyEidx1LoadsAsIvf) {
-  const Matrix src = RandomMatrix(15, 8, 71);
-  const Matrix tgt = RandomMatrix(30, 8, 72);
+// EIDX1 files (version 1: no backend tag, an IVF body) are no longer read.
+TEST_F(HnswIndexTest, LegacyEidx1IsRefused) {
   CandidateIndexOptions options;
   options.num_lists = 4;
-  Result<CandidateIndex> built = CandidateIndex::Build(tgt, options);
+  Result<CandidateIndex> built =
+      CandidateIndex::Build(RandomMatrix(30, 8, 72), options);
   ASSERT_TRUE(built.ok());
   const std::string path = ::testing::TempDir() + "/legacy.eidx";
-  ASSERT_TRUE(built->SaveAsEidx1(path).ok());
+  ASSERT_TRUE(built->Save(path).ok());
+  // Rewrite the EIDX2 file into the EIDX1 layout: version 1, tag dropped.
+  const std::string eidx2 = FileBytes(path);
+  const uint64_t version = 1;
+  std::string eidx1 = eidx2.substr(0, 4);
+  eidx1.append(reinterpret_cast<const char*>(&version), sizeof(version));
+  eidx1.append(eidx2.substr(13));
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(eidx1.data(), static_cast<std::streamsize>(eidx1.size()));
+  }
   Result<CandidateIndex> loaded = CandidateIndex::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->backend(), CandidateBackendKind::kIvf);
-  EXPECT_EQ(loaded->num_lists(), built->num_lists());
-  Result<SparseScores> before =
-      built->SparseSimilarity(src, tgt, SimilarityMetric::kCosine, 5, 2);
-  Result<SparseScores> after =
-      loaded->SparseSimilarity(src, tgt, SimilarityMetric::kCosine, 5, 2);
-  ASSERT_TRUE(before.ok());
-  ASSERT_TRUE(after.ok());
-  EXPECT_TRUE(SameEntries(*before, *after));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
   std::remove(path.c_str());
-
-  // The legacy container has no tag byte to put a graph in.
-  Result<CandidateIndex> hnsw = CandidateIndex::Build(tgt, HnswOptions());
-  ASSERT_TRUE(hnsw.ok());
-  Result<CandidateIndex> exact = [&] {
-    CandidateIndexOptions exact_options;
-    exact_options.backend = CandidateBackendKind::kExact;
-    return CandidateIndex::Build(tgt, exact_options);
-  }();
-  ASSERT_TRUE(exact.ok());
-  EXPECT_FALSE(hnsw->SaveAsEidx1(path).ok());
-  EXPECT_FALSE(exact->SaveAsEidx1(path).ok());
 }
 
 TEST_F(HnswIndexTest, LoadRejectsCorruptEidx2) {
@@ -396,6 +386,41 @@ TEST_F(HnswIndexTest, LoadRejectsCorruptEidx2) {
     std::remove(truncated.c_str());
   }
   std::remove(full.c_str());
+
+  // Headers alone, declaring 2^32 targets: the loaders must refuse them
+  // from the file size, before sizing any array from the header.
+  const auto header_only = [](uint8_t tag, std::vector<uint64_t> fields) {
+    std::string bytes = "EIDX";
+    const uint64_t version = 2;
+    bytes.append(reinterpret_cast<const char*>(&version), sizeof(version));
+    bytes.push_back(static_cast<char>(tag));
+    bytes.append(reinterpret_cast<const char*>(fields.data()),
+                 fields.size() * sizeof(uint64_t));
+    return bytes;
+  };
+  const uint64_t huge = uint64_t{1} << 32;
+  // HNSW: num_targets, dim, M = 256, 2M, ef_construction, seed, entry
+  // point, max level + 1.
+  const std::string hnsw_header = header_only(
+      static_cast<uint8_t>(CandidateBackendKind::kHnsw),
+      {huge, 8, 256, 512, 64, 13, 0, 1});
+  // IVF: num_targets, dim, num_lists.
+  const std::string ivf_header = header_only(
+      static_cast<uint8_t>(CandidateBackendKind::kIvf), {huge, 8, 1});
+  ASSERT_EQ(hnsw_header.size(), 77u);
+  ASSERT_EQ(ivf_header.size(), 37u);
+  for (const std::string& header : {hnsw_header, ivf_header}) {
+    const std::string path = ::testing::TempDir() + "/header_only.eidx";
+    {
+      std::ofstream out(path, std::ios::binary);
+      out.write(header.data(), static_cast<std::streamsize>(header.size()));
+    }
+    Result<CandidateIndex> loaded = CandidateIndex::Load(path);
+    ASSERT_FALSE(loaded.ok()) << header.size() << "-byte header";
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIoError)
+        << loaded.status().ToString();
+    std::remove(path.c_str());
+  }
 }
 
 // The exact backend proposes every target, so the sparse result with

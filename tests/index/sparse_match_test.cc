@@ -394,5 +394,66 @@ TEST_F(SparseMatchTest, ServedSparseQueriesBatchAndStayBitIdentical) {
   (*server)->Shutdown();
 }
 
+// Serving admission applies the engine's own sparse-query rules, so every
+// query the engine would refuse at execution is refused before it queues —
+// with the engine's status code.
+TEST_F(SparseMatchTest, ServedSparseQueriesMeetTheEngineRulesAtAdmission) {
+  const Matrix src = RandomMatrix(12, 6, 181);
+  const Matrix tgt = RandomMatrix(10, 6, 182);
+  Result<CandidateIndex> ivf =
+      CandidateIndex::Build(tgt, CandidateIndexOptions());
+  CandidateIndexOptions hnsw_options;
+  hnsw_options.backend = CandidateBackendKind::kHnsw;
+  Result<CandidateIndex> hnsw = CandidateIndex::Build(tgt, hnsw_options);
+  Result<CandidateIndex> other =
+      CandidateIndex::Build(RandomMatrix(9, 6, 183), CandidateIndexOptions());
+  ASSERT_TRUE(ivf.ok() && hnsw.ok() && other.ok());
+  const MatchOptions base =
+      WithIndex(MakePreset(AlgorithmPreset::kCsls), &*ivf, 4, 2);
+
+  std::vector<MatchOptions> refused;
+  refused.push_back(base);
+  refused.back().num_candidates = 0;
+  refused.push_back(base);
+  refused.back().index_nprobe = 0;
+  refused.push_back(WithIndex(MakePreset(AlgorithmPreset::kCsls), &*hnsw, 4,
+                              /*nprobe=*/2));
+  refused.back().index_ef = 0;
+  refused.push_back(WithIndex(MakePreset(AlgorithmPreset::kSinkhorn), &*ivf,
+                              4, 2));
+  refused.push_back(WithIndex(MakePreset(AlgorithmPreset::kCsls), &*other, 4,
+                              2));
+
+  Result<MatchEngine> engine = MatchEngine::Create(src, tgt, base);
+  ASSERT_TRUE(engine.ok());
+  Result<std::unique_ptr<MatchServer>> server =
+      MatchServer::Create(MatchServerConfig());
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->LoadPair("pair", src, tgt).ok());
+  ASSERT_TRUE((*server)->Start().ok());
+  for (size_t q = 0; q < refused.size(); ++q) {
+    SCOPED_TRACE("query " + std::to_string(q));
+    EXPECT_EQ(MatchEngine::ValidateSparseQuery(refused[q], tgt.rows()).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(engine->Match(refused[q]).status().code(),
+              StatusCode::kInvalidArgument);
+    ServeRequest request;
+    request.pair = "pair";
+    request.options = refused[q];
+    EXPECT_EQ((*server)->Query(request).status.code(),
+              StatusCode::kInvalidArgument);
+  }
+  const ServerStatsSnapshot stats = (*server)->Stats();
+  EXPECT_EQ(stats.admitted, 0u);
+  EXPECT_EQ(stats.rejected, refused.size());
+
+  // The same index and knobs, configured correctly, are served.
+  ServeRequest request;
+  request.pair = "pair";
+  request.options = base;
+  EXPECT_TRUE((*server)->Query(request).status.ok());
+  (*server)->Shutdown();
+}
+
 }  // namespace
 }  // namespace entmatcher

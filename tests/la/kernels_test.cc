@@ -11,23 +11,20 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "index/quantized_candidates.h"
-#include "la/kernels/quantized.h"
 #include "la/matrix.h"
 #include "la/similarity.h"
 #include "la/topk.h"
-#include "matching/engine.h"
 #include "matching/pipeline.h"
 
 namespace entmatcher {
 namespace {
 
-// The kernel-tier contract (DESIGN.md "Kernel tiers & mixed precision"):
+// The kernel-tier contract (DESIGN.md "Kernel tiers"):
 //  - the scalar tier is the bit-exactness oracle (the pre-SIMD loops kept
 //    verbatim);
-//  - elementwise ops, argmax/max, the mask filters, RowTopKIndices,
-//    ColTopKMean, and dot_i8 are bit-identical to scalar at EVERY tier;
-//  - reassociating reductions (dot, squared_norm, sum, manhattan, dot_bf16,
+//  - elementwise ops, argmax/max, the mask filters, RowTopKIndices, and
+//    ColTopKMean are bit-identical to scalar at EVERY tier;
+//  - reassociating reductions (dot, squared_norm, sum, manhattan,
 //    RowTopKMean) agree within 1e-5 per value;
 //  - each tier's matmul_tile cell replays that tier's `dot` exactly, which is
 //    what makes the sparse rerank bit-identical to dense cells at any tier.
@@ -402,176 +399,6 @@ TEST_F(KernelsTest, PresetAssignmentsIdenticalAcrossTiersAndThreads) {
         Result<Assignment> assignment = MatchEmbeddings(src, tgt, presets[p]);
         ASSERT_TRUE(assignment.ok());
         EXPECT_EQ(assignment->target_of_source, want[p].target_of_source);
-      }
-    }
-  }
-}
-
-TEST_F(KernelsTest, QuantizedDotTracksFloatDot) {
-  for (size_t d : {size_t(8), size_t(33), size_t(130)}) {
-    const Matrix a = RandomMatrix(4, d, 81 + d);
-    const Matrix b = RandomMatrix(4, d, 82 + d);
-    for (ScorePrecision precision :
-         {ScorePrecision::kBf16, ScorePrecision::kInt8}) {
-      Result<QuantizedMatrix> qa = QuantizedMatrix::Create(a, precision);
-      Result<QuantizedMatrix> qb = QuantizedMatrix::Create(b, precision);
-      ASSERT_TRUE(qa.ok() && qb.ok());
-      for (size_t i = 0; i < a.rows(); ++i) {
-        const float exact =
-            ActiveKernels().dot(a.Row(i).data(), b.Row(i).data(), d);
-        const float approx = QuantizedDot(*qa, i, *qb, i);
-        // Relative error bounds: bf16 keeps 8 mantissa bits per operand;
-        // int8 has ~1/254 quantization noise per element, sqrt(d)-scaled
-        // after cancellation. Loose engineering bounds, not tight analysis.
-        const double scale =
-            std::sqrt(ActiveKernels().squared_norm(a.Row(i).data(), d) *
-                      ActiveKernels().squared_norm(b.Row(i).data(), d));
-        const double tolerance =
-            (precision == ScorePrecision::kBf16 ? 0.02 : 0.06) * scale;
-        EXPECT_NEAR(exact, approx, tolerance)
-            << ScorePrecisionName(precision) << " d=" << d << " row " << i;
-      }
-    }
-  }
-  EXPECT_FALSE(QuantizedMatrix::Create(RandomMatrix(2, 2, 1),
-                                       ScorePrecision::kFloat32)
-                   .ok());
-  EXPECT_FALSE(QuantizedMatrix::Create(Matrix(), ScorePrecision::kBf16).ok());
-}
-
-// Int8 dots are integer arithmetic — bit-identical across every tier.
-TEST_F(KernelsTest, Int8DotBitIdenticalAcrossTiers) {
-  const Matrix a = RandomMatrix(3, 67, 91);
-  Result<QuantizedMatrix> qa = QuantizedMatrix::Create(a, ScorePrecision::kInt8);
-  Result<QuantizedMatrix> qb = QuantizedMatrix::Create(a, ScorePrecision::kBf16);
-  ASSERT_TRUE(qa.ok() && qb.ok());
-  const KernelOps& scalar = *GetScalarKernels();
-  for (KernelTier tier : AvailableVectorTiers()) {
-    ASSERT_TRUE(SetKernelTier(tier).ok());
-    const KernelOps& ops = ActiveKernels();
-    for (size_t d : kLengths) {
-      if (d > a.cols()) continue;
-      // Integer accumulation has one exact answer: bit-identical across
-      // tiers, not merely close.
-      EXPECT_EQ(scalar.dot_i8(qa->I8Row(0), qa->I8Row(1), d),
-                ops.dot_i8(qa->I8Row(0), qa->I8Row(1), d))
-          << ops.name << " d=" << d;
-      const float want = scalar.dot_bf16(qb->Bf16Row(0), qb->Bf16Row(1), d);
-      EXPECT_NEAR(want, ops.dot_bf16(qb->Bf16Row(0), qb->Bf16Row(1), d),
-                  1e-5 * std::max(1.0, std::abs(double{want})))
-          << ops.name << " d=" << d;
-    }
-  }
-}
-
-TEST_F(KernelsTest, QuantizedCandidatesExactRerankAndRecall) {
-  Matrix src, tgt;
-  ClusteredPair(64, 32, 97, &src, &tgt);
-  const size_t c = 8;
-  std::vector<KernelTier> tiers = AvailableVectorTiers();
-  tiers.insert(tiers.begin(), KernelTier::kScalar);
-  for (KernelTier tier : tiers) {
-    ASSERT_TRUE(SetKernelTier(tier).ok());
-    for (SimilarityMetric metric :
-         {SimilarityMetric::kCosine, SimilarityMetric::kNegEuclidean}) {
-    // Reference scores and the exact top-c are computed at the SAME tier as
-    // the quantized fill: the rerank identity is a per-tier contract.
-    const SimilarityCache cache = BuildSimilarityCache(src, tgt, metric);
-    Result<Matrix> dense = ComputeSimilarity(src, tgt, metric);
-    ASSERT_TRUE(dense.ok());
-    const std::vector<uint32_t> exact_topc = RowTopKIndices(*dense, c);
-    for (ScorePrecision precision :
-         {ScorePrecision::kBf16, ScorePrecision::kInt8}) {
-      SCOPED_TRACE(std::string(KernelTierName(tier)) + " " +
-                   SimilarityMetricName(metric) + " " +
-                   ScorePrecisionName(precision));
-      Result<QuantizedMatrix> qs = QuantizedMatrix::Create(src, precision);
-      Result<QuantizedMatrix> qt = QuantizedMatrix::Create(tgt, precision);
-      ASSERT_TRUE(qs.ok() && qt.ok());
-      SparseScores sparse =
-          SparseScores::CreateOwned(src.rows(), tgt.rows(), src.rows() * c);
-      ASSERT_TRUE(FillQuantizedSparseScores(src, tgt, *qs, *qt, metric, cache,
-                                            c, nullptr, ProbeParams(),
-                                            &sparse)
-                      .ok());
-      ASSERT_TRUE(sparse.Validate().ok());
-      size_t hits = 0;
-      for (size_t i = 0; i < src.rows(); ++i) {
-        ASSERT_EQ(sparse.RowCols(i).size(), c);
-        for (size_t e = 0; e < sparse.RowCols(i).size(); ++e) {
-          const uint32_t j = sparse.RowCols(i)[e];
-          // Exact-rerank contract: every emitted entry is the dense cell.
-          EXPECT_EQ(sparse.RowValues(i)[e], dense->At(i, j))
-              << "row " << i << " col " << j;
-          for (size_t k = 0; k < c; ++k) {
-            if (exact_topc[i * c + k] == j) {
-              ++hits;
-              break;
-            }
-          }
-        }
-      }
-      const double recall = static_cast<double>(hits) /
-                            static_cast<double>(src.rows() * c);
-      EXPECT_GE(recall, 0.98) << "recall@" << c;
-    }
-    }
-  }
-}
-
-TEST_F(KernelsTest, EngineQuantizedPathValidationAndDeterminism) {
-  Matrix src, tgt;
-  ClusteredPair(40, 16, 103, &src, &tgt);
-  MatchOptions options;
-  options.score_precision = ScorePrecision::kBf16;
-
-  // num_candidates is mandatory on the quantized path.
-  Result<MatchEngine> engine = MatchEngine::Create(src, tgt, MatchOptions());
-  ASSERT_TRUE(engine.ok());
-  Result<Assignment> missing_c = engine->Match(options);
-  ASSERT_FALSE(missing_c.ok());
-  EXPECT_EQ(missing_c.status().code(), StatusCode::kInvalidArgument);
-
-  options.num_candidates = 6;
-  MatchOptions manhattan = options;
-  manhattan.metric = SimilarityMetric::kNegManhattan;
-  Result<Assignment> no_surrogate = engine->Match(manhattan);
-  ASSERT_FALSE(no_surrogate.ok());
-  EXPECT_EQ(no_surrogate.status().code(), StatusCode::kInvalidArgument);
-
-  MatchOptions sinkhorn = options;
-  sinkhorn.transform = ScoreTransformKind::kSinkhorn;
-  Result<Assignment> no_sparse_transform = engine->Match(sinkhorn);
-  ASSERT_FALSE(no_sparse_transform.ok());
-  EXPECT_EQ(no_sparse_transform.status().code(),
-            StatusCode::kInvalidArgument);
-
-  // Signatures: quantized and float queries never share a batch.
-  EXPECT_FALSE(ScoreSignature::Of(options) == ScoreSignature::Of(MatchOptions()));
-  MatchOptions int8 = options;
-  int8.score_precision = ScorePrecision::kInt8;
-  EXPECT_FALSE(ScoreSignature::Of(options) == ScoreSignature::Of(int8));
-
-  // Clustered data: the quantized pre-rank keeps the true match in every
-  // candidate list, so the decisions equal the dense pipeline's, and the
-  // run is deterministic across thread counts.
-  Result<Assignment> dense = MatchEmbeddings(src, tgt, MatchOptions());
-  ASSERT_TRUE(dense.ok());
-  for (ScorePrecision precision :
-       {ScorePrecision::kBf16, ScorePrecision::kInt8}) {
-    options.score_precision = precision;
-    std::vector<int32_t> first;
-    for (size_t threads : {size_t(1), size_t(7)}) {
-      SetNumThreads(threads);
-      Result<Assignment> sparse = engine->Match(options);
-      ASSERT_TRUE(sparse.ok()) << ScorePrecisionName(precision);
-      EXPECT_EQ(sparse->target_of_source, dense->target_of_source)
-          << ScorePrecisionName(precision);
-      if (first.empty()) {
-        first = sparse->target_of_source;
-      } else {
-        EXPECT_EQ(first, sparse->target_of_source)
-            << ScorePrecisionName(precision) << " not thread-deterministic";
       }
     }
   }

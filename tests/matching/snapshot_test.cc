@@ -77,19 +77,6 @@ TEST(PairSnapshotTest, ConcurrentEnsureCacheYieldsOneCache) {
   for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]);
 }
 
-TEST(PairSnapshotTest, EnsureQuantizedBuildsBothArms) {
-  std::shared_ptr<PairSnapshot> snapshot = MakeSnapshot();
-  auto bf16 = snapshot->EnsureQuantized(ScorePrecision::kBf16);
-  ASSERT_TRUE(bf16.ok()) << bf16.status().ToString();
-  EXPECT_EQ((*bf16)->first.rows(), snapshot->source().rows());
-  auto int8 = snapshot->EnsureQuantized(ScorePrecision::kInt8);
-  ASSERT_TRUE(int8.ok()) << int8.status().ToString();
-  // Second call returns the same built pair.
-  auto again = snapshot->EnsureQuantized(ScorePrecision::kBf16);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(*bf16, *again);
-}
-
 TEST(PairSnapshotTest, WithIndexSharesCoreAndCaches) {
   std::shared_ptr<PairSnapshot> base = MakeSnapshot(12, 16, 8);
   const SimilarityCache& cache = base->EnsureCache(SimilarityMetric::kCosine);
