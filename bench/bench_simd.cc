@@ -1,8 +1,12 @@
 // SIMD kernel-tier benchmark: measures what the vectorized tiers buy over
-// the scalar reference tier. Kernel throughput sweep: GB/s and
-// x-over-scalar for the hot kernels (dot, MatMulTransposedRange, manhattan,
-// squared_norm, sum, cosine_scale_row, RowTopKIndices) at every tier the
-// build + CPU supports, via SetKernelTier between passes.
+// the scalar reference tier. Kernel throughput sweep over every op of the
+// kernel table (matmul_tile through MatMulTransposedRange) plus
+// RowTopKIndices, at every tier the build + CPU supports, via SetKernelTier
+// between passes. Each row reports one layer number: GFLOP/s for the
+// compute-bound matmul (2 * rows^2 * d flops per pass), GB/s of operands
+// read and written for everything else, and the x-over-scalar ratio. An
+// op's samples go round-robin over the tiers, so a change in host speed
+// between samples hits every tier alike instead of skewing the ratio.
 //
 // Gate (fatal): MatMulTransposedRange must reach >= 2x over scalar on at
 // least one vector tier. A "SIMD tier" that beats scalar on nothing is dead
@@ -20,6 +24,7 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -36,6 +41,7 @@ namespace entmatcher {
 namespace {
 
 constexpr size_t kDim = 128;          // micro-kernel vector length
+constexpr size_t kMaskChunk = 64;     // mask_gt* take at most 64 lanes
 constexpr double kMatmulGate = 2.0;   // x over scalar
 
 // Defeats dead-code elimination across timed loops.
@@ -45,22 +51,22 @@ struct KernelTiming {
   std::string kernel;
   std::string tier;
   double seconds = 0.0;
-  double gbps = 0.0;
+  double throughput = 0.0;  // in `unit`
+  std::string unit;         // "GB/s" or "GFLOP/s"
   double speedup_vs_scalar = 0.0;  // filled after the scalar row is known
 };
 
-/// Median-of-3 timed runs of `body`, which must fold its result into g_sink.
-template <typename Fn>
-double TimeSeconds(Fn&& body) {
-  double best[3];
-  for (double& sample : best) {
-    Timer timer;
-    body();
-    sample = timer.ElapsedSeconds();
-  }
-  std::sort(best, best + 3);
-  return best[1];
-}
+constexpr size_t kSamples = 5;        // per (op, tier); the median counts
+
+/// One op of the sweep: `pass` runs it on a tier's table and returns a value
+/// to fold into g_sink; `work` is the bytes (GB/s) or flops (GFLOP/s) one
+/// pass moves or computes.
+struct OpCase {
+  std::string kernel;
+  double work = 0.0;
+  const char* unit = "GB/s";
+  std::function<double(const KernelOps&)> pass;
+};
 
 std::vector<float> RandomVec(size_t n, uint64_t seed) {
   Rng rng(seed);
@@ -85,12 +91,13 @@ int main() {
   using namespace entmatcher;
 
   const double scale = bench::GlobalScale();
-  const size_t reps = std::max<size_t>(2000, static_cast<size_t>(50000.0 * scale));
+  const size_t reps =
+      std::max<size_t>(2000, static_cast<size_t>(400000.0 * scale));
   const size_t mm_rows = std::max<size_t>(96, static_cast<size_t>(768.0 * scale));
 
   bench::PrintBanner(
       "SIMD kernel tiers — throughput over scalar",
-      "Hot-kernel GB/s per tier via runtime dispatch.");
+      "Per-op GB/s (matmul GFLOP/s) per tier via runtime dispatch.");
 
   std::vector<KernelTier> tiers = {KernelTier::kScalar};
   for (KernelTier tier :
@@ -110,86 +117,147 @@ int main() {
   std::vector<float> scratch(kDim);
   std::vector<float> inv_tgt = RandomVec(kDim, 16);
   for (float& x : inv_tgt) x = std::abs(x) + 0.5f;
+  const std::vector<double> col_inv(inv_tgt.begin(), inv_tgt.end());
+  std::vector<double> col_acc(kDim);
+  Matrix out(mm_rows, mm_rows);
+
+  // One kDim-long call per rep; `op` stays a concrete type, so the rep loop
+  // pays no std::function call per rep.
+  const auto vector_op = [&](const std::string& kernel, double bytes_per_rep,
+                             auto op) {
+    return OpCase{kernel, bytes_per_rep * static_cast<double>(reps), "GB/s",
+                  [reps, op](const KernelOps& ops) {
+                    double acc = 0.0;
+                    for (size_t r = 0; r < reps; ++r) acc += op(ops, r);
+                    return acc;
+                  }};
+  };
+  constexpr double kF = sizeof(float);
+  constexpr double kD = sizeof(double);
+  const std::vector<OpCase> cases = {
+      vector_op("dot", 2 * kDim * kF,
+                [&](const KernelOps& ops, size_t) {
+                  return ops.dot(va.data(), vb.data(), kDim);
+                }),
+      vector_op("manhattan", 2 * kDim * kF,
+                [&](const KernelOps& ops, size_t) {
+                  return ops.manhattan(va.data(), vb.data(), kDim);
+                }),
+      vector_op("squared_norm", kDim * kF,
+                [&](const KernelOps& ops, size_t) {
+                  return ops.squared_norm(va.data(), kDim);
+                }),
+      vector_op("sum", kDim * kF,
+                [&](const KernelOps& ops, size_t) {
+                  return ops.sum(va.data(), kDim);
+                }),
+      vector_op("max", kDim * kF,
+                [&](const KernelOps& ops, size_t) {
+                  return ops.max(va.data(), kDim);
+                }),
+      vector_op("argmax", kDim * kF,
+                [&](const KernelOps& ops, size_t) {
+                  return static_cast<double>(ops.argmax(va.data(), kDim));
+                }),
+      // In place; the factors alternate 2 and 0.5 so values never drift to
+      // infinity or denormals.
+      vector_op("scale", 2 * kDim * kF,
+                [&](const KernelOps& ops, size_t r) {
+                  ops.scale(scratch.data(), kDim, (r & 1) ? 0.5f : 2.0f);
+                  return scratch[0];
+                }),
+      vector_op("scale_copy", 2 * kDim * kF,
+                [&](const KernelOps& ops, size_t) {
+                  ops.scale_copy(va.data(), scratch.data(), kDim, 1.25f);
+                  return scratch[0];
+                }),
+      vector_op("cosine_scale_row", 3 * kDim * kF,
+                [&](const KernelOps& ops, size_t) {
+                  std::copy(va.begin(), va.end(), scratch.begin());
+                  ops.cosine_scale_row(scratch.data(), inv_tgt.data(), kDim,
+                                       1.25f);
+                  return scratch[0];
+                }),
+      vector_op("accumulate_max", 3 * kDim * kF,
+                [&](const KernelOps& ops, size_t) {
+                  ops.accumulate_max(scratch.data(), vb.data(), kDim);
+                  return scratch[0];
+                }),
+      vector_op("accumulate_cols", kDim * (kD + kF + kD),
+                [&](const KernelOps& ops, size_t) {
+                  ops.accumulate_cols(col_acc.data(), va.data(), kDim);
+                  return col_acc[0];
+                }),
+      vector_op("mul_cols", kDim * (kF + kD + kF),
+                [&](const KernelOps& ops, size_t) {
+                  ops.mul_cols(scratch.data(), va.data(), col_inv.data(),
+                               kDim);
+                  return scratch[0];
+                }),
+      // The masks take at most 64 lanes: kDim in 64-lane chunks, as the
+      // partial top-k kernels call them.
+      vector_op("mask_gt", 2 * kDim * kF,
+                [&](const KernelOps& ops, size_t) {
+                  uint64_t bits = 0;
+                  for (size_t k = 0; k < kDim; k += kMaskChunk) {
+                    bits ^= ops.mask_gt(va.data() + k, vb.data() + k,
+                                        kMaskChunk);
+                  }
+                  return static_cast<double>(bits & 0xFFFF);
+                }),
+      vector_op("mask_gt_scalar", kDim * kF,
+                [&](const KernelOps& ops, size_t) {
+                  uint64_t bits = 0;
+                  for (size_t k = 0; k < kDim; k += kMaskChunk) {
+                    bits ^= ops.mask_gt_scalar(va.data() + k, 0.1f,
+                                               kMaskChunk);
+                  }
+                  return static_cast<double>(bits & 0xFFFF);
+                }),
+      // Compute-bound: one multiply and one add per (row, col, k). Runs on
+      // the active tier, which the sweep sets before every pass.
+      OpCase{"matmul_range", 2.0 * mm_rows * mm_rows * kDim, "GFLOP/s",
+             [&](const KernelOps&) {
+               Status status = MatMulTransposedRange(ma, mb, 0, mm_rows, &out);
+               if (!status.ok()) std::cerr << status.ToString() << "\n";
+               return static_cast<double>(out.At(0, 0));
+             }},
+      OpCase{"row_topk_indices", 1.0 * mm_rows * mm_rows * kF, "GB/s",
+             [&](const KernelOps&) {
+               const std::vector<uint32_t> top =
+                   RowTopKIndices(topk_scores, 10);
+               return top.empty() ? 0.0 : static_cast<double>(top[0]);
+             }},
+  };
 
   std::vector<KernelTiming> timings;
-  for (KernelTier tier : tiers) {
-    Status set = SetKernelTier(tier);
-    if (!set.ok()) {
-      std::cerr << "SetKernelTier: " << set.ToString() << "\n";
-      return 1;
+  for (const OpCase& op : cases) {
+    std::copy(va.begin(), va.end(), scratch.begin());
+    std::fill(col_acc.begin(), col_acc.end(), 0.0);
+    std::vector<std::vector<double>> samples(tiers.size());
+    for (size_t s = 0; s < kSamples; ++s) {
+      for (size_t t = 0; t < tiers.size(); ++t) {
+        Status set = SetKernelTier(tiers[t]);
+        if (!set.ok()) {
+          std::cerr << "SetKernelTier: " << set.ToString() << "\n";
+          return 1;
+        }
+        Timer timer;
+        g_sink = g_sink + op.pass(ActiveKernels());
+        samples[t].push_back(timer.ElapsedSeconds());
+      }
     }
-    const KernelOps& ops = ActiveKernels();
-    const std::string name = KernelTierName(tier);
-    const auto push = [&](const std::string& kernel, double seconds,
-                          double bytes_per_rep, size_t rep_count) {
-      KernelTiming t;
-      t.kernel = kernel;
-      t.tier = name;
-      t.seconds = seconds;
-      t.gbps = seconds > 0.0
-                   ? bytes_per_rep * static_cast<double>(rep_count) /
-                         seconds / 1e9
-                   : 0.0;
-      timings.push_back(t);
-    };
-
-    push("dot", TimeSeconds([&] {
-           double acc = 0.0;
-           for (size_t r = 0; r < reps; ++r) {
-             acc += ops.dot(va.data(), vb.data(), kDim);
-           }
-           g_sink = g_sink + acc;
-         }),
-         2.0 * kDim * sizeof(float), reps);
-    push("manhattan", TimeSeconds([&] {
-           double acc = 0.0;
-           for (size_t r = 0; r < reps; ++r) {
-             acc += ops.manhattan(va.data(), vb.data(), kDim);
-           }
-           g_sink = g_sink + acc;
-         }),
-         2.0 * kDim * sizeof(float), reps);
-    push("squared_norm", TimeSeconds([&] {
-           double acc = 0.0;
-           for (size_t r = 0; r < reps; ++r) {
-             acc += ops.squared_norm(va.data(), kDim);
-           }
-           g_sink = g_sink + acc;
-         }),
-         1.0 * kDim * sizeof(float), reps);
-    push("sum", TimeSeconds([&] {
-           double acc = 0.0;
-           for (size_t r = 0; r < reps; ++r) {
-             acc += ops.sum(va.data(), kDim);
-           }
-           g_sink = g_sink + acc;
-         }),
-         1.0 * kDim * sizeof(float), reps);
-    push("cosine_scale_row", TimeSeconds([&] {
-           for (size_t r = 0; r < reps; ++r) {
-             std::copy(va.begin(), va.end(), scratch.begin());
-             ops.cosine_scale_row(scratch.data(), inv_tgt.data(), kDim, 1.25f);
-           }
-           g_sink = g_sink + scratch[0];
-         }),
-         3.0 * kDim * sizeof(float), reps);
-    {
-      Matrix out(mm_rows, mm_rows);
-      const double mm_seconds = TimeSeconds([&] {
-        Status status = MatMulTransposedRange(ma, mb, 0, mm_rows, &out);
-        if (!status.ok()) std::cerr << status.ToString() << "\n";
-        g_sink = g_sink + out.At(0, 0);
-      });
-      // Bytes: both operand matrices plus the output, once per pass.
-      push("matmul_range", mm_seconds,
-           (2.0 * mm_rows * kDim + 1.0 * mm_rows * mm_rows) * sizeof(float),
-           1);
+    for (size_t t = 0; t < tiers.size(); ++t) {
+      std::sort(samples[t].begin(), samples[t].end());
+      KernelTiming timing;
+      timing.kernel = op.kernel;
+      timing.tier = KernelTierName(tiers[t]);
+      timing.seconds = samples[t][kSamples / 2];
+      timing.throughput =
+          timing.seconds > 0.0 ? op.work / timing.seconds / 1e9 : 0.0;
+      timing.unit = op.unit;
+      timings.push_back(timing);
     }
-    push("row_topk_indices", TimeSeconds([&] {
-           const std::vector<uint32_t> top = RowTopKIndices(topk_scores, 10);
-           g_sink = g_sink + (top.empty() ? 0.0 : static_cast<double>(top[0]));
-         }),
-         1.0 * mm_rows * mm_rows * sizeof(float), 1);
   }
 
   // Speedups are scalar_seconds / tier_seconds per kernel.
@@ -209,8 +277,9 @@ int main() {
   }
   for (const KernelTiming& t : timings) {
     std::cout << t.kernel << " [" << t.tier
-              << "]: " << FormatDouble(t.gbps, 2) << " GB/s, "
-              << FormatDouble(t.speedup_vs_scalar, 2) << "x over scalar\n";
+              << "]: " << FormatDouble(t.throughput, 2) << " " << t.unit
+              << ", " << FormatDouble(t.speedup_vs_scalar, 2)
+              << "x over scalar\n";
   }
 
   const bool ok = best_matmul_speedup >= kMatmulGate;
@@ -231,7 +300,8 @@ int main() {
   for (size_t i = 0; i < timings.size(); ++i) {
     json << "    {\"kernel\": \"" << timings[i].kernel << "\", \"tier\": \""
          << timings[i].tier << "\", \"seconds\": " << timings[i].seconds
-         << ", \"gbps\": " << timings[i].gbps
+         << ", \"throughput\": " << timings[i].throughput << ", \"unit\": \""
+         << timings[i].unit << "\""
          << ", \"speedup_vs_scalar\": " << timings[i].speedup_vs_scalar
          << "}" << (i + 1 < timings.size() ? "," : "") << "\n";
   }

@@ -286,10 +286,10 @@ void Router::LaunchAttempt(std::shared_ptr<RangeRace> race, int shard_id,
       }
     }
     race->cv.notify_all();
-    {
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      --inflight_;
-    }
+    // Notify under the lock: once ~Router can observe zero it may destroy
+    // inflight_cv_, so this thread must not touch it after the unlock.
+    std::lock_guard<std::mutex> lock(inflight_mu_);
+    --inflight_;
     inflight_cv_.notify_all();
   }).detach();
 }

@@ -135,9 +135,12 @@ std::string DetectedCpuFeatures();
 /// {"tier": "avx512", "available": "scalar avx2 avx512", "cpu": "..."}.
 std::string KernelStatusJson();
 
-// Per-tier registration hooks (defined in the per-ISA translation units,
-// compiled with that ISA's -m flags; null when the build does not include
-// the tier). Only dispatch.cc calls these.
+// Per-tier registration hooks, null when the build does not include the
+// tier. kernels_scalar.cc defines the scalar one; each vector tier's
+// translation unit instantiates la/kernels/vector_kernels.h at its lane count
+// under that ISA's -m flags and exports nothing but its hook. dispatch.cc
+// calls them after the CPU probe; the kernel tests call them directly, and
+// only for tiers KernelTierAvailable() reports.
 const KernelOps* GetScalarKernels();
 const KernelOps* GetAvx2Kernels();   // null unless ENTMATCHER_HAVE_AVX2
 const KernelOps* GetAvx512Kernels(); // null unless ENTMATCHER_HAVE_AVX512

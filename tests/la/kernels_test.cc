@@ -11,6 +11,7 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "la/kernels/vector_kernels.h"
 #include "la/matrix.h"
 #include "la/similarity.h"
 #include "la/topk.h"
@@ -29,8 +30,9 @@ namespace {
 //  - each tier's matmul_tile cell replays that tier's `dot` exactly, which is
 //    what makes the sparse rerank bit-identical to dense cells at any tier.
 //
-// Adversarial lengths straddle every vector width in play: 8 (AVX2), 16
-// (AVX-512), 64 (mask chunks), each +/- the remainders 1..width-1.
+// Adversarial lengths straddle every vector width in play: 4 (NEON), 8
+// (AVX2), 16 (AVX-512), 64 (mask chunks), each +/- the remainders
+// 1..width-1.
 const size_t kLengths[] = {1,  2,  3,  5,  7,  8,  9,  15, 16, 17,
                            23, 31, 32, 33, 48, 63, 64, 65, 67, 130};
 
@@ -41,6 +43,27 @@ std::vector<KernelTier> AvailableVectorTiers() {
     if (KernelTierAvailable(tier)) tiers.push_back(tier);
   }
   return tiers;
+}
+
+// The vector template at the NEON tier's 4 lanes, compiled with this file's
+// default flags and never registered as a tier, so every build runs the code
+// the NEON tier runs.
+constexpr KernelOps kW4Ops = VectorKernelOps<4>(KernelTier::kNeon, "w4");
+
+// The tables the op-level tests check: every available vector tier, plus W4.
+std::vector<const KernelOps*> VectorTables() {
+  std::vector<const KernelOps*> tables;
+  if (KernelTierAvailable(KernelTier::kAvx2)) {
+    tables.push_back(GetAvx2Kernels());
+  }
+  if (KernelTierAvailable(KernelTier::kAvx512)) {
+    tables.push_back(GetAvx512Kernels());
+  }
+  if (KernelTierAvailable(KernelTier::kNeon)) {
+    tables.push_back(GetNeonKernels());
+  }
+  tables.push_back(&kW4Ops);
+  return tables;
 }
 
 std::vector<float> RandomVec(size_t n, uint64_t seed) {
@@ -118,9 +141,8 @@ TEST_F(KernelsTest, DispatchSurface) {
 
 TEST_F(KernelsTest, ElementwiseOpsBitIdenticalToScalar) {
   const KernelOps& scalar = *GetScalarKernels();
-  for (KernelTier tier : AvailableVectorTiers()) {
-    ASSERT_TRUE(SetKernelTier(tier).ok());
-    const KernelOps& ops = ActiveKernels();
+  for (const KernelOps* table : VectorTables()) {
+    const KernelOps& ops = *table;
     for (size_t d : kLengths) {
       SCOPED_TRACE(std::string(ops.name) + " d=" + std::to_string(d));
       const std::vector<float> a = RandomVec(d, 100 + d);
@@ -160,6 +182,10 @@ TEST_F(KernelsTest, ElementwiseOpsBitIdenticalToScalar) {
 
       EXPECT_EQ(scalar.max(a.data(), d), ops.max(a.data(), d));
       EXPECT_EQ(scalar.argmax(a.data(), d), ops.argmax(a.data(), d));
+      // Rounded values tie across lanes; argmax keeps the lowest index.
+      std::vector<float> ties(d);
+      for (size_t k = 0; k < d; ++k) ties[k] = std::round(a[k]);
+      EXPECT_EQ(scalar.argmax(ties.data(), d), ops.argmax(ties.data(), d));
       if (d <= 64) {
         EXPECT_EQ(scalar.mask_gt(a.data(), b.data(), d),
                   ops.mask_gt(a.data(), b.data(), d));
@@ -173,9 +199,8 @@ TEST_F(KernelsTest, ElementwiseOpsBitIdenticalToScalar) {
 TEST_F(KernelsTest, NanRejectionMatchesScalarStrictCompares) {
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const KernelOps& scalar = *GetScalarKernels();
-  for (KernelTier tier : AvailableVectorTiers()) {
-    ASSERT_TRUE(SetKernelTier(tier).ok());
-    const KernelOps& ops = ActiveKernels();
+  for (const KernelOps* table : VectorTables()) {
+    const KernelOps& ops = *table;
     for (size_t d : {size_t(3), size_t(17), size_t(64), size_t(65)}) {
       for (size_t where : {size_t(0), d / 2, d - 1}) {
         SCOPED_TRACE(std::string(ops.name) + " d=" + std::to_string(d) +
@@ -208,9 +233,8 @@ TEST_F(KernelsTest, NanRejectionMatchesScalarStrictCompares) {
 
 TEST_F(KernelsTest, ReductionsWithinToleranceOfScalar) {
   const KernelOps& scalar = *GetScalarKernels();
-  for (KernelTier tier : AvailableVectorTiers()) {
-    ASSERT_TRUE(SetKernelTier(tier).ok());
-    const KernelOps& ops = ActiveKernels();
+  for (const KernelOps* table : VectorTables()) {
+    const KernelOps& ops = *table;
     for (size_t d : kLengths) {
       SCOPED_TRACE(std::string(ops.name) + " d=" + std::to_string(d));
       const std::vector<float> a = RandomVec(d, 600 + d);
@@ -230,9 +254,8 @@ TEST_F(KernelsTest, ReductionsWithinToleranceOfScalar) {
 }
 
 TEST_F(KernelsTest, MatmulTileCellsReplayDotExactlyPerTier) {
-  for (KernelTier tier : AvailableVectorTiers()) {
-    ASSERT_TRUE(SetKernelTier(tier).ok());
-    const KernelOps& ops = ActiveKernels();
+  for (const KernelOps* table : VectorTables()) {
+    const KernelOps& ops = *table;
     for (size_t d : {size_t(1), size_t(7), size_t(16), size_t(33),
                      size_t(65)}) {
       SCOPED_TRACE(std::string(ops.name) + " d=" + std::to_string(d));
