@@ -107,12 +107,6 @@ class CandidateBackend {
                        const ProbeParams& params, CandidateScratch* scratch,
                        std::vector<uint32_t>* out) const = 0;
 
-  /// Incrementally indexes the appended rows [first_new_row, target.rows())
-  /// of a grown target matrix. Backends promise that incremental insertion
-  /// reproduces the from-scratch build exactly: build(n) + Insert of k rows
-  /// yields the same structure as build(n + k) under the same seed.
-  virtual Status Insert(const Matrix& target, size_t first_new_row) = 0;
-
   virtual CandidateListStats Stats() const = 0;
 
   /// Serializes the backend body (everything after the EIDX2 tag byte).

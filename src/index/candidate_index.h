@@ -76,14 +76,6 @@ class CandidateIndex {
     backend_->Collect(target, x, params, scratch, out);
   }
 
-  /// Incrementally indexes rows appended to a grown target matrix (rows
-  /// [num_targets(), target.rows())). Backends reproduce the from-scratch
-  /// build exactly: Build(n rows) + Insert of k appended rows equals
-  /// Build(n + k) under the same seed.
-  Status Insert(const Matrix& target) {
-    return backend_->Insert(target, backend_->num_targets());
-  }
-
   /// Fills `out` with the top-`num_candidates` exact scores per source row,
   /// restricted to the candidates the backend proposes under `params` (the
   /// HNSW beam is widened to at least num_candidates so the kept set is

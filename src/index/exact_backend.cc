@@ -27,20 +27,6 @@ void ExactBackend::Collect(const Matrix& target, const float* x,
   }
 }
 
-Status ExactBackend::Insert(const Matrix& target, size_t first_new_row) {
-  if (target.cols() != dim_) {
-    return Status::InvalidArgument(
-        "CandidateIndex: inserted rows differ in dimension");
-  }
-  if (first_new_row != num_targets_ || target.rows() < num_targets_) {
-    return Status::InvalidArgument(
-        "CandidateIndex: Insert expects the previously indexed rows "
-        "followed by the appended ones");
-  }
-  num_targets_ = target.rows();
-  return Status::OK();
-}
-
 CandidateListStats ExactBackend::Stats() const {
   CandidateListStats stats;
   stats.backend = CandidateBackendKind::kExact;

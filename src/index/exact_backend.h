@@ -34,8 +34,6 @@ class ExactBackend final : public CandidateBackend {
                CandidateScratch* scratch,
                std::vector<uint32_t>* out) const override;
 
-  Status Insert(const Matrix& target, size_t first_new_row) override;
-
   CandidateListStats Stats() const override;
   Status SavePayload(std::ostream& out) const override;
 

@@ -22,9 +22,8 @@ bool FrontierLess(const std::pair<float, uint32_t>& a,
 }  // namespace
 
 int HnswBackend::LevelFor(uint32_t id) const {
-  // One throwaway generator per id: the level must be a pure function of
-  // (seed, id), never of insertion history, so incremental Insert replays
-  // the full build exactly.
+  // One throwaway generator per id: the level is a pure function of
+  // (seed, id), never of insertion history.
   Rng rng(seed_ ^ (0x9E3779B97F4A7C15ull * (static_cast<uint64_t>(id) + 1)));
   const double u = rng.NextDouble();  // [0, 1) => 1 - u in (0, 1]
   const double level = -std::log(1.0 - u) * inv_log_m_;
@@ -263,6 +262,10 @@ Result<std::unique_ptr<HnswBackend>> HnswBackend::Build(
     return Status::InvalidArgument(
         "CandidateIndex: hnsw_ef_construction must be >= 1");
   }
+  if (target.rows() > (1ull << 32)) {
+    return Status::InvalidArgument(
+        "CandidateIndex: more rows than 32-bit target ids can address");
+  }
   auto index = std::unique_ptr<HnswBackend>(new HnswBackend());
   index->dim_ = target.cols();
   index->max_links_ = max_links;
@@ -270,47 +273,27 @@ Result<std::unique_ptr<HnswBackend>> HnswBackend::Build(
   index->ef_construction_ = std::max(ef_construction, index->max_links0_);
   index->seed_ = seed;
   index->inv_log_m_ = 1.0 / std::log(static_cast<double>(max_links));
-  EM_RETURN_NOT_OK(index->Insert(target, 0));
-  return index;
-}
-
-Status HnswBackend::Insert(const Matrix& target, size_t first_new_row) {
-  if (target.cols() != dim_) {
-    return Status::InvalidArgument(
-        "CandidateIndex: inserted rows differ in dimension");
-  }
-  if (first_new_row != num_targets_ || target.rows() < num_targets_) {
-    return Status::InvalidArgument(
-        "CandidateIndex: Insert expects the previously indexed rows "
-        "followed by the appended ones");
-  }
-  const size_t m_new = target.rows();
-  if (m_new > (1ull << 32)) {
-    return Status::InvalidArgument(
-        "CandidateIndex: more rows than 32-bit target ids can address");
-  }
-  inv_norms_.resize(m_new, 0.0f);
-  counts0_.resize(m_new, 0);
-  neighbors0_.resize(m_new * max_links0_, 0);
-  for (size_t j = first_new_row; j < m_new; ++j) {
+  const size_t m = target.rows();
+  index->inv_norms_.resize(m, 0.0f);
+  index->counts0_.resize(m, 0);
+  index->neighbors0_.resize(m * index->max_links0_, 0);
+  for (size_t j = 0; j < m; ++j) {
     const float* row = target.Row(j).data();
     double sq = 0.0;
-    for (size_t d = 0; d < dim_; ++d) {
+    for (size_t d = 0; d < index->dim_; ++d) {
       sq += static_cast<double>(row[d]) * static_cast<double>(row[d]);
     }
     const double norm = std::sqrt(sq);
-    inv_norms_[j] = norm > 0.0 ? static_cast<float>(1.0 / norm) : 0.0f;
+    index->inv_norms_[j] = norm > 0.0 ? static_cast<float>(1.0 / norm) : 0.0f;
   }
   // Serial ascending insertion: HNSW construction is order-dependent, so a
-  // fixed order is what makes builds reproducible and lets incremental
-  // Insert equal the from-scratch build.
+  // fixed order is what makes builds reproducible.
   CandidateScratch scratch;
-  for (size_t j = first_new_row; j < m_new; ++j) {
-    num_targets_ = j + 1;
-    InsertNode(target, static_cast<uint32_t>(j), &scratch);
+  for (size_t j = 0; j < m; ++j) {
+    index->num_targets_ = j + 1;
+    index->InsertNode(target, static_cast<uint32_t>(j), &scratch);
   }
-  num_targets_ = m_new;
-  return Status::OK();
+  return index;
 }
 
 void HnswBackend::Collect(const Matrix& target, const float* x,

@@ -30,11 +30,8 @@ namespace entmatcher {
 /// the rerank always uses the exact metric.
 ///
 /// Determinism: the level of node id is a pure hash of (seed, id), nodes are
-/// inserted in ascending id order, and every score tie resolves by lower id.
-/// Two consequences the tests pin down: (a) builds are bit-reproducible
-/// given the seed, and (b) Build(n rows) followed by Insert of k appended
-/// rows replays the exact insertion sequence of Build(n + k) and therefore
-/// produces the *identical* graph, not merely one of equal recall.
+/// inserted in ascending id order, and every score tie resolves by lower id,
+/// so builds are bit-reproducible given the seed (the tests pin this down).
 ///
 /// Storage is O(m · 2M) link slots plus one float norm per row; the target
 /// matrix itself is never retained, so the backend works unchanged over an
@@ -71,8 +68,6 @@ class HnswBackend final : public CandidateBackend {
                CandidateScratch* scratch,
                std::vector<uint32_t>* out) const override;
 
-  Status Insert(const Matrix& target, size_t first_new_row) override;
-
   /// Stats over the layer-0 adjacency: num_lists = layer count, list sizes =
   /// out-degrees.
   CandidateListStats Stats() const override;
@@ -82,9 +77,7 @@ class HnswBackend final : public CandidateBackend {
   HnswBackend() = default;
 
   /// Seeded level assignment: a pure function of (seed, id) with the usual
-  /// geometric distribution (p = 1/M per extra level). Making it
-  /// id-addressed rather than sequence-addressed is what makes incremental
-  /// Insert replay the full build exactly.
+  /// geometric distribution (p = 1/M per extra level).
   int LevelFor(uint32_t id) const;
 
   /// Cosine ordering score of stored node `j` against query vector `x`:
@@ -124,6 +117,7 @@ class HnswBackend final : public CandidateBackend {
   void SetNeighbors(uint32_t node, int level,
                     const std::vector<std::pair<float, uint32_t>>& selected);
 
+  /// Links node j into the graph over nodes [0, j) — the build's step.
   void InsertNode(const Matrix& target, uint32_t j, CandidateScratch* scratch);
 
   size_t num_targets_ = 0;

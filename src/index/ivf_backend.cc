@@ -111,52 +111,6 @@ void IvfBackend::Collect(const Matrix& target, const float* x,
   }
 }
 
-Status IvfBackend::Insert(const Matrix& target, size_t first_new_row) {
-  if (target.cols() != dim_) {
-    return Status::InvalidArgument(
-        "CandidateIndex: inserted rows differ in dimension");
-  }
-  if (first_new_row != num_targets_ || target.rows() < num_targets_) {
-    return Status::InvalidArgument(
-        "CandidateIndex: Insert expects the previously indexed rows "
-        "followed by the appended ones");
-  }
-  const size_t m_new = target.rows();
-  const size_t lists = num_lists();
-  // Assign each appended row to its nearest cell (centroid dot, ties: lower
-  // list id — the same order ProbeLists uses).
-  std::vector<std::vector<uint32_t>> appended(lists);
-  for (size_t j = first_new_row; j < m_new; ++j) {
-    const float* x = target.Row(j).data();
-    float best = 0.0f;
-    uint32_t best_l = 0;
-    for (size_t l = 0; l < lists; ++l) {
-      const float* mu = centroids_.Row(l).data();
-      float dot = 0.0f;
-      for (size_t d = 0; d < dim_; ++d) dot += x[d] * mu[d];
-      if (l == 0 || dot > best) {
-        best = dot;
-        best_l = static_cast<uint32_t>(l);
-      }
-    }
-    appended[best_l].push_back(static_cast<uint32_t>(j));
-  }
-  // Rebuild the CSR lists with the new ids spliced onto their list tails;
-  // appended ids exceed every existing id, so each list stays ascending.
-  std::vector<uint32_t> ids;
-  ids.reserve(m_new);
-  std::vector<uint64_t> offsets(lists + 1, 0);
-  for (size_t l = 0; l < lists; ++l) {
-    for (uint32_t j : List(l)) ids.push_back(j);
-    for (uint32_t j : appended[l]) ids.push_back(j);
-    offsets[l + 1] = ids.size();
-  }
-  list_ids_ = std::move(ids);
-  list_offsets_ = std::move(offsets);
-  num_targets_ = m_new;
-  return Status::OK();
-}
-
 Status IvfBackend::SavePayload(std::ostream& out) const {
   const uint64_t header[3] = {num_targets_, dim_, num_lists()};
   out.write(reinterpret_cast<const char*>(header), sizeof(header));

@@ -54,12 +54,6 @@ class IvfBackend final : public CandidateBackend {
                CandidateScratch* scratch,
                std::vector<uint32_t>* out) const override;
 
-  /// Assigns each appended row to its nearest centroid (the quantizer is not
-  /// re-trained — cells only grow, exactly like an IVF "add" in production).
-  /// New ids exceed every existing id, so appending them at list tails keeps
-  /// every list ascending.
-  Status Insert(const Matrix& target, size_t first_new_row) override;
-
   CandidateListStats Stats() const override;
   Status SavePayload(std::ostream& out) const override;
 

@@ -1,6 +1,10 @@
 #ifndef ENTMATCHER_LA_RANKING_H_
 #define ENTMATCHER_LA_RANKING_H_
 
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "la/matrix.h"
 
 namespace entmatcher {
@@ -22,6 +26,11 @@ Matrix RowRankMatrix(const Matrix& scores);
 /// this is what lets RInf run at two live score-size buffers instead of
 /// three.
 void RowRankMatrixInPlace(Matrix* scores);
+
+/// Span form, one row of any layout: overwrites row[p] with its 1-based rank
+/// in descending order, ties by ascending position. `order` is a reusable
+/// index buffer.
+void RankRowInPlace(std::span<float> row, std::vector<uint32_t>* order);
 
 }  // namespace entmatcher
 

@@ -12,14 +12,117 @@
 
 namespace entmatcher {
 
+namespace {
+
+// Writes the k largest values of `row` into `buf` (unordered).
+void TopKValues(std::span<const float> row, size_t k, std::vector<float>* buf) {
+  buf->assign(row.begin(), row.end());
+  std::nth_element(buf->begin(), buf->begin() + (k - 1), buf->end(),
+                   std::greater<float>());
+  buf->resize(k);
+}
+
+// Vector-tier top-k: a buffer sorted by (value desc, index asc) guarded by a
+// SIMD threshold filter. Most elements fail `v > vals[kk-1]` and are skipped
+// 64 at a time via mask_gt_scalar; survivors are inserted by shifting. The
+// scan runs in ascending index order and both the admission test and the
+// shift compare strictly, so an element never displaces an equal-valued
+// earlier index — exactly partial_sort's tie order (RowTopKIndices is
+// bit-identical to the scalar tier), and the values are the multiset
+// nth_element selects. `sel` may be null when only the values are wanted.
+void SelectTopKFiltered(const KernelOps& ops, const float* row, size_t m,
+                        size_t kk, float* vals, uint32_t* sel) {
+  const auto insert = [&](size_t pos, float v, size_t index) {
+    while (pos > 0 && vals[pos - 1] < v) {
+      vals[pos] = vals[pos - 1];
+      if (sel != nullptr) sel[pos] = sel[pos - 1];
+      --pos;
+    }
+    vals[pos] = v;
+    if (sel != nullptr) sel[pos] = static_cast<uint32_t>(index);
+  };
+  for (size_t i = 0; i < kk; ++i) insert(i, row[i], i);
+  float threshold = vals[kk - 1];
+  for (size_t base = kk; base < m; base += 64) {
+    const size_t len = std::min<size_t>(64, m - base);
+    uint64_t mask = ops.mask_gt_scalar(row + base, threshold, len);
+    while (mask != 0) {
+      const size_t c = base + static_cast<size_t>(std::countr_zero(mask));
+      mask &= mask - 1;
+      if (!(row[c] > threshold)) continue;  // threshold moved since the compare
+      insert(kk - 1, row[c], c);
+      threshold = vals[kk - 1];
+    }
+  }
+}
+
+}  // namespace
+
+float RowMax(std::span<const float> row) {
+  assert(!row.empty());
+  return ActiveKernels().max(row.data(), row.size());
+}
+
+size_t RowArgmax(std::span<const float> row) {
+  assert(!row.empty());
+  return ActiveKernels().argmax(row.data(), row.size());
+}
+
+float RowTopKMean(std::span<const float> row, size_t k,
+                  std::vector<float>* scratch) {
+  assert(k >= 1 && !row.empty());
+  const size_t kk = std::min(k, row.size());
+  const KernelOps& ops = ActiveKernels();
+  // The scalar tier keeps the original nth_element path (and with it the
+  // original summation order — bit-identical to pre-dispatch builds); vector
+  // tiers sum the same values in sorted order, within tolerance.
+  if (ops.tier == KernelTier::kScalar) {
+    TopKValues(row, kk, scratch);
+  } else {
+    scratch->resize(kk);
+    SelectTopKFiltered(ops, row.data(), row.size(), kk, scratch->data(),
+                       nullptr);
+  }
+  const double sum = std::accumulate(scratch->begin(), scratch->end(), 0.0);
+  return static_cast<float>(sum / static_cast<double>(kk));
+}
+
+size_t RowTopKPositions(std::span<const float> row, size_t k,
+                        std::vector<uint32_t>* positions) {
+  const size_t kk = std::min(k, row.size());
+  positions->resize(row.size());
+  std::iota(positions->begin(), positions->end(), 0u);
+  std::partial_sort(positions->begin(), positions->begin() + kk,
+                    positions->end(), [row](uint32_t a, uint32_t b) {
+                      if (row[a] != row[b]) return row[a] > row[b];
+                      return a < b;
+                    });
+  return kk;
+}
+
+ColumnTopKHeaps::ColumnTopKHeaps(const std::vector<size_t>& sizes)
+    : offsets_(sizes.size() + 1, 0),
+      roots_(sizes.size(), -std::numeric_limits<float>::infinity()) {
+  for (size_t c = 0; c < sizes.size(); ++c) {
+    offsets_[c + 1] = offsets_[c] + sizes[c];
+  }
+  heaps_.assign(offsets_.back(), -std::numeric_limits<float>::infinity());
+}
+
+float ColumnTopKHeaps::Mean(size_t c) const {
+  const size_t kk = offsets_[c + 1] - offsets_[c];
+  if (kk == 0) return 0.0f;
+  double sum = 0.0;
+  for (size_t i = offsets_[c]; i < offsets_[c + 1]; ++i) sum += heaps_[i];
+  return static_cast<float>(sum / static_cast<double>(kk));
+}
+
 std::vector<uint32_t> RowArgmax(const Matrix& scores) {
   assert(scores.cols() > 0);
-  const KernelOps& ops = ActiveKernels();
-  const size_t m = scores.cols();
   std::vector<uint32_t> out(scores.rows());
   ParallelFor(0, scores.rows(), 32, [&](size_t begin, size_t end) {
     for (size_t r = begin; r < end; ++r) {
-      out[r] = static_cast<uint32_t>(ops.argmax(scores.Row(r).data(), m));
+      out[r] = static_cast<uint32_t>(RowArgmax(scores.Row(r)));
     }
   });
   return out;
@@ -27,13 +130,9 @@ std::vector<uint32_t> RowArgmax(const Matrix& scores) {
 
 std::vector<float> RowMax(const Matrix& scores) {
   assert(scores.cols() > 0);
-  const KernelOps& ops = ActiveKernels();
-  const size_t m = scores.cols();
   std::vector<float> out(scores.rows());
   ParallelFor(0, scores.rows(), 32, [&](size_t begin, size_t end) {
-    for (size_t r = begin; r < end; ++r) {
-      out[r] = ops.max(scores.Row(r).data(), m);
-    }
+    for (size_t r = begin; r < end; ++r) out[r] = RowMax(scores.Row(r));
   });
   return out;
 }
@@ -54,76 +153,13 @@ std::vector<float> ColMax(const Matrix& scores) {
   return out;
 }
 
-namespace {
-
-// Writes the k largest values of `row` into `buf` (unordered).
-void TopKValues(std::span<const float> row, size_t k, std::vector<float>* buf) {
-  buf->assign(row.begin(), row.end());
-  std::nth_element(buf->begin(), buf->begin() + (k - 1), buf->end(),
-                   std::greater<float>());
-  buf->resize(k);
-}
-
-// Vector-tier top-k values: a sorted-descending selection buffer guarded by a
-// SIMD threshold filter. Most elements fail `v > buf[kk-1]` and are skipped
-// 64 at a time via mask_gt_scalar; survivors are inserted by shifting — the
-// same multiset of values nth_element selects (ties at the threshold keep the
-// incumbent, which cannot change the multiset).
-void TopKValuesFiltered(const KernelOps& ops, const float* row, size_t m,
-                        size_t kk, std::vector<float>* buf) {
-  buf->resize(kk);
-  float* b = buf->data();
-  for (size_t i = 0; i < kk; ++i) {
-    const float v = row[i];
-    size_t pos = i;
-    while (pos > 0 && b[pos - 1] < v) {
-      b[pos] = b[pos - 1];
-      --pos;
-    }
-    b[pos] = v;
-  }
-  float threshold = b[kk - 1];
-  for (size_t base = kk; base < m; base += 64) {
-    const size_t len = std::min<size_t>(64, m - base);
-    uint64_t mask = ops.mask_gt_scalar(row + base, threshold, len);
-    while (mask != 0) {
-      const size_t bit = static_cast<size_t>(std::countr_zero(mask));
-      mask &= mask - 1;
-      const float v = row[base + bit];
-      if (!(v > threshold)) continue;  // threshold moved since the compare
-      size_t pos = kk - 1;
-      while (pos > 0 && b[pos - 1] < v) {
-        b[pos] = b[pos - 1];
-        --pos;
-      }
-      b[pos] = v;
-      threshold = b[kk - 1];
-    }
-  }
-}
-
-}  // namespace
-
 std::vector<float> RowTopKMean(const Matrix& scores, size_t k) {
   assert(k >= 1);
-  const size_t kk = std::min(k, scores.cols());
-  const size_t m = scores.cols();
-  const KernelOps& ops = ActiveKernels();
-  const bool scalar_tier = ops.tier == KernelTier::kScalar;
   std::vector<float> out(scores.rows());
   ParallelFor(0, scores.rows(), 16, [&](size_t begin, size_t end) {
     std::vector<float> buf;
     for (size_t r = begin; r < end; ++r) {
-      // The scalar tier keeps the original nth_element path (and with it the
-      // original summation order — bit-identical to pre-dispatch builds);
-      // vector tiers sum the same values in sorted order, within tolerance.
-      if (scalar_tier) {
-        TopKValues(scores.Row(r), kk, &buf);
-      } else {
-        TopKValuesFiltered(ops, scores.Row(r).data(), m, kk, &buf);
-      }
-      double sum = std::accumulate(buf.begin(), buf.end(), 0.0);
-      out[r] = static_cast<float>(sum / static_cast<double>(kk));
+      out[r] = RowTopKMean(scores.Row(r), k, &buf);
     }
   });
   return out;
@@ -131,63 +167,34 @@ std::vector<float> RowTopKMean(const Matrix& scores, size_t k) {
 
 std::vector<float> ColTopKMean(const Matrix& scores, size_t k) {
   assert(k >= 1);
-  const size_t kk = std::min(k, scores.rows());
   const size_t m = scores.cols();
   const KernelOps& ops = ActiveKernels();
   const bool scalar_tier = ops.tier == KernelTier::kScalar;
-  // Per-column min-heap of the k largest values seen so far, stored in one
-  // flat (m x kk) buffer with heap[0] the smallest retained value. Workers
-  // own disjoint column ranges and scan rows top-to-bottom, so each heap
-  // sees exactly the serial insertion sequence. Vector tiers batch the
-  // `v > heap[0]` admission test through mask_gt against a contiguous
-  // shadow array of the heap roots — the surviving insertions (and therefore
-  // the heaps, sums, and output bits) are identical on every tier.
-  std::vector<float> heaps(m * kk, -std::numeric_limits<float>::infinity());
-  std::vector<float> roots(m, -std::numeric_limits<float>::infinity());
+  // Workers own disjoint column ranges and scan rows top-to-bottom, so each
+  // heap sees exactly the serial insertion sequence. Vector tiers batch the
+  // `v > root` admission test through mask_gt against the contiguous roots
+  // — the surviving insertions (and therefore the heaps, sums, and output
+  // bits) are identical on every tier.
+  ColumnTopKHeaps heaps(std::vector<size_t>(m, std::min(k, scores.rows())));
   std::vector<float> out(m);
-  const auto heap_insert = [&heaps, kk](size_t c, float v) {
-    float* heap = heaps.data() + c * kk;
-    // Sift down the replaced root.
-    size_t i = 0;
-    heap[0] = v;
-    for (;;) {
-      size_t smallest = i;
-      const size_t left = 2 * i + 1;
-      const size_t right = 2 * i + 2;
-      if (left < kk && heap[left] < heap[smallest]) smallest = left;
-      if (right < kk && heap[right] < heap[smallest]) smallest = right;
-      if (smallest == i) break;
-      std::swap(heap[i], heap[smallest]);
-      i = smallest;
-    }
-    return heap[0];
-  };
   ParallelFor(0, m, 64, [&](size_t col_begin, size_t col_end) {
     for (size_t r = 0; r < scores.rows(); ++r) {
       const float* row = scores.Row(r).data();
       if (scalar_tier) {
-        for (size_t c = col_begin; c < col_end; ++c) {
-          const float v = row[c];
-          if (v <= roots[c]) continue;
-          roots[c] = heap_insert(c, v);
-        }
+        for (size_t c = col_begin; c < col_end; ++c) heaps.Offer(c, row[c]);
       } else {
         for (size_t base = col_begin; base < col_end; base += 64) {
           const size_t len = std::min<size_t>(64, col_end - base);
-          uint64_t mask = ops.mask_gt(row + base, roots.data() + base, len);
+          uint64_t mask = ops.mask_gt(row + base, heaps.roots() + base, len);
           while (mask != 0) {
             const size_t c = base + static_cast<size_t>(std::countr_zero(mask));
             mask &= mask - 1;
-            roots[c] = heap_insert(c, row[c]);
+            heaps.Replace(c, row[c]);
           }
         }
       }
     }
-    for (size_t c = col_begin; c < col_end; ++c) {
-      double sum = 0.0;
-      for (size_t i = 0; i < kk; ++i) sum += heaps[c * kk + i];
-      out[c] = static_cast<float>(sum / static_cast<double>(kk));
-    }
+    for (size_t c = col_begin; c < col_end; ++c) out[c] = heaps.Mean(c);
   });
   return out;
 }
@@ -200,62 +207,17 @@ std::vector<uint32_t> RowTopKIndices(const Matrix& scores, size_t k) {
   const bool scalar_tier = ops.tier == KernelTier::kScalar;
   std::vector<uint32_t> out(scores.rows() * kk);
   ParallelFor(0, scores.rows(), 16, [&](size_t begin, size_t end) {
-    std::vector<uint32_t> idx(scores.cols());
+    std::vector<uint32_t> idx;
     std::vector<float> vals(kk);
-    std::vector<uint32_t> sel(kk);
     for (size_t r = begin; r < end; ++r) {
-      auto row = scores.Row(r);
+      uint32_t* dst = out.data() + r * kk;
       if (scalar_tier) {
         // Original path, kept verbatim for the reference tier.
-        std::iota(idx.begin(), idx.end(), 0u);
-        std::partial_sort(idx.begin(), idx.begin() + kk, idx.end(),
-                          [&row](uint32_t a, uint32_t b) {
-                            if (row[a] != row[b]) return row[a] > row[b];
-                            return a < b;
-                          });
-        std::copy(idx.begin(), idx.begin() + kk, out.begin() + r * kk);
-        continue;
+        RowTopKPositions(scores.Row(r), kk, &idx);
+        std::copy(idx.begin(), idx.begin() + kk, dst);
+      } else {
+        SelectTopKFiltered(ops, scores.Row(r).data(), m, kk, vals.data(), dst);
       }
-      // Threshold-filtered selection. The buffer stays sorted by
-      // (value desc, index asc); because the scan runs in ascending index
-      // order and both the admission test and the insertion shift use strict
-      // comparisons, an element never displaces an equal-valued earlier
-      // index — exactly partial_sort's tie order, so the output indices are
-      // bit-identical to the scalar tier.
-      const float* rp = row.data();
-      for (size_t i = 0; i < kk; ++i) {
-        const float v = rp[i];
-        size_t pos = i;
-        while (pos > 0 && vals[pos - 1] < v) {
-          vals[pos] = vals[pos - 1];
-          sel[pos] = sel[pos - 1];
-          --pos;
-        }
-        vals[pos] = v;
-        sel[pos] = static_cast<uint32_t>(i);
-      }
-      float threshold = vals[kk - 1];
-      for (size_t base = kk; base < m; base += 64) {
-        const size_t len = std::min<size_t>(64, m - base);
-        uint64_t mask = ops.mask_gt_scalar(rp + base, threshold, len);
-        while (mask != 0) {
-          const size_t bit = static_cast<size_t>(std::countr_zero(mask));
-          mask &= mask - 1;
-          const size_t c = base + bit;
-          const float v = rp[c];
-          if (!(v > threshold)) continue;  // threshold moved since the compare
-          size_t pos = kk - 1;
-          while (pos > 0 && vals[pos - 1] < v) {
-            vals[pos] = vals[pos - 1];
-            sel[pos] = sel[pos - 1];
-            --pos;
-          }
-          vals[pos] = v;
-          sel[pos] = static_cast<uint32_t>(c);
-          threshold = vals[kk - 1];
-        }
-      }
-      std::copy(sel.begin(), sel.end(), out.begin() + r * kk);
     }
   });
   return out;

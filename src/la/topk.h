@@ -1,7 +1,10 @@
 #ifndef ENTMATCHER_LA_TOPK_H_
 #define ENTMATCHER_LA_TOPK_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "la/matrix.h"
@@ -36,6 +39,71 @@ std::vector<uint32_t> RowTopKIndices(const Matrix& scores, size_t k);
 /// rows. This is the statistic behind the paper's Figure 4 (STD of the top-5
 /// pairwise similarity scores of source entities).
 double MeanRowTopKStd(const Matrix& scores, size_t k);
+
+// Span forms: the same statistics over one row of any score layout (a matrix
+// row or a candidate list's values). The matrix functions above loop over
+// these, so equal spans give equal bits in every layout.
+
+/// Maximum of a non-empty row.
+float RowMax(std::span<const float> row);
+
+/// Position of the maximum of a non-empty row, ties to the lowest position.
+size_t RowArgmax(std::span<const float> row);
+
+/// Mean of the min(k, size) largest values of a non-empty row; k >= 1.
+float RowTopKMean(std::span<const float> row, size_t k,
+                  std::vector<float>* scratch);
+
+/// Orders *positions so its first min(k, size) entries are the positions of
+/// the largest values by (value desc, position asc), via partial_sort at
+/// every tier; returns that count.
+size_t RowTopKPositions(std::span<const float> row, size_t k,
+                        std::vector<uint32_t>* positions);
+
+/// Per-column min-heaps (root first, -inf filled) of the largest values
+/// offered: the one column top-k accumulator. A heap sees its values in
+/// offer order, so a row-ascending sweep gives the same heap and heap-order
+/// sum in every layout. Distinct columns may be updated concurrently.
+class ColumnTopKHeaps {
+ public:
+  /// Column c keeps up to sizes[c] values; a size-0 column is never offered.
+  explicit ColumnTopKHeaps(const std::vector<size_t>& sizes);
+
+  /// Smallest retained value per column, contiguous (a mask_gt operand).
+  const float* roots() const { return roots_.data(); }
+
+  /// Admits v into column c unless v <= its root.
+  void Offer(size_t c, float v) {
+    if (!(v <= roots_[c])) Replace(c, v);
+  }
+
+  /// Replaces column c's root with v and sifts it down.
+  void Replace(size_t c, float v) {
+    float* heap = heaps_.data() + offsets_[c];
+    const size_t kk = offsets_[c + 1] - offsets_[c];
+    size_t i = 0;
+    heap[0] = v;
+    for (;;) {
+      size_t smallest = i;
+      const size_t left = 2 * i + 1;
+      const size_t right = 2 * i + 2;
+      if (left < kk && heap[left] < heap[smallest]) smallest = left;
+      if (right < kk && heap[right] < heap[smallest]) smallest = right;
+      if (smallest == i) break;
+      std::swap(heap[i], heap[smallest]);
+      i = smallest;
+    }
+    roots_[c] = heap[0];
+  }
+
+  /// Mean of column c's heap, double-summed in heap order; 0 for size 0.
+  float Mean(size_t c) const;
+
+ private:
+  std::vector<size_t> offsets_;  // cols + 1
+  std::vector<float> heaps_;
+  std::vector<float> roots_;
+};
 
 }  // namespace entmatcher
 

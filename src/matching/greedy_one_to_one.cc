@@ -1,26 +1,32 @@
 #include "matching/greedy_one_to_one.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include "common/memory_tracker.h"
 #include "la/topk.h"
+#include "matching/row_layout.h"
+#include "matching/sparse_matchers.h"
 
 namespace entmatcher {
 
-Result<Assignment> GreedyOneToOneMatch(const Matrix& scores) {
-  if (scores.rows() == 0 || scores.cols() == 0) {
-    return Status::InvalidArgument("GreedyOneToOneMatch: empty score matrix");
-  }
-  const size_t n = scores.rows();
-  const size_t m = scores.cols();
+namespace {
 
-  // Sort all cell indices by descending score; the index buffer is the
-  // algorithm's dominant workspace.
-  ScopedTrackedBytes tracked(n * m * sizeof(uint64_t));
-  std::vector<uint64_t> order(n * m);
+template <typename Rows>
+Result<Assignment> GreedyOneToOne(const Rows& rows, const char* who) {
+  EM_RETURN_NOT_OK(ValidateScores(rows, who));
+  const size_t n = rows.rows();
+  const size_t m = rows.cols();
+  const size_t entries = rows.entries();
+
+  // Sort all entry ids by descending score; the order buffer is the
+  // algorithm's dominant workspace. Entry ids are row-major with ascending
+  // columns in both layouts, so ties resolve alike.
+  ScopedTrackedBytes tracked(entries * sizeof(uint64_t));
+  std::vector<uint64_t> order(entries);
   std::iota(order.begin(), order.end(), uint64_t{0});
-  const float* data = scores.data();
+  const float* data = rows.data();
   std::sort(order.begin(), order.end(), [data](uint64_t a, uint64_t b) {
     if (data[a] != data[b]) return data[a] > data[b];
     return a < b;
@@ -31,10 +37,10 @@ Result<Assignment> GreedyOneToOneMatch(const Matrix& scores) {
   std::vector<uint8_t> target_taken(m, 0);
   size_t matched = 0;
   const size_t capacity = std::min(n, m);
-  for (uint64_t cell : order) {
+  const auto locate = rows.EntryLocator();
+  for (uint64_t entry : order) {
     if (matched == capacity) break;
-    const size_t i = static_cast<size_t>(cell / m);
-    const size_t j = static_cast<size_t>(cell % m);
+    const auto [i, j] = locate(entry);
     if (assignment.target_of_source[i] != Assignment::kUnmatched) continue;
     if (target_taken[j]) continue;
     assignment.target_of_source[i] = static_cast<int32_t>(j);
@@ -44,35 +50,56 @@ Result<Assignment> GreedyOneToOneMatch(const Matrix& scores) {
   return assignment;
 }
 
-Result<Assignment> MutualBestMatch(const Matrix& scores) {
-  if (scores.rows() == 0 || scores.cols() == 0) {
-    return Status::InvalidArgument("MutualBestMatch: empty score matrix");
-  }
-  const std::vector<uint32_t> row_best = RowArgmax(scores);
-  // Column argmax via one row-major pass.
-  std::vector<int64_t> col_best(scores.cols(), -1);
-  {
-    std::vector<float> col_best_val(scores.cols(),
-                                    -std::numeric_limits<float>::infinity());
-    for (size_t i = 0; i < scores.rows(); ++i) {
-      const float* row = scores.Row(i).data();
-      for (size_t j = 0; j < scores.cols(); ++j) {
-        if (row[j] > col_best_val[j]) {
-          col_best_val[j] = row[j];
-          col_best[j] = static_cast<int64_t>(i);
-        }
+template <typename Rows>
+Result<Assignment> MutualBest(const Rows& rows, const char* who) {
+  EM_RETURN_NOT_OK(ValidateScores(rows, who));
+  const size_t n = rows.rows();
+  std::vector<int64_t> row_best(n, -1);
+  ForEachRow(rows, 32, [&](size_t i, auto values, auto cols) {
+    if (!values.empty()) row_best[i] = cols[RowArgmax(values)];
+  });
+  // Column argmax via one row-ascending pass (the first maximum wins).
+  std::vector<int64_t> col_best(rows.cols(), -1);
+  std::vector<float> col_best_val(rows.cols(),
+                                  -std::numeric_limits<float>::infinity());
+  for (size_t i = 0; i < n; ++i) {
+    const auto values = rows.Values(i);
+    const auto cols = rows.Cols(i);
+    for (size_t p = 0; p < values.size(); ++p) {
+      if (values[p] > col_best_val[cols[p]]) {
+        col_best_val[cols[p]] = values[p];
+        col_best[cols[p]] = static_cast<int64_t>(i);
       }
     }
   }
   Assignment assignment;
-  assignment.target_of_source.assign(scores.rows(), Assignment::kUnmatched);
-  for (size_t i = 0; i < scores.rows(); ++i) {
-    const uint32_t j = row_best[i];
+  assignment.target_of_source.assign(n, Assignment::kUnmatched);
+  for (size_t i = 0; i < n; ++i) {
+    if (row_best[i] < 0) continue;
+    const size_t j = static_cast<size_t>(row_best[i]);
     if (col_best[j] == static_cast<int64_t>(i)) {
       assignment.target_of_source[i] = static_cast<int32_t>(j);
     }
   }
   return assignment;
+}
+
+}  // namespace
+
+Result<Assignment> GreedyOneToOneMatch(const Matrix& scores) {
+  return GreedyOneToOne(DenseRows(scores), "GreedyOneToOneMatch");
+}
+
+Result<Assignment> SparseGreedyOneToOneMatch(const SparseScores& scores) {
+  return GreedyOneToOne(CandidateRows(scores), "SparseGreedyOneToOneMatch");
+}
+
+Result<Assignment> MutualBestMatch(const Matrix& scores) {
+  return MutualBest(DenseRows(scores), "MutualBestMatch");
+}
+
+Result<Assignment> SparseMutualBestMatch(const SparseScores& scores) {
+  return MutualBest(CandidateRows(scores), "SparseMutualBestMatch");
 }
 
 }  // namespace entmatcher

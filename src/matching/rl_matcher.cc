@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "la/similarity.h"
 #include "la/topk.h"
+#include "matching/greedy_one_to_one.h"
 #include "nn/mlp.h"
 
 namespace entmatcher {
@@ -270,26 +271,13 @@ Result<Assignment> RlMatch(const KgPairDataset& dataset,
 
   // Confidence pre-filter: mutual-best pairs with sufficient margin bypass
   // the RL stage.
-  const std::vector<uint32_t> row_best = RowArgmax(test_scores);
-  std::vector<int32_t> col_best(test_scores.cols(), -1);
-  {
-    std::vector<float> col_best_val(test_scores.cols(),
-                                    -std::numeric_limits<float>::infinity());
-    for (size_t i = 0; i < test_scores.rows(); ++i) {
-      const float* row = test_scores.Row(i).data();
-      for (size_t j = 0; j < test_scores.cols(); ++j) {
-        if (row[j] > col_best_val[j]) {
-          col_best_val[j] = row[j];
-          col_best[j] = static_cast<int32_t>(i);
-        }
-      }
-    }
-  }
+  EM_ASSIGN_OR_RETURN(const Assignment mutual, MutualBestMatch(test_scores));
+  const std::vector<int32_t>& mutual_best = mutual.target_of_source;
   std::vector<uint8_t> fixed(test_scores.rows(), 0);
   const size_t test_cand = test_env.num_candidates();
   for (size_t i = 0; i < test_scores.rows(); ++i) {
-    const uint32_t j = row_best[i];
-    if (col_best[j] != static_cast<int32_t>(i)) continue;
+    if (mutual_best[i] == Assignment::kUnmatched) continue;
+    const uint32_t j = static_cast<uint32_t>(mutual_best[i]);
     // Margin vs the second-best candidate of this row.
     float second = -std::numeric_limits<float>::infinity();
     for (size_t k = 0; k < test_cand; ++k) {
@@ -313,7 +301,7 @@ Result<Assignment> RlMatch(const KgPairDataset& dataset,
     // Re-seed the environment with the pre-filtered matches each rollout.
     test_env.Reset();
     for (size_t i = 0; i < test_scores.rows(); ++i) {
-      if (fixed[i]) test_env.Assign(i, row_best[i]);
+      if (fixed[i]) test_env.Assign(i, static_cast<uint32_t>(mutual_best[i]));
     }
     for (uint32_t row : test_order) {
       if (fixed[row]) continue;
@@ -355,7 +343,7 @@ Result<Assignment> RlMatch(const KgPairDataset& dataset,
   // Greedy policy decode for the remaining sources.
   test_env.Reset();
   for (size_t i = 0; i < test_scores.rows(); ++i) {
-    if (fixed[i]) test_env.Assign(i, row_best[i]);
+    if (fixed[i]) test_env.Assign(i, static_cast<uint32_t>(mutual_best[i]));
   }
   for (uint32_t row : test_env.ConfidenceOrder()) {
     if (fixed[row]) continue;

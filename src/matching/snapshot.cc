@@ -65,6 +65,8 @@ Result<uint64_t> SnapshotRegistry::Publish(
   // the previous snapshot keeps serving, which is exactly the contract a
   // failed hot swap must honor.
   EM_INJECT_FAULT("snapshot.publish", StatusCode::kUnavailable);
+  // Declared before the lock so the displaced version, if this was its last
+  // reference, is destroyed after unlocking.
   std::shared_ptr<const PairSnapshot> displaced;
   uint64_t version = 0;
   {
@@ -75,14 +77,6 @@ Result<uint64_t> SnapshotRegistry::Publish(
     snapshot->version_ = version;
     displaced = std::move(slot);
     slot = std::move(snapshot);
-  }
-  if (displaced != nullptr) {
-    // The displaced snapshot's release waits for every pass that was active
-    // at the swap — those are the only threads that can still hold raw
-    // borrows into it. New passes acquire the new version and never see it.
-    domain_.Retire([retired = std::move(displaced)]() mutable {
-      retired.reset();
-    });
   }
   return version;
 }

@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/epoch.h"
 #include "common/status.h"
 #include "la/matrix.h"
 #include "la/similarity.h"
@@ -40,12 +39,12 @@ class CandidateIndex;
 /// WithIndex (and any future derivation that keeps the embeddings) costs two
 /// shared_ptr copies, not a matrix copy or a cache rebuild.
 ///
-/// Lifetime: always held as std::shared_ptr<const PairSnapshot>. The
-/// refcount covers owners (registry, scheduler groups, worker engines); the
-/// registry's EpochDomain covers *raw borrows* — pointers into the snapshot
-/// (the degrade path's rewritten candidate_index, borrowed cache rows) held
-/// by passes that own no reference — by deferring the displaced snapshot's
-/// release until every pass active at publish time has drained.
+/// Lifetime: always held as std::shared_ptr<const PairSnapshot>, and a
+/// snapshot lives exactly as long as its last reference. Owners are the
+/// registry, scheduler groups and worker engines. A raw pointer into a
+/// snapshot (the degrade path's rewritten candidate_index, borrowed cache
+/// rows) is only ever held by a pass that also holds a reference to that
+/// same snapshot, so it cannot outlive it.
 class PairSnapshot {
  public:
   /// Validates shapes and wraps the embeddings into version-0 (unpublished)
@@ -110,15 +109,13 @@ class PairSnapshot {
 };
 
 /// The publication point of the snapshot architecture: name → current
-/// snapshot, with RCU-style retirement of displaced versions.
+/// snapshot.
 ///
 /// Readers Acquire() a shared_ptr under a brief mutex — their batches run
 /// entirely against that pinned version. Publish() stamps the next version
-/// number, swaps the current pointer, and *retires* its previous reference
-/// into the registry's EpochDomain instead of dropping it inline: the
-/// displaced snapshot is destroyed only after every pass that was active at
-/// publish time (and could hold raw borrows into it) has exited its epoch
-/// guard. Build v+1 → publish → drain v → reclaim v, never mid-pass.
+/// number, swaps the current pointer, and drops the registry's reference to
+/// the displaced version after unlocking: that version is destroyed when the
+/// last pass that pinned it lets go of its reference, never mid-pass.
 class SnapshotRegistry {
  public:
   SnapshotRegistry() = default;
@@ -127,7 +124,7 @@ class SnapshotRegistry {
 
   /// Atomically installs `snapshot` as the current version of `name`,
   /// stamping version = max(previous + 1, min_version) (previous = 0 for a
-  /// new name), and retires the displaced snapshot into the epoch domain.
+  /// new name), and releases the registry's reference to the displaced one.
   /// The floor lets a fleet-wide swap pin one target version across shards
   /// whose local counters have skewed (e.g. after a partial fan-out), so a
   /// repair swap can re-converge them. Fault point "snapshot.publish" fires
@@ -144,14 +141,9 @@ class SnapshotRegistry {
   /// Loaded pair names, sorted.
   std::vector<std::string> Names() const;
 
-  /// The reclamation domain guarding raw borrows into published snapshots.
-  /// Workers wrap each batch execution in domain().Enter().
-  EpochDomain& domain() { return domain_; }
-
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<const PairSnapshot>> current_;
-  EpochDomain domain_;
 };
 
 }  // namespace entmatcher

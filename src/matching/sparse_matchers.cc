@@ -1,28 +1,10 @@
 #include "matching/sparse_matchers.h"
 
-#include <algorithm>
-#include <cstdint>
-#include <limits>
-#include <numeric>
-#include <string>
-#include <vector>
-
-#include "common/memory_tracker.h"
-#include "common/thread_pool.h"
+// SparseGreedyMatch, SparseGreedyOneToOneMatch and SparseMutualBestMatch are
+// defined next to their dense counterparts (greedy.cc, greedy_one_to_one.cc):
+// one decision template each, run over candidate rows.
 
 namespace entmatcher {
-
-namespace {
-
-Status ValidateSparseScores(const SparseScores& scores, const char* who) {
-  if (scores.rows() == 0 || scores.cols() == 0) {
-    return Status::InvalidArgument(std::string(who) +
-                                   ": empty score matrix");
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 bool MatcherSupportsSparse(MatcherKind kind) {
   switch (kind) {
@@ -36,120 +18,6 @@ bool MatcherSupportsSparse(MatcherKind kind) {
       return false;
   }
   return false;
-}
-
-Result<Assignment> SparseGreedyMatch(const SparseScores& scores) {
-  EM_RETURN_NOT_OK(ValidateSparseScores(scores, "SparseGreedyMatch"));
-  Assignment assignment;
-  assignment.target_of_source.assign(scores.rows(), Assignment::kUnmatched);
-  ParallelFor(0, scores.rows(), 32, [&](size_t begin, size_t end) {
-    for (size_t r = begin; r < end; ++r) {
-      auto row = scores.RowValues(r);
-      if (row.empty()) continue;
-      auto cols = scores.RowCols(r);
-      // First maximum wins under strict >, the dense RowArgmax convention
-      // (entries are column-ascending, so "first" means lowest column).
-      size_t best = 0;
-      for (size_t p = 1; p < row.size(); ++p) {
-        if (row[p] > row[best]) best = p;
-      }
-      assignment.target_of_source[r] = static_cast<int32_t>(cols[best]);
-    }
-  });
-  return assignment;
-}
-
-Result<Assignment> SparseGreedyOneToOneMatch(const SparseScores& scores) {
-  EM_RETURN_NOT_OK(ValidateSparseScores(scores, "SparseGreedyOneToOneMatch"));
-  const size_t n = scores.rows();
-  const size_t m = scores.cols();
-  const size_t nnz = scores.nnz();
-
-  // Sort the candidate entries by descending score; the order buffer is the
-  // dominant workspace, as in the dense n*m variant.
-  ScopedTrackedBytes tracked(nnz * sizeof(uint64_t));
-  std::vector<uint64_t> order(nnz);
-  std::iota(order.begin(), order.end(), uint64_t{0});
-  const float* data = scores.values();
-  std::sort(order.begin(), order.end(), [data](uint64_t a, uint64_t b) {
-    if (data[a] != data[b]) return data[a] > data[b];
-    return a < b;
-  });
-
-  std::vector<uint32_t> row_of(nnz);
-  const std::vector<size_t>& offsets = scores.row_offsets();
-  for (size_t r = 0; r < n; ++r) {
-    for (size_t e = offsets[r]; e < offsets[r + 1]; ++e) {
-      row_of[e] = static_cast<uint32_t>(r);
-    }
-  }
-
-  Assignment assignment;
-  assignment.target_of_source.assign(n, Assignment::kUnmatched);
-  std::vector<uint8_t> target_taken(m, 0);
-  size_t matched = 0;
-  const size_t capacity = std::min(n, m);
-  const uint32_t* cols = scores.col_indices();
-  for (uint64_t entry : order) {
-    if (matched == capacity) break;
-    const size_t i = row_of[entry];
-    const size_t j = cols[entry];
-    if (assignment.target_of_source[i] != Assignment::kUnmatched) continue;
-    if (target_taken[j]) continue;
-    assignment.target_of_source[i] = static_cast<int32_t>(j);
-    target_taken[j] = 1;
-    ++matched;
-  }
-  return assignment;
-}
-
-Result<Assignment> SparseMutualBestMatch(const SparseScores& scores) {
-  EM_RETURN_NOT_OK(ValidateSparseScores(scores, "SparseMutualBestMatch"));
-  const size_t n = scores.rows();
-  const size_t m = scores.cols();
-
-  // Row argmax (first maximum wins), kUnmatched sentinel for empty rows.
-  std::vector<int64_t> row_best(n, -1);
-  ParallelFor(0, n, 32, [&](size_t begin, size_t end) {
-    for (size_t r = begin; r < end; ++r) {
-      auto row = scores.RowValues(r);
-      if (row.empty()) continue;
-      size_t best = 0;
-      for (size_t p = 1; p < row.size(); ++p) {
-        if (row[p] > row[best]) best = p;
-      }
-      row_best[r] = static_cast<int64_t>(scores.RowCols(r)[best]);
-    }
-  });
-
-  // Column argmax via one row-ascending pass, as the dense variant.
-  std::vector<int64_t> col_best(m, -1);
-  {
-    std::vector<float> col_best_val(m,
-                                    -std::numeric_limits<float>::infinity());
-    const float* values = scores.values();
-    const uint32_t* cols = scores.col_indices();
-    const std::vector<size_t>& offsets = scores.row_offsets();
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t e = offsets[i]; e < offsets[i + 1]; ++e) {
-        if (values[e] > col_best_val[cols[e]]) {
-          col_best_val[cols[e]] = values[e];
-          col_best[cols[e]] = static_cast<int64_t>(i);
-        }
-      }
-    }
-  }
-
-  Assignment assignment;
-  assignment.target_of_source.assign(n, Assignment::kUnmatched);
-  for (size_t i = 0; i < n; ++i) {
-    if (row_best[i] < 0) continue;
-    const size_t j = static_cast<size_t>(row_best[i]);
-    if (col_best[j] == static_cast<int64_t>(i)) {
-      assignment.target_of_source[i] = static_cast<int32_t>(j);
-    }
-  }
-  return assignment;
 }
 
 Result<Assignment> MatchSparseScores(const SparseScores& scores,

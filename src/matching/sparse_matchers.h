@@ -16,6 +16,10 @@ namespace entmatcher {
 /// refused for the same reason as in the dense engine path.
 bool MatcherSupportsSparse(MatcherKind kind);
 
+/// The three decisions below are GreedyMatch, GreedyOneToOneMatch and
+/// MutualBestMatch — the same code, run over candidate rows — so with
+/// complete lists they return the dense assignment.
+
 /// Row-wise argmax over candidate lists (first maximum wins, as dense
 /// RowArgmax); rows with no candidates stay kUnmatched.
 Result<Assignment> SparseGreedyMatch(const SparseScores& scores);

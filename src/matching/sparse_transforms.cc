@@ -2,151 +2,31 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <numeric>
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "la/ranking.h"
+#include "la/topk.h"
+#include "matching/row_layout.h"
 
 namespace entmatcher {
 
+// The CSR column side (row_layout.h). The transforms themselves, and
+// ApplySparseScoreTransformInPlace, are the dense code run over candidate rows
+// (transforms.cc).
+
 namespace {
 
-Status ValidateSparseScores(const SparseScores& scores) {
-  if (scores.rows() == 0 || scores.cols() == 0) {
-    return Status::InvalidArgument("score transform: empty score matrix");
-  }
-  return Status::OK();
-}
-
-// Per-row max, mirroring RowMax's max_element scan over the row in storage
-// order. Empty rows yield 0 (their statistic is never read — no entries
-// reference it).
-std::vector<float> SparseRowMax(const SparseScores& scores) {
-  std::vector<float> out(scores.rows(), 0.0f);
-  ParallelFor(0, scores.rows(), 32, [&](size_t begin, size_t end) {
-    for (size_t r = begin; r < end; ++r) {
-      auto row = scores.RowValues(r);
-      if (row.empty()) continue;
-      out[r] = *std::max_element(row.begin(), row.end());
-    }
-  });
-  return out;
-}
-
-// Per-row top-k mean, mirroring RowTopKMean / TopKValues: copy the row in
-// storage order, nth_element with std::greater, resize, double-accumulate in
-// buffer order. With complete lists the buffer is the dense row, so the
-// (implementation-defined but deterministic) nth_element layout — and hence
-// the float sum — is identical.
-std::vector<float> SparseRowTopKMean(const SparseScores& scores, size_t k) {
-  std::vector<float> out(scores.rows(), 0.0f);
-  ParallelFor(0, scores.rows(), 16, [&](size_t begin, size_t end) {
-    std::vector<float> buf;
-    for (size_t r = begin; r < end; ++r) {
-      auto row = scores.RowValues(r);
-      if (row.empty()) continue;
-      const size_t kk = std::min(k, row.size());
-      buf.assign(row.begin(), row.end());
-      std::nth_element(buf.begin(), buf.begin() + (kk - 1), buf.end(),
-                       std::greater<float>());
-      buf.resize(kk);
-      double sum = std::accumulate(buf.begin(), buf.end(), 0.0);
-      out[r] = static_cast<float>(sum / static_cast<double>(kk));
-    }
-  });
-  return out;
-}
-
-// Per-column max. The dense ColMax visits rows in ascending order per
-// column; a serial row sweep over the CSR entries produces exactly that
-// insertion sequence (and max is order-exact anyway).
-std::vector<float> SparseColMax(const SparseScores& scores) {
-  std::vector<float> out(scores.cols(),
-                         -std::numeric_limits<float>::infinity());
-  const float* values = scores.values();
-  const uint32_t* cols = scores.col_indices();
-  const std::vector<size_t>& offsets = scores.row_offsets();
-  for (size_t r = 0; r < scores.rows(); ++r) {
-    for (size_t e = offsets[r]; e < offsets[r + 1]; ++e) {
-      if (values[e] > out[cols[e]]) out[cols[e]] = values[e];
-    }
-  }
-  return out;
-}
-
-// Per-column entry count.
-std::vector<size_t> ColumnCounts(const SparseScores& scores) {
-  std::vector<size_t> count(scores.cols(), 0);
-  const uint32_t* cols = scores.col_indices();
-  const size_t nnz = scores.nnz();
-  for (size_t e = 0; e < nnz; ++e) ++count[cols[e]];
-  return count;
-}
-
-// Per-column top-k mean, replaying ColTopKMean's flat min-heap byte for
-// byte: same root-replacement test (v <= heap[0] skips), same sift-down,
-// same row-ascending insertion sequence, same heap-order double sum. Heap
-// sizes follow the per-column entry counts (== the dense min(k, rows) when
-// lists are complete).
-std::vector<float> SparseColTopKMean(const SparseScores& scores, size_t k) {
-  const size_t m = scores.cols();
-  const std::vector<size_t> count = ColumnCounts(scores);
-  std::vector<size_t> kk_of(m, 0);
-  std::vector<size_t> heap_off(m + 1, 0);
-  for (size_t c = 0; c < m; ++c) {
-    kk_of[c] = std::min(k, count[c]);
-    heap_off[c + 1] = heap_off[c] + kk_of[c];
-  }
-  std::vector<float> heaps(heap_off[m],
-                           -std::numeric_limits<float>::infinity());
-  const float* values = scores.values();
-  const uint32_t* cols = scores.col_indices();
-  const std::vector<size_t>& offsets = scores.row_offsets();
-  for (size_t r = 0; r < scores.rows(); ++r) {
-    for (size_t e = offsets[r]; e < offsets[r + 1]; ++e) {
-      const size_t c = cols[e];
-      const size_t kk = kk_of[c];
-      float* heap = heaps.data() + heap_off[c];
-      const float v = values[e];
-      if (v <= heap[0]) continue;
-      // Sift down the replaced root.
-      size_t i = 0;
-      heap[0] = v;
-      for (;;) {
-        size_t smallest = i;
-        const size_t left = 2 * i + 1;
-        const size_t right = 2 * i + 2;
-        if (left < kk && heap[left] < heap[smallest]) smallest = left;
-        if (right < kk && heap[right] < heap[smallest]) smallest = right;
-        if (smallest == i) break;
-        std::swap(heap[i], heap[smallest]);
-        i = smallest;
-      }
-    }
-  }
-  std::vector<float> out(m, 0.0f);
-  for (size_t c = 0; c < m; ++c) {
-    const size_t kk = kk_of[c];
-    if (kk == 0) continue;
-    double sum = 0.0;
-    for (size_t i = 0; i < kk; ++i) sum += heaps[heap_off[c] + i];
-    out[c] = static_cast<float>(sum / static_cast<double>(kk));
-  }
-  return out;
-}
-
-// Column-major view of the entries: per column, the entry ids in ascending
-// row order, plus the owning row of every entry. Built serially; the
-// per-column slices are then safe to process in parallel.
+// Per column, the entry ids in ascending row order and their rows. Built
+// serially; the per-column slices are then safe to process in parallel.
 struct ColumnGather {
   std::vector<size_t> offsets;    // cols + 1
   std::vector<uint64_t> entries;  // entry ids, row-ascending per column
-  std::vector<uint32_t> row_of;   // owning row per entry id
+  std::vector<uint32_t> rows;     // the row of each gathered entry
 };
 
-ColumnGather BuildColumnGather(const SparseScores& scores) {
+ColumnGather GatherColumns(const SparseScores& scores) {
   ColumnGather g;
   const size_t m = scores.cols();
   const size_t nnz = scores.nnz();
@@ -156,262 +36,92 @@ ColumnGather BuildColumnGather(const SparseScores& scores) {
   for (size_t e = 0; e < nnz; ++e) ++g.offsets[cols[e] + 1];
   for (size_t c = 0; c < m; ++c) g.offsets[c + 1] += g.offsets[c];
   g.entries.resize(nnz);
-  g.row_of.resize(nnz);
+  g.rows.resize(nnz);
   std::vector<size_t> cursor(g.offsets.begin(), g.offsets.end() - 1);
   for (size_t r = 0; r < scores.rows(); ++r) {
     for (size_t e = offsets[r]; e < offsets[r + 1]; ++e) {
-      g.row_of[e] = static_cast<uint32_t>(r);
-      g.entries[cursor[cols[e]]++] = e;
+      const size_t slot = cursor[cols[e]]++;
+      g.entries[slot] = e;
+      g.rows[slot] = static_cast<uint32_t>(r);
     }
   }
   return g;
 }
 
-// Per-row dense rank of the current entry values (value desc, column asc),
-// written back over the values — RowRankMatrixInPlace restricted to the
-// candidate cells. Entry storage is column-ascending, so ranking local
-// positions with "position asc" ties reproduces the dense "column asc"
-// tie-break.
-void RankRowsInPlace(SparseScores* scores) {
-  float* values = scores->values();
-  const std::vector<size_t>& offsets = scores->row_offsets();
-  ParallelFor(0, scores->rows(), 4, [&](size_t row_begin, size_t row_end) {
-    std::vector<uint32_t> order;
-    for (size_t r = row_begin; r < row_end; ++r) {
-      const size_t off = offsets[r];
-      const size_t len = offsets[r + 1] - off;
-      order.resize(len);
-      std::iota(order.begin(), order.end(), 0u);
-      float* row = values + off;
-      std::sort(order.begin(), order.end(), [row](uint32_t a, uint32_t b) {
-        if (row[a] != row[b]) return row[a] > row[b];
-        return a < b;
-      });
-      for (size_t pos = 0; pos < len; ++pos) {
-        row[order[pos]] = static_cast<float>(pos + 1);
-      }
-    }
-  });
-}
-
-Status SparseCslsInPlace(SparseScores* scores, size_t k) {
-  EM_RETURN_NOT_OK(ValidateSparseScores(*scores));
-  if (k == 0) return Status::InvalidArgument("CSLS: k must be >= 1");
-  const std::vector<float> phi_s = SparseRowTopKMean(*scores, k);
-  const std::vector<float> phi_t = SparseColTopKMean(*scores, k);
-  float* values = scores->values();
-  const uint32_t* cols = scores->col_indices();
-  const std::vector<size_t>& offsets = scores->row_offsets();
-  ParallelFor(0, scores->rows(), 16, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      const float pi = phi_s[i];
-      for (size_t e = offsets[i]; e < offsets[i + 1]; ++e) {
-        values[e] = 2.0f * values[e] - pi - phi_t[cols[e]];
-      }
-    }
-  });
-  return Status::OK();
-}
-
-Status SparseRinfInPlace(SparseScores* scores, size_t k,
-                         Workspace* workspace) {
-  EM_RETURN_NOT_OK(ValidateSparseScores(*scores));
-  if (k == 0) return Status::InvalidArgument("RInf: k must be >= 1");
-  const size_t nnz = scores->nnz();
-  if (nnz == 0) return Status::OK();
-
-  const std::vector<float> row_stat =
-      k == 1 ? SparseRowMax(*scores) : SparseRowTopKMean(*scores, k);
-  const std::vector<float> col_stat =
-      k == 1 ? SparseColMax(*scores) : SparseColTopKMean(*scores, k);
-
-  float* values = scores->values();
-  const std::vector<size_t>& offsets = scores->row_offsets();
-
-  // Reverse preference values P_ts(v, u) = S(u, v) - row_stat[u] + 1, in an
-  // nnz-sized lease — the sparse stand-in for the dense m×n reverse table.
-  EM_ASSIGN_OR_RETURN(ScratchMatrix r_ts_lease,
-                      ScratchMatrix::Acquire(workspace, 1, nnz));
-  float* r_ts = r_ts_lease.get().data();
-  ParallelFor(0, scores->rows(), 16, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      const float shift = 1.0f - row_stat[i];
-      for (size_t e = offsets[i]; e < offsets[i + 1]; ++e) {
-        r_ts[e] = values[e] + shift;
-      }
-    }
-  });
-
-  // Rank P_ts per column (value desc, source row asc), overwriting r_ts with
-  // the rank — the sparse RowRankMatrixInPlace(&p_ts). The gather slices are
-  // disjoint per column, so the column sweep parallelizes deterministically.
-  ColumnGather gather = BuildColumnGather(*scores);
-  ParallelFor(0, scores->cols(), 4, [&](size_t col_begin, size_t col_end) {
-    for (size_t c = col_begin; c < col_end; ++c) {
-      uint64_t* list = gather.entries.data() + gather.offsets[c];
-      const size_t len = gather.offsets[c + 1] - gather.offsets[c];
-      std::sort(list, list + len, [&](uint64_t a, uint64_t b) {
-        if (r_ts[a] != r_ts[b]) return r_ts[a] > r_ts[b];
-        return gather.row_of[a] < gather.row_of[b];
-      });
-      for (size_t pos = 0; pos < len; ++pos) {
-        r_ts[list[pos]] = static_cast<float>(pos + 1);
-      }
-    }
-  });
-
-  // Forward preferences P_st = S - col_stat + 1 in place, then rank per row.
-  const uint32_t* cols = scores->col_indices();
-  ParallelFor(0, scores->rows(), 16, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      for (size_t e = offsets[i]; e < offsets[i + 1]; ++e) {
-        values[e] = values[e] - col_stat[cols[e]] + 1.0f;
-      }
-    }
-  });
-  RankRowsInPlace(scores);
-
-  // out = -(R_st + R_ts) / 2.
-  ParallelFor(0, scores->rows(), 16, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      for (size_t e = offsets[i]; e < offsets[i + 1]; ++e) {
-        values[e] = -0.5f * (values[e] + r_ts[e]);
-      }
-    }
-  });
-  return Status::OK();
-}
-
-Status SparseRinfWrInPlace(SparseScores* scores) {
-  EM_RETURN_NOT_OK(ValidateSparseScores(*scores));
-  const std::vector<float> row_max = SparseRowMax(*scores);
-  const std::vector<float> col_max = SparseColMax(*scores);
-  float* values = scores->values();
-  const uint32_t* cols = scores->col_indices();
-  const std::vector<size_t>& offsets = scores->row_offsets();
-  ParallelFor(0, scores->rows(), 16, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      const float half_row_max = 0.5f * row_max[i];
-      for (size_t e = offsets[i]; e < offsets[i + 1]; ++e) {
-        values[e] = values[e] - half_row_max - 0.5f * col_max[cols[e]] + 1.0f;
-      }
-    }
-  });
-  return Status::OK();
-}
-
-Status SparseRinfPbInPlace(SparseScores* scores, size_t candidates) {
-  EM_RETURN_NOT_OK(ValidateSparseScores(*scores));
-  if (candidates == 0) {
-    return Status::InvalidArgument("RInf-pb: candidates must be >= 1");
-  }
-  const size_t n = scores->rows();
-  const size_t m = scores->cols();
-  const size_t c = std::min(candidates, std::min(n, m));
-  const size_t nnz = scores->nnz();
-  if (nnz == 0) return Status::OK();
-
-  const std::vector<float> row_max = SparseRowMax(*scores);
-  const std::vector<float> col_max = SparseColMax(*scores);
-  float* values = scores->values();
-  const uint32_t* cols = scores->col_indices();
-  const std::vector<size_t>& offsets = scores->row_offsets();
-
-  // Top-C candidate entries per source under P_st ordering (= S - col_max),
-  // kept as entry ids in preference order.
-  std::vector<uint64_t> src_cand(n * c);
-  std::vector<size_t> src_len(n, 0);
-  ParallelFor(0, n, 8, [&](size_t begin, size_t end) {
-    std::vector<float> adjusted;
-    std::vector<uint32_t> idx;
-    for (size_t i = begin; i < end; ++i) {
-      const size_t off = offsets[i];
-      const size_t len = offsets[i + 1] - off;
-      const size_t keep = std::min(c, len);
-      src_len[i] = keep;
-      if (keep == 0) continue;
-      adjusted.resize(len);
-      idx.resize(len);
-      for (size_t p = 0; p < len; ++p) {
-        adjusted[p] = values[off + p] - col_max[cols[off + p]];
-      }
-      std::iota(idx.begin(), idx.end(), 0u);
-      std::partial_sort(idx.begin(), idx.begin() + keep, idx.end(),
-                        [&adjusted](uint32_t a, uint32_t b) {
-                          if (adjusted[a] != adjusted[b]) {
-                            return adjusted[a] > adjusted[b];
-                          }
-                          return a < b;
-                        });
-      for (size_t p = 0; p < keep; ++p) {
-        src_cand[i * c + p] = off + idx[p];
-      }
-    }
-  });
-
-  // Top-C source rows per target under P_ts ordering (= S - row_max).
-  ColumnGather gather = BuildColumnGather(*scores);
-  std::vector<uint32_t> tgt_cand(m * c);
-  std::vector<size_t> tgt_len(m, 0);
-  ParallelFor(0, m, 8, [&](size_t col_begin, size_t col_end) {
-    std::vector<float> adjusted;
-    std::vector<uint32_t> idx;
-    for (size_t j = col_begin; j < col_end; ++j) {
-      const uint64_t* list = gather.entries.data() + gather.offsets[j];
-      const size_t len = gather.offsets[j + 1] - gather.offsets[j];
-      const size_t keep = std::min(c, len);
-      tgt_len[j] = keep;
-      if (keep == 0) continue;
-      adjusted.resize(len);
-      idx.resize(len);
-      for (size_t q = 0; q < len; ++q) {
-        adjusted[q] = values[list[q]] - row_max[gather.row_of[list[q]]];
-      }
-      std::iota(idx.begin(), idx.end(), 0u);
-      // The gather list is row-ascending, so "position asc" ties equal the
-      // dense "source index asc" tie-break.
-      std::partial_sort(idx.begin(), idx.begin() + keep, idx.end(),
-                        [&adjusted](uint32_t a, uint32_t b) {
-                          if (adjusted[a] != adjusted[b]) {
-                            return adjusted[a] > adjusted[b];
-                          }
-                          return a < b;
-                        });
-      for (size_t q = 0; q < keep; ++q) {
-        tgt_cand[j * c + q] = gather.row_of[list[idx[q]]];
-      }
-    }
-  });
-
-  // Reciprocal rank aggregation over the candidate blocks only; entries
-  // outside a row's candidate block get the dense sentinel.
-  const float sentinel = -2.0f * static_cast<float>(n + m);
-  ParallelFor(0, n, 16, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      for (size_t e = offsets[i]; e < offsets[i + 1]; ++e) {
-        values[e] = sentinel;
-      }
-      for (size_t p = 0; p < src_len[i]; ++p) {
-        const uint64_t e = src_cand[i * c + p];
-        const uint32_t j = cols[e];
-        // Rank of source i within target j's candidate list (capped at c+1).
-        size_t r_ts = c + 1;
-        const uint32_t* tlist = tgt_cand.data() + static_cast<size_t>(j) * c;
-        for (size_t q = 0; q < tgt_len[j]; ++q) {
-          if (tlist[q] == i) {
-            r_ts = q + 1;
-            break;
-          }
-        }
-        values[e] =
-            -0.5f * (static_cast<float>(p + 1) + static_cast<float>(r_ts));
-      }
-    }
-  });
-  return Status::OK();
-}
-
 }  // namespace
+
+// A serial sweep in entry order visits every column's entries in ascending
+// row order — the order the dense column statistics scan rows in.
+std::vector<float> ColumnMaxes(const CandidateScoreRows& rows) {
+  const SparseScores& scores = rows.scores();
+  std::vector<float> out(scores.cols(),
+                         -std::numeric_limits<float>::infinity());
+  const float* values = scores.values();
+  const uint32_t* cols = scores.col_indices();
+  for (size_t e = 0; e < scores.nnz(); ++e) {
+    if (values[e] > out[cols[e]]) out[cols[e]] = values[e];
+  }
+  return out;
+}
+
+// Heap sizes follow the per-column entry counts, which equal the dense
+// min(k, rows) when lists are complete.
+std::vector<float> ColumnTopKMeans(const CandidateScoreRows& rows, size_t k) {
+  const SparseScores& scores = rows.scores();
+  const float* values = scores.values();
+  const uint32_t* cols = scores.col_indices();
+  std::vector<size_t> sizes(scores.cols(), 0);
+  for (size_t e = 0; e < scores.nnz(); ++e) ++sizes[cols[e]];
+  for (size_t& size : sizes) size = std::min(k, size);
+  ColumnTopKHeaps heaps(sizes);
+  for (size_t e = 0; e < scores.nnz(); ++e) heaps.Offer(cols[e], values[e]);
+  std::vector<float> out(scores.cols());
+  for (size_t c = 0; c < out.size(); ++c) out[c] = heaps.Mean(c);
+  return out;
+}
+
+// Each column's slots are gathered in row order, ranked as one row, and
+// scattered back; gather slices are disjoint, so columns run in parallel.
+void RankReverseTable(const CandidateScoreRows& rows, Matrix* table) {
+  const ColumnGather gather = GatherColumns(rows.scores());
+  float* slots = table->data();
+  ParallelFor(0, rows.cols(), 4, [&](size_t begin, size_t end) {
+    std::vector<float> column;
+    std::vector<uint32_t> order;
+    for (size_t c = begin; c < end; ++c) {
+      const uint64_t* list = gather.entries.data() + gather.offsets[c];
+      column.resize(gather.offsets[c + 1] - gather.offsets[c]);
+      for (size_t q = 0; q < column.size(); ++q) column[q] = slots[list[q]];
+      RankRowInPlace(column, &order);
+      for (size_t q = 0; q < column.size(); ++q) slots[list[q]] = column[q];
+    }
+  });
+}
+
+void TargetCandidates(const CandidateScoreRows& rows,
+                      const std::vector<float>& row_max, size_t c,
+                      std::vector<uint32_t>* candidates,
+                      std::vector<size_t>* lengths) {
+  const ColumnGather gather = GatherColumns(rows.scores());
+  const float* values = rows.scores().values();
+  ParallelFor(0, rows.cols(), 8, [&](size_t begin, size_t end) {
+    std::vector<float> adjusted;
+    std::vector<uint32_t> idx;
+    for (size_t j = begin; j < end; ++j) {
+      const size_t off = gather.offsets[j];
+      adjusted.resize(gather.offsets[j + 1] - off);
+      for (size_t q = 0; q < adjusted.size(); ++q) {
+        adjusted[q] = values[gather.entries[off + q]] -
+                      row_max[gather.rows[off + q]];
+      }
+      const size_t keep = RowTopKPositions(adjusted, c, &idx);
+      (*lengths)[j] = keep;
+      for (size_t q = 0; q < keep; ++q) {
+        (*candidates)[j * c + q] = gather.rows[off + idx[q]];
+      }
+    }
+  });
+}
 
 bool TransformSupportsSparse(ScoreTransformKind kind) {
   switch (kind) {
@@ -439,28 +149,6 @@ size_t SparseTransformWorkspaceBytes(const MatchOptions& options, size_t nnz) {
       return 0;
   }
   return 0;
-}
-
-Status ApplySparseScoreTransformInPlace(SparseScores* scores,
-                                        const MatchOptions& options,
-                                        Workspace* workspace) {
-  switch (options.transform) {
-    case ScoreTransformKind::kNone:
-      return Status::OK();
-    case ScoreTransformKind::kCsls:
-      return SparseCslsInPlace(scores, options.csls_k);
-    case ScoreTransformKind::kRinf:
-      return SparseRinfInPlace(scores, options.rinf_k, workspace);
-    case ScoreTransformKind::kRinfWr:
-      return SparseRinfWrInPlace(scores);
-    case ScoreTransformKind::kRinfPb:
-      return SparseRinfPbInPlace(scores, options.rinf_pb_candidates);
-    case ScoreTransformKind::kSinkhorn:
-      return Status::InvalidArgument(
-          "Sinkhorn needs the full coupling matrix; it has no sparse "
-          "variant — drop the candidate index for this transform");
-  }
-  return Status::InvalidArgument("unknown score transform");
 }
 
 }  // namespace entmatcher

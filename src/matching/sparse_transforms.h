@@ -25,12 +25,13 @@ size_t SparseTransformWorkspaceBytes(const MatchOptions& options, size_t nnz);
 ///
 /// Contract: when every row's candidate list covers the full target set, the
 /// transformed entries are bit-identical to the dense transform of the same
-/// scores. Each sparse kernel replays its dense counterpart's float
-/// expression grouping, accumulation order, and tie-breaking (columns are
-/// stored ascending, so entry order equals dense cell order). With partial
-/// lists, row/column statistics and ranks are taken over the present entries
-/// only — the candidate-restricted semantics of RInf-pb's blocking,
-/// generalized to the other transforms.
+/// scores. Both run one implementation per transform, written over a row
+/// view of either layout (matching/row_layout.h): a complete candidate row
+/// is the dense row's span (columns are stored ascending), and only the
+/// column statistics are computed per layout, in the same row-ascending
+/// order. With partial lists, row/column statistics and ranks are taken over
+/// the present entries only — the candidate-restricted semantics of RInf-pb's
+/// blocking, generalized to the other transforms.
 ///
 /// Unsupported transforms (Sinkhorn) return kInvalidArgument.
 Status ApplySparseScoreTransformInPlace(SparseScores* scores,

@@ -1,58 +1,12 @@
 #include "matching/streaming.h"
 
 #include <algorithm>
-#include <limits>
+#include <span>
 
 #include "la/topk.h"
 #include "la/workspace.h"
 
 namespace entmatcher {
-
-namespace {
-
-// Flat per-column min-heaps holding the k largest values seen per column.
-class ColumnTopKAccumulator {
- public:
-  ColumnTopKAccumulator(size_t num_columns, size_t k)
-      : k_(k),
-        heaps_(num_columns * k, -std::numeric_limits<float>::infinity()) {}
-
-  void AddRow(const float* row, size_t num_columns) {
-    for (size_t c = 0; c < num_columns; ++c) {
-      float* heap = heaps_.data() + c * k_;
-      const float v = row[c];
-      if (v <= heap[0]) continue;
-      heap[0] = v;
-      size_t i = 0;
-      for (;;) {
-        size_t smallest = i;
-        const size_t left = 2 * i + 1;
-        const size_t right = 2 * i + 2;
-        if (left < k_ && heap[left] < heap[smallest]) smallest = left;
-        if (right < k_ && heap[right] < heap[smallest]) smallest = right;
-        if (smallest == i) break;
-        std::swap(heap[i], heap[smallest]);
-        i = smallest;
-      }
-    }
-  }
-
-  std::vector<float> Means(size_t num_columns) const {
-    std::vector<float> out(num_columns);
-    for (size_t c = 0; c < num_columns; ++c) {
-      double sum = 0.0;
-      for (size_t i = 0; i < k_; ++i) sum += heaps_[c * k_ + i];
-      out[c] = static_cast<float>(sum / static_cast<double>(k_));
-    }
-    return out;
-  }
-
- private:
-  size_t k_;
-  std::vector<float> heaps_;
-};
-
-}  // namespace
 
 Result<Assignment> StreamingMatch(const Matrix& source, const Matrix& target,
                                   const StreamingOptions& options) {
@@ -87,7 +41,7 @@ Result<Assignment> StreamingMatch(const Matrix& source, const Matrix& target,
     const size_t k_rows = std::min(options.csls_k, m);
     const size_t k_cols = std::min(options.csls_k, n);
     phi_s.resize(n);
-    ColumnTopKAccumulator col_acc(m, k_cols);
+    ColumnTopKHeaps col_heaps(std::vector<size_t>(m, k_cols));
     for (size_t b = 0; b < n; b += block) {
       const size_t e = std::min(n, b + block);
       EM_ASSIGN_OR_RETURN(ScratchMatrix tile,
@@ -98,10 +52,12 @@ Result<Assignment> StreamingMatch(const Matrix& source, const Matrix& target,
       const std::vector<float> row_phi = RowTopKMean(scores, k_rows);
       std::copy(row_phi.begin(), row_phi.end(), phi_s.begin() + b);
       for (size_t r = 0; r < scores.rows(); ++r) {
-        col_acc.AddRow(scores.Row(r).data(), m);
+        const float* row = scores.Row(r).data();
+        for (size_t c = 0; c < m; ++c) col_heaps.Offer(c, row[c]);
       }
     }
-    phi_t = col_acc.Means(m);
+    phi_t.resize(m);
+    for (size_t c = 0; c < m; ++c) phi_t[c] = col_heaps.Mean(c);
   }
 
   // Pass 2 (or the only pass): blockwise argmax decisions.
@@ -115,19 +71,13 @@ Result<Assignment> StreamingMatch(const Matrix& source, const Matrix& target,
     EM_RETURN_NOT_OK(ComputeSimilarityRange(source, target, options.metric,
                                             cache, b, e, &scores));
     for (size_t r = 0; r < scores.rows(); ++r) {
-      const float* row = scores.Row(r).data();
-      size_t best = 0;
-      float best_score = -std::numeric_limits<float>::infinity();
-      for (size_t j = 0; j < m; ++j) {
-        const float s = options.use_csls
-                            ? 2.0f * row[j] - phi_s[b + r] - phi_t[j]
-                            : row[j];
-        if (s > best_score) {
-          best_score = s;
-          best = j;
+      const std::span<float> row = scores.Row(r);
+      if (options.use_csls) {
+        for (size_t j = 0; j < m; ++j) {
+          row[j] = 2.0f * row[j] - phi_s[b + r] - phi_t[j];
         }
       }
-      assignment.target_of_source[b + r] = static_cast<int32_t>(best);
+      assignment.target_of_source[b + r] = static_cast<int32_t>(RowArgmax(row));
     }
   }
   return assignment;

@@ -8,19 +8,10 @@
 #include "la/kernels/dispatch.h"
 #include "la/ranking.h"
 #include "la/topk.h"
+#include "matching/row_layout.h"
+#include "matching/sparse_transforms.h"
 
 namespace entmatcher {
-
-namespace {
-
-Status ValidateScores(const Matrix& scores) {
-  if (scores.rows() == 0 || scores.cols() == 0) {
-    return Status::InvalidArgument("score transform: empty score matrix");
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 size_t TransformWorkspaceBytes(const MatchOptions& options, size_t rows,
                                size_t cols) {
@@ -38,182 +29,221 @@ size_t TransformWorkspaceBytes(const MatchOptions& options, size_t rows,
   return 0;
 }
 
-Status CslsTransformInPlace(Matrix* scores, size_t k) {
-  EM_RETURN_NOT_OK(ValidateScores(*scores));
+// The sparse-capable transforms, over either layout (row_layout.h). --------
+
+namespace {
+
+template <typename Rows>
+Status CslsRows(const Rows& rows, size_t k) {
+  EM_RETURN_NOT_OK(ValidateScores(rows, "score transform"));
   if (k == 0) return Status::InvalidArgument("CSLS: k must be >= 1");
 
-  const std::vector<float> phi_s = RowTopKMean(*scores, k);
+  const std::vector<float> phi_s = RowTopKMeans(rows, k);
   // Streaming column top-k mean — CSLS stays at a single-matrix footprint,
   // which is what keeps it memory-feasible at DWY100K scale in the paper's
   // Table 6 while RInf is not.
-  const std::vector<float> phi_t = ColTopKMean(*scores, k);
-  const size_t m = scores->cols();  // hoisted out of the inner loop
-  ParallelFor(0, scores->rows(), 16, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      float* row = scores->Row(i).data();
-      const float pi = phi_s[i];
-      for (size_t j = 0; j < m; ++j) {
-        row[j] = 2.0f * row[j] - pi - phi_t[j];
-      }
+  const std::vector<float> phi_t = ColumnTopKMeans(rows, k);
+  ForEachRow(rows, 16, [&](size_t i, auto values, auto cols) {
+    const float pi = phi_s[i];
+    for (size_t p = 0; p < values.size(); ++p) {
+      values[p] = 2.0f * values[p] - pi - phi_t[cols[p]];
     }
   });
   return Status::OK();
 }
 
-Status RinfTransformInPlace(Matrix* scores, size_t k, Workspace* workspace) {
-  EM_RETURN_NOT_OK(ValidateScores(*scores));
+template <typename Rows>
+Status RinfRows(const Rows& rows, size_t k, Workspace* workspace) {
+  EM_RETURN_NOT_OK(ValidateScores(rows, "score transform"));
   if (k == 0) return Status::InvalidArgument("RInf: k must be >= 1");
-  const size_t n = scores->rows();
-  const size_t m = scores->cols();
+  if (rows.entries() == 0) return Status::OK();
 
   // k = 1 is Eq. (2)'s max; larger k averages the top-k reverse scores
   // (Appendix C's generalization).
-  const std::vector<float> row_max =
-      k == 1 ? RowMax(*scores) : RowTopKMean(*scores, k);
-  const std::vector<float> col_max =
-      k == 1 ? ColMax(*scores) : ColTopKMean(*scores, k);
+  const std::vector<float> row_stat =
+      k == 1 ? RowMaxes(rows) : RowTopKMeans(rows, k);
+  const std::vector<float> col_stat =
+      k == 1 ? ColumnMaxes(rows) : ColumnTopKMeans(rows, k);
 
-  // P_ts(v, u) = S(u, v) - row_max[u] + 1 (target-side preferences).
-  // Partitioned by source row: each worker writes a disjoint column slice
-  // of p_ts.
-  EM_ASSIGN_OR_RETURN(ScratchMatrix p_ts_lease,
-                      ScratchMatrix::Acquire(workspace, m, n));
-  Matrix& p_ts = p_ts_lease.get();
-  ParallelFor(0, n, 16, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      const float* srow = scores->Row(i).data();
-      const float shift = 1.0f - row_max[i];
-      for (size_t j = 0; j < m; ++j) {
-        p_ts.At(j, i) = srow[j] + shift;
-      }
-    }
-  });
-  // P_st(u, v) = S(u, v) - col_max[v] + 1, in place.
-  ParallelFor(0, n, 16, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      float* row = scores->Row(i).data();
-      for (size_t j = 0; j < m; ++j) {
-        row[j] = row[j] - col_max[j] + 1.0f;
-      }
+  // Target-side preferences P_ts(v, u) = S(u, v) - row_stat[u] + 1 go to the
+  // reverse table; the forward ones P_st(u, v) = S(u, v) - col_stat[v] + 1
+  // replace the scores in place. Each worker writes its own rows' slots.
+  EM_ASSIGN_OR_RETURN(ScratchMatrix reverse_lease,
+                      AcquireReverseTable(rows, workspace));
+  Matrix* reverse = &reverse_lease.get();
+  ForEachRow(rows, 16, [&](size_t i, auto values, auto cols) {
+    const auto slots = ReverseSlots(rows, reverse, i);
+    const float shift = 1.0f - row_stat[i];
+    for (size_t p = 0; p < values.size(); ++p) {
+      slots(p) = values[p] + shift;
+      values[p] = values[p] - col_stat[cols[p]] + 1.0f;
     }
   });
 
   // Rank both preference tables in place: two live score-size buffers total
-  // (scores + p_ts), down from the three of the copy-out design.
-  RowRankMatrixInPlace(scores);  // scores := R_st
-  RowRankMatrixInPlace(&p_ts);   // p_ts   := R_ts
+  // (scores + reverse table), down from the three of the copy-out design.
+  ParallelFor(0, rows.rows(), 4, [&](size_t begin, size_t end) {
+    std::vector<uint32_t> order;
+    for (size_t i = begin; i < end; ++i) {
+      RankRowInPlace(rows.Values(i), &order);  // := R_st
+    }
+  });
+  RankReverseTable(rows, reverse);  // := R_ts
 
   // out(u, v) = -(R_st(u, v) + R_ts(v, u)) / 2; smaller average rank is
   // better, so negate to keep "higher is better".
-  ParallelFor(0, n, 16, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      float* row = scores->Row(i).data();
-      for (size_t j = 0; j < m; ++j) {
-        row[j] = -0.5f * (row[j] + p_ts.At(j, i));
-      }
+  ForEachRow(rows, 16, [&](size_t i, auto values, auto) {
+    const auto slots = ReverseSlots(rows, reverse, i);
+    for (size_t p = 0; p < values.size(); ++p) {
+      values[p] = -0.5f * (values[p] + slots(p));
     }
   });
   return Status::OK();
 }
 
-Status RinfWrTransformInPlace(Matrix* scores) {
-  EM_RETURN_NOT_OK(ValidateScores(*scores));
-  const std::vector<float> row_max = RowMax(*scores);
-  const std::vector<float> col_max = ColMax(*scores);
+template <typename Rows>
+Status RinfWrRows(const Rows& rows) {
+  EM_RETURN_NOT_OK(ValidateScores(rows, "score transform"));
+  const std::vector<float> row_max = RowMaxes(rows);
+  const std::vector<float> col_max = ColumnMaxes(rows);
   // (P_st + P_ts^T) / 2 = S - (row_max[u] + col_max[v]) / 2 + 1, computed
   // in place — this is what makes the -wr variant cheap.
-  const size_t m = scores->cols();  // hoisted out of the inner loop
-  ParallelFor(0, scores->rows(), 16, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      float* row = scores->Row(i).data();
-      const float half_row_max = 0.5f * row_max[i];
-      for (size_t j = 0; j < m; ++j) {
-        row[j] = row[j] - half_row_max - 0.5f * col_max[j] + 1.0f;
-      }
+  ForEachRow(rows, 16, [&](size_t i, auto values, auto cols) {
+    const float half_row_max = 0.5f * row_max[i];
+    for (size_t p = 0; p < values.size(); ++p) {
+      values[p] = values[p] - half_row_max - 0.5f * col_max[cols[p]] + 1.0f;
     }
   });
   return Status::OK();
 }
 
-Status RinfPbTransformInPlace(Matrix* scores, size_t candidates) {
-  EM_RETURN_NOT_OK(ValidateScores(*scores));
+template <typename Rows>
+Status RinfPbRows(const Rows& rows, size_t candidates) {
+  EM_RETURN_NOT_OK(ValidateScores(rows, "score transform"));
   if (candidates == 0) {
     return Status::InvalidArgument("RInf-pb: candidates must be >= 1");
   }
-  const size_t n = scores->rows();
-  const size_t m = scores->cols();
+  const size_t n = rows.rows();
+  const size_t m = rows.cols();
   const size_t c = std::min(candidates, std::min(n, m));
+  if (rows.entries() == 0) return Status::OK();
 
-  const std::vector<float> row_max = RowMax(*scores);
-  const std::vector<float> col_max = ColMax(*scores);
+  const std::vector<float> row_max = RowMaxes(rows);
+  const std::vector<float> col_max = ColumnMaxes(rows);
 
-  // Top-C target candidates per source under P_st ordering (= S - col_max).
+  // Top-C positions per source row under P_st ordering (= S - col_max).
   std::vector<uint32_t> src_cand(n * c);
+  std::vector<size_t> src_len(n);
   ParallelFor(0, n, 8, [&](size_t begin, size_t end) {
-    std::vector<float> adjusted(m);
-    std::vector<uint32_t> idx(m);
+    std::vector<float> adjusted;
+    std::vector<uint32_t> idx;
     for (size_t i = begin; i < end; ++i) {
-      const float* row = scores->Row(i).data();
-      for (size_t j = 0; j < m; ++j) adjusted[j] = row[j] - col_max[j];
-      std::iota(idx.begin(), idx.end(), 0u);
-      std::partial_sort(idx.begin(), idx.begin() + c, idx.end(),
-                        [&adjusted](uint32_t a, uint32_t b) {
-                          if (adjusted[a] != adjusted[b]) {
-                            return adjusted[a] > adjusted[b];
-                          }
-                          return a < b;
-                        });
-      std::copy(idx.begin(), idx.begin() + c, src_cand.begin() + i * c);
+      const auto values = rows.Values(i);
+      const auto cols = rows.Cols(i);
+      adjusted.resize(values.size());
+      for (size_t p = 0; p < values.size(); ++p) {
+        adjusted[p] = values[p] - col_max[cols[p]];
+      }
+      src_len[i] = RowTopKPositions(adjusted, c, &idx);
+      std::copy(idx.begin(), idx.begin() + src_len[i],
+                src_cand.begin() + i * c);
     }
   });
-  // Top-C source candidates per target under P_ts ordering (= S - row_max).
+  // Top-C source rows per target under P_ts ordering (= S - row_max).
   std::vector<uint32_t> tgt_cand(m * c);
-  ParallelFor(0, m, 8, [&](size_t begin, size_t end) {
-    std::vector<float> adjusted(n);
-    std::vector<uint32_t> idx(n);
-    for (size_t j = begin; j < end; ++j) {
-      for (size_t i = 0; i < n; ++i) {
-        adjusted[i] = scores->At(i, j) - row_max[i];
-      }
-      std::iota(idx.begin(), idx.end(), 0u);
-      std::partial_sort(idx.begin(), idx.begin() + c, idx.end(),
-                        [&adjusted](uint32_t a, uint32_t b) {
-                          if (adjusted[a] != adjusted[b]) {
-                            return adjusted[a] > adjusted[b];
-                          }
-                          return a < b;
-                        });
-      std::copy(idx.begin(), idx.begin() + c, tgt_cand.begin() + j * c);
-    }
-  });
+  std::vector<size_t> tgt_len(m);
+  TargetCandidates(rows, row_max, c, &tgt_cand, &tgt_len);
 
-  // Reciprocal rank aggregation over the candidate blocks only.
+  // Reciprocal rank aggregation over the candidate blocks only; every other
+  // entry gets a sentinel below every candidate score.
   const float sentinel = -2.0f * static_cast<float>(n + m);
-  scores->Fill(sentinel);
-  ParallelFor(0, n, 16, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      float* row = scores->Row(i).data();
-      for (size_t p = 0; p < c; ++p) {
-        const uint32_t j = src_cand[i * c + p];
-        // Rank of source i within target j's candidate list (capped at c+1).
-        size_t r_ts = c + 1;
-        const uint32_t* tlist = tgt_cand.data() + static_cast<size_t>(j) * c;
-        for (size_t q = 0; q < c; ++q) {
-          if (tlist[q] == i) {
-            r_ts = q + 1;
-            break;
-          }
+  ForEachRow(rows, 16, [&](size_t i, auto values, auto cols) {
+    std::fill(values.begin(), values.end(), sentinel);
+    for (size_t p = 0; p < src_len[i]; ++p) {
+      const uint32_t pos = src_cand[i * c + p];
+      const size_t j = cols[pos];
+      // Rank of source i within target j's candidate list (capped at c+1).
+      size_t r_ts = c + 1;
+      const uint32_t* tlist = tgt_cand.data() + j * c;
+      for (size_t q = 0; q < tgt_len[j]; ++q) {
+        if (tlist[q] == i) {
+          r_ts = q + 1;
+          break;
         }
-        row[j] = -0.5f * (static_cast<float>(p + 1) + static_cast<float>(r_ts));
       }
+      values[pos] =
+          -0.5f * (static_cast<float>(p + 1) + static_cast<float>(r_ts));
     }
   });
   return Status::OK();
+}
+
+// The dispatch both layouts share; Sinkhorn is per layout.
+template <typename Rows>
+Status ApplyRowsTransform(const Rows& rows, const MatchOptions& options,
+                          Workspace* workspace) {
+  switch (options.transform) {
+    case ScoreTransformKind::kNone:
+      return Status::OK();
+    case ScoreTransformKind::kCsls:
+      return CslsRows(rows, options.csls_k);
+    case ScoreTransformKind::kRinf:
+      return RinfRows(rows, options.rinf_k, workspace);
+    case ScoreTransformKind::kRinfWr:
+      return RinfWrRows(rows);
+    case ScoreTransformKind::kRinfPb:
+      return RinfPbRows(rows, options.rinf_pb_candidates);
+    case ScoreTransformKind::kSinkhorn:
+      break;
+  }
+  return Status::InvalidArgument("unknown score transform");
+}
+
+}  // namespace
+
+// Dense column side. ---------------------------------------------------------
+
+void TargetCandidates(const DenseScoreRows& rows,
+                      const std::vector<float>& row_max, size_t c,
+                      std::vector<uint32_t>* candidates,
+                      std::vector<size_t>* lengths) {
+  const Matrix& scores = rows.scores();
+  const size_t n = scores.rows();
+  std::fill(lengths->begin(), lengths->end(), c);
+  ParallelFor(0, scores.cols(), 8, [&](size_t begin, size_t end) {
+    std::vector<float> adjusted(n);
+    std::vector<uint32_t> idx;
+    for (size_t j = begin; j < end; ++j) {
+      for (size_t i = 0; i < n; ++i) {
+        adjusted[i] = scores.At(i, j) - row_max[i];
+      }
+      RowTopKPositions(adjusted, c, &idx);
+      std::copy(idx.begin(), idx.begin() + c, candidates->begin() + j * c);
+    }
+  });
+}
+
+// Dense entry points. --------------------------------------------------------
+
+Status CslsTransformInPlace(Matrix* scores, size_t k) {
+  return CslsRows(DenseScoreRows(*scores), k);
+}
+
+Status RinfTransformInPlace(Matrix* scores, size_t k, Workspace* workspace) {
+  return RinfRows(DenseScoreRows(*scores), k, workspace);
+}
+
+Status RinfWrTransformInPlace(Matrix* scores) {
+  return RinfWrRows(DenseScoreRows(*scores));
+}
+
+Status RinfPbTransformInPlace(Matrix* scores, size_t candidates) {
+  return RinfPbRows(DenseScoreRows(*scores), candidates);
 }
 
 Status SinkhornTransformInPlace(Matrix* scores, size_t iterations,
                                 double temperature, Workspace* workspace) {
-  EM_RETURN_NOT_OK(ValidateScores(*scores));
+  EM_RETURN_NOT_OK(ValidateScores(*scores, "score transform"));
   if (iterations == 0) {
     return Status::InvalidArgument("Sinkhorn: iterations must be >= 1");
   }
@@ -282,22 +312,22 @@ Status SinkhornTransformInPlace(Matrix* scores, size_t iterations,
 
 Status ApplyScoreTransformInPlace(Matrix* scores, const MatchOptions& options,
                                   Workspace* workspace) {
-  switch (options.transform) {
-    case ScoreTransformKind::kNone:
-      return Status::OK();
-    case ScoreTransformKind::kCsls:
-      return CslsTransformInPlace(scores, options.csls_k);
-    case ScoreTransformKind::kRinf:
-      return RinfTransformInPlace(scores, options.rinf_k, workspace);
-    case ScoreTransformKind::kRinfWr:
-      return RinfWrTransformInPlace(scores);
-    case ScoreTransformKind::kRinfPb:
-      return RinfPbTransformInPlace(scores, options.rinf_pb_candidates);
-    case ScoreTransformKind::kSinkhorn:
-      return SinkhornTransformInPlace(scores, options.sinkhorn_iterations,
-                                      options.sinkhorn_temperature, workspace);
+  if (options.transform == ScoreTransformKind::kSinkhorn) {
+    return SinkhornTransformInPlace(scores, options.sinkhorn_iterations,
+                                    options.sinkhorn_temperature, workspace);
   }
-  return Status::InvalidArgument("unknown score transform");
+  return ApplyRowsTransform(DenseScoreRows(*scores), options, workspace);
+}
+
+Status ApplySparseScoreTransformInPlace(SparseScores* scores,
+                                        const MatchOptions& options,
+                                        Workspace* workspace) {
+  if (options.transform == ScoreTransformKind::kSinkhorn) {
+    return Status::InvalidArgument(
+        "Sinkhorn needs the full coupling matrix; it has no sparse "
+        "variant — drop the candidate index for this transform");
+  }
+  return ApplyRowsTransform(CandidateScoreRows(*scores), options, workspace);
 }
 
 // Consuming wrappers. --------------------------------------------------------

@@ -650,10 +650,9 @@ void MatchServer::WorkerLoop() {
 
 void MatchServer::ExecuteGroup(GroupTask task,
                                std::map<std::string, WorkerEngine>* engines) {
-  // Epoch guard around the whole pass: any raw borrow into the snapshot
-  // (degrade index pointer, cache rows) stays valid until this guard exits,
-  // even if a swap retires the snapshot mid-batch.
-  EpochDomain::Guard guard = registry_.domain().Enter();
+  // task.snapshot pins the version for the whole pass: every raw pointer
+  // into it (the degrade rewrite's candidate_index, cache rows) stays valid
+  // until the task is destroyed, even if a swap displaces it mid-batch.
 
   // Requests whose deadline passed while queued are answered without paying
   // for any kernel work.

@@ -154,8 +154,7 @@ struct ServeResponse {
 /// Hot swap: SwapPair builds a new snapshot (warming its caches first) and
 /// atomically publishes it; in-flight groups keep the version they pinned
 /// when scheduled, so a batch never mixes v and v+1 data, and the displaced
-/// snapshot is reclaimed through the registry's EpochDomain only after every
-/// pass active at the swap has drained.
+/// snapshot is freed when the last group that pinned it drops its reference.
 ///
 /// Result cache: with result_cache_bytes > 0, the scheduler probes an LRU
 /// cache keyed by (pair, snapshot version, ScoreSignature, matcher, kind,
@@ -315,8 +314,7 @@ class MatchServer {
   ServerStats stats_;
   ResultCache cache_;
 
-  /// name -> current immutable snapshot; owns the epoch domain that guards
-  /// in-flight passes across swaps.
+  /// name -> current immutable snapshot.
   SnapshotRegistry registry_;
 
   /// Per-pair session defaults (LoadPair's `base` with the server budget);

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <iterator>
+#include <vector>
 
 #include "index/candidate_index.h"
 #include "la/matrix_io.h"
@@ -169,12 +171,13 @@ void SocketServer::Stop() {
   if (accept_thread_.joinable()) accept_thread_.join();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (int fd : connection_fds_) ::shutdown(fd, SHUT_RDWR);
+    for (const Connection& connection : connections_) {
+      if (!connection.done) ::shutdown(connection.fd, SHUT_RDWR);
+    }
   }
-  for (std::thread& thread : connection_threads_) {
-    if (thread.joinable()) thread.join();
-  }
-  connection_threads_.clear();
+  // The accept thread is gone, so the list no longer changes shape.
+  for (Connection& connection : connections_) connection.thread.join();
+  connections_.clear();
   ::close(listen_fd_);
   ::unlink(socket_path_.c_str());
 }
@@ -186,27 +189,36 @@ void SocketServer::AcceptLoop() {
       if (errno == EINTR) continue;
       return;  // listener shut down
     }
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopped_) {
-      ::close(fd);
-      return;
+    std::list<Connection> finished;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (stopped_) {
+        ::close(fd);
+        return;
+      }
+      for (auto it = connections_.begin(); it != connections_.end();) {
+        const auto next = std::next(it);
+        if (it->done) finished.splice(finished.end(), connections_, it);
+        it = next;
+      }
+      Connection& connection = connections_.emplace_back();
+      connection.fd = fd;
+      connection.thread =
+          std::thread(&SocketServer::ServeConnection, this, &connection);
     }
-    connection_fds_.push_back(fd);
-    connection_threads_.emplace_back(&SocketServer::ServeConnection, this, fd);
+    for (Connection& connection : finished) connection.thread.join();
   }
 }
 
-void SocketServer::ServeConnection(int fd) {
+void SocketServer::ServeConnection(Connection* connection) {
   for (;;) {
-    Result<std::string> payload = ReadFrame(fd);
+    Result<std::string> payload = ReadFrame(connection->fd);
     if (!payload.ok()) break;  // peer closed or unreadable frame
-    if (!HandleFrame(fd, *payload)) break;
+    if (!HandleFrame(connection->fd, *payload)) break;
   }
   std::lock_guard<std::mutex> lock(mu_);
-  connection_fds_.erase(
-      std::remove(connection_fds_.begin(), connection_fds_.end(), fd),
-      connection_fds_.end());
-  ::close(fd);
+  ::close(connection->fd);
+  connection->done = true;
 }
 
 bool SocketServer::HandleFrame(int fd, const std::string& payload) {

@@ -2,11 +2,11 @@
 #define ENTMATCHER_SERVE_SOCKET_SERVER_H_
 
 #include <condition_variable>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "common/status.h"
 #include "serve/server.h"
@@ -48,10 +48,13 @@ class MatchServerHandler : public WireHandler {
 /// protocol requests (serve/protocol.h) to a WireHandler.
 ///
 /// One accept thread plus one thread per live connection, each connection
-/// serving frames sequentially until the peer closes. The heavy lifting —
-/// queueing, admission, batching — all happens behind the handler; a
-/// connection thread is just a blocking caller, so N concurrent connections
-/// exercise exactly the in-process multi-client path.
+/// serving frames sequentially until the peer closes. A finished
+/// connection's thread is joined at the next accept, so a long-running
+/// server holds threads (and their stacks) for its live connections only.
+/// The heavy lifting — queueing, admission, batching — all happens behind
+/// the handler; a connection thread is just a blocking caller, so N
+/// concurrent connections exercise exactly the in-process multi-client
+/// path.
 ///
 /// A `shutdown` request answers "ok" and then releases WaitForShutdown();
 /// the owner is expected to Stop() (also called by the destructor), which
@@ -86,8 +89,22 @@ class SocketServer {
  private:
   SocketServer(WireHandler* handler, std::string socket_path, int listen_fd);
 
+  /// An accepted connection and the thread serving it; `done` is set under
+  /// mu_ once the thread has closed `fd` and is about to return. The thread
+  /// holds its Connection's address, so a Connection never moves (the list
+  /// only splices nodes).
+  struct Connection {
+    Connection() = default;
+    Connection(const Connection&) = delete;
+    Connection& operator=(const Connection&) = delete;
+
+    int fd = -1;
+    std::thread thread;
+    bool done = false;
+  };
+
   void AcceptLoop();
-  void ServeConnection(int fd);
+  void ServeConnection(Connection* connection);
   /// Handles one framed request; returns false when the connection (or the
   /// whole front-end, on `shutdown`) should close.
   bool HandleFrame(int fd, const std::string& payload);
@@ -102,8 +119,7 @@ class SocketServer {
   std::condition_variable shutdown_cv_;
   bool shutdown_requested_ = false;
   bool stopped_ = false;
-  std::vector<int> connection_fds_;
-  std::vector<std::thread> connection_threads_;
+  std::list<Connection> connections_;
 
   std::thread accept_thread_;
 };

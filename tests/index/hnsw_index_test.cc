@@ -1,7 +1,6 @@
 // HNSW and backend-facade tests: build validation, exact-rerank bit-identity,
-// thread-count invariance, seeded determinism (rebuild and incremental-insert
-// byte equality), EIDX2 serialization (EIDX1 refused), and backend-aware
-// signatures.
+// thread-count invariance, seeded determinism (rebuild byte equality), EIDX2
+// serialization (EIDX1 refused), and backend-aware signatures.
 
 #include <cstdio>
 #include <cstring>
@@ -43,15 +42,6 @@ Matrix NoisyCopy(const Matrix& base, double noise, uint64_t seed) {
     }
   }
   return m;
-}
-
-Matrix FirstRows(const Matrix& m, size_t n) {
-  Matrix head(n, m.cols());
-  for (size_t r = 0; r < n; ++r) {
-    std::memcpy(head.Row(r).data(), m.Row(r).data(),
-                m.cols() * sizeof(float));
-  }
-  return head;
 }
 
 std::string FileBytes(const std::string& path) {
@@ -174,98 +164,6 @@ TEST_F(HnswIndexTest, BuildIsDeterministicGivenTheSeed) {
   EXPECT_NE(FileBytes(path_a), FileBytes(path_b));
   std::remove(path_a.c_str());
   std::remove(path_b.c_str());
-}
-
-// The incremental-insert contract: because a node's level is a pure function
-// of (seed, id) and insertion replays in ascending id order, Build(n) +
-// Insert(k appended rows) is not merely as good as Build(n + k) — it is the
-// SAME graph, byte for byte, and so are its query answers.
-TEST_F(HnswIndexTest, IncrementalInsertEqualsFromScratchBuild) {
-  const size_t total = 80;
-  const size_t head = 60;
-  const Matrix tgt = RandomMatrix(total, 8, 31);
-  const Matrix src = RandomMatrix(25, 8, 32);
-
-  Result<CandidateIndex> grown =
-      CandidateIndex::Build(FirstRows(tgt, head), HnswOptions());
-  ASSERT_TRUE(grown.ok());
-  ASSERT_TRUE(grown->Insert(tgt).ok());
-  EXPECT_EQ(grown->num_targets(), total);
-
-  Result<CandidateIndex> scratch = CandidateIndex::Build(tgt, HnswOptions());
-  ASSERT_TRUE(scratch.ok());
-
-  const std::string grown_path = ::testing::TempDir() + "/hnsw_grown.eidx";
-  const std::string scratch_path = ::testing::TempDir() + "/hnsw_scratch.eidx";
-  ASSERT_TRUE(grown->Save(grown_path).ok());
-  ASSERT_TRUE(scratch->Save(scratch_path).ok());
-  EXPECT_EQ(FileBytes(grown_path), FileBytes(scratch_path));
-  std::remove(grown_path.c_str());
-  std::remove(scratch_path.c_str());
-
-  Result<SparseScores> from_grown =
-      grown->SparseSimilarity(src, tgt, SimilarityMetric::kCosine, 6, 2);
-  Result<SparseScores> from_scratch =
-      scratch->SparseSimilarity(src, tgt, SimilarityMetric::kCosine, 6, 2);
-  ASSERT_TRUE(from_grown.ok());
-  ASSERT_TRUE(from_scratch.ok());
-  EXPECT_TRUE(SameEntries(*from_grown, *from_scratch));
-
-  // Inserting nothing is a no-op; shrinking or reshaping is refused.
-  ASSERT_TRUE(grown->Insert(tgt).ok());
-  EXPECT_EQ(grown->num_targets(), total);
-  EXPECT_FALSE(grown->Insert(FirstRows(tgt, head)).ok());
-  EXPECT_FALSE(grown->Insert(RandomMatrix(total + 1, 9, 33)).ok());
-}
-
-// IVF insert does not promise byte equality with a re-clustered build (the
-// centroids are frozen), but it must keep every invariant: appended ids land
-// in exactly one list and emitted entries stay exact.
-TEST_F(HnswIndexTest, IvfInsertKeepsPartitionAndExactness) {
-  const size_t total = 70;
-  const size_t head = 50;
-  const Matrix tgt = RandomMatrix(total, 8, 41);
-  const Matrix src = RandomMatrix(20, 8, 42);
-  CandidateIndexOptions options;
-  options.num_lists = 5;
-  Result<CandidateIndex> index =
-      CandidateIndex::Build(FirstRows(tgt, head), options);
-  ASSERT_TRUE(index.ok());
-  ASSERT_TRUE(index->Insert(tgt).ok());
-  EXPECT_EQ(index->num_targets(), total);
-
-  std::vector<size_t> owner_count(total, 0);
-  for (size_t l = 0; l < index->num_lists(); ++l) {
-    uint32_t previous = 0;
-    bool first = true;
-    for (uint32_t id : index->List(l)) {
-      ASSERT_LT(id, total);
-      ++owner_count[id];
-      if (!first) {
-        EXPECT_LT(previous, id) << "list " << l << " not ascending";
-      }
-      previous = id;
-      first = false;
-    }
-  }
-  for (size_t j = 0; j < total; ++j) {
-    EXPECT_EQ(owner_count[j], 1u) << "target " << j;
-  }
-
-  Result<Matrix> dense =
-      ComputeSimilarity(src, tgt, SimilarityMetric::kCosine);
-  ASSERT_TRUE(dense.ok());
-  Result<SparseScores> sparse =
-      index->SparseSimilarity(src, tgt, SimilarityMetric::kCosine, 5, 3);
-  ASSERT_TRUE(sparse.ok());
-  for (size_t i = 0; i < sparse->rows(); ++i) {
-    auto values = sparse->RowValues(i);
-    auto cols = sparse->RowCols(i);
-    for (size_t p = 0; p < values.size(); ++p) {
-      const float expected = dense->Row(i)[cols[p]];
-      EXPECT_EQ(std::memcmp(&values[p], &expected, sizeof(float)), 0);
-    }
-  }
 }
 
 // On an identity-aligned noisy pair the graph search must put the dense

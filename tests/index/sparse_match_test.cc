@@ -1,4 +1,6 @@
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -79,10 +81,23 @@ TEST_F(SparseMatchTest, CompleteListsBitIdenticalToDenseEverywhere) {
   Result<CandidateIndex> index = CandidateIndex::Build(tgt, index_options);
   ASSERT_TRUE(index.ok());
 
+  // Every sparse-capable preset, plus top-k means wider than one entry: the
+  // row statistics of CSLS and RInf then sum several values, so their
+  // summation order must match as well.
+  std::vector<std::pair<std::string, MatchOptions>> cases;
+  for (AlgorithmPreset preset : SparseCapablePresets()) {
+    cases.emplace_back(PresetName(preset), MakePreset(preset));
+  }
+  MatchOptions csls_k5 = MakePreset(AlgorithmPreset::kCsls);
+  csls_k5.csls_k = 5;
+  cases.emplace_back("CSLS k=5", csls_k5);
+  MatchOptions rinf_k3 = MakePreset(AlgorithmPreset::kRinf);
+  rinf_k3.rinf_k = 3;
+  cases.emplace_back("RInf k=3", rinf_k3);
+
   for (size_t threads : {1u, 7u}) {
     SetNumThreads(threads);
-    for (AlgorithmPreset preset : SparseCapablePresets()) {
-      const MatchOptions dense_options = MakePreset(preset);
+    for (const auto& [name, dense_options] : cases) {
       const MatchOptions sparse_options = WithIndex(
           dense_options, &*index, tgt.rows(), index->num_lists());
 
@@ -90,11 +105,11 @@ TEST_F(SparseMatchTest, CompleteListsBitIdenticalToDenseEverywhere) {
           MatchEngine::Create(src, tgt, dense_options);
       ASSERT_TRUE(engine.ok());
       Result<Matrix> dense_scores = engine->TransformedScores(dense_options);
-      ASSERT_TRUE(dense_scores.ok()) << PresetName(preset);
+      ASSERT_TRUE(dense_scores.ok()) << name;
 
       Result<MatchEngine::ScoredBatch> batch =
           engine->BeginBatch(sparse_options);
-      ASSERT_TRUE(batch.ok()) << PresetName(preset);
+      ASSERT_TRUE(batch.ok()) << name;
       ASSERT_TRUE(batch->is_sparse());
       const SparseScores& sparse = batch->sparse_scores();
       ASSERT_EQ(sparse.nnz(), src.rows() * tgt.rows());
@@ -103,23 +118,20 @@ TEST_F(SparseMatchTest, CompleteListsBitIdenticalToDenseEverywhere) {
       EXPECT_EQ(std::memcmp(expanded.data(), dense_scores->data(),
                             dense_scores->ByteSize()),
                 0)
-          << PresetName(preset) << " transformed values differ at " << threads
-          << " threads";
+          << name << " transformed values differ at " << threads << " threads";
 
       for (MatcherKind matcher : SparseCapableMatchers()) {
         MatchOptions dense_match = dense_options;
         dense_match.matcher = matcher;
         Result<Assignment> expected = MatchScores(*dense_scores, dense_match);
-        ASSERT_TRUE(expected.ok())
-            << PresetName(preset) << "/" << MatcherName(matcher);
+        ASSERT_TRUE(expected.ok()) << name << "/" << MatcherName(matcher);
         MatchOptions sparse_match = sparse_options;
         sparse_match.matcher = matcher;
         Result<Assignment> actual = batch->Match(sparse_match);
-        ASSERT_TRUE(actual.ok())
-            << PresetName(preset) << "/" << MatcherName(matcher);
+        ASSERT_TRUE(actual.ok()) << name << "/" << MatcherName(matcher);
         EXPECT_EQ(actual->target_of_source, expected->target_of_source)
-            << PresetName(preset) << "/" << MatcherName(matcher) << " at "
-            << threads << " threads";
+            << name << "/" << MatcherName(matcher) << " at " << threads
+            << " threads";
       }
     }
   }

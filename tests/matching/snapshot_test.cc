@@ -1,6 +1,6 @@
 // PairSnapshot + SnapshotRegistry: build validation, shared-Core siblings,
-// lazy derived caches (thread-safe, built once), version stamping, and
-// RCU-style retirement of displaced versions through the epoch domain.
+// lazy derived caches (thread-safe, built once), version stamping, and the
+// lifetime of displaced versions (they live as long as their last reader).
 
 #include "matching/snapshot.h"
 
@@ -123,21 +123,17 @@ TEST(SnapshotRegistryTest, AcquiredReferenceSurvivesPublish) {
   EXPECT_EQ(registry.Acquire("pair")->version(), 2u);
 }
 
-TEST(SnapshotRegistryTest, DisplacedSnapshotIsReclaimedAfterGuardsDrain) {
+TEST(SnapshotRegistryTest, DisplacedSnapshotLivesUntilItsLastReader) {
   SnapshotRegistry registry;
   ASSERT_TRUE(registry.Publish("pair", MakeSnapshot()).ok());
-  std::weak_ptr<const PairSnapshot> displaced = registry.Acquire("pair");
-  {
-    // An in-flight pass pins the epoch across the swap.
-    EpochDomain::Guard guard = registry.domain().Enter();
-    ASSERT_TRUE(registry.Publish("pair", MakeSnapshot()).ok());
-    registry.domain().TryReclaim();
-    EXPECT_FALSE(displaced.expired())
-        << "displaced snapshot reclaimed under an active pass";
-  }
-  registry.domain().TryReclaim();
+  std::shared_ptr<const PairSnapshot> reader = registry.Acquire("pair");
+  std::weak_ptr<const PairSnapshot> displaced = reader;
+  ASSERT_TRUE(registry.Publish("pair", MakeSnapshot()).ok());
+  EXPECT_FALSE(displaced.expired())
+      << "displaced snapshot freed under an active reader";
+  reader.reset();
   EXPECT_TRUE(displaced.expired())
-      << "displaced snapshot leaked after all passes drained";
+      << "displaced snapshot outlived its last reader";
 }
 
 }  // namespace

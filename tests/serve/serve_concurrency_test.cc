@@ -4,7 +4,8 @@
 //     every answer equals the solo MatchEngine answer;
 //   - a hot swap under load never yields a batch that mixes snapshot
 //     versions (asserted from (batch_id, snapshot_version) on responses)
-//     and the displaced snapshot is reclaimed once in-flight passes drain;
+//     and the displaced snapshot is reclaimed once in-flight passes drain,
+//     also when degraded queries hold raw index pointers into it;
 //   - the cross-request result cache serves identical bytes, counts
 //     hits/misses, and is invalidated by a swap;
 //   - concurrent Stats()/HealthJson() readers race no writer (regression
@@ -247,13 +248,109 @@ TEST_F(ServeConcurrencyTest, SwapUnderLoadNeverMixesBatchVersions) {
                       200 + kSwaps - 1)
                 .target_of_source);
 
-  // Epoch reclamation: once in-flight passes drain (each query turns the
-  // epoch), the displaced v1 snapshot must be destroyed — no leak.
+  // Once every worker has moved its engine to a newer version (each query
+  // lands on some worker), nothing references the displaced v1 snapshot any
+  // more and it must be destroyed — no leak.
   for (int attempt = 0; attempt < 100 && !displaced.expired(); ++attempt) {
     (void)server->Query(MatchRequest(AlgorithmPreset::kDInf));
   }
   EXPECT_TRUE(displaced.expired()) << "displaced snapshot never reclaimed";
   server->Shutdown();
+}
+
+// A degraded query's options carry a raw candidate_index pointer into the
+// snapshot its group pinned. Swaps that each publish a fresh index displace
+// that snapshot while groups still run on it: the group's own reference must
+// keep the index alive. Every answer is ok, no batch mixes versions, and once
+// the queue drains every displaced snapshot (and its index) is freed.
+TEST_F(ServeConcurrencyTest, DegradedQueriesSurviveSwapsOfTheirIndex) {
+  MatchServerConfig config;
+  config.queue_capacity = 1024;
+  config.serve_workers = 4;
+  config.degrade_watermark = 1;  // any queued depth >= 1 degrades the next
+  config.degrade_num_candidates = 8;
+  config.degrade_nprobe = 2;
+  std::unique_ptr<MatchServer> server = MakeServer(config);
+  const auto index_over = [](const Matrix& target) {
+    Result<CandidateIndex> index =
+        CandidateIndex::Build(target, CandidateIndexOptions());
+    EXPECT_TRUE(index.ok()) << index.status().ToString();
+    return std::make_unique<CandidateIndex>(std::move(index).value());
+  };
+  ASSERT_TRUE(server
+                  ->AttachIndex("default",
+                                index_over(server->CurrentSnapshot("default")
+                                               ->target()))
+                  .ok());
+  std::vector<std::weak_ptr<const PairSnapshot>> displaced = {
+      server->CurrentSnapshot("default")};
+
+  // Three submitters keep bursts of dense CSLS and DInf matches queued, so
+  // every burst after its first request is degraded onto the current index.
+  struct Tagged {
+    uint64_t batch_id;
+    uint64_t version;
+    bool degraded;
+    Status status;
+  };
+  std::vector<std::vector<Tagged>> collected(3);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> submitters;
+  for (size_t t = 0; t < collected.size(); ++t) {
+    submitters.emplace_back([&, t] {
+      while (!stop.load(std::memory_order_acquire)) {
+        std::vector<std::future<ServeResponse>> burst;
+        for (int i = 0; i < 4; ++i) {
+          burst.push_back(server->Submit(MatchRequest(
+              i % 2 == 0 ? AlgorithmPreset::kCsls : AlgorithmPreset::kDInf)));
+        }
+        for (std::future<ServeResponse>& future : burst) {
+          ServeResponse response = future.get();
+          collected[t].push_back({response.batch_id, response.snapshot_version,
+                                  response.degraded, response.status});
+        }
+      }
+    });
+  }
+  constexpr uint64_t kSwaps = 4;
+  for (uint64_t swap = 0; swap < kSwaps; ++swap) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    Matrix target = RandomEmbeddings(30, 200 + swap);
+    std::unique_ptr<CandidateIndex> index = index_over(target);
+    Result<uint64_t> version =
+        server->SwapPair("default", RandomEmbeddings(24, 100 + swap),
+                         std::move(target), std::move(index));
+    ASSERT_TRUE(version.ok()) << version.status().ToString();
+    displaced.push_back(server->CurrentSnapshot("default"));
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& submitter : submitters) submitter.join();
+
+  std::map<uint64_t, std::set<uint64_t>> versions_by_batch;
+  size_t degraded = 0;
+  for (const std::vector<Tagged>& thread_responses : collected) {
+    for (const Tagged& tagged : thread_responses) {
+      ASSERT_TRUE(tagged.status.ok()) << tagged.status.ToString();
+      if (tagged.batch_id != 0) {
+        versions_by_batch[tagged.batch_id].insert(tagged.version);
+      }
+      degraded += tagged.degraded ? 1 : 0;
+    }
+  }
+  EXPECT_GT(degraded, 0u) << "no query took the raw-pointer degrade path";
+  for (const auto& [batch_id, versions] : versions_by_batch) {
+    EXPECT_EQ(versions.size(), 1u)
+        << "batch " << batch_id << " mixed snapshot versions";
+  }
+
+  // Shutdown drains the queue and drops the workers' engines; then only the
+  // registry still holds a snapshot, the current one.
+  server->Shutdown();
+  displaced.pop_back();
+  for (size_t v = 0; v < displaced.size(); ++v) {
+    EXPECT_TRUE(displaced[v].expired()) << "displaced snapshot " << v
+                                        << " outlived every reference";
+  }
 }
 
 TEST_F(ServeConcurrencyTest, ResultCacheServesIdenticalBytesAndInvalidates) {

@@ -7,6 +7,7 @@
 
 #include "serve/server.h"
 
+#include <pthread.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <fstream>
 #include <future>
 #include <string>
 #include <thread>
@@ -678,6 +680,65 @@ TEST_F(ServeTest, CallWithRetryKeepsServerHintAcrossTransportFailure) {
   // would finish in well under a millisecond).
   EXPECT_FALSE(wire.ok() && wire->status.ok());
   EXPECT_GE(elapsed_micros, 2 * 30000u - 5000u);
+}
+
+// Virtual memory of this process in kB (VmSize in /proc/self/status).
+size_t VmSizeKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoul(line.substr(7));
+  }
+  return 0;
+}
+
+// Each accepted connection is served on its own thread, whose stack is a
+// mapping of its own. A front end that kept finished connection threads
+// until Stop() grew by one stack per connection it ever accepted — and a
+// shard gets a short connection from every health probe.
+TEST_F(ServeTest, ClosedConnectionsReleaseTheirThreadStacks) {
+  class RefusingHandler : public WireHandler {
+   public:
+    std::string Handle(const std::string&, bool*) override {
+      return EncodeErrorResponse(Status::NotFound("probe"),
+                                 /*retry_after_micros=*/0);
+    }
+  };
+  const std::string socket_path =
+      "/tmp/em_conn_reap_test_" + std::to_string(::getpid()) + ".sock";
+  RefusingHandler handler;
+  Result<std::unique_ptr<SocketServer>> front =
+      SocketServer::Start(static_cast<WireHandler*>(&handler), socket_path);
+  ASSERT_TRUE(front.ok()) << front.status().ToString();
+  const auto round_trip = [&] {
+    Result<ServeClient> client = ServeClient::Connect(socket_path);
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    WireRequest request;
+    request.verb = WireRequest::Verb::kHealth;
+    Result<WireResponse> response = client->Call(request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->status.code(), StatusCode::kNotFound);
+  };
+  for (int i = 0; i < 4; ++i) round_trip();  // warm every one-time mapping
+
+  pthread_attr_t attr;
+  size_t stack_bytes = 0;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_getstacksize(&attr, &stack_bytes), 0);
+  pthread_attr_destroy(&attr);
+  const size_t before_kb = VmSizeKb();
+  constexpr size_t kConnections = 128;
+  for (size_t i = 0; i < kConnections; ++i) round_trip();
+  const size_t after_kb = VmSizeKb();
+  ASSERT_GT(before_kb, 0u);
+  // A leak holds all 128 stacks. Without one, growth is the few threads
+  // between close and their reaping accept, plus any malloc arenas glibc
+  // adds for them (64 MB of address space each).
+  EXPECT_LT(after_kb, before_kb + kConnections / 4 * (stack_bytes / 1024))
+      << "VmSize " << before_kb << " kB -> " << after_kb << " kB over "
+      << kConnections << " connections (thread stack " << stack_bytes / 1024
+      << " kB)";
+  (*front)->Stop();
 }
 
 TEST_F(ServeTest, CallWithRetrySucceedsOnceTheServerDrains) {
