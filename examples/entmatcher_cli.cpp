@@ -209,12 +209,12 @@ int MatchUintFlag(const std::string& arg, const std::string& name,
   const std::string prefix = "--" + name + "=";
   if (arg.rfind(prefix, 0) != 0) return 0;
   const std::string text = arg.substr(prefix.size());
-  char* end = nullptr;
-  *value = std::strtoull(text.c_str(), &end, 10);
-  if (text.empty() || end == nullptr || *end != '\0') {
+  uint64_t parsed = 0;
+  if (!ParseUint64(text, &parsed)) {
     std::cerr << "error: bad " << prefix << " value: " << text << "\n";
     return -1;
   }
+  *value = parsed;
   return 1;
 }
 

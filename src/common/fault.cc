@@ -4,22 +4,11 @@
 #include <cstdlib>
 #include <thread>
 
+#include "common/string_util.h"
+
 namespace entmatcher {
 
 namespace {
-
-bool ParseUint64(std::string_view text, uint64_t* out) {
-  if (text.empty()) return false;
-  uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) return false;
-    value = value * 10 + digit;
-  }
-  *out = value;
-  return true;
-}
 
 bool ParseDouble(std::string_view text, double* out) {
   if (text.empty()) return false;

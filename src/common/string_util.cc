@@ -61,4 +61,17 @@ bool StartsWith(std::string_view text, std::string_view prefix) {
          text.substr(0, prefix.size()) == prefix;
 }
 
+bool ParseUint64(std::string_view text, uint64_t* out) {
+  if (text.empty()) return false;
+  uint64_t value = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') return false;
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (value > (UINT64_MAX - digit) / 10) return false;
+    value = value * 10 + digit;
+  }
+  *out = value;
+  return true;
+}
+
 }  // namespace entmatcher

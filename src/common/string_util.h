@@ -1,6 +1,7 @@
 #ifndef ENTMATCHER_COMMON_STRING_UTIL_H_
 #define ENTMATCHER_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,6 +26,11 @@ std::string FormatBytes(size_t bytes);
 
 /// True iff `text` begins with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);
+
+/// Parses an unsigned decimal number from outside input: ASCII digits only
+/// (no sign, no whitespace, not empty) and at most UINT64_MAX. Returns
+/// false, leaving `*out` untouched, on anything else.
+bool ParseUint64(std::string_view text, uint64_t* out);
 
 }  // namespace entmatcher
 

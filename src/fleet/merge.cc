@@ -16,7 +16,7 @@ Status CheckParts(size_t total_rows, const std::vector<RangePart>& parts,
   if (parts.empty()) {
     return Status::Unavailable("merge: no shard answered any range");
   }
-  uint64_t version = 0;
+  const uint64_t version = parts.front().version;
   for (const RangePart& part : parts) {
     if (part.row_begin >= part.row_end || part.row_end > total_rows) {
       return Status::Internal(
@@ -24,7 +24,6 @@ Status CheckParts(size_t total_rows, const std::vector<RangePart>& parts,
           ":" + std::to_string(part.row_end) + " over " +
           std::to_string(total_rows) + " rows");
     }
-    if (version == 0) version = part.version;
     if (part.version != version) {
       return Status::Unavailable(
           "merge: mixed snapshot versions v" + std::to_string(version) +

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
-#include <future>
-#include <thread>
 
 #include "common/json.h"
 
@@ -67,11 +64,20 @@ Router::Router(ShardPlan plan, RouterConfig config)
     channel->socket_path = shard.socket_path;
     channels_.push_back(std::move(channel));
   }
+  for (const std::unique_ptr<Channel>& channel : channels_) {
+    channel->thread = std::thread([this, c = channel.get()] { RunChannel(c); });
+  }
 }
 
 Router::~Router() {
-  std::unique_lock<std::mutex> lock(inflight_mu_);
-  inflight_cv_.wait(lock, [&] { return inflight_ == 0; });
+  for (const std::unique_ptr<Channel>& channel : channels_) {
+    std::lock_guard<std::mutex> lock(channel->queue_mu);
+    channel->closing = true;
+    channel->queue_cv.notify_one();
+  }
+  for (const std::unique_ptr<Channel>& channel : channels_) {
+    channel->thread.join();
+  }
 }
 
 Router::Channel* Router::FindChannel(int shard_id) {
@@ -245,131 +251,77 @@ Result<WireResponse> Router::AttemptOnce(Channel* channel,
   return response;
 }
 
-void Router::LaunchAttempt(std::shared_ptr<RangeRace> race, int shard_id,
-                           WireRequest subrequest) {
-  {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    ++inflight_;
-  }
-  {
-    std::lock_guard<std::mutex> lock(race->mu);
-    ++race->launched;
-  }
-  subqueries_.fetch_add(1);
-  // Detached rather than joined: a hedged loser must not hold the range's
-  // answer hostage. The inflight counter keeps the Router alive past every
-  // straggler (see ~Router).
-  std::thread([this, race = std::move(race), shard_id,
-               subrequest = std::move(subrequest)]() mutable {
-    Channel* channel = FindChannel(shard_id);
-    Result<WireResponse> response =
-        channel != nullptr
-            ? Attempt(channel, subrequest)
-            : Result<WireResponse>(Status::Internal(
-                  "router: no channel for shard " + std::to_string(shard_id)));
-    {
-      std::lock_guard<std::mutex> lock(race->mu);
-      ++race->finished;
-      if (response.ok() && response->status.ok()) {
-        if (!race->winner.has_value()) {
-          RangePart part;
-          part.row_begin = subrequest.row_begin;
-          part.row_end = subrequest.row_end;
-          part.version = response->version;
-          part.values = std::move(response->values);
-          part.scores = std::move(response->scores);
-          race->winner = std::move(part);
-        }
-      } else {
-        race->last_failure =
-            response.ok() ? response->status : response.status();
-      }
-    }
-    race->cv.notify_all();
-    // Notify under the lock: once ~Router can observe zero it may destroy
-    // inflight_cv_, so this thread must not touch it after the unlock.
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    --inflight_;
-    inflight_cv_.notify_all();
-  }).detach();
-}
-
-Result<RangePart> Router::QueryRange(const WireRequest& request,
-                                     const RangeSpec& range) {
-  WireRequest subrequest = request;
-  subrequest.route = true;
-  subrequest.row_begin = range.begin;
-  subrequest.row_end = range.end;
-
-  // Failover order: the plan's owner order (primary first), with channels
-  // currently known Down demoted to the back — they still get a chance
-  // (maybe the shard came back), but never before a live replica — and
-  // open-breaker channels behind even those (they fail fast until the
-  // cooldown lets a probe through). Quarantined channels are skipped
-  // entirely: a restarted shard that has not converged to the fleet's
-  // snapshot version must not contribute parts.
-  std::vector<int> order;
-  order.reserve(range.shards.size());
+std::vector<int> Router::FailoverOrder(const RangeSpec& range) {
+  // The plan's owner order (primary first), with channels currently known
+  // Down demoted to the back — they still get a chance (maybe the shard
+  // came back), but never before a live replica — and open-breaker
+  // channels behind even those (they fail fast until the cooldown lets a
+  // probe through). Quarantined channels are skipped entirely: a restarted
+  // shard that has not converged to the fleet's snapshot version must not
+  // contribute parts.
   const auto channel_pass = [this](int id) -> int {
     Channel* channel = FindChannel(id);
     if (channel == nullptr || !channel->admitted.load()) return -1;
     if (channel->breaker.load() != BreakerState::kClosed) return 2;
     return channel->state.load() == ChannelState::kDown ? 1 : 0;
   };
+  std::vector<int> order;
+  order.reserve(range.shards.size());
   for (int pass = 0; pass <= 2; ++pass) {
     for (int id : range.shards) {
       if (channel_pass(id) == pass) order.push_back(id);
     }
   }
-  if (order.empty()) {
-    // Every owner is quarantined (or missing from the channel set): the
-    // "range has no live owner" condition PartialPolicy decides on.
-    return Status::Unavailable(
-        "router: range " + std::to_string(range.begin) + ":" +
-        std::to_string(range.end) + " has no admitted owner");
-  }
+  return order;
+}
 
-  auto race = std::make_shared<RangeRace>();
-  size_t next_owner = 0;
-  LaunchAttempt(race, order[next_owner++], subrequest);
+void Router::Launch(const std::shared_ptr<Gather>& gather, size_t range) {
+  Gather::Range& slot = gather->ranges[range];
+  Channel* channel = FindChannel(slot.order[slot.next_owner++]);
+  ++slot.launched;
+  slot.window_start = std::chrono::steady_clock::now();
+  subqueries_.fetch_add(1);
+  std::lock_guard<std::mutex> lock(channel->queue_mu);
+  channel->queue.push_back(QueuedAttempt{gather, range});
+  channel->queue_cv.notify_one();
+}
 
-  const bool hedging = config_.hedge_micros > 0;
-  std::unique_lock<std::mutex> lock(race->mu);
+void Router::RunChannel(Channel* channel) {
+  std::unique_lock<std::mutex> lock(channel->queue_mu);
   for (;;) {
-    const size_t seen_finished = race->finished;
-    if (race->winner.has_value()) return std::move(*race->winner);
-    if (race->finished == race->launched && next_owner >= order.size()) {
-      // Every owner tried, every attempt failed.
-      return race->last_failure;
-    }
-    const bool all_launched_failed = race->finished == race->launched;
-    if (all_launched_failed && next_owner < order.size()) {
-      // Straight failover: the previous attempt(s) failed definitively.
-      failovers_.fetch_add(1);
-      const int id = order[next_owner++];
-      lock.unlock();
-      LaunchAttempt(race, id, subrequest);
-      lock.lock();
-      continue;
-    }
-    if (hedging && next_owner < order.size()) {
-      // Race a slow in-flight attempt with the next replica.
-      if (!race->cv.wait_for(
-              lock, std::chrono::microseconds(config_.hedge_micros), [&] {
-                return race->winner.has_value() ||
-                       race->finished > seen_finished;
-              })) {
-        hedges_.fetch_add(1);
-        const int id = order[next_owner++];
-        lock.unlock();
-        LaunchAttempt(race, id, subrequest);
-        lock.lock();
+    channel->queue_cv.wait(
+        lock, [&] { return channel->closing || !channel->queue.empty(); });
+    if (channel->queue.empty()) return;  // closing, and nothing left to run
+    QueuedAttempt next = std::move(channel->queue.front());
+    channel->queue.pop_front();
+    lock.unlock();
+    // The sub-query is written before the launch and never again, so it is
+    // read here without the gather lock.
+    Gather& gather = *next.gather;
+    const WireRequest& subrequest = gather.ranges[next.range].subrequest;
+    Result<WireResponse> response = Attempt(channel, subrequest);
+    {
+      std::lock_guard<std::mutex> gather_lock(gather.mu);
+      Gather::Range& slot = gather.ranges[next.range];
+      ++slot.finished;
+      if (response.ok() && response->status.ok()) {
+        if (!slot.winner.has_value()) {
+          RangePart part;
+          part.row_begin = subrequest.row_begin;
+          part.row_end = subrequest.row_end;
+          part.version = response->version;
+          part.values = std::move(response->values);
+          part.scores = std::move(response->scores);
+          slot.winner = std::move(part);
+        }
+      } else {
+        slot.last_failure =
+            response.ok() ? response->status : response.status();
+        slot.window_start = std::chrono::steady_clock::now();
       }
-      continue;
+      gather.cv.notify_all();
     }
-    race->cv.wait(lock, [&] {
-      return race->winner.has_value() || race->finished > seen_finished;
-    });
+    lock.lock();
   }
 }
 
@@ -393,29 +345,70 @@ Result<WireResponse> Router::Query(const WireRequest& request) {
                             "' is not in the shard plan");
   }
 
-  // Scatter: one task per range (the per-range failover/hedging lives in
-  // QueryRange). Gather joins all of them — a merge needs every range.
-  std::vector<std::future<Result<RangePart>>> futures;
-  futures.reserve(pair->ranges.size());
-  WireRequest subrequest = request;
-  subrequest.pair = pair_name;
-  for (const RangeSpec& range : pair->ranges) {
-    futures.push_back(std::async(std::launch::async, [this, subrequest,
-                                                      &range] {
-      return QueryRange(subrequest, range);
-    }));
+  // Scatter every range, then gather on this thread: a range whose
+  // launched attempts all failed fails over to its next owner; with
+  // hedging on, a range with no winner hedge_micros after its latest
+  // launch or failure races its next owner too. A merge needs every range,
+  // so the loop runs until each has a winner or has run out of owners.
+  auto gather = std::make_shared<Gather>();
+  gather->ranges.resize(pair->ranges.size());
+  for (size_t i = 0; i < pair->ranges.size(); ++i) {
+    const RangeSpec& range = pair->ranges[i];
+    Gather::Range& slot = gather->ranges[i];
+    slot.subrequest = request;
+    slot.subrequest.pair = pair_name;
+    slot.subrequest.route = true;
+    slot.subrequest.row_begin = range.begin;
+    slot.subrequest.row_end = range.end;
+    slot.order = FailoverOrder(range);
+    // Every owner quarantined (or missing from the channel set): the
+    // "range has no live owner" condition PartialPolicy decides on.
+    slot.last_failure = Status::Unavailable(
+        "router: range " + std::to_string(range.begin) + ":" +
+        std::to_string(range.end) + " has no admitted owner");
   }
-  std::vector<RangePart> parts;
-  parts.reserve(futures.size());
-  Status first_failure = Status::OK();
-  for (std::future<Result<RangePart>>& future : futures) {
-    Result<RangePart> part = future.get();
-    if (part.ok()) {
-      parts.push_back(std::move(part).value());
-    } else if (first_failure.ok()) {
-      first_failure = part.status();
+  const auto hedge_after = std::chrono::microseconds(config_.hedge_micros);
+  std::unique_lock<std::mutex> lock(gather->mu);
+  for (;;) {
+    const auto now = std::chrono::steady_clock::now();
+    auto wake = std::chrono::steady_clock::time_point::max();
+    bool pending = false;
+    for (size_t i = 0; i < gather->ranges.size(); ++i) {
+      Gather::Range& slot = gather->ranges[i];
+      if (slot.winner.has_value()) continue;
+      const bool owners_left = slot.next_owner < slot.order.size();
+      if (slot.finished == slot.launched) {
+        if (!owners_left) continue;  // every owner tried, every one failed
+        if (slot.launched > 0) failovers_.fetch_add(1);
+        Launch(gather, i);
+      } else if (config_.hedge_micros > 0 && owners_left &&
+                 now >= slot.window_start + hedge_after) {
+        hedges_.fetch_add(1);
+        Launch(gather, i);
+      }
+      pending = true;
+      if (config_.hedge_micros > 0 && slot.next_owner < slot.order.size()) {
+        wake = std::min(wake, slot.window_start + hedge_after);
+      }
+    }
+    if (!pending) break;
+    if (wake == std::chrono::steady_clock::time_point::max()) {
+      gather->cv.wait(lock);
+    } else {
+      gather->cv.wait_until(lock, wake);
     }
   }
+  std::vector<RangePart> parts;
+  parts.reserve(gather->ranges.size());
+  Status first_failure = Status::OK();
+  for (Gather::Range& slot : gather->ranges) {
+    if (slot.winner.has_value()) {
+      parts.push_back(std::move(*slot.winner));
+    } else if (first_failure.ok()) {
+      first_failure = slot.last_failure;
+    }
+  }
+  lock.unlock();
   const bool degrade =
       config_.partial_policy == PartialPolicy::kDegrade && !parts.empty();
   if (!first_failure.ok() && !degrade) {
@@ -498,16 +491,8 @@ Result<std::string> Router::Swap(const WireRequest& request) {
           "router: swap aborted before any shard mutated — shard " +
           std::to_string(shard.id) + " is unreachable: " + status.message());
     }
-    Result<JsonValue> doc = JsonValue::Parse(probed->text);
-    if (doc.ok()) {
-      const JsonValue* pairs = doc->Find("pairs");
-      const JsonValue* current =
-          pairs != nullptr ? pairs->Find(request.pair) : nullptr;
-      if (current != nullptr &&
-          static_cast<uint64_t>(current->AsInt()) + 1 > target_version) {
-        target_version = static_cast<uint64_t>(current->AsInt()) + 1;
-      }
-    }
+    const uint64_t current = HealthPairVersion(probed->text, request.pair);
+    if (current > 0) target_version = std::max(target_version, current + 1);
   }
   if (owners.empty()) {
     swap_failures_.fetch_add(1);
@@ -539,15 +524,12 @@ Result<std::string> Router::Swap(const WireRequest& request) {
       outcomes.push_back(label + ": " + response->status.message());
       continue;
     }
-    // "swapped <pair> v<N>"
-    const std::string& text = response->text;
-    const size_t v = text.rfind(" v");
-    uint64_t shard_version = 0;
-    if (v != std::string::npos) {
-      shard_version = std::strtoull(text.c_str() + v + 2, nullptr, 10);
+    const Result<uint64_t> shard_version =
+        ParseSwappedVersion(response->text);
+    if (!shard_version.ok() || *shard_version != target_version) {
+      uniform = false;
     }
-    if (shard_version != target_version) uniform = false;
-    outcomes.push_back(label + ": " + text);
+    outcomes.push_back(label + ": " + response->text);
   }
   const uint64_t version = target_version;
   if (failures > 0 || !uniform) {

@@ -5,11 +5,13 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -119,6 +121,13 @@ struct RouterStatsSnapshot {
 /// marked incompatible and refused permanently (kFailedPrecondition —
 /// config error, not a transient).
 ///
+/// Threads: a routed query starts none. Each channel owns one attempt
+/// thread that runs the attempts launched on it in FIFO order (the channel
+/// serves one frame at a time anyway), and the caller's thread scatters
+/// every range, then runs failover and hedging for all of them in one loop
+/// over the query's gather record. A hedged-away attempt finishes on its
+/// channel thread after the query has returned.
+///
 /// Swap fan-out (all-or-nothing): `swap` on the router forwards to every
 /// shard owning the pair, sequentially, never retrying (swap is not
 /// idempotent-safe). Success requires every owner to confirm the same new
@@ -128,13 +137,14 @@ struct RouterStatsSnapshot {
 /// the same swap; converged shards just republish the same files).
 class Router {
  public:
-  /// Validates `plan` and builds the channel set. Connections are dialed
-  /// lazily on first use, so a router can start before its shards.
+  /// Validates `plan`, builds the channel set and starts one attempt thread
+  /// per channel. Connections are dialed lazily on first use, so a router
+  /// can start before its shards.
   static Result<std::unique_ptr<Router>> Create(ShardPlan plan,
                                                 RouterConfig config);
 
-  /// Waits for in-flight sub-queries (including hedged stragglers) to
-  /// drain.
+  /// Joins the channel threads once every attempt already queued on them
+  /// (hedged-away stragglers included) has run.
   ~Router();
 
   Router(const Router&) = delete;
@@ -188,6 +198,34 @@ class Router {
   /// (and restarts the cooldown clock).
   enum class BreakerState { kClosed, kOpen, kHalfOpen };
 
+  /// One query's gather record, shared by the caller's thread, which
+  /// launches attempts and decides failover and hedging, and the channel
+  /// threads, which post each attempt's outcome. Queued attempts hold it,
+  /// so it outlives the query while hedged-away attempts still run.
+  struct Gather {
+    struct Range {
+      WireRequest subrequest;  // the routed sub-query every owner gets
+      std::vector<int> order;  // owners in failover order
+      size_t next_owner = 0;   // order[next_owner] is the next launch
+      size_t launched = 0;
+      size_t finished = 0;
+      /// The latest launch or failed attempt: a range with no winner
+      /// hedges hedge_micros after it.
+      std::chrono::steady_clock::time_point window_start;
+      std::optional<RangePart> winner;
+      Status last_failure;
+    };
+    std::mutex mu;
+    std::condition_variable cv;
+    std::vector<Range> ranges;  // sized once, before the first launch
+  };
+
+  /// An attempt waiting on a channel: range `range` of `gather`.
+  struct QueuedAttempt {
+    std::shared_ptr<Gather> gather;
+    size_t range = 0;
+  };
+
   /// One shard's long-lived connection: lazily dialed, handshake-checked,
   /// serialized by a per-channel mutex (the protocol is one frame out, one
   /// frame in — concurrent callers must not interleave frames).
@@ -209,17 +247,13 @@ class Router {
     std::atomic<uint64_t> opens{0};
     std::atomic<uint64_t> half_opens{0};
     std::atomic<uint64_t> closes{0};
-  };
-
-  /// Shared slot for one range's racing attempts (hedging): attempts write
-  /// results in, the coordinator waits for the first success.
-  struct RangeRace {
-    std::mutex mu;
-    std::condition_variable cv;
-    size_t launched = 0;
-    size_t finished = 0;
-    std::optional<RangePart> winner;
-    Status last_failure = Status::Unavailable("no attempt ran");
+    /// The attempt thread and its FIFO; `closing` ends the thread once the
+    /// queue is empty.
+    std::mutex queue_mu;
+    std::condition_variable queue_cv;
+    std::deque<QueuedAttempt> queue;  // guarded by queue_mu
+    bool closing = false;             // guarded by queue_mu
+    std::thread thread;
   };
 
   Router(ShardPlan plan, RouterConfig config);
@@ -239,15 +273,16 @@ class Router {
   void NoteChannelFailure(Channel* channel);
   void NoteChannelSuccess(Channel* channel);
 
-  /// Blocking per-range scatter: owners in failover order, hedged per
-  /// config. Returns the winning part.
-  Result<RangePart> QueryRange(const WireRequest& request,
-                               const RangeSpec& range);
+  /// A range's owners in failover order; empty when none is admitted.
+  std::vector<int> FailoverOrder(const RangeSpec& range);
 
-  /// Launches one owner attempt on a detached tracked thread writing into
-  /// `race`.
-  void LaunchAttempt(std::shared_ptr<RangeRace> race, int shard_id,
-                     WireRequest subrequest);
+  /// Queues the range's next owner attempt on that owner's channel
+  /// (gather->mu held).
+  void Launch(const std::shared_ptr<Gather>& gather, size_t range);
+
+  /// A channel thread: runs queued attempts in order and posts each
+  /// outcome into its gather record.
+  void RunChannel(Channel* channel);
 
   /// Plain single-shot call used by health aggregation (no retry, short
   /// path).
@@ -257,12 +292,6 @@ class Router {
   ShardPlan plan_;
   RouterConfig config_;
   std::vector<std::unique_ptr<Channel>> channels_;
-
-  /// Detached attempt threads still running; the destructor waits for zero
-  /// so a straggler can never touch a dead channel.
-  mutable std::mutex inflight_mu_;
-  std::condition_variable inflight_cv_;
-  size_t inflight_ = 0;
 
   std::function<std::string()> supervisor_status_;
 

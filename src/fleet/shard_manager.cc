@@ -5,8 +5,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <thread>
 
 #include "common/fault.h"
 #include "common/json.h"
@@ -31,17 +33,6 @@ std::string Substitute(std::string token, const std::string& plan_path,
   replace_all("{shard}", std::to_string(shard_id));
   replace_all("{socket}", socket_path);
   return token;
-}
-
-/// One protocol-level health probe with a tight budget (no retry — the
-/// caller loops).
-bool HealthAnswers(const std::string& socket_path) {
-  Result<ServeClient> client = ServeClient::Connect(socket_path);
-  if (!client.ok()) return false;
-  WireRequest health;
-  health.verb = WireRequest::Verb::kHealth;
-  Result<WireResponse> response = client->Call(health);
-  return response.ok() && response->status.ok();
 }
 
 }  // namespace
@@ -114,13 +105,8 @@ Status ShardManager::Start(const ShardPlan& plan,
       // Roll back the children already launched: kill AND reap them, so a
       // failed Start leaves neither zombies nor pids that a later signal
       // could hit after recycling.
-      for (Child& launched : children_) {
-        if (launched.running) {
-          ::kill(launched.pid, SIGKILL);
-          int wstatus = 0;
-          ::waitpid(launched.pid, &wstatus, 0);
-        }
-      }
+      for (const Child& launched : children_) ::kill(launched.pid, SIGKILL);
+      Reap(/*block=*/true);
       children_.clear();
       return spawned;
     }
@@ -128,41 +114,40 @@ Status ShardManager::Start(const ShardPlan& plan,
   }
   started_ = true;
   stopping_ = false;
-  stop_.store(false);
-  reaper_ = std::thread([this] { ReapLoop(); });
   return Status::OK();
 }
 
-void ShardManager::ReapLoop() {
-  while (!stop_.load()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (Child& child : children_) {
-        if (!child.running) continue;
-        int wstatus = 0;
-        const pid_t reaped = ::waitpid(child.pid, &wstatus, WNOHANG);
-        if (reaped == child.pid) {
-          child.running = false;
-          ++child.exits;
-          if (WIFEXITED(wstatus)) {
-            child.last_exit_code = WEXITSTATUS(wstatus);
-          } else if (WIFSIGNALED(wstatus)) {
-            child.last_term_signal = WTERMSIG(wstatus);
-          }
-        }
+void ShardManager::Reap(bool block) const {
+  for (Child& child : children_) {
+    if (!child.running) continue;
+    int wstatus = 0;
+    const pid_t reaped = ::waitpid(child.pid, &wstatus, block ? 0 : WNOHANG);
+    if (reaped == child.pid) {
+      child.running = false;
+      ++child.exits;
+      if (WIFEXITED(wstatus)) {
+        child.last_exit_code = WEXITSTATUS(wstatus);
+      } else if (WIFSIGNALED(wstatus)) {
+        child.last_term_signal = WTERMSIG(wstatus);
       }
+    } else if (reaped < 0 && errno == ECHILD) {
+      // Defensive: the pid is gone from our process's child table. Mark
+      // it dead without counting an exit we never observed.
+      child.running = false;
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
 }
 
 Status ShardManager::WaitHealthy(uint64_t budget_micros) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::microseconds(budget_micros);
+  WireRequest health;
+  health.verb = WireRequest::Verb::kHealth;
   for (;;) {
     std::vector<std::pair<int, std::string>> pending;
     {
       std::lock_guard<std::mutex> lock(mu_);
+      Reap(/*block=*/false);
       for (const Child& child : children_) {
         if (!child.running) {
           return Status::Internal(
@@ -176,7 +161,7 @@ Status ShardManager::WaitHealthy(uint64_t budget_micros) {
     }
     std::string unhealthy;
     for (const auto& [id, socket] : pending) {
-      if (!HealthAnswers(socket)) {
+      if (!CallOnce(socket, health).ok()) {
         unhealthy += (unhealthy.empty() ? "" : ", ") + std::to_string(id);
       }
     }
@@ -191,6 +176,7 @@ Status ShardManager::WaitHealthy(uint64_t budget_micros) {
 
 Status ShardManager::Kill(int shard_id, int sig) {
   std::lock_guard<std::mutex> lock(mu_);
+  Reap(/*block=*/false);
   for (Child& child : children_) {
     if (child.shard_id != shard_id) continue;
     if (!child.running) {
@@ -212,6 +198,7 @@ Status ShardManager::Respawn(int shard_id) {
         "shard manager is " + std::string(started_ ? "stopping" : "stopped") +
         "; respawn refused");
   }
+  Reap(/*block=*/false);
   for (Child& child : children_) {
     if (child.shard_id != shard_id) continue;
     if (child.running) {
@@ -229,9 +216,9 @@ Status ShardManager::Respawn(int shard_id) {
 
 void ShardManager::StopAll() {
   // One teardown at a time: concurrent StopAll (destructor racing an
-  // explicit call) must not double-join the reaper or reap a child twice.
+  // explicit call) must not reap a child twice.
   std::lock_guard<std::mutex> stop_lock(stop_mu_);
-  std::vector<std::pair<pid_t, std::string>> live;
+  std::vector<std::string> live_sockets;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!started_) return;
@@ -239,26 +226,26 @@ void ShardManager::StopAll() {
     // process set, so no phase of the teardown can signal a pid that a
     // racing restart (or the kernel recycling a reaped pid) replaced.
     stopping_ = true;
+    Reap(/*block=*/false);
     for (const Child& child : children_) {
-      if (child.running) live.push_back({child.pid, child.socket_path});
+      if (child.running) live_sockets.push_back(child.socket_path);
     }
   }
   // Phase 1: polite — the shutdown verb lets a shard drain its queue.
-  for (const auto& [pid, socket] : live) {
-    Result<ServeClient> client = ServeClient::Connect(socket);
-    if (!client.ok()) continue;
-    WireRequest request;
-    request.verb = WireRequest::Verb::kShutdown;
-    (void)client->Call(request);
+  WireRequest shutdown;
+  shutdown.verb = WireRequest::Verb::kShutdown;
+  for (const std::string& socket : live_sockets) {
+    (void)CallOnce(socket, shutdown);
   }
-  // Phase 2: SIGTERM stragglers, grace, then SIGKILL. The reaper thread is
-  // still running and does the waitpid bookkeeping.
+  // Phase 2: wait out the grace period, reaping as shards exit, then
+  // SIGTERM the stragglers and SIGKILL what survives that.
   const auto grace_end = std::chrono::steady_clock::now() +
                          std::chrono::milliseconds(2000);
   for (;;) {
     bool any_running = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
+      Reap(/*block=*/false);
       for (const Child& child : children_) {
         if (child.running) any_running = true;
       }
@@ -267,55 +254,25 @@ void ShardManager::StopAll() {
     if (std::chrono::steady_clock::now() >= grace_end) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  {
+  const auto signal_running = [this](int sig) {
     std::lock_guard<std::mutex> lock(mu_);
-    for (Child& child : children_) {
-      if (child.running) {
-        ::kill(child.pid, SIGTERM);
-      }
+    Reap(/*block=*/false);
+    for (const Child& child : children_) {
+      if (child.running) ::kill(child.pid, sig);
     }
-  }
+  };
+  signal_running(SIGTERM);
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (Child& child : children_) {
-      if (child.running) {
-        ::kill(child.pid, SIGKILL);
-      }
-    }
-  }
-  // Final blocking reap so no zombie outlives the manager. The reaper is
-  // joined first, so from here this thread is the only waiter — a child
-  // the reaper already reaped has running == false and is skipped, never
-  // double-waited.
-  stop_.store(true);
-  if (reaper_.joinable()) reaper_.join();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (Child& child : children_) {
-      if (!child.running) continue;
-      int wstatus = 0;
-      const pid_t reaped = ::waitpid(child.pid, &wstatus, 0);
-      if (reaped == child.pid) {
-        child.running = false;
-        ++child.exits;
-        if (WIFEXITED(wstatus)) {
-          child.last_exit_code = WEXITSTATUS(wstatus);
-        } else if (WIFSIGNALED(wstatus)) {
-          child.last_term_signal = WTERMSIG(wstatus);
-        }
-      } else if (reaped < 0 && errno == ECHILD) {
-        // Defensive: the pid is gone from our process's child table. Mark
-        // it dead without counting an exit we never observed.
-        child.running = false;
-      }
-    }
-    started_ = false;
-  }
+  signal_running(SIGKILL);
+  // Final blocking reap so no zombie outlives the manager.
+  std::lock_guard<std::mutex> lock(mu_);
+  Reap(/*block=*/true);
+  started_ = false;
 }
 
 std::vector<ShardProcessStatus> ShardManager::Status_() const {
   std::lock_guard<std::mutex> lock(mu_);
+  Reap(/*block=*/false);
   std::vector<ShardProcessStatus> out;
   out.reserve(children_.size());
   for (const Child& child : children_) {

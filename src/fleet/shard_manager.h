@@ -1,12 +1,11 @@
 #ifndef ENTMATCHER_FLEET_SHARD_MANAGER_H_
 #define ENTMATCHER_FLEET_SHARD_MANAGER_H_
 
-#include <atomic>
+#include <sys/types.h>
+
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -45,9 +44,13 @@ struct ShardProcessStatus {
 
 /// Spawns and supervises the shard processes of a plan. Each shard is a
 /// child process running a MatchServer behind the plan's unix socket; the
-/// manager forks/execs them, reaps exits on a monitor thread (waitpid
-/// WNOHANG), and exposes liveness both at the process level (running?) and
-/// the protocol level (does `health` answer?).
+/// manager forks/execs them and exposes liveness both at the process level
+/// (running?) and the protocol level (does `health` answer?). It starts no
+/// thread: every call that reads or acts on the children (Status_, Kill,
+/// Respawn, WaitHealthy, StopAll) first reaps the ones that have exited
+/// (waitpid WNOHANG), so a dead child is seen as dead by the next read and
+/// stays a zombie until then. A supervised fleet is reaped by
+/// FleetSupervisor's 5 ms status poll.
 ///
 /// The manager itself still does NOT decide to restart crashed shards:
 /// restart *policy* (backoff, strike budget, permanent failure) lives in
@@ -65,8 +68,8 @@ class ShardManager {
   ShardManager& operator=(const ShardManager&) = delete;
 
   /// Forks one child per plan shard using `command` (tokens expanded per
-  /// shard) and starts the reaper thread. Pre-existing socket files are
-  /// unlinked first so a stale socket never shadows a fresh shard.
+  /// shard). Pre-existing socket files are unlinked first so a stale socket
+  /// never shadows a fresh shard.
   Status Start(const ShardPlan& plan, const ShardCommand& command);
 
   /// Blocks until every shard's socket answers `health`, or the budget runs
@@ -78,8 +81,8 @@ class ShardManager {
   /// (SIGKILL mid-storm). kNotFound if the shard is not running.
   Status Kill(int shard_id, int sig);
 
-  /// Re-forks one shard that the reaper has already reaped, with the argv
-  /// it was originally started with (stale socket unlinked first). The
+  /// Re-forks one shard whose process has exited, with the argv it was
+  /// originally started with (stale socket unlinked first). The
   /// restart *mechanism* behind FleetSupervisor. kFailedPrecondition while
   /// the shard still runs (kill it first), or once StopAll has begun —
   /// teardown and restart must never interleave. Carries the `fleet.spawn`
@@ -116,19 +119,20 @@ class ShardManager {
   /// exec (no allocation — argv is prepared before the fork).
   Status Spawn(Child& child, const std::vector<std::string>& argv);
 
-  void ReapLoop();
+  /// Records the exit of every running child that has terminated: waitpid
+  /// WNOHANG, or blocking when `block` (StopAll's final reap). mu_ held.
+  void Reap(bool block) const;
 
   mutable std::mutex mu_;
-  std::vector<Child> children_;
-  std::thread reaper_;
-  std::atomic<bool> stop_{false};
+  /// Mutable so that const reads (Status_) can reap first.
+  mutable std::vector<Child> children_;
   bool started_ = false;
   /// Set (under mu_) the moment StopAll begins and never cleared until the
   /// next Start: the gate that refuses Respawn during/after teardown.
   bool stopping_ = false;
   /// Serializes whole StopAll invocations — two concurrent teardowns
-  /// (destructor + explicit call) must not both join the reaper or both
-  /// run the final blocking reap.
+  /// (destructor + explicit call) must not both run the final blocking
+  /// reap.
   std::mutex stop_mu_;
 };
 

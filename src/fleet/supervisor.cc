@@ -7,7 +7,7 @@
 #include <cstring>
 
 #include "common/fault.h"
-#include "common/json.h"
+#include "common/string_util.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 
@@ -24,42 +24,9 @@ std::chrono::microseconds Micros(uint64_t n) {
 
 /// One health probe with no retry — the recovery loop is the retry.
 Result<std::string> ProbeHealth(const std::string& socket_path) {
-  Result<ServeClient> client = ServeClient::Connect(socket_path);
-  if (!client.ok()) return client.status();
   WireRequest health;
   health.verb = WireRequest::Verb::kHealth;
-  Result<WireResponse> response = client->Call(health);
-  if (!response.ok()) return response.status();
-  if (!response->status.ok()) return response->status;
-  return response->text;
-}
-
-/// pairs.<name> from a health document; 0 when absent/unparsable.
-uint64_t PairVersion(const std::string& health_json,
-                     const std::string& pair_name) {
-  Result<JsonValue> doc = JsonValue::Parse(health_json);
-  if (!doc.ok()) return 0;
-  const JsonValue* pairs = doc->Find("pairs");
-  const JsonValue* current =
-      pairs != nullptr ? pairs->Find(pair_name) : nullptr;
-  if (current == nullptr) return 0;
-  const int64_t version = current->AsInt();
-  return version > 0 ? static_cast<uint64_t>(version) : 0;
-}
-
-Result<uint64_t> ParseUint(std::string_view key, std::string_view value) {
-  if (value.empty()) {
-    return Status::InvalidArgument("restart policy: empty value for '" +
-                                   std::string(key) + "'");
-  }
-  char* end = nullptr;
-  const std::string text(value);
-  const uint64_t parsed = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
-    return Status::InvalidArgument("restart policy: bad number '" + text +
-                                   "' for '" + std::string(key) + "'");
-  }
-  return parsed;
+  return CallOnce(socket_path, health);
 }
 
 }  // namespace
@@ -96,23 +63,28 @@ Result<RestartPolicy> RestartPolicy::Parse(std::string_view spec) {
       }
       continue;
     }
-    Result<uint64_t> parsed = ParseUint(key, value);
-    EM_RETURN_NOT_OK(parsed.status());
+    uint64_t parsed = 0;
+    if (!ParseUint64(value, &parsed)) {
+      return Status::InvalidArgument("restart policy: bad number '" +
+                                     std::string(value) + "' for '" +
+                                     std::string(key) + "'");
+    }
     if (key == "max_strikes") {
-      if (*parsed == 0) {
-        return Status::InvalidArgument("restart policy: max_strikes must be >= 1");
+      if (parsed == 0 || parsed > UINT32_MAX) {
+        return Status::InvalidArgument(
+            "restart policy: max_strikes must be in [1, 4294967295]");
       }
-      policy.max_strikes = static_cast<uint32_t>(*parsed);
+      policy.max_strikes = static_cast<uint32_t>(parsed);
     } else if (key == "backoff_us") {
-      policy.initial_backoff_micros = *parsed;
+      policy.initial_backoff_micros = parsed;
     } else if (key == "max_backoff_us") {
-      policy.max_backoff_micros = *parsed;
+      policy.max_backoff_micros = parsed;
     } else if (key == "window_us") {
-      policy.strike_window_micros = *parsed;
+      policy.strike_window_micros = parsed;
     } else if (key == "boot_budget_us") {
-      policy.boot_budget_micros = *parsed;
+      policy.boot_budget_micros = parsed;
     } else if (key == "seed") {
-      policy.jitter_seed = *parsed;
+      policy.jitter_seed = parsed;
     } else {
       return Status::InvalidArgument("restart policy: unknown key '" +
                                      std::string(key) + "'");
@@ -151,9 +123,7 @@ FleetSupervisor::FleetSupervisor(ShardManager* manager, Router* router,
   // actually used: explicit seed > EM_FAULT_SEED > the library default.
   if (policy_.jitter_seed == 0) {
     const char* env = std::getenv("EM_FAULT_SEED");
-    if (env != nullptr && *env != '\0') {
-      policy_.jitter_seed = std::strtoull(env, nullptr, 10);
-    }
+    if (env != nullptr) (void)ParseUint64(env, &policy_.jitter_seed);
     if (policy_.jitter_seed == 0) policy_.jitter_seed = kDefaultJitterSeed;
   }
   const Rng base(policy_.jitter_seed);
@@ -269,8 +239,8 @@ void FleetSupervisor::StepRecovery(std::unique_lock<std::mutex>& lock,
   };
   const auto abandon_process = [this, &lock, &tracked] {
     // A permanently failed (or boot-dead) process must not linger half
-    // alive on the socket: kill it and let the manager's reaper account
-    // the exit.
+    // alive on the socket: kill it; the next Status_() poll reaps it and
+    // accounts the exit.
     if (!tracked.respawned) return;
     lock.unlock();
     (void)manager_->Kill(tracked.shard_id, SIGKILL);
@@ -367,7 +337,7 @@ Status FleetSupervisor::Converge(const Tracked& tracked) {
                                mine.status().message());
   }
   for (const std::string& pair_name : plan_.PairsOwnedBy(tracked.shard_id)) {
-    const uint64_t my_version = PairVersion(*mine, pair_name);
+    const uint64_t my_version = HealthPairVersion(*mine, pair_name);
     // The fleet's converged version = max over the surviving owners. A
     // dead peer contributes no floor; if EVERY other owner is down there
     // is nothing to diverge from and the newcomer's version IS the floor.
@@ -380,7 +350,8 @@ Status FleetSupervisor::Converge(const Tracked& tracked) {
       }
       Result<std::string> peer = ProbeHealth(shard.socket_path);
       if (!peer.ok()) continue;
-      fleet_version = std::max(fleet_version, PairVersion(*peer, pair_name));
+      fleet_version =
+          std::max(fleet_version, HealthPairVersion(*peer, pair_name));
     }
     if (fleet_version <= my_version) continue;
 
@@ -395,28 +366,18 @@ Status FleetSupervisor::Converge(const Tracked& tracked) {
     swap.target_path = source.target_path;
     swap.index_path = source.index_path;
     swap.swap_min_version = fleet_version;
-    Result<ServeClient> client = ServeClient::Connect(tracked.socket_path);
-    if (!client.ok()) {
-      return Status::Unavailable("re-join swap connect: " +
-                                 client.status().message());
+    Result<std::string> reply = CallOnce(tracked.socket_path, swap);
+    if (!reply.ok()) {
+      return Status(reply.status().code(),
+                    "re-join swap: " + reply.status().message());
     }
-    Result<WireResponse> response = client->Call(swap);
-    if (!response.ok()) {
-      return Status::Unavailable("re-join swap transport: " +
-                                 response.status().message());
-    }
-    if (!response->status.ok()) return response->status;
-    // Confirm "swapped <pair> v<N>" landed exactly on the fleet version.
-    const std::string& text = response->text;
-    const size_t v = text.rfind(" v");
-    const uint64_t swapped_version =
-        v != std::string::npos
-            ? std::strtoull(text.c_str() + v + 2, nullptr, 10)
-            : 0;
-    if (swapped_version != fleet_version) {
-      return Status::Internal(
-          "re-join swap landed on v" + std::to_string(swapped_version) +
-          ", fleet is at v" + std::to_string(fleet_version));
+    // Confirm the swap landed exactly on the fleet version.
+    Result<uint64_t> swapped = ParseSwappedVersion(*reply);
+    EM_RETURN_NOT_OK(swapped.status());
+    if (*swapped != fleet_version) {
+      return Status::Internal("re-join swap landed on v" +
+                              std::to_string(*swapped) + ", fleet is at v" +
+                              std::to_string(fleet_version));
     }
   }
   return Status::OK();

@@ -76,9 +76,9 @@ struct ShardRecoveryStatus {
   uint64_t last_restart_micros = 0;
 };
 
-/// The self-healing layer over ShardManager + Router: watches the manager's
-/// reaper for dead shards and drives each one through the recovery state
-/// machine —
+/// The self-healing layer over ShardManager + Router: polls the manager's
+/// Status_() every 5 ms — the read that reaps exited shards — and drives
+/// each dead one through the recovery state machine —
 ///
 ///   dead → quarantined → [backoff] → respawned → healthy → converged
 ///        → re-admitted

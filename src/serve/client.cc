@@ -170,4 +170,12 @@ Result<WireResponse> ServeClient::CallWithRetry(const WireRequest& request,
   return last;
 }
 
+Result<std::string> CallOnce(const std::string& socket_path,
+                             const WireRequest& request) {
+  EM_ASSIGN_OR_RETURN(ServeClient client, ServeClient::Connect(socket_path));
+  EM_ASSIGN_OR_RETURN(WireResponse response, client.Call(request));
+  if (!response.status.ok()) return response.status;
+  return std::move(response.text);
+}
+
 }  // namespace entmatcher

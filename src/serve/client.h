@@ -78,6 +78,13 @@ class ServeClient {
   std::string socket_path_;
 };
 
+/// One whole conversation with the server at `socket_path`: dial, send
+/// `request`, read the reply, hang up. No retry. A failed dial, a dead
+/// transport and a server-side error all come back as the Status; success
+/// carries the reply's text (hello, health, stats, swap, shutdown).
+Result<std::string> CallOnce(const std::string& socket_path,
+                             const WireRequest& request);
+
 }  // namespace entmatcher
 
 #endif  // ENTMATCHER_SERVE_CLIENT_H_

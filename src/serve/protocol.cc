@@ -91,13 +91,9 @@ uint32_t ReadUint32Le(const char* data) {
 }
 
 Result<uint64_t> ParseUint(std::string_view text) {
-  if (text.empty()) return Status::InvalidArgument("empty number");
   uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      return Status::InvalidArgument("bad number: " + std::string(text));
-    }
-    value = value * 10 + static_cast<uint64_t>(c - '0');
+  if (!ParseUint64(text, &value)) {
+    return Status::InvalidArgument("bad number: '" + std::string(text) + "'");
   }
   return value;
 }
@@ -456,10 +452,14 @@ Result<WireResponse> ParseResponse(std::string_view payload) {
                                        std::string(fields[i]));
       }
     }
-    if (body.size() != (count + score_count) * 4) {
+    // Compared in 4-byte words so that no count can wrap the product.
+    const uint64_t words = body.size() / 4;
+    if (body.size() % 4 != 0 || count > words ||
+        score_count != words - count) {
       return Status::InvalidArgument(
-          "values payload is " + std::to_string(body.size()) +
-          " B, expected " + std::to_string((count + score_count) * 4));
+          "values payload is " + std::to_string(body.size()) + " B for " +
+          std::to_string(count) + " values and " +
+          std::to_string(score_count) + " scores");
     }
     response.values.reserve(count);
     for (uint64_t i = 0; i < count; ++i) {
@@ -477,6 +477,28 @@ Result<WireResponse> ParseResponse(std::string_view payload) {
   }
   return Status::InvalidArgument("unparseable response header: " +
                                  std::string(header));
+}
+
+uint64_t HealthPairVersion(std::string_view health_json,
+                           const std::string& pair) {
+  Result<JsonValue> doc = JsonValue::Parse(health_json);
+  if (!doc.ok()) return 0;
+  const JsonValue* pairs = doc->Find("pairs");
+  const JsonValue* version = pairs != nullptr ? pairs->Find(pair) : nullptr;
+  if (version == nullptr || version->AsInt() <= 0) return 0;
+  return static_cast<uint64_t>(version->AsInt());
+}
+
+Result<uint64_t> ParseSwappedVersion(std::string_view reply) {
+  const std::vector<std::string_view> tokens = Tokens(reply);
+  uint64_t version = 0;
+  if (tokens.size() != 3 || tokens[0] != "swapped" ||
+      !StartsWith(tokens[2], "v") ||
+      !ParseUint64(tokens[2].substr(1), &version)) {
+    return Status::InvalidArgument("not a 'swapped <pair> v<N>' reply: '" +
+                                   std::string(reply) + "'");
+  }
+  return version;
 }
 
 std::string HelloJson(std::string_view role) {

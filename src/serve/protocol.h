@@ -92,6 +92,16 @@ namespace entmatcher {
 // responses; well-behaved clients (ServeClient's RetryPolicy) wait at least
 // that long before retrying.
 
+/// The snapshot version a `health` reply reports for `pair` (its
+/// "pairs": {"<pair>": V, ...} member); 0 when the reply does not parse or
+/// lists no such pair.
+uint64_t HealthPairVersion(std::string_view health_json,
+                           const std::string& pair);
+
+/// The version N of a shard's `swapped <PAIR> v<N>` reply to `swap`;
+/// kInvalidArgument for a reply of any other shape.
+Result<uint64_t> ParseSwappedVersion(std::string_view reply);
+
 /// Wire protocol version, carried in the `hello` handshake. v2 added hello,
 /// shards, route, pair= on match/topk, and the version/range/scores fields
 /// of values responses. v3 added the coverage= field of values responses

@@ -7,6 +7,7 @@
 
 #include "common/fault.h"
 #include "common/json.h"
+#include "common/string_util.h"
 #include "index/candidate_index.h"
 #include "la/kernels/dispatch.h"
 #include "la/topk.h"
@@ -26,12 +27,10 @@ double MicrosBetween(std::chrono::steady_clock::time_point from,
 // EM_NUM_THREADS convention of the kernel thread pool.
 size_t ResolveServeWorkers(size_t configured) {
   if (configured > 0) return configured;
-  if (const char* env = std::getenv("EM_SERVE_WORKERS")) {
-    char* end = nullptr;
-    const unsigned long value = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && value > 0) {
-      return static_cast<size_t>(value);
-    }
+  uint64_t value = 0;
+  if (const char* env = std::getenv("EM_SERVE_WORKERS");
+      env != nullptr && ParseUint64(env, &value) && value > 0) {
+    return static_cast<size_t>(value);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<size_t>(hw) : 1;

@@ -85,6 +85,23 @@ TEST(StringUtilTest, StartsWith) {
   EXPECT_FALSE(StartsWith("hello", "lo"));
 }
 
+TEST(StringUtilTest, ParseUint64AcceptsDigitsOnlyUpToTheMax) {
+  uint64_t value = 7;
+  ASSERT_TRUE(ParseUint64("0", &value));
+  EXPECT_EQ(value, 0u);
+  ASSERT_TRUE(ParseUint64("18446744073709551615", &value));
+  EXPECT_EQ(value, UINT64_MAX);
+  ASSERT_TRUE(ParseUint64("007", &value));
+  EXPECT_EQ(value, 7u);
+  for (const char* bad : {"", "-1", "-5", "+3", " 7", "7 ", "1e3", "0x10",
+                          "18446744073709551616", "18446744073709551617",
+                          "99999999999999999999"}) {
+    value = 42;
+    EXPECT_FALSE(ParseUint64(bad, &value)) << "'" << bad << "'";
+    EXPECT_EQ(value, 42u) << "'" << bad << "' wrote the output";
+  }
+}
+
 // ---- TablePrinter -----------------------------------------------------------
 
 TEST(TablePrinterTest, FormatsAlignedTable) {

@@ -99,6 +99,35 @@ TEST(MergeTest, TopKMixedVersionsRefused) {
             StatusCode::kUnavailable);
 }
 
+// An untagged part (version 0, e.g. a values response without version=)
+// is a version like any other: it never splices with a tagged one, in
+// either order.
+TEST(MergeTest, UntaggedPartNeverSplicesWithTaggedOne) {
+  EXPECT_EQ(MergeAssignments(
+                4, {Part(0, 2, 0, {10, 20}), Part(2, 4, 5, {30, 40})})
+                .status()
+                .code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(MergeAssignments(
+                4, {Part(2, 4, 5, {30, 40}), Part(0, 2, 0, {10, 20})})
+                .status()
+                .code(),
+            StatusCode::kUnavailable);
+}
+
+TEST(MergeTest, TopKUntaggedPartNeverSplicesWithTaggedOne) {
+  EXPECT_EQ(MergeTopK(2, {Part(0, 1, 0, {5, 7}, {0.9f, 0.8f}),
+                          Part(1, 2, 5, {2, 4}, {0.6f, 0.5f})})
+                .status()
+                .code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(MergeTopK(2, {Part(1, 2, 5, {2, 4}, {0.6f, 0.5f}),
+                          Part(0, 1, 0, {5, 7}, {0.9f, 0.8f})})
+                .status()
+                .code(),
+            StatusCode::kUnavailable);
+}
+
 // Partial-coverage merges — the degrade policy's substrate. Uncovered rows
 // hold -1, coverage lists the answered intervals, and the version guarantee
 // is NOT relaxed.

@@ -7,18 +7,24 @@
 //   - protocol handshake refusal (a shard speaking another version is
 //     marked incompatible, kFailedPrecondition);
 //   - failover to a replica when an owner is down;
-//   - hedged requests winning against a slow primary;
+//   - hedged requests winning against a slow primary, with no thread
+//     started per query;
 //   - all-or-nothing swap fan-out with partial-failure reporting + repair.
 
 #include "fleet/router.h"
 
+#include <dirent.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,24 +58,55 @@ std::vector<AlgorithmPreset> SparseCapablePresets() {
           AlgorithmPreset::kRinfPb};
 }
 
-/// A WireHandler decorator that delays routed sub-queries — the "slow
-/// shard" a hedge should race past.
-class SlowHandler : public WireHandler {
+/// A WireHandler decorator that holds routed sub-queries until Release(),
+/// or until `cap` has passed since its construction, so that a test can
+/// tell whether an answer came while the primary still held its frame.
+class GateHandler : public WireHandler {
  public:
-  SlowHandler(WireHandler* inner, uint64_t delay_micros)
-      : inner_(inner), delay_micros_(delay_micros) {}
+  GateHandler(WireHandler* inner, std::chrono::milliseconds cap)
+      : inner_(inner), open_at_(std::chrono::steady_clock::now() + cap) {}
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+  /// Routed frames that have gone through the gate so far.
+  size_t passed() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return passed_;
+  }
 
   std::string Handle(const std::string& payload, bool* shutdown) override {
     if (payload.rfind("route ", 0) == 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(delay_micros_));
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait_until(lock, open_at_, [&] { return released_; });
+      ++passed_;
     }
     return inner_->Handle(payload, shutdown);
   }
 
  private:
   WireHandler* inner_;
-  uint64_t delay_micros_;
+  const std::chrono::steady_clock::time_point open_at_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool released_ = false;
+  size_t passed_ = 0;
 };
+
+/// Threads of this process, from /proc/self/task.
+size_t ProcessThreadCount() {
+  DIR* dir = ::opendir("/proc/self/task");
+  if (dir == nullptr) return 0;
+  size_t count = 0;
+  while (const dirent* entry = ::readdir(dir)) {
+    if (entry->d_name[0] != '.') ++count;
+  }
+  ::closedir(dir);
+  return count;
+}
 
 /// A WireHandler decorator that fails swap requests while armed — the
 /// diverging shard of a partial swap fan-out.
@@ -372,21 +409,75 @@ TEST_F(RouterTest, HedgeRacesSlowPrimary) {
   RouterConfig config;
   config.hedge_micros = 20'000;
   Fleet fleet(source_, target_, 2, 1, /*replicas=*/1, config);
-  // Shard 0 answers routed sub-queries only after 400ms; the hedge to the
-  // replica should win long before that.
-  fleet.WrapHandler(0, std::make_unique<SlowHandler>(
-                          fleet.handler(0), /*delay_micros=*/400'000));
+  // Shard 0 holds routed sub-queries until released. The cap only turns a
+  // broken hedge into a failure instead of a hang.
+  auto owned_gate = std::make_unique<GateHandler>(
+      fleet.handler(0), std::chrono::milliseconds(10'000));
+  GateHandler& gate = *owned_gate;
+  fleet.WrapHandler(0, std::move(owned_gate));
   const WireRequest request = MatchRequest(AlgorithmPreset::kDInf);
   const std::vector<int32_t> expected = SoloAnswer(request, 1);
-  const auto start = std::chrono::steady_clock::now();
   Result<WireResponse> read = fleet.router().Query(request);
-  const auto elapsed = std::chrono::steady_clock::now() - start;
+  // The hedge to the replica answered while the primary still held its
+  // frame.
+  EXPECT_EQ(gate.passed(), 0u);
+  gate.Release();
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(read->values, expected);
   EXPECT_GE(fleet.router().Stats().hedges, 1u);
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
-                .count(),
-            390);
+}
+
+// A routed query starts no thread: attempts run on the channels' threads
+// and the gather on the caller's. So a storm of concurrent hedged queries
+// against a primary that never answers adds no thread to the process
+// beyond the callers themselves and the sampler.
+TEST_F(RouterTest, ConcurrentHedgedQueriesStartNoThreads) {
+  RouterConfig config;
+  config.hedge_micros = 5'000;
+  Fleet fleet(source_, target_, 2, 1, /*replicas=*/1, config);
+  auto owned_gate = std::make_unique<GateHandler>(
+      fleet.handler(0), std::chrono::milliseconds(10'000));
+  GateHandler& gate = *owned_gate;
+  fleet.WrapHandler(0, std::move(owned_gate));
+  const WireRequest request = MatchRequest(AlgorithmPreset::kDInf);
+  const std::vector<int32_t> expected = SoloAnswer(request, 1);
+  // Dial both channels and warm the shards before counting: shard 1 takes
+  // range 0 by hedge, and range 1 as its primary.
+  ASSERT_TRUE(fleet.router().Query(request).ok());
+
+  constexpr size_t kCallers = 6;
+  constexpr size_t kPerCaller = 5;
+  const size_t before = ProcessThreadCount();
+  ASSERT_GT(before, 0u);
+  std::atomic<bool> storming{true};
+  size_t peak = before;  // written by the sampler, read after its join
+  std::thread sampler([&] {
+    while (storming.load()) {
+      peak = std::max(peak, ProcessThreadCount());
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  std::atomic<size_t> correct{0};
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&] {
+      for (size_t q = 0; q < kPerCaller; ++q) {
+        Result<WireResponse> read = fleet.router().Query(request);
+        if (read.ok() && read->values == expected) correct.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  storming.store(false);
+  sampler.join();
+  gate.Release();
+
+  EXPECT_EQ(correct.load(), kCallers * kPerCaller);
+  EXPECT_LE(peak, before + kCallers + 1)
+      << "threads before the storm: " << before;
+  const RouterStatsSnapshot stats = fleet.router().Stats();
+  EXPECT_GE(stats.hedges, kCallers * kPerCaller);
+  EXPECT_EQ(stats.queries, stats.ok + stats.failed);
 }
 
 TEST_F(RouterTest, SwapFanOutIsAllOrNothingWithRepair) {

@@ -81,6 +81,51 @@ TEST(RestartPolicyTest, ParseRefusesGarbage) {
             StatusCode::kInvalidArgument);
 }
 
+// Numbers are digits only and must fit their field: strtoull used to turn
+// -1 into 4294967295 strikes, truncate 4294967296 strikes to 0, turn -5 µs
+// into a backoff of 18446744073709551611 µs, and accept "+3" and " 7".
+TEST(RestartPolicyTest, ParseRefusesSignsSpacesAndOverflow) {
+  for (const char* spec :
+       {"max_strikes=-1", "max_strikes=4294967296",
+        "backoff_us=-5,max_backoff_us=18446744073709551615",
+        "max_strikes=+3", "max_strikes= 7", "backoff_us=+3",
+        "backoff_us= 7", "seed=18446744073709551616"}) {
+    SCOPED_TRACE(spec);
+    EXPECT_EQ(RestartPolicy::Parse(spec).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  Result<RestartPolicy> largest =
+      RestartPolicy::Parse("max_strikes=4294967295");
+  ASSERT_TRUE(largest.ok()) << largest.status().ToString();
+  EXPECT_EQ(largest->max_strikes, 4294967295u);
+}
+
+// EM_FAULT_SEED is outside input too: a value that is not all digits
+// leaves the default jitter seed (17) instead of strtoull's reading of it.
+TEST(RestartPolicyTest, MalformedFaultSeedEnvKeepsTheDefaultJitterSeed) {
+  Result<ShardPlan> plan = ShardPlan::EvenSplit(
+      "p", "unused.src", "unused.tgt", "", /*rows=*/4, /*shards=*/1,
+      "/tmp/em_seed_" + std::to_string(::getpid()), /*replicas=*/0);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const char* previous = std::getenv("EM_FAULT_SEED");
+  const std::string saved = previous != nullptr ? previous : "";
+  const auto jitter_seed_with = [&](const char* value) {
+    ::setenv("EM_FAULT_SEED", value, 1);
+    return FleetSupervisor(nullptr, nullptr, *plan, RestartPolicy())
+        .policy()
+        .jitter_seed;
+  };
+  const uint64_t well_formed = jitter_seed_with("99");
+  const uint64_t malformed = jitter_seed_with(" 5");
+  if (previous != nullptr) {
+    ::setenv("EM_FAULT_SEED", saved.c_str(), 1);
+  } else {
+    ::unsetenv("EM_FAULT_SEED");
+  }
+  EXPECT_EQ(well_formed, 99u);
+  EXPECT_EQ(malformed, 17u);
+}
+
 class SupervisorTest : public ::testing::Test {
  protected:
   void SetUp() override {

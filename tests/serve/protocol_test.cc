@@ -293,6 +293,60 @@ TEST(ProtocolRequest, MalformedRoutesRejected) {
   }
 }
 
+// Numbers on the wire are digits only and never wrap: an overflowing
+// deadline used to read as no deadline, k as 1 and a range as 0:1.
+TEST(ProtocolRequest, OverflowingNumbersRejected) {
+  for (const char* line :
+       {"match DInf timeout_us=18446744073709551616",
+        "topk CSLS 18446744073709551617",
+        "route p 0:18446744073709551617 match DInf",
+        "swap p /a.emat /b.emat version=18446744073709551616"}) {
+    SCOPED_TRACE(line);
+    EXPECT_EQ(ParseRequest(line).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  Result<WireRequest> largest =
+      ParseRequest("match DInf timeout_us=18446744073709551615");
+  ASSERT_TRUE(largest.ok()) << largest.status().ToString();
+  EXPECT_EQ(largest->timeout_micros, UINT64_MAX);
+}
+
+TEST(ProtocolResponse, ValuesCountsBeyondThePayloadRejected) {
+  // Counts whose byte size wraps to the payload's must not pass the size
+  // check (and then reserve 2^62 entries).
+  for (const char* payload :
+       {"ok values 4611686018427387904\n",
+        "ok values 1 scores=4611686018427387904\nabcd",
+        "ok values 18446744073709551616\n"}) {
+    SCOPED_TRACE(payload);
+    EXPECT_FALSE(ParseResponse(payload).ok());
+  }
+}
+
+TEST(ProtocolReply, SwappedVersion) {
+  Result<uint64_t> version = ParseSwappedVersion("swapped dz v12");
+  ASSERT_TRUE(version.ok()) << version.status().ToString();
+  EXPECT_EQ(*version, 12u);
+  for (const char* reply :
+       {"", "swapped dz", "swapped dz 12", "swapped dz v", "swapped dz v-1",
+        "swapped dz v18446744073709551616", "swapped dz v3 extra",
+        "published dz v3"}) {
+    SCOPED_TRACE(reply);
+    EXPECT_FALSE(ParseSwappedVersion(reply).ok());
+  }
+}
+
+TEST(ProtocolReply, HealthPairVersion) {
+  const std::string health =
+      "{\"role\": \"shard\", \"pairs\": {\"a\": 3, \"b\": 1}}";
+  EXPECT_EQ(HealthPairVersion(health, "a"), 3u);
+  EXPECT_EQ(HealthPairVersion(health, "b"), 1u);
+  EXPECT_EQ(HealthPairVersion(health, "missing"), 0u);
+  EXPECT_EQ(HealthPairVersion("{\"pairs\": {\"a\": -4}}", "a"), 0u);
+  EXPECT_EQ(HealthPairVersion("not json", "a"), 0u);
+  EXPECT_EQ(HealthPairVersion("{}", "a"), 0u);
+}
+
 TEST(ProtocolRequest, SwapVersionFloorRoundTrip) {
   Result<WireRequest> parsed =
       ParseRequest("swap dz /a.emat /b.emat index=/c.eidx version=7");

@@ -12,8 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <future>
@@ -97,6 +99,25 @@ TEST_F(ServeTest, CreateRejectsDegenerateConfig) {
   config = MatchServerConfig();
   config.max_batch = 0;
   EXPECT_FALSE(MatchServer::Create(config).ok());
+}
+
+// EM_SERVE_WORKERS is outside input: anything but digits falls back to the
+// hardware default. strtoul read " 3" as 3 and "-1" as 2^64 - 1 workers.
+TEST_F(ServeTest, MalformedServeWorkersEnvFallsBackToHardware) {
+  const char* previous = std::getenv("EM_SERVE_WORKERS");
+  const std::string saved = previous != nullptr ? previous : "";
+  const size_t hardware =
+      std::max<size_t>(1, std::thread::hardware_concurrency());
+  ::setenv("EM_SERVE_WORKERS", hardware == 3 ? " 2" : " 3", 1);
+  Result<std::unique_ptr<MatchServer>> server =
+      MatchServer::Create(MatchServerConfig());
+  if (previous != nullptr) {
+    ::setenv("EM_SERVE_WORKERS", saved.c_str(), 1);
+  } else {
+    ::unsetenv("EM_SERVE_WORKERS");
+  }
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  EXPECT_EQ((*server)->serve_workers(), hardware);
 }
 
 TEST_F(ServeTest, LoadPairRejectsDuplicateName) {
