@@ -5,8 +5,18 @@
 #include <optional>
 
 #include "common/memory_tracker.h"
+#include "common/thread_pool.h"
+#include "la/ranking.h"
 
 namespace entmatcher {
+
+namespace {
+
+// Columns whose keys are transposed together: 64 bytes of each score row
+// per read, and a block of key rows that stays in cache until it is sorted.
+constexpr size_t kColumnBlock = 16;
+
+}  // namespace
 
 Result<Assignment> GaleShapleyMatch(const Matrix& scores,
                                     Workspace* workspace) {
@@ -36,39 +46,39 @@ Result<Assignment> GaleShapleyMatch(const Matrix& scores,
 
   // src_pref[i * m + p] = p-th most preferred target of source i.
   const std::span<uint32_t> src_pref = src_pref_lease.get();
-  {
-    std::vector<uint32_t> idx(m);
-    for (size_t i = 0; i < n; ++i) {
-      auto row = scores.Row(i);
-      std::iota(idx.begin(), idx.end(), 0u);
-      std::sort(idx.begin(), idx.end(), [&row](uint32_t a, uint32_t b) {
-        if (row[a] != row[b]) return row[a] > row[b];
-        return a < b;
-      });
-      std::copy(idx.begin(), idx.end(), src_pref.begin() + i * m);
+  ParallelFor(0, n, 8, [&](size_t begin, size_t end) {
+    std::vector<uint64_t> scratch;
+    for (size_t i = begin; i < end; ++i) {
+      OrderDescending(scores.Row(i), src_pref.subspan(i * m, m), &scratch);
     }
-  }
+  });
   // tgt_pref[j * n + p] = p-th most preferred source of target j;
   // tgt_rank[j * n + i] = rank of source i in target j's preferences
-  // (lower = preferred); O(1) comparisons during proposals.
+  // (lower = preferred); O(1) comparisons during proposals. Before it holds
+  // ranks, a block of tgt_rank rows holds its columns' order keys,
+  // transposed, so the target side needs no buffer of its own.
   const std::span<uint32_t> tgt_pref = tgt_pref_lease.get();
   const std::span<uint32_t> tgt_rank = tgt_rank_lease.get();
-  {
-    std::vector<uint32_t> idx(n);
-    for (size_t j = 0; j < m; ++j) {
-      std::iota(idx.begin(), idx.end(), 0u);
-      std::sort(idx.begin(), idx.end(), [&](uint32_t a, uint32_t b) {
-        const float sa = scores.At(a, j);
-        const float sb = scores.At(b, j);
-        if (sa != sb) return sa > sb;
-        return a < b;
-      });
-      std::copy(idx.begin(), idx.end(), tgt_pref.begin() + j * n);
-      for (size_t pos = 0; pos < n; ++pos) {
-        tgt_rank[j * n + idx[pos]] = static_cast<uint32_t>(pos);
+  ParallelFor(0, m, kColumnBlock, [&](size_t begin, size_t end) {
+    std::vector<uint64_t> scratch;
+    for (size_t block = begin; block < end; block += kColumnBlock) {
+      const size_t block_end = std::min(end, block + kColumnBlock);
+      for (size_t i = 0; i < n; ++i) {
+        const std::span<const float> row = scores.Row(i);
+        for (size_t j = block; j < block_end; ++j) {
+          tgt_rank[j * n + i] = OrderKey(row[j]);
+        }
+      }
+      for (size_t j = block; j < block_end; ++j) {
+        const std::span<uint32_t> pref = tgt_pref.subspan(j * n, n);
+        const std::span<uint32_t> rank = tgt_rank.subspan(j * n, n);
+        OrderByKey(rank, pref, &scratch);
+        for (size_t pos = 0; pos < n; ++pos) {
+          rank[pref[pos]] = static_cast<uint32_t>(pos);
+        }
       }
     }
-  }
+  });
 
   std::vector<int32_t> partner_of_target(m, -1);
   std::vector<uint32_t> next_proposal(n, 0);

@@ -13,10 +13,13 @@ namespace entmatcher {
 /// ranking (Gale–Shapley deferred acceptance). The result is a stable,
 /// source-optimal matching.
 ///
-/// Complexity matches Table 2: O(n^2 log n) time (both sides' full
-/// preference rankings are materialized) and a deliberately heavy O(n^2)
-/// index footprint — the paper singles SMat out as the least space-efficient
-/// algorithm, which is what sinks it at DWY100K scale.
+/// Space matches Table 2: both sides' full preference rankings are
+/// materialized, a deliberately heavy O(n^2) index footprint — the paper
+/// singles SMat out as the least space-efficient algorithm, which is what
+/// sinks it at DWY100K scale. Time does not: the paper's O(n^2 lg n) is the
+/// comparison-sort bound, while the preference tables here are ordered by
+/// la/ranking.h's radix primitive in O(n·m), in parallel over rows and
+/// columns, and the serial proposal loop makes at most n·m proposals.
 ///
 /// Rectangular inputs are supported: when there are more sources than
 /// targets, the overflow sources end up kUnmatched.

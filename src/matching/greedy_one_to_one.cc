@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/memory_tracker.h"
+#include "la/ranking.h"
 #include "la/topk.h"
 #include "matching/row_layout.h"
 #include "matching/sparse_matchers.h"
@@ -20,15 +21,19 @@ Result<Assignment> GreedyOneToOne(const Rows& rows, const char* who) {
   const size_t m = rows.cols();
   const size_t entries = rows.entries();
 
-  // Sort all entry ids by descending score; the order buffer is the
-  // algorithm's dominant workspace. Entry ids are row-major with ascending
-  // columns in both layouts, so ties resolve alike.
+  // Sort all entry ids by descending score, ties by ascending id, through
+  // la/ranking.h's order keys (a strict weak order also when a score is
+  // NaN); the order buffer is the algorithm's dominant workspace. Entry ids
+  // are row-major with ascending columns in both layouts, so ties resolve
+  // alike.
   ScopedTrackedBytes tracked(entries * sizeof(uint64_t));
   std::vector<uint64_t> order(entries);
   std::iota(order.begin(), order.end(), uint64_t{0});
   const float* data = rows.data();
   std::sort(order.begin(), order.end(), [data](uint64_t a, uint64_t b) {
-    if (data[a] != data[b]) return data[a] > data[b];
+    const uint32_t key_a = OrderKey(data[a]);
+    const uint32_t key_b = OrderKey(data[b]);
+    if (key_a != key_b) return key_a < key_b;
     return a < b;
   });
 

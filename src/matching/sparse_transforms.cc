@@ -87,12 +87,12 @@ void RankReverseTable(const CandidateScoreRows& rows, Matrix* table) {
   float* slots = table->data();
   ParallelFor(0, rows.cols(), 4, [&](size_t begin, size_t end) {
     std::vector<float> column;
-    std::vector<uint32_t> order;
+    std::vector<uint64_t> scratch;
     for (size_t c = begin; c < end; ++c) {
       const uint64_t* list = gather.entries.data() + gather.offsets[c];
       column.resize(gather.offsets[c + 1] - gather.offsets[c]);
       for (size_t q = 0; q < column.size(); ++q) column[q] = slots[list[q]];
-      RankRowInPlace(column, &order);
+      RankRowInPlace(column, &scratch);
       for (size_t q = 0; q < column.size(); ++q) slots[list[q]] = column[q];
     }
   });

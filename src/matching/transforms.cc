@@ -83,9 +83,9 @@ Status RinfRows(const Rows& rows, size_t k, Workspace* workspace) {
   // Rank both preference tables in place: two live score-size buffers total
   // (scores + reverse table), down from the three of the copy-out design.
   ParallelFor(0, rows.rows(), 4, [&](size_t begin, size_t end) {
-    std::vector<uint32_t> order;
+    std::vector<uint64_t> scratch;
     for (size_t i = begin; i < end; ++i) {
-      RankRowInPlace(rows.Values(i), &order);  // := R_st
+      RankRowInPlace(rows.Values(i), &scratch);  // := R_st
     }
   });
   RankReverseTable(rows, reverse);  // := R_ts

@@ -1,12 +1,15 @@
 #include "matching/greedy_one_to_one.h"
 
+#include <limits>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "matching/greedy.h"
 #include "matching/hungarian_matcher.h"
+#include "matching/sparse_matchers.h"
 
 namespace entmatcher {
 namespace {
@@ -65,6 +68,48 @@ TEST(GreedyOneToOneTest, TwoApproximationOfHungarian) {
     EXPECT_GE(total(*greedy), 0.5 * total(*hun) - 1e-6);
     EXPECT_LE(total(*greedy), total(*hun) + 1e-6);
   }
+}
+
+// A NaN score sorts like -inf when the matrix holds no -inf, in both
+// layouts. The sparse lists leave out every third cell.
+TEST(GreedyOneToOneTest, NanSortsAsNegativeInfinityWhenNoneIsPresent) {
+  const size_t n = 12;
+  const size_t m = 9;
+  const Matrix scores = RandomScores(n, m, 41);
+  auto nan_or_inf = [&](float bad) {
+    Matrix out = scores;
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = i % 4; j < m; j += 4) out.At(i, j) = bad;
+    }
+    return out;
+  };
+  const Matrix with_nan = nan_or_inf(std::numeric_limits<float>::quiet_NaN());
+  const Matrix with_inf = nan_or_inf(-std::numeric_limits<float>::infinity());
+  auto dense_nan = GreedyOneToOneMatch(with_nan);
+  auto dense_inf = GreedyOneToOneMatch(with_inf);
+  ASSERT_TRUE(dense_nan.ok() && dense_inf.ok());
+  EXPECT_EQ(dense_nan->target_of_source, dense_inf->target_of_source);
+
+  auto candidates = [&](const Matrix& dense) {
+    SparseScores out = SparseScores::CreateOwned(n, m, n * m);
+    std::vector<size_t>& offsets = out.mutable_row_offsets();
+    offsets.assign(1, 0);
+    size_t e = 0;
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < m; ++j) {
+        if ((i + j) % 3 == 0) continue;
+        out.values()[e] = dense.At(i, j);
+        out.col_indices()[e++] = static_cast<uint32_t>(j);
+      }
+      offsets.push_back(e);
+    }
+    EXPECT_TRUE(out.Validate().ok());
+    return out;
+  };
+  auto sparse_nan = SparseGreedyOneToOneMatch(candidates(with_nan));
+  auto sparse_inf = SparseGreedyOneToOneMatch(candidates(with_inf));
+  ASSERT_TRUE(sparse_nan.ok() && sparse_inf.ok());
+  EXPECT_EQ(sparse_nan->target_of_source, sparse_inf->target_of_source);
 }
 
 TEST(GreedyOneToOneTest, RejectsEmpty) {

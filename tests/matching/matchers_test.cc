@@ -1,6 +1,8 @@
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <set>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -223,6 +225,28 @@ TEST_P(StabilityTest, NoBlockingPair) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StabilityTest, ::testing::Range<uint64_t>(0, 20));
+
+// A NaN score prefers like -inf when the matrix holds no -inf: both sides'
+// preference lists put it last, ties by index. Shapes put rows and columns
+// on both sides of the ordering primitive's short-row cutoff, and the extra
+// sources of 70x40 exhaust their lists through the NaN entries.
+TEST(GaleShapleyTest, NanPrefersAsNegativeInfinityWhenNoneIsPresent) {
+  for (const auto& [n, m] : {std::pair<size_t, size_t>{40, 70}, {70, 40}}) {
+    Matrix with_nan = RandomScores(n, m, 9);
+    Matrix with_inf = with_nan;
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = (i * 7) % 5; j < m; j += 5) {
+        with_nan.At(i, j) = std::numeric_limits<float>::quiet_NaN();
+        with_inf.At(i, j) = -std::numeric_limits<float>::infinity();
+      }
+    }
+    auto nan_match = GaleShapleyMatch(with_nan);
+    auto inf_match = GaleShapleyMatch(with_inf);
+    ASSERT_TRUE(nan_match.ok() && inf_match.ok());
+    EXPECT_EQ(nan_match->target_of_source, inf_match->target_of_source)
+        << n << "x" << m;
+  }
+}
 
 TEST(GaleShapleyTest, OneToOneProperty) {
   Matrix s = RandomScores(25, 25, 3);

@@ -1,11 +1,14 @@
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "la/ranking.h"
 #include "la/similarity.h"
+#include "matching/gale_shapley.h"
 #include "matching/transforms.h"
 
 namespace entmatcher {
@@ -14,7 +17,8 @@ namespace {
 // The threading contract (DESIGN.md "Threading model") is that every
 // parallelized kernel is BIT-identical to the serial path at any thread
 // count. These tests pin that guarantee for the full similarity + transform
-// hot path at 1 / 2 / 7 threads.
+// hot path, and for the ranked preference tables of RInf and SMat, at
+// 1 / 2 / 7 threads.
 
 Matrix RandomMatrix(size_t rows, size_t cols, uint64_t seed) {
   Rng rng(seed);
@@ -30,6 +34,10 @@ bool BitIdentical(const Matrix& a, const Matrix& b) {
   return std::memcmp(a.data(), b.data(), a.ByteSize()) == 0;
 }
 
+bool BitIdentical(const Assignment& a, const Assignment& b) {
+  return a.target_of_source == b.target_of_source;
+}
+
 class ThreadingDeterminismTest : public ::testing::Test {
  protected:
   void SetUp() override { previous_threads_ = GetNumThreads(); }
@@ -40,10 +48,10 @@ class ThreadingDeterminismTest : public ::testing::Test {
   template <typename Fn>
   void ExpectBitIdenticalAcrossThreadCounts(const char* label, Fn compute) {
     SetNumThreads(1);
-    const Matrix serial = compute();
+    const auto serial = compute();
     for (size_t threads : {2u, 7u}) {
       SetNumThreads(threads);
-      const Matrix parallel = compute();
+      const auto parallel = compute();
       EXPECT_TRUE(BitIdentical(serial, parallel))
           << label << ": " << threads << "-thread result differs from serial";
     }
@@ -82,6 +90,32 @@ TEST_F(ThreadingDeterminismTest, RinfTransform) {
   for (size_t k : {size_t{1}, size_t{3}}) {
     ExpectBitIdenticalAcrossThreadCounts("rinf", [&] {
       Result<Matrix> r = RinfTransform(scores, k);
+      EXPECT_TRUE(r.ok());
+      return std::move(r).value();
+    });
+  }
+}
+
+// Row and column lengths fall on both sides of the ordering primitive's
+// short-row cutoff (la/ranking.cc).
+constexpr std::pair<size_t, size_t> kRankShapes[] = {{83, 61}, {40, 130}};
+
+TEST_F(ThreadingDeterminismTest, RowRankMatrixInPlace) {
+  for (const auto& [n, m] : kRankShapes) {
+    const Matrix scores = RandomMatrix(n, m, 6);
+    ExpectBitIdenticalAcrossThreadCounts("ranks", [&] {
+      Matrix ranks = scores;
+      RowRankMatrixInPlace(&ranks);
+      return ranks;
+    });
+  }
+}
+
+TEST_F(ThreadingDeterminismTest, GaleShapleyMatch) {
+  for (const auto& [n, m] : kRankShapes) {
+    const Matrix scores = RandomMatrix(n, m, 7);
+    ExpectBitIdenticalAcrossThreadCounts("smat", [&] {
+      Result<Assignment> r = GaleShapleyMatch(scores);
       EXPECT_TRUE(r.ok());
       return std::move(r).value();
     });
