@@ -4,6 +4,16 @@
 // and the harness reports aggregate QPS plus client-observed p50/p99 per
 // shard count. Writes BENCH_fleet.json.
 //
+// The 4-vs-1 QPS ratio: every shard loads the full pair, but a CSLS match or
+// top-k range is row-local, so each shard scores only its quarter of the
+// rows (against a column statistic its snapshot builds once) and the fleet
+// does about one pair's work per query. When each shard computed the full
+// pair and sliced its rows, 4 shards did 4x the work and read 0.37-0.46x
+// the QPS of 1; row-local ranges read 1.29-1.32x on a 4-core host (two
+// alternated full-scale runs each). With one shard's 4 serve workers
+// already busy on 4 cores, a fleet on the same cores can at best conserve
+// work, so a ratio well above 1 is not expected.
+//
 // Hard gates (correctness, not speed — a 1-core CI container cannot
 // demonstrate multi-process speedup, so there is deliberately no QPS-ratio
 // gate):

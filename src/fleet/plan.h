@@ -32,11 +32,12 @@ struct RangeSpec {
 /// a row's transformed scores depend on every other row — so slicing the
 /// data per shard would change answers. Ranges therefore partition the
 /// *decision space* (which rows a shard answers for), not the data: each
-/// shard runs the identical deterministic pipeline and slices its response
-/// rows, which is why router-merged answers are bit-identical to a
-/// single-process run by construction, for every preset. What scales with
-/// shard count is answer bandwidth — concurrent scores passes, per-shard
-/// result caches, replica failover — not per-shard memory.
+/// shard answers its rows bit-identically to those rows of a full run
+/// (MatchEngine row-range queries), which is why router-merged answers are
+/// bit-identical to a single-process run by construction, for every
+/// preset. A row-local preset scores only the shard's rows, so the fleet's
+/// work per query is one pair's; the others score the full pair on every
+/// shard. What does not scale with shard count is per-shard memory.
 struct PairSpec {
   std::string name;
   std::string source_path;

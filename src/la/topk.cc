@@ -117,6 +117,41 @@ float ColumnTopKHeaps::Mean(size_t c) const {
   return static_cast<float>(sum / static_cast<double>(kk));
 }
 
+std::vector<float> ColumnTopKHeaps::Means() const {
+  std::vector<float> out(roots_.size());
+  for (size_t c = 0; c < out.size(); ++c) out[c] = Mean(c);
+  return out;
+}
+
+void ColumnTopKHeaps::OfferRows(const Matrix& rows) {
+  assert(rows.cols() == roots_.size());
+  const KernelOps& ops = ActiveKernels();
+  const bool scalar_tier = ops.tier == KernelTier::kScalar;
+  // Workers own disjoint column ranges and scan rows top-to-bottom, so each
+  // heap sees exactly the serial insertion sequence. Vector tiers batch the
+  // `v > root` admission test through mask_gt against the contiguous roots
+  // — the surviving insertions (and therefore the heaps, sums, and output
+  // bits) are identical on every tier.
+  ParallelFor(0, rows.cols(), 64, [&](size_t col_begin, size_t col_end) {
+    for (size_t r = 0; r < rows.rows(); ++r) {
+      const float* row = rows.Row(r).data();
+      if (scalar_tier) {
+        for (size_t c = col_begin; c < col_end; ++c) Offer(c, row[c]);
+      } else {
+        for (size_t base = col_begin; base < col_end; base += 64) {
+          const size_t len = std::min<size_t>(64, col_end - base);
+          uint64_t mask = ops.mask_gt(row + base, roots() + base, len);
+          while (mask != 0) {
+            const size_t c = base + static_cast<size_t>(std::countr_zero(mask));
+            mask &= mask - 1;
+            Replace(c, row[c]);
+          }
+        }
+      }
+    }
+  });
+}
+
 std::vector<uint32_t> RowArgmax(const Matrix& scores) {
   assert(scores.cols() > 0);
   std::vector<uint32_t> out(scores.rows());
@@ -137,19 +172,24 @@ std::vector<float> RowMax(const Matrix& scores) {
   return out;
 }
 
-std::vector<float> ColMax(const Matrix& scores) {
-  assert(scores.rows() > 0);
+void AccumulateColMax(const Matrix& rows, std::span<float> acc) {
+  assert(acc.size() == rows.cols());
   const KernelOps& ops = ActiveKernels();
-  std::vector<float> out(scores.cols(), -std::numeric_limits<float>::infinity());
-  // Partitioned by column so every worker owns a disjoint slice of `out` and
+  // Partitioned by column so every worker owns a disjoint slice of `acc` and
   // visits rows in the serial order (max is exact either way).
-  ParallelFor(0, scores.cols(), 256, [&](size_t col_begin, size_t col_end) {
-    for (size_t r = 0; r < scores.rows(); ++r) {
-      const float* row = scores.Row(r).data();
-      ops.accumulate_max(out.data() + col_begin, row + col_begin,
+  ParallelFor(0, rows.cols(), 256, [&](size_t col_begin, size_t col_end) {
+    for (size_t r = 0; r < rows.rows(); ++r) {
+      const float* row = rows.Row(r).data();
+      ops.accumulate_max(acc.data() + col_begin, row + col_begin,
                          col_end - col_begin);
     }
   });
+}
+
+std::vector<float> ColMax(const Matrix& scores) {
+  assert(scores.rows() > 0);
+  std::vector<float> out(scores.cols(), -std::numeric_limits<float>::infinity());
+  AccumulateColMax(scores, out);
   return out;
 }
 
@@ -167,36 +207,10 @@ std::vector<float> RowTopKMean(const Matrix& scores, size_t k) {
 
 std::vector<float> ColTopKMean(const Matrix& scores, size_t k) {
   assert(k >= 1);
-  const size_t m = scores.cols();
-  const KernelOps& ops = ActiveKernels();
-  const bool scalar_tier = ops.tier == KernelTier::kScalar;
-  // Workers own disjoint column ranges and scan rows top-to-bottom, so each
-  // heap sees exactly the serial insertion sequence. Vector tiers batch the
-  // `v > root` admission test through mask_gt against the contiguous roots
-  // — the surviving insertions (and therefore the heaps, sums, and output
-  // bits) are identical on every tier.
-  ColumnTopKHeaps heaps(std::vector<size_t>(m, std::min(k, scores.rows())));
-  std::vector<float> out(m);
-  ParallelFor(0, m, 64, [&](size_t col_begin, size_t col_end) {
-    for (size_t r = 0; r < scores.rows(); ++r) {
-      const float* row = scores.Row(r).data();
-      if (scalar_tier) {
-        for (size_t c = col_begin; c < col_end; ++c) heaps.Offer(c, row[c]);
-      } else {
-        for (size_t base = col_begin; base < col_end; base += 64) {
-          const size_t len = std::min<size_t>(64, col_end - base);
-          uint64_t mask = ops.mask_gt(row + base, heaps.roots() + base, len);
-          while (mask != 0) {
-            const size_t c = base + static_cast<size_t>(std::countr_zero(mask));
-            mask &= mask - 1;
-            heaps.Replace(c, row[c]);
-          }
-        }
-      }
-    }
-    for (size_t c = col_begin; c < col_end; ++c) out[c] = heaps.Mean(c);
-  });
-  return out;
+  ColumnTopKHeaps heaps(
+      std::vector<size_t>(scores.cols(), std::min(k, scores.rows())));
+  heaps.OfferRows(scores);
+  return heaps.Means();
 }
 
 std::vector<uint32_t> RowTopKIndices(const Matrix& scores, size_t k) {

@@ -21,6 +21,11 @@ std::vector<float> RowMax(const Matrix& scores);
 /// Maximum value in each column.
 std::vector<float> ColMax(const Matrix& scores);
 
+/// Folds every row of `rows`, in ascending order, into the running column
+/// maxima `acc` (one entry per column). ColMax is this over an -inf start, so
+/// folding a matrix's row blocks in order gives ColMax's bits.
+void AccumulateColMax(const Matrix& rows, std::span<float> acc);
+
 /// Mean of the k largest values of each row (CSLS's phi). k is clamped to the
 /// row length; k must be >= 1.
 std::vector<float> RowTopKMean(const Matrix& scores, size_t k);
@@ -96,8 +101,17 @@ class ColumnTopKHeaps {
     roots_[c] = heap[0];
   }
 
+  /// Offers every row of `rows` (one column per heap, every heap of size
+  /// >= 1) in ascending row order, columns split over the thread pool.
+  /// ColTopKMean is this over one matrix, so offering a matrix's row blocks
+  /// in order gives ColTopKMean's heaps.
+  void OfferRows(const Matrix& rows);
+
   /// Mean of column c's heap, double-summed in heap order; 0 for size 0.
   float Mean(size_t c) const;
+
+  /// Mean(c) of every column.
+  std::vector<float> Means() const;
 
  private:
   std::vector<size_t> offsets_;  // cols + 1

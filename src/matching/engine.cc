@@ -79,8 +79,18 @@ Result<MatchEngine> MatchEngine::Over(
   return engine;
 }
 
+bool MatchEngine::IsRowLocal(const MatchOptions& options) {
+  const ScoreTransformKind t = options.transform;
+  return !UsesCandidateIndex(options) &&
+         options.matcher == MatcherKind::kGreedy &&
+         (t == ScoreTransformKind::kNone || t == ScoreTransformKind::kCsls ||
+          t == ScoreTransformKind::kRinfWr);
+}
+
 size_t MatchEngine::DeclaredWorkspaceBytesFor(size_t n, size_t m,
-                                              const MatchOptions& options) {
+                                              const MatchOptions& options,
+                                              size_t row_begin,
+                                              size_t row_end) {
   if (UsesCandidateIndex(options)) {
     // O(n·c) entries instead of the O(n·m) matrix. Sparse matchers lease no
     // arena tables; greedy-1-to-1's nnz-sized order buffer is heap-allocated
@@ -89,12 +99,13 @@ size_t MatchEngine::DeclaredWorkspaceBytesFor(size_t n, size_t m,
     return SparseScores::BytesFor(nnz_cap) +
            SparseTransformWorkspaceBytes(options, nnz_cap);
   }
-  const size_t scores_bytes = n * m * sizeof(float);
+  const size_t rows = IsRowLocal(options) ? row_end - row_begin : n;
   // The transform scratch is released before the decision stage leases its
   // tables, so the two stages share the same headroom.
-  const size_t stage_bytes = std::max(TransformWorkspaceBytes(options, n, m),
-                                      MatcherWorkspaceBytes(options, n, m));
-  return scores_bytes + stage_bytes;
+  const size_t stage_bytes =
+      std::max(TransformWorkspaceBytes(options, rows, m),
+               MatcherWorkspaceBytes(options, rows, m));
+  return rows * m * sizeof(float) + stage_bytes;
 }
 
 Status MatchEngine::ValidateSparseQuery(const MatchOptions& options,
@@ -137,17 +148,32 @@ Status MatchEngine::CheckStageDeadline(const char* stage) const {
 }
 
 Status MatchEngine::ComputeScoresInto(Matrix* scores,
-                                      const MatchOptions& options) {
+                                      const MatchOptions& options,
+                                      size_t row_begin) {
   // Chaos point: a spurious internal error (or injected latency) in the
   // scores pass, the hot path a flaky kernel or allocator would hit first.
   EM_INJECT_FAULT("engine.scores", StatusCode::kInternal);
+  // A block of rows reads its transform's column statistic from the
+  // snapshot; the first block to need it builds it in this very lease.
+  std::span<const float> column_stat;
+  if (scores->rows() < snapshot_->source().rows() &&
+      options.transform != ScoreTransformKind::kNone) {
+    EM_ASSIGN_OR_RETURN(
+        column_stat,
+        snapshot_->EnsureColumnStatistic(
+            options.metric,
+            options.transform == ScoreTransformKind::kCsls
+                ? ColumnStatistic::kTopKMean
+                : ColumnStatistic::kMax,
+            options.csls_k, scores));
+  }
   const SimilarityCache& cache = snapshot_->EnsureCache(options.metric);
-  EM_RETURN_NOT_OK(ComputeSimilarityRange(snapshot_->source(),
-                                          snapshot_->target(), options.metric,
-                                          cache, 0, snapshot_->source().rows(),
-                                          scores));
+  EM_RETURN_NOT_OK(ComputeSimilarityRange(
+      snapshot_->source(), snapshot_->target(), options.metric, cache,
+      row_begin, row_begin + scores->rows(), scores));
   EM_RETURN_NOT_OK(CheckStageDeadline("transform"));
-  return ApplyScoreTransformInPlace(scores, options, workspace_.get());
+  return ApplyScoreTransformInPlace(scores, options, workspace_.get(),
+                                    column_stat);
 }
 
 Result<Assignment> MatchEngine::Match(const MatchOptions& options) {
@@ -165,10 +191,18 @@ Result<Assignment> MatchEngine::Match(const MatchOptions& options) {
 
 Result<MatchEngine::ScoredBatch> MatchEngine::BeginBatch(
     const MatchOptions& options) {
+  return BeginBatch(options, 0, snapshot_->source().rows());
+}
+
+Result<MatchEngine::ScoredBatch> MatchEngine::BeginBatch(
+    const MatchOptions& options, size_t row_begin, size_t row_end) {
   const Matrix& source = snapshot_->source();
   const Matrix& target = snapshot_->target();
   const size_t n = source.rows();
   const size_t m = target.rows();
+  if (row_begin >= row_end || row_end > n) {
+    return Status::OutOfRange("MatchEngine: empty row range or one past n");
+  }
   if (UsesCandidateIndex(options)) {
     EM_RETURN_NOT_OK(ValidateSparseQuery(options, m));
     const size_t nnz_cap = SparseNnzCap(options, n, m);
@@ -196,15 +230,23 @@ Result<MatchEngine::ScoredBatch> MatchEngine::BeginBatch(
     EM_RETURN_NOT_OK(ApplySparseScoreTransformInPlace(&sparse, options,
                                                       workspace_.get()));
     return ScoredBatch(this, std::move(values), std::move(cols),
-                       std::move(sparse), ScoreSignature::Of(options));
+                       std::move(sparse), ScoreSignature::Of(options),
+                       row_begin, row_end);
   }
+  // A row-local query over part of the rows scores only those rows.
+  const bool ranged = IsRowLocal(options) && row_end - row_begin < n;
+  const size_t rows = ranged ? row_end - row_begin : n;
   EM_RETURN_NOT_OK(workspace_->CheckBudget(
-      n * m * sizeof(float) + TransformWorkspaceBytes(options, n, m)));
+      rows * m * sizeof(float) + TransformWorkspaceBytes(options, rows, m)));
   workspace_->ResetHighWater();
   EM_ASSIGN_OR_RETURN(ScratchMatrix scores,
-                      ScratchMatrix::Acquire(workspace_.get(), n, m));
-  EM_RETURN_NOT_OK(ComputeScoresInto(&scores.get(), options));
-  return ScoredBatch(this, std::move(scores), ScoreSignature::Of(options));
+                      ScratchMatrix::Acquire(workspace_.get(), rows, m));
+  EM_RETURN_NOT_OK(
+      ComputeScoresInto(&scores.get(), options, ranged ? row_begin : 0));
+  Matrix answer_rows = Matrix::Borrowed(
+      scores.get().Row(ranged ? 0 : row_begin).data(), row_end - row_begin, m);
+  return ScoredBatch(this, std::move(scores), std::move(answer_rows),
+                     ScoreSignature::Of(options), row_begin, row_end);
 }
 
 Result<Assignment> MatchEngine::ScoredBatch::Match(const MatchOptions& options) {
@@ -218,10 +260,25 @@ Result<Assignment> MatchEngine::ScoredBatch::Match(const MatchOptions& options) 
         "the batch was computed with");
   }
   EM_RETURN_NOT_OK(engine_->CheckStageDeadline("decision"));
-  if (sparse_.has_value()) {
-    return MatchSparseScores(*sparse_, options);
+  Workspace* workspace = engine_->workspace_.get();
+  if (!sparse_.has_value() &&
+      scores_->get().rows() < engine_->source().rows()) {
+    if (!IsRowLocal(options)) {
+      return Status::InvalidArgument(
+          "ScoredBatch::Match: the batch scored only its answer rows; this "
+          "matcher needs the full pair");
+    }
+    return MatchScores(rows_, options, workspace);
   }
-  return MatchScores(scores_->get(), options, engine_->workspace_.get());
+  // Decide over the full pair, then keep the answer rows.
+  EM_ASSIGN_OR_RETURN(Assignment full,
+                      sparse_.has_value()
+                          ? MatchSparseScores(*sparse_, options)
+                          : MatchScores(scores_->get(), options, workspace));
+  std::vector<int32_t>& targets = full.target_of_source;
+  targets.erase(targets.begin() + row_end_, targets.end());
+  targets.erase(targets.begin(), targets.begin() + row_begin_);
+  return full;
 }
 
 Result<Matrix> MatchEngine::TransformedScores(const MatchOptions& options) {

@@ -95,6 +95,10 @@ class MatchEngine {
   /// Each decision is bit-identical to a solo Match with the same options
   /// (both run MatchScores on bit-identical scores).
   ///
+  /// A batch answers a range of source rows (all rows by default): scores()
+  /// and every Match hold those rows only, bit-identical to the same rows of
+  /// the full answer.
+  ///
   /// Move-only; destruction returns the score lease to the engine's arena.
   /// The engine must outlive the batch, and no other query may run on *this
   /// engine* while a batch is open (the arena is single-threaded by design;
@@ -106,39 +110,47 @@ class MatchEngine {
     ScoredBatch(const ScoredBatch&) = delete;
     ScoredBatch& operator=(const ScoredBatch&) = delete;
 
-    /// The shared transformed score matrix (source.rows × target.rows).
-    /// Dense batches only; a sparse batch has no dense matrix (that is the
-    /// point) — check is_sparse() first.
-    const Matrix& scores() const { return scores_->get(); }
+    /// The answer rows of the shared transformed score matrix (answer rows
+    /// × target.rows()). Dense batches only; a sparse batch has no dense
+    /// matrix (that is the point) — check is_sparse() first.
+    const Matrix& scores() const { return rows_; }
 
     /// True when the batch was scored over candidate lists (the query
     /// options carried a candidate_index).
     bool is_sparse() const { return sparse_.has_value(); }
 
-    /// The shared transformed candidate scores (sparse batches only).
+    /// The shared transformed candidate scores of the full pair (sparse
+    /// batches only).
     const SparseScores& sparse_scores() const { return *sparse_; }
 
-    /// Runs only the decision stage of `options` on the shared scores.
-    /// options must carry the batch's ScoreSignature (kInvalidArgument
-    /// otherwise — a mis-grouped query would silently decide on the wrong
-    /// transform) and a non-RL matcher. The signature folds in the candidate
-    /// index configuration, so dense options cannot decide on a sparse batch
-    /// or vice versa.
+    /// Runs only the decision stage of `options` on the shared scores, for
+    /// the answer rows. options must carry the batch's ScoreSignature
+    /// (kInvalidArgument otherwise — a mis-grouped query would silently
+    /// decide on the wrong transform) and a non-RL matcher, row-local if
+    /// the batch scored only its answer rows. The signature folds in the
+    /// candidate index configuration, so dense options cannot decide on a
+    /// sparse batch or vice versa.
     Result<Assignment> Match(const MatchOptions& options);
 
    private:
     friend class MatchEngine;
-    ScoredBatch(MatchEngine* engine, ScratchMatrix scores,
-                const ScoreSignature& signature)
-        : engine_(engine), scores_(std::move(scores)), signature_(signature) {}
+    ScoredBatch(MatchEngine* engine, ScratchMatrix scores, Matrix rows,
+                const ScoreSignature& signature, size_t row_begin,
+                size_t row_end)
+        : engine_(engine), scores_(std::move(scores)), rows_(std::move(rows)),
+          signature_(signature), row_begin_(row_begin), row_end_(row_end) {}
     ScoredBatch(MatchEngine* engine, ScratchMatrix values, ScratchIndices cols,
-                SparseScores sparse, const ScoreSignature& signature)
+                SparseScores sparse, const ScoreSignature& signature,
+                size_t row_begin, size_t row_end)
         : engine_(engine), sparse_values_(std::move(values)),
           sparse_cols_(std::move(cols)), sparse_(std::move(sparse)),
-          signature_(signature) {}
+          signature_(signature), row_begin_(row_begin), row_end_(row_end) {}
 
     MatchEngine* engine_;
+    // The full pair's scores, or only the answer rows' (row-local); rows_
+    // borrows the answer rows from it (arena slabs do not move).
     std::optional<ScratchMatrix> scores_;
+    Matrix rows_;
     // Sparse batches: the arena leases backing sparse_'s entry storage.
     // sparse_ is declared after them so it is destroyed first (it borrows
     // their buffers); arena slab addresses are stable, so the borrowed
@@ -147,14 +159,30 @@ class MatchEngine {
     std::optional<ScratchIndices> sparse_cols_;
     std::optional<SparseScores> sparse_;
     ScoreSignature signature_;
+    size_t row_begin_ = 0;
+    size_t row_end_ = 0;
   };
 
-  /// Opens a batch: pre-checks the stage-1+2 bytes (score matrix + transform
-  /// scratch) against the budget, starts a new high-water region, and runs
-  /// similarity + transform once. Decision-stage bytes are checked per
+  /// True when rows [lo, hi) of `options`' answer need only those rows'
+  /// similarity plus one column statistic of the snapshot: dense DInf, CSLS
+  /// or RInf-wr with the greedy matcher (a top-k query runs no matcher; pass
+  /// it as greedy). Such a range costs O((hi−lo)·m·d); any other query
+  /// scores the full pair whatever rows it answers.
+  static bool IsRowLocal(const MatchOptions& options);
+
+  /// Opens a batch answering source rows [row_begin, row_end) (one-argument
+  /// form: every row): pre-checks the stage-1+2 bytes (score matrix +
+  /// transform scratch) against the budget, starts a new high-water region,
+  /// and runs similarity + transform once. A row-local query over part of
+  /// the rows leases and scores only those rows, reading its column
+  /// statistic from the snapshot (PairSnapshot::EnsureColumnStatistic,
+  /// built in that lease on first use). Decision-stage bytes are checked per
   /// ScoredBatch::Match, exactly as the matcher's leases demand them;
   /// serving-layer admission pre-checks the full per-query declaration.
+  /// kOutOfRange for an empty range or one past the source rows.
   Result<ScoredBatch> BeginBatch(const MatchOptions& options);
+  Result<ScoredBatch> BeginBatch(const MatchOptions& options, size_t row_begin,
+                                 size_t row_end);
 
   /// Stages 1+2 only: similarity + transform, returned as an owned copy (the
   /// arena buffer is released before returning). For inspection and the
@@ -167,13 +195,17 @@ class MatchEngine {
   /// budget.
   size_t DeclaredWorkspaceBytes(const MatchOptions& options) const {
     return DeclaredWorkspaceBytesFor(snapshot_->source().rows(),
-                                     snapshot_->target().rows(), options);
+                                     snapshot_->target().rows(), options, 0,
+                                     snapshot_->source().rows());
   }
 
-  /// The same declaration for an (n × m) pair without an engine — what the
-  /// serving layer's admission check uses before any engine exists.
+  /// The same declaration for a query answering rows [row_begin, row_end) of
+  /// an (n × m) pair, without an engine — what the serving layer's admission
+  /// check uses before any engine exists. A row-local range declares only
+  /// its own rows.
   static size_t DeclaredWorkspaceBytesFor(size_t n, size_t m,
-                                          const MatchOptions& options);
+                                          const MatchOptions& options,
+                                          size_t row_begin, size_t row_end);
 
   /// The rules a candidate-index query (options.candidate_index set) must
   /// meet against a pair with `num_targets` targets, all kInvalidArgument:
@@ -221,9 +253,10 @@ class MatchEngine {
               const MatchOptions& options,
               std::unique_ptr<Workspace> workspace);
 
-  /// Similarity + transform into `scores` (an arena lease of the right
-  /// shape).
-  Status ComputeScoresInto(Matrix* scores, const MatchOptions& options);
+  /// Similarity + transform of source rows [row_begin, row_begin +
+  /// scores->rows()) into `scores` (an arena lease with target-row columns).
+  Status ComputeScoresInto(Matrix* scores, const MatchOptions& options,
+                           size_t row_begin);
 
   /// kDeadlineExceeded when an armed stage deadline has passed.
   Status CheckStageDeadline(const char* stage) const;

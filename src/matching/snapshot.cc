@@ -1,9 +1,13 @@
 #include "matching/snapshot.h"
 
+#include <algorithm>
+#include <cassert>
+#include <limits>
 #include <utility>
 
 #include "common/fault.h"
 #include "index/candidate_index.h"
+#include "la/topk.h"
 
 namespace entmatcher {
 
@@ -53,6 +57,44 @@ const SimilarityCache& PairSnapshot::EnsureCache(
         BuildSimilarityCache(core_->source, core_->target, metric);
   });
   return *core_->caches[slot];
+}
+
+Result<std::span<const float>> PairSnapshot::EnsureColumnStatistic(
+    SimilarityMetric metric, ColumnStatistic statistic, size_t k,
+    Matrix* tile) const {
+  const bool max = statistic == ColumnStatistic::kMax;
+  if (!max && k == 0) {
+    return Status::InvalidArgument("column top-k mean: k must be >= 1");
+  }
+  const Matrix& source = core_->source;
+  const size_t n = source.rows();
+  const size_t m = core_->target.rows();
+  assert(tile->rows() > 0 && tile->cols() == m);
+  // Held through the build: first users of any statistic wait for it.
+  std::lock_guard<std::mutex> lock(core_->statistics_mu);
+  const auto key = std::make_tuple(MetricSlot(metric), statistic, max ? 0 : k);
+  auto it = core_->statistics.find(key);
+  if (it == core_->statistics.end()) {
+    const SimilarityCache& cache = EnsureCache(metric);
+    std::vector<float> maxima(max ? m : 0,
+                              -std::numeric_limits<float>::infinity());
+    ColumnTopKHeaps heaps(std::vector<size_t>(max ? 0 : m, std::min(k, n)));
+    for (size_t begin = 0; begin < n; begin += tile->rows()) {
+      const size_t end = std::min(n, begin + tile->rows());
+      Matrix block = Matrix::Borrowed(tile->data(), end - begin, m);
+      EM_RETURN_NOT_OK(ComputeSimilarityRange(source, core_->target, metric,
+                                              cache, begin, end, &block));
+      if (max) {
+        AccumulateColMax(block, maxima);
+      } else {
+        heaps.OfferRows(block);
+      }
+    }
+    it = core_->statistics
+             .emplace(key, max ? std::move(maxima) : heaps.Means())
+             .first;
+  }
+  return std::span<const float>(it->second);
 }
 
 Result<uint64_t> SnapshotRegistry::Publish(

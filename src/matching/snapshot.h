@@ -7,7 +7,9 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -18,6 +20,10 @@
 namespace entmatcher {
 
 class CandidateIndex;
+
+/// A statistic over every column of a pair's similarity matrix: the column
+/// max (RInf-wr) or the column top-k mean (CSLS's phi_t).
+enum class ColumnStatistic { kMax, kTopKMean };
 
 /// An immutable, versioned bundle of everything the read path of matching
 /// needs for one (source, target) embedding pair: the embedding matrices, an
@@ -30,11 +36,11 @@ class CandidateIndex;
 /// through a SnapshotRegistry; in-flight passes keep reading the version
 /// they pinned, so a batch never mixes v and v+1 data.
 ///
-/// The similarity caches are derived data: logically
+/// The similarity caches and column statistics are derived data: logically
 /// part of the immutable state, but built lazily on first use (a pair served
 /// only with cosine never pays for the euclidean cache). Laziness is hidden
-/// behind std::call_once, so concurrent first readers race benignly — one
-/// builds, the rest wait, every later read is a plain const load. Derived
+/// behind std::call_once (a mutex for the column statistics), so concurrent
+/// first readers race benignly — one builds, the rest wait. Derived
 /// state lives in a Core shared between snapshots of the same pair, so
 /// WithIndex (and any future derivation that keeps the embeddings) costs two
 /// shared_ptr copies, not a matrix copy or a cache rebuild.
@@ -82,6 +88,19 @@ class PairSnapshot {
   /// wait-free const read.
   const SimilarityCache& EnsureCache(SimilarityMetric metric) const;
 
+  /// `statistic` (k is read by kTopKMean only) over every column of the
+  /// similarity matrix under `metric`: what a row-range query reads besides
+  /// its rows. Built once per (metric, statistic, k) by sweeping all source
+  /// rows in ascending order through `tile` (caller scratch with
+  /// target().rows() columns, clobbered) into ColMax's / ColTopKMean's
+  /// accumulator, so its bytes equal theirs over the full matrix; concurrent
+  /// first callers wait for the one build, and a failed build publishes
+  /// nothing. kInvalidArgument for kTopKMean with k = 0. The span lives as
+  /// long as the snapshot.
+  Result<std::span<const float>> EnsureColumnStatistic(
+      SimilarityMetric metric, ColumnStatistic statistic, size_t k,
+      Matrix* tile) const;
+
  private:
   friend class SnapshotRegistry;
 
@@ -97,6 +116,13 @@ class PairSnapshot {
     // One slot per SimilarityMetric value.
     mutable std::array<std::once_flag, 3> cache_once;
     mutable std::array<std::optional<SimilarityCache>, 3> caches;
+
+    // Column statistics by (metric slot, statistic, k); an entry is only
+    // inserted complete and never changes.
+    mutable std::mutex statistics_mu;
+    mutable std::map<std::tuple<size_t, ColumnStatistic, size_t>,
+                     std::vector<float>>
+        statistics;
   };
 
   explicit PairSnapshot(std::shared_ptr<const Core> core,

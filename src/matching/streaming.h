@@ -24,15 +24,18 @@ struct StreamingOptions {
 };
 
 /// Greedy/CSLS matching that never materializes the full n x m score
-/// matrix: source rows are scored block by block, with CSLS's row/column
-/// statistics accumulated in a first streaming pass.
+/// matrix: a loop of MatchEngine row-range queries, one per block of source
+/// rows. Each block scores only its own rows; CSLS's column statistic comes
+/// from the engine's per-snapshot memo, which the first block builds by
+/// sweeping every row through its own block-sized tile.
 ///
 /// This implements the scalability direction the paper closes with
 /// (Sec. 6 observation 4, after ClusterEA [15]): DInf/CSLS decisions at
 /// O(block x m) workspace instead of O(n x m), enabling paper-scale inputs
 /// (70k x 70k would need ~19.6 GB dense but only ~70 MB at block 256).
-/// Decisions are bit-identical to the dense pipeline — verified by property
-/// tests and the ablation bench.
+/// Decisions are bit-identical to the dense pipeline — the same rows of the
+/// same engine's answer — verified by property tests and the ablation
+/// bench.
 Result<Assignment> StreamingMatch(const Matrix& source, const Matrix& target,
                                   const StreamingOptions& options);
 

@@ -1,6 +1,7 @@
 #include "matching/transforms.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <numeric>
 
@@ -33,8 +34,11 @@ size_t TransformWorkspaceBytes(const MatchOptions& options, size_t rows,
 
 namespace {
 
+// CSLS and RInf-wr read one column statistic besides their rows, passed in:
+// empty means "compute it from `rows`"; a row block passes the full matrix's.
+
 template <typename Rows>
-Status CslsRows(const Rows& rows, size_t k) {
+Status CslsRows(const Rows& rows, size_t k, std::span<const float> phi_t) {
   EM_RETURN_NOT_OK(ValidateScores(rows, "score transform"));
   if (k == 0) return Status::InvalidArgument("CSLS: k must be >= 1");
 
@@ -42,7 +46,8 @@ Status CslsRows(const Rows& rows, size_t k) {
   // Streaming column top-k mean — CSLS stays at a single-matrix footprint,
   // which is what keeps it memory-feasible at DWY100K scale in the paper's
   // Table 6 while RInf is not.
-  const std::vector<float> phi_t = ColumnTopKMeans(rows, k);
+  std::vector<float> own;
+  if (phi_t.empty()) phi_t = own = ColumnTopKMeans(rows, k);
   ForEachRow(rows, 16, [&](size_t i, auto values, auto cols) {
     const float pi = phi_s[i];
     for (size_t p = 0; p < values.size(); ++p) {
@@ -102,10 +107,11 @@ Status RinfRows(const Rows& rows, size_t k, Workspace* workspace) {
 }
 
 template <typename Rows>
-Status RinfWrRows(const Rows& rows) {
+Status RinfWrRows(const Rows& rows, std::span<const float> col_max) {
   EM_RETURN_NOT_OK(ValidateScores(rows, "score transform"));
   const std::vector<float> row_max = RowMaxes(rows);
-  const std::vector<float> col_max = ColumnMaxes(rows);
+  std::vector<float> own;
+  if (col_max.empty()) col_max = own = ColumnMaxes(rows);
   // (P_st + P_ts^T) / 2 = S - (row_max[u] + col_max[v]) / 2 + 1, computed
   // in place — this is what makes the -wr variant cheap.
   ForEachRow(rows, 16, [&](size_t i, auto values, auto cols) {
@@ -178,19 +184,21 @@ Status RinfPbRows(const Rows& rows, size_t candidates) {
   return Status::OK();
 }
 
-// The dispatch both layouts share; Sinkhorn is per layout.
+// The dispatch both layouts share; Sinkhorn is per layout. `column_stat`
+// goes to CSLS or RInf-wr (see above).
 template <typename Rows>
 Status ApplyRowsTransform(const Rows& rows, const MatchOptions& options,
-                          Workspace* workspace) {
+                          Workspace* workspace,
+                          std::span<const float> column_stat) {
   switch (options.transform) {
     case ScoreTransformKind::kNone:
       return Status::OK();
     case ScoreTransformKind::kCsls:
-      return CslsRows(rows, options.csls_k);
+      return CslsRows(rows, options.csls_k, column_stat);
     case ScoreTransformKind::kRinf:
       return RinfRows(rows, options.rinf_k, workspace);
     case ScoreTransformKind::kRinfWr:
-      return RinfWrRows(rows);
+      return RinfWrRows(rows, column_stat);
     case ScoreTransformKind::kRinfPb:
       return RinfPbRows(rows, options.rinf_pb_candidates);
     case ScoreTransformKind::kSinkhorn:
@@ -226,7 +234,7 @@ void TargetCandidates(const DenseScoreRows& rows,
 // Dense entry points. --------------------------------------------------------
 
 Status CslsTransformInPlace(Matrix* scores, size_t k) {
-  return CslsRows(DenseScoreRows(*scores), k);
+  return CslsRows(DenseScoreRows(*scores), k, {});
 }
 
 Status RinfTransformInPlace(Matrix* scores, size_t k, Workspace* workspace) {
@@ -234,7 +242,7 @@ Status RinfTransformInPlace(Matrix* scores, size_t k, Workspace* workspace) {
 }
 
 Status RinfWrTransformInPlace(Matrix* scores) {
-  return RinfWrRows(DenseScoreRows(*scores));
+  return RinfWrRows(DenseScoreRows(*scores), {});
 }
 
 Status RinfPbTransformInPlace(Matrix* scores, size_t candidates) {
@@ -311,12 +319,15 @@ Status SinkhornTransformInPlace(Matrix* scores, size_t iterations,
 }
 
 Status ApplyScoreTransformInPlace(Matrix* scores, const MatchOptions& options,
-                                  Workspace* workspace) {
+                                  Workspace* workspace,
+                                  std::span<const float> column_stat) {
+  assert(column_stat.empty() || column_stat.size() == scores->cols());
   if (options.transform == ScoreTransformKind::kSinkhorn) {
     return SinkhornTransformInPlace(scores, options.sinkhorn_iterations,
                                     options.sinkhorn_temperature, workspace);
   }
-  return ApplyRowsTransform(DenseScoreRows(*scores), options, workspace);
+  return ApplyRowsTransform(DenseScoreRows(*scores), options, workspace,
+                            column_stat);
 }
 
 Status ApplySparseScoreTransformInPlace(SparseScores* scores,
@@ -327,7 +338,8 @@ Status ApplySparseScoreTransformInPlace(SparseScores* scores,
         "Sinkhorn needs the full coupling matrix; it has no sparse "
         "variant — drop the candidate index for this transform");
   }
-  return ApplyRowsTransform(CandidateScoreRows(*scores), options, workspace);
+  return ApplyRowsTransform(CandidateScoreRows(*scores), options, workspace,
+                            {});
 }
 
 // Consuming wrappers. --------------------------------------------------------

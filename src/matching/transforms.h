@@ -1,6 +1,8 @@
 #ifndef ENTMATCHER_MATCHING_TRANSFORMS_H_
 #define ENTMATCHER_MATCHING_TRANSFORMS_H_
 
+#include <span>
+
 #include "common/status.h"
 #include "la/matrix.h"
 #include "la/workspace.h"
@@ -26,8 +28,15 @@ size_t TransformWorkspaceBytes(const MatchOptions& options, size_t rows,
 
 /// Applies options.transform to `scores` in place. Bit-identical to the
 /// consuming ApplyScoreTransform at every thread count.
+///
+/// A non-empty `column_stat` (one entry per column) makes `scores` a block
+/// of a larger matrix's rows for CSLS or RInf-wr: it is the statistic over
+/// all of that matrix's columns the transform reads (the column top-k mean,
+/// the column max), and the block comes out bit-identical to the same rows
+/// of the whole matrix's transform.
 Status ApplyScoreTransformInPlace(Matrix* scores, const MatchOptions& options,
-                                  Workspace* workspace = nullptr);
+                                  Workspace* workspace = nullptr,
+                                  std::span<const float> column_stat = {});
 
 /// CSLS (paper Alg. 4): scores := 2*S - phi_s - phi_t^T with phi the mean of
 /// the top-k scores per row / per column. k >= 1. No matrix-scale scratch.

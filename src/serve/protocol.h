@@ -34,12 +34,11 @@ namespace entmatcher {
 //   "route <PAIR> <LO>:<HI> match <ALGO> [timeout_us=N]"
 //   "route <PAIR> <LO>:<HI> topk <ALGO> <k> [timeout_us=N]"
 //                                      a router-issued sub-query: answer
-//                                      only source rows [LO, HI) of PAIR.
-//                                      The shard still runs the full
-//                                      deterministic pipeline (transforms
-//                                      are globally normalized, so answers
-//                                      cannot depend on the split) and
-//                                      slices the response rows. Routed
+//                                      only source rows [LO, HI) of PAIR,
+//                                      bit-identical to those rows of the
+//                                      full answer (a row-local preset
+//                                      scores only them; any other scores
+//                                      the full pair). Routed
 //                                      topk responses additionally carry
 //                                      the per-entry scores so the router
 //                                      can merge by (score desc, id asc).

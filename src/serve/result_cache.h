@@ -22,7 +22,8 @@ namespace entmatcher {
 /// entirely and answers from the stored decision.
 ///
 /// Correctness rests on the key, which the server builds from
-///   (pair name, snapshot version, ScoreSignature, matcher, kind, topk):
+///   (pair name, snapshot version, ScoreSignature, matcher, kind, topk,
+///    row range):
 /// everything that determines the answer bytes. The snapshot version makes
 /// staleness structurally impossible — a hot swap bumps the version, so old
 /// entries can never answer queries against new embeddings — and
@@ -40,9 +41,8 @@ namespace entmatcher {
 class ResultCache {
  public:
   /// The answer payload of one finished query (exactly one field is
-  /// meaningful, per the request kind folded into the key). Entries always
-  /// hold the FULL pair's answer; row-ranged (routed) requests are sliced
-  /// from it after the hit, so every shard range shares one entry.
+  /// meaningful, per the request kind folded into the key): the bytes a
+  /// fresh run returns for the keyed row range, nothing more.
   struct Entry {
     Assignment assignment;
     std::vector<uint32_t> topk;

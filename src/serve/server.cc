@@ -45,7 +45,8 @@ void AppendU64(std::string* out, uint64_t value) {
 // Result-cache key: everything that determines the answer bytes. The
 // snapshot version makes stale hits structurally impossible; the
 // ScoreSignature (already canonicalized — parameters the transform does not
-// read are zeroed) covers stages 1+2; matcher/kind/topk cover the decision.
+// read are zeroed) covers stages 1+2; matcher/kind/topk cover the decision;
+// the row range picks the answer rows.
 std::string MakeResultKey(const std::string& pair, uint64_t version,
                           const ServeRequest& request) {
   std::string key = ResultCache::PairPrefix(pair);
@@ -70,13 +71,12 @@ std::string MakeResultKey(const std::string& pair, uint64_t version,
   AppendU64(&key, static_cast<uint64_t>(request.kind));
   AppendU64(&key, static_cast<uint64_t>(request.options.matcher));
   AppendU64(&key, request.kind == ServeQueryKind::kTopK ? request.topk : 0);
-  // want_scores widens the stored payload, so it gets its own entry. The row
-  // range deliberately does NOT key: entries hold the full pair's answer and
-  // ranged requests slice after the hit, so every shard range shares one
-  // entry.
+  // want_scores widens the stored payload, so it gets its own entry.
   AppendU64(&key, request.kind == ServeQueryKind::kTopK && request.want_scores
                       ? 1
                       : 0);
+  AppendU64(&key, request.row_begin);
+  AppendU64(&key, request.row_end);
   return key;
 }
 
@@ -104,28 +104,21 @@ bool HasRowRange(const ServeRequest& request) {
   return request.row_begin > 0 || request.row_end > 0;
 }
 
-// Cuts a full-pair payload down to the request's row range, in place.
-// `total_rows` is the snapshot's source row count (needed to recover the
-// effective k of a flattened top-k payload).
-void SliceRowRange(const ServeRequest& request, size_t total_rows,
-                   ServeResponse* response) {
-  if (!HasRowRange(request)) return;
-  const size_t begin = request.row_begin;
-  const size_t end = request.row_end;
-  if (request.kind == ServeQueryKind::kMatch) {
-    std::vector<int32_t>& full = response->assignment.target_of_source;
-    full = std::vector<int32_t>(full.begin() + begin, full.begin() + end);
-    return;
-  }
-  const size_t k_eff = total_rows > 0 ? response->topk.size() / total_rows : 0;
-  response->topk = std::vector<uint32_t>(
-      response->topk.begin() + begin * k_eff,
-      response->topk.begin() + end * k_eff);
-  if (!response->topk_scores.empty()) {
-    response->topk_scores = std::vector<float>(
-        response->topk_scores.begin() + begin * k_eff,
-        response->topk_scores.begin() + end * k_eff);
-  }
+// The source rows `request` asks for, out of `n`.
+std::pair<size_t, size_t> AnswerRows(const ServeRequest& request, size_t n) {
+  if (!HasRowRange(request)) return {0, n};
+  return {request.row_begin, request.row_end};
+}
+
+// One scores pass answers both requests: the same pair, score signature and
+// row range, and — for a routed range — the same verdict on whether the
+// engine scores only that range.
+bool SharesBatch(const ServeRequest& a, const ServeRequest& b) {
+  return a.pair == b.pair &&
+         ScoreSignature::Of(a.options) == ScoreSignature::Of(b.options) &&
+         a.row_begin == b.row_begin && a.row_end == b.row_end &&
+         (!HasRowRange(a) || MatchEngine::IsRowLocal(a.options) ==
+                                 MatchEngine::IsRowLocal(b.options));
 }
 
 }  // namespace
@@ -275,6 +268,11 @@ Status MatchServer::Start() {
 std::future<ServeResponse> MatchServer::Submit(ServeRequest request) {
   std::promise<ServeResponse> promise;
   std::future<ServeResponse> future = promise.get_future();
+  // Top-k runs no decision stage; the greedy matcher stands in for it, so a
+  // top-k range is row-local wherever its transform is.
+  if (request.kind == ServeQueryKind::kTopK) {
+    request.options.matcher = MatcherKind::kGreedy;
+  }
   // Admission control: answer doomed or unservable requests now, on the
   // submitting thread, instead of letting them queue behind real work. The
   // acquired snapshot is only consulted — execution pins its own later.
@@ -304,13 +302,10 @@ std::future<ServeResponse> MatchServer::Submit(ServeRequest request) {
     verdict = AdmitSparseQuery(request, snapshot->target().rows());
   }
   if (verdict.ok() && config_.workspace_budget_bytes > 0) {
-    MatchOptions declared = request.options;
-    // Top-k runs no decision stage; only stages 1+2 count against it.
-    if (request.kind == ServeQueryKind::kTopK) {
-      declared.matcher = MatcherKind::kGreedy;
-    }
+    const size_t n = snapshot->source().rows();
+    const auto [begin, end] = AnswerRows(request, n);
     const size_t bytes = MatchEngine::DeclaredWorkspaceBytesFor(
-        snapshot->source().rows(), snapshot->target().rows(), declared);
+        n, snapshot->target().rows(), request.options, begin, end);
     if (bytes > config_.workspace_budget_bytes) {
       verdict = Status::ResourceExhausted(
           "MatchServer: declared workspace of " + std::to_string(bytes) +
@@ -590,7 +585,6 @@ void MatchServer::SchedulerLoop() {
             response.topk = std::move(entry.topk);
             response.topk_scores = std::move(entry.topk_scores);
           }
-          SliceRowRange(pending.request, snapshot->source().rows(), &response);
           Respond(&pending, std::move(response));
           continue;
         }
@@ -599,21 +593,18 @@ void MatchServer::SchedulerLoop() {
       runnable.push_back(std::move(pending));
     }
 
-    // Split into compatible groups — queries sharing a pair and a
-    // ScoreSignature (computed after any degrade rewrite) — preserving
-    // arrival order; each group is one batch, dispatched to the pool.
+    // Split into compatible groups (SharesBatch, judged after any degrade
+    // rewrite), preserving arrival order; each group is one batch,
+    // dispatched to the pool.
     while (!runnable.empty()) {
-      const std::string pair = runnable.front().request.pair;
-      const ScoreSignature signature =
-          ScoreSignature::Of(runnable.front().request.options);
+      const ServeRequest first = runnable.front().request;
       GroupTask task;
-      task.pair = pair;
-      task.snapshot = snapshots[pair];
-      task.base_options = bases[pair];
+      task.pair = first.pair;
+      task.snapshot = snapshots[first.pair];
+      task.base_options = bases[first.pair];
       std::vector<Pending> rest;
       for (Pending& pending : runnable) {
-        if (pending.request.pair == pair &&
-            ScoreSignature::Of(pending.request.options) == signature) {
+        if (SharesBatch(pending.request, first)) {
           task.group.push_back(std::move(pending));
         } else {
           rest.push_back(std::move(pending));
@@ -707,8 +698,11 @@ void MatchServer::ExecuteGroup(GroupTask task,
   if (group_deadline != Clock::time_point::max()) {
     engine->SetStageDeadline(group_deadline);
   }
+  const ServeRequest& first = live.front().request;
+  const auto [row_begin, row_end] =
+      AnswerRows(first, task.snapshot->source().rows());
   Result<MatchEngine::ScoredBatch> batch =
-      engine->BeginBatch(live.front().request.options);
+      engine->BeginBatch(first.options, row_begin, row_end);
   for (Pending& pending : live) {
     ServeResponse response;
     response.batch_size = live.size();
@@ -751,8 +745,6 @@ void MatchServer::ExecuteGroup(GroupTask task,
       }
     }
     if (cache_.enabled() && response.status.ok() && !pending.degraded) {
-      // The full-pair answer goes in (before any range slicing below), so
-      // one entry serves every shard range of this request shape.
       ResultCache::Entry entry;
       if (pending.request.kind == ServeQueryKind::kMatch) {
         entry.assignment = response.assignment;
@@ -762,10 +754,6 @@ void MatchServer::ExecuteGroup(GroupTask task,
       }
       cache_.Insert(MakeResultKey(task.pair, version, pending.request),
                     std::move(entry));
-    }
-    if (response.status.ok()) {
-      SliceRowRange(pending.request, task.snapshot->source().rows(),
-                    &response);
     }
     Respond(&pending, std::move(response));
   }

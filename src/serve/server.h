@@ -93,10 +93,10 @@ struct ServeRequest {
   /// End-to-end deadline measured from Submit; a request still queued when
   /// it expires is answered kDeadlineExceeded without executing. 0 = none.
   uint64_t timeout_micros = 0;
-  /// Routed sub-query: answer only source rows [row_begin, row_end). The
-  /// full deterministic pipeline still runs (transforms are globally
-  /// normalized, so a row's answer cannot depend on which rows were asked
-  /// for) — only the response payload is sliced. (0, 0) = all rows.
+  /// Routed sub-query: answer only source rows [row_begin, row_end), bit-
+  /// identical to those rows of the full answer. A row-local query
+  /// (MatchEngine::IsRowLocal) scores only these rows; any other scores the
+  /// full pair and returns these rows. (0, 0) = all rows.
   size_t row_begin = 0;
   size_t row_end = 0;
   /// kTopK only: also return the transformed score of every returned
@@ -140,11 +140,11 @@ struct ServeResponse {
 /// an immutable, ref-counted PairSnapshot in a SnapshotRegistry. Clients
 /// submit queries from any thread into a bounded queue; ONE scheduler thread
 /// drains it and — exactly as before the refactor — coalesces queries with
-/// equal (pair, ScoreSignature) into batch groups of at most max_batch
-/// queries. What changed is execution: groups are dispatched to a pool of
-/// `serve_workers` worker threads, each owning a private MatchEngine per
-/// pair over the shared snapshot (embeddings and similarity caches are read
-/// in place; only the workspace arena is per-worker). Groups over different
+/// equal (pair, ScoreSignature, row range) into batch groups of at most
+/// max_batch queries. What changed is execution: groups are dispatched to a
+/// pool of `serve_workers` worker threads, each owning a private MatchEngine
+/// per pair over the shared snapshot (embeddings and similarity caches are
+/// read in place; only the workspace arena is per-worker). Groups over different
 /// pairs or signatures therefore run truly concurrently, while each group
 /// still executes sequentially on one worker — which is why every response
 /// stays bit-identical to a solo MatchEngine::Match/TransformedScores with
@@ -158,15 +158,16 @@ struct ServeResponse {
 ///
 /// Result cache: with result_cache_bytes > 0, the scheduler probes an LRU
 /// cache keyed by (pair, snapshot version, ScoreSignature, matcher, kind,
-/// topk) before grouping; hits answer immediately with the stored bytes
-/// (bit-identical — the pipeline is deterministic), misses execute and
+/// topk, row range) before grouping; hits answer immediately with the stored
+/// bytes (bit-identical — the pipeline is deterministic), misses execute and
 /// insert. Degraded answers are never cached.
 ///
 /// Admission control happens on the submitting thread, before queueing:
 /// unknown pair (kNotFound), RL matcher (kInvalidArgument: no KG context in
 /// the serving layer), a DeclaredWorkspaceBytes above the arena budget
 /// (kResourceExhausted — the query is doomed, reject it now, not after it
-/// queued behind real work), and a full queue (kUnavailable + retry hint).
+/// queued behind real work; a row-local range declares only its rows), and
+/// a full queue (kUnavailable + retry hint).
 /// Under degrade_watermark pressure an eligible request is only *marked*
 /// degraded at admission; the scheduler rewrites its options from the
 /// snapshot it pins for the group, so the rewritten candidate_index pointer

@@ -138,6 +138,54 @@ TEST_F(ChaosTest, EngineFaultsEveryRequestTerminatesDefinitely) {
   EXPECT_EQ(server->Stats().failed, injected);
 }
 
+// Routed ranges run the row-local path: it keeps the engine.scores chaos
+// point (an injected failure before the first range built the snapshot's
+// column statistic leaves nothing behind; later ranges still answer the
+// exact rows) and the stage-deadline check between similarity and
+// transform.
+TEST_F(ChaosTest, RangedQueriesKeepTheScoresFaultAndStageDeadline) {
+  const Assignment reference = Reference(AlgorithmPreset::kCsls);
+  const std::vector<int32_t> rows(reference.target_of_source.begin() + 4,
+                                  reference.target_of_source.begin() + 9);
+  MatchServerConfig config;
+  config.queue_capacity = 64;
+  config.max_batch = 4;
+  std::unique_ptr<MatchServer> server = MakeServer(config, /*start=*/false);
+  Arm("engine.scores:p=0.3,code=Internal", /*seed=*/7);
+  std::vector<std::future<ServeResponse>> inflight;
+  for (size_t i = 0; i < 32; ++i) {
+    ServeRequest ranged = MatchRequest();
+    ranged.row_begin = 4;
+    ranged.row_end = 9;
+    inflight.push_back(server->Submit(std::move(ranged)));
+  }
+  ASSERT_TRUE(server->Start().ok());
+  size_t ok_count = 0;
+  for (std::future<ServeResponse>& f : inflight) {
+    ServeResponse response = f.get();
+    if (response.status.ok()) {
+      ++ok_count;
+      EXPECT_EQ(response.assignment.target_of_source, rows);
+    } else {
+      EXPECT_EQ(response.status.code(), StatusCode::kInternal)
+          << response.status.ToString();
+    }
+  }
+  EXPECT_GT(ok_count, 0u);
+  EXPECT_EQ(server->Stats().failed, 32u - ok_count);
+  EXPECT_GT(server->Stats().failed, 0u);  // the plan fired
+
+  Arm("engine.scores:p=1,latency_us=30000", /*seed=*/3);
+  ServeRequest doomed = MatchRequest();
+  doomed.row_begin = 9;
+  doomed.row_end = 20;
+  doomed.timeout_micros = 5000;  // 5 ms deadline vs a 30 ms injected stall
+  EXPECT_EQ(server->Query(std::move(doomed)).status.code(),
+            StatusCode::kDeadlineExceeded);
+  server->Shutdown();
+  CheckStatsLedger(server->Stats());
+}
+
 TEST_F(ChaosTest, WorkspaceExhaustionFailsCleanAndRecovers) {
   const Assignment reference = Reference(AlgorithmPreset::kCsls);
   Result<MatchEngine> engine = MatchEngine::Create(

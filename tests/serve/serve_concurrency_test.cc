@@ -8,6 +8,8 @@
 //     also when degraded queries hold raw index pointers into it;
 //   - the cross-request result cache serves identical bytes, counts
 //     hits/misses, and is invalidated by a swap;
+//   - the first ranged queries on a fresh snapshot, racing to build its
+//     column statistics, all return the solo answer's rows;
 //   - concurrent Stats()/HealthJson() readers race no writer (regression
 //     for the pre-refactor mutex-bypassing stats read path).
 
@@ -21,6 +23,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -402,6 +405,64 @@ TEST_F(ServeConcurrencyTest, CacheIsOffByDefault) {
   EXPECT_FALSE(second.cached);
   EXPECT_EQ(server->Stats().cache_hits, 0u);
   EXPECT_EQ(server->Stats().cache_misses, 0u);
+}
+
+// The first ranged CSLS and RInf-wr queries on a fresh snapshot build its
+// column statistics. Eight callers send them at once, each request its own
+// batch on its own worker, so the builds race; every answer must still be
+// the solo answer's rows. Then again after a swap, on the new snapshot.
+TEST_F(ServeConcurrencyTest, ConcurrentFirstRangedQueriesAgree) {
+  MatchServerConfig config;
+  config.serve_workers = 8;
+  config.max_batch = 1;
+  config.queue_capacity = 64;
+  std::unique_ptr<MatchServer> server = MakeServer(config);
+  constexpr int kCallers = 8;
+  constexpr size_t kBegin = 5;
+  constexpr size_t kEnd = 19;
+  const std::vector<AlgorithmPreset> presets = {AlgorithmPreset::kCsls,
+                                                AlgorithmPreset::kRinfWr};
+  for (const auto& [source_seed, target_seed] :
+       std::vector<std::pair<uint64_t, uint64_t>>{{5, 8}, {70, 80}}) {
+    if (source_seed != 5) {
+      ASSERT_TRUE(server
+                      ->SwapPair("default", RandomEmbeddings(24, source_seed),
+                                 RandomEmbeddings(30, target_seed))
+                      .ok());
+    }
+    std::atomic<int> ready{0};
+    std::vector<std::vector<ServeResponse>> answers(kCallers);
+    std::vector<std::thread> callers;
+    for (int c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&, c] {
+        ready.fetch_add(1);
+        while (ready.load() < kCallers) std::this_thread::yield();
+        std::vector<std::future<ServeResponse>> futures;
+        for (AlgorithmPreset preset : presets) {
+          ServeRequest request = MatchRequest(preset);
+          request.row_begin = kBegin;
+          request.row_end = kEnd;
+          futures.push_back(server->Submit(std::move(request)));
+        }
+        for (std::future<ServeResponse>& future : futures) {
+          answers[c].push_back(future.get());
+        }
+      });
+    }
+    for (std::thread& caller : callers) caller.join();
+    for (size_t p = 0; p < presets.size(); ++p) {
+      const Assignment solo = SoloMatch(presets[p], source_seed, target_seed);
+      const std::vector<int32_t> want(solo.target_of_source.begin() + kBegin,
+                                      solo.target_of_source.begin() + kEnd);
+      for (int c = 0; c < kCallers; ++c) {
+        ASSERT_TRUE(answers[c][p].status.ok())
+            << answers[c][p].status.ToString();
+        EXPECT_EQ(answers[c][p].assignment.target_of_source, want)
+            << PresetName(presets[p]) << " caller " << c;
+      }
+    }
+  }
+  server->Shutdown();
 }
 
 // The old ServerStats kept a plain struct behind a mutex the read path

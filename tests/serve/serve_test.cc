@@ -869,6 +869,152 @@ TEST_F(ServeTest, RoutedRangeSlicesRowsBitIdentically) {
             StatusCode::kOutOfRange);
 }
 
+// Admission declares what the query will lease: a row-local range (CSLS,
+// greedy or top-k) only its own rows. A budget that fits a quarter of the
+// pair but not all of it serves the quarter range and refuses the full
+// query, and a range of a preset that scores the full pair.
+TEST_F(ServeTest, AdmissionDeclaresTheRowLocalRangeFootprint) {
+  const size_t quarter = source_.rows() / 4;
+  MatchServerConfig config;
+  config.workspace_budget_bytes = quarter * target_.rows() * sizeof(float);
+  std::unique_ptr<MatchServer> server = MakeServer(config);
+
+  const Assignment full = SoloMatch(AlgorithmPreset::kCsls);
+  ServeRequest ranged = MatchRequest(AlgorithmPreset::kCsls);
+  ranged.row_begin = quarter;
+  ranged.row_end = 2 * quarter;
+  ServeResponse answered = server->Query(ranged);
+  ASSERT_TRUE(answered.status.ok()) << answered.status.ToString();
+  EXPECT_EQ(answered.assignment.target_of_source,
+            std::vector<int32_t>(full.target_of_source.begin() + quarter,
+                                 full.target_of_source.begin() + 2 * quarter));
+
+  ServeRequest ranged_topk = ranged;
+  ranged_topk.kind = ServeQueryKind::kTopK;
+  ranged_topk.topk = 3;
+  EXPECT_TRUE(server->Query(ranged_topk).status.ok());
+
+  EXPECT_EQ(server->Query(MatchRequest(AlgorithmPreset::kCsls)).status.code(),
+            StatusCode::kResourceExhausted);
+  ServeRequest hungarian = MatchRequest(AlgorithmPreset::kHungarian);
+  hungarian.row_begin = ranged.row_begin;
+  hungarian.row_end = ranged.row_end;
+  EXPECT_EQ(server->Query(hungarian).status.code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(server->Stats().rejected, 2u);
+}
+
+// The result cache keys by row range: an entry holds exactly the bytes a
+// fresh run returns for its range, and no range is served from another
+// range's entry. Each answer equals a cache-off server's.
+TEST_F(ServeTest, ResultCacheKeysByRowRange) {
+  MatchServerConfig cached_config;
+  cached_config.result_cache_bytes = 1 << 20;
+  std::unique_ptr<MatchServer> cached = MakeServer(cached_config);
+  std::unique_ptr<MatchServer> fresh = MakeServer(MatchServerConfig());
+
+  ServeRequest dinf = MatchRequest(AlgorithmPreset::kDInf);
+  ServeRequest csls = MatchRequest(AlgorithmPreset::kCsls);
+  ServeRequest csls_topk = MatchRequest(AlgorithmPreset::kCsls);
+  csls_topk.kind = ServeQueryKind::kTopK;
+  csls_topk.topk = 3;
+  csls_topk.want_scores = true;
+  // [4, 9), the full pair, [4, 9) again (the only hit), then [9, 20).
+  const std::vector<std::pair<size_t, size_t>> ranges = {
+      {4, 9}, {0, 0}, {4, 9}, {9, 20}};
+  const std::vector<bool> hits = {false, false, true, false};
+  for (const ServeRequest& shape : {dinf, csls, csls_topk}) {
+    for (size_t i = 0; i < ranges.size(); ++i) {
+      SCOPED_TRACE(::testing::Message()
+                   << "kind=" << static_cast<int>(shape.kind)
+                   << " transform=" << static_cast<int>(shape.options.transform)
+                   << " query " << i);
+      ServeRequest request = shape;
+      request.row_begin = ranges[i].first;
+      request.row_end = ranges[i].second;
+      const ServeResponse got = cached->Query(request);
+      const ServeResponse want = fresh->Query(request);
+      ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+      ASSERT_TRUE(want.status.ok()) << want.status.ToString();
+      EXPECT_EQ(got.cached, hits[i]);
+      EXPECT_EQ(got.assignment.target_of_source,
+                want.assignment.target_of_source);
+      EXPECT_EQ(got.topk, want.topk);
+      ASSERT_EQ(got.topk_scores.size(), want.topk_scores.size());
+      for (size_t j = 0; j < got.topk_scores.size(); ++j) {
+        EXPECT_EQ(std::memcmp(&got.topk_scores[j], &want.topk_scores[j],
+                              sizeof(float)),
+                  0);
+      }
+      const size_t rows = ranges[i].second > 0
+                              ? ranges[i].second - ranges[i].first
+                              : source_.rows();
+      EXPECT_EQ(shape.kind == ServeQueryKind::kMatch
+                    ? got.assignment.target_of_source.size()
+                    : got.topk.size() / 3,
+                rows);
+    }
+  }
+}
+
+// A ranged query after a swap reads the new snapshot's column statistics,
+// never ones built for the displaced version.
+TEST_F(ServeTest, RangedQueryAfterSwapMatchesTheNewPair) {
+  std::unique_ptr<MatchServer> server = MakeServer(MatchServerConfig());
+  const Matrix new_source = RandomEmbeddings(source_.rows(), /*seed=*/41);
+  const Matrix new_target = RandomEmbeddings(target_.rows(), /*seed=*/42);
+  for (AlgorithmPreset preset :
+       {AlgorithmPreset::kCsls, AlgorithmPreset::kRinfWr}) {
+    ServeRequest ranged = MatchRequest(preset);
+    ranged.row_begin = 3;
+    ranged.row_end = 17;
+    ASSERT_TRUE(server->Query(ranged).status.ok());
+  }
+  Result<uint64_t> swapped = server->SwapPair(
+      "default", Matrix(new_source), Matrix(new_target));
+  ASSERT_TRUE(swapped.ok()) << swapped.status().ToString();
+  for (AlgorithmPreset preset :
+       {AlgorithmPreset::kCsls, AlgorithmPreset::kRinfWr}) {
+    Result<MatchEngine> solo = MatchEngine::Create(
+        Matrix(new_source), Matrix(new_target), MakePreset(preset));
+    ASSERT_TRUE(solo.ok());
+    Result<Assignment> want = solo->Match();
+    ASSERT_TRUE(want.ok());
+    ServeRequest ranged = MatchRequest(preset);
+    ranged.row_begin = 3;
+    ranged.row_end = 17;
+    const ServeResponse got = server->Query(ranged);
+    ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+    EXPECT_EQ(got.snapshot_version, *swapped);
+    EXPECT_EQ(got.assignment.target_of_source,
+              std::vector<int32_t>(want->target_of_source.begin() + 3,
+                                   want->target_of_source.begin() + 17))
+        << PresetName(preset);
+  }
+}
+
+// A range admitted against one snapshot can outlive it: a swap to fewer
+// source rows before the batch runs answers kOutOfRange (the engine checks
+// the range against the snapshot it scores) instead of reading past the
+// answer.
+TEST_F(ServeTest, RangePastASwappedPairIsOutOfRange) {
+  std::unique_ptr<MatchServer> server =
+      MakeServer(MatchServerConfig(), /*start=*/false);
+  ServeRequest ranged = MatchRequest(AlgorithmPreset::kCsls);
+  ranged.row_begin = 20;
+  ranged.row_end = 24;
+  std::future<ServeResponse> parked = server->Submit(ranged);
+  ranged.options = MakePreset(AlgorithmPreset::kHungarian);
+  std::future<ServeResponse> full_pair = server->Submit(ranged);
+  ASSERT_TRUE(server
+                  ->SwapPair("default", RandomEmbeddings(12, /*seed=*/3),
+                             RandomEmbeddings(30, /*seed=*/4))
+                  .ok());
+  ASSERT_TRUE(server->Start().ok());
+  EXPECT_EQ(parked.get().status.code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(full_pair.get().status.code(), StatusCode::kOutOfRange);
+}
+
 // Fleet satellite — observability: the health JSON carries the result-cache
 // counters and the per-pair snapshot-version map the router keys its
 // mixed-version refusal on.
