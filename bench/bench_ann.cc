@@ -41,10 +41,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/harness.h"
@@ -157,11 +155,17 @@ SweepPoint MeasurePoint(const CandidateIndex& index, const Matrix& src,
   return point;
 }
 
-struct CrossoverPoint {
-  size_t n = 0;
-  double dense_ms = 0.0;
-  double sparse_ms = 0.0;
-};
+/// Records a sweep point's recall, probe cost and fill time; `knob` names
+/// the backend's probe-width setting.
+void ReportPoint(const SweepPoint& point, const char* knob,
+                 bench::BenchReport* report) {
+  const JsonValue::Object labels = {
+      {"backend", point.backend}, {"n", point.n}, {knob, point.knob}};
+  report->Metric("index", "recall", labels, point.recall, "ratio", "higher");
+  report->Metric("index", "comparisons_per_row", labels, point.comparisons,
+                 "count", "lower");
+  report->Metric("index", "fill_ms", labels, point.millis, "ms", "lower");
+}
 
 }  // namespace
 }  // namespace entmatcher
@@ -170,7 +174,7 @@ int main() {
   using namespace entmatcher;
 
   const double scale = bench::GlobalScale();
-  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+  const unsigned cores = bench::HardwareThreads();
   // Smoke runs and 1-core CI hosts check correctness (recall) only; the
   // cost-advantage and timing gates need the full-size sweep to be fair.
   const bool full_gates = scale >= 1.0 && cores > 1;
@@ -181,6 +185,10 @@ int main() {
           " vs exact-rerank comparisons across nprobe/ef, the sparse-vs-\n"
           "dense crossover, and (EM_BENCH_ANN_MMAP=1) the mmap 1M smoke.\n"
           "Gate: HNSW recall >= 0.98 at >= 2x fewer comparisons than IVF.");
+  bench::BenchReport report("ann");
+  report.Config("scale", scale);
+  report.Config("dim", kDim);
+  report.Config("candidates", kCandidates);
 
   // ---------------------------------------------------------------- sweep
   const std::vector<size_t> sweep_sizes = {
@@ -189,7 +197,6 @@ int main() {
   const std::vector<size_t> probe_counts = {1, 2, 4, 8, 16};
   const std::vector<size_t> beam_widths = {16, 32, 64, 128};
 
-  std::vector<SweepPoint> sweep;
   // Best (fewest comparisons) config per backend that clears the recall
   // gate, at the LARGEST size — the headline the JSON gates on.
   double ivf_cost_at_gate = 0.0;
@@ -224,6 +231,7 @@ int main() {
       ProbeParams params;
       params.nprobe = nprobe;
       SweepPoint point = MeasurePoint(*ivf, src, tgt, params, nprobe);
+      ReportPoint(point, "nprobe", &report);
       std::cout << "  ivf  nprobe=" << nprobe << ": recall "
                 << FormatDouble(point.recall, 3) << ", "
                 << FormatDouble(point.comparisons, 1) << " cmp/row, "
@@ -232,12 +240,12 @@ int main() {
           (ivf_cost_at_gate == 0.0 || point.comparisons < ivf_cost_at_gate)) {
         ivf_cost_at_gate = point.comparisons;
       }
-      sweep.push_back(std::move(point));
     }
     for (size_t ef : beam_widths) {
       ProbeParams params;
       params.ef_search = ef;
       SweepPoint point = MeasurePoint(*hnsw, src, tgt, params, ef);
+      ReportPoint(point, "ef", &report);
       std::cout << "  hnsw ef=" << ef << ": recall "
                 << FormatDouble(point.recall, 3) << ", "
                 << FormatDouble(point.comparisons, 1) << " cmp/row, "
@@ -250,7 +258,6 @@ int main() {
           hnsw_cost_at_gate = point.comparisons;
         }
       }
-      sweep.push_back(std::move(point));
     }
   }
   const double advantage =
@@ -266,6 +273,9 @@ int main() {
                                        : std::string("-"))
             << " cmp/row at recall >= " << kRecallGate << " ("
             << FormatDouble(advantage, 2) << "x advantage)\n";
+  report.Metric("index", "comparison_advantage",
+                {{"n", sweep_sizes.back()}, {"backends", "hnsw vs ivf"}},
+                advantage, "x", "higher");
 
   // ------------------------------------------------------------ crossover
   std::cout << "\nsparse-vs-dense crossover (CSLS+greedy, warm):\n";
@@ -274,7 +284,6 @@ int main() {
       std::max<size_t>(192, static_cast<size_t>(2000.0 * scale)),
       std::max<size_t>(256, static_cast<size_t>(4000.0 * scale)),
       std::max<size_t>(384, static_cast<size_t>(8000.0 * scale))};
-  std::vector<CrossoverPoint> crossover;
   size_t crossover_n = 0;
   for (size_t n : crossover_sizes) {
     Matrix src;
@@ -304,64 +313,79 @@ int main() {
       std::cerr << "crossover warmup failed at n=" << n << "\n";
       return 1;
     }
-    CrossoverPoint point;
-    point.n = n;
     Timer dense_timer;
     if (!dense_engine->Match().ok()) return 1;
-    point.dense_ms = dense_timer.ElapsedMillis();
+    const double dense_ms = dense_timer.ElapsedMillis();
     Timer sparse_timer;
     if (!sparse_engine->Match().ok()) return 1;
-    point.sparse_ms = sparse_timer.ElapsedMillis();
-    std::cout << "  n=" << n << ": dense "
-              << FormatDouble(point.dense_ms, 1) << " ms, sparse "
-              << FormatDouble(point.sparse_ms, 1) << " ms\n";
-    if (crossover_n == 0 && point.sparse_ms < point.dense_ms) {
-      crossover_n = n;
-    }
-    crossover.push_back(point);
+    const double sparse_ms = sparse_timer.ElapsedMillis();
+    std::cout << "  n=" << n << ": dense " << FormatDouble(dense_ms, 1)
+              << " ms, sparse " << FormatDouble(sparse_ms, 1) << " ms\n";
+    report.Metric("engine", "match_ms",
+                  {{"preset", "CSLS"}, {"n", n}, {"path", "dense"}}, dense_ms,
+                  "ms", "lower");
+    report.Metric("engine", "match_ms",
+                  {{"preset", "CSLS"}, {"n", n}, {"path", "sparse hnsw"}},
+                  sparse_ms, "ms", "lower");
+    if (crossover_n == 0 && sparse_ms < dense_ms) crossover_n = n;
   }
   if (crossover_n != 0) {
     std::cout << "  sparse overtakes dense at n=" << crossover_n << "\n";
+    report.Metric("engine", "sparse_overtakes_dense_at",
+                  {{"preset", "CSLS"}, {"path", "sparse hnsw"}},
+                  static_cast<double>(crossover_n), "rows", "lower");
   }
 
   // ----------------------------------------------------------- mmap smoke
   const char* mmap_env = std::getenv("EM_BENCH_ANN_MMAP");
   const bool run_mmap = mmap_env != nullptr && std::string(mmap_env) == "1";
-  double mmap_synth_s = 0.0, mmap_build_s = 0.0, mmap_match_s = 0.0;
-  double mmap_identity = 0.0;
-  size_t mmap_rows = 0, mmap_dim = 0, mmap_tracker_peak = 0;
-  size_t mmap_m = 0, mmap_efc = 0, mmap_ef = 0, mmap_c = 0;
-  bool mmap_ok = true;
-  const double rss_budget_mb =
-      static_cast<double>(EnvSize("EM_BENCH_ANN_RSS_BUDGET_MB", 0));
+  const size_t rss_budget_mb = EnvSize("EM_BENCH_ANN_RSS_BUDGET_MB", 0);
+  report.Config("mmap", run_mmap);
   if (run_mmap) {
-    mmap_rows = EnvSize("EM_BENCH_ANN_ROWS", 1000000);
-    mmap_dim = EnvSize("EM_BENCH_ANN_DIM", 64);
+    const size_t rows = EnvSize("EM_BENCH_ANN_ROWS", 1000000);
+    const size_t dim = EnvSize("EM_BENCH_ANN_DIM", 64);
+    // Graph knobs scale with the node count: a 1M-node graph needs wider
+    // links and a deeper construction beam than the 50k smoke to hold
+    // recall. Overridable so CI jobs can pin their own operating point.
+    const size_t max_links = EnvSize("EM_BENCH_ANN_M", 8);
+    const size_t ef_construction = EnvSize("EM_BENCH_ANN_EFC", 32);
+    const size_t ef_search = EnvSize("EM_BENCH_ANN_EF", 64);
+    const size_t candidates = EnvSize("EM_BENCH_ANN_CANDIDATES", 8);
+    report.Config("mmap_rows", rows);
+    report.Config("mmap_dim", dim);
+    report.Config("mmap_max_links", max_links);
+    report.Config("mmap_ef_construction", ef_construction);
+    report.Config("mmap_ef_search", ef_search);
+    report.Config("mmap_candidates", candidates);
+    report.Config("mmap_rss_budget_mb", rss_budget_mb);
     const char* dir_env = std::getenv("EM_BENCH_ANN_DIR");
     const std::string prefix =
         std::string(dir_env != nullptr ? dir_env : "/tmp") + "/bench_ann";
     const std::string src_path = prefix + ".src.embf";
     const std::string tgt_path = prefix + ".tgt.embf";
 
-    std::cout << "\nout-of-core smoke: " << mmap_rows << " x " << mmap_dim
+    std::cout << "\nout-of-core smoke: " << rows << " x " << dim
               << "d pair under mmap\n";
     EmbfSynthOptions synth;
-    synth.rows = mmap_rows;
-    synth.dim = mmap_dim;
+    synth.rows = rows;
+    synth.dim = dim;
     // Constant per-cluster population (~64 rows): identity accuracy is set
     // by cluster density, so a fixed cluster count would make the 1M run an
     // unfairly harder problem than the 50k one.
-    synth.clusters = std::max<size_t>(256, mmap_rows / 64);
+    synth.clusters = std::max<size_t>(256, rows / 64);
     synth.noise = 0.05;
     Timer synth_timer;
     const Status synthed = SynthEmbfPair(synth, src_path, tgt_path);
-    mmap_synth_s = synth_timer.ElapsedSeconds();
+    const double synth_s = synth_timer.ElapsedSeconds();
     if (!synthed.ok()) {
       std::cerr << "synth: " << synthed.ToString() << "\n";
       return 1;
     }
 
     MemoryTracker::Global().ResetPeak();
+    double build_s = 0.0;
+    double match_s = 0.0;
+    double identity = 0.0;
     {
       Result<MmapStore> src_store = MmapStore::Open(src_path);
       Result<MmapStore> tgt_store = MmapStore::Open(tgt_path);
@@ -369,21 +393,14 @@ int main() {
         std::cerr << "mmap open failed\n";
         return 1;
       }
-      // Graph knobs scale with the node count: a 1M-node graph needs wider
-      // links and a deeper construction beam than the 50k smoke to hold
-      // recall. Overridable so CI jobs can pin their own operating point.
-      mmap_m = EnvSize("EM_BENCH_ANN_M", 8);
-      mmap_efc = EnvSize("EM_BENCH_ANN_EFC", 32);
-      mmap_ef = EnvSize("EM_BENCH_ANN_EF", 64);
-      mmap_c = EnvSize("EM_BENCH_ANN_CANDIDATES", 8);
       CandidateIndexOptions hnsw_options;
       hnsw_options.backend = CandidateBackendKind::kHnsw;
-      hnsw_options.hnsw_max_links = mmap_m;
-      hnsw_options.hnsw_ef_construction = mmap_efc;
+      hnsw_options.hnsw_max_links = max_links;
+      hnsw_options.hnsw_ef_construction = ef_construction;
       Timer build_timer;
       Result<CandidateIndex> index =
           CandidateIndex::Build(tgt_store->AsMatrix(), hnsw_options);
-      mmap_build_s = build_timer.ElapsedSeconds();
+      build_s = build_timer.ElapsedSeconds();
       if (!index.ok()) {
         std::cerr << "1M HNSW build: " << index.status().ToString() << "\n";
         return 1;
@@ -391,8 +408,8 @@ int main() {
 
       MatchOptions options = MakePreset(AlgorithmPreset::kCsls);
       options.candidate_index = &*index;
-      options.num_candidates = mmap_c;
-      options.index_ef = mmap_ef;
+      options.num_candidates = candidates;
+      options.index_ef = ef_search;
       // The fixed workspace budget the acceptance criterion names: scratch
       // for the whole 1M-row match must fit in 256 MB of tracked arena.
       options.workspace_budget_bytes = 256ull << 20;
@@ -404,104 +421,80 @@ int main() {
         return 1;
       }
       Result<Assignment> assignment = engine->Match();
-      mmap_match_s = match_timer.ElapsedSeconds();
+      match_s = match_timer.ElapsedSeconds();
       if (!assignment.ok()) {
         std::cerr << "1M match: " << assignment.status().ToString() << "\n";
         return 1;
       }
       size_t hits = 0;
-      for (size_t i = 0; i < mmap_rows; ++i) {
+      for (size_t i = 0; i < rows; ++i) {
         hits += assignment->target_of_source[i] == static_cast<int32_t>(i);
       }
-      mmap_identity =
-          static_cast<double>(hits) / static_cast<double>(mmap_rows);
-      mmap_tracker_peak = MemoryTracker::Global().stats().peak_bytes;
+      identity = static_cast<double>(hits) / static_cast<double>(rows);
     }
     std::remove(src_path.c_str());
     std::remove(tgt_path.c_str());
+    const size_t tracked_peak = MemoryTracker::Global().stats().peak_bytes;
+    const double peak_rss_mb = PeakRssMb();
 
-    std::cout << "  synth " << FormatDouble(mmap_synth_s, 1) << " s, build "
-              << FormatDouble(mmap_build_s, 1) << " s, match "
-              << FormatDouble(mmap_match_s, 1) << " s\n"
-              << "  identity acc " << FormatDouble(mmap_identity, 4)
-              << ", tracked peak " << FormatBytes(mmap_tracker_peak)
-              << ", peak RSS " << FormatDouble(PeakRssMb(), 0) << " MB\n";
-    if (mmap_identity < 0.95) {
-      std::cerr << "FATAL: out-of-core identity accuracy " << mmap_identity
-                << " < 0.95\n";
-      mmap_ok = false;
+    std::cout << "  synth " << FormatDouble(synth_s, 1) << " s, build "
+              << FormatDouble(build_s, 1) << " s, match "
+              << FormatDouble(match_s, 1) << " s\n"
+              << "  identity acc " << FormatDouble(identity, 4)
+              << ", tracked peak " << FormatBytes(tracked_peak)
+              << ", peak RSS " << FormatDouble(peak_rss_mb, 0) << " MB\n";
+    const JsonValue::Object labels = {{"preset", "CSLS"},
+                                      {"path", "mmap sparse hnsw"}};
+    report.Metric("engine", "synth_s", labels, synth_s, "s", "lower");
+    report.Metric("index", "build_s", labels, build_s, "s", "lower");
+    report.Metric("engine", "match_s", labels, match_s, "s", "lower");
+    report.Metric("engine", "identity_accuracy", labels, identity, "ratio",
+                  "higher");
+    report.Metric("engine", "tracked_peak_bytes", labels,
+                  static_cast<double>(tracked_peak), "B", "lower");
+    report.Metric("engine", "peak_rss_mb", labels, peak_rss_mb, "MB",
+                  "lower");
+    report.Gate("mmap_identity_accuracy", identity >= 0.95,
+                "identity accuracy " + FormatDouble(identity, 4) +
+                    ", need >= 0.95");
+    const std::string rss_detail =
+        "peak RSS " + FormatDouble(peak_rss_mb, 0) + " MB";
+    if (rss_budget_mb > 0) {
+      report.Gate("mmap_rss_budget",
+                  peak_rss_mb <= static_cast<double>(rss_budget_mb),
+                  rss_detail + ", budget " + std::to_string(rss_budget_mb) +
+                      " MB");
+    } else {
+      report.SkipGate("mmap_rss_budget",
+                      rss_detail + "; EM_BENCH_ANN_RSS_BUDGET_MB unset");
     }
-    if (rss_budget_mb > 0.0 && PeakRssMb() > rss_budget_mb) {
-      std::cerr << "FATAL: peak RSS " << FormatDouble(PeakRssMb(), 0)
-                << " MB exceeds the " << rss_budget_mb << " MB budget\n";
-      mmap_ok = false;
-    }
+  } else {
+    report.SkipGate("mmap_identity_accuracy", "EM_BENCH_ANN_MMAP unset");
+    report.SkipGate("mmap_rss_budget", "EM_BENCH_ANN_MMAP unset");
   }
 
   // ----------------------------------------------------------------- gates
-  bool ok = mmap_ok;
-  if (hnsw_best_recall < kRecallGate) {
-    std::cerr << "FATAL: best HNSW recall " << hnsw_best_recall << " < "
-              << kRecallGate << " at n=" << sweep_sizes.back() << "\n";
-    ok = false;
-  }
+  report.Gate("hnsw_recall", hnsw_best_recall >= kRecallGate,
+              "best HNSW recall " + FormatDouble(hnsw_best_recall, 3) +
+                  " at n=" + std::to_string(sweep_sizes.back()) +
+                  ", need >= " + FormatDouble(kRecallGate, 2));
+  const std::string advantage_detail =
+      ivf_cost_at_gate == 0.0
+          ? "no IVF config reached recall " + FormatDouble(kRecallGate, 2)
+          : "HNSW spends " + FormatDouble(advantage, 2) +
+                "x fewer comparisons than IVF, need >= " +
+                FormatDouble(kComparisonAdvantageGate, 1) + "x";
   if (full_gates) {
-    if (ivf_cost_at_gate == 0.0) {
-      std::cerr << "FATAL: no IVF config reached recall " << kRecallGate
-                << "\n";
-      ok = false;
-    } else if (advantage < kComparisonAdvantageGate) {
-      std::cerr << "FATAL: HNSW comparison advantage "
-                << FormatDouble(advantage, 2) << "x < "
-                << kComparisonAdvantageGate << "x\n";
-      ok = false;
-    }
+    report.Gate("hnsw_comparison_advantage",
+                ivf_cost_at_gate != 0.0 &&
+                    advantage >= kComparisonAdvantageGate,
+                advantage_detail);
   } else {
-    std::cout << "(cost-advantage gate skipped: scale=" << scale << ", "
-              << cores << " core(s) — correctness-only mode)\n";
+    report.SkipGate("hnsw_comparison_advantage",
+                    advantage_detail + "; needs scale >= 1 and > 1 core, ran "
+                                       "at scale " +
+                        FormatDouble(scale, 2) + " on " +
+                        std::to_string(cores) + " core(s)");
   }
-
-  std::ofstream json("BENCH_ann.json");
-  json << "{\n  \"dim\": " << kDim << ",\n  \"candidates\": " << kCandidates
-       << ",\n  \"scale\": " << scale
-       << ",\n  \"full_gates\": " << (full_gates ? "true" : "false")
-       << ",\n  \"recall_gate\": " << kRecallGate
-       << ",\n  \"advantage_gate\": " << kComparisonAdvantageGate
-       << ",\n  \"sweep\": [\n";
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    const SweepPoint& p = sweep[i];
-    json << "    {\"backend\": \"" << p.backend << "\", \"n\": " << p.n
-         << ", \"knob\": " << p.knob << ", \"recall\": " << p.recall
-         << ", \"comparisons_per_row\": " << p.comparisons
-         << ", \"millis\": " << p.millis << "}"
-         << (i + 1 < sweep.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n  \"headline\": {\"ivf_comparisons\": " << ivf_cost_at_gate
-       << ", \"hnsw_comparisons\": " << hnsw_cost_at_gate
-       << ", \"advantage\": " << advantage
-       << ", \"hnsw_best_recall\": " << hnsw_best_recall
-       << "},\n  \"crossover\": [\n";
-  for (size_t i = 0; i < crossover.size(); ++i) {
-    json << "    {\"n\": " << crossover[i].n
-         << ", \"dense_ms\": " << crossover[i].dense_ms
-         << ", \"sparse_ms\": " << crossover[i].sparse_ms << "}"
-         << (i + 1 < crossover.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n  \"crossover_n\": " << crossover_n
-       << ",\n  \"mmap\": {\"enabled\": " << (run_mmap ? "true" : "false")
-       << ", \"rows\": " << mmap_rows << ", \"dim\": " << mmap_dim
-       << ", \"synth_seconds\": " << mmap_synth_s
-       << ", \"build_seconds\": " << mmap_build_s
-       << ", \"match_seconds\": " << mmap_match_s
-       << ", \"max_links\": " << mmap_m << ", \"ef_construction\": " << mmap_efc
-       << ", \"ef_search\": " << mmap_ef << ", \"candidates\": " << mmap_c
-       << ", \"identity_accuracy\": " << mmap_identity
-       << ", \"tracked_peak_bytes\": " << mmap_tracker_peak
-       << ", \"rss_budget_mb\": " << rss_budget_mb
-       << "},\n  \"peak_rss_mb\": " << PeakRssMb()
-       << ",\n  \"pass\": " << (ok ? "true" : "false") << "\n}\n";
-
-  std::cout << (ok ? "\nPASS" : "\nFAIL") << " — wrote BENCH_ann.json (peak RSS "
-            << FormatDouble(PeakRssMb(), 0) << " MB)\n";
-  return ok ? 0 : 1;
+  return report.Finish();
 }

@@ -1,30 +1,28 @@
 // Concurrent-serving benchmark: the same mixed-preset storm is fired at a
 // MatchServer with a worker pool of 1, 2, 4, and 8 execution threads, and
-// the harness reports QPS + latency percentiles per worker count, then
-// sweeps the cross-request result cache (repeat factors 2/4/8) and reports
-// the hit rate each achieves. Every served assignment must stay
-// bit-identical to a one-shot MatchEngine::Match — worker count and cache
-// hits must never change bytes, only speed. Writes BENCH_concurrent.json.
+// the harness reports QPS, latency percentiles and scores passes per worker
+// count. Kernel-level threading is pinned to 1 thread, so the worker pool is
+// the only source of parallelism being measured. Writes
+// BENCH_concurrent.json.
 //
-// Gate: on hosts with >= 4 hardware threads, workers=4 must reach >= 2x the
-// QPS of workers=1 (the storm carries 4 distinct score signatures, so there
-// is always enough independent group work to spread). On smaller hosts the
-// gate is skipped with a note — a 1-core runner cannot demonstrate
-// parallel speedup, only correctness.
+// Gates:
+//   - every response is OK, so fast failures cannot pass as throughput;
+//   - on hosts with >= 4 hardware threads, workers=4 reaches >= 2x the QPS
+//     of workers=1 (the storm carries 4 distinct score signatures, so there
+//     is always enough independent group work to spread). On smaller hosts
+//     the gate is skipped: a 1-core runner cannot show parallel speedup.
+// That served bytes do not depend on the worker count or on cache hits is
+// a test (ServeConcurrencyTest.StormIsBitIdenticalAtEveryWorkerCount), not
+// a gate here.
 //
 // Usage:
 //   ./bench_concurrent                     # sizes scaled by EM_BENCH_SCALE
 //   EM_BENCH_SCALE=0.1 ./bench_concurrent  # CI smoke run
-//
-// Kernel-level threading is pinned to 1 thread for the worker sweep so the
-// worker pool is the only source of parallelism being measured.
 
 #include <algorithm>
 #include <atomic>
-#include <fstream>
 #include <future>
 #include <iostream>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,7 +31,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "matching/engine.h"
 #include "serve/server.h"
 
 namespace entmatcher {
@@ -42,6 +39,7 @@ namespace {
 constexpr size_t kDim = 64;
 constexpr size_t kClients = 4;
 constexpr size_t kQueriesPerClient = 12;
+constexpr double kScalingGate = 2.0;  // workers=4 QPS over workers=1
 
 Matrix RandomEmbeddings(size_t rows, uint64_t seed) {
   Rng rng(seed);
@@ -61,33 +59,12 @@ const std::vector<AlgorithmPreset>& StormPresets() {
   return presets;
 }
 
-struct WorkerResult {
-  size_t workers = 0;
-  double seconds = 0.0;
-  double qps = 0.0;
-  double p50_micros = 0.0;
-  double p99_micros = 0.0;
-  uint64_t scores_passes = 0;
-  bool identical = true;
-};
-
-struct CacheResult {
-  size_t repeat = 0;
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  double hit_rate = 0.0;
-  double qps = 0.0;
-  bool identical = true;
-};
-
-Result<std::unique_ptr<MatchServer>> MakeServer(size_t workers,
-                                                size_t cache_bytes,
-                                                const Matrix& src,
-                                                const Matrix& tgt) {
+Result<std::unique_ptr<MatchServer>> StartServer(size_t workers,
+                                                 const Matrix& src,
+                                                 const Matrix& tgt) {
   MatchServerConfig config;
   config.queue_capacity = 4 * kClients * kQueriesPerClient;
   config.serve_workers = workers;
-  config.result_cache_bytes = cache_bytes;
   EM_ASSIGN_OR_RETURN(std::unique_ptr<MatchServer> server,
                       MatchServer::Create(config));
   EM_RETURN_NOT_OK(server->LoadPair("default", Matrix(src), Matrix(tgt)));
@@ -95,28 +72,22 @@ Result<std::unique_ptr<MatchServer>> MakeServer(size_t workers,
   return server;
 }
 
-/// Fires `repeat` rounds of the mixed-preset storm from kClients threads;
-/// checks every answer against the per-preset references.
-template <typename Check>
-double DriveStorm(MatchServer* server, size_t repeat, const Check& check) {
+/// Fires the mixed-preset storm from kClients threads; returns the wall
+/// seconds and counts the non-OK responses into `failures`.
+double DriveStorm(MatchServer* server, std::atomic<uint64_t>* failures) {
   std::vector<std::thread> clients;
   Timer timer;
   for (size_t c = 0; c < kClients; ++c) {
-    clients.emplace_back([server, repeat, &check, c] {
+    clients.emplace_back([server, failures, c] {
       const std::vector<AlgorithmPreset>& presets = StormPresets();
-      for (size_t round = 0; round < repeat; ++round) {
-        std::vector<std::future<ServeResponse>> inflight;
-        std::vector<AlgorithmPreset> order;
-        for (size_t q = 0; q < kQueriesPerClient; ++q) {
-          const AlgorithmPreset preset = presets[(c + q) % presets.size()];
-          ServeRequest request;
-          request.options = MakePreset(preset);
-          order.push_back(preset);
-          inflight.push_back(server->Submit(std::move(request)));
-        }
-        for (size_t q = 0; q < inflight.size(); ++q) {
-          check(order[q], inflight[q].get());
-        }
+      std::vector<std::future<ServeResponse>> inflight;
+      for (size_t q = 0; q < kQueriesPerClient; ++q) {
+        ServeRequest request;
+        request.options = MakePreset(presets[(c + q) % presets.size()]);
+        inflight.push_back(server->Submit(std::move(request)));
+      }
+      for (std::future<ServeResponse>& f : inflight) {
+        if (!f.get().status.ok()) failures->fetch_add(1);
       }
     });
   }
@@ -133,190 +104,68 @@ int main() {
   const double scale = bench::GlobalScale();
   const size_t n = std::max<size_t>(16, static_cast<size_t>(1200.0 * scale));
   const size_t storm_queries = kClients * kQueriesPerClient;
-  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
 
   bench::PrintBanner(
-      "MatchServer — worker-pool scaling + result-cache hit-rate sweep",
-      "The same 4-signature storm at serve_workers 1/2/4/8 (kernel threads\n"
-      "pinned to 1 so the pool is the only parallelism), then cached\n"
-      "re-serves at repeat factors 2/4/8. Served bytes must never depend on\n"
-      "worker count or cache hits.");
+      "MatchServer — worker-pool scaling",
+      "The same 4-signature storm at serve_workers 1/2/4/8, kernel threads\n"
+      "pinned to 1 so the pool is the only parallelism.");
   SetNumThreads(1);
+  bench::BenchReport report("concurrent");
+  report.Config("rows", n);
+  report.Config("dim", kDim);
+  report.Config("storm_queries", storm_queries);
+  report.Config("kernel_threads", 1);
 
   const Matrix src = RandomEmbeddings(n, /*seed=*/31);
   const Matrix tgt = RandomEmbeddings(n, /*seed=*/47);
 
-  // Per-preset one-shot references.
-  std::map<AlgorithmPreset, Assignment> references;
-  for (AlgorithmPreset preset : StormPresets()) {
-    Result<MatchEngine> engine =
-        MatchEngine::Create(Matrix(src), Matrix(tgt), MakePreset(preset));
-    if (!engine.ok()) {
-      std::cerr << engine.status().ToString() << "\n";
-      return 1;
-    }
-    Result<Assignment> reference = engine->Match();
-    if (!reference.ok()) {
-      std::cerr << reference.status().ToString() << "\n";
-      return 1;
-    }
-    references[preset] = *std::move(reference);
-  }
-
-  // --- Worker sweep. ---
-  std::vector<WorkerResult> worker_results;
+  std::vector<double> qps_by_workers;
+  std::atomic<uint64_t> failures{0};
   for (size_t workers : {1, 2, 4, 8}) {
     Result<std::unique_ptr<MatchServer>> server =
-        MakeServer(workers, /*cache_bytes=*/0, src, tgt);
+        StartServer(workers, src, tgt);
     if (!server.ok()) {
       std::cerr << server.status().ToString() << "\n";
       return 1;
     }
-    WorkerResult result;
-    result.workers = workers;
-    std::atomic<bool> identical{true};
-    result.seconds = DriveStorm(
-        server->get(), /*repeat=*/1,
-        [&](AlgorithmPreset preset, const ServeResponse& response) {
-          if (!response.status.ok() ||
-              response.assignment.target_of_source !=
-                  references.at(preset).target_of_source) {
-            identical.store(false, std::memory_order_relaxed);
-          }
-        });
+    const double seconds = DriveStorm(server->get(), &failures);
     (*server)->Shutdown();
     const ServerStatsSnapshot stats = (*server)->Stats();
-    result.qps = result.seconds > 0.0
-                     ? static_cast<double>(storm_queries) / result.seconds
-                     : 0.0;
-    result.p50_micros = stats.latency_p50_micros;
-    result.p99_micros = stats.latency_p99_micros;
-    result.scores_passes = stats.batches;
-    result.identical = identical.load();
-    std::cout << "workers=" << result.workers << ": " << storm_queries
-              << " queries in " << FormatDouble(result.seconds * 1e3, 1)
-              << " ms  (" << FormatDouble(result.qps, 1) << " q/s)  p50="
-              << FormatDouble(result.p50_micros, 0) << " us  p99="
-              << FormatDouble(result.p99_micros, 0) << " us  passes="
-              << result.scores_passes << "  identical="
-              << (result.identical ? "yes" : "NO") << "\n";
-    worker_results.push_back(result);
+    const double qps =
+        seconds > 0.0 ? static_cast<double>(storm_queries) / seconds : 0.0;
+    qps_by_workers.push_back(qps);
+    const JsonValue::Object labels = {{"workers", workers}};
+    report.Metric("server", "qps", labels, qps, "1/s", "higher");
+    report.Metric("server", "latency_p50", labels, stats.latency_p50_micros,
+                  "us", "lower");
+    report.Metric("server", "latency_p99", labels, stats.latency_p99_micros,
+                  "us", "lower");
+    report.Metric("server", "scores_passes", labels,
+                  static_cast<double>(stats.batches), "count", "lower");
+    std::cout << "workers=" << workers << ": " << storm_queries
+              << " queries in " << FormatDouble(seconds * 1e3, 1) << " ms  ("
+              << FormatDouble(qps, 1) << " q/s)  p50="
+              << FormatDouble(stats.latency_p50_micros, 0) << " us  p99="
+              << FormatDouble(stats.latency_p99_micros, 0)
+              << " us  passes=" << stats.batches << "\n";
   }
 
-  // --- Cache hit-rate sweep at workers=4: each repeat factor r re-serves
-  // the same storm r times, so the steady-state hit rate approaches
-  // (r-1)/r. ---
-  std::vector<CacheResult> cache_results;
-  for (size_t repeat : {2, 4, 8}) {
-    Result<std::unique_ptr<MatchServer>> server =
-        MakeServer(/*workers=*/4, /*cache_bytes=*/64 << 20, src, tgt);
-    if (!server.ok()) {
-      std::cerr << server.status().ToString() << "\n";
-      return 1;
-    }
-    CacheResult result;
-    result.repeat = repeat;
-    std::atomic<bool> identical{true};
-    const double seconds = DriveStorm(
-        server->get(), repeat,
-        [&](AlgorithmPreset preset, const ServeResponse& response) {
-          if (!response.status.ok() ||
-              response.assignment.target_of_source !=
-                  references.at(preset).target_of_source) {
-            identical.store(false, std::memory_order_relaxed);
-          }
-        });
-    (*server)->Shutdown();
-    const ServerStatsSnapshot stats = (*server)->Stats();
-    result.hits = stats.cache_hits;
-    result.misses = stats.cache_misses;
-    result.hit_rate =
-        stats.cache_hits + stats.cache_misses > 0
-            ? static_cast<double>(stats.cache_hits) /
-                  static_cast<double>(stats.cache_hits + stats.cache_misses)
-            : 0.0;
-    result.qps = seconds > 0.0
-                     ? static_cast<double>(storm_queries * repeat) / seconds
-                     : 0.0;
-    result.identical = identical.load();
-    std::cout << "cache repeat=" << repeat << ": hits=" << result.hits
-              << " misses=" << result.misses << " hit_rate="
-              << FormatDouble(result.hit_rate, 3) << "  ("
-              << FormatDouble(result.qps, 1) << " q/s)  identical="
-              << (result.identical ? "yes" : "NO") << "\n";
-    cache_results.push_back(result);
-  }
-
-  // --- Gates. ---
-  bool ok = true;
-  for (const WorkerResult& result : worker_results) {
-    if (!result.identical) {
-      std::cerr << "FATAL: workers=" << result.workers
-                << " served bytes diverged from the one-shot engine\n";
-      ok = false;
-    }
-  }
-  for (const CacheResult& result : cache_results) {
-    if (!result.identical) {
-      std::cerr << "FATAL: cached re-serve at repeat=" << result.repeat
-                << " diverged from the one-shot engine\n";
-      ok = false;
-    }
-    if (result.hits == 0) {
-      std::cerr << "FATAL: repeat=" << result.repeat
-                << " storm produced zero cache hits\n";
-      ok = false;
-    }
-  }
-  const double qps1 = worker_results[0].qps;
-  const double qps4 = worker_results[2].qps;
-  const double scaling4 = qps1 > 0.0 ? qps4 / qps1 : 0.0;
-  std::string gate;
-  if (hardware >= 4) {
-    if (scaling4 >= 2.0) {
-      gate = "pass";
-    } else {
-      gate = "FAIL";
-      std::cerr << "FATAL: workers=4 reached only "
-                << FormatDouble(scaling4, 2) << "x over workers=1 on a "
-                << hardware << "-thread host (gate: >= 2x)\n";
-      ok = false;
-    }
+  report.Gate("every_response_ok", failures.load() == 0,
+              std::to_string(failures.load()) + " non-OK responses");
+  const double scaling4 =
+      qps_by_workers[0] > 0.0 ? qps_by_workers[2] / qps_by_workers[0] : 0.0;
+  report.Metric("server", "qps_ratio", {{"workers", "4 vs 1"}}, scaling4, "x",
+                "higher");
+  const std::string scaling_detail =
+      "workers=4 at " + FormatDouble(scaling4, 2) +
+      "x the QPS of workers=1, need >= " + FormatDouble(kScalingGate, 1) + "x";
+  if (bench::HardwareThreads() >= 4) {
+    report.Gate("workers4_qps_over_workers1", scaling4 >= kScalingGate,
+                scaling_detail);
   } else {
-    gate = "skipped";
-    std::cout << "note: scaling gate skipped — host has " << hardware
-              << " hardware thread(s); a parallel speedup cannot "
-                 "materialize, correctness gates still apply\n";
+    report.SkipGate("workers4_qps_over_workers1",
+                    scaling_detail + "; needs >= 4 hardware threads, host has " +
+                        std::to_string(bench::HardwareThreads()));
   }
-  std::cout << "workers=4 vs workers=1: " << FormatDouble(scaling4, 2)
-            << "x QPS (gate " << gate << ")\n";
-
-  std::ofstream json("BENCH_concurrent.json");
-  json << "{\n  \"rows\": " << n << ",\n  \"dim\": " << kDim
-       << ",\n  \"storm_queries\": " << storm_queries
-       << ",\n  \"hardware_threads\": " << hardware
-       << ",\n  \"workers\": [\n";
-  for (size_t i = 0; i < worker_results.size(); ++i) {
-    const WorkerResult& r = worker_results[i];
-    json << "    {\"workers\": " << r.workers << ", \"seconds\": "
-         << r.seconds << ", \"qps\": " << r.qps
-         << ", \"latency_p50_micros\": " << r.p50_micros
-         << ", \"latency_p99_micros\": " << r.p99_micros
-         << ", \"scores_passes\": " << r.scores_passes
-         << ", \"identical\": " << (r.identical ? "true" : "false") << "}"
-         << (i + 1 < worker_results.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n  \"cache_sweep\": [\n";
-  for (size_t i = 0; i < cache_results.size(); ++i) {
-    const CacheResult& r = cache_results[i];
-    json << "    {\"repeat\": " << r.repeat << ", \"hits\": " << r.hits
-         << ", \"misses\": " << r.misses << ", \"hit_rate\": " << r.hit_rate
-         << ", \"qps\": " << r.qps
-         << ", \"identical\": " << (r.identical ? "true" : "false") << "}"
-         << (i + 1 < cache_results.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n  \"scaling_workers4_vs_1\": " << scaling4
-       << ",\n  \"scaling_gate\": \"" << gate << "\"\n}\n";
-  std::cout << "wrote BENCH_concurrent.json\n";
-  return ok ? 0 : 1;
+  return report.Finish();
 }

@@ -40,7 +40,6 @@
 #include <atomic>
 #include <csignal>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <mutex>
 #include <string>
@@ -105,6 +104,18 @@ struct FleetResult {
   bool identical = true;
 };
 
+/// True when a shard outlived StopAll; names each such shard on stderr.
+bool AnyRunning(const ShardManager& manager) {
+  bool any = false;
+  for (const ShardProcessStatus& status : manager.Status_()) {
+    if (status.running) {
+      std::cerr << "shard " << status.shard_id << " survived StopAll\n";
+      any = true;
+    }
+  }
+  return any;
+}
+
 double Percentile(std::vector<double> values, double p) {
   if (values.empty()) return 0.0;
   std::sort(values.begin(), values.end());
@@ -139,6 +150,12 @@ int main() {
       "the same mixed match/topk storm over unix sockets at 1 and 4 shards.\n"
       "Gates are correctness only: bit-identity to a solo engine run, an\n"
       "exact router ledger, zero mixed-version merges.");
+  bench::BenchReport report("fleet");
+  report.Config("rows", rows);
+  report.Config("dim", kDim);
+  report.Config("clients", kClients);
+  report.Config("queries_per_client", per_client);
+  report.Config("fault_plan", FaultInjector::Global().Fingerprint());
 
   if (cli.empty() || ::access(cli.c_str(), X_OK) != 0) {
     std::cerr << "FATAL: shard binary not found (EM_CLI_PATH unset and no "
@@ -177,7 +194,6 @@ int main() {
       RowTopKIndices(*solo_scores, kTopK);
 
   std::vector<FleetResult> results;
-  bool ok = true;
   for (int shards : {1, 4}) {
     Result<ShardPlan> made = ShardPlan::EvenSplit(
         "p", dir + "/src.emat", dir + "/tgt.emat", "", rows, shards, dir,
@@ -282,13 +298,8 @@ int main() {
 
     router->reset();
     manager.StopAll();
-    for (const ShardProcessStatus& status : manager.Status_()) {
-      if (status.running) {
-        std::cerr << "FATAL: shard " << status.shard_id
-                  << " survived StopAll\n";
-        ok = false;
-      }
-    }
+    report.Gate("shards" + std::to_string(shards) + ".stop_all_reaps",
+                !AnyRunning(manager), "every shard process exited");
 
     std::cout << "shards=" << result.shards << ": " << result.queries
               << " queries in " << FormatDouble(result.seconds * 1e3, 1)
@@ -304,26 +315,31 @@ int main() {
 
   // --- Gates. ---
   for (const FleetResult& result : results) {
-    if (!result.identical) {
-      std::cerr << "FATAL: shards=" << result.shards
-                << " merged answers diverged from the solo engine run\n";
-      ok = false;
-    }
-    if (!result.ledger_exact || result.failed != 0) {
-      std::cerr << "FATAL: shards=" << result.shards
-                << " router ledger inexact or queries failed\n";
-      ok = false;
-    }
-    if (result.version_mismatches != 0) {
-      std::cerr << "FATAL: shards=" << result.shards
-                << " saw mixed-version merges with no swap in flight\n";
-      ok = false;
-    }
+    const std::string prefix = "shards" + std::to_string(result.shards) + ".";
+    const JsonValue::Object labels = {{"shards", result.shards}};
+    report.Metric("fleet", "qps", labels, result.qps, "1/s", "higher");
+    report.Metric("fleet", "latency_p50_ms", labels, result.p50_micros / 1e3,
+                  "ms", "lower");
+    report.Metric("fleet", "latency_p99_ms", labels, result.p99_micros / 1e3,
+                  "ms", "lower");
+    report.Metric("router", "failovers", labels,
+                  static_cast<double>(result.failovers), "count", "lower");
+    report.Gate(prefix + "answers_identical_to_solo", result.identical,
+                "every merged answer against a solo engine run");
+    report.Gate(prefix + "router_ledger_exact",
+                result.ledger_exact && result.failed == 0,
+                std::to_string(result.failed) + " failed queries");
+    report.Gate(prefix + "no_mixed_version_merges",
+                result.version_mismatches == 0,
+                std::to_string(result.version_mismatches) +
+                    " mixed-version merges with no swap in flight");
   }
   const double qps1 = results[0].qps;
   const double qps4 = results[1].qps;
-  std::cout << "shards=4 vs shards=1: "
-            << FormatDouble(qps1 > 0.0 ? qps4 / qps1 : 0.0, 2)
+  const double qps_ratio = qps1 > 0.0 ? qps4 / qps1 : 0.0;
+  report.Metric("fleet", "qps_ratio", {{"shards", "4 vs 1"}}, qps_ratio, "x",
+                "higher");
+  std::cout << "shards=4 vs shards=1: " << FormatDouble(qps_ratio, 2)
             << "x QPS (informational — no speed gate on shared-core CI)\n";
 
   // --- Recovery section: rotating SIGKILLs under a FleetSupervisor, ---
@@ -331,12 +347,8 @@ int main() {
   constexpr int kRecoveryShards = 3;
   const uint64_t recovery_rounds =
       std::max<uint64_t>(2, static_cast<uint64_t>(4.0 * scale));
-  uint64_t recovery_kills = 0;
-  uint64_t recovery_completed = 0;
-  uint64_t recovery_spawn_failures = 0;
-  uint64_t recovery_rejoin_failures = 0;
-  double restart_p50 = 0.0;
-  double restart_p99 = 0.0;
+  report.Config("recovery_shards", kRecoveryShards);
+  report.Config("recovery_rounds", recovery_rounds);
   {
     Result<ShardPlan> made = ShardPlan::EvenSplit(
         "p", dir + "/src.emat", dir + "/tgt.emat", "", rows, kRecoveryShards,
@@ -380,17 +392,18 @@ int main() {
       manager.StopAll();
       return 1;
     }
+    uint64_t kills = 0;
+    uint64_t recovered = 0;
     for (uint64_t round = 1; round <= recovery_rounds; ++round) {
       for (int shard = 0; shard < kRecoveryShards; ++shard) {
         if (!manager.Kill(shard, SIGKILL).ok()) continue;
-        ++recovery_kills;
-        Status recovered = supervisor.WaitRestarts(shard, round, 90'000'000);
-        if (recovered.ok()) {
-          ++recovery_completed;
+        ++kills;
+        Status restarted = supervisor.WaitRestarts(shard, round, 90'000'000);
+        if (restarted.ok()) {
+          ++recovered;
         } else {
-          std::cerr << "FATAL: shard " << shard << " round " << round
-                    << " never recovered: " << recovered.ToString() << "\n";
-          ok = false;
+          std::cerr << "shard " << shard << " round " << round
+                    << " never recovered: " << restarted.ToString() << "\n";
         }
       }
     }
@@ -398,16 +411,15 @@ int main() {
     for (uint64_t latency : supervisor.RestartLatencies()) {
       restart_micros.push_back(static_cast<double>(latency));
     }
-    restart_p50 = Percentile(restart_micros, 0.50);
-    restart_p99 = Percentile(restart_micros, 0.99);
+    const double restart_p50 = Percentile(restart_micros, 0.50);
+    const double restart_p99 = Percentile(restart_micros, 0.99);
+    uint64_t spawn_failures = 0;
+    uint64_t rejoin_failures = 0;
+    uint64_t permanently_failed = 0;
     for (const ShardRecoveryStatus& shard : supervisor.Ledger()) {
-      recovery_spawn_failures += shard.spawn_failures;
-      recovery_rejoin_failures += shard.rejoin_failures;
-      if (shard.permanently_failed) {
-        std::cerr << "FATAL: shard " << shard.shard_id
-                  << " permanently failed during the recovery bench\n";
-        ok = false;
-      }
+      spawn_failures += shard.spawn_failures;
+      rejoin_failures += shard.rejoin_failures;
+      permanently_failed += shard.permanently_failed ? 1 : 0;
     }
     // The healed fleet still answers bit-identically.
     WireRequest request;
@@ -415,70 +427,44 @@ int main() {
     request.algorithm = AlgorithmPreset::kCsls;
     request.pair = "p";
     Result<WireResponse> answer = (*router)->Query(request);
-    if (!answer.ok() || answer->values.size() != match_reference.size()) {
-      std::cerr << "FATAL: healed fleet cannot answer\n";
-      ok = false;
-    } else {
-      for (size_t i = 0; i < match_reference.size(); ++i) {
-        if (answer->values[i] != match_reference[i]) {
-          std::cerr << "FATAL: healed fleet diverged from the solo run\n";
-          ok = false;
-          break;
-        }
-      }
-    }
-    if ((*router)->Stats().version_mismatches != 0) {
-      std::cerr << "FATAL: mixed-version merges during recovery cycles\n";
-      ok = false;
-    }
+    const bool healed_identical =
+        answer.ok() &&
+        std::equal(answer->values.begin(), answer->values.end(),
+                   match_reference.begin(), match_reference.end());
+    const uint64_t mismatches = (*router)->Stats().version_mismatches;
     supervisor.Stop();
     router->reset();
     manager.StopAll();
-    for (const ShardProcessStatus& status : manager.Status_()) {
-      if (status.running) {
-        std::cerr << "FATAL: shard " << status.shard_id
-                  << " survived StopAll\n";
-        ok = false;
-      }
-    }
-    std::cout << "recovery: " << recovery_completed << "/" << recovery_kills
+
+    std::cout << "recovery: " << recovered << "/" << kills
               << " kills recovered  restart p50="
               << FormatDouble(restart_p50 / 1e3, 1) << " ms  p99="
               << FormatDouble(restart_p99 / 1e3, 1) << " ms  spawn_failures="
-              << recovery_spawn_failures << "  rejoin_failures="
-              << recovery_rejoin_failures
+              << spawn_failures << "  rejoin_failures=" << rejoin_failures
               << (faults_armed ? "  (faults armed)" : "") << "\n";
+    const JsonValue::Object labels = {{"shards", kRecoveryShards}};
+    report.Metric("fleet", "restart_p50_ms", labels, restart_p50 / 1e3, "ms",
+                  "lower");
+    report.Metric("fleet", "restart_p99_ms", labels, restart_p99 / 1e3, "ms",
+                  "lower");
+    report.Metric("fleet", "spawn_failures", labels,
+                  static_cast<double>(spawn_failures), "count", "lower");
+    report.Metric("fleet", "rejoin_failures", labels,
+                  static_cast<double>(rejoin_failures), "count", "lower");
+    report.Gate("recovery.every_kill_recovers", recovered == kills,
+                std::to_string(recovered) + "/" + std::to_string(kills) +
+                    " SIGKILLs recovered");
+    report.Gate("recovery.no_permanent_failure", permanently_failed == 0,
+                std::to_string(permanently_failed) +
+                    " shards permanently failed");
+    report.Gate("recovery.healed_fleet_identical_to_solo", healed_identical,
+                answer.ok() ? "healed fleet answered"
+                            : "healed fleet cannot answer: " +
+                                  answer.status().ToString());
+    report.Gate("recovery.no_mixed_version_merges", mismatches == 0,
+                std::to_string(mismatches) + " mixed-version merges");
+    report.Gate("recovery.stop_all_reaps", !AnyRunning(manager),
+                "every shard process exited");
   }
-
-  std::ofstream json("BENCH_fleet.json");
-  json << "{\n  \"rows\": " << rows << ",\n  \"dim\": " << kDim
-       << ",\n  \"clients\": " << kClients
-       << ",\n  \"queries_per_client\": " << per_client
-       << ",\n  \"fleets\": [\n";
-  for (size_t i = 0; i < results.size(); ++i) {
-    const FleetResult& r = results[i];
-    json << "    {\"shards\": " << r.shards << ", \"queries\": " << r.queries
-         << ", \"seconds\": " << r.seconds << ", \"qps\": " << r.qps
-         << ", \"latency_p50_micros\": " << r.p50_micros
-         << ", \"latency_p99_micros\": " << r.p99_micros
-         << ", \"failed\": " << r.failed
-         << ", \"failovers\": " << r.failovers
-         << ", \"version_mismatches\": " << r.version_mismatches
-         << ", \"ledger_exact\": " << (r.ledger_exact ? "true" : "false")
-         << ", \"identical\": " << (r.identical ? "true" : "false") << "}"
-         << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n  \"qps_shards4_vs_1\": "
-       << (qps1 > 0.0 ? qps4 / qps1 : 0.0) << ",\n  \"recovery\": {"
-       << "\"shards\": " << kRecoveryShards
-       << ", \"kills\": " << recovery_kills
-       << ", \"recovered\": " << recovery_completed
-       << ", \"restart_p50_micros\": " << restart_p50
-       << ", \"restart_p99_micros\": " << restart_p99
-       << ", \"spawn_failures\": " << recovery_spawn_failures
-       << ", \"rejoin_failures\": " << recovery_rejoin_failures
-       << ", \"faults_armed\": " << (faults_armed ? "true" : "false")
-       << "}\n}\n";
-  std::cout << "wrote BENCH_fleet.json\n";
-  return ok ? 0 : 1;
+  return report.Finish();
 }

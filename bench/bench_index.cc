@@ -21,7 +21,6 @@
 //   EM_BENCH_SCALE=0.1 ./bench_index  # CI smoke run
 
 #include <algorithm>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -101,6 +100,10 @@ int main() {
       "IVF blocking over the large synthetic pair: recall@c across c x\n"
       "nprobe, then sparse vs dense CSLS+greedy wall-clock and peak\n"
       "workspace. Headline recall must reach 0.95.");
+  bench::BenchReport report("index");
+  report.Config("rows", n);
+  report.Config("dim", kDim);
+  report.Config("clusters", kClusters);
 
   Matrix src;
   Matrix tgt;
@@ -117,6 +120,7 @@ int main() {
             << " targets (list sizes " << list_stats.min_list_size << " / "
             << FormatDouble(list_stats.mean_list_size, 1) << " / "
             << list_stats.max_list_size << ")\n\n";
+  report.Config("num_lists", list_stats.num_lists);
 
   // Ground truth for recall: the exact dense top-c targets per source row.
   Result<MatchEngine> engine =
@@ -167,6 +171,9 @@ int main() {
       point.nprobe = nprobe;
       point.recall = static_cast<double>(hits) / static_cast<double>(wanted);
       sweep.push_back(point);
+      report.Metric("index", "recall",
+                    {{"backend", "ivf"}, {"candidates", c}, {"nprobe", nprobe}},
+                    point.recall, "ratio", "higher");
       std::cout << "recall@" << c << " (nprobe=" << nprobe
                 << "): " << FormatDouble(point.recall, 3) << "\n";
     }
@@ -225,6 +232,19 @@ int main() {
   for (size_t i = 0; i < n; ++i) {
     agree += (dense_run->target_of_source[i] == sparse_run->target_of_source[i]);
   }
+  const auto report_path = [&report](const char* path, double seconds,
+                                     size_t peak) {
+    const JsonValue::Object labels = {{"preset", "CSLS"}, {"path", path}};
+    report.Metric("engine", "match_ms", labels, seconds * 1e3, "ms", "lower");
+    report.Metric("engine", "peak_workspace_bytes", labels,
+                  static_cast<double>(peak), "B", "lower");
+  };
+  report_path("dense", dense_seconds, dense_peak);
+  report_path("sparse", sparse_seconds, sparse_peak);
+  report.Metric("engine", "assignment_agreement",
+                {{"preset", "CSLS"}, {"path", "sparse vs dense"}},
+                static_cast<double>(agree) / static_cast<double>(n), "ratio",
+                "higher");
 
   std::cout << "\nCSLS+greedy at n=" << n << ", c=" << headline.candidates
             << ", nprobe=" << headline.nprobe << ":\n"
@@ -236,42 +256,13 @@ int main() {
             << FormatDouble(peak_ratio, 3) << "x, assignments agree on "
             << agree << "/" << n << " rows\n";
 
-  bool ok = true;
-  if (headline.recall < kRecallGate) {
-    std::cerr << "FATAL: headline recall@" << headline.candidates << " = "
-              << headline.recall << " < " << kRecallGate << "\n";
-    ok = false;
-  }
-  if (sparse_peak >= dense_peak) {
-    std::cerr << "FATAL: sparse peak workspace (" << sparse_peak
-              << " B) did not undercut dense (" << dense_peak << " B)\n";
-    ok = false;
-  }
-
-  std::ofstream json("BENCH_index.json");
-  json << "{\n  \"dim\": " << kDim << ",\n  \"rows\": " << n
-       << ",\n  \"num_lists\": " << list_stats.num_lists
-       << ",\n  \"recall_gate\": " << kRecallGate
-       << ",\n  \"recall_sweep\": [\n";
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    json << "    {\"candidates\": " << sweep[i].candidates
-         << ", \"nprobe\": " << sweep[i].nprobe
-         << ", \"recall\": " << sweep[i].recall << "}"
-         << (i + 1 < sweep.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n  \"headline\": {\"candidates\": " << headline.candidates
-       << ", \"nprobe\": " << headline.nprobe
-       << ", \"recall\": " << headline.recall << "},\n"
-       << "  \"csls_greedy\": {\"dense_seconds\": " << dense_seconds
-       << ", \"sparse_seconds\": " << sparse_seconds
-       << ", \"time_ratio\": " << time_ratio
-       << ", \"dense_peak_workspace_bytes\": " << dense_peak
-       << ", \"sparse_peak_workspace_bytes\": " << sparse_peak
-       << ", \"peak_workspace_ratio\": " << peak_ratio
-       << ", \"assignment_agreement\": "
-       << static_cast<double>(agree) / static_cast<double>(n) << "},\n"
-       << "  \"ok\": " << (ok ? "true" : "false") << "\n}\n";
-  std::cout << "wrote BENCH_index.json (" << sweep.size()
-            << " sweep points)\n";
-  return ok ? 0 : 1;
+  report.Gate("headline_recall", headline.recall >= kRecallGate,
+              "recall@" + std::to_string(headline.candidates) + " (nprobe=" +
+                  std::to_string(headline.nprobe) + ") = " +
+                  FormatDouble(headline.recall, 3) + ", need >= " +
+                  FormatDouble(kRecallGate, 2));
+  report.Gate("sparse_peak_below_dense", sparse_peak < dense_peak,
+              "sparse " + std::to_string(sparse_peak) + " B vs dense " +
+                  std::to_string(dense_peak) + " B");
+  return report.Finish();
 }

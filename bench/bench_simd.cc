@@ -11,8 +11,8 @@
 // Gate (fatal): MatMulTransposedRange must reach >= 2x over scalar on at
 // least one vector tier. A "SIMD tier" that beats scalar on nothing is dead
 // code, not an optimization. On machines with only the scalar tier (no
-// AVX2/AVX-512/NEON compiled in or detected) the sweep degenerates to the
-// scalar row and the gate fails.
+// AVX2/AVX-512 compiled in or detected) the sweep degenerates to the scalar
+// row and the gate fails.
 //
 // Writes BENCH_simd.json.
 //
@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <string>
@@ -46,15 +45,6 @@ constexpr double kMatmulGate = 2.0;   // x over scalar
 
 // Defeats dead-code elimination across timed loops.
 volatile double g_sink = 0.0;
-
-struct KernelTiming {
-  std::string kernel;
-  std::string tier;
-  double seconds = 0.0;
-  double throughput = 0.0;  // in `unit`
-  std::string unit;         // "GB/s" or "GFLOP/s"
-  double speedup_vs_scalar = 0.0;  // filled after the scalar row is known
-};
 
 constexpr size_t kSamples = 5;        // per (op, tier); the median counts
 
@@ -98,16 +88,25 @@ int main() {
   bench::PrintBanner(
       "SIMD kernel tiers — throughput over scalar",
       "Per-op GB/s (matmul GFLOP/s) per tier via runtime dispatch.");
+  bench::BenchReport report("simd");
 
   std::vector<KernelTier> tiers = {KernelTier::kScalar};
-  for (KernelTier tier :
-       {KernelTier::kAvx2, KernelTier::kAvx512, KernelTier::kNeon}) {
+  for (KernelTier tier : {KernelTier::kAvx2, KernelTier::kAvx512}) {
     if (KernelTierAvailable(tier)) tiers.push_back(tier);
   }
+  JsonValue::Array tier_names;
   std::cout << "cpu: " << DetectedCpuFeatures() << "\n"
             << "tiers: ";
-  for (KernelTier tier : tiers) std::cout << KernelTierName(tier) << " ";
+  for (KernelTier tier : tiers) {
+    std::cout << KernelTierName(tier) << " ";
+    tier_names.push_back(KernelTierName(tier));
+  }
   std::cout << "\n\n";
+  report.Config("scale", scale);
+  report.Config("dim", kDim);
+  report.Config("matmul_rows", mm_rows);
+  report.Config("samples", kSamples);
+  report.Config("tiers", std::move(tier_names));
 
   const std::vector<float> va = RandomVec(kDim, 11);
   const std::vector<float> vb = RandomVec(kDim, 12);
@@ -230,7 +229,9 @@ int main() {
              }},
   };
 
-  std::vector<KernelTiming> timings;
+  // Speedups are scalar_seconds / tier_seconds per op; tiers[0] is scalar.
+  double best_matmul_speedup = 0.0;
+  std::string best_matmul_tier = "none";
   for (const OpCase& op : cases) {
     std::copy(va.begin(), va.end(), scratch.begin());
     std::fill(col_acc.begin(), col_acc.end(), 0.0);
@@ -247,70 +248,36 @@ int main() {
         samples[t].push_back(timer.ElapsedSeconds());
       }
     }
+    std::vector<double> medians(tiers.size());
     for (size_t t = 0; t < tiers.size(); ++t) {
       std::sort(samples[t].begin(), samples[t].end());
-      KernelTiming timing;
-      timing.kernel = op.kernel;
-      timing.tier = KernelTierName(tiers[t]);
-      timing.seconds = samples[t][kSamples / 2];
-      timing.throughput =
-          timing.seconds > 0.0 ? op.work / timing.seconds / 1e9 : 0.0;
-      timing.unit = op.unit;
-      timings.push_back(timing);
+      medians[t] = samples[t][kSamples / 2];
     }
-  }
-
-  // Speedups are scalar_seconds / tier_seconds per kernel.
-  double best_matmul_speedup = 0.0;
-  std::string best_matmul_tier = "none";
-  for (KernelTiming& t : timings) {
-    for (const KernelTiming& s : timings) {
-      if (s.tier == "scalar" && s.kernel == t.kernel && t.seconds > 0.0) {
-        t.speedup_vs_scalar = s.seconds / t.seconds;
+    for (size_t t = 0; t < tiers.size(); ++t) {
+      const std::string tier = KernelTierName(tiers[t]);
+      const double throughput =
+          medians[t] > 0.0 ? op.work / medians[t] / 1e9 : 0.0;
+      const double speedup = medians[t] > 0.0 ? medians[0] / medians[t] : 0.0;
+      const JsonValue::Object labels = {{"op", op.kernel}, {"tier", tier}};
+      report.Metric("kernel", "throughput", labels, throughput, op.unit,
+                    "higher");
+      report.Metric("kernel", "speedup_vs_scalar", labels, speedup, "x",
+                    "higher");
+      std::cout << op.kernel << " [" << tier
+                << "]: " << FormatDouble(throughput, 2) << " " << op.unit
+                << ", " << FormatDouble(speedup, 2) << "x over scalar\n";
+      if (op.kernel == "matmul_range" && t > 0 &&
+          speedup > best_matmul_speedup) {
+        best_matmul_speedup = speedup;
+        best_matmul_tier = tier;
       }
     }
-    if (t.kernel == "matmul_range" && t.tier != "scalar" &&
-        t.speedup_vs_scalar > best_matmul_speedup) {
-      best_matmul_speedup = t.speedup_vs_scalar;
-      best_matmul_tier = t.tier;
-    }
-  }
-  for (const KernelTiming& t : timings) {
-    std::cout << t.kernel << " [" << t.tier
-              << "]: " << FormatDouble(t.throughput, 2) << " " << t.unit
-              << ", " << FormatDouble(t.speedup_vs_scalar, 2)
-              << "x over scalar\n";
   }
 
-  const bool ok = best_matmul_speedup >= kMatmulGate;
-  if (!ok) {
-    std::cerr << "\nFATAL: no vector tier reached " << kMatmulGate
-              << "x on matmul_range (best " << best_matmul_speedup << "x on "
-              << best_matmul_tier << ")\n";
-  }
-
-  std::ofstream json("BENCH_simd.json");
-  json << "{\n  \"scale\": " << scale << ",\n  \"dim\": " << kDim
-       << ",\n  \"matmul_rows\": " << mm_rows << ",\n  \"cpu\": \""
-       << DetectedCpuFeatures() << "\",\n  \"tiers\": [";
-  for (size_t i = 0; i < tiers.size(); ++i) {
-    json << (i > 0 ? ", " : "") << "\"" << KernelTierName(tiers[i]) << "\"";
-  }
-  json << "],\n  \"kernels\": [\n";
-  for (size_t i = 0; i < timings.size(); ++i) {
-    json << "    {\"kernel\": \"" << timings[i].kernel << "\", \"tier\": \""
-         << timings[i].tier << "\", \"seconds\": " << timings[i].seconds
-         << ", \"throughput\": " << timings[i].throughput << ", \"unit\": \""
-         << timings[i].unit << "\""
-         << ", \"speedup_vs_scalar\": " << timings[i].speedup_vs_scalar
-         << "}" << (i + 1 < timings.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n  \"matmul_gate\": {\"required\": " << kMatmulGate
-       << ", \"best_tier\": \"" << best_matmul_tier
-       << "\", \"best_speedup\": " << best_matmul_speedup
-       << ", \"passed\": " << (ok ? "true" : "false")
-       << "},\n  \"ok\": " << (ok ? "true" : "false") << "\n}\n";
-  std::cout << "\nwrote BENCH_simd.json (" << timings.size()
-            << " kernel timings)\n";
-  return ok ? 0 : 1;
+  std::cout << "\n";
+  report.Gate("matmul_range_over_scalar", best_matmul_speedup >= kMatmulGate,
+              "best vector tier " + best_matmul_tier + " at " +
+                  FormatDouble(best_matmul_speedup, 2) + "x, need >= " +
+                  FormatDouble(kMatmulGate, 1) + "x");
+  return report.Finish();
 }

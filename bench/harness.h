@@ -1,16 +1,21 @@
 #ifndef ENTMATCHER_BENCH_HARNESS_H_
 #define ENTMATCHER_BENCH_HARNESS_H_
 
+#include <algorithm>
+#include <fstream>
 #include <iostream>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
 #include "datagen/benchmarks.h"
 #include "embedding/provider.h"
 #include "eval/experiment.h"
+#include "la/kernels/dispatch.h"
 
 namespace entmatcher::bench {
 
@@ -80,6 +85,99 @@ inline double GlobalScale() {
   const double v = std::atof(env);
   return v > 0.0 ? v : 1.0;
 }
+
+/// std::thread::hardware_concurrency(), at least 1.
+inline unsigned HardwareThreads() {
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+/// The machine-readable record of one bench run, written as
+/// BENCH_<bench>.json in the working directory. Every bench that writes
+/// JSON writes this one schema:
+///
+///   {"bench":   "simd",
+///    "config":  {<the run's settings>},
+///    "host":    {"hardware_threads": 4, "kernel_tier": "avx512",
+///                "cpu": "sse4.2 avx avx2 ..."},
+///    "metrics": [{"layer": "kernel", "metric": "throughput",
+///                 "labels": {"op": "dot", "tier": "avx2"},
+///                 "value": 41.2, "unit": "GB/s", "better": "higher"}, ...],
+///    "gates":   [{"name": "...", "result": "pass" | "fail" | "skipped",
+///                 "detail": "..."}, ...]}
+///
+/// `layer` names what a number describes: kernel, index, engine, server,
+/// router or fleet. A gate this host cannot judge (a speed gate on too few cores, a
+/// section the run left out) is "skipped", never "pass". The host fields
+/// are read when the report is made, before any bench switches tiers.
+class BenchReport {
+ public:
+  explicit BenchReport(std::string bench) : bench_(std::move(bench)) {
+    host_["hardware_threads"] = static_cast<uint64_t>(HardwareThreads());
+    host_["kernel_tier"] = KernelTierName(ActiveKernelTier());
+    host_["cpu"] = DetectedCpuFeatures();
+  }
+
+  /// Records one setting of the run.
+  void Config(const std::string& key, JsonValue value) {
+    config_[key] = std::move(value);
+  }
+
+  /// Records one measured number; `better` is "higher" or "lower".
+  void Metric(const std::string& layer, const std::string& metric,
+              JsonValue::Object labels, double value, const std::string& unit,
+              const std::string& better) {
+    metrics_.push_back(JsonValue::Object{{"layer", layer},
+                                         {"metric", metric},
+                                         {"labels", std::move(labels)},
+                                         {"value", value},
+                                         {"unit", unit},
+                                         {"better", better}});
+  }
+
+  /// Records a judged gate and prints it, to stderr when it fails.
+  void Gate(const std::string& name, bool passed, const std::string& detail) {
+    AddGate(name, passed ? "pass" : "fail", detail);
+    (passed ? std::cout : std::cerr)
+        << (passed ? "gate " : "FATAL: gate ") << name << ": "
+        << (passed ? "pass" : "FAIL") << " (" << detail << ")\n";
+    failed_ = failed_ || !passed;
+  }
+
+  /// Records a gate this run cannot judge, with the reason.
+  void SkipGate(const std::string& name, const std::string& detail) {
+    AddGate(name, "skipped", detail);
+    std::cout << "gate " << name << ": skipped (" << detail << ")\n";
+  }
+
+  /// Writes BENCH_<bench>.json and returns the process exit code: 1 when a
+  /// gate failed, else 0.
+  int Finish() const {
+    const std::string path = "BENCH_" + bench_ + ".json";
+    const JsonValue doc(JsonValue::Object{{"bench", bench_},
+                                          {"config", config_},
+                                          {"host", host_},
+                                          {"metrics", metrics_},
+                                          {"gates", gates_}});
+    std::ofstream(path) << doc.Dump() << "\n";
+    std::cout << "wrote " << path << " (" << metrics_.size() << " metrics, "
+              << gates_.size() << " gates)\n";
+    return failed_ ? 1 : 0;
+  }
+
+ private:
+  void AddGate(const std::string& name, const char* result,
+               const std::string& detail) {
+    gates_.push_back(JsonValue::Object{
+        {"name", name}, {"result", result}, {"detail", detail}});
+  }
+
+  std::string bench_;
+  JsonValue::Object config_;
+  JsonValue::Object host_;
+  JsonValue::Array metrics_;
+  JsonValue::Array gates_;
+  bool failed_ = false;
+};
 
 }  // namespace entmatcher::bench
 

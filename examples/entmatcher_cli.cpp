@@ -37,7 +37,7 @@
 //       Print an EMBF store's shape and byte accounting.
 //   entmatcher_cli match <dir> <src.emat> <tgt.emat> <algo>
 //                  [--workspace-budget-bytes=N] [--threads=N]
-//                  [--kernel-tier=scalar|avx2|avx512|neon|auto]
+//                  [--kernel-tier=scalar|avx2|avx512|auto]
 //                  [--mmap]
 //                  [--index=PATH --candidates=N [--nprobe=N] [--ef=N]]
 //                  [out_links.tsv]

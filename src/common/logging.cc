@@ -1,13 +1,12 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstring>
 
 namespace entmatcher {
 
 namespace {
 
-std::atomic<int> g_min_level{static_cast<int>(LogLevel::kInfo)};
+constexpr LogLevel kMinLevel = LogLevel::kInfo;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -30,13 +29,7 @@ const char* Basename(const char* path) {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) {
-  g_min_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_min_level.load(std::memory_order_relaxed));
-}
+LogLevel GetLogLevel() { return kMinLevel; }
 
 namespace internal_logging {
 

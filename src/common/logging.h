@@ -10,10 +10,7 @@ namespace entmatcher {
 /// Severity levels for the minimal logging facility.
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 
-/// Sets the minimum level emitted to stderr (default kInfo).
-void SetLogLevel(LogLevel level);
-
-/// The current minimum level.
+/// The minimum level emitted to stderr (kInfo).
 LogLevel GetLogLevel();
 
 namespace internal_logging {

@@ -50,10 +50,6 @@ double Rng::NextDouble() {
   return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
 }
 
-float Rng::NextFloat() {
-  return static_cast<float>(NextUint64() >> 40) * 0x1.0p-24f;
-}
-
 double Rng::NextUniform(double lo, double hi) {
   return lo + (hi - lo) * NextDouble();
 }

@@ -28,9 +28,6 @@ class Rng {
   /// Uniform double in [0, 1).
   double NextDouble();
 
-  /// Uniform float in [0, 1).
-  float NextFloat();
-
   /// Uniform double in [lo, hi).
   double NextUniform(double lo, double hi);
 

@@ -31,13 +31,6 @@ std::vector<EntityId> AlignmentSet::TargetsOf(EntityId source) const {
   return out;
 }
 
-std::vector<EntityId> AlignmentSet::SourcesOf(EntityId target) const {
-  std::vector<EntityId> out;
-  auto [begin, end] = by_target_.equal_range(target);
-  for (auto it = begin; it != end; ++it) out.push_back(it->second);
-  return out;
-}
-
 std::vector<EntityId> AlignmentSet::SourceEntities() const {
   std::vector<EntityId> out;
   std::unordered_set<EntityId> seen;

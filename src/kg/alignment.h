@@ -39,9 +39,6 @@ class AlignmentSet {
   /// All targets linked to `source` (possibly empty / multiple).
   std::vector<EntityId> TargetsOf(EntityId source) const;
 
-  /// All sources linked to `target` (possibly empty / multiple).
-  std::vector<EntityId> SourcesOf(EntityId target) const;
-
   /// Distinct source entities participating in links, in first-seen order.
   std::vector<EntityId> SourceEntities() const;
 

@@ -36,8 +36,6 @@ const KernelOps* TierOps(KernelTier tier) {
       return CpuHasAvx2() ? GetAvx2Kernels() : nullptr;
     case KernelTier::kAvx512:
       return CpuHasAvx512() ? GetAvx512Kernels() : nullptr;
-    case KernelTier::kNeon:
-      return GetNeonKernels();
   }
   return nullptr;
 }
@@ -71,9 +69,6 @@ const KernelOps* GetAvx2Kernels() { return nullptr; }
 #if !defined(ENTMATCHER_HAVE_AVX512)
 const KernelOps* GetAvx512Kernels() { return nullptr; }
 #endif
-#if !defined(ENTMATCHER_HAVE_NEON)
-const KernelOps* GetNeonKernels() { return nullptr; }
-#endif
 
 const char* KernelTierName(KernelTier tier) {
   switch (tier) {
@@ -83,8 +78,6 @@ const char* KernelTierName(KernelTier tier) {
       return "avx2";
     case KernelTier::kAvx512:
       return "avx512";
-    case KernelTier::kNeon:
-      return "neon";
   }
   return "?";
 }
@@ -93,9 +86,8 @@ Result<KernelTier> ParseKernelTier(std::string_view name) {
   if (name == "scalar") return KernelTier::kScalar;
   if (name == "avx2") return KernelTier::kAvx2;
   if (name == "avx512") return KernelTier::kAvx512;
-  if (name == "neon") return KernelTier::kNeon;
   return Status::InvalidArgument("unknown kernel tier: '" + std::string(name) +
-                                 "' (want scalar|avx2|avx512|neon|auto)");
+                                 "' (want scalar|avx2|avx512|auto)");
 }
 
 bool KernelTierAvailable(KernelTier tier) { return TierOps(tier) != nullptr; }
@@ -103,7 +95,6 @@ bool KernelTierAvailable(KernelTier tier) { return TierOps(tier) != nullptr; }
 KernelTier BestAvailableKernelTier() {
   if (KernelTierAvailable(KernelTier::kAvx512)) return KernelTier::kAvx512;
   if (KernelTierAvailable(KernelTier::kAvx2)) return KernelTier::kAvx2;
-  if (KernelTierAvailable(KernelTier::kNeon)) return KernelTier::kNeon;
   return KernelTier::kScalar;
 }
 
@@ -144,16 +135,14 @@ std::string DetectedCpuFeatures() {
   if (__builtin_cpu_supports("avx512bw")) add("avx512bw");
   if (__builtin_cpu_supports("avx512dq")) add("avx512dq");
   if (__builtin_cpu_supports("avx512vl")) add("avx512vl");
-#elif defined(__aarch64__) || defined(_M_ARM64)
-  add("neon");
 #endif
   return features;
 }
 
 std::string KernelStatusJson() {
   std::string available;
-  for (KernelTier tier : {KernelTier::kScalar, KernelTier::kAvx2,
-                          KernelTier::kAvx512, KernelTier::kNeon}) {
+  for (KernelTier tier :
+       {KernelTier::kScalar, KernelTier::kAvx2, KernelTier::kAvx512}) {
     if (!KernelTierAvailable(tier)) continue;
     if (!available.empty()) available += ' ';
     available += KernelTierName(tier);

@@ -20,11 +20,7 @@ enum class KernelTier {
   kScalar = 0,
   kAvx2 = 1,
   kAvx512 = 2,
-  kNeon = 3,
 };
-
-/// Number of KernelTier values (array sizing).
-inline constexpr size_t kNumKernelTiers = 4;
 
 /// The flat function table one tier exports. All pointers are non-null in a
 /// registered tier; callers pick ops off ActiveKernels() inside their own
@@ -98,10 +94,10 @@ struct KernelOps {
   uint64_t (*mask_gt_scalar)(const float* a, float threshold, size_t n);
 };
 
-/// Display name ("scalar", "avx2", "avx512", "neon").
+/// Display name ("scalar", "avx2", "avx512").
 const char* KernelTierName(KernelTier tier);
 
-/// Parses "scalar" | "avx2" | "avx512" | "neon". "auto" is not a tier —
+/// Parses "scalar" | "avx2" | "avx512". "auto" is not a tier —
 /// resolve it with BestAvailableKernelTier().
 Result<KernelTier> ParseKernelTier(std::string_view name);
 
@@ -112,7 +108,7 @@ bool KernelTierAvailable(KernelTier tier);
 KernelTier BestAvailableKernelTier();
 
 /// The active tier's function table. On first use the tier is resolved from
-/// EM_KERNEL_TIER (scalar|avx2|avx512|neon|auto; unset or invalid values fall
+/// EM_KERNEL_TIER (scalar|avx2|avx512|auto; unset or invalid values fall
 /// back to auto with a warning), making the choice a pure startup decision —
 /// steady-state reads are a single atomic load.
 const KernelOps& ActiveKernels();
@@ -144,7 +140,6 @@ std::string KernelStatusJson();
 const KernelOps* GetScalarKernels();
 const KernelOps* GetAvx2Kernels();   // null unless ENTMATCHER_HAVE_AVX2
 const KernelOps* GetAvx512Kernels(); // null unless ENTMATCHER_HAVE_AVX512
-const KernelOps* GetNeonKernels();   // null unless ENTMATCHER_HAVE_NEON
 
 }  // namespace entmatcher
 

@@ -1,8 +1,8 @@
 // The vector kernel tier, written once over GCC vector extensions and
 // templated on the float lane count W. Each vector tier's translation unit
 // instantiates it under that ISA's -m flags: kernels_avx2.cc at W = 8,
-// kernels_avx512.cc at W = 16, kernels_neon.cc at W = 4. The kernel tests
-// also build a W = 4 table with the default flags.
+// kernels_avx512.cc at W = 16. The kernel tests also build a W = 4 table
+// with the default flags.
 //
 // Everything here has internal linkage (anonymous namespace), so every tier
 // gets its own copy compiled for its own ISA: the linker can never merge an

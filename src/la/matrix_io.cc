@@ -15,22 +15,6 @@ constexpr char kMagic[4] = {'E', 'M', 'A', 'T'};
 
 }  // namespace
 
-Status WriteMatrixTsv(const Matrix& matrix, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  out.precision(9);
-  for (size_t r = 0; r < matrix.rows(); ++r) {
-    auto row = matrix.Row(r);
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) out << '\t';
-      out << row[c];
-    }
-    out << '\n';
-  }
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::OK();
-}
-
 Result<Matrix> ReadMatrixTsv(const std::string& path) {
   std::ifstream in(path);
   if (!in) return Status::IoError("cannot open for reading: " + path);

@@ -8,12 +8,10 @@
 
 namespace entmatcher {
 
-/// Writes a matrix as TSV text (one row per line, tab-separated floats) —
-/// the interchange format embedding toolkits like OpenEA/EAkit emit, so
-/// externally trained embeddings can be fed into the matching pipeline.
-Status WriteMatrixTsv(const Matrix& matrix, const std::string& path);
-
-/// Reads a TSV matrix; all rows must have the same width.
+/// Reads a TSV matrix (one row per line, tab-separated floats) — the
+/// interchange format embedding toolkits like OpenEA/EAkit emit, so
+/// externally trained embeddings can be fed into the matching pipeline. All
+/// rows must have the same width.
 Result<Matrix> ReadMatrixTsv(const std::string& path);
 
 /// Writes a matrix in a compact binary format:

@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -171,17 +170,6 @@ Matrix MmapStore::AsMatrix() const {
   // only reads. A write through this view faults instead of silently
   // corrupting the store.
   return Matrix::Borrowed(const_cast<float*>(data_), rows_, cols_);
-}
-
-Status MmapStore::DropResident() {
-  if (map_ == nullptr || logical_bytes() == 0) return Status::OK();
-  // madvise wants a page-aligned address; the payload starts 64 bytes in, so
-  // drop the whole mapping (the header re-faults for free).
-  if (::madvise(map_, map_bytes_, MADV_DONTNEED) != 0) {
-    return Status::Internal("madvise(MADV_DONTNEED) failed: " +
-                            std::string(std::strerror(errno)));
-  }
-  return Status::OK();
 }
 
 void EmbfWriter::FileCloser::operator()(void* f) const {

@@ -24,8 +24,8 @@ namespace entmatcher {
 ///   float32[rows * cols], row-major
 ///
 /// The point of the format is that the payload *is* the in-memory
-/// representation: an MmapStore maps the file read-only and hands out row
-/// spans (or a borrowed Matrix) straight over the page cache, so a 1M x 128d
+/// representation: an MmapStore maps the file read-only and hands out a
+/// borrowed Matrix straight over the page cache, so a 1M x 128d
 /// pair (512 MB of floats per side) can feed the matching engine without ever
 /// being materialized on the heap.
 constexpr size_t kEmbfHeaderBytes = 64;
@@ -49,8 +49,8 @@ struct MmapStoreOptions {
   /// 1M-row store look like it blew any workspace budget while actually
   /// touching a few MB. The store instead charges
   /// min(resident_budget_bytes, logical bytes): the caller's declared
-  /// working-set ceiling, enforced in spirit by DropResident() and by the
-  /// kernel's reclaim. Benches gate real peak RSS separately.
+  /// working-set ceiling, enforced in spirit by the kernel's reclaim.
+  /// Benches gate real peak RSS separately.
   size_t resident_budget_bytes = 64ull << 20;
 
   MmapAccessHint hint = MmapAccessHint::kRandom;
@@ -85,22 +85,11 @@ class MmapStore {
   /// at the logical size).
   size_t tracked_bytes() const { return tracked_bytes_; }
 
-  /// Read-only view of one row, straight over the mapping.
-  std::span<const float> RowView(size_t r) const {
-    return std::span<const float>(data_ + r * cols_, cols_);
-  }
-
   /// A borrowed Matrix over the mapping, suitable for PairSnapshot::Build
   /// and the similarity kernels. The store must outlive every copy of the
   /// *borrowed* view (a Matrix copy detaches into owned memory). The buffer
   /// is mapped PROT_READ: writing through the view is a bug and faults.
   Matrix AsMatrix() const;
-
-  /// Advises the kernel to drop this store's resident pages
-  /// (MADV_DONTNEED). Reads stay valid — pages fault back in from the file
-  /// — so this is the knob for staying under a resident budget between
-  /// scoring passes.
-  Status DropResident();
 
  private:
   MmapStore() = default;

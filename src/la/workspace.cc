@@ -136,19 +136,6 @@ size_t Workspace::capacity_bytes() const {
   return total;
 }
 
-void Workspace::Trim() {
-  std::vector<Slab> kept;
-  kept.reserve(slabs_.size());
-  std::vector<size_t> remap(slabs_.size());
-  for (size_t s = 0; s < slabs_.size(); ++s) {
-    if (!slabs_[s].leased) continue;
-    remap[s] = kept.size();
-    kept.push_back(std::move(slabs_[s]));
-  }
-  for (Lease& lease : leases_) lease.slab = remap[lease.slab];
-  slabs_ = std::move(kept);
-}
-
 Result<ScratchMatrix> ScratchMatrix::Acquire(Workspace* workspace, size_t rows,
                                              size_t cols) {
   if (workspace == nullptr) {

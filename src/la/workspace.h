@@ -91,9 +91,6 @@ class Workspace {
   /// warm queries once the pool has seen the largest request.
   size_t capacity_bytes() const;
 
-  /// Frees all pooled (not currently leased) slabs.
-  void Trim();
-
  private:
   struct Slab {
     std::unique_ptr<std::byte[]> bytes;

@@ -25,12 +25,6 @@ std::vector<size_t> Partitioning::BlockCells() const {
   return cells;
 }
 
-size_t Partitioning::MaxBlockCells() const {
-  size_t max_cells = 0;
-  for (size_t cells : BlockCells()) max_cells = std::max(max_cells, cells);
-  return max_cells;
-}
-
 Result<Partitioning> CoClusterCandidates(const Matrix& source,
                                          const Matrix& target,
                                          const PartitionedOptions& options) {

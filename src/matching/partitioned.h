@@ -32,10 +32,6 @@ struct Partitioning {
   /// (source block x target block) cell product per partition — the score
   /// matrix each block run materializes.
   std::vector<size_t> BlockCells() const;
-
-  /// Largest (source block x target block) product — the dominant score
-  /// matrix any block run materializes.
-  size_t MaxBlockCells() const;
 };
 
 /// Assignment plus the partition statistics a run observed. The histogram is

@@ -17,12 +17,6 @@ struct MultiAssignment {
   /// targets_of_source[i] lists the accepted target columns for source row i
   /// (possibly empty).
   std::vector<std::vector<uint32_t>> targets_of_source;
-
-  size_t NumLinks() const {
-    size_t total = 0;
-    for (const auto& t : targets_of_source) total += t.size();
-    return total;
-  }
 };
 
 /// Options for the probabilistic matcher.

@@ -117,12 +117,4 @@ void Mlp::ZeroGradients() {
   for (auto& g : grad_biases_) std::fill(g.begin(), g.end(), 0.0f);
 }
 
-size_t Mlp::NumParameters() const {
-  size_t total = 0;
-  for (size_t l = 0; l < weights_.size(); ++l) {
-    total += weights_[l].size() + biases_[l].size();
-  }
-  return total;
-}
-
 }  // namespace entmatcher

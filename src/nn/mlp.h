@@ -48,9 +48,6 @@ class Mlp {
   /// Clears accumulated gradients.
   void ZeroGradients();
 
-  /// Total number of trainable parameters.
-  size_t NumParameters() const;
-
  private:
   Mlp() = default;
 

@@ -450,8 +450,8 @@ std::string MatchServer::HealthJson() const {
             ": " + std::to_string(snapshot.pair_versions[i].second);
   }
   json += "}";
-  json += ", \"fault_plan\": \"" + FaultInjector::Global().Fingerprint() +
-          "\"";
+  json += ", \"fault_plan\": " +
+          JsonEscape(FaultInjector::Global().Fingerprint());
   json += ", \"kernels\": " + KernelStatusJson();
   json += "}";
   return json;

@@ -564,6 +564,78 @@ TEST_F(ChaosTest, EightWorkerShedStormTerminatesDefinitely) {
   EXPECT_EQ(stats.completed, ok_count);
 }
 
+// Three ~10% plans (an injected error in the scores pass, an exhausted
+// workspace, injected latency) against a burst from four clients, with
+// batching off (max_batch 1) and on (max_batch 8, 2 ms flush). Whatever
+// fires, every request resolves, OK answers are the fault-free ones, each
+// failure carries the plan's code, the ledger balances, and batched mode
+// still shares scores passes.
+TEST_F(ChaosTest, FaultPlansKeepAnswersExactWithAndWithoutBatching) {
+  constexpr size_t kClients = 4;
+  constexpr size_t kQueriesPerClient = 8;
+  const Assignment reference = Reference(AlgorithmPreset::kCsls);
+  struct PlanCase {
+    const char* spec;
+    StatusCode code;  // what a failure must carry; kOk: nothing may fail
+  };
+  const PlanCase plans[] = {
+      {"engine.scores:p=0.1,code=Internal", StatusCode::kInternal},
+      {"workspace.acquire:p=0.1,code=ResourceExhausted",
+       StatusCode::kResourceExhausted},
+      {"engine.scores:p=0.1,latency_us=200", StatusCode::kOk},
+  };
+  for (const PlanCase& plan : plans) {
+    SCOPED_TRACE(plan.spec);
+    uint64_t batches[2] = {0, 0};  // [sequential, batched]
+    uint64_t fires = 0;
+    for (int batched = 0; batched < 2; ++batched) {
+      MatchServerConfig config;
+      config.max_batch = batched ? 8 : 1;
+      config.flush_micros = batched ? 2000 : 0;
+      config.queue_capacity = 2 * kClients * kQueriesPerClient;
+      std::unique_ptr<MatchServer> server = MakeServer(config, /*start=*/false);
+      Arm(plan.spec, /*seed=*/7);
+
+      // Every client submits its burst before Start, so the queue holds
+      // coalescable work when the scheduler first looks.
+      std::vector<std::vector<std::future<ServeResponse>>> inflight(kClients);
+      std::vector<std::thread> clients;
+      for (size_t c = 0; c < kClients; ++c) {
+        clients.emplace_back([&server, &inflight, c] {
+          for (size_t q = 0; q < kQueriesPerClient; ++q) {
+            inflight[c].push_back(server->Submit(MatchRequest()));
+          }
+        });
+      }
+      for (std::thread& client : clients) client.join();
+      ASSERT_TRUE(server->Start().ok());
+
+      for (std::vector<std::future<ServeResponse>>& futures : inflight) {
+        for (std::future<ServeResponse>& future : futures) {
+          const ServeResponse response = future.get();
+          if (response.status.ok()) {
+            EXPECT_EQ(response.assignment.target_of_source,
+                      reference.target_of_source);
+          } else {
+            EXPECT_NE(plan.code, StatusCode::kOk)
+                << "the latency plan failed a request: "
+                << response.status.ToString();
+            EXPECT_EQ(response.status.code(), plan.code)
+                << response.status.ToString();
+          }
+        }
+      }
+      server->Shutdown();
+      fires += FaultInjector::Global().total_fires();
+      FaultInjector::Global().Disarm();
+      CheckStatsLedger(server->Stats());
+      batches[batched] = server->Stats().batches;
+    }
+    EXPECT_LT(batches[1], batches[0]) << "batching shared no scores pass";
+    EXPECT_GT(fires, 0u) << "the plan never fired";
+  }
+}
+
 TEST_F(ChaosTest, HealthJsonCarriesTheArmedFingerprint) {
   std::unique_ptr<MatchServer> server =
       MakeServer(MatchServerConfig(), /*start=*/true);

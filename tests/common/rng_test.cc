@@ -54,15 +54,6 @@ TEST(RngTest, NextDoubleInUnitInterval) {
   EXPECT_NEAR(sum / 10000.0, 0.5, 0.02);
 }
 
-TEST(RngTest, NextFloatInUnitInterval) {
-  Rng rng(12);
-  for (int i = 0; i < 1000; ++i) {
-    const float f = rng.NextFloat();
-    ASSERT_GE(f, 0.0f);
-    ASSERT_LT(f, 1.0f);
-  }
-}
-
 TEST(RngTest, NextUniformRange) {
   Rng rng(13);
   for (int i = 0; i < 1000; ++i) {

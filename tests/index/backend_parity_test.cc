@@ -44,8 +44,7 @@ std::vector<MatcherKind> SparseCapableMatchers() {
 
 std::vector<KernelTier> AvailableTiers() {
   std::vector<KernelTier> tiers = {KernelTier::kScalar};
-  for (KernelTier tier :
-       {KernelTier::kAvx2, KernelTier::kAvx512, KernelTier::kNeon}) {
+  for (KernelTier tier : {KernelTier::kAvx2, KernelTier::kAvx512}) {
     if (KernelTierAvailable(tier)) tiers.push_back(tier);
   }
   return tiers;

@@ -20,9 +20,6 @@ TEST(AlignmentSetTest, ContainsAndLookups) {
   std::sort(targets.begin(), targets.end());
   EXPECT_EQ(targets, (std::vector<EntityId>{10, 11}));
   EXPECT_TRUE(set.TargetsOf(99).empty());
-
-  auto sources = set.SourcesOf(20);
-  EXPECT_EQ(sources, (std::vector<EntityId>{2}));
 }
 
 TEST(AlignmentSetTest, DistinctEntityLists) {

@@ -30,25 +30,24 @@ namespace {
 //  - each tier's matmul_tile cell replays that tier's `dot` exactly, which is
 //    what makes the sparse rerank bit-identical to dense cells at any tier.
 //
-// Adversarial lengths straddle every vector width in play: 4 (NEON), 8
-// (AVX2), 16 (AVX-512), 64 (mask chunks), each +/- the remainders
+// Adversarial lengths straddle every vector width in play: 4 (the W4
+// table), 8 (AVX2), 16 (AVX-512), 64 (mask chunks), each +/- the remainders
 // 1..width-1.
 const size_t kLengths[] = {1,  2,  3,  5,  7,  8,  9,  15, 16, 17,
                            23, 31, 32, 33, 48, 63, 64, 65, 67, 130};
 
 std::vector<KernelTier> AvailableVectorTiers() {
   std::vector<KernelTier> tiers;
-  for (KernelTier tier :
-       {KernelTier::kAvx2, KernelTier::kAvx512, KernelTier::kNeon}) {
+  for (KernelTier tier : {KernelTier::kAvx2, KernelTier::kAvx512}) {
     if (KernelTierAvailable(tier)) tiers.push_back(tier);
   }
   return tiers;
 }
 
-// The vector template at the NEON tier's 4 lanes, compiled with this file's
-// default flags and never registered as a tier, so every build runs the code
-// the NEON tier runs.
-constexpr KernelOps kW4Ops = VectorKernelOps<4>(KernelTier::kNeon, "w4");
+// The vector template at 4 lanes, compiled with this file's default flags
+// (the scalar tier's ISA) and never registered as a tier, so every build
+// checks the template at a width no registered tier uses.
+constexpr KernelOps kW4Ops = VectorKernelOps<4>(KernelTier::kScalar, "w4");
 
 // The tables the op-level tests check: every available vector tier, plus W4.
 std::vector<const KernelOps*> VectorTables() {
@@ -58,9 +57,6 @@ std::vector<const KernelOps*> VectorTables() {
   }
   if (KernelTierAvailable(KernelTier::kAvx512)) {
     tables.push_back(GetAvx512Kernels());
-  }
-  if (KernelTierAvailable(KernelTier::kNeon)) {
-    tables.push_back(GetNeonKernels());
   }
   tables.push_back(&kW4Ops);
   return tables;

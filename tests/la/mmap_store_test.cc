@@ -63,7 +63,7 @@ TEST(MmapStoreTest, RoundTripIsBitwise) {
   EXPECT_EQ(std::memcmp(view.data(), original.data(), original.ByteSize()),
             0);
   for (size_t r = 0; r < original.rows(); ++r) {
-    auto row = store->RowView(r);
+    auto row = view.Row(r);
     ASSERT_EQ(row.size(), original.cols());
     EXPECT_EQ(std::memcmp(row.data(), original.Row(r).data(),
                           original.cols() * sizeof(float)),
@@ -183,20 +183,6 @@ TEST(MmapStoreTest, TrackerChargesResidentBudgetNotLogicalBytes) {
   std::remove(path.c_str());
 }
 
-TEST(MmapStoreTest, DropResidentKeepsDataReadable) {
-  const Matrix m = RandomMatrix(50, 8, 331);
-  const std::string path = TempPath("drop.embf");
-  ASSERT_TRUE(MmapStore::Write(m, path).ok());
-  Result<MmapStore> store = MmapStore::Open(path);
-  ASSERT_TRUE(store.ok());
-  const Matrix before_drop = store->AsMatrix();  // borrowed
-  ASSERT_TRUE(store->DropResident().ok());
-  // Pages fault straight back in from the file: same bits.
-  EXPECT_EQ(
-      std::memcmp(before_drop.data(), m.data(), m.ByteSize()), 0);
-  std::remove(path.c_str());
-}
-
 // The whole point of the out-of-core path: feeding the engine borrowed
 // mmap-backed matrices changes where the bytes live, not a single bit of
 // what it computes.
@@ -261,9 +247,10 @@ TEST(MmapStoreTest, SynthPairIsDeterministicAndAligned) {
   ASSERT_TRUE(tgt.ok());
   ASSERT_EQ(src->rows(), options.rows);
   ASSERT_EQ(tgt->cols(), options.dim);
+  const Matrix src_view = src->AsMatrix();
   for (size_t r = 0; r < src->rows(); ++r) {
     double sq = 0.0;
-    for (float v : src->RowView(r)) sq += static_cast<double>(v) * v;
+    for (float v : src_view.Row(r)) sq += static_cast<double>(v) * v;
     EXPECT_NEAR(sq, 1.0, 1e-4) << "source row " << r << " not unit-norm";
   }
 

@@ -104,21 +104,6 @@ TEST(WorkspaceTest, MirrorsLogicalBytesIntoMemoryTracker) {
   ws.Release(*warm);
 }
 
-TEST(WorkspaceTest, TrimFreesPooledSlabsOnly) {
-  Workspace ws;
-  Result<Matrix> kept = ws.AcquireMatrix(4, 4);
-  Result<Matrix> freed = ws.AcquireMatrix(8, 8);
-  ASSERT_TRUE(kept.ok());
-  ASSERT_TRUE(freed.ok());
-  ws.Release(*freed);
-  ws.Trim();
-  EXPECT_EQ(ws.capacity_bytes(), 4 * 4 * sizeof(float));
-  // The still-leased matrix survives trimming.
-  kept->At(3, 3) = 1.0f;
-  EXPECT_EQ(kept->At(3, 3), 1.0f);
-  ws.Release(*kept);
-}
-
 TEST(WorkspaceTest, AcquireIndicesZeroed) {
   Workspace ws;
   Result<std::span<uint32_t>> idx = ws.AcquireIndices(16);

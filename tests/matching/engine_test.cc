@@ -81,20 +81,23 @@ TEST_F(MatchEngineTest, EveryPresetTwiceBitIdenticalToOneShot) {
 TEST_F(MatchEngineTest, WarmQueriesDoNotGrowArena) {
   const Matrix src = RandomMatrix(40, 8, 21);
   const Matrix tgt = RandomMatrix(30, 8, 22);
-  Result<MatchEngine> engine =
-      MatchEngine::Create(src, tgt, MakePreset(AlgorithmPreset::kRinf));
-  ASSERT_TRUE(engine.ok());
-  ASSERT_TRUE(engine->Match().ok());  // cold query sizes the pool
-  const size_t capacity = engine->workspace().capacity_bytes();
-  const size_t high_water = engine->workspace().high_water_bytes();
-  EXPECT_GT(capacity, 0u);
-  for (int warm = 0; warm < 3; ++warm) {
-    ASSERT_TRUE(engine->Match().ok());
-    EXPECT_EQ(engine->workspace().capacity_bytes(), capacity)
-        << "arena grew on warm query " << warm;
-    EXPECT_EQ(engine->workspace().high_water_bytes(), high_water)
-        << "per-query peak drifted on warm query " << warm;
-    EXPECT_EQ(engine->workspace().in_use_bytes(), 0u);
+  for (AlgorithmPreset preset : EnginePresets()) {
+    Result<MatchEngine> engine =
+        MatchEngine::Create(src, tgt, MakePreset(preset));
+    ASSERT_TRUE(engine.ok()) << PresetName(preset);
+    ASSERT_TRUE(engine->Match().ok());  // cold query sizes the pool
+    const size_t capacity = engine->workspace().capacity_bytes();
+    const size_t high_water = engine->workspace().high_water_bytes();
+    EXPECT_GT(capacity, 0u) << PresetName(preset);
+    for (int warm = 0; warm < 3; ++warm) {
+      ASSERT_TRUE(engine->Match().ok()) << PresetName(preset);
+      EXPECT_EQ(engine->workspace().capacity_bytes(), capacity)
+          << PresetName(preset) << ": arena grew on warm query " << warm;
+      EXPECT_EQ(engine->workspace().high_water_bytes(), high_water)
+          << PresetName(preset) << ": per-query peak drifted on warm query "
+          << warm;
+      EXPECT_EQ(engine->workspace().in_use_bytes(), 0u) << PresetName(preset);
+    }
   }
 }
 

@@ -78,11 +78,13 @@ TEST_F(ThreadingDeterminismTest, ComputeSimilarityAllMetrics) {
 
 TEST_F(ThreadingDeterminismTest, CslsTransform) {
   const Matrix scores = RandomMatrix(83, 61, 3);
-  ExpectBitIdenticalAcrossThreadCounts("csls", [&] {
-    Result<Matrix> r = CslsTransform(scores, 5);
-    EXPECT_TRUE(r.ok());
-    return std::move(r).value();
-  });
+  for (size_t k : {size_t{5}, size_t{10}}) {
+    ExpectBitIdenticalAcrossThreadCounts("csls", [&] {
+      Result<Matrix> r = CslsTransform(scores, k);
+      EXPECT_TRUE(r.ok());
+      return std::move(r).value();
+    });
+  }
 }
 
 TEST_F(ThreadingDeterminismTest, RinfTransform) {

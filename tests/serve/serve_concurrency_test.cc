@@ -1,7 +1,9 @@
 // Multi-worker serving contracts (runs under TSan and ASan in CI):
 //   - the SAME mixed-preset storm produces byte-identical responses and
-//     identical admission/outcome ledgers at serve_workers 1, 4, and 8, and
-//     every answer equals the solo MatchEngine answer;
+//     identical admission/outcome ledgers at serve_workers 1, 2, 4, and 8,
+//     every answer equals the solo MatchEngine answer, and a 4-worker
+//     server with the result cache on serves the same bytes, from the cache
+//     on a repeat;
 //   - a hot swap under load never yields a batch that mixes snapshot
 //     versions (asserted from (batch_id, snapshot_version) on responses)
 //     and the displaced snapshot is reclaimed once in-flight passes drain,
@@ -106,15 +108,11 @@ class ServeConcurrencyTest : public ::testing::Test {
     return request;
   }
 
-  /// Runs the canonical mixed-preset storm at `workers` and collects the
-  /// worker-count-independent outcome.
-  StormOutcome RunStorm(size_t workers) {
-    MatchServerConfig config;
-    config.queue_capacity = 512;
-    config.serve_workers = workers;
-    std::unique_ptr<MatchServer> server = MakeServer(config);
-    EXPECT_EQ(server->serve_workers(), workers);
-
+  /// Submits the canonical mixed-preset storm to a started `server` and
+  /// collects its answers; `cached_matches`, when given, counts the match
+  /// responses the result cache served.
+  static StormOutcome SubmitStorm(MatchServer* server,
+                                  size_t* cached_matches = nullptr) {
     constexpr int kRepeats = 5;
     constexpr size_t kTopK = 3;
     std::vector<std::future<ServeResponse>> match_futures;
@@ -135,12 +133,25 @@ class ServeConcurrencyTest : public ::testing::Test {
       EXPECT_TRUE(response.status.ok()) << response.status.ToString();
       EXPECT_EQ(response.snapshot_version, 1u);
       outcome.assignments.push_back(response.assignment.target_of_source);
+      if (cached_matches != nullptr && response.cached) ++*cached_matches;
     }
     for (std::future<ServeResponse>& future : topk_futures) {
       ServeResponse response = future.get();
       EXPECT_TRUE(response.status.ok()) << response.status.ToString();
       outcome.topks.push_back(response.topk);
     }
+    return outcome;
+  }
+
+  /// Runs the canonical mixed-preset storm at `workers` and collects the
+  /// worker-count-independent outcome.
+  StormOutcome RunStorm(size_t workers) {
+    MatchServerConfig config;
+    config.queue_capacity = 512;
+    config.serve_workers = workers;
+    std::unique_ptr<MatchServer> server = MakeServer(config);
+    EXPECT_EQ(server->serve_workers(), workers);
+    StormOutcome outcome = SubmitStorm(server.get());
     server->Shutdown();
     const ServerStatsSnapshot stats = server->Stats();
     outcome.submitted = stats.submitted;
@@ -162,10 +173,30 @@ class ServeConcurrencyTest : public ::testing::Test {
 
 TEST_F(ServeConcurrencyTest, StormIsBitIdenticalAtEveryWorkerCount) {
   const StormOutcome one = RunStorm(1);
-  const StormOutcome four = RunStorm(4);
-  const StormOutcome eight = RunStorm(8);
-  EXPECT_TRUE(one == four) << "workers=4 diverged from workers=1";
-  EXPECT_TRUE(one == eight) << "workers=8 diverged from workers=1";
+  for (size_t workers : {2u, 4u, 8u}) {
+    EXPECT_TRUE(one == RunStorm(workers))
+        << "workers=" << workers << " diverged from workers=1";
+  }
+
+  // Cache hits change speed, never bytes: the storm twice through a
+  // 4-worker server with the result cache on answers as the uncached runs
+  // did, and every match of the second pass is a cache hit.
+  MatchServerConfig config;
+  config.queue_capacity = 512;
+  config.serve_workers = 4;
+  config.result_cache_bytes = 1 << 20;
+  std::unique_ptr<MatchServer> server = MakeServer(config);
+  for (int pass = 0; pass < 2; ++pass) {
+    size_t cached_matches = 0;
+    const StormOutcome cached = SubmitStorm(server.get(), &cached_matches);
+    EXPECT_EQ(cached.assignments, one.assignments) << "cached pass " << pass;
+    EXPECT_EQ(cached.topks, one.topks) << "cached pass " << pass;
+    if (pass == 1) {
+      EXPECT_EQ(cached_matches, cached.assignments.size())
+          << "second pass recomputed a match the cache holds";
+    }
+  }
+  server->Shutdown();
 
   // And the served bytes are the solo-engine bytes, not merely stable.
   const std::vector<AlgorithmPreset> presets = StormPresets();

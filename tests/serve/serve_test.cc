@@ -23,11 +23,14 @@
 #include <thread>
 #include <vector>
 
+#include "common/fault.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "index/candidate_index.h"
 #include "la/topk.h"
 #include "matching/engine.h"
 #include "serve/client.h"
+#include "serve/protocol.h"
 #include "serve/socket_server.h"
 
 namespace entmatcher {
@@ -55,6 +58,8 @@ class ServeTest : public ::testing::Test {
   ServeTest()
       : source_(RandomEmbeddings(24, /*seed=*/5)),
         target_(RandomEmbeddings(30, /*seed=*/8)) {}
+
+  void TearDown() override { FaultInjector::Global().Disarm(); }
 
   /// A ready server with `source_`/`target_` loaded as "default".
   std::unique_ptr<MatchServer> MakeServer(const MatchServerConfig& config,
@@ -312,6 +317,26 @@ TEST_F(ServeTest, HealthJsonReportsWatermarksAndShedRate) {
   EXPECT_NE(health.find("\"shed_rate\""), std::string::npos);
   // No plan armed in the default test binary.
   EXPECT_NE(health.find("\"fault_plan\": \"off\""), std::string::npos);
+}
+
+// FaultPlan::Parse takes any bytes before ':' as a point name, and the
+// health reply carries the armed spec. A quote or backslash there must not
+// break the reply: the router's swap pin and the supervisor's re-join read
+// pair versions out of it. The point never fires, so arming it works in
+// every build.
+TEST_F(ServeTest, HealthJsonEscapesTheArmedFaultPlan) {
+  std::unique_ptr<MatchServer> server = MakeServer(MatchServerConfig());
+  Result<FaultPlan> plan = FaultPlan::Parse("no\"such\\point:p=0.5");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  FaultInjector::Global().Arm(std::move(plan).value(), /*seed=*/7);
+
+  const std::string health = server->HealthJson();
+  Result<JsonValue> doc = JsonValue::Parse(health);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString() << ": " << health;
+  const JsonValue* fault_plan = doc->Find("fault_plan");
+  ASSERT_NE(fault_plan, nullptr) << health;
+  EXPECT_EQ(fault_plan->AsString(), FaultInjector::Global().Fingerprint());
+  EXPECT_EQ(HealthPairVersion(health, "default"), 1u);
 }
 
 // Satellite 4 — rejection storm: many threads slam a tiny, *stopped* queue
