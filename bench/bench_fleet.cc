@@ -25,8 +25,8 @@
 // A recovery section then SIGKILLs shards in rotation under a
 // FleetSupervisor and reports reap→re-admission restart-latency p50/p99;
 // its gate is that every kill completes a recovery cycle with no permanent
-// failures. EM_FAULT_PLAN is honored (faults builds only) so CI can inject
-// fleet.spawn failures into the restart path.
+// failures. EM_FAULT_PLAN is honored, so CI can inject fleet.spawn
+// failures into the restart path.
 //
 // Usage:
 //   ./bench_fleet                     # sizes scaled by EM_BENCH_SCALE

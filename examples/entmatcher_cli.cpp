@@ -83,8 +83,7 @@
 //       with --index attached, --degrade-watermark instead rewrites
 //       eligible dense matches onto the sparse candidate path under load.
 //       A fault plan in EM_FAULT_PLAN (seeded by EM_FAULT_SEED) is armed
-//       at startup — chaos builds only (-DENTMATCHER_FAULTS=ON); see
-//       src/common/fault.h for the grammar.
+//       at startup; see src/common/fault.h for the grammar.
 //   entmatcher_cli swap <src.emat> <tgt.emat> [--pair=NAME] [--socket=PATH]
 //                  [--index=PATH]
 //       Hot-swap the embeddings of a pair on a running `serve` instance:
@@ -1265,8 +1264,9 @@ int CmdFleetServe(int argc, char** argv) {
   Result<ShardPlan> plan = ShardPlan::Load(plan_path);
   if (!plan.ok()) return Fail(plan.status());
 
-  // Chaos plans arm per process: a shard inherits EM_FAULT_PLAN through the
-  // environment, so injected faults hit shards, not the router.
+  // Chaos plans arm per process: each shard inherits EM_FAULT_PLAN through
+  // the environment, and the router arms it too, since the supervisor's
+  // fleet.spawn and fleet.rejoin.swap points fire in this process.
   Status faults = ArmFaultInjectionFromEnv();
   if (!faults.ok()) return Fail(faults);
 

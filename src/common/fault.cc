@@ -255,11 +255,6 @@ std::string FaultInjector::Fingerprint() const {
 Status ArmFaultInjectionFromEnv() {
   const char* spec = std::getenv("EM_FAULT_PLAN");
   if (spec == nullptr || spec[0] == '\0') return Status::OK();
-  if (!kFaultInjectionCompiled) {
-    return Status::FailedPrecondition(
-        "EM_FAULT_PLAN is set but this build compiled fault injection out; "
-        "rebuild with -DENTMATCHER_FAULTS=ON");
-  }
   EM_ASSIGN_OR_RETURN(FaultPlan plan, FaultPlan::Parse(spec));
   uint64_t seed = 42;
   if (const char* seed_env = std::getenv("EM_FAULT_SEED")) {

@@ -18,20 +18,18 @@ namespace entmatcher {
 ///
 /// Production code declares *named injection points* at the places that can
 /// actually fail under pressure — engine scores passes, workspace leases,
-/// index loads, the socket frame loops — via the EM_INJECT_FAULT /
-/// EM_FAULT_PARAM / EM_FAULT_FIRED macros below. A FaultPlan (parsed from a
-/// compact spec string, usually the EM_FAULT_PLAN environment variable) arms
-/// a set of rules against those points: each rule fires on a seeded-RNG
+/// index loads, the socket frame loops — via EM_INJECT_FAULT below, or
+/// FaultInjector::Global().Param() / .Fired() at sites that take a numeric
+/// parameter or corrupt data in place. A FaultPlan (parsed from a compact
+/// spec string, usually the EM_FAULT_PLAN environment variable) arms a set
+/// of rules against those points: each rule fires on a seeded-RNG
 /// probability or on every nth call, optionally capped, and either injects a
 /// Status, injects latency, or hands the call site a numeric parameter
 /// (e.g. a forced write-chunk size).
 ///
-/// The whole substrate is compiled to zero-cost no-ops unless the build sets
-/// -DENTMATCHER_FAULTS=ON (which defines ENTMATCHER_FAULTS_ENABLED): in
-/// default builds the macros expand to nothing, so hot paths carry no fault
-/// branches, no registry lookups, and no fault symbols. The FaultInjector
-/// class itself always compiles so plans can be parsed, fingerprinted, and
-/// unit-tested in every configuration.
+/// Every build compiles the points. A disarmed point costs a call into the
+/// injector, one acquire load of `armed()` and a branch; the points sit at
+/// per-query, per-lease, per-frame and per-load sites, never in a kernel.
 ///
 /// Determinism: rules draw from per-rule RNG streams forked from the armed
 /// seed, and per-rule call counters are advanced under one mutex, so a
@@ -41,19 +39,13 @@ namespace entmatcher {
 /// reality — every request terminates with a definite Status and successful
 /// responses stay bit-identical to a fault-free run.
 
-#ifdef ENTMATCHER_FAULTS_ENABLED
-inline constexpr bool kFaultInjectionCompiled = true;
-#else
-inline constexpr bool kFaultInjectionCompiled = false;
-#endif
-
 /// What one armed rule does when it fires.
 enum class FaultKind {
   /// Return an injected Status from the call site (after any latency).
   kStatus,
   /// Only sleep for latency_micros; the call proceeds normally.
   kDelay,
-  /// Expose `arg` to EM_FAULT_PARAM call sites; no status, no sleep.
+  /// Expose `arg` to Param() call sites; no status, no sleep.
   kParam,
 };
 
@@ -101,8 +93,7 @@ class FaultPlan {
   std::string spec_;
 };
 
-/// Process-wide fault registry. Thread-safe; disarmed by default (and in
-/// fault-free builds the hot-path macros never reach it at all).
+/// Process-wide fault registry. Thread-safe; disarmed by default.
 class FaultInjector {
  public:
   static FaultInjector& Global();
@@ -163,14 +154,12 @@ class FaultInjector {
 };
 
 /// Arms the global injector from EM_FAULT_PLAN / EM_FAULT_SEED. No plan in
-/// the environment is OK (stays disarmed); a plan set against a build
-/// without ENTMATCHER_FAULTS=ON is kFailedPrecondition — a silently ignored
-/// chaos run must not look like a clean one.
+/// the environment is OK (stays disarmed); a malformed plan or seed is
+/// kInvalidArgument.
 Status ArmFaultInjectionFromEnv();
 
-// Hot-path macros. With faults compiled out they expand to nothing, so the
-// injection points cost zero and leave no symbols behind.
-#ifdef ENTMATCHER_FAULTS_ENABLED
+/// Returns the Status injected at `point` from the enclosing function, which
+/// must return Status or Result<T>.
 #define EM_INJECT_FAULT(point, default_code)                       \
   do {                                                             \
     ::entmatcher::Status _em_fault_status =                        \
@@ -178,17 +167,6 @@ Status ArmFaultInjectionFromEnv();
             (point), (default_code));                              \
     if (!_em_fault_status.ok()) return _em_fault_status;           \
   } while (0)
-#define EM_FAULT_PARAM(point) \
-  (::entmatcher::FaultInjector::Global().Param((point)))
-#define EM_FAULT_FIRED(point) \
-  (::entmatcher::FaultInjector::Global().Fired((point)))
-#else
-#define EM_INJECT_FAULT(point, default_code) \
-  do {                                       \
-  } while (0)
-#define EM_FAULT_PARAM(point) (uint64_t{0})
-#define EM_FAULT_FIRED(point) (false)
-#endif
 
 }  // namespace entmatcher
 

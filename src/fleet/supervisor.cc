@@ -220,7 +220,7 @@ void FleetSupervisor::WatchLoop() {
           continue;
         }
         if (Clock::now() < tracked.next_attempt) continue;
-        StepRecovery(lock, tracked);
+        StepRecovery(lock, tracked, *process);
       }
     }
     std::this_thread::sleep_for(kWatchTick);
@@ -228,7 +228,8 @@ void FleetSupervisor::WatchLoop() {
 }
 
 void FleetSupervisor::StepRecovery(std::unique_lock<std::mutex>& lock,
-                                   Tracked& tracked) {
+                                   Tracked& tracked,
+                                   const ShardProcessStatus& process) {
   const auto escalate = [this, &tracked] {
     tracked.backoff_micros = std::min(
         policy_.max_backoff_micros,
@@ -261,6 +262,14 @@ void FleetSupervisor::StepRecovery(std::unique_lock<std::mutex>& lock,
     tracked.respawned = true;
     tracked.spawned_at = Clock::now();
     // Fall through: probe immediately; a fast boot re-admits this tick.
+  } else if (process.exits == process.spawns) {
+    // Polled on a tick after the respawn, so an exit for every spawn means
+    // the respawned process died too: strike now, not after the boot budget.
+    ++tracked.boot_failures;
+    tracked.respawned = false;
+    Strike(tracked);
+    if (!tracked.permanently_failed) escalate();
+    return;
   }
 
   // Boot gate: the process exists but may not be listening yet.

@@ -40,8 +40,9 @@ struct RestartPolicy {
   double multiplier = 2.0;
   /// Strikes older than this no longer count against the budget.
   uint64_t strike_window_micros = 60000000;
-  /// How long a respawned process gets to answer health before the
-  /// supervisor gives up on the boot (SIGKILL + strike).
+  /// How long a respawned process that stays alive gets to answer health
+  /// before the supervisor gives up on the boot (SIGKILL + strike). One
+  /// that exits first strikes as soon as the watch loop reaps it.
   uint64_t boot_budget_micros = 15000000;
   /// 0 = derive from EM_FAULT_SEED (or 17 when unset).
   uint64_t jitter_seed = 0;
@@ -177,9 +178,11 @@ class FleetSupervisor {
   };
 
   void WatchLoop();
-  /// One recovery step for a shard whose next_attempt has arrived. mu_ is
-  /// held on entry and exit but released around socket I/O.
-  void StepRecovery(std::unique_lock<std::mutex>& lock, Tracked& tracked);
+  /// One recovery step for a shard whose next_attempt has arrived, given
+  /// this tick's process status. mu_ is held on entry and exit but released
+  /// around socket I/O.
+  void StepRecovery(std::unique_lock<std::mutex>& lock, Tracked& tracked,
+                    const ShardProcessStatus& process);
   /// Drives the newcomer to the surviving owners' max snapshot version via
   /// the shard-side swap version= floor. Carries `fleet.rejoin.swap`.
   Status Converge(const Tracked& tracked);

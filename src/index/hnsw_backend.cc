@@ -447,7 +447,7 @@ Result<std::unique_ptr<HnswBackend>> HnswBackend::LoadPayload(
     }
     index->upper_[static_cast<uint32_t>(node)] = std::move(lists);
   }
-  if (EM_FAULT_FIRED("index.load.corrupt")) {
+  if (FaultInjector::Global().Fired("index.load.corrupt")) {
     // Chaos point: flip a high bit in the entry point so the validation
     // below must catch in-memory corruption, not just truncation.
     index->entry_point_ ^= 0x80000000u;

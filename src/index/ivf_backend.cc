@@ -165,7 +165,8 @@ Result<std::unique_ptr<IvfBackend>> IvfBackend::LoadPayload(
           static_cast<std::streamsize>(index->list_ids_.size() *
                                        sizeof(uint32_t)));
   if (!in) return Status::IoError("truncated index data: " + path);
-  if (!index->list_ids_.empty() && EM_FAULT_FIRED("index.load.corrupt")) {
+  if (!index->list_ids_.empty() &&
+      FaultInjector::Global().Fired("index.load.corrupt")) {
     // Chaos point: flip a high bit in the first inverted-list id so the
     // validation below must catch in-memory corruption, not just truncation.
     index->list_ids_[0] ^= 0x80000000u;

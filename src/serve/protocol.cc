@@ -31,7 +31,8 @@ Status WriteAll(int fd, const char* data, size_t size) {
     // 1-byte chunks so every short-write path is exercised.
     EM_INJECT_FAULT("socket.write", StatusCode::kIoError);
     size_t chunk = size - written;
-    if (const uint64_t forced = EM_FAULT_PARAM("socket.write.chunk");
+    if (const uint64_t forced =
+            FaultInjector::Global().Param("socket.write.chunk");
         forced > 0 && forced < chunk) {
       chunk = static_cast<size_t>(forced);
     }
@@ -54,7 +55,8 @@ Status ReadAll(int fd, char* data, size_t size, bool* any_read) {
     // latency_us= for a stall), or force 1-byte chunks.
     EM_INJECT_FAULT("socket.read", StatusCode::kIoError);
     size_t chunk = size - filled;
-    if (const uint64_t forced = EM_FAULT_PARAM("socket.read.chunk");
+    if (const uint64_t forced =
+            FaultInjector::Global().Param("socket.read.chunk");
         forced > 0 && forced < chunk) {
       chunk = static_cast<size_t>(forced);
     }

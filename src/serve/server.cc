@@ -139,6 +139,13 @@ Result<std::unique_ptr<MatchServer>> MatchServer::Create(
     return Status::InvalidArgument(
         "MatchServer: shed_watermark above queue_capacity would never fire");
   }
+  // Submit refuses a full queue before it reaches the degrade branch, so a
+  // watermark at capacity would never degrade (shed at capacity still sheds).
+  if (config.degrade_watermark >= config.queue_capacity) {
+    return Status::InvalidArgument(
+        "MatchServer: degrade_watermark at or above queue_capacity would "
+        "never fire");
+  }
   if (config.degrade_watermark > 0 && config.degrade_num_candidates == 0) {
     return Status::InvalidArgument(
         "MatchServer: degrade_num_candidates must be >= 1 when degrading");

@@ -52,7 +52,8 @@ struct MatchServerConfig {
   /// index attached for the pair via AttachIndex) is rewritten to the sparse
   /// candidate path — approximate answers at a fraction of the kernel cost.
   /// Checked before shed_watermark, so degrade < shed means "degrade first,
-  /// shed only deeper". 0 disables.
+  /// shed only deeper". 0 disables; otherwise it must be below
+  /// queue_capacity, where a full queue refuses before degrading.
   size_t degrade_watermark = 0;
   /// Candidates per source row / probe knobs used for degraded requests
   /// (nprobe feeds an IVF pair index, ef an HNSW one; the inactive knob is

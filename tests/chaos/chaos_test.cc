@@ -1,6 +1,6 @@
 // Chaos suite: drives real fault plans through the engine, workspace, index
-// and socket layers (only built with -DENTMATCHER_FAULTS=ON; ctest label
-// `chaos`). The golden invariants, whatever the plan:
+// and socket layers (ctest label `chaos`). The golden invariants, whatever
+// the plan:
 //   1. nothing crashes or deadlocks — every submitted request terminates,
 //   2. every answer carries a definite Status (injected codes included),
 //   3. submitted == admitted + rejected (stats never lose a request),
@@ -29,9 +29,6 @@
 
 namespace entmatcher {
 namespace {
-
-static_assert(kFaultInjectionCompiled,
-              "chaos_test must be built with ENTMATCHER_FAULTS=ON");
 
 constexpr size_t kDim = 16;
 

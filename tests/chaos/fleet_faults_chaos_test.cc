@@ -4,8 +4,7 @@
 // swap) — and holds the supervisor to its ledger: each injected failure is
 // exactly one strike of the right kind, the shard stays un-admitted until a
 // clean retry lands, and the recovered fleet serves bit-identical answers.
-// Needs both compiled-in fault points (ENTMATCHER_FAULTS) and real shard
-// processes (EM_CLI_PATH).
+// Needs real shard processes (EM_CLI_PATH).
 
 #include <sys/stat.h>
 #include <unistd.h>

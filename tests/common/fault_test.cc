@@ -1,6 +1,7 @@
 #include "common/fault.h"
 
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -160,18 +161,26 @@ TEST_F(FaultTest, FingerprintIsStableAndSeedSensitive) {
   EXPECT_NE(a.find("p:nth=1"), std::string::npos);
 }
 
-TEST_F(FaultTest, ArmFromEnvRespectsCompileGate) {
-  ::setenv("EM_FAULT_PLAN", "engine.scores:p=0.1", 1);
+Status GuardedByTestPoint() {
+  EM_INJECT_FAULT("test.point", StatusCode::kInternal);
+  return Status::OK();
+}
+
+TEST_F(FaultTest, ArmFromEnvArmsAPlanThatFiresAtItsPoint) {
+  EXPECT_TRUE(GuardedByTestPoint().ok());
+  ::setenv("EM_FAULT_PLAN", "test.point:nth=2,code=Unavailable", 1);
   ::setenv("EM_FAULT_SEED", "99", 1);
   const Status status = ArmFaultInjectionFromEnv();
-  if (kFaultInjectionCompiled) {
-    ASSERT_TRUE(status.ok()) << status.ToString();
-    EXPECT_TRUE(FaultInjector::Global().armed());
-  } else {
-    // A plan against a fault-free build must fail loudly: a silently
-    // ignored chaos run would masquerade as a clean one.
-    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
-  }
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_TRUE(FaultInjector::Global().armed());
+  EXPECT_NE(FaultInjector::Global().Fingerprint().find(
+                "test.point:nth=2,code=Unavailable"),
+            std::string::npos);
+  EXPECT_TRUE(GuardedByTestPoint().ok());
+  const Status fired = GuardedByTestPoint();
+  EXPECT_EQ(fired.code(), StatusCode::kUnavailable);
+  EXPECT_NE(fired.message().find("test.point"), std::string::npos);
+  EXPECT_EQ(FaultInjector::Global().total_fires(), 1u);
 }
 
 TEST_F(FaultTest, ArmFromEnvWithoutPlanIsANoOp) {
@@ -181,7 +190,6 @@ TEST_F(FaultTest, ArmFromEnvWithoutPlanIsANoOp) {
 }
 
 TEST_F(FaultTest, ArmFromEnvRejectsBadSeed) {
-  if (!kFaultInjectionCompiled) GTEST_SKIP() << "faults compiled out";
   ::setenv("EM_FAULT_PLAN", "p:nth=1", 1);
   ::setenv("EM_FAULT_SEED", "not-a-number", 1);
   EXPECT_EQ(ArmFaultInjectionFromEnv().code(), StatusCode::kInvalidArgument);

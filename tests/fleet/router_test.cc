@@ -551,15 +551,15 @@ TEST_F(RouterTest, RouterHandlerSpeaksTheWireProtocol) {
   EXPECT_TRUE(shutdown);
 }
 
-// Circuit breaker: consecutive transport failures open it (fail-fast), the
-// deterministic cooldown half-opens it, and one probe success re-closes it.
-// The ledger is exact because max_attempts=1 makes every failed query
-// exactly one attempt on the dead channel.
-TEST_F(RouterTest, CircuitBreakerOpensFailsFastAndRecloses) {
+// Circuit breaker: consecutive transport failures open it, and while open
+// it fails fast. The ledger is exact because max_attempts=1 makes every
+// failed query exactly one attempt on the dead channel; the cooldown is
+// longer than any run, so the fail-fast query can never be the probe.
+TEST_F(RouterTest, CircuitBreakerOpensAndFailsFast) {
   RouterConfig config;
   config.retry.max_attempts = 1;
   config.breaker_failures = 2;
-  config.breaker_cooldown_micros = 50'000;
+  config.breaker_cooldown_micros = 60'000'000;
   Fleet fleet(source_, target_, 2, 1, /*replicas=*/0, config);
   const WireRequest request = MatchRequest(AlgorithmPreset::kCsls);
   ASSERT_TRUE(fleet.router().Query(request).ok());  // prime both channels
@@ -568,7 +568,7 @@ TEST_F(RouterTest, CircuitBreakerOpensFailsFastAndRecloses) {
   // Failures 1 and 2: real connect attempts; the second trips the breaker.
   EXPECT_FALSE(fleet.router().Query(request).ok());
   EXPECT_FALSE(fleet.router().Query(request).ok());
-  RouterStatsSnapshot stats = fleet.router().Stats();
+  const RouterStatsSnapshot stats = fleet.router().Stats();
   EXPECT_EQ(stats.breaker_opens, 1u) << stats.ToJson();
   // Open: fails fast without dialing, and says so.
   Result<WireResponse> fast = fleet.router().Query(request);
@@ -576,15 +576,29 @@ TEST_F(RouterTest, CircuitBreakerOpensFailsFastAndRecloses) {
   EXPECT_NE(fast.status().message().find("circuit breaker open"),
             std::string::npos);
   EXPECT_EQ(fleet.router().Stats().breaker_opens, 1u);
+}
 
-  // Recovery + cooldown: the next attempt is the half-open probe; its
-  // success re-closes the breaker and the query goes through.
+// After the cooldown the next attempt is the half-open probe; its success
+// re-closes the breaker and the query goes through.
+TEST_F(RouterTest, CircuitBreakerReclosesAfterCooldown) {
+  RouterConfig config;
+  config.retry.max_attempts = 1;
+  config.breaker_failures = 2;
+  config.breaker_cooldown_micros = 1'000;
+  Fleet fleet(source_, target_, 2, 1, /*replicas=*/0, config);
+  const WireRequest request = MatchRequest(AlgorithmPreset::kCsls);
+  ASSERT_TRUE(fleet.router().Query(request).ok());  // prime both channels
+
+  fleet.StopShard(0);
+  EXPECT_FALSE(fleet.router().Query(request).ok());
+  EXPECT_FALSE(fleet.router().Query(request).ok());
   fleet.RestartShard(0);
-  std::this_thread::sleep_for(std::chrono::microseconds(70'000));
+  std::this_thread::sleep_for(
+      std::chrono::microseconds(config.breaker_cooldown_micros));
   Result<WireResponse> recovered = fleet.router().Query(request);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  stats = fleet.router().Stats();
-  EXPECT_EQ(stats.breaker_opens, 1u);
+  const RouterStatsSnapshot stats = fleet.router().Stats();
+  EXPECT_EQ(stats.breaker_opens, 1u) << stats.ToJson();
   EXPECT_EQ(stats.breaker_half_opens, 1u);
   EXPECT_EQ(stats.breaker_closes, 1u);
 }

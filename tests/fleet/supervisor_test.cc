@@ -335,5 +335,44 @@ TEST_F(SupervisorTest, UnrecoverableShardPermanentlyFailsAfterStrikes) {
   manager.StopAll();
 }
 
+// The default policy retires a shard that dies at every boot: each respawn
+// that exits strikes as soon as the watch loop reaps it, so strikes land a
+// backoff apart. Waiting out the 15 s boot budget per strike instead would
+// let the oldest strike leave the 60 s window before the fifth landed, and
+// the shard would be re-forked forever.
+TEST_F(SupervisorTest, BootDeadShardRetiresUnderTheDefaultPolicy) {
+  const ShardPlan plan = MakePlan(/*shards=*/2, /*replicas=*/1);
+  ShardManager manager;
+  ASSERT_TRUE(
+      manager.Start(plan, ShardCommand::SelfServe(plan_path_, cli_path_))
+          .ok());
+  ASSERT_TRUE(manager.WaitHealthy(20'000'000).ok());
+  Result<std::unique_ptr<Router>> router = Router::Create(plan, {});
+  ASSERT_TRUE(router.ok());
+
+  RestartPolicy policy;
+  policy.jitter_seed = 7;
+  FleetSupervisor supervisor(&manager, router->get(), plan, policy);
+  ASSERT_TRUE(supervisor.Start().ok());
+
+  ASSERT_EQ(::unlink((dir_ + "/src.emat").c_str()), 0);
+  ASSERT_EQ(::unlink((dir_ + "/tgt.emat").c_str()), 0);
+  ASSERT_TRUE(manager.Kill(0, SIGKILL).ok());
+
+  // Every backoff before a strike is at most max_backoff_micros.
+  const Status verdict = supervisor.WaitRestarts(
+      0, 1, policy.max_strikes * policy.max_backoff_micros);
+  EXPECT_EQ(verdict.code(), StatusCode::kInternal) << verdict.ToString();
+  EXPECT_NE(verdict.message().find("permanently failed"), std::string::npos);
+  const std::vector<ShardRecoveryStatus> ledger = supervisor.Ledger();
+  EXPECT_TRUE(ledger[0].permanently_failed);
+  EXPECT_EQ(ledger[0].boot_failures, policy.max_strikes);
+  EXPECT_EQ(ledger[0].strikes, policy.max_strikes);
+
+  supervisor.Stop();
+  router->reset();
+  manager.StopAll();
+}
+
 }  // namespace
 }  // namespace entmatcher

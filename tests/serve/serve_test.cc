@@ -104,6 +104,16 @@ TEST_F(ServeTest, CreateRejectsDegenerateConfig) {
   config = MatchServerConfig();
   config.max_batch = 0;
   EXPECT_FALSE(MatchServer::Create(config).ok());
+  config = MatchServerConfig();
+  config.shed_watermark = config.queue_capacity + 1;
+  EXPECT_EQ(MatchServer::Create(config).status().code(),
+            StatusCode::kInvalidArgument);
+  // A full queue refuses before the degrade branch, so a watermark at
+  // capacity could never degrade.
+  config = MatchServerConfig();
+  config.degrade_watermark = config.queue_capacity;
+  EXPECT_EQ(MatchServer::Create(config).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // EM_SERVE_WORKERS is outside input: anything but digits falls back to the
