@@ -9,7 +9,7 @@
 //   - every response is OK, so fast failures cannot pass as throughput;
 //   - on hosts with >= 4 hardware threads, workers=4 reaches >= 2x the QPS
 //     of workers=1 (the storm carries 4 distinct score signatures, so there
-//     is always enough independent group work to spread). On smaller hosts
+//     is always enough independent batch work to spread). On smaller hosts
 //     the gate is skipped: a 1-core runner cannot show parallel speedup.
 // That served bytes do not depend on the worker count or on cache hits is
 // a test (ServeConcurrencyTest.StormIsBitIdenticalAtEveryWorkerCount), not
@@ -17,7 +17,7 @@
 //
 // Usage:
 //   ./bench_concurrent                     # sizes scaled by EM_BENCH_SCALE
-//   EM_BENCH_SCALE=0.1 ./bench_concurrent  # CI smoke run
+//   EM_BENCH_SCALE=0.3 ./bench_concurrent  # CI smoke run
 
 #include <algorithm>
 #include <atomic>
@@ -50,7 +50,7 @@ Matrix RandomEmbeddings(size_t rows, uint64_t seed) {
   return m;
 }
 
-/// Four distinct score signatures — the independent group work the pool can
+/// Four distinct score signatures — the independent batch work the pool can
 /// actually parallelize.
 const std::vector<AlgorithmPreset>& StormPresets() {
   static const std::vector<AlgorithmPreset> presets = {

@@ -222,8 +222,8 @@ class MatchEngine {
   /// kDeadlineExceeded instead of finishing doomed kernels. Stages are never
   /// interrupted mid-kernel, so a passing query's arithmetic — and its
   /// bit-identity to the one-shot path — is untouched. Cleared by
-  /// ClearStageDeadline; the serving scheduler arms the *latest* deadline of
-  /// a batch so a short-deadline rider cannot abort a batch that still has
+  /// ClearStageDeadline; a serving worker arms the *latest* deadline of a
+  /// batch so a short-deadline rider cannot abort a batch that still has
   /// live requests.
   void SetStageDeadline(std::chrono::steady_clock::time_point deadline) {
     stage_deadline_ = deadline;

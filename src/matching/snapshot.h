@@ -47,7 +47,7 @@ enum class ColumnStatistic { kMax, kTopKMean };
 ///
 /// Lifetime: always held as std::shared_ptr<const PairSnapshot>, and a
 /// snapshot lives exactly as long as its last reference. Owners are the
-/// registry, scheduler groups and worker engines. A raw pointer into a
+/// registry, executing batches and worker engines. A raw pointer into a
 /// snapshot (the degrade path's rewritten candidate_index, borrowed cache
 /// rows) is only ever held by a pass that also holds a reference to that
 /// same snapshot, so it cannot outlive it.

@@ -68,8 +68,8 @@ namespace entmatcher {
 //                                      request line is space-tokenized).
 // <ALGO> is a paper preset name (DInf, CSLS, RInf, RInf-wr, RInf-pb, Sink.,
 // Hun., SMat). timeout_us carries the client's end-to-end deadline onto the
-// wire; the scheduler drops expired work before scoring and the engine
-// checks the deadline between stages.
+// wire; a worker drops expired work before scoring and the engine checks
+// the deadline between stages.
 //
 // Responses:
 //   "ok values <n> [version=V] [range=LO:HI] [scores=M] [coverage=LO:HI,...]\n"

@@ -35,9 +35,9 @@ namespace entmatcher {
 /// insert that would exceed the budget evicts from the cold tail first. An
 /// entry larger than the whole budget is simply not cached.
 ///
-/// Thread-safe: workers insert and the scheduler looks up concurrently; one
-/// internal mutex serializes them (the guarded work is pointer shuffling,
-/// orders of magnitude below a scores pass).
+/// Thread-safe: workers look up and insert concurrently; one internal mutex
+/// serializes them (the guarded work is pointer shuffling, orders of
+/// magnitude below a scores pass).
 class ResultCache {
  public:
   /// The answer payload of one finished query (exactly one field is

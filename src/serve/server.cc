@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
@@ -255,7 +256,7 @@ std::shared_ptr<const PairSnapshot> MatchServer::CurrentSnapshot(
 
 Status MatchServer::Start() {
   std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
-  if (scheduler_.joinable()) {
+  if (!workers_.empty()) {
     return Status::FailedPrecondition("MatchServer: already started");
   }
   {
@@ -264,7 +265,6 @@ Status MatchServer::Start() {
       return Status::FailedPrecondition("MatchServer: already shut down");
     }
   }
-  scheduler_ = std::thread(&MatchServer::SchedulerLoop, this);
   workers_.reserve(num_workers_);
   for (size_t i = 0; i < num_workers_; ++i) {
     workers_.emplace_back(&MatchServer::WorkerLoop, this);
@@ -323,8 +323,8 @@ std::future<ServeResponse> MatchServer::Submit(ServeRequest request) {
 
   // Degrade-to-sparse eligibility: a dense full-match whose stages all have
   // sparse variants, against a pair whose snapshot carries an index. Only
-  // the *flag* is set here — the scheduler rewrites the options from the
-  // snapshot it pins for the group, so the index pointer in the rewritten
+  // the *flag* is set here — the worker rewrites the options from the
+  // snapshot it pins for the batch, so the index pointer in the rewritten
   // options can never outlive its snapshot across a swap.
   const bool degradable =
       verdict.ok() && config_.degrade_watermark > 0 &&
@@ -471,21 +471,11 @@ void MatchServer::Shutdown() {
     stopping_ = true;
   }
   queue_cv_.notify_all();
-  // Order matters for definite termination: the scheduler drains the queue
-  // into the task deque and exits; only then do the workers get their stop
-  // flag, so every dispatched group is executed before they exit.
-  if (scheduler_.joinable()) scheduler_.join();
-  {
-    std::lock_guard<std::mutex> lock(tasks_mu_);
-    tasks_stopping_ = true;
-  }
-  tasks_cv_.notify_all();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
+  // Workers exit only once the queue is empty, so every request a started
+  // server admitted is executed before the joins return.
+  for (std::thread& worker : workers_) worker.join();
   workers_.clear();
-  // Only reachable with a non-empty queue when the scheduler never started:
-  // a running scheduler drains everything before exiting.
+  // Only reachable with a non-empty queue when no worker ever started.
   std::deque<Pending> leftover;
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
@@ -499,132 +489,45 @@ void MatchServer::Shutdown() {
   }
 }
 
-std::vector<MatchServer::Pending> MatchServer::NextCycle() {
+std::vector<MatchServer::Pending> MatchServer::NextBatch() {
+  std::lock_guard<std::mutex> collecting(collect_mu_);
   std::unique_lock<std::mutex> lock(queue_mu_);
   queue_cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
   if (queue_.empty()) return {};  // stopping, fully drained
 
-  std::vector<Pending> cycle;
-  cycle.push_back(std::move(queue_.front()));
+  std::vector<Pending> batch;
+  batch.push_back(std::move(queue_.front()));
   queue_.pop_front();
   const Clock::time_point flush_deadline =
-      Clock::now() + std::chrono::microseconds(config_.flush_micros);
-  while (cycle.size() < config_.max_batch) {
-    if (!queue_.empty()) {
-      cycle.push_back(std::move(queue_.front()));
-      queue_.pop_front();
+      batch.front().enqueued + std::chrono::microseconds(config_.flush_micros);
+  // The window is the head and the next max_batch - 1 queued requests.
+  // Requests it skips stay at the queue's front, in arrival order; only
+  // Submit touches the queue meanwhile, and it only appends.
+  size_t window = 1;
+  size_t skipped = 0;
+  while (window < config_.max_batch) {
+    if (skipped < queue_.size()) {
+      ++window;
+      auto it = queue_.begin() + static_cast<std::ptrdiff_t>(skipped);
+      // Re-read every time: a push_back may have moved the head.
+      const Pending& head = batch.front();
+      if (it->degraded == head.degraded &&
+          SharesBatch(it->request, head.request)) {
+        batch.push_back(std::move(*it));
+        queue_.erase(it);
+      } else {
+        ++skipped;
+      }
       continue;
     }
-    if (stopping_ || config_.flush_micros == 0) break;
     // Keep the batch open until the flush window closes or it fills.
-    if (!queue_cv_.wait_until(lock, flush_deadline, [&] {
-          return stopping_ || !queue_.empty();
+    if (stopping_ || !queue_cv_.wait_until(lock, flush_deadline, [&] {
+          return stopping_ || queue_.size() > skipped;
         })) {
       break;
     }
   }
-  return cycle;
-}
-
-void MatchServer::SchedulerLoop() {
-  for (;;) {
-    std::vector<Pending> cycle = NextCycle();
-    if (cycle.empty()) return;
-
-    // Pin one snapshot per pair for this whole cycle — every group formed
-    // below carries it, so a concurrent SwapPair cannot split a batch
-    // across versions.
-    std::map<std::string, std::shared_ptr<const PairSnapshot>> snapshots;
-    std::map<std::string, MatchOptions> bases;
-    for (const Pending& pending : cycle) {
-      const std::string& pair = pending.request.pair;
-      if (snapshots.count(pair) > 0) continue;
-      snapshots[pair] = registry_.Acquire(pair);
-      std::lock_guard<std::mutex> lock(pairs_mu_);
-      auto it = base_options_.find(pair);
-      if (it != base_options_.end()) bases[pair] = it->second;
-    }
-
-    const Clock::time_point now = Clock::now();
-    std::vector<Pending> runnable;
-    runnable.reserve(cycle.size());
-    for (Pending& pending : cycle) {
-      const std::shared_ptr<const PairSnapshot>& snapshot =
-          snapshots[pending.request.pair];
-      if (snapshot == nullptr) {
-        // Admitted against a pair that no longer resolves — cannot happen
-        // through the public API (pairs are never removed), but fail closed.
-        ServeResponse response;
-        response.status = Status::Internal(
-            "MatchServer: pair vanished after admission");
-        Respond(&pending, std::move(response));
-        continue;
-      }
-      if (pending.degraded) {
-        // Rewrite from the pinned snapshot: the index pointer lives exactly
-        // as long as the snapshot the group holds. A swap may have dropped
-        // the index since admission — serve dense, honestly undegraded.
-        const CandidateIndex* index = snapshot->index();
-        if (index != nullptr) {
-          pending.request.options.candidate_index = index;
-          pending.request.options.num_candidates =
-              config_.degrade_num_candidates;
-          pending.request.options.index_nprobe =
-              std::max<size_t>(1, config_.degrade_nprobe);
-          pending.request.options.index_ef =
-              std::max<size_t>(1, config_.degrade_ef);
-        } else {
-          pending.degraded = false;
-        }
-      } else if (cache_.enabled() && pending.deadline > now) {
-        ResultCache::Entry entry;
-        const std::string key = MakeResultKey(pending.request.pair,
-                                              snapshot->version(),
-                                              pending.request);
-        if (cache_.Lookup(key, &entry)) {
-          stats_.RecordCacheHit();
-          ServeResponse response;
-          response.cached = true;
-          response.snapshot_version = snapshot->version();
-          if (pending.request.kind == ServeQueryKind::kMatch) {
-            response.assignment = std::move(entry.assignment);
-          } else {
-            response.topk = std::move(entry.topk);
-            response.topk_scores = std::move(entry.topk_scores);
-          }
-          Respond(&pending, std::move(response));
-          continue;
-        }
-        stats_.RecordCacheMiss();
-      }
-      runnable.push_back(std::move(pending));
-    }
-
-    // Split into compatible groups (SharesBatch, judged after any degrade
-    // rewrite), preserving arrival order; each group is one batch,
-    // dispatched to the pool.
-    while (!runnable.empty()) {
-      const ServeRequest first = runnable.front().request;
-      GroupTask task;
-      task.pair = first.pair;
-      task.snapshot = snapshots[first.pair];
-      task.base_options = bases[first.pair];
-      std::vector<Pending> rest;
-      for (Pending& pending : runnable) {
-        if (SharesBatch(pending.request, first)) {
-          task.group.push_back(std::move(pending));
-        } else {
-          rest.push_back(std::move(pending));
-        }
-      }
-      runnable = std::move(rest);
-      {
-        std::lock_guard<std::mutex> lock(tasks_mu_);
-        tasks_.push_back(std::move(task));
-      }
-      tasks_cv_.notify_one();
-    }
-  }
+  return batch;
 }
 
 void MatchServer::WorkerLoop() {
@@ -632,54 +535,94 @@ void MatchServer::WorkerLoop() {
   // the arena is recycled across snapshot versions (TakeWorkspace), so a
   // swap does not re-grow slabs.
   std::map<std::string, WorkerEngine> engines;
-  for (;;) {
-    GroupTask task;
-    {
-      std::unique_lock<std::mutex> lock(tasks_mu_);
-      tasks_cv_.wait(lock, [&] { return tasks_stopping_ || !tasks_.empty(); });
-      if (tasks_.empty()) return;  // stopping, fully drained
-      task = std::move(tasks_.front());
-      tasks_.pop_front();
-    }
-    ExecuteGroup(std::move(task), &engines);
+  for (std::vector<Pending> batch = NextBatch(); !batch.empty();
+       batch = NextBatch()) {
+    ExecuteGroup(std::move(batch), &engines);
   }
 }
 
-void MatchServer::ExecuteGroup(GroupTask task,
+void MatchServer::ExecuteGroup(std::vector<Pending> group,
                                std::map<std::string, WorkerEngine>* engines) {
-  // task.snapshot pins the version for the whole pass: every raw pointer
-  // into it (the degrade rewrite's candidate_index, cache rows) stays valid
-  // until the task is destroyed, even if a swap displaces it mid-batch.
-
-  // Requests whose deadline passed while queued are answered without paying
-  // for any kernel work.
+  // Pin one snapshot (and the base options) for the whole batch: a
+  // concurrent SwapPair cannot split it across versions, and every raw
+  // pointer into the snapshot (the degrade rewrite's candidate_index, cache
+  // rows) stays valid until this returns, even if a swap displaces it
+  // mid-batch.
+  const std::string pair = group.front().request.pair;
+  const std::shared_ptr<const PairSnapshot> snapshot =
+      registry_.Acquire(pair);
+  MatchOptions base_options;
+  {
+    std::lock_guard<std::mutex> lock(pairs_mu_);
+    auto it = base_options_.find(pair);
+    if (it != base_options_.end()) base_options = it->second;
+  }
   const Clock::time_point now = Clock::now();
   std::vector<Pending> live;
-  live.reserve(task.group.size());
-  for (Pending& pending : task.group) {
-    if (pending.deadline <= now) {
-      ServeResponse response;
+  live.reserve(group.size());
+  for (Pending& pending : group) {
+    ServeResponse response;
+    ResultCache::Entry entry;
+    if (snapshot == nullptr) {
+      // Admitted against a pair that no longer resolves — cannot happen
+      // through the public API (pairs are never removed), but fail closed.
+      response.status =
+          Status::Internal("MatchServer: pair vanished after admission");
+    } else if (pending.deadline <= now) {
+      // Expired while queued: answered without paying for kernel work.
       response.status = Status::DeadlineExceeded(
           "MatchServer: request expired after " +
           std::to_string(static_cast<uint64_t>(
               MicrosBetween(pending.enqueued, now))) +
           " us in queue");
-      Respond(&pending, std::move(response));
+    } else if (!pending.degraded && cache_.enabled() &&
+               cache_.Lookup(
+                   MakeResultKey(pair, snapshot->version(), pending.request),
+                   &entry)) {
+      stats_.RecordCacheHit();
+      response.cached = true;
+      response.snapshot_version = snapshot->version();
+      if (pending.request.kind == ServeQueryKind::kMatch) {
+        response.assignment = std::move(entry.assignment);
+      } else {
+        response.topk = std::move(entry.topk);
+        response.topk_scores = std::move(entry.topk_scores);
+      }
     } else {
+      if (!pending.degraded) {
+        if (cache_.enabled()) stats_.RecordCacheMiss();
+      } else if (const CandidateIndex* index = snapshot->index();
+                 index != nullptr) {
+        // Rewrite from the pinned snapshot: the index pointer lives exactly
+        // as long as the snapshot the batch holds.
+        pending.request.options.candidate_index = index;
+        pending.request.options.num_candidates =
+            config_.degrade_num_candidates;
+        pending.request.options.index_nprobe =
+            std::max<size_t>(1, config_.degrade_nprobe);
+        pending.request.options.index_ef =
+            std::max<size_t>(1, config_.degrade_ef);
+      } else {
+        // A swap dropped the index since admission: serve dense, honestly
+        // undegraded.
+        pending.degraded = false;
+      }
       live.push_back(std::move(pending));
+      continue;
     }
+    Respond(&pending, std::move(response));
   }
   if (live.empty()) return;
 
-  const uint64_t version = task.snapshot->version();
-  WorkerEngine& slot = (*engines)[task.pair];
+  const uint64_t version = snapshot->version();
+  WorkerEngine& slot = (*engines)[pair];
   if (slot.engine == nullptr || slot.version != version ||
-      slot.engine->snapshot() != task.snapshot) {
+      slot.engine->snapshot() != snapshot) {
     std::unique_ptr<Workspace> recycled =
         slot.engine != nullptr ? slot.engine->TakeWorkspace() : nullptr;
     slot.engine.reset();
-    Result<MatchEngine> rebuilt = MatchEngine::Over(
-        task.snapshot, task.base_options, std::move(recycled));
+    Result<MatchEngine> rebuilt =
+        MatchEngine::Over(snapshot, base_options, std::move(recycled));
     if (!rebuilt.ok()) {
       for (Pending& pending : live) {
         ServeResponse response;
@@ -707,7 +650,7 @@ void MatchServer::ExecuteGroup(GroupTask task,
   }
   const ServeRequest& first = live.front().request;
   const auto [row_begin, row_end] =
-      AnswerRows(first, task.snapshot->source().rows());
+      AnswerRows(first, snapshot->source().rows());
   Result<MatchEngine::ScoredBatch> batch =
       engine->BeginBatch(first.options, row_begin, row_end);
   for (Pending& pending : live) {
@@ -759,7 +702,7 @@ void MatchServer::ExecuteGroup(GroupTask task,
         entry.topk = response.topk;
         entry.topk_scores = response.topk_scores;
       }
-      cache_.Insert(MakeResultKey(task.pair, version, pending.request),
+      cache_.Insert(MakeResultKey(pair, version, pending.request),
                     std::move(entry));
     }
     Respond(&pending, std::move(response));

@@ -27,16 +27,18 @@ class CandidateIndex;
 
 /// Tuning knobs of a MatchServer.
 struct MatchServerConfig {
-  /// Bound of the request queue; a Submit that finds it full is rejected
-  /// with kUnavailable + a retry-after hint instead of blocking
-  /// (backpressure stays at the client, the scheduler never drowns).
+  /// Bound of the request queue, the one place a request waits for a free
+  /// worker; a Submit that finds it full is rejected with kUnavailable + a
+  /// retry-after hint instead of blocking (backpressure stays at the client,
+  /// the backlog never grows past this bound).
   size_t queue_capacity = 256;
   /// Upper bound on queries coalesced into one similarity+transform pass.
   /// 1 disables micro-batching (strict per-request execution).
   size_t max_batch = 8;
-  /// After the first request of a cycle arrives, how long the scheduler
-  /// keeps the batch open for more requests before flushing. 0 flushes
-  /// immediately with whatever is already queued.
+  /// How long after a batch's first request was admitted the worker that
+  /// collects it keeps the batch open for more compatible requests. A head
+  /// that already waited that long behind a busy pool flushes at once. 0
+  /// flushes immediately with whatever is already queued.
   uint64_t flush_micros = 200;
   /// Per-engine workspace-arena budget in bytes (0 = unlimited); each
   /// request's DeclaredWorkspaceBytes is pre-checked against it at admission.
@@ -61,12 +63,12 @@ struct MatchServerConfig {
   size_t degrade_num_candidates = 32;
   size_t degrade_nprobe = 4;
   size_t degrade_ef = 64;
-  /// Execution worker threads. Batch groups formed by the scheduler are
-  /// dispatched to this pool; groups over different pairs or signatures run
-  /// truly concurrently. 0 = resolve from EM_SERVE_WORKERS, falling back to
-  /// std::thread::hardware_concurrency(). Responses are bit-identical at
-  /// every worker count (groups are formed by one scheduler and each group
-  /// executes sequentially on one worker).
+  /// Worker threads. Each free worker takes its next batch straight from
+  /// the queue and executes it; batches over different pairs or signatures
+  /// run truly concurrently. 0 = resolve from EM_SERVE_WORKERS, falling back
+  /// to std::thread::hardware_concurrency(). Responses are bit-identical at
+  /// every worker count (one worker collects at a time, and each batch
+  /// executes sequentially on the worker that collected it).
   size_t serve_workers = 0;
   /// Byte budget of the cross-request LRU result cache (0 = disabled). A
   /// cached answer is returned without any pipeline work; keys include the
@@ -137,31 +139,36 @@ struct ServeResponse {
 
 /// A long-lived, multi-client serving layer over immutable PairSnapshots.
 ///
-/// Architecture (the read-mostly concurrency refactor): every loaded pair is
-/// an immutable, ref-counted PairSnapshot in a SnapshotRegistry. Clients
-/// submit queries from any thread into a bounded queue; ONE scheduler thread
-/// drains it and — exactly as before the refactor — coalesces queries with
-/// equal (pair, ScoreSignature, row range) into batch groups of at most
-/// max_batch queries. What changed is execution: groups are dispatched to a
-/// pool of `serve_workers` worker threads, each owning a private MatchEngine
+/// Architecture: every loaded pair is an immutable, ref-counted
+/// PairSnapshot in a SnapshotRegistry. Clients submit queries from any
+/// thread into ONE bounded queue, where a request waits until a worker is
+/// free. Each of the `serve_workers` worker threads then takes its next
+/// batch straight from the queue: the head plus, from a window of max_batch
+/// queued requests, those with equal (pair, ScoreSignature, row range) and
+/// the same degrade mark; the rest stay at the front, in arrival order, for
+/// the next free worker. One worker collects at a time, so batches form the
+/// same way at every worker count. Each worker owns a private MatchEngine
 /// per pair over the shared snapshot (embeddings and similarity caches are
-/// read in place; only the workspace arena is per-worker). Groups over different
-/// pairs or signatures therefore run truly concurrently, while each group
-/// still executes sequentially on one worker — which is why every response
-/// stays bit-identical to a solo MatchEngine::Match/TransformedScores with
-/// the same options at EVERY worker count (pinned by
-/// tests/serve/serve_concurrency_test.cc).
+/// read in place; only the workspace arena is per-worker). Batches over
+/// different pairs or signatures therefore run truly concurrently, while
+/// each batch executes sequentially on one worker — which is why every
+/// response stays bit-identical to a solo MatchEngine::Match /
+/// TransformedScores with the same options at EVERY worker count (pinned by
+/// tests/serve/serve_concurrency_test.cc). No other queue holds requests,
+/// so queue_capacity, the watermarks and Stats().queue_depth see the whole
+/// backlog.
 ///
 /// Hot swap: SwapPair builds a new snapshot (warming its caches first) and
-/// atomically publishes it; in-flight groups keep the version they pinned
-/// when scheduled, so a batch never mixes v and v+1 data, and the displaced
-/// snapshot is freed when the last group that pinned it drops its reference.
+/// atomically publishes it; a batch keeps the version its worker pinned when
+/// it collected the batch, so a batch never mixes v and v+1 data, and the
+/// displaced snapshot is freed when the last batch that pinned it drops its
+/// reference.
 ///
-/// Result cache: with result_cache_bytes > 0, the scheduler probes an LRU
-/// cache keyed by (pair, snapshot version, ScoreSignature, matcher, kind,
-/// topk, row range) before grouping; hits answer immediately with the stored
-/// bytes (bit-identical — the pipeline is deterministic), misses execute and
-/// insert. Degraded answers are never cached.
+/// Result cache: with result_cache_bytes > 0, a worker probes an LRU cache
+/// keyed by (pair, snapshot version, ScoreSignature, matcher, kind, topk,
+/// row range) before its scores pass; hits answer immediately with the
+/// stored bytes (bit-identical — the pipeline is deterministic), misses
+/// execute and insert. Degraded answers are never cached.
 ///
 /// Admission control happens on the submitting thread, before queueing:
 /// unknown pair (kNotFound), RL matcher (kInvalidArgument: no KG context in
@@ -170,13 +177,13 @@ struct ServeResponse {
 /// queued behind real work; a row-local range declares only its rows), and
 /// a full queue (kUnavailable + retry hint).
 /// Under degrade_watermark pressure an eligible request is only *marked*
-/// degraded at admission; the scheduler rewrites its options from the
-/// snapshot it pins for the group, so the rewritten candidate_index pointer
-/// can never dangle across a swap.
+/// degraded at admission; the worker rewrites its options from the snapshot
+/// it pins for the batch, so the rewritten candidate_index pointer can never
+/// dangle across a swap.
 ///
 /// Lifecycle: Create -> LoadPair (any number) -> Start -> Submit/Query ...
-/// -> Shutdown (drains the queue and the task pool, answering requests that
-/// never reached a scheduler with kFailedPrecondition). LoadPair, SwapPair,
+/// -> Shutdown (the workers drain the queue; a server that never started
+/// answers what is queued with kFailedPrecondition). LoadPair, SwapPair,
 /// and AttachIndex are allowed while running.
 class MatchServer {
  public:
@@ -225,13 +232,13 @@ class MatchServer {
   std::shared_ptr<const PairSnapshot> CurrentSnapshot(
       const std::string& name) const;
 
-  /// Spawns the scheduler and the worker pool. Requests submitted before
+  /// Spawns the `serve_workers` worker threads. Requests submitted before
   /// Start wait in the queue (handy for tests and warm-up scripts).
   /// kFailedPrecondition if already started or shut down.
   Status Start();
 
   /// Admission-checks `request` and enqueues it; the future resolves when
-  /// the scheduler answers. Admission failures resolve immediately, with
+  /// a worker answers. Admission failures resolve immediately, with
   /// the failure also recorded in the stats (rejected count).
   std::future<ServeResponse> Submit(ServeRequest request);
 
@@ -248,9 +255,9 @@ class MatchServer {
   /// "dying" without the full stats.
   std::string HealthJson() const;
 
-  /// Stops accepting new work, lets the scheduler and workers drain
-  /// everything already queued (executing live requests, failing the rest
-  /// only if the scheduler never started), and joins them. Idempotent.
+  /// Stops accepting new work, lets the workers drain everything already
+  /// queued (executing live requests; if no worker ever started, failing
+  /// them), and joins them. Idempotent.
   void Shutdown();
 
   const MatchServerConfig& config() const { return config_; }
@@ -270,16 +277,6 @@ class MatchServer {
     bool degraded = false;       // overload marked it for the sparse path
   };
 
-  /// One compatible batch group, ready for a worker: the requests plus the
-  /// snapshot pinned for them. Pinning here — not at execution — is what
-  /// makes a mixed-version batch structurally impossible.
-  struct GroupTask {
-    std::string pair;
-    std::shared_ptr<const PairSnapshot> snapshot;
-    MatchOptions base_options;
-    std::vector<Pending> group;
-  };
-
   /// A worker's warm engine over one pair's snapshot.
   struct WorkerEngine {
     uint64_t version = 0;
@@ -288,20 +285,22 @@ class MatchServer {
 
   explicit MatchServer(const MatchServerConfig& config);
 
-  /// Scheduler body: pop a cycle's worth of requests, resolve snapshots,
-  /// probe the result cache, group, dispatch to the pool.
-  void SchedulerLoop();
-
-  /// Worker body: execute dispatched groups until drained and stopping.
+  /// Worker body: collect a batch, execute it, until stopping and drained.
   void WorkerLoop();
 
-  /// Blocks for the next cycle of at most max_batch requests (waiting up to
-  /// flush_micros after the first arrival). Empty result means shutdown.
-  std::vector<Pending> NextCycle();
+  /// Blocks until the queue holds a request (or the server stops) and takes
+  /// the next batch: the head plus the requests of the head's max_batch
+  /// window that share its scores pass and degrade mark, waiting until
+  /// flush_micros after the head's admission for the window to fill. One
+  /// worker collects at a time. Empty result means shutdown.
+  std::vector<Pending> NextBatch();
 
-  /// Executes one compatible group as one batch on the calling worker's
-  /// engines.
-  void ExecuteGroup(GroupTask task,
+  /// Executes one batch as one scores pass on the calling worker's engines:
+  /// pins the pair's snapshot for the whole batch, answers expired requests
+  /// and result-cache hits, and rewrites degraded ones from the pinned
+  /// snapshot. Pinning once per batch — not per request — is what makes a
+  /// mixed-version batch structurally impossible.
+  void ExecuteGroup(std::vector<Pending> group,
                     std::map<std::string, WorkerEngine>* engines);
 
   /// Answers `pending` and updates outcome/latency stats.
@@ -329,16 +328,13 @@ class MatchServer {
   std::deque<Pending> queue_;
   bool stopping_ = false;
 
-  /// Dispatched batch groups awaiting a worker.
-  std::mutex tasks_mu_;
-  std::condition_variable tasks_cv_;
-  std::deque<GroupTask> tasks_;
-  bool tasks_stopping_ = false;
+  /// Held by the one worker collecting a batch, across its flush wait; the
+  /// others queue up behind it. Taken before queue_mu_.
+  std::mutex collect_mu_;
 
   // Serializes Start/Shutdown (thread spawn + join); never taken by the
-  // scheduler or workers.
+  // workers.
   std::mutex lifecycle_mu_;
-  std::thread scheduler_;
   std::vector<std::thread> workers_;
 };
 

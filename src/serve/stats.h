@@ -80,7 +80,7 @@ struct ServerStatsSnapshot {
 /// and a log2-bucketed latency histogram for p50/p99 without storing samples.
 ///
 /// Lock-free by construction: every counter is an atomic, so the writers —
-/// admission on any client thread, the scheduler, K pool workers — and a
+/// admission on any client thread and the K serve workers — and a
 /// concurrent `stats` query never contend and never race (the pre-refactor
 /// implementation guarded a plain struct with a mutex that the read path
 /// could bypass; the stats read-storm regression test pins this under

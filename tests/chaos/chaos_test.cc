@@ -384,7 +384,7 @@ TEST_F(ChaosTest, ShedStormUnderFaultsKeepsTheLedgerExact) {
   Arm("engine.scores:p=0.25,code=Internal", /*seed=*/19);
 
   // Stopped server: exactly shed_watermark requests are admitted, the other
-  // 10 shed deterministically — then the scheduler drains under faults.
+  // 10 shed deterministically — then the workers drain under faults.
   std::vector<std::future<ServeResponse>> inflight;
   for (size_t i = 0; i < 16; ++i) {
     inflight.push_back(server->Submit(MatchRequest()));
@@ -594,7 +594,7 @@ TEST_F(ChaosTest, FaultPlansKeepAnswersExactWithAndWithoutBatching) {
       Arm(plan.spec, /*seed=*/7);
 
       // Every client submits its burst before Start, so the queue holds
-      // coalescable work when the scheduler first looks.
+      // coalescable work when the first worker collects.
       std::vector<std::vector<std::future<ServeResponse>>> inflight(kClients);
       std::vector<std::thread> clients;
       for (size_t c = 0; c < kClients; ++c) {

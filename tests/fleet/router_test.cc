@@ -13,7 +13,6 @@
 
 #include "fleet/router.h"
 
-#include <dirent.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -35,6 +34,7 @@
 #include "serve/client.h"
 #include "serve/server.h"
 #include "serve/socket_server.h"
+#include "support/process_threads.h"
 
 namespace entmatcher {
 namespace {
@@ -95,18 +95,6 @@ class GateHandler : public WireHandler {
   bool released_ = false;
   size_t passed_ = 0;
 };
-
-/// Threads of this process, from /proc/self/task.
-size_t ProcessThreadCount() {
-  DIR* dir = ::opendir("/proc/self/task");
-  if (dir == nullptr) return 0;
-  size_t count = 0;
-  while (const dirent* entry = ::readdir(dir)) {
-    if (entry->d_name[0] != '.') ++count;
-  }
-  ::closedir(dir);
-  return count;
-}
 
 /// A WireHandler decorator that fails swap requests while armed — the
 /// diverging shard of a partial swap fan-out.

@@ -13,7 +13,9 @@
 //   - the first ranged queries on a fresh snapshot, racing to build its
 //     column statistics, all return the solo answer's rows;
 //   - concurrent Stats()/HealthJson() readers race no writer (regression
-//     for the pre-refactor mutex-bypassing stats read path).
+//     for the pre-refactor mutex-bypassing stats read path);
+//   - Start runs exactly one thread per serve worker, and Shutdown joins
+//     them all.
 
 #include <gtest/gtest.h>
 
@@ -32,6 +34,7 @@
 #include "index/candidate_index.h"
 #include "matching/engine.h"
 #include "serve/server.h"
+#include "support/process_threads.h"
 
 namespace entmatcher {
 namespace {
@@ -533,6 +536,30 @@ TEST_F(ServeConcurrencyTest, StatsReadersRaceNoWriters) {
             final_stats.admitted + final_stats.rejected);
   EXPECT_EQ(final_stats.admitted, final_stats.completed + final_stats.failed +
                                       final_stats.timed_out);
+}
+
+// The workers are the server's only threads: each takes its batches
+// straight from the admission queue, with no thread in between.
+TEST_F(ServeConcurrencyTest, StartRunsOneThreadPerServeWorker) {
+  MatchServerConfig config;
+  config.serve_workers = 3;
+  Result<std::unique_ptr<MatchServer>> server = MatchServer::Create(config);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  // A sanitizer runtime starts a helper thread along with the process's
+  // first thread; let that happen before the baseline is taken.
+  std::thread([] {}).join();
+  const size_t baseline = ProcessThreadCount();
+  ASSERT_GT(baseline, 0u);
+  ASSERT_TRUE((*server)->Start().ok());
+  EXPECT_EQ(ProcessThreadCount(), baseline + 3);
+  (*server)->Shutdown();
+  // A joined thread can stay listed until the kernel has reaped it.
+  size_t after = ProcessThreadCount();
+  for (int i = 0; i < 200 && after != baseline; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    after = ProcessThreadCount();
+  }
+  EXPECT_EQ(after, baseline);
 }
 
 }  // namespace

@@ -93,6 +93,26 @@ class ServeTest : public ::testing::Test {
     return request;
   }
 
+  /// Submits one CSLS match whose scores pass sleeps 300 ms, and returns
+  /// once a worker is inside that pass: with one worker, everything
+  /// submitted in the next ~300 ms waits in the queue.
+  static std::future<ServeResponse> HoldTheWorker(MatchServer* server) {
+    Result<FaultPlan> plan =
+        FaultPlan::Parse("engine.scores:nth=1,max=1,latency_us=300000");
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    FaultInjector::Global().Arm(std::move(plan).value(), /*seed=*/1);
+    std::future<ServeResponse> held =
+        server->Submit(MatchRequest(AlgorithmPreset::kCsls));
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (server->Stats().batches < 1 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    EXPECT_EQ(server->Stats().batches, 1u);
+    return held;
+  }
+
   Matrix source_;
   Matrix target_;
 };
@@ -227,6 +247,77 @@ TEST_F(ServeTest, ShedWatermarkRejectsBeforeQueueIsFull) {
   EXPECT_EQ(stats.shed, 1u);
   EXPECT_EQ(stats.rejected, 1u);  // shed is a subset of rejected
   EXPECT_EQ(stats.submitted, stats.admitted + stats.rejected);
+}
+
+// A running server's admission sees its backlog: requests waiting for the
+// one busy worker count toward the shed watermark, so of five submitted
+// while it is held, two queue and three shed with a backoff hint.
+TEST_F(ServeTest, RunningServerShedsAtTheWatermarkWhileItsWorkerIsBusy) {
+  MatchServerConfig config;
+  config.serve_workers = 1;
+  config.queue_capacity = 8;
+  config.shed_watermark = 2;
+  std::unique_ptr<MatchServer> server = MakeServer(config);
+  std::future<ServeResponse> held = HoldTheWorker(server.get());
+
+  std::vector<std::future<ServeResponse>> waiting;
+  for (int i = 0; i < 5; ++i) {
+    waiting.push_back(server->Submit(MatchRequest(AlgorithmPreset::kDInf)));
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(server->Stats().queue_depth, 2u);
+
+  EXPECT_TRUE(held.get().status.ok());
+  size_t ok_count = 0;
+  size_t shed_count = 0;
+  for (std::future<ServeResponse>& f : waiting) {
+    const ServeResponse response = f.get();
+    if (response.status.ok()) {
+      ++ok_count;
+    } else {
+      EXPECT_EQ(response.status.code(), StatusCode::kUnavailable);
+      EXPECT_GT(response.retry_after_micros, 0u);
+      ++shed_count;
+    }
+  }
+  EXPECT_EQ(ok_count, 2u);
+  EXPECT_EQ(shed_count, 3u);
+  server->Shutdown();
+  EXPECT_EQ(server->Stats().max_queue_depth, 2u);
+}
+
+// Same backlog, degrade watermark 1: the first request queued behind the
+// busy worker stays dense, the second is degraded onto the sparse path.
+TEST_F(ServeTest, RunningServerDegradesAtTheWatermarkWhileItsWorkerIsBusy) {
+  MatchServerConfig config;
+  config.serve_workers = 1;
+  config.degrade_watermark = 1;
+  config.degrade_num_candidates = 8;
+  config.degrade_nprobe = 2;
+  std::unique_ptr<MatchServer> server = MakeServer(config);
+  Result<CandidateIndex> index =
+      CandidateIndex::Build(target_, CandidateIndexOptions());
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  ASSERT_TRUE(server
+                  ->AttachIndex("default", std::make_unique<CandidateIndex>(
+                                               std::move(index).value()))
+                  .ok());
+  std::future<ServeResponse> held = HoldTheWorker(server.get());
+
+  std::future<ServeResponse> dense =
+      server->Submit(MatchRequest(AlgorithmPreset::kCsls));
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  std::future<ServeResponse> degraded =
+      server->Submit(MatchRequest(AlgorithmPreset::kCsls));
+
+  EXPECT_TRUE(held.get().status.ok());
+  const ServeResponse dense_response = dense.get();
+  const ServeResponse degraded_response = degraded.get();
+  ASSERT_TRUE(dense_response.status.ok()) << dense_response.status.ToString();
+  ASSERT_TRUE(degraded_response.status.ok())
+      << degraded_response.status.ToString();
+  EXPECT_FALSE(dense_response.degraded);
+  EXPECT_TRUE(degraded_response.degraded);
 }
 
 TEST_F(ServeTest, DegradeWatermarkRewritesOntoSparsePath) {
@@ -374,7 +465,7 @@ TEST_F(ServeTest, RejectionStormKeepsStatsConsistent) {
   }
   for (std::thread& t : threads) t.join();
 
-  // Everything admitted is still parked; start the scheduler and drain.
+  // Everything admitted is still parked; start the workers and drain.
   ASSERT_TRUE(server->Start().ok());
   size_t ok_count = 0;
   size_t shed_count = 0;
@@ -501,7 +592,7 @@ TEST_F(ServeTest, ShutdownFailsStillQueuedRequests) {
       MakeServer(MatchServerConfig(), /*start=*/false);
   std::future<ServeResponse> parked =
       server->Submit(MatchRequest(AlgorithmPreset::kCsls));
-  server->Shutdown();  // scheduler never started; the request cannot run
+  server->Shutdown();  // no worker ever started; the request cannot run
   EXPECT_EQ(parked.get().status.code(), StatusCode::kFailedPrecondition);
   // And new submissions after shutdown are turned away at admission.
   ServeResponse late = server->Query(MatchRequest(AlgorithmPreset::kCsls));
