@@ -51,7 +51,7 @@
 #include "common/timer.h"
 #include "datagen/embf_synth.h"
 #include "index/candidate_index.h"
-#include "la/mmap_store.h"
+#include "la/matrix_io.h"
 #include "matching/engine.h"
 
 namespace entmatcher {
@@ -387,10 +387,14 @@ int main() {
     double match_s = 0.0;
     double identity = 0.0;
     {
-      Result<MmapStore> src_store = MmapStore::Open(src_path);
-      Result<MmapStore> tgt_store = MmapStore::Open(tgt_path);
-      if (!src_store.ok() || !tgt_store.ok()) {
-        std::cerr << "mmap open failed\n";
+      // ReadMatrixBinary maps the EMBF files: both sides are borrowed views
+      // over the page cache, never heap copies.
+      Result<Matrix> src = ReadMatrixBinary(src_path);
+      Result<Matrix> tgt = ReadMatrixBinary(tgt_path);
+      if (!src.ok() || !tgt.ok()) {
+        std::cerr << "read failed: "
+                  << (src.ok() ? tgt.status() : src.status()).ToString()
+                  << "\n";
         return 1;
       }
       CandidateIndexOptions hnsw_options;
@@ -399,7 +403,7 @@ int main() {
       hnsw_options.hnsw_ef_construction = ef_construction;
       Timer build_timer;
       Result<CandidateIndex> index =
-          CandidateIndex::Build(tgt_store->AsMatrix(), hnsw_options);
+          CandidateIndex::Build(*tgt, hnsw_options);
       build_s = build_timer.ElapsedSeconds();
       if (!index.ok()) {
         std::cerr << "1M HNSW build: " << index.status().ToString() << "\n";
@@ -415,7 +419,7 @@ int main() {
       options.workspace_budget_bytes = 256ull << 20;
       Timer match_timer;
       Result<MatchEngine> engine = MatchEngine::Create(
-          src_store->AsMatrix(), tgt_store->AsMatrix(), options);
+          std::move(src).value(), std::move(tgt).value(), options);
       if (!engine.ok()) {
         std::cerr << "1M engine: " << engine.status().ToString() << "\n";
         return 1;

@@ -1,6 +1,12 @@
 // entmatcher_cli — a command-line front end for the whole pipeline, working
 // on OpenEA-style dataset directories and binary embedding files.
 //
+// Every command that reads embeddings (index build, match, serve, swap,
+// fleet plan, fleet shards, mmap pack) takes either format and tells them
+// apart by their magic: EMAT (written by `embed`) is read onto the heap,
+// EMBF (written by `mmap pack` / `mmap synth-pair`) is mapped read-only, so
+// a 1M x 128d pair is matched without materializing either side.
+//
 //   entmatcher_cli generate <pair> <dir> [scale]
 //       Generate a benchmark dataset (e.g. D-Z, S-F, DW-W, D-Z+, FB-MUL)
 //       and save it under <dir>.
@@ -10,7 +16,7 @@
 //       Compute unified embeddings and write <out_prefix>.src.emat /
 //       <out_prefix>.tgt.emat.
 //   entmatcher_cli index build <tgt.emat> <out.eidx>
-//                  [--backend=ivf|hnsw|exact] [--dataset=DIR] [--mmap]
+//                  [--backend=ivf|hnsw|exact] [--dataset=DIR]
 //                  [--lists=N] [--kmeans-iters=N] [--seed=N]
 //                  [--M=N] [--ef-construction=N]
 //       Build a candidate index over the target embeddings and serialize
@@ -18,8 +24,6 @@
 //       the candidate-generation strategy: ivf (default; --lists=0
 //       auto-sizes to ~sqrt(num_targets), --kmeans-iters), hnsw (graph
 //       index; --M link budget, --ef-construction build beam), or exact.
-//       --mmap reads <tgt.emat> as an EMBF store via mmap instead of a
-//       heap matrix, which is how a 1M-row index is built in-budget.
 //       --dataset=DIR slices the matrix to the dataset's test-split
 //       target rows first — required when the index will be used with
 //       `match` over a dataset, which scores over exactly those rows.
@@ -27,7 +31,7 @@
 //       Print the list/level occupancy of a saved index.
 //   entmatcher_cli mmap pack <in.emat> <out.embf>
 //       Convert a binary matrix into an EMBF store (the mmap-able
-//       row-major format `match --mmap` and `serve --mmap` read).
+//       row-major format).
 //   entmatcher_cli mmap synth-pair <out_prefix> --rows=N --dim=N
 //                  [--clusters=N] [--seed=N] [--noise=F] [--spread=F]
 //       Stream a synthetic identity-aligned embedding pair to
@@ -38,7 +42,6 @@
 //   entmatcher_cli match <dir> <src.emat> <tgt.emat> <algo>
 //                  [--workspace-budget-bytes=N] [--threads=N]
 //                  [--kernel-tier=scalar|avx2|avx512|auto]
-//                  [--mmap]
 //                  [--index=PATH --candidates=N [--nprobe=N] [--ef=N]]
 //                  [out_links.tsv]
 //       Run one matching algorithm (DInf, CSLS, RInf, RInf-wr, RInf-pb,
@@ -56,12 +59,10 @@
 //       With <dir> = "-" the dataset is skipped entirely: the engine
 //       matches the raw pair and reports identity-alignment accuracy (row i
 //       of the source gold-matches row i of the target — the synthetic EMBF
-//       pairs' convention) instead of test-split P/R/F1. --mmap reads
-//       <src>/<tgt> as EMBF stores via mmap, so a 1M x 128d pair matches
-//       without materializing either matrix on the heap.
+//       pairs' convention) instead of test-split P/R/F1.
 //   entmatcher_cli eval <dir> <links.tsv>
 //       Score previously saved predicted links against the test split.
-//   entmatcher_cli serve <src.emat> <tgt.emat> [--mmap] [--socket=PATH]
+//   entmatcher_cli serve <src.emat> <tgt.emat> [--socket=PATH]
 //                  [--threads=N]
 //                  [--kernel-tier=TIER] [--serve-workers=N] [--cache-bytes=N]
 //                  [--max-batch=N] [--flush-micros=N] [--queue-capacity=N]
@@ -76,9 +77,7 @@
 //       execution threads (0/default: EM_SERVE_WORKERS, then hardware
 //       concurrency). --cache-bytes=N arms the cross-request result cache
 //       with an N-byte LRU budget (0/default: off). Runs until a client
-//       sends `shutdown`. --mmap reads <src>/<tgt> as EMBF stores via
-//       mmap and serves over the page cache instead of heap matrices.
-//       --shed-watermark sheds new requests
+//       sends `shutdown`. --shed-watermark sheds new requests
 //       (kUnavailable + retry-after hint) once the queue is that deep;
 //       with --index attached, --degrade-watermark instead rewrites
 //       eligible dense matches onto the sparse candidate path under load.
@@ -343,7 +342,6 @@ int CmdIndex(int argc, char** argv) {
     if (argc < 5) return Usage();
     CandidateIndexOptions options;
     std::string dataset_dir;
-    bool use_mmap = false;
     for (int i = 5; i < argc; ++i) {
       const std::string arg = argv[i];
       const std::string dataset_flag = "--dataset=";
@@ -357,10 +355,6 @@ int CmdIndex(int argc, char** argv) {
             ParseCandidateBackend(arg.substr(backend_flag.size()));
         if (!parsed.ok()) return Fail(parsed.status());
         options.backend = *parsed;
-        continue;
-      }
-      if (arg == "--mmap") {
-        use_mmap = true;
         continue;
       }
       unsigned long long value = 0;
@@ -396,22 +390,9 @@ int CmdIndex(int argc, char** argv) {
       }
       return Usage();
     }
-    // The store (when mmapped) must outlive Build: backends read target rows
-    // through the borrowed view while constructing.
-    std::optional<MmapStore> store;
-    Matrix target;
-    if (use_mmap) {
-      MmapStoreOptions store_options;
-      store_options.hint = MmapAccessHint::kSequential;
-      Result<MmapStore> opened = MmapStore::Open(argv[3], store_options);
-      if (!opened.ok()) return Fail(opened.status());
-      store = std::move(opened).value();
-      target = store->AsMatrix();
-    } else {
-      Result<Matrix> read = ReadMatrixBinary(argv[3]);
-      if (!read.ok()) return Fail(read.status());
-      target = std::move(read).value();
-    }
+    Result<Matrix> read = ReadMatrixBinary(argv[3]);
+    if (!read.ok()) return Fail(read.status());
+    Matrix target = std::move(read).value();
     if (!dataset_dir.empty()) {
       // `match` scores over the dataset's test-target rows, not the full
       // matrix; slice the same rows so the index describes the same target
@@ -532,9 +513,8 @@ int CmdMmap(int argc, char** argv) {
     return EXIT_SUCCESS;
   }
   if (sub == "info") {
-    MmapStoreOptions options;
-    options.resident_budget_bytes = 0;  // inspection touches no payload rows
-    Result<MmapStore> store = MmapStore::Open(argv[3], options);
+    // The shape comes from the header alone: no payload page is read.
+    Result<MmapStore> store = MmapStore::Open(argv[3]);
     if (!store.ok()) return Fail(store.status());
     std::cout << "rows:          " << store->rows() << "\n"
               << "cols:          " << store->cols() << "\n"
@@ -556,17 +536,12 @@ int CmdMatch(int argc, char** argv) {
   MatchOptions options = MakePreset(*algorithm);
   std::string out_path;
   std::string index_path;
-  bool use_mmap = false;
   std::optional<CandidateIndex> index;  // must outlive the run
   for (int i = 6; i < argc; ++i) {
     const std::string arg = argv[i];
     const std::string index_flag = "--index=";
     if (arg.rfind(index_flag, 0) == 0) {
       index_path = arg.substr(index_flag.size());
-      continue;
-    }
-    if (arg == "--mmap") {
-      use_mmap = true;
       continue;
     }
     const int tier_matched = MatchKernelTierFlag(arg);
@@ -625,39 +600,20 @@ int CmdMatch(int argc, char** argv) {
     return EXIT_FAILURE;
   }
 
-  // With --mmap the stores back every row read of the run, so they must
-  // outlive the engine (and any snapshot built over the borrowed views).
-  std::optional<MmapStore> src_store;
-  std::optional<MmapStore> tgt_store;
-  Matrix src;
-  Matrix tgt;
-  if (use_mmap) {
-    Result<MmapStore> s = MmapStore::Open(argv[3]);
-    if (!s.ok()) return Fail(s.status());
-    src_store = std::move(s).value();
-    src = src_store->AsMatrix();
-    Result<MmapStore> t = MmapStore::Open(argv[4]);
-    if (!t.ok()) return Fail(t.status());
-    tgt_store = std::move(t).value();
-    tgt = tgt_store->AsMatrix();
-  } else {
-    Result<Matrix> s = ReadMatrixBinary(argv[3]);
-    if (!s.ok()) return Fail(s.status());
-    src = std::move(s).value();
-    Result<Matrix> t = ReadMatrixBinary(argv[4]);
-    if (!t.ok()) return Fail(t.status());
-    tgt = std::move(t).value();
-  }
+  Result<Matrix> src = ReadMatrixBinary(argv[3]);
+  if (!src.ok()) return Fail(src.status());
+  Result<Matrix> tgt = ReadMatrixBinary(argv[4]);
+  if (!tgt.ok()) return Fail(tgt.status());
 
   if (raw_pair) {
     // Dataset-less mode: drive the engine over the raw pair. Row i of the
     // source is gold-matched to row i of the target (the synthetic EMBF
     // convention), so identity hits stand in for test-split metrics.
-    const size_t n = src.rows();
+    const size_t n = src->rows();
     MemoryTracker::Global().ResetPeak();
     const auto start = std::chrono::steady_clock::now();
-    Result<MatchEngine> engine =
-        MatchEngine::Create(std::move(src), std::move(tgt), options);
+    Result<MatchEngine> engine = MatchEngine::Create(
+        std::move(src).value(), std::move(tgt).value(), options);
     if (!engine.ok()) return Fail(engine.status());
     Result<Assignment> assignment = engine->Match();
     if (!assignment.ok()) {
@@ -704,8 +660,8 @@ int CmdMatch(int argc, char** argv) {
   Result<KgPairDataset> dataset = LoadDatasetDir(dataset_dir);
   if (!dataset.ok()) return Fail(dataset.status());
   EmbeddingPair embeddings;
-  embeddings.source = std::move(src);
-  embeddings.target = std::move(tgt);
+  embeddings.source = std::move(src).value();
+  embeddings.target = std::move(tgt).value();
   Result<MatchRun> run = RunMatching(*dataset, embeddings, options);
   if (!run.ok()) {
     if (run.status().code() == StatusCode::kResourceExhausted) {
@@ -744,7 +700,6 @@ int CmdServe(int argc, char** argv) {
 
   std::string socket_path = kDefaultSocketPath;
   std::string index_path;
-  bool use_mmap = false;
   MatchServerConfig config;
   for (int i = 4; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -756,10 +711,6 @@ int CmdServe(int argc, char** argv) {
     const std::string index_flag = "--index=";
     if (arg.rfind(index_flag, 0) == 0) {
       index_path = arg.substr(index_flag.size());
-      continue;
-    }
-    if (arg == "--mmap") {
-      use_mmap = true;
       continue;
     }
     const int tier_matched = MatchKernelTierFlag(arg);
@@ -846,33 +797,15 @@ int CmdServe(int argc, char** argv) {
   Status faults = ArmFaultInjectionFromEnv();
   if (!faults.ok()) return Fail(faults);
 
-  // With --mmap the stores back every similarity pass the server runs, so
-  // they live for the whole serving session (until after Shutdown below).
-  std::optional<MmapStore> src_store;
-  std::optional<MmapStore> tgt_store;
-  Matrix src;
-  Matrix tgt;
-  if (use_mmap) {
-    Result<MmapStore> s = MmapStore::Open(argv[2]);
-    if (!s.ok()) return Fail(s.status());
-    src_store = std::move(s).value();
-    src = src_store->AsMatrix();
-    Result<MmapStore> t = MmapStore::Open(argv[3]);
-    if (!t.ok()) return Fail(t.status());
-    tgt_store = std::move(t).value();
-    tgt = tgt_store->AsMatrix();
-  } else {
-    Result<Matrix> s = ReadMatrixBinary(argv[2]);
-    if (!s.ok()) return Fail(s.status());
-    src = std::move(s).value();
-    Result<Matrix> t = ReadMatrixBinary(argv[3]);
-    if (!t.ok()) return Fail(t.status());
-    tgt = std::move(t).value();
-  }
+  Result<Matrix> src = ReadMatrixBinary(argv[2]);
+  if (!src.ok()) return Fail(src.status());
+  Result<Matrix> tgt = ReadMatrixBinary(argv[3]);
+  if (!tgt.ok()) return Fail(tgt.status());
 
   Result<std::unique_ptr<MatchServer>> server = MatchServer::Create(config);
   if (!server.ok()) return Fail(server.status());
-  Status loaded = (*server)->LoadPair("default", std::move(src), std::move(tgt));
+  Status loaded = (*server)->LoadPair("default", std::move(src).value(),
+                                      std::move(tgt).value());
   if (!loaded.ok()) return Fail(loaded);
   if (!index_path.empty()) {
     Result<CandidateIndex> index = CandidateIndex::Load(index_path);

@@ -3,6 +3,7 @@
 
 #include <cassert>
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -23,7 +24,9 @@ namespace entmatcher {
 /// never double-counted here.
 ///
 /// Movable and copyable; copies are deep and always owned, so copying a
-/// borrowed matrix detaches it from the arena buffer.
+/// borrowed matrix detaches it from the arena buffer. A borrowed matrix may
+/// also co-own what keeps its buffer alive (a mapped file): moves carry
+/// that owner along, copies drop it with the buffer.
 class Matrix {
  public:
   /// An empty 0×0 matrix.
@@ -37,14 +40,18 @@ class Matrix {
   }
 
   /// A non-owning matrix over an external buffer of rows*cols floats (arena
-  /// memory). The buffer must outlive the matrix; the matrix does not touch
-  /// MemoryTracker (the arena accounts for the bytes).
-  static Matrix Borrowed(float* buffer, size_t rows, size_t cols) {
+  /// memory). The buffer must outlive the matrix unless `owner` keeps it
+  /// alive: the matrix and its moved-to successors hold `owner` until they
+  /// die. The matrix does not touch MemoryTracker (the arena, or the
+  /// owner, accounts for the bytes).
+  static Matrix Borrowed(float* buffer, size_t rows, size_t cols,
+                         std::shared_ptr<const void> owner = nullptr) {
     Matrix m;
     m.rows_ = rows;
     m.cols_ = cols;
     m.ptr_ = buffer;
     m.borrowed_ = true;
+    m.owner_ = std::move(owner);
     return m;
   }
 
@@ -62,13 +69,14 @@ class Matrix {
     data_.assign(other.ptr_, other.ptr_ + other.size());
     ptr_ = data_.data();
     borrowed_ = false;
+    owner_.reset();
     MemoryTracker::Global().Add(ByteSize());
     return *this;
   }
 
   Matrix(Matrix&& other) noexcept
       : rows_(other.rows_), cols_(other.cols_), data_(std::move(other.data_)),
-        borrowed_(other.borrowed_) {
+        borrowed_(other.borrowed_), owner_(std::move(other.owner_)) {
     ptr_ = borrowed_ ? other.ptr_ : data_.data();
     other.rows_ = 0;
     other.cols_ = 0;
@@ -84,6 +92,7 @@ class Matrix {
     cols_ = other.cols_;
     data_ = std::move(other.data_);
     borrowed_ = other.borrowed_;
+    owner_ = std::move(other.owner_);
     ptr_ = borrowed_ ? other.ptr_ : data_.data();
     other.rows_ = 0;
     other.cols_ = 0;
@@ -153,6 +162,7 @@ class Matrix {
   std::vector<float> data_;      // backing storage when owned
   float* ptr_ = nullptr;         // element storage (owned or borrowed)
   bool borrowed_ = false;
+  std::shared_ptr<const void> owner_;  // keeps a borrowed buffer alive
 };
 
 /// C = A * B^T where A is (n×d) and B is (m×d); returns (n×m).

@@ -1,11 +1,11 @@
 #include "la/matrix_io.h"
 
-#include <charconv>
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <memory>
 
-#include "common/string_util.h"
+#include "la/mmap_store.h"
 
 namespace entmatcher {
 
@@ -13,40 +13,34 @@ namespace {
 
 constexpr char kMagic[4] = {'E', 'M', 'A', 'T'};
 
-}  // namespace
-
-Result<Matrix> ReadMatrixTsv(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open for reading: " + path);
-  std::vector<std::vector<float>> rows;
-  std::string line;
-  size_t width = 0;
-  while (std::getline(in, line)) {
-    std::string_view stripped = StripWhitespace(line);
-    if (stripped.empty()) continue;
-    std::vector<float> row;
-    for (std::string_view field : SplitString(stripped, '\t')) {
-      float value = 0.0f;
-      auto [ptr, ec] =
-          std::from_chars(field.data(), field.data() + field.size(), value);
-      if (ec != std::errc() || ptr != field.data() + field.size()) {
-        return Status::IoError("bad float field '" + std::string(field) +
-                               "' in " + path);
-      }
-      row.push_back(value);
-    }
-    if (width == 0) {
-      width = row.size();
-    } else if (row.size() != width) {
-      return Status::IoError("ragged matrix rows in " + path);
-    }
-    rows.push_back(std::move(row));
+/// The EMAT payload after its magic, read from the stream that sniffed it.
+Result<Matrix> ReadEmat(std::ifstream& in, const std::string& path) {
+  uint64_t rows = 0;
+  uint64_t cols = 0;
+  in.read(reinterpret_cast<char*>(&rows), sizeof(rows));
+  in.read(reinterpret_cast<char*>(&cols), sizeof(cols));
+  if (!in) return Status::IoError("truncated matrix header: " + path);
+  // Sanity bound: refuse absurd shapes rather than bad_alloc.
+  if (rows > (1ull << 32) || cols > (1ull << 24)) {
+    return Status::IoError("implausible matrix shape in: " + path);
   }
-  if (rows.empty()) return Matrix();
-  Matrix matrix = Matrix::FromRows(rows);
-  EM_RETURN_NOT_OK(ValidateMatrixFinite(matrix, path));
+  Matrix matrix(static_cast<size_t>(rows), static_cast<size_t>(cols));
+  in.read(reinterpret_cast<char*>(matrix.data()),
+          static_cast<std::streamsize>(matrix.ByteSize()));
+  if (!in) return Status::IoError("truncated matrix data: " + path);
   return matrix;
 }
+
+/// A borrowed view over the mapped EMBF store that keeps the store alive.
+Result<Matrix> MapEmbf(const std::string& path) {
+  EM_ASSIGN_OR_RETURN(MmapStore opened, MmapStore::Open(path));
+  auto store = std::make_shared<const MmapStore>(std::move(opened));
+  Matrix view = store->AsMatrix();
+  return Matrix::Borrowed(view.data(), view.rows(), view.cols(),
+                          std::move(store));
+}
+
+}  // namespace
 
 Status WriteMatrixBinary(const Matrix& matrix, const std::string& path) {
   std::ofstream out(path, std::ios::binary);
@@ -67,22 +61,15 @@ Result<Matrix> ReadMatrixBinary(const std::string& path) {
   if (!in) return Status::IoError("cannot open for reading: " + path);
   char magic[4];
   in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::IoError("not an EMAT matrix file: " + path);
+  Matrix matrix;
+  if (in && std::memcmp(magic, kMagic, sizeof(kMagic)) == 0) {
+    EM_ASSIGN_OR_RETURN(matrix, ReadEmat(in, path));
+  } else if (in && std::memcmp(magic, kEmbfMagic, sizeof(kEmbfMagic)) == 0) {
+    in.close();
+    EM_ASSIGN_OR_RETURN(matrix, MapEmbf(path));
+  } else {
+    return Status::IoError("not an EMAT or EMBF matrix file: " + path);
   }
-  uint64_t rows = 0;
-  uint64_t cols = 0;
-  in.read(reinterpret_cast<char*>(&rows), sizeof(rows));
-  in.read(reinterpret_cast<char*>(&cols), sizeof(cols));
-  if (!in) return Status::IoError("truncated matrix header: " + path);
-  // Sanity bound: refuse absurd shapes rather than bad_alloc.
-  if (rows > (1ull << 32) || cols > (1ull << 24)) {
-    return Status::IoError("implausible matrix shape in: " + path);
-  }
-  Matrix matrix(static_cast<size_t>(rows), static_cast<size_t>(cols));
-  in.read(reinterpret_cast<char*>(matrix.data()),
-          static_cast<std::streamsize>(matrix.ByteSize()));
-  if (!in) return Status::IoError("truncated matrix data: " + path);
   EM_RETURN_NOT_OK(ValidateMatrixFinite(matrix, path));
   return matrix;
 }

@@ -8,24 +8,23 @@
 
 namespace entmatcher {
 
-/// Reads a TSV matrix (one row per line, tab-separated floats) — the
-/// interchange format embedding toolkits like OpenEA/EAkit emit, so
-/// externally trained embeddings can be fed into the matching pipeline. All
-/// rows must have the same width.
-Result<Matrix> ReadMatrixTsv(const std::string& path);
-
 /// Writes a matrix in a compact binary format:
 ///   magic "EMAT" | uint64 rows | uint64 cols | float32 data (row-major).
 Status WriteMatrixBinary(const Matrix& matrix, const std::string& path);
 
-/// Reads the binary format written by WriteMatrixBinary.
+/// Reads an embedding matrix, telling the format by its 4-byte magic:
+///   - "EMAT" (WriteMatrixBinary) is read into an owned heap matrix;
+///   - "EMBF" (MmapStore::Write, la/mmap_store.h) is mapped read-only, and
+///     the result is a borrowed view that co-owns the mapping, so the file
+///     stays mapped until the last matrix moved from it dies.
+/// Any other magic is refused. Both formats then pass ValidateMatrixFinite.
 Result<Matrix> ReadMatrixBinary(const std::string& path);
 
 /// Rejects non-finite entries (NaN/Inf) with kInvalidArgument naming the
-/// first offending row and column. Both readers apply this before returning:
-/// a NaN that slips into a similarity kernel poisons every downstream score
-/// silently, so loads fail loudly instead. `context` labels the source
-/// (typically the file path) in the error message.
+/// first offending row and column. ReadMatrixBinary applies this before
+/// returning: a NaN that slips into a similarity kernel poisons every
+/// downstream score silently, so loads fail loudly instead. `context` labels
+/// the source (typically the file path) in the error message.
 Status ValidateMatrixFinite(const Matrix& matrix, const std::string& context);
 
 }  // namespace entmatcher

@@ -18,8 +18,6 @@ namespace entmatcher {
 
 namespace {
 
-constexpr char kEmbfMagic[4] = {'E', 'M', 'B', 'F'};
-
 struct EmbfHeader {
   char magic[4];
   uint64_t version;
@@ -43,8 +41,7 @@ Status WriteHeader(std::FILE* f, size_t rows, size_t cols,
 
 }  // namespace
 
-Result<MmapStore> MmapStore::Open(const std::string& path,
-                                  const MmapStoreOptions& options) {
+Result<MmapStore> MmapStore::Open(const std::string& path) {
   // Chaos point: a storage-layer read failure (missing volume, EIO) before
   // any byte of the file is touched — the mmap mirror of "index.load.read".
   EM_INJECT_FAULT("mmap.load.read", StatusCode::kIoError);
@@ -98,20 +95,16 @@ Result<MmapStore> MmapStore::Open(const std::string& path,
     return invalid;
   }
 
-  ::madvise(map, file_bytes,
-            options.hint == MmapAccessHint::kSequential ? MADV_SEQUENTIAL
-                                                        : MADV_RANDOM);
+  ::madvise(map, file_bytes, MADV_RANDOM);
 
   MmapStore store;
-  store.map_ = map;
-  store.map_bytes_ = file_bytes;
   store.data_ = reinterpret_cast<const float*>(
       static_cast<const char*>(map) + header.payload_offset);
   store.rows_ = header.rows;
   store.cols_ = header.cols;
-  store.tracked_bytes_ =
-      std::min(options.resident_budget_bytes, store.logical_bytes());
-  MemoryTracker::Global().Add(store.tracked_bytes_);
+  const size_t charge = std::min(kResidentChargeBytes, store.logical_bytes());
+  MemoryTracker::Global().Add(charge);
+  store.mapping_ = std::unique_ptr<void, Unmapper>(map, {file_bytes, charge});
   return store;
 }
 
@@ -124,44 +117,9 @@ Status MmapStore::Write(const Matrix& matrix, const std::string& path) {
   return writer.Finish();
 }
 
-MmapStore::MmapStore(MmapStore&& other) noexcept
-    : map_(other.map_), map_bytes_(other.map_bytes_), data_(other.data_),
-      rows_(other.rows_), cols_(other.cols_),
-      tracked_bytes_(other.tracked_bytes_) {
-  other.map_ = nullptr;
-  other.map_bytes_ = 0;
-  other.data_ = nullptr;
-  other.rows_ = 0;
-  other.cols_ = 0;
-  other.tracked_bytes_ = 0;
-}
-
-MmapStore& MmapStore::operator=(MmapStore&& other) noexcept {
-  if (this == &other) return *this;
-  if (map_ != nullptr) {
-    ::munmap(map_, map_bytes_);
-    MemoryTracker::Global().Sub(tracked_bytes_);
-  }
-  map_ = other.map_;
-  map_bytes_ = other.map_bytes_;
-  data_ = other.data_;
-  rows_ = other.rows_;
-  cols_ = other.cols_;
-  tracked_bytes_ = other.tracked_bytes_;
-  other.map_ = nullptr;
-  other.map_bytes_ = 0;
-  other.data_ = nullptr;
-  other.rows_ = 0;
-  other.cols_ = 0;
-  other.tracked_bytes_ = 0;
-  return *this;
-}
-
-MmapStore::~MmapStore() {
-  if (map_ != nullptr) {
-    ::munmap(map_, map_bytes_);
-    MemoryTracker::Global().Sub(tracked_bytes_);
-  }
+void MmapStore::Unmapper::operator()(void* addr) const {
+  ::munmap(addr, bytes);
+  MemoryTracker::Global().Sub(tracked_bytes);
 }
 
 Matrix MmapStore::AsMatrix() const {

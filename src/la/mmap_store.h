@@ -28,62 +28,49 @@ namespace entmatcher {
 /// borrowed Matrix straight over the page cache, so a 1M x 128d
 /// pair (512 MB of floats per side) can feed the matching engine without ever
 /// being materialized on the heap.
+inline constexpr char kEmbfMagic[4] = {'E', 'M', 'B', 'F'};
 constexpr size_t kEmbfHeaderBytes = 64;
 constexpr uint64_t kEmbfFormatVersion = 1;
 
-/// How the kernel should stage pages for a mapped store.
-enum class MmapAccessHint : uint8_t {
-  /// Probe-driven access (candidate rerank): rows are touched in id order
-  /// scattered across the file. madvise(MADV_RANDOM).
-  kRandom = 0,
-  /// Full scans (dense scoring, norm caches): rows are touched front to
-  /// back. madvise(MADV_SEQUENTIAL) lets the kernel read ahead and drop
-  /// pages behind the scan.
-  kSequential = 1,
-};
-
-struct MmapStoreOptions {
-  /// What the store charges to MemoryTracker. A mapped file's *logical*
-  /// bytes are not resident bytes — the kernel pages rows in on demand and
-  /// can evict them under pressure — so charging rows*cols*4 would make a
-  /// 1M-row store look like it blew any workspace budget while actually
-  /// touching a few MB. The store instead charges
-  /// min(resident_budget_bytes, logical bytes): the caller's declared
-  /// working-set ceiling, enforced in spirit by the kernel's reclaim.
-  /// Benches gate real peak RSS separately.
-  size_t resident_budget_bytes = 64ull << 20;
-
-  MmapAccessHint hint = MmapAccessHint::kRandom;
-};
-
 /// A read-only, memory-mapped, row-major float32 embedding store over an
 /// EMBF1 file. Move-only; the mapping (and the MemoryTracker charge) lives
-/// until destruction. All reads are plain const loads — a store can be
-/// shared across any number of threads.
+/// until the store holding it is destroyed. All reads are plain const loads
+/// — a store can be shared across any number of threads. ReadMatrixBinary
+/// (la/matrix_io.h) is how embeddings are read; it maps EMBF files through
+/// this class.
+///
+/// The mapping is advised MADV_RANDOM: the index probes and reranks touch
+/// rows scattered across the file. A file truncated while it is mapped
+/// faults (SIGBUS) on the next read of a lost page.
+///
+/// MemoryTracker charge: min(64 MB, logical bytes). A mapped file's logical
+/// bytes are not resident bytes — the kernel pages rows in on demand and can
+/// evict them under pressure — so charging rows*cols*4 would make a 1M-row
+/// store look like it blew any workspace budget while actually touching a
+/// few MB. 64 MB stands for the working set the page cache keeps; benches
+/// gate real peak RSS separately.
 class MmapStore {
  public:
+  /// What a store larger than this charges to MemoryTracker.
+  static constexpr size_t kResidentChargeBytes = 64ull << 20;
+
   /// Maps `path`, validating magic, version, shape, and file size against
   /// the header. Fault point "mmap.load.read" (kIoError) fires before the
   /// file is opened, modeling a storage-layer read failure.
-  static Result<MmapStore> Open(const std::string& path,
-                                const MmapStoreOptions& options = {});
+  static Result<MmapStore> Open(const std::string& path);
 
   /// Writes `matrix` to `path` in EMBF1 format.
   static Status Write(const Matrix& matrix, const std::string& path);
-
-  MmapStore(MmapStore&& other) noexcept;
-  MmapStore& operator=(MmapStore&& other) noexcept;
-  MmapStore(const MmapStore&) = delete;
-  MmapStore& operator=(const MmapStore&) = delete;
-  ~MmapStore();
 
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
   /// Total payload bytes if the matrix were materialized.
   size_t logical_bytes() const { return rows_ * cols_ * sizeof(float); }
-  /// What this store charged to MemoryTracker (the resident budget, capped
+  /// What this store charged to MemoryTracker (kResidentChargeBytes, capped
   /// at the logical size).
-  size_t tracked_bytes() const { return tracked_bytes_; }
+  size_t tracked_bytes() const {
+    return mapping_ != nullptr ? mapping_.get_deleter().tracked_bytes : 0;
+  }
 
   /// A borrowed Matrix over the mapping, suitable for PairSnapshot::Build
   /// and the similarity kernels. The store must outlive every copy of the
@@ -92,14 +79,20 @@ class MmapStore {
   Matrix AsMatrix() const;
 
  private:
+  /// Unmaps the whole-file mapping (header + payload) and releases its
+  /// tracker charge, once, from whichever store the mapping moved into.
+  struct Unmapper {
+    size_t bytes;
+    size_t tracked_bytes;
+    void operator()(void* addr) const;
+  };
+
   MmapStore() = default;
 
-  void* map_ = nullptr;       // whole-file mapping (header + payload)
-  size_t map_bytes_ = 0;
-  const float* data_ = nullptr;  // payload start inside map_
+  std::unique_ptr<void, Unmapper> mapping_;
+  const float* data_ = nullptr;  // payload start inside the mapping
   size_t rows_ = 0;
   size_t cols_ = 0;
-  size_t tracked_bytes_ = 0;
 };
 
 /// Streaming EMBF1 writer: declares the shape up front, appends rows, and

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "la/matrix_io.h"
 #include "matching/lap.h"
 
 namespace entmatcher {
@@ -15,15 +16,20 @@ Result<Assignment> HungarianMatch(const Matrix& scores, Workspace* workspace) {
   const size_t side = std::max(n, m);
 
   // Cost = score_max - score (minimization); dummy cells cost slightly more
-  // than the worst real cell so they are only used when forced.
+  // than the worst real cell so they are only used when forced. NaN and
+  // infinity have no place in that order (the solver can spin on them):
+  // v - v is NaN exactly for those, so its sum flags them branch-free.
   float lo = scores.At(0, 0);
   float hi = lo;
+  float poison = 0.0f;
   for (size_t i = 0; i < n; ++i) {
     for (float v : scores.Row(i)) {
       lo = std::min(lo, v);
       hi = std::max(hi, v);
+      poison += v - v;
     }
   }
+  if (poison != 0.0f) return ValidateMatrixFinite(scores, "HungarianMatch");
   const float range = hi - lo;
   const float dummy_cost = range + 1.0f;
 

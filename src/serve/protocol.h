@@ -53,7 +53,8 @@ namespace entmatcher {
 //   "swap <PAIR> <SRC> <TGT> [index=PATH] [version=N]"
 //                                      admin: hot-swap pair PAIR to the
 //                                      embeddings at server-side paths
-//                                      SRC/TGT (WriteMatrixBinary format),
+//                                      SRC/TGT (EMAT or EMBF: whatever
+//                                      ReadMatrixBinary reads),
 //                                      optionally attaching the candidate
 //                                      index saved at PATH; responds
 //                                      "swapped <PAIR> v<N>". version=N

@@ -396,11 +396,14 @@ std::future<ServeResponse> MatchServer::Submit(ServeRequest request) {
 }
 
 uint64_t MatchServer::RetryAfterHintMicros(size_t queue_depth) const {
-  // Rough time-to-drain estimate: every queued request costs at most one
-  // flush window (batching only shortens it). Floor of 1ms so a hint is
-  // never "retry immediately" while we are actively shedding.
+  // Time-to-drain estimate: the queue plus the shed request, one batch each
+  // at the mean measured execution time (batching only shortens it), spread
+  // over the workers; one flush window each until a batch has run. Floor of
+  // 1ms so a hint is never "retry immediately" while we are shedding.
+  const uint64_t batches = exec_batches_.load();
+  const uint64_t flush = config_.flush_micros > 0 ? config_.flush_micros : 200;
   const uint64_t per_request =
-      config_.flush_micros > 0 ? config_.flush_micros : 200;
+      batches > 0 ? exec_micros_total_.load() / batches / num_workers_ : flush;
   return std::max<uint64_t>(1000, per_request * (queue_depth + 1));
 }
 
@@ -537,7 +540,11 @@ void MatchServer::WorkerLoop() {
   std::map<std::string, WorkerEngine> engines;
   for (std::vector<Pending> batch = NextBatch(); !batch.empty();
        batch = NextBatch()) {
+    const Clock::time_point start = Clock::now();
     ExecuteGroup(std::move(batch), &engines);
+    exec_micros_total_ +=
+        static_cast<uint64_t>(MicrosBetween(start, Clock::now()));
+    ++exec_batches_;
   }
 }
 

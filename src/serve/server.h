@@ -1,6 +1,7 @@
 #ifndef ENTMATCHER_SERVE_SERVER_H_
 #define ENTMATCHER_SERVE_SERVER_H_
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -307,7 +308,7 @@ class MatchServer {
   void Respond(Pending* pending, ServeResponse response);
 
   /// Backoff hint attached to shed responses: a time-to-drain estimate from
-  /// the observed queue depth.
+  /// the observed queue depth and the measured batch execution time.
   uint64_t RetryAfterHintMicros(size_t queue_depth) const;
 
   MatchServerConfig config_;
@@ -336,6 +337,10 @@ class MatchServer {
   // workers.
   std::mutex lifecycle_mu_;
   std::vector<std::thread> workers_;
+
+  /// Wall time the workers spent in ExecuteGroup, over how many batches.
+  std::atomic<uint64_t> exec_micros_total_{0};
+  std::atomic<uint64_t> exec_batches_{0};
 };
 
 }  // namespace entmatcher

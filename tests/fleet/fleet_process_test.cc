@@ -22,6 +22,7 @@
 #include "fleet/plan.h"
 #include "fleet/router.h"
 #include "la/matrix_io.h"
+#include "la/mmap_store.h"
 #include "matching/engine.h"
 #include "serve/client.h"
 
@@ -56,12 +57,14 @@ class FleetProcessTest : public ::testing::Test {
     ASSERT_TRUE(WriteMatrixBinary(target_, dir_ + "/tgt.emat").ok());
   }
 
-  /// An EvenSplit plan over the written files, saved to disk for the
-  /// spawned shard processes to load.
-  ShardPlan MakePlan(int shards, int replicas) {
+  /// An EvenSplit plan over the written files (dir_/src.<extension> and
+  /// dir_/tgt.<extension>), saved to disk for the spawned shard processes
+  /// to load.
+  ShardPlan MakePlan(int shards, int replicas,
+                     const std::string& extension = "emat") {
     Result<ShardPlan> plan = ShardPlan::EvenSplit(
-        "p", dir_ + "/src.emat", dir_ + "/tgt.emat", "", kRows, shards, dir_,
-        replicas);
+        "p", dir_ + "/src." + extension, dir_ + "/tgt." + extension, "",
+        kRows, shards, dir_, replicas);
     EXPECT_TRUE(plan.ok()) << plan.status().ToString();
     plan_path_ = dir_ + "/plan.json";
     EXPECT_TRUE(plan->Save(plan_path_).ok());
@@ -133,6 +136,43 @@ TEST_F(FleetProcessTest, SpawnQueryKillFailoverAndStop) {
   }
   EXPECT_NE(manager.StatusJson().find("\"running\": false"),
             std::string::npos);
+}
+
+// Shards read their pair through the one embedding reader, so a plan may
+// name EMBF files: real shard processes boot on them and the merged answer
+// equals a solo engine over the pair.
+TEST_F(FleetProcessTest, ShardsBootFromEmbfFiles) {
+  ASSERT_TRUE(MmapStore::Write(source_, dir_ + "/src.embf").ok());
+  ASSERT_TRUE(MmapStore::Write(target_, dir_ + "/tgt.embf").ok());
+  const ShardPlan plan = MakePlan(/*shards=*/2, /*replicas=*/0, "embf");
+  ShardManager manager;
+  ASSERT_TRUE(
+      manager.Start(plan, ShardCommand::SelfServe(plan_path_, cli_path_))
+          .ok());
+  Status healthy = manager.WaitHealthy(20'000'000);
+  ASSERT_TRUE(healthy.ok()) << healthy.ToString();
+
+  Result<std::unique_ptr<Router>> router = Router::Create(plan, {});
+  ASSERT_TRUE(router.ok());
+  for (const AlgorithmPreset preset :
+       {AlgorithmPreset::kCsls, AlgorithmPreset::kRinf}) {
+    SCOPED_TRACE(PresetName(preset));
+    WireRequest request;
+    request.verb = WireRequest::Verb::kMatch;
+    request.algorithm = preset;
+    request.pair = "p";
+    Result<WireResponse> answer = (*router)->Query(request);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    Result<MatchEngine> engine =
+        MatchEngine::Create(Matrix(source_), Matrix(target_),
+                            MakePreset(preset));
+    ASSERT_TRUE(engine.ok());
+    Result<Assignment> solo = engine->Match();
+    ASSERT_TRUE(solo.ok());
+    EXPECT_EQ(answer->values, solo->target_of_source);
+  }
+  router->reset();
+  manager.StopAll();
 }
 
 // Respawn: the supervisor's restart primitive. A reaped shard re-forks with

@@ -9,7 +9,8 @@
 //   - failover to a replica when an owner is down;
 //   - hedged requests winning against a slow primary, with no thread
 //     started per query;
-//   - all-or-nothing swap fan-out with partial-failure reporting + repair.
+//   - all-or-nothing swap fan-out with partial-failure reporting + repair,
+//     and a swap to EMBF files.
 
 #include "fleet/router.h"
 
@@ -31,6 +32,8 @@
 #include "common/rng.h"
 #include "fleet/plan.h"
 #include "la/matrix_io.h"
+#include "la/mmap_store.h"
+#include "matching/engine.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "serve/socket_server.h"
@@ -504,6 +507,38 @@ TEST_F(RouterTest, SwapFanOutIsAllOrNothingWithRepair) {
   const RouterStatsSnapshot stats = fleet.router().Stats();
   EXPECT_EQ(stats.swap_fanouts, 2u);
   EXPECT_EQ(stats.swap_failures, 1u);
+}
+
+// The swap verb reads either embedding format: a fleet swapped to EMBF files
+// of a second pair version answers as a solo engine over that pair.
+TEST_F(RouterTest, SwapFanOutReadsEmbfFiles) {
+  Fleet fleet(source_, target_, 2, 1, 0);
+  const Matrix source = RandomEmbeddings(kRows, /*seed=*/15);
+  const Matrix target = RandomEmbeddings(kTargets, /*seed=*/18);
+  const std::string prefix = "/tmp/em_fan_embf_" + std::to_string(::getpid());
+  ASSERT_TRUE(MmapStore::Write(source, prefix + ".src.embf").ok());
+  ASSERT_TRUE(MmapStore::Write(target, prefix + ".tgt.embf").ok());
+  WireRequest swap;
+  swap.verb = WireRequest::Verb::kSwap;
+  swap.pair = "p";
+  swap.source_path = prefix + ".src.embf";
+  swap.target_path = prefix + ".tgt.embf";
+  Result<std::string> swapped = fleet.router().Swap(swap);
+  ASSERT_TRUE(swapped.ok()) << swapped.status().ToString();
+
+  for (const AlgorithmPreset preset : SparseCapablePresets()) {
+    SCOPED_TRACE(PresetName(preset));
+    Result<MatchEngine> engine = MatchEngine::Create(
+        Matrix(source), Matrix(target), MakePreset(preset));
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    Result<Assignment> solo = engine->Match();
+    ASSERT_TRUE(solo.ok()) << solo.status().ToString();
+    Result<WireResponse> routed = fleet.router().Query(MatchRequest(preset));
+    ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+    EXPECT_EQ(routed->values, solo->target_of_source);
+  }
+  ::unlink(swap.source_path.c_str());
+  ::unlink(swap.target_path.c_str());
 }
 
 TEST_F(RouterTest, RouterHandlerSpeaksTheWireProtocol) {

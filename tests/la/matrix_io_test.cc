@@ -2,11 +2,14 @@
 
 #include <unistd.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 
 #include <gtest/gtest.h>
+
+#include "la/mmap_store.h"
 
 namespace entmatcher {
 namespace {
@@ -24,14 +27,6 @@ class MatrixIoTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-TEST_F(MatrixIoTest, TsvRoundTrip) {
-  Matrix m = Matrix::FromRows({{1.5f, -2.25f}, {0.0f, 1e-3f}});
-  std::ofstream(Path("m.tsv")) << "1.5\t-2.25\n0\t0.001\n";
-  auto loaded = ReadMatrixTsv(Path("m.tsv"));
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_TRUE(loaded->ApproxEquals(m, 1e-6f));
-}
-
 TEST_F(MatrixIoTest, BinaryRoundTripIsExact) {
   Matrix m(37, 19);
   for (size_t r = 0; r < m.rows(); ++r) {
@@ -45,21 +40,33 @@ TEST_F(MatrixIoTest, BinaryRoundTripIsExact) {
   EXPECT_TRUE(loaded->ApproxEquals(m, 0.0f));
 }
 
-TEST_F(MatrixIoTest, TsvRejectsRaggedRows) {
-  std::ofstream(Path("bad.tsv")) << "1\t2\n3\n";
-  EXPECT_FALSE(ReadMatrixTsv(Path("bad.tsv")).ok());
-}
-
-TEST_F(MatrixIoTest, TsvRejectsNonNumeric) {
-  std::ofstream(Path("bad2.tsv")) << "1\tx\n";
-  EXPECT_FALSE(ReadMatrixTsv(Path("bad2.tsv")).ok());
-}
-
-TEST_F(MatrixIoTest, EmptyTsvIsEmptyMatrix) {
-  std::ofstream(Path("empty.tsv")) << "";
-  auto loaded = ReadMatrixTsv(Path("empty.tsv"));
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_TRUE(loaded->empty());
+// One reader for both formats: the same matrix written as EMAT and as EMBF
+// reads back to the same bits, onto the heap from EMAT and as a borrowed
+// view over the mapping from EMBF.
+TEST_F(MatrixIoTest, EmatAndEmbfReadBackBitIdentical) {
+  Matrix m(41, 7);
+  for (size_t r = 0; r < m.rows(); ++r) {
+    for (size_t c = 0; c < m.cols(); ++c) {
+      m.At(r, c) = static_cast<float>(r * 31 + c) * -0.173f;
+    }
+  }
+  ASSERT_TRUE(WriteMatrixBinary(m, Path("m.emat")).ok());
+  ASSERT_TRUE(MmapStore::Write(m, Path("m.embf")).ok());
+  Result<Matrix> emat = ReadMatrixBinary(Path("m.emat"));
+  Result<Matrix> embf = ReadMatrixBinary(Path("m.embf"));
+  ASSERT_TRUE(emat.ok()) << emat.status().ToString();
+  ASSERT_TRUE(embf.ok()) << embf.status().ToString();
+  EXPECT_FALSE(emat->borrowed());
+  EXPECT_TRUE(embf->borrowed());
+  for (const Matrix* read : {&*emat, &*embf}) {
+    ASSERT_EQ(read->rows(), m.rows());
+    ASSERT_EQ(read->cols(), m.cols());
+    EXPECT_EQ(std::memcmp(read->data(), m.data(), m.ByteSize()), 0);
+  }
+  // A copy detaches from the mapping into owned memory.
+  const Matrix copy = *embf;
+  EXPECT_FALSE(copy.borrowed());
+  EXPECT_EQ(std::memcmp(copy.data(), m.data(), m.ByteSize()), 0);
 }
 
 TEST_F(MatrixIoTest, BinaryRejectsWrongMagic) {
@@ -75,32 +82,24 @@ TEST_F(MatrixIoTest, BinaryRejectsTruncated) {
   EXPECT_FALSE(ReadMatrixBinary(Path("t.emat")).ok());
 }
 
+TEST_F(MatrixIoTest, BinaryRejectsTruncatedEmbf) {
+  Matrix m(4, 4);
+  ASSERT_TRUE(MmapStore::Write(m, Path("t.embf")).ok());
+  // Cut inside the payload, then inside the header.
+  std::filesystem::resize_file(Path("t.embf"), kEmbfHeaderBytes + 20);
+  EXPECT_FALSE(ReadMatrixBinary(Path("t.embf")).ok());
+  std::filesystem::resize_file(Path("t.embf"), 24);
+  EXPECT_FALSE(ReadMatrixBinary(Path("t.embf")).ok());
+}
+
 TEST_F(MatrixIoTest, MissingFilesFail) {
-  EXPECT_FALSE(ReadMatrixTsv(Path("nope.tsv")).ok());
   EXPECT_FALSE(ReadMatrixBinary(Path("nope.emat")).ok());
 }
 
 // Non-finite embeddings would silently poison every downstream similarity
 // (NaN compares false, so a poisoned row "matches" nothing or everything
-// depending on the kernel) — both readers must refuse them at the door and
-// say exactly where the bad value sits.
-TEST_F(MatrixIoTest, TsvRejectsNonFiniteNamingRowAndColumn) {
-  std::ofstream(Path("nan.tsv")) << "1\t2\n3\tnan\n";
-  Result<Matrix> loaded = ReadMatrixTsv(Path("nan.tsv"));
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(loaded.status().message().find("row 1, column 1"),
-            std::string::npos)
-      << loaded.status().ToString();
-
-  std::ofstream(Path("inf.tsv")) << "inf\t2\n";
-  Result<Matrix> inf_loaded = ReadMatrixTsv(Path("inf.tsv"));
-  ASSERT_FALSE(inf_loaded.ok());
-  EXPECT_EQ(inf_loaded.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(inf_loaded.status().message().find("row 0, column 0"),
-            std::string::npos);
-}
-
+// depending on the kernel) — the reader must refuse them at the door, in
+// either format, and say exactly where the bad value sits.
 TEST_F(MatrixIoTest, BinaryRejectsNonFiniteNamingRowAndColumn) {
   Matrix m(3, 2);
   m.At(2, 1) = std::numeric_limits<float>::quiet_NaN();
@@ -111,6 +110,16 @@ TEST_F(MatrixIoTest, BinaryRejectsNonFiniteNamingRowAndColumn) {
   EXPECT_NE(loaded.status().message().find("row 2, column 1"),
             std::string::npos)
       << loaded.status().ToString();
+
+  Matrix inf(4, 3);
+  inf.At(1, 2) = -std::numeric_limits<float>::infinity();
+  ASSERT_TRUE(MmapStore::Write(inf, Path("inf.embf")).ok());
+  Result<Matrix> mapped = ReadMatrixBinary(Path("inf.embf"));
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_EQ(mapped.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(mapped.status().message().find("row 1, column 2"),
+            std::string::npos)
+      << mapped.status().ToString();
 }
 
 TEST_F(MatrixIoTest, ValidateMatrixFiniteAcceptsCleanMatrix) {

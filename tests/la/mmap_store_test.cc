@@ -1,13 +1,16 @@
 // EMBF1 / MmapStore tests: bitwise round trips, header validation, writer
-// misuse, MemoryTracker resident-budget accounting, and the load-bearing
-// property of the whole out-of-core path — an engine fed borrowed mmap
-// matrices scores bit-identically to one fed heap copies.
+// misuse, MemoryTracker resident-charge accounting, the lifetime of a
+// mapping read through ReadMatrixBinary, and the load-bearing property of
+// the whole out-of-core path — an engine fed borrowed mmap matrices scores
+// bit-identically to one fed heap copies.
 
 #include "la/mmap_store.h"
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,8 +19,10 @@
 #include "common/memory_tracker.h"
 #include "common/rng.h"
 #include "datagen/embf_synth.h"
+#include "la/matrix_io.h"
 #include "la/similarity.h"
 #include "matching/engine.h"
+#include "serve/server.h"
 
 namespace entmatcher {
 namespace {
@@ -146,9 +151,9 @@ TEST(MmapStoreTest, OpenRejectsCorruptFiles) {
   std::remove(good.c_str());
 }
 
-// The tracker charge is the declared resident budget capped at the logical
-// size — never the logical size of a store bigger than its budget — and it
-// is released (exactly once, despite moves) when the store dies.
+// The tracker charge is the 64 MB resident charge capped at the logical
+// size — never the logical size of a store bigger than 64 MB — and it is
+// released (exactly once, despite moves) when the store dies.
 TEST(MmapStoreTest, TrackerChargesResidentBudgetNotLogicalBytes) {
   const Matrix m = RandomMatrix(64, 16, 321);  // 4 KB logical
   const std::string path = TempPath("tracked.embf");
@@ -158,29 +163,101 @@ TEST(MmapStoreTest, TrackerChargesResidentBudgetNotLogicalBytes) {
   MemoryTracker& tracker = MemoryTracker::Global();
   const size_t before = tracker.stats().current_bytes;
   {
-    MmapStoreOptions small_budget;
-    small_budget.resident_budget_bytes = 1024;
-    Result<MmapStore> store = MmapStore::Open(path, small_budget);
-    ASSERT_TRUE(store.ok());
-    EXPECT_EQ(store->tracked_bytes(), 1024u);
-    EXPECT_EQ(tracker.stats().current_bytes, before + 1024);
-
-    MmapStore moved = std::move(store).value();
-    EXPECT_EQ(moved.tracked_bytes(), 1024u);
-    EXPECT_EQ(tracker.stats().current_bytes, before + 1024);
-  }
-  EXPECT_EQ(tracker.stats().current_bytes, before);
-
-  {
-    MmapStoreOptions big_budget;
-    big_budget.resident_budget_bytes = 1ull << 30;
-    Result<MmapStore> store = MmapStore::Open(path, big_budget);
+    Result<MmapStore> store = MmapStore::Open(path);
     ASSERT_TRUE(store.ok());
     EXPECT_EQ(store->tracked_bytes(), logical);
     EXPECT_EQ(tracker.stats().current_bytes, before + logical);
+
+    MmapStore moved = std::move(store).value();
+    EXPECT_EQ(moved.tracked_bytes(), logical);
+    EXPECT_EQ(tracker.stats().current_bytes, before + logical);
+  }
+  EXPECT_EQ(tracker.stats().current_bytes, before);
+
+  // A store one row past 64 MB, as a sparse file: a header, then a
+  // truncate to the declared size, so no payload byte is written or read.
+  const size_t cols = 16;
+  const size_t rows = MmapStore::kResidentChargeBytes / (cols * 4) + 1;
+  std::string header(kEmbfHeaderBytes, '\0');
+  std::memcpy(header.data(), kEmbfMagic, sizeof(kEmbfMagic));
+  const uint64_t fields[4] = {kEmbfFormatVersion, rows, cols,
+                              kEmbfHeaderBytes};
+  std::memcpy(header.data() + sizeof(kEmbfMagic), fields, sizeof(fields));
+  WriteBytes(path, header);
+  std::filesystem::resize_file(path, kEmbfHeaderBytes + rows * cols * 4);
+  {
+    Result<MmapStore> store = MmapStore::Open(path);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    EXPECT_GT(store->logical_bytes(), MmapStore::kResidentChargeBytes);
+    EXPECT_EQ(store->tracked_bytes(), MmapStore::kResidentChargeBytes);
+    EXPECT_EQ(tracker.stats().current_bytes,
+              before + MmapStore::kResidentChargeBytes);
   }
   EXPECT_EQ(tracker.stats().current_bytes, before);
   std::remove(path.c_str());
+}
+
+// A pair read from EMBF owns its mappings: with the files unlinked and no
+// MmapStore handle left here, a server holding the matrices answers every
+// preset as one loaded from EMAT, and destroying it releases the stores'
+// tracker charges.
+TEST(MmapStoreTest, MappedPairLivesAsLongAsTheServerHoldingIt) {
+  const Matrix src = RandomMatrix(24, 16, 351);
+  const Matrix tgt = RandomMatrix(30, 16, 352);
+  const std::string emat_src = TempPath("lifetime_src.emat");
+  const std::string emat_tgt = TempPath("lifetime_tgt.emat");
+  const std::string embf_src = TempPath("lifetime_src.embf");
+  const std::string embf_tgt = TempPath("lifetime_tgt.embf");
+  ASSERT_TRUE(WriteMatrixBinary(src, emat_src).ok());
+  ASSERT_TRUE(WriteMatrixBinary(tgt, emat_tgt).ok());
+  ASSERT_TRUE(MmapStore::Write(src, embf_src).ok());
+  ASSERT_TRUE(MmapStore::Write(tgt, embf_tgt).ok());
+
+  MemoryTracker& tracker = MemoryTracker::Global();
+  const size_t baseline = tracker.stats().current_bytes;
+  const auto load = [](const std::string& src_path,
+                       const std::string& tgt_path) {
+    Result<Matrix> s = ReadMatrixBinary(src_path);
+    Result<Matrix> t = ReadMatrixBinary(tgt_path);
+    EXPECT_TRUE(s.ok()) << s.status().ToString();
+    EXPECT_TRUE(t.ok()) << t.status().ToString();
+    MatchServerConfig config;
+    config.serve_workers = 1;
+    Result<std::unique_ptr<MatchServer>> server = MatchServer::Create(config);
+    EXPECT_TRUE(server.ok());
+    EXPECT_TRUE((*server)
+                    ->LoadPair("default", std::move(s).value(),
+                               std::move(t).value())
+                    .ok());
+    EXPECT_TRUE((*server)->Start().ok());
+    return std::move(server).value();
+  };
+  std::unique_ptr<MatchServer> heap = load(emat_src, emat_tgt);
+  std::unique_ptr<MatchServer> mapped = load(embf_src, embf_tgt);
+  for (const std::string& p : {emat_src, emat_tgt, embf_src, embf_tgt}) {
+    ASSERT_EQ(std::remove(p.c_str()), 0);
+  }
+
+  for (const AlgorithmPreset preset :
+       {AlgorithmPreset::kDInf, AlgorithmPreset::kCsls,
+        AlgorithmPreset::kRinf, AlgorithmPreset::kRinfWr,
+        AlgorithmPreset::kRinfPb, AlgorithmPreset::kSinkhorn,
+        AlgorithmPreset::kHungarian, AlgorithmPreset::kStableMatch}) {
+    SCOPED_TRACE(PresetName(preset));
+    ServeRequest request;
+    request.options = MakePreset(preset);
+    const ServeResponse want = heap->Query(request);
+    const ServeResponse got = mapped->Query(request);
+    ASSERT_TRUE(want.status.ok()) << want.status.ToString();
+    ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+    EXPECT_EQ(got.assignment.target_of_source,
+              want.assignment.target_of_source);
+  }
+  heap->Shutdown();
+  mapped->Shutdown();
+  heap.reset();
+  mapped.reset();
+  EXPECT_EQ(tracker.stats().current_bytes, baseline);
 }
 
 // The whole point of the out-of-core path: feeding the engine borrowed

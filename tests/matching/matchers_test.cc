@@ -2,7 +2,9 @@
 #include <limits>
 #include <numeric>
 #include <set>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -139,6 +141,37 @@ TEST(HungarianTest, RectangularMoreTargetsMatchesAllSources) {
   auto a = HungarianMatch(s);
   ASSERT_TRUE(a.ok());
   EXPECT_EQ(a->NumMatched(), 3u);
+}
+
+// A NaN or infinite score has no place in the cost order: some placements
+// made the solver spin, others slipped through into an assignment. Every
+// one is refused up front, naming the first bad cell.
+TEST(HungarianTest, RefusesNonFiniteScoresNamingRowAndColumn) {
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  struct Case {
+    const char* name;
+    std::vector<std::pair<size_t, size_t>> cells;
+    float value;
+    const char* where;
+  };
+  const Case cases[] = {
+      {"NaN column", {{0, 1}, {1, 1}, {2, 1}}, kNan, "row 0, column 1"},
+      {"+inf cell", {{1, 2}}, kInf, "row 1, column 2"},
+      {"NaN at (0,0)", {{0, 0}}, kNan, "row 0, column 0"},
+      {"NaN cell", {{2, 1}}, kNan, "row 2, column 1"},
+      {"-inf cell", {{1, 0}}, -kInf, "row 1, column 0"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Matrix s = RandomScores(3, 3, 17);
+    for (const auto& [i, j] : c.cells) s.At(i, j) = c.value;
+    Result<Assignment> a = HungarianMatch(s);
+    ASSERT_FALSE(a.ok());
+    EXPECT_EQ(a.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(a.status().message().find(c.where), std::string::npos)
+        << a.status().ToString();
+  }
 }
 
 TEST(HungarianTest, BeatsGreedyTotalSimilarity) {

@@ -286,6 +286,47 @@ TEST_F(ServeTest, RunningServerShedsAtTheWatermarkWhileItsWorkerIsBusy) {
   EXPECT_EQ(server->Stats().max_queue_depth, 2u);
 }
 
+// The shed hint prices the backlog at the measured batch time: once a CSLS
+// batch has taken 100 ms, a request shed behind two queued ones is told to
+// come back no sooner than one such batch, not after one flush window.
+TEST_F(ServeTest, RetryAfterHintFollowsMeasuredExecution) {
+  MatchServerConfig config;
+  config.serve_workers = 1;
+  config.queue_capacity = 8;
+  config.shed_watermark = 2;
+  std::unique_ptr<MatchServer> server = MakeServer(config);
+  Result<FaultPlan> plan =
+      FaultPlan::Parse("engine.scores:nth=1,max=2,latency_us=100000");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  FaultInjector::Global().Arm(std::move(plan).value(), /*seed=*/1);
+
+  ASSERT_TRUE(server->Query(MatchRequest(AlgorithmPreset::kCsls)).status.ok());
+  std::future<ServeResponse> held =
+      server->Submit(MatchRequest(AlgorithmPreset::kCsls));
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server->Stats().batches < 2 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  ASSERT_EQ(server->Stats().batches, 2u);
+
+  std::vector<std::future<ServeResponse>> queued;
+  for (int i = 0; i < 2; ++i) {
+    queued.push_back(server->Submit(MatchRequest(AlgorithmPreset::kDInf)));
+  }
+  const ServeResponse shed =
+      server->Query(MatchRequest(AlgorithmPreset::kDInf));
+  EXPECT_EQ(shed.status.code(), StatusCode::kUnavailable);
+  EXPECT_GE(shed.retry_after_micros, 100000u);
+
+  EXPECT_TRUE(held.get().status.ok());
+  for (std::future<ServeResponse>& f : queued) {
+    EXPECT_TRUE(f.get().status.ok());
+  }
+  server->Shutdown();
+}
+
 // Same backlog, degrade watermark 1: the first request queued behind the
 // busy worker stays dense, the second is degraded onto the sparse path.
 TEST_F(ServeTest, RunningServerDegradesAtTheWatermarkWhileItsWorkerIsBusy) {
