@@ -29,8 +29,10 @@ double ClassifierF1(const KgPairDataset& dataset, const EmbeddingPair& emb,
   }
 
   // Blocking: score only each source's top-K cosine candidates.
-  const Matrix src = ExtractRows(emb.source, dataset.test_source_entities);
-  const Matrix tgt = ExtractRows(emb.target, dataset.test_target_entities);
+  const Matrix src =
+      ExtractRows(emb.source, dataset.test_source_entities).value();
+  const Matrix tgt =
+      ExtractRows(emb.target, dataset.test_target_entities).value();
   auto sim = ComputeSimilarity(src, tgt, SimilarityMetric::kCosine);
   if (!sim.ok()) std::abort();
   const size_t k = std::min(block_width, dataset.test_target_entities.size());

@@ -31,8 +31,8 @@ void RunStreaming(double scale) {
   for (const std::string& pair : {std::string("D-Z"), std::string("DW-W")}) {
     KgPairDataset d = MustGenerate(pair, scale);
     EmbeddingPair e = MustEmbed(d, EmbeddingSetting::kGcnStruct);
-    const Matrix src = ExtractRows(e.source, d.test_source_entities);
-    const Matrix tgt = ExtractRows(e.target, d.test_target_entities);
+    const Matrix src = ExtractRows(e.source, d.test_source_entities).value();
+    const Matrix tgt = ExtractRows(e.target, d.test_target_entities).value();
 
     for (bool csls : {false, true}) {
       // Dense baseline.
@@ -124,8 +124,8 @@ void RunPartitioned(double scale) {
                       "Part. mem", "Dense T(s)", "Part. T(s)"});
   KgPairDataset d = MustGenerate("DW-W", scale);
   EmbeddingPair e = MustEmbed(d, EmbeddingSetting::kGcnStruct);
-  const Matrix src = ExtractRows(e.source, d.test_source_entities);
-  const Matrix tgt = ExtractRows(e.target, d.test_target_entities);
+  const Matrix src = ExtractRows(e.source, d.test_source_entities).value();
+  const Matrix tgt = ExtractRows(e.target, d.test_target_entities).value();
 
   auto evaluate = [&](const Assignment& a) {
     std::vector<EntityPair> pairs;
@@ -180,8 +180,8 @@ void RunRelationContext(double scale) {
     for (EmbeddingSetting setting :
          {EmbeddingSetting::kGcnStruct, EmbeddingSetting::kRreaStruct}) {
       EmbeddingPair e = MustEmbed(d, setting);
-      const Matrix src = ExtractRows(e.source, d.test_source_entities);
-      const Matrix tgt = ExtractRows(e.target, d.test_target_entities);
+      const Matrix src = ExtractRows(e.source, d.test_source_entities).value();
+      const Matrix tgt = ExtractRows(e.target, d.test_target_entities).value();
       auto raw = ComputeSimilarity(src, tgt, SimilarityMetric::kCosine);
       if (!raw.ok()) std::abort();
 

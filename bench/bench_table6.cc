@@ -121,9 +121,11 @@ void Run() {
   // one giant block — the skew the candidate index sidesteps entirely.
   {
     const Matrix src =
-        ExtractRows(embeddings[0].source, datasets[0].test_source_entities);
+        ExtractRows(embeddings[0].source, datasets[0].test_source_entities)
+            .value();
     const Matrix tgt =
-        ExtractRows(embeddings[0].target, datasets[0].test_target_entities);
+        ExtractRows(embeddings[0].target, datasets[0].test_target_entities)
+            .value();
     PartitionedOptions options;
     options.num_partitions = 16;
     options.block_options = MakePreset(AlgorithmPreset::kCsls);

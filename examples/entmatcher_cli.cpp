@@ -7,6 +7,16 @@
 // EMBF (written by `mmap pack` / `mmap synth-pair`) is mapped read-only, so
 // a 1M x 128d pair is matched without materializing either side.
 //
+// Flags follow a command's fixed arguments, in any order, as --name=VALUE
+// (--no-spawn alone). A malformed value prints `error: bad --name= value:
+// VALUE` and an unknown flag the usage line (`query` hands it to the wire
+// parser with its other request words); each exits 1.
+//
+// The server flags: `serve` and each fleet shard build their server from
+// them, and `fleet serve` forwards them verbatim to the shards it spawns:
+//   --threads=N --serve-workers=N --cache-bytes=N --max-batch=N
+//   --flush-micros=N --queue-capacity=N --shed-watermark=N
+//
 //   entmatcher_cli generate <pair> <dir> [scale]
 //       Generate a benchmark dataset (e.g. D-Z, S-F, DW-W, D-Z+, FB-MUL)
 //       and save it under <dir>.
@@ -63,10 +73,8 @@
 //   entmatcher_cli eval <dir> <links.tsv>
 //       Score previously saved predicted links against the test split.
 //   entmatcher_cli serve <src.emat> <tgt.emat> [--socket=PATH]
-//                  [--threads=N]
-//                  [--kernel-tier=TIER] [--serve-workers=N] [--cache-bytes=N]
-//                  [--max-batch=N] [--flush-micros=N] [--queue-capacity=N]
-//                  [--workspace-budget-bytes=N] [--shed-watermark=N]
+//                  [server flags] [--kernel-tier=TIER]
+//                  [--workspace-budget-bytes=N]
 //                  [--index=PATH [--degrade-watermark=N]
 //                   [--degrade-candidates=N] [--degrade-nprobe=N]
 //                   [--degrade-ef=N]]
@@ -109,9 +117,7 @@
 //                  [--no-spawn] [--hedge-micros=N] [--retries=N]
 //                  [--restart-policy=SPEC] [--breaker-failures=N]
 //                  [--breaker-cooldown-us=N] [--partial=unavailable|degrade]
-//                  [shard flags: --serve-workers=N --cache-bytes=N
-//                   --threads=N --max-batch=N --flush-micros=N
-//                   --queue-capacity=N --shed-watermark=N]
+//                  [server flags]
 //       With --shard=K: run ONE shard — a normal MatchServer loading every
 //       pair the plan assigns to shard K, listening on the plan's socket
 //       for that shard. Without --shard: run the ROUTER — spawn one child
@@ -119,9 +125,8 @@
 //       expects the shards to already be up), wait for them to get
 //       healthy, then serve the same wire protocol on --socket,
 //       scatter-gathering match/topk across shards with per-range
-//       failover (and hedging when --hedge-micros > 0). Shard flags are
-//       forwarded to spawned shards verbatim. `query shutdown` on the
-//       router stops the whole fleet.
+//       failover (and hedging when --hedge-micros > 0). `query shutdown`
+//       on the router stops the whole fleet.
 //       Self-healing (spawn mode): a FleetSupervisor restarts crashed
 //       shards under --restart-policy ("off", "on", or a comma list:
 //       max_strikes=N,backoff_us=N,max_backoff_us=N,multiplier=F,
@@ -153,6 +158,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -200,48 +206,223 @@ int Usage() {
   return EXIT_FAILURE;
 }
 
-/// Parses "--<name>=<uint>": returns 0 when `arg` is a different flag,
-/// 1 on success (value stored), -1 on a malformed value (already reported).
-int MatchUintFlag(const std::string& arg, const std::string& name,
-                  unsigned long long* value) {
-  const std::string prefix = "--" + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return 0;
-  const std::string text = arg.substr(prefix.size());
-  uint64_t parsed = 0;
-  if (!ParseUint64(text, &parsed)) {
-    std::cerr << "error: bad " << prefix << " value: " << text << "\n";
-    return -1;
-  }
-  *value = parsed;
-  return 1;
+/// One entry of a command's flag table: "--<name>=VALUE", or exactly
+/// "--<name>" when `bare`. `set` takes the VALUE and returns the error to
+/// print after "error: ", or "" once it has taken the value.
+struct Flag {
+  std::string name;
+  std::function<std::string(const std::string&)> set;
+  bool bare = false;
+};
+
+/// An unsigned decimal flag handed to `store`.
+Flag Uint(const std::string& name, std::function<void(uint64_t)> store) {
+  return {name, [name, store](const std::string& text) {
+            uint64_t value = 0;
+            if (!ParseUint64(text, &value)) {
+              return "bad --" + name + "= value: " + text;
+            }
+            store(value);
+            return std::string();
+          }};
 }
 
-/// Applies "--kernel-tier=<tier|auto>": resolves, forces, and reports the
-/// tier. Returns 0 when `arg` is a different flag, 1 on success, -1 on an
-/// unknown or unavailable tier (already reported).
-int MatchKernelTierFlag(const std::string& arg) {
-  const std::string prefix = "--kernel-tier=";
-  if (arg.rfind(prefix, 0) != 0) return 0;
-  const std::string text = arg.substr(prefix.size());
-  KernelTier tier;
-  if (text == "auto") {
-    tier = BestAvailableKernelTier();
-  } else {
-    Result<KernelTier> parsed = ParseKernelTier(text);
-    if (!parsed.ok()) {
-      std::cerr << "error: " << parsed.status().ToString() << "\n";
-      return -1;
+/// An unsigned decimal flag stored into `*dest`.
+template <typename T>
+Flag Uint(const std::string& name, T* dest) {
+  return Uint(name, [dest](uint64_t value) { *dest = static_cast<T>(value); });
+}
+
+Flag Double(const std::string& name, double* dest) {
+  return {name, [name, dest](const std::string& text) {
+            char* end = nullptr;
+            const double value = std::strtod(text.c_str(), &end);
+            if (text.empty() || *end != '\0') {
+              return "bad --" + name + "= value: " + text;
+            }
+            *dest = value;
+            return std::string();
+          }};
+}
+
+Flag Text(const std::string& name, std::string* dest) {
+  return {name, [dest](const std::string& text) {
+            *dest = text;
+            return std::string();
+          }};
+}
+
+/// --threads=N: this process's kernel threads (EM_NUM_THREADS; the flag
+/// wins).
+Flag ThreadsFlag() {
+  return Uint("threads",
+              [](uint64_t n) { SetNumThreads(static_cast<size_t>(n)); });
+}
+
+/// --kernel-tier=<tier|auto>: forces the tier and reports it.
+Flag KernelTierFlag() {
+  return {"kernel-tier", [](const std::string& text) {
+            const Result<KernelTier> tier =
+                text == "auto" ? Result<KernelTier>(BestAvailableKernelTier())
+                               : ParseKernelTier(text);
+            if (!tier.ok()) return tier.status().ToString();
+            Status forced = SetKernelTier(*tier);
+            if (!forced.ok()) return forced.ToString();
+            std::cout << "kernel tier: " << KernelTierName(ActiveKernelTier())
+                      << " (cpu: " << DetectedCpuFeatures() << ")\n";
+            return std::string();
+          }};
+}
+
+/// The server flags (see the header), read into `*config`. With
+/// `forwarded`, every one taken is also kept there as given: the argv tail
+/// `fleet serve` hands the shards it spawns.
+std::vector<Flag> ServerFlags(MatchServerConfig* config,
+                              std::vector<std::string>* forwarded) {
+  std::vector<Flag> flags = {
+      ThreadsFlag(),
+      Uint("serve-workers", &config->serve_workers),
+      Uint("cache-bytes", &config->result_cache_bytes),
+      Uint("max-batch", &config->max_batch),
+      Uint("flush-micros", &config->flush_micros),
+      Uint("queue-capacity", &config->queue_capacity),
+      Uint("shed-watermark", &config->shed_watermark)};
+  if (forwarded != nullptr) {
+    for (Flag& flag : flags) {
+      flag.set = [name = flag.name, set = flag.set,
+                  forwarded](const std::string& text) {
+        const std::string error = set(text);
+        if (error.empty()) forwarded->push_back("--" + name + "=" + text);
+        return error;
+      };
     }
-    tier = *parsed;
   }
-  Status forced = SetKernelTier(tier);
-  if (!forced.ok()) {
-    std::cerr << "error: " << forced.ToString() << "\n";
-    return -1;
+  return flags;
+}
+
+/// Walks argv[first, argc) in order: a word naming one of `flags` sets it,
+/// and every other word goes to `take_word` (a command's positional words).
+/// A word `take_word` refuses, or any when it is null, gets the usage line.
+/// Returns false once it has printed an error or the usage line.
+bool ParseArgs(int argc, char** argv, int first,
+               const std::vector<Flag>& flags,
+               const std::function<bool(const std::string&)>& take_word =
+                   nullptr) {
+  for (int i = first; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const Flag* flag = nullptr;
+    std::string value;
+    if (arg.rfind("--", 0) == 0) {
+      const size_t eq = arg.find('=');
+      const bool bare = eq == std::string::npos;
+      const std::string name = arg.substr(2, bare ? eq : eq - 2);
+      for (const Flag& candidate : flags) {
+        if (candidate.name == name && candidate.bare == bare) flag = &candidate;
+      }
+      if (!bare) value = arg.substr(eq + 1);
+    }
+    if (flag != nullptr) {
+      const std::string error = flag->set(value);
+      if (!error.empty()) {
+        std::cerr << "error: " << error << "\n";
+        return false;
+      }
+    } else if (!take_word || !take_word(arg)) {
+      Usage();
+      return false;
+    }
   }
-  std::cout << "kernel tier: " << KernelTierName(ActiveKernelTier())
-            << " (cpu: " << DetectedCpuFeatures() << ")\n";
-  return 1;
+  return true;
+}
+
+/// Serves `pairs` from one MatchServer on `socket_path` until a client
+/// sends `shutdown`: `serve` (one pair, rows 0 = no row count to check) and
+/// each fleet shard (the pairs its plan assigns it, checked against the
+/// plan's row counts). `announce` prints the start-up line once the socket
+/// listens; `final_stats` prints the server's stats after it stops.
+int RunServer(const MatchServerConfig& config,
+              const std::vector<PairSpec>& pairs,
+              const std::string& socket_path,
+              const std::function<void(const MatchServer&)>& announce,
+              bool final_stats) {
+  Result<std::unique_ptr<MatchServer>> server = MatchServer::Create(config);
+  if (!server.ok()) return Fail(server.status());
+  for (const PairSpec& pair : pairs) {
+    Result<Matrix> src = ReadMatrixBinary(pair.source_path);
+    if (!src.ok()) return Fail(src.status());
+    Result<Matrix> tgt = ReadMatrixBinary(pair.target_path);
+    if (!tgt.ok()) return Fail(tgt.status());
+    if (pair.rows != 0 && src->rows() != pair.rows) {
+      return Fail(Status::FailedPrecondition(
+          "plan says pair '" + pair.name + "' has " +
+          std::to_string(pair.rows) + " rows but " + pair.source_path +
+          " has " + std::to_string(src->rows())));
+    }
+    Status loaded = (*server)->LoadPair(pair.name, std::move(src).value(),
+                                        std::move(tgt).value());
+    if (!loaded.ok()) return Fail(loaded);
+    if (!pair.index_path.empty()) {
+      Result<CandidateIndex> index = CandidateIndex::Load(pair.index_path);
+      if (!index.ok()) return Fail(index.status());
+      Status attached = (*server)->AttachIndex(
+          pair.name,
+          std::make_unique<CandidateIndex>(std::move(index).value()));
+      if (!attached.ok()) return Fail(attached);
+    }
+  }
+  Status started = (*server)->Start();
+  if (!started.ok()) return Fail(started);
+  Result<std::unique_ptr<SocketServer>> front =
+      SocketServer::Start(server->get(), socket_path);
+  if (!front.ok()) return Fail(front.status());
+  announce(**server);
+  (*front)->WaitForShutdown();
+  (*front)->Stop();
+  (*server)->Shutdown();
+  if (final_stats) {
+    std::cout << "final stats: " << (*server)->Stats().ToJson() << "\n";
+  }
+  return EXIT_SUCCESS;
+}
+
+/// Sends `request` to the server on `socket_path` and prints the answer: an
+/// admin verb's text, or a match / top-k summary with a preview. Transient
+/// failures are retried `retries` times, except for swap: a retry after an
+/// ambiguous transport failure could publish it twice.
+int SendAndPrint(const std::string& socket_path, const WireRequest& request,
+                 uint32_t retries) {
+  Result<ServeClient> client = ServeClient::Connect(socket_path);
+  if (!client.ok()) return Fail(client.status());
+  RetryPolicy policy;
+  policy.max_attempts = retries + 1;
+  Result<WireResponse> response =
+      request.verb == WireRequest::Verb::kSwap
+          ? client->Call(request)
+          : client->CallWithRetry(request, policy);
+  if (!response.ok()) return Fail(response.status());
+  if (!response->status.ok()) return Fail(response->status);
+  if (request.verb == WireRequest::Verb::kMatch) {
+    size_t matched = 0;
+    for (int32_t target : response->values) matched += (target >= 0);
+    std::cout << "assignment: " << matched << "/" << response->values.size()
+              << " sources matched\n";
+  } else if (request.verb == WireRequest::Verb::kTopK) {
+    const size_t rows =
+        request.k > 0 ? response->values.size() / request.k : 0;
+    std::cout << "topk: " << request.k << " candidates for " << rows
+              << " sources\n";
+  } else {
+    std::cout << response->text << "\n";
+    return EXIT_SUCCESS;
+  }
+  const size_t preview = std::min<size_t>(response->values.size(), 8);
+  for (size_t i = 0; i < preview; ++i) {
+    std::cout << (i > 0 ? " " : "") << response->values[i];
+  }
+  if (preview > 0) {
+    std::cout << (response->values.size() > preview ? " ...\n" : "\n");
+  }
+  return EXIT_SUCCESS;
 }
 
 Result<EmbeddingSetting> ParseSetting(const std::string& text) {
@@ -250,17 +431,6 @@ Result<EmbeddingSetting> ParseSetting(const std::string& text) {
   if (text == "N") return EmbeddingSetting::kNameOnly;
   if (text == "NR") return EmbeddingSetting::kNameRrea;
   return Status::InvalidArgument("unknown embedding setting: " + text);
-}
-
-Result<AlgorithmPreset> ParseAlgorithm(const std::string& text) {
-  for (AlgorithmPreset preset :
-       {AlgorithmPreset::kDInf, AlgorithmPreset::kCsls, AlgorithmPreset::kRinf,
-        AlgorithmPreset::kRinfWr, AlgorithmPreset::kRinfPb,
-        AlgorithmPreset::kSinkhorn, AlgorithmPreset::kHungarian,
-        AlgorithmPreset::kStableMatch, AlgorithmPreset::kRl}) {
-    if (text == PresetName(preset)) return preset;
-  }
-  return Status::InvalidArgument("unknown algorithm: " + text);
 }
 
 int CmdGenerate(int argc, char** argv) {
@@ -342,53 +512,21 @@ int CmdIndex(int argc, char** argv) {
     if (argc < 5) return Usage();
     CandidateIndexOptions options;
     std::string dataset_dir;
-    for (int i = 5; i < argc; ++i) {
-      const std::string arg = argv[i];
-      const std::string dataset_flag = "--dataset=";
-      if (arg.rfind(dataset_flag, 0) == 0) {
-        dataset_dir = arg.substr(dataset_flag.size());
-        continue;
-      }
-      const std::string backend_flag = "--backend=";
-      if (arg.rfind(backend_flag, 0) == 0) {
-        Result<CandidateBackendKind> parsed =
-            ParseCandidateBackend(arg.substr(backend_flag.size()));
-        if (!parsed.ok()) return Fail(parsed.status());
-        options.backend = *parsed;
-        continue;
-      }
-      unsigned long long value = 0;
-      int matched = MatchUintFlag(arg, "lists", &value);
-      if (matched < 0) return EXIT_FAILURE;
-      if (matched > 0) {
-        options.num_lists = static_cast<size_t>(value);
-        continue;
-      }
-      matched = MatchUintFlag(arg, "kmeans-iters", &value);
-      if (matched < 0) return EXIT_FAILURE;
-      if (matched > 0) {
-        options.kmeans_iterations = static_cast<size_t>(value);
-        continue;
-      }
-      matched = MatchUintFlag(arg, "seed", &value);
-      if (matched < 0) return EXIT_FAILURE;
-      if (matched > 0) {
-        options.seed = value;
-        continue;
-      }
-      matched = MatchUintFlag(arg, "M", &value);
-      if (matched < 0) return EXIT_FAILURE;
-      if (matched > 0) {
-        options.hnsw_max_links = static_cast<size_t>(value);
-        continue;
-      }
-      matched = MatchUintFlag(arg, "ef-construction", &value);
-      if (matched < 0) return EXIT_FAILURE;
-      if (matched > 0) {
-        options.hnsw_ef_construction = static_cast<size_t>(value);
-        continue;
-      }
-      return Usage();
+    const Flag backend = {"backend", [&options](const std::string& text) {
+                            Result<CandidateBackendKind> parsed =
+                                ParseCandidateBackend(text);
+                            if (!parsed.ok()) return parsed.status().ToString();
+                            options.backend = *parsed;
+                            return std::string();
+                          }};
+    if (!ParseArgs(argc, argv, 5,
+                   {Text("dataset", &dataset_dir), backend,
+                    Uint("lists", &options.num_lists),
+                    Uint("kmeans-iters", &options.kmeans_iterations),
+                    Uint("seed", &options.seed),
+                    Uint("M", &options.hnsw_max_links),
+                    Uint("ef-construction", &options.hnsw_ef_construction)})) {
+      return EXIT_FAILURE;
     }
     Result<Matrix> read = ReadMatrixBinary(argv[3]);
     if (!read.ok()) return Fail(read.status());
@@ -403,7 +541,10 @@ int CmdIndex(int argc, char** argv) {
         std::cerr << "error: dataset has no test split to slice targets by\n";
         return EXIT_FAILURE;
       }
-      target = ExtractRows(target, dataset->test_target_entities);
+      Result<Matrix> sliced =
+          ExtractRows(target, dataset->test_target_entities);
+      if (!sliced.ok()) return Fail(sliced.status());
+      target = std::move(sliced).value();
       std::cout << "sliced to " << target.rows()
                 << " test-split target rows from " << dataset_dir << "\n";
     }
@@ -427,21 +568,6 @@ int CmdIndex(int argc, char** argv) {
   return Usage();
 }
 
-/// Parses "--<name>=<double>" like MatchUintFlag.
-int MatchDoubleFlag(const std::string& arg, const std::string& name,
-                    double* value) {
-  const std::string prefix = "--" + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return 0;
-  const std::string text = arg.substr(prefix.size());
-  char* end = nullptr;
-  *value = std::strtod(text.c_str(), &end);
-  if (text.empty() || end == nullptr || *end != '\0') {
-    std::cerr << "error: bad " << prefix << " value: " << text << "\n";
-    return -1;
-  }
-  return 1;
-}
-
 int CmdMmap(int argc, char** argv) {
   if (argc < 4) return Usage();
   const std::string sub = argv[2];
@@ -459,48 +585,13 @@ int CmdMmap(int argc, char** argv) {
   if (sub == "synth-pair") {
     EmbfSynthOptions options;
     const std::string prefix = argv[3];
-    for (int i = 4; i < argc; ++i) {
-      const std::string arg = argv[i];
-      unsigned long long value = 0;
-      int matched = MatchUintFlag(arg, "rows", &value);
-      if (matched < 0) return EXIT_FAILURE;
-      if (matched > 0) {
-        options.rows = static_cast<size_t>(value);
-        continue;
-      }
-      matched = MatchUintFlag(arg, "dim", &value);
-      if (matched < 0) return EXIT_FAILURE;
-      if (matched > 0) {
-        options.dim = static_cast<size_t>(value);
-        continue;
-      }
-      matched = MatchUintFlag(arg, "clusters", &value);
-      if (matched < 0) return EXIT_FAILURE;
-      if (matched > 0) {
-        options.clusters = static_cast<size_t>(value);
-        continue;
-      }
-      matched = MatchUintFlag(arg, "seed", &value);
-      if (matched < 0) return EXIT_FAILURE;
-      if (matched > 0) {
-        options.seed = value;
-        continue;
-      }
-      double noise = 0.0;
-      matched = MatchDoubleFlag(arg, "noise", &noise);
-      if (matched < 0) return EXIT_FAILURE;
-      if (matched > 0) {
-        options.noise = noise;
-        continue;
-      }
-      double spread = 0.0;
-      matched = MatchDoubleFlag(arg, "spread", &spread);
-      if (matched < 0) return EXIT_FAILURE;
-      if (matched > 0) {
-        options.spread = spread;
-        continue;
-      }
-      return Usage();
+    if (!ParseArgs(argc, argv, 4,
+                   {Uint("rows", &options.rows), Uint("dim", &options.dim),
+                    Uint("clusters", &options.clusters),
+                    Uint("seed", &options.seed),
+                    Double("noise", &options.noise),
+                    Double("spread", &options.spread)})) {
+      return EXIT_FAILURE;
     }
     const std::string source_path = prefix + ".src.embf";
     const std::string target_path = prefix + ".tgt.embf";
@@ -530,61 +621,27 @@ int CmdMatch(int argc, char** argv) {
   if (argc < 6) return Usage();
   const std::string dataset_dir = argv[2];
   const bool raw_pair = dataset_dir == "-";
-  Result<AlgorithmPreset> algorithm = ParseAlgorithm(argv[5]);
+  Result<AlgorithmPreset> algorithm = ParsePreset(argv[5]);
   if (!algorithm.ok()) return Fail(algorithm.status());
 
   MatchOptions options = MakePreset(*algorithm);
   std::string out_path;
   std::string index_path;
   std::optional<CandidateIndex> index;  // must outlive the run
-  for (int i = 6; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::string index_flag = "--index=";
-    if (arg.rfind(index_flag, 0) == 0) {
-      index_path = arg.substr(index_flag.size());
-      continue;
-    }
-    const int tier_matched = MatchKernelTierFlag(arg);
-    if (tier_matched < 0) return EXIT_FAILURE;
-    if (tier_matched > 0) continue;
-    unsigned long long value = 0;
-    int matched = MatchUintFlag(arg, "workspace-budget-bytes", &value);
-    if (matched < 0) return EXIT_FAILURE;
-    if (matched > 0) {
-      options.workspace_budget_bytes = static_cast<size_t>(value);
-      continue;
-    }
-    matched = MatchUintFlag(arg, "threads", &value);
-    if (matched < 0) return EXIT_FAILURE;
-    if (matched > 0) {
-      SetNumThreads(static_cast<size_t>(value));
-      continue;
-    }
-    matched = MatchUintFlag(arg, "candidates", &value);
-    if (matched < 0) return EXIT_FAILURE;
-    if (matched > 0) {
-      options.num_candidates = static_cast<size_t>(value);
-      continue;
-    }
-    matched = MatchUintFlag(arg, "nprobe", &value);
-    if (matched < 0) return EXIT_FAILURE;
-    if (matched > 0) {
-      options.index_nprobe = static_cast<size_t>(value);
-      continue;
-    }
-    matched = MatchUintFlag(arg, "ef", &value);
-    if (matched < 0) return EXIT_FAILURE;
-    if (matched > 0) {
-      options.index_ef = static_cast<size_t>(value);
-      continue;
-    }
-    // An unrecognized flag (e.g. the removed --precision=) is an error, not
-    // an output path.
-    if (out_path.empty() && arg.rfind("--", 0) != 0) {
-      out_path = arg;
-    } else {
-      return Usage();
-    }
+  // One optional word, the output path; an unrecognized flag (e.g. the
+  // removed --precision=) is an error, not an output path.
+  const auto take_out_path = [&out_path](const std::string& word) {
+    if (!out_path.empty() || word.rfind("--", 0) == 0) return false;
+    out_path = word;
+    return true;
+  };
+  const std::vector<Flag> flags = {
+      Text("index", &index_path), KernelTierFlag(), ThreadsFlag(),
+      Uint("workspace-budget-bytes", &options.workspace_budget_bytes),
+      Uint("candidates", &options.num_candidates),
+      Uint("nprobe", &options.index_nprobe), Uint("ef", &options.index_ef)};
+  if (!ParseArgs(argc, argv, 6, flags, take_out_path)) {
+    return EXIT_FAILURE;
   }
   if (!index_path.empty()) {
     if (options.num_candidates == 0) {
@@ -604,6 +661,15 @@ int CmdMatch(int argc, char** argv) {
   if (!src.ok()) return Fail(src.status());
   Result<Matrix> tgt = ReadMatrixBinary(argv[4]);
   if (!tgt.ok()) return Fail(tgt.status());
+  // Over the workspace budget is the paper's "Mem: No" verdict, not an error.
+  const auto refuse = [&](const Status& status) {
+    if (status.code() != StatusCode::kResourceExhausted) return Fail(status);
+    std::cerr << PresetName(*algorithm)
+              << ": does not fit the workspace budget of "
+              << FormatBytes(options.workspace_budget_bytes) << " ("
+              << status.message() << ")\n";
+    return EXIT_FAILURE;
+  };
 
   if (raw_pair) {
     // Dataset-less mode: drive the engine over the raw pair. Row i of the
@@ -616,16 +682,7 @@ int CmdMatch(int argc, char** argv) {
         std::move(src).value(), std::move(tgt).value(), options);
     if (!engine.ok()) return Fail(engine.status());
     Result<Assignment> assignment = engine->Match();
-    if (!assignment.ok()) {
-      if (assignment.status().code() == StatusCode::kResourceExhausted) {
-        std::cerr << PresetName(*algorithm)
-                  << ": does not fit the workspace budget of "
-                  << FormatBytes(options.workspace_budget_bytes) << " ("
-                  << assignment.status().message() << ")\n";
-        return EXIT_FAILURE;
-      }
-      return Fail(assignment.status());
-    }
+    if (!assignment.ok()) return refuse(assignment.status());
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
@@ -663,16 +720,7 @@ int CmdMatch(int argc, char** argv) {
   embeddings.source = std::move(src).value();
   embeddings.target = std::move(tgt).value();
   Result<MatchRun> run = RunMatching(*dataset, embeddings, options);
-  if (!run.ok()) {
-    if (run.status().code() == StatusCode::kResourceExhausted) {
-      std::cerr << PresetName(*algorithm)
-                << ": does not fit the workspace budget of "
-                << FormatBytes(options.workspace_budget_bytes) << " ("
-                << run.status().message() << ")\n";
-      return EXIT_FAILURE;
-    }
-    return Fail(run.status());
-  }
+  if (!run.ok()) return refuse(run.status());
 
   const EvalMetrics m = EvaluatePredictions(run->predicted, dataset->split.test);
   std::cout << PresetName(*algorithm) << ": P=" << FormatDouble(m.precision, 3)
@@ -699,146 +747,43 @@ int CmdServe(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
 
   std::string socket_path = kDefaultSocketPath;
-  std::string index_path;
+  PairSpec pair{"default", argv[2], argv[3], /*index_path=*/"", /*rows=*/0,
+                /*ranges=*/{}};
   MatchServerConfig config;
-  for (int i = 4; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::string socket_flag = "--socket=";
-    if (arg.rfind(socket_flag, 0) == 0) {
-      socket_path = arg.substr(socket_flag.size());
-      continue;
-    }
-    const std::string index_flag = "--index=";
-    if (arg.rfind(index_flag, 0) == 0) {
-      index_path = arg.substr(index_flag.size());
-      continue;
-    }
-    const int tier_matched = MatchKernelTierFlag(arg);
-    if (tier_matched < 0) return EXIT_FAILURE;
-    if (tier_matched > 0) continue;
-    unsigned long long value = 0;
-    int matched = MatchUintFlag(arg, "threads", &value);
-    if (matched < 0) return EXIT_FAILURE;
-    if (matched > 0) {
-      SetNumThreads(static_cast<size_t>(value));
-      continue;
-    }
-    matched = MatchUintFlag(arg, "max-batch", &value);
-    if (matched < 0) return EXIT_FAILURE;
-    if (matched > 0) {
-      config.max_batch = static_cast<size_t>(value);
-      continue;
-    }
-    matched = MatchUintFlag(arg, "flush-micros", &value);
-    if (matched < 0) return EXIT_FAILURE;
-    if (matched > 0) {
-      config.flush_micros = value;
-      continue;
-    }
-    matched = MatchUintFlag(arg, "queue-capacity", &value);
-    if (matched < 0) return EXIT_FAILURE;
-    if (matched > 0) {
-      config.queue_capacity = static_cast<size_t>(value);
-      continue;
-    }
-    matched = MatchUintFlag(arg, "workspace-budget-bytes", &value);
-    if (matched < 0) return EXIT_FAILURE;
-    if (matched > 0) {
-      config.workspace_budget_bytes = static_cast<size_t>(value);
-      continue;
-    }
-    matched = MatchUintFlag(arg, "shed-watermark", &value);
-    if (matched < 0) return EXIT_FAILURE;
-    if (matched > 0) {
-      config.shed_watermark = static_cast<size_t>(value);
-      continue;
-    }
-    matched = MatchUintFlag(arg, "degrade-watermark", &value);
-    if (matched < 0) return EXIT_FAILURE;
-    if (matched > 0) {
-      config.degrade_watermark = static_cast<size_t>(value);
-      continue;
-    }
-    matched = MatchUintFlag(arg, "degrade-candidates", &value);
-    if (matched < 0) return EXIT_FAILURE;
-    if (matched > 0) {
-      config.degrade_num_candidates = static_cast<size_t>(value);
-      continue;
-    }
-    matched = MatchUintFlag(arg, "degrade-nprobe", &value);
-    if (matched < 0) return EXIT_FAILURE;
-    if (matched > 0) {
-      config.degrade_nprobe = static_cast<size_t>(value);
-      continue;
-    }
-    matched = MatchUintFlag(arg, "degrade-ef", &value);
-    if (matched < 0) return EXIT_FAILURE;
-    if (matched > 0) {
-      config.degrade_ef = static_cast<size_t>(value);
-      continue;
-    }
-    matched = MatchUintFlag(arg, "serve-workers", &value);
-    if (matched < 0) return EXIT_FAILURE;
-    if (matched > 0) {
-      config.serve_workers = static_cast<size_t>(value);
-      continue;
-    }
-    matched = MatchUintFlag(arg, "cache-bytes", &value);
-    if (matched < 0) return EXIT_FAILURE;
-    if (matched > 0) {
-      config.result_cache_bytes = static_cast<size_t>(value);
-      continue;
-    }
-    return Usage();
-  }
+  std::vector<Flag> flags = ServerFlags(&config, nullptr);
+  flags.insert(
+      flags.end(),
+      {Text("socket", &socket_path), Text("index", &pair.index_path),
+       KernelTierFlag(),
+       Uint("workspace-budget-bytes", &config.workspace_budget_bytes),
+       Uint("degrade-watermark", &config.degrade_watermark),
+       Uint("degrade-candidates", &config.degrade_num_candidates),
+       Uint("degrade-nprobe", &config.degrade_nprobe),
+       Uint("degrade-ef", &config.degrade_ef)});
+  if (!ParseArgs(argc, argv, 4, flags)) return EXIT_FAILURE;
 
   // Chaos runs configure themselves through the environment so the exact
   // same command line works with and without an armed plan.
   Status faults = ArmFaultInjectionFromEnv();
   if (!faults.ok()) return Fail(faults);
-
-  Result<Matrix> src = ReadMatrixBinary(argv[2]);
-  if (!src.ok()) return Fail(src.status());
-  Result<Matrix> tgt = ReadMatrixBinary(argv[3]);
-  if (!tgt.ok()) return Fail(tgt.status());
-
-  Result<std::unique_ptr<MatchServer>> server = MatchServer::Create(config);
-  if (!server.ok()) return Fail(server.status());
-  Status loaded = (*server)->LoadPair("default", std::move(src).value(),
-                                      std::move(tgt).value());
-  if (!loaded.ok()) return Fail(loaded);
-  if (!index_path.empty()) {
-    Result<CandidateIndex> index = CandidateIndex::Load(index_path);
-    if (!index.ok()) return Fail(index.status());
-    Status attached = (*server)->AttachIndex(
-        "default",
-        std::make_unique<CandidateIndex>(std::move(index).value()));
-    if (!attached.ok()) return Fail(attached);
-  }
-  Status started = (*server)->Start();
-  if (!started.ok()) return Fail(started);
-  Result<std::unique_ptr<SocketServer>> front =
-      SocketServer::Start(server->get(), socket_path);
-  if (!front.ok()) return Fail(front.status());
-
-  std::cout << "serving on " << socket_path << " (threads=" << GetNumThreads()
-            << ", serve_workers=" << (*server)->serve_workers()
-            << ", cache=" << (config.result_cache_bytes == 0
-                                  ? std::string("off")
-                                  : FormatBytes(config.result_cache_bytes))
-            << ", max_batch=" << config.max_batch
-            << ", flush=" << config.flush_micros
-            << " us, queue=" << config.queue_capacity << ", budget="
-            << (config.workspace_budget_bytes == 0
-                    ? std::string("unlimited")
-                    : FormatBytes(config.workspace_budget_bytes))
-            << ", fault_plan=" << FaultInjector::Global().Fingerprint()
-            << "); send `entmatcher_cli query shutdown` to stop\n";
-  (*front)->WaitForShutdown();
-  (*front)->Stop();
-  (*server)->Shutdown();
-  std::cout << "final stats: " << (*server)->Stats().ToJson() << "\n";
-  return EXIT_SUCCESS;
+  const auto announce = [&](const MatchServer& server) {
+    std::cout << "serving on " << socket_path
+              << " (threads=" << GetNumThreads()
+              << ", serve_workers=" << server.serve_workers()
+              << ", cache=" << (config.result_cache_bytes == 0
+                                    ? std::string("off")
+                                    : FormatBytes(config.result_cache_bytes))
+              << ", max_batch=" << config.max_batch
+              << ", flush=" << config.flush_micros
+              << " us, queue=" << config.queue_capacity << ", budget="
+              << (config.workspace_budget_bytes == 0
+                      ? std::string("unlimited")
+                      : FormatBytes(config.workspace_budget_bytes))
+              << ", fault_plan=" << FaultInjector::Global().Fingerprint()
+              << "); send `entmatcher_cli query shutdown` to stop\n";
+  };
+  return RunServer(config, {pair}, socket_path, announce,
+                   /*final_stats=*/true);
 }
 
 int CmdSwap(int argc, char** argv) {
@@ -849,101 +794,33 @@ int CmdSwap(int argc, char** argv) {
   request.source_path = argv[2];
   request.target_path = argv[3];
   std::string socket_path = kDefaultSocketPath;
-  for (int i = 4; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::string socket_flag = "--socket=";
-    if (arg.rfind(socket_flag, 0) == 0) {
-      socket_path = arg.substr(socket_flag.size());
-      continue;
-    }
-    const std::string pair_flag = "--pair=";
-    if (arg.rfind(pair_flag, 0) == 0) {
-      request.pair = arg.substr(pair_flag.size());
-      continue;
-    }
-    const std::string index_flag = "--index=";
-    if (arg.rfind(index_flag, 0) == 0) {
-      request.index_path = arg.substr(index_flag.size());
-      continue;
-    }
-    return Usage();
+  if (!ParseArgs(argc, argv, 4,
+                 {Text("socket", &socket_path), Text("pair", &request.pair),
+                  Text("index", &request.index_path)})) {
+    return EXIT_FAILURE;
   }
-  Result<ServeClient> client = ServeClient::Connect(socket_path);
-  if (!client.ok()) return Fail(client.status());
-  // Plain Call, never CallWithRetry: a retry after an ambiguous transport
-  // failure could publish the swap twice.
-  Result<WireResponse> response = client->Call(request);
-  if (!response.ok()) return Fail(response.status());
-  if (!response->status.ok()) return Fail(response->status);
-  std::cout << response->text << "\n";
-  return EXIT_SUCCESS;
+  return SendAndPrint(socket_path, request, /*retries=*/0);
 }
 
+/// `query` and `fleet query`: every word that is not --socket= or
+/// --retries= is the request line, which the wire parser reads (one
+/// grammar, serve/protocol.h, for both surfaces).
 int CmdQuery(int argc, char** argv, int first = 2) {
   std::string socket_path = kDefaultSocketPath;
-  RetryPolicy policy;
-  policy.max_attempts = 1;  // retries are opt-in on the CLI
+  uint32_t retries = 0;  // retries are opt-in on the CLI
   std::vector<std::string> words;
-  for (int i = first; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::string socket_flag = "--socket=";
-    if (arg.rfind(socket_flag, 0) == 0) {
-      socket_path = arg.substr(socket_flag.size());
-      continue;
-    }
-    unsigned long long value = 0;
-    const int matched = MatchUintFlag(arg, "retries", &value);
-    if (matched < 0) return EXIT_FAILURE;
-    if (matched > 0) {
-      policy.max_attempts = static_cast<uint32_t>(value) + 1;
-      continue;
-    }
-    words.push_back(arg);
+  if (!ParseArgs(argc, argv, first,
+                 {Text("socket", &socket_path), Uint("retries", &retries)},
+                 [&words](const std::string& word) {
+                   words.push_back(word);
+                   return true;
+                 })) {
+    return EXIT_FAILURE;
   }
   if (words.empty()) return Usage();
-
-  // The request line IS the CLI tail — one grammar (serve/protocol.h) for
-  // both surfaces.
   Result<WireRequest> request = ParseRequest(JoinStrings(words, " "));
   if (!request.ok()) return Fail(request.status());
-  Result<ServeClient> client = ServeClient::Connect(socket_path);
-  if (!client.ok()) return Fail(client.status());
-  // Swap is excluded from retry (see CmdSwap).
-  Result<WireResponse> response =
-      request->verb == WireRequest::Verb::kSwap
-          ? client->Call(*request)
-          : client->CallWithRetry(*request, policy);
-  if (!response.ok()) return Fail(response.status());
-  if (!response->status.ok()) return Fail(response->status);
-
-  if (request->verb == WireRequest::Verb::kStats ||
-      request->verb == WireRequest::Verb::kHealth ||
-      request->verb == WireRequest::Verb::kShutdown ||
-      request->verb == WireRequest::Verb::kSwap ||
-      request->verb == WireRequest::Verb::kShards ||
-      request->verb == WireRequest::Verb::kHello) {
-    std::cout << response->text << "\n";
-    return EXIT_SUCCESS;
-  }
-  if (request->verb == WireRequest::Verb::kMatch) {
-    size_t matched = 0;
-    for (int32_t target : response->values) matched += (target >= 0);
-    std::cout << "assignment: " << matched << "/" << response->values.size()
-              << " sources matched\n";
-  } else {
-    const size_t rows =
-        request->k > 0 ? response->values.size() / request->k : 0;
-    std::cout << "topk: " << request->k << " candidates for " << rows
-              << " sources\n";
-  }
-  const size_t preview = std::min<size_t>(response->values.size(), 8);
-  for (size_t i = 0; i < preview; ++i) {
-    std::cout << (i > 0 ? " " : "") << response->values[i];
-  }
-  if (preview > 0) {
-    std::cout << (response->values.size() > preview ? " ...\n" : "\n");
-  }
-  return EXIT_SUCCESS;
+  return SendAndPrint(socket_path, *request, retries);
 }
 
 int CmdFleetPlan(int argc, char** argv) {
@@ -954,39 +831,13 @@ int CmdFleetPlan(int argc, char** argv) {
   std::string out_path;
   std::string socket_dir = ".";
   std::string index_path;
-  unsigned long long num_shards = 0;
-  unsigned long long replicas = 0;
-  for (int i = 6; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::string out_flag = "--out=";
-    if (arg.rfind(out_flag, 0) == 0) {
-      out_path = arg.substr(out_flag.size());
-      continue;
-    }
-    const std::string dir_flag = "--socket-dir=";
-    if (arg.rfind(dir_flag, 0) == 0) {
-      socket_dir = arg.substr(dir_flag.size());
-      continue;
-    }
-    const std::string index_flag = "--index=";
-    if (arg.rfind(index_flag, 0) == 0) {
-      index_path = arg.substr(index_flag.size());
-      continue;
-    }
-    unsigned long long value = 0;
-    int matched = MatchUintFlag(arg, "shards", &value);
-    if (matched < 0) return EXIT_FAILURE;
-    if (matched > 0) {
-      num_shards = value;
-      continue;
-    }
-    matched = MatchUintFlag(arg, "replicas", &value);
-    if (matched < 0) return EXIT_FAILURE;
-    if (matched > 0) {
-      replicas = value;
-      continue;
-    }
-    return Usage();
+  uint64_t num_shards = 0;
+  uint64_t replicas = 0;
+  if (!ParseArgs(argc, argv, 6,
+                 {Text("out", &out_path), Text("socket-dir", &socket_dir),
+                  Text("index", &index_path), Uint("shards", &num_shards),
+                  Uint("replicas", &replicas)})) {
+    return EXIT_FAILURE;
   }
   if (out_path.empty() || num_shards == 0) return Usage();
   // The decision space is the pair's source rows — read the header-bearing
@@ -1004,195 +855,56 @@ int CmdFleetPlan(int argc, char** argv) {
   return EXIT_SUCCESS;
 }
 
-/// One shard of the fleet: a plain MatchServer that loads every pair the
-/// plan assigns to it (FULL pair — the plan partitions answers, not data)
-/// and listens on the plan's socket for this shard.
-int RunFleetShard(const ShardPlan& plan, int shard_id,
-                  const MatchServerConfig& config) {
-  const ShardSpec* shard = plan.FindShard(shard_id);
-  if (shard == nullptr) {
-    return Fail(Status::NotFound("plan defines no shard " +
-                                 std::to_string(shard_id)));
-  }
-  Result<std::unique_ptr<MatchServer>> server = MatchServer::Create(config);
-  if (!server.ok()) return Fail(server.status());
-  const std::vector<std::string> owned = plan.PairsOwnedBy(shard_id);
-  if (owned.empty()) {
-    return Fail(Status::FailedPrecondition(
-        "shard " + std::to_string(shard_id) + " owns no ranges in the plan"));
-  }
-  for (const std::string& name : owned) {
-    const PairSpec* pair = plan.FindPair(name);
-    Result<Matrix> src = ReadMatrixBinary(pair->source_path);
-    if (!src.ok()) return Fail(src.status());
-    Result<Matrix> tgt = ReadMatrixBinary(pair->target_path);
-    if (!tgt.ok()) return Fail(tgt.status());
-    if (src->rows() != pair->rows) {
-      return Fail(Status::FailedPrecondition(
-          "plan says pair '" + name + "' has " + std::to_string(pair->rows) +
-          " rows but " + pair->source_path + " has " +
-          std::to_string(src->rows())));
-    }
-    Status loaded = (*server)->LoadPair(name, std::move(src).value(),
-                                        std::move(tgt).value());
-    if (!loaded.ok()) return Fail(loaded);
-    if (!pair->index_path.empty()) {
-      Result<CandidateIndex> index = CandidateIndex::Load(pair->index_path);
-      if (!index.ok()) return Fail(index.status());
-      Status attached = (*server)->AttachIndex(
-          name, std::make_unique<CandidateIndex>(std::move(index).value()));
-      if (!attached.ok()) return Fail(attached);
-    }
-  }
-  Status started = (*server)->Start();
-  if (!started.ok()) return Fail(started);
-  Result<std::unique_ptr<SocketServer>> front =
-      SocketServer::Start(server->get(), shard->socket_path);
-  if (!front.ok()) return Fail(front.status());
-  std::cout << "shard " << shard_id << " serving " << owned.size()
-            << " pair(s) on " << shard->socket_path << "\n";
-  (*front)->WaitForShutdown();
-  (*front)->Stop();
-  (*server)->Shutdown();
-  return EXIT_SUCCESS;
-}
-
 int CmdFleetServe(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
   std::string plan_path;
   std::string socket_path = kDefaultSocketPath;
-  bool have_shard = false;
+  std::optional<uint64_t> shard_id;
   bool spawn = true;
-  unsigned long long shard_id = 0;
-  unsigned long long hedge_micros = 0;
-  std::optional<unsigned long long> retries;
   RestartPolicy restart_policy;
   RouterConfig router_config;
   MatchServerConfig config;
   std::vector<std::string> shard_flags;  // forwarded to spawned shards
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::string plan_flag = "--plan=";
-    if (arg.rfind(plan_flag, 0) == 0) {
-      plan_path = arg.substr(plan_flag.size());
-      continue;
-    }
-    const std::string socket_flag = "--socket=";
-    if (arg.rfind(socket_flag, 0) == 0) {
-      socket_path = arg.substr(socket_flag.size());
-      continue;
-    }
-    if (arg == "--no-spawn") {
-      spawn = false;
-      continue;
-    }
-    const std::string restart_flag = "--restart-policy=";
-    if (arg.rfind(restart_flag, 0) == 0) {
-      Result<RestartPolicy> parsed =
-          RestartPolicy::Parse(arg.substr(restart_flag.size()));
-      if (!parsed.ok()) return Fail(parsed.status());
-      restart_policy = *parsed;
-      continue;
-    }
-    const std::string partial_flag = "--partial=";
-    if (arg.rfind(partial_flag, 0) == 0) {
-      const std::string mode = arg.substr(partial_flag.size());
-      if (mode == "unavailable") {
-        router_config.partial_policy = PartialPolicy::kUnavailable;
-      } else if (mode == "degrade") {
-        router_config.partial_policy = PartialPolicy::kDegrade;
-      } else {
-        return Fail(Status::InvalidArgument(
-            "--partial must be 'unavailable' or 'degrade', got '" + mode +
-            "'"));
-      }
-      continue;
-    }
-    unsigned long long value = 0;
-    int matched = MatchUintFlag(arg, "shard", &value);
-    if (matched < 0) return EXIT_FAILURE;
-    if (matched > 0) {
-      have_shard = true;
-      shard_id = value;
-      continue;
-    }
-    matched = MatchUintFlag(arg, "hedge-micros", &value);
-    if (matched < 0) return EXIT_FAILURE;
-    if (matched > 0) {
-      hedge_micros = value;
-      continue;
-    }
-    matched = MatchUintFlag(arg, "retries", &value);
-    if (matched < 0) return EXIT_FAILURE;
-    if (matched > 0) {
-      retries = value;
-      continue;
-    }
-    matched = MatchUintFlag(arg, "breaker-failures", &value);
-    if (matched < 0) return EXIT_FAILURE;
-    if (matched > 0) {
-      router_config.breaker_failures = static_cast<uint32_t>(value);
-      continue;
-    }
-    matched = MatchUintFlag(arg, "breaker-cooldown-us", &value);
-    if (matched < 0) return EXIT_FAILURE;
-    if (matched > 0) {
-      router_config.breaker_cooldown_micros = value;
-      continue;
-    }
-    // Shard-side tuning: applied directly in --shard mode, forwarded
-    // verbatim to spawned children in router mode.
-    matched = MatchUintFlag(arg, "threads", &value);
-    if (matched < 0) return EXIT_FAILURE;
-    if (matched > 0) {
-      SetNumThreads(static_cast<size_t>(value));
-      shard_flags.push_back(arg);
-      continue;
-    }
-    matched = MatchUintFlag(arg, "serve-workers", &value);
-    if (matched < 0) return EXIT_FAILURE;
-    if (matched > 0) {
-      config.serve_workers = static_cast<size_t>(value);
-      shard_flags.push_back(arg);
-      continue;
-    }
-    matched = MatchUintFlag(arg, "cache-bytes", &value);
-    if (matched < 0) return EXIT_FAILURE;
-    if (matched > 0) {
-      config.result_cache_bytes = static_cast<size_t>(value);
-      shard_flags.push_back(arg);
-      continue;
-    }
-    matched = MatchUintFlag(arg, "max-batch", &value);
-    if (matched < 0) return EXIT_FAILURE;
-    if (matched > 0) {
-      config.max_batch = static_cast<size_t>(value);
-      shard_flags.push_back(arg);
-      continue;
-    }
-    matched = MatchUintFlag(arg, "flush-micros", &value);
-    if (matched < 0) return EXIT_FAILURE;
-    if (matched > 0) {
-      config.flush_micros = value;
-      shard_flags.push_back(arg);
-      continue;
-    }
-    matched = MatchUintFlag(arg, "queue-capacity", &value);
-    if (matched < 0) return EXIT_FAILURE;
-    if (matched > 0) {
-      config.queue_capacity = static_cast<size_t>(value);
-      shard_flags.push_back(arg);
-      continue;
-    }
-    matched = MatchUintFlag(arg, "shed-watermark", &value);
-    if (matched < 0) return EXIT_FAILURE;
-    if (matched > 0) {
-      config.shed_watermark = static_cast<size_t>(value);
-      shard_flags.push_back(arg);
-      continue;
-    }
-    return Usage();
-  }
+  std::vector<Flag> flags = ServerFlags(&config, &shard_flags);
+  flags.insert(
+      flags.end(),
+      {Text("plan", &plan_path), Text("socket", &socket_path),
+       {"no-spawn",
+        [&spawn](const std::string&) {
+          spawn = false;
+          return std::string();
+        },
+        /*bare=*/true},
+       {"restart-policy",
+        [&restart_policy](const std::string& text) {
+          Result<RestartPolicy> parsed = RestartPolicy::Parse(text);
+          if (!parsed.ok()) return parsed.status().ToString();
+          restart_policy = *parsed;
+          return std::string();
+        }},
+       {"partial",
+        [&router_config](const std::string& mode) {
+          if (mode == "unavailable") {
+            router_config.partial_policy = PartialPolicy::kUnavailable;
+          } else if (mode == "degrade") {
+            router_config.partial_policy = PartialPolicy::kDegrade;
+          } else {
+            return Status::InvalidArgument(
+                       "--partial must be 'unavailable' or 'degrade', got '" +
+                       mode + "'")
+                .ToString();
+          }
+          return std::string();
+        }},
+       Uint("shard", [&shard_id](uint64_t id) { shard_id = id; }),
+       Uint("hedge-micros", &router_config.hedge_micros),
+       Uint("retries",
+            [&router_config](uint64_t n) {
+              router_config.retry.max_attempts = static_cast<uint32_t>(n) + 1;
+            }),
+       Uint("breaker-failures", &router_config.breaker_failures),
+       Uint("breaker-cooldown-us", &router_config.breaker_cooldown_micros)});
+  if (!ParseArgs(argc, argv, 3, flags)) return EXIT_FAILURE;
   if (plan_path.empty()) return Usage();
   Result<ShardPlan> plan = ShardPlan::Load(plan_path);
   if (!plan.ok()) return Fail(plan.status());
@@ -1203,8 +915,29 @@ int CmdFleetServe(int argc, char** argv) {
   Status faults = ArmFaultInjectionFromEnv();
   if (!faults.ok()) return Fail(faults);
 
-  if (have_shard) {
-    return RunFleetShard(*plan, static_cast<int>(shard_id), config);
+  if (shard_id.has_value()) {
+    // One shard: a plain server over every pair the plan assigns it (the
+    // FULL pair; the plan partitions answers, not data).
+    const int id = static_cast<int>(*shard_id);
+    const ShardSpec* shard = plan->FindShard(id);
+    if (shard == nullptr) {
+      return Fail(
+          Status::NotFound("plan defines no shard " + std::to_string(id)));
+    }
+    std::vector<PairSpec> owned;
+    for (const std::string& name : plan->PairsOwnedBy(id)) {
+      owned.push_back(*plan->FindPair(name));
+    }
+    if (owned.empty()) {
+      return Fail(Status::FailedPrecondition(
+          "shard " + std::to_string(id) + " owns no ranges in the plan"));
+    }
+    const auto announce = [&](const MatchServer&) {
+      std::cout << "shard " << id << " serving " << owned.size()
+                << " pair(s) on " << shard->socket_path << "\n";
+    };
+    return RunServer(config, owned, shard->socket_path, announce,
+                     /*final_stats=*/false);
   }
 
   ShardManager manager;
@@ -1219,10 +952,6 @@ int CmdFleetServe(int argc, char** argv) {
       return Fail(healthy);
     }
   }
-  if (retries.has_value()) {
-    router_config.retry.max_attempts = static_cast<uint32_t>(*retries) + 1;
-  }
-  router_config.hedge_micros = hedge_micros;
   // Declared before the router so the on_swap_converged lambda's capture
   // outlives every router callback.
   std::unique_ptr<FleetSupervisor> supervisor;
@@ -1264,7 +993,7 @@ int CmdFleetServe(int argc, char** argv) {
   std::cout << "fleet: routing " << plan->shards.size() << " shard(s), "
             << plan->pairs.size() << " pair(s) on " << socket_path
             << (spawn ? "" : " (no-spawn)") << ", hedge="
-            << hedge_micros << " us"
+            << router_config.hedge_micros << " us"
             << (supervisor ? ", restart-policy=" + restart_policy.ToString()
                            : "")
             << "; send `entmatcher_cli fleet query shutdown` to stop\n";
@@ -1282,70 +1011,41 @@ int CmdFleetServe(int argc, char** argv) {
   return EXIT_SUCCESS;
 }
 
-int CmdFleetSwap(int argc, char** argv) {
-  if (argc < 6) return Usage();
-  WireRequest request;
-  request.verb = WireRequest::Verb::kSwap;
-  request.pair = argv[3];
-  request.source_path = argv[4];
-  request.target_path = argv[5];
-  std::string socket_path = kDefaultSocketPath;
-  for (int i = 6; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::string socket_flag = "--socket=";
-    if (arg.rfind(socket_flag, 0) == 0) {
-      socket_path = arg.substr(socket_flag.size());
-      continue;
-    }
-    const std::string index_flag = "index=";
-    if (arg.rfind(index_flag, 0) == 0) {
-      request.index_path = arg.substr(index_flag.size());
-      continue;
-    }
-    return Usage();
-  }
-  Result<ServeClient> client = ServeClient::Connect(socket_path);
-  if (!client.ok()) return Fail(client.status());
-  // Never retried — the router fans out sequentially and reports exactly
-  // which shards confirmed (see Router::Swap).
-  Result<WireResponse> response = client->Call(request);
-  if (!response.ok()) return Fail(response.status());
-  if (!response->status.ok()) return Fail(response->status);
-  std::cout << response->text << "\n";
-  return EXIT_SUCCESS;
-}
-
-int CmdFleetStatus(int argc, char** argv) {
-  std::string socket_path = kDefaultSocketPath;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::string socket_flag = "--socket=";
-    if (arg.rfind(socket_flag, 0) == 0) {
-      socket_path = arg.substr(socket_flag.size());
-      continue;
-    }
-    return Usage();
-  }
-  Result<ServeClient> client = ServeClient::Connect(socket_path);
-  if (!client.ok()) return Fail(client.status());
-  WireRequest request;
-  request.verb = WireRequest::Verb::kHealth;
-  Result<WireResponse> response = client->Call(request);
-  if (!response.ok()) return Fail(response.status());
-  if (!response->status.ok()) return Fail(response->status);
-  std::cout << response->text << "\n";
-  return EXIT_SUCCESS;
-}
-
 int CmdFleet(int argc, char** argv) {
   if (argc < 3) return Usage();
   const std::string sub = argv[2];
   if (sub == "plan") return CmdFleetPlan(argc, argv);
   if (sub == "serve") return CmdFleetServe(argc, argv);
   if (sub == "query") return CmdQuery(argc, argv, /*first=*/3);
-  if (sub == "swap") return CmdFleetSwap(argc, argv);
-  if (sub == "status") return CmdFleetStatus(argc, argv);
-  return Usage();
+  // `swap` and `status` send one request to the router, never retried: it
+  // fans a swap out sequentially and reports exactly which shards confirmed
+  // (see Router::Swap).
+  WireRequest request;
+  std::string socket_path = kDefaultSocketPath;
+  if (sub == "swap") {
+    if (argc < 6) return Usage();
+    request.verb = WireRequest::Verb::kSwap;
+    request.pair = argv[3];
+    request.source_path = argv[4];
+    request.target_path = argv[5];
+    const auto take_index = [&request](const std::string& word) {
+      if (word.rfind("index=", 0) != 0) return false;
+      request.index_path = word.substr(6);
+      return true;
+    };
+    if (!ParseArgs(argc, argv, 6, {Text("socket", &socket_path)},
+                   take_index)) {
+      return EXIT_FAILURE;
+    }
+  } else if (sub == "status") {
+    request.verb = WireRequest::Verb::kHealth;
+    if (!ParseArgs(argc, argv, 3, {Text("socket", &socket_path)})) {
+      return EXIT_FAILURE;
+    }
+  } else {
+    return Usage();
+  }
+  return SendAndPrint(socket_path, request, /*retries=*/0);
 }
 
 int CmdEval(int argc, char** argv) {

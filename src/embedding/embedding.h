@@ -20,8 +20,11 @@ struct EmbeddingPair {
 };
 
 /// Gathers the rows listed in `ids` into a dense (ids.size() × dim) matrix.
-/// Used to cut the test-candidate submatrices fed into matching.
-Matrix ExtractRows(const Matrix& embeddings, const std::vector<EntityId>& ids);
+/// Used to cut the test-candidate submatrices fed into matching, so every
+/// join of a dataset with embeddings passes here: kInvalidArgument names
+/// the first id the matrix has no row for.
+Result<Matrix> ExtractRows(const Matrix& embeddings,
+                           const std::vector<EntityId>& ids);
 
 }  // namespace entmatcher
 

@@ -138,9 +138,10 @@ std::vector<EntityPair> FindPseudoAnchors(const KgPairDataset& dataset,
   const auto& src_ids = dataset.test_source_entities;
   const auto& tgt_ids = dataset.test_target_entities;
   if (src_ids.empty() || tgt_ids.empty()) return {};
-  const Matrix src = ExtractRows(embeddings.source, src_ids);
-  const Matrix tgt = ExtractRows(embeddings.target, tgt_ids);
-  Result<Matrix> sim = ComputeSimilarity(src, tgt, SimilarityMetric::kCosine);
+  Result<Matrix> src = ExtractRows(embeddings.source, src_ids);
+  Result<Matrix> tgt = ExtractRows(embeddings.target, tgt_ids);
+  if (!src.ok() || !tgt.ok()) return {};
+  Result<Matrix> sim = ComputeSimilarity(*src, *tgt, SimilarityMetric::kCosine);
   if (!sim.ok()) return {};
   const Matrix& s = *sim;
   const size_t n = s.rows();

@@ -38,8 +38,12 @@ Result<ExperimentSession> ExperimentSession::Create(
         "ExperimentSession: dataset has no test candidates (call "
         "PopulateTestCandidates)");
   }
-  Matrix source = ExtractRows(embeddings.source, dataset.test_source_entities);
-  Matrix target = ExtractRows(embeddings.target, dataset.test_target_entities);
+  EM_ASSIGN_OR_RETURN(
+      Matrix source,
+      ExtractRows(embeddings.source, dataset.test_source_entities));
+  EM_ASSIGN_OR_RETURN(
+      Matrix target,
+      ExtractRows(embeddings.target, dataset.test_target_entities));
   MatchOptions engine_options;
   engine_options.workspace_budget_bytes = workspace_budget_bytes;
   EM_ASSIGN_OR_RETURN(
@@ -90,10 +94,12 @@ Result<ExperimentResult> ExperimentSession::RunWithOptions(
 
 Result<double> TopKScoreStd(const KgPairDataset& dataset,
                             const EmbeddingPair& embeddings, size_t k) {
-  const Matrix source =
-      ExtractRows(embeddings.source, dataset.test_source_entities);
-  const Matrix target =
-      ExtractRows(embeddings.target, dataset.test_target_entities);
+  EM_ASSIGN_OR_RETURN(
+      const Matrix source,
+      ExtractRows(embeddings.source, dataset.test_source_entities));
+  EM_ASSIGN_OR_RETURN(
+      const Matrix target,
+      ExtractRows(embeddings.target, dataset.test_target_entities));
   EM_ASSIGN_OR_RETURN(
       Matrix scores,
       ComputeSimilarity(source, target, SimilarityMetric::kCosine));

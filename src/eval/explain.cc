@@ -47,8 +47,10 @@ Result<std::vector<MatchExplanation>> ExplainMatches(
     }
   }
 
-  const Matrix src = ExtractRows(embeddings.source, src_ids);
-  const Matrix tgt = ExtractRows(embeddings.target, tgt_ids);
+  EM_ASSIGN_OR_RETURN(const Matrix src,
+                      ExtractRows(embeddings.source, src_ids));
+  EM_ASSIGN_OR_RETURN(const Matrix tgt,
+                      ExtractRows(embeddings.target, tgt_ids));
   EM_ASSIGN_OR_RETURN(Matrix raw,
                       ComputeSimilarity(src, tgt, options.metric));
   // The explanation reports raw vs transformed side by side, so the one copy

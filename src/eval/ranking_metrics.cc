@@ -66,8 +66,12 @@ Result<RankingMetrics> EvaluateRanking(const KgPairDataset& dataset,
 
 Result<RankingMetrics> EvaluateEmbeddingRanking(
     const KgPairDataset& dataset, const EmbeddingPair& embeddings) {
-  const Matrix src = ExtractRows(embeddings.source, dataset.test_source_entities);
-  const Matrix tgt = ExtractRows(embeddings.target, dataset.test_target_entities);
+  EM_ASSIGN_OR_RETURN(
+      const Matrix src,
+      ExtractRows(embeddings.source, dataset.test_source_entities));
+  EM_ASSIGN_OR_RETURN(
+      const Matrix tgt,
+      ExtractRows(embeddings.target, dataset.test_target_entities));
   EM_ASSIGN_OR_RETURN(
       Matrix scores, ComputeSimilarity(src, tgt, SimilarityMetric::kCosine));
   return EvaluateRanking(dataset, scores);

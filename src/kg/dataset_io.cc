@@ -5,6 +5,7 @@
 #include <fstream>
 #include <unordered_set>
 
+#include "common/string_util.h"
 #include "kg/io.h"
 
 namespace entmatcher {
@@ -20,12 +21,25 @@ Status WriteEntityIdList(const std::vector<EntityId>& ids,
   return Status::OK();
 }
 
-Result<std::vector<EntityId>> ReadEntityIdList(const std::string& path) {
+// One entity id per line, each below `num_entities` (blank lines skipped).
+Result<std::vector<EntityId>> ReadEntityIdList(const std::string& path,
+                                               size_t num_entities) {
   std::ifstream in(path);
   if (!in) return Status::IoError("cannot open for reading: " + path);
   std::vector<EntityId> ids;
-  uint64_t value = 0;
-  while (in >> value) ids.push_back(static_cast<EntityId>(value));
+  std::string line;
+  for (size_t line_no = 1; std::getline(in, line); ++line_no) {
+    const std::string_view text = StripWhitespace(line);
+    if (text.empty()) continue;
+    uint64_t value = 0;
+    if (!ParseUint64(text, &value) || value >= num_entities) {
+      return Status::IoError(path + ":" + std::to_string(line_no) + ": '" +
+                             std::string(text) +
+                             "' is not an entity id below " +
+                             std::to_string(num_entities));
+    }
+    ids.push_back(static_cast<EntityId>(value));
+  }
   return ids;
 }
 
@@ -147,11 +161,13 @@ Result<KgPairDataset> LoadDatasetDir(const std::string& dir) {
   std::vector<EntityId> extra_tgt;
   if (std::filesystem::exists(base / "unmatchable_src")) {
     EM_ASSIGN_OR_RETURN(extra_src,
-                        ReadEntityIdList((base / "unmatchable_src").string()));
+                        ReadEntityIdList((base / "unmatchable_src").string(),
+                                         dataset.source.num_entities()));
   }
   if (std::filesystem::exists(base / "unmatchable_tgt")) {
     EM_ASSIGN_OR_RETURN(extra_tgt,
-                        ReadEntityIdList((base / "unmatchable_tgt").string()));
+                        ReadEntityIdList((base / "unmatchable_tgt").string(),
+                                         dataset.target.num_entities()));
   }
   PopulateTestCandidates(&dataset, extra_src, extra_tgt);
   return dataset;

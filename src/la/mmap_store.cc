@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -139,20 +140,37 @@ Result<EmbfWriter> EmbfWriter::Create(const std::string& path, size_t rows,
   if (cols == 0) {
     return Status::InvalidArgument("EMBF store needs cols >= 1");
   }
-  std::FILE* f = std::fopen(path.c_str(), "wb");
+  // Never `path` itself: truncating it in place would take the pages out
+  // from under any process that has it mapped (SIGBUS there).
+  static std::atomic<uint64_t> next_temp{0};
+  const std::string temp = path + ".tmp" + std::to_string(::getpid()) + "-" +
+                           std::to_string(next_temp.fetch_add(1));
+  const int fd =
+      ::open(temp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+  std::FILE* f = fd < 0 ? nullptr : ::fdopen(fd, "wb");
   if (f == nullptr) {
+    if (fd >= 0) {
+      ::close(fd);
+      std::remove(temp.c_str());
+    }
     return Status::IoError("cannot create EMBF store: " + path);
   }
   EmbfWriter writer;
   writer.file_.reset(f);
   writer.path_ = path;
+  writer.temp_path_ = temp;
   writer.rows_ = rows;
   writer.cols_ = cols;
   EM_RETURN_NOT_OK(WriteHeader(f, rows, cols, path));
   return writer;
 }
 
-EmbfWriter::~EmbfWriter() = default;
+EmbfWriter::~EmbfWriter() {
+  if (file_ != nullptr) {  // never finished: `path_` was not touched
+    file_.reset();
+    std::remove(temp_path_.c_str());
+  }
+}
 
 Status EmbfWriter::Append(std::span<const float> row) {
   if (file_ == nullptr) {
@@ -180,6 +198,7 @@ Status EmbfWriter::Finish() {
   const bool complete = rows_written_ == rows_;
   const bool flushed = std::fflush(f) == 0;
   file_.reset();
+  if (!complete || !flushed) std::remove(temp_path_.c_str());
   if (!complete) {
     return Status::InvalidArgument(
         "EMBF writer finished after " + std::to_string(rows_written_) +
@@ -187,6 +206,10 @@ Status EmbfWriter::Finish() {
   }
   if (!flushed) {
     return Status::IoError("EMBF flush failed: " + path_);
+  }
+  if (std::rename(temp_path_.c_str(), path_.c_str()) != 0) {
+    std::remove(temp_path_.c_str());
+    return Status::IoError("cannot rename EMBF store into place: " + path_);
   }
   return Status::OK();
 }

@@ -40,8 +40,9 @@ constexpr uint64_t kEmbfFormatVersion = 1;
 /// this class.
 ///
 /// The mapping is advised MADV_RANDOM: the index probes and reranks touch
-/// rows scattered across the file. A file truncated while it is mapped
-/// faults (SIGBUS) on the next read of a lost page.
+/// rows scattered across the file. A file truncated in place while it is
+/// mapped faults (SIGBUS) on the next read of a lost page; EmbfWriter
+/// replaces files by rename, which leaves live mappings their old bytes.
 ///
 /// MemoryTracker charge: min(64 MB, logical bytes). A mapped file's logical
 /// bytes are not resident bytes — the kernel pages rows in on demand and can
@@ -98,14 +99,20 @@ class MmapStore {
 /// Streaming EMBF1 writer: declares the shape up front, appends rows, and
 /// patches nothing afterwards (the header is complete from byte 0). This is
 /// how the synthetic 1M-row generators emit files with O(cols) live memory.
+///
+/// The rows go to a temporary file beside `path`, renamed over `path` by
+/// Finish: a process that has the old file mapped keeps reading its old
+/// bytes, and a writer that fails or is destroyed before Finish removes
+/// its temporary and leaves `path` as it was.
 class EmbfWriter {
  public:
-  /// Creates `path` and writes the header for a rows x cols store.
+  /// Creates the temporary for `path` and writes the header for a
+  /// rows x cols store.
   static Result<EmbfWriter> Create(const std::string& path, size_t rows,
                                    size_t cols);
 
   EmbfWriter(EmbfWriter&&) noexcept = default;
-  EmbfWriter& operator=(EmbfWriter&&) noexcept = default;
+  EmbfWriter& operator=(EmbfWriter&&) = delete;
   EmbfWriter(const EmbfWriter&) = delete;
   EmbfWriter& operator=(const EmbfWriter&) = delete;
   ~EmbfWriter();
@@ -113,8 +120,9 @@ class EmbfWriter {
   /// Appends one row; `row.size()` must equal the declared cols.
   Status Append(std::span<const float> row);
 
-  /// Flushes and closes; fails unless exactly the declared number of rows
-  /// was appended. After Finish the writer is inert.
+  /// Flushes, closes and renames the temporary over `path`; fails (and
+  /// removes the temporary) unless exactly the declared number of rows was
+  /// appended. After Finish the writer is inert.
   Status Finish();
 
   size_t rows_written() const { return rows_written_; }
@@ -127,6 +135,7 @@ class EmbfWriter {
   };
   std::unique_ptr<void, FileCloser> file_;  // FILE*, type-erased
   std::string path_;
+  std::string temp_path_;
   size_t rows_ = 0;
   size_t cols_ = 0;
   size_t rows_written_ = 0;

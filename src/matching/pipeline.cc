@@ -84,8 +84,12 @@ Result<MatchRun> RunMatching(const KgPairDataset& dataset,
         "PopulateTestCandidates)");
   }
 
-  Matrix source = ExtractRows(embeddings.source, dataset.test_source_entities);
-  Matrix target = ExtractRows(embeddings.target, dataset.test_target_entities);
+  EM_ASSIGN_OR_RETURN(
+      Matrix source,
+      ExtractRows(embeddings.source, dataset.test_source_entities));
+  EM_ASSIGN_OR_RETURN(
+      Matrix target,
+      ExtractRows(embeddings.target, dataset.test_target_entities));
 
   // The measured region starts after candidate extraction: a session that
   // extracted its candidates at Create time must report the same per-query

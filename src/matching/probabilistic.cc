@@ -88,8 +88,10 @@ Result<double> CalibrateNoMatchScore(const KgPairDataset& dataset,
   for (const EntityPair& p : valid) sources.push_back(p.source);
   for (size_t i = 0; i < half; ++i) targets.push_back(valid[i].target);
 
-  const Matrix src = ExtractRows(embeddings.source, sources);
-  const Matrix tgt = ExtractRows(embeddings.target, targets);
+  EM_ASSIGN_OR_RETURN(const Matrix src,
+                      ExtractRows(embeddings.source, sources));
+  EM_ASSIGN_OR_RETURN(const Matrix tgt,
+                      ExtractRows(embeddings.target, targets));
   EM_ASSIGN_OR_RETURN(
       Matrix scores, ComputeSimilarity(src, tgt, SimilarityMetric::kCosine));
 
@@ -127,10 +129,12 @@ Result<AlignmentSet> RunProbabilisticMatching(const KgPairDataset& dataset,
                                               ProbabilisticOptions options) {
   EM_ASSIGN_OR_RETURN(options.no_match_score,
                       CalibrateNoMatchScore(dataset, embeddings, options));
-  const Matrix src =
-      ExtractRows(embeddings.source, dataset.test_source_entities);
-  const Matrix tgt =
-      ExtractRows(embeddings.target, dataset.test_target_entities);
+  EM_ASSIGN_OR_RETURN(
+      const Matrix src,
+      ExtractRows(embeddings.source, dataset.test_source_entities));
+  EM_ASSIGN_OR_RETURN(
+      const Matrix tgt,
+      ExtractRows(embeddings.target, dataset.test_target_entities));
   EM_ASSIGN_OR_RETURN(
       Matrix scores, ComputeSimilarity(src, tgt, SimilarityMetric::kCosine));
   EM_ASSIGN_OR_RETURN(MultiAssignment assignment,

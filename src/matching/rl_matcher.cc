@@ -185,8 +185,10 @@ Result<Assignment> RlMatch(const KgPairDataset& dataset,
   // ---- Training environment from the seed links. -----------------------------
   const std::vector<EntityId> train_sources = dataset.split.train.SourceEntities();
   const std::vector<EntityId> train_targets = dataset.split.train.TargetEntities();
-  const Matrix train_src_emb = ExtractRows(embeddings.source, train_sources);
-  const Matrix train_tgt_emb = ExtractRows(embeddings.target, train_targets);
+  EM_ASSIGN_OR_RETURN(const Matrix train_src_emb,
+                      ExtractRows(embeddings.source, train_sources));
+  EM_ASSIGN_OR_RETURN(const Matrix train_tgt_emb,
+                      ExtractRows(embeddings.target, train_targets));
   EM_ASSIGN_OR_RETURN(
       Matrix train_scores,
       ComputeSimilarity(train_src_emb, train_tgt_emb, SimilarityMetric::kCosine));

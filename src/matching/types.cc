@@ -1,5 +1,7 @@
 #include "matching/types.h"
 
+#include <utility>
+
 #include "index/candidate_index.h"
 
 namespace entmatcher {
@@ -90,28 +92,31 @@ ScoreSignature ScoreSignature::Of(const MatchOptions& options) {
   return sig;
 }
 
+// Every preset with its paper display name, in Table 6 order.
+constexpr std::pair<AlgorithmPreset, const char*> kPresetNames[] = {
+    {AlgorithmPreset::kDInf, "DInf"},
+    {AlgorithmPreset::kCsls, "CSLS"},
+    {AlgorithmPreset::kRinf, "RInf"},
+    {AlgorithmPreset::kRinfWr, "RInf-wr"},
+    {AlgorithmPreset::kRinfPb, "RInf-pb"},
+    {AlgorithmPreset::kSinkhorn, "Sink."},
+    {AlgorithmPreset::kHungarian, "Hun."},
+    {AlgorithmPreset::kStableMatch, "SMat"},
+    {AlgorithmPreset::kRl, "RL"},
+};
+
 const char* PresetName(AlgorithmPreset preset) {
-  switch (preset) {
-    case AlgorithmPreset::kDInf:
-      return "DInf";
-    case AlgorithmPreset::kCsls:
-      return "CSLS";
-    case AlgorithmPreset::kRinf:
-      return "RInf";
-    case AlgorithmPreset::kRinfWr:
-      return "RInf-wr";
-    case AlgorithmPreset::kRinfPb:
-      return "RInf-pb";
-    case AlgorithmPreset::kSinkhorn:
-      return "Sink.";
-    case AlgorithmPreset::kHungarian:
-      return "Hun.";
-    case AlgorithmPreset::kStableMatch:
-      return "SMat";
-    case AlgorithmPreset::kRl:
-      return "RL";
+  for (const auto& [each, name] : kPresetNames) {
+    if (each == preset) return name;
   }
   return "?";
+}
+
+Result<AlgorithmPreset> ParsePreset(std::string_view name) {
+  for (const auto& [preset, each] : kPresetNames) {
+    if (name == each) return preset;
+  }
+  return Status::InvalidArgument("unknown algorithm: " + std::string(name));
 }
 
 std::vector<AlgorithmPreset> MainPresets() {
@@ -122,11 +127,9 @@ std::vector<AlgorithmPreset> MainPresets() {
 }
 
 std::vector<AlgorithmPreset> ScalabilityPresets() {
-  return {AlgorithmPreset::kDInf,    AlgorithmPreset::kCsls,
-          AlgorithmPreset::kRinf,    AlgorithmPreset::kRinfWr,
-          AlgorithmPreset::kRinfPb,  AlgorithmPreset::kSinkhorn,
-          AlgorithmPreset::kHungarian, AlgorithmPreset::kStableMatch,
-          AlgorithmPreset::kRl};
+  std::vector<AlgorithmPreset> presets;
+  for (const auto& [preset, name] : kPresetNames) presets.push_back(preset);
+  return presets;
 }
 
 }  // namespace entmatcher

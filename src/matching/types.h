@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "la/similarity.h"
@@ -195,6 +196,9 @@ MatchOptions MakePreset(AlgorithmPreset preset);
 /// Paper display name ("DInf", "CSLS", "RInf", "RInf-wr", "RInf-pb",
 /// "Sink.", "Hun.", "SMat", "RL").
 const char* PresetName(AlgorithmPreset preset);
+
+/// The preset whose PresetName is `name`; kInvalidArgument otherwise.
+Result<AlgorithmPreset> ParsePreset(std::string_view name);
 
 /// The seven algorithms of the main experiments (Tables 4/5/7/8 order).
 std::vector<AlgorithmPreset> MainPresets();

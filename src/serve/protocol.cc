@@ -158,18 +158,12 @@ Result<std::string> ReadFrame(int fd) {
 }
 
 Result<AlgorithmPreset> ParseServableAlgorithm(std::string_view name) {
-  for (AlgorithmPreset preset :
-       {AlgorithmPreset::kDInf, AlgorithmPreset::kCsls, AlgorithmPreset::kRinf,
-        AlgorithmPreset::kRinfWr, AlgorithmPreset::kRinfPb,
-        AlgorithmPreset::kSinkhorn, AlgorithmPreset::kHungarian,
-        AlgorithmPreset::kStableMatch}) {
-    if (name == PresetName(preset)) return preset;
-  }
-  if (name == PresetName(AlgorithmPreset::kRl)) {
+  EM_ASSIGN_OR_RETURN(const AlgorithmPreset preset, ParsePreset(name));
+  if (preset == AlgorithmPreset::kRl) {
     return Status::InvalidArgument(
         "RL needs KG context and cannot be served; use entmatcher_cli match");
   }
-  return Status::InvalidArgument("unknown algorithm: " + std::string(name));
+  return preset;
 }
 
 std::string EncodeRequest(const WireRequest& request) {

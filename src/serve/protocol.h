@@ -196,9 +196,8 @@ std::string EncodeErrorResponse(const Status& status,
                                 uint64_t retry_after_micros = 0);
 Result<WireResponse> ParseResponse(std::string_view payload);
 
-/// Maps a paper preset name ("CSLS", "Hun.", ...) to its preset;
-/// kInvalidArgument for unknown names. RL is rejected here: the serving
-/// layer has no KG context to run it.
+/// ParsePreset, refusing RL too: the serving layer has no KG context to
+/// run it.
 Result<AlgorithmPreset> ParseServableAlgorithm(std::string_view name);
 
 /// The `hello` handshake payload for a peer serving in `role` ("shard" or

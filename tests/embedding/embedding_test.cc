@@ -29,8 +29,8 @@ KgPairDataset SmallDataset(uint64_t seed = 77) {
 
 // Greedy accuracy of embeddings on the test links (Hits@1).
 double GreedyAccuracy(const KgPairDataset& d, const EmbeddingPair& emb) {
-  const Matrix src = ExtractRows(emb.source, d.test_source_entities);
-  const Matrix tgt = ExtractRows(emb.target, d.test_target_entities);
+  const Matrix src = ExtractRows(emb.source, d.test_source_entities).value();
+  const Matrix tgt = ExtractRows(emb.target, d.test_target_entities).value();
   auto sim = ComputeSimilarity(src, tgt, SimilarityMetric::kCosine);
   EXPECT_TRUE(sim.ok());
   const auto argmax = RowArgmax(*sim);
@@ -46,10 +46,20 @@ double GreedyAccuracy(const KgPairDataset& d, const EmbeddingPair& emb) {
 
 TEST(ExtractRowsTest, GathersRequestedRows) {
   Matrix m = Matrix::FromRows({{1, 2}, {3, 4}, {5, 6}});
-  Matrix out = ExtractRows(m, {2, 0});
-  ASSERT_EQ(out.rows(), 2u);
-  EXPECT_EQ(out.At(0, 0), 5.0f);
-  EXPECT_EQ(out.At(1, 1), 2.0f);
+  Result<Matrix> out = ExtractRows(m, {2, 0});
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_EQ(out->rows(), 2u);
+  EXPECT_EQ(out->At(0, 0), 5.0f);
+  EXPECT_EQ(out->At(1, 1), 2.0f);
+}
+
+TEST(ExtractRowsTest, RefusesAnIdWithNoRow) {
+  Matrix m = Matrix::FromRows({{1, 2}, {3, 4}, {5, 6}});
+  Result<Matrix> out = ExtractRows(m, {0, 3});
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(out.status().message().find("entity id 3"), std::string::npos);
+  EXPECT_NE(out.status().message().find("of 3 rows"), std::string::npos);
 }
 
 TEST(PropagationTest, ShapesAndDeterminism) {

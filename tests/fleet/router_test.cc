@@ -14,6 +14,7 @@
 
 #include "fleet/router.h"
 
+#include <pthread.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -81,9 +82,18 @@ class GateHandler : public WireHandler {
     return passed_;
   }
 
+  /// Waits until a routed frame has reached the gate, i.e. until a shard
+  /// connection thread is handling one; false after `timeout`.
+  bool WaitForArrival(std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [&] { return arrived_ > 0; });
+  }
+
   std::string Handle(const std::string& payload, bool* shutdown) override {
     if (payload.rfind("route ", 0) == 0) {
       std::unique_lock<std::mutex> lock(mu_);
+      ++arrived_;
+      cv_.notify_all();
       cv_.wait_until(lock, open_at_, [&] { return released_; });
       ++passed_;
     }
@@ -96,6 +106,7 @@ class GateHandler : public WireHandler {
   std::mutex mu_;
   std::condition_variable cv_;
   bool released_ = false;
+  size_t arrived_ = 0;
   size_t passed_ = 0;
 };
 
@@ -433,18 +444,29 @@ TEST_F(RouterTest, ConcurrentHedgedQueriesStartNoThreads) {
   const WireRequest request = MatchRequest(AlgorithmPreset::kDInf);
   const std::vector<int32_t> expected = SoloAnswer(request, 1);
   // Dial both channels and warm the shards before counting: shard 1 takes
-  // range 0 by hedge, and range 1 as its primary.
+  // range 0 by hedge, and range 1 as its primary. The hedge can answer
+  // before channel 0 has dialed shard 0 at all, so also wait for its frame
+  // to reach the gate: shard 0's connection thread then predates the count.
   ASSERT_TRUE(fleet.router().Query(request).ok());
+  ASSERT_TRUE(gate.WaitForArrival(std::chrono::milliseconds(10'000)));
 
   constexpr size_t kCallers = 6;
   constexpr size_t kPerCaller = 5;
   const size_t before = ProcessThreadCount();
+  const std::string before_names = ProcessThreadNames();
   ASSERT_GT(before, 0u);
   std::atomic<bool> storming{true};
-  size_t peak = before;  // written by the sampler, read after its join
+  // Written by the sampler, read after its join.
+  size_t peak = before;
+  std::string peak_names = before_names;
   std::thread sampler([&] {
+    ::pthread_setname_np(::pthread_self(), "sampler");
     while (storming.load()) {
-      peak = std::max(peak, ProcessThreadCount());
+      const size_t now = ProcessThreadCount();
+      if (now > peak) {
+        peak = now;
+        peak_names = ProcessThreadNames();
+      }
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   });
@@ -452,6 +474,7 @@ TEST_F(RouterTest, ConcurrentHedgedQueriesStartNoThreads) {
   std::vector<std::thread> callers;
   for (size_t c = 0; c < kCallers; ++c) {
     callers.emplace_back([&] {
+      ::pthread_setname_np(::pthread_self(), "caller");
       for (size_t q = 0; q < kPerCaller; ++q) {
         Result<WireResponse> read = fleet.router().Query(request);
         if (read.ok() && read->values == expected) correct.fetch_add(1);
@@ -465,7 +488,8 @@ TEST_F(RouterTest, ConcurrentHedgedQueriesStartNoThreads) {
 
   EXPECT_EQ(correct.load(), kCallers * kPerCaller);
   EXPECT_LE(peak, before + kCallers + 1)
-      << "threads before the storm: " << before;
+      << "threads before the storm (" << before << "): " << before_names
+      << "\nat the peak (" << peak << "): " << peak_names;
   const RouterStatsSnapshot stats = fleet.router().Stats();
   EXPECT_GE(stats.hedges, kCallers * kPerCaller);
   EXPECT_EQ(stats.queries, stats.ok + stats.failed);

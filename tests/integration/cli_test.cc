@@ -2,8 +2,10 @@
 // embeddings goes through ReadMatrixBinary, so an EMAT pair and its
 // `mmap pack`ed EMBF twin must give the same bytes out of `match`,
 // `index build` and `fleet plan`, and a `serve` loaded from EMBF must take
-// a `swap` to EMBF files. Drives the built entmatcher_cli (located via
-// EM_CLI_PATH) as a child process.
+// a `swap` to EMBF files. Also pins the one argument parser's refusals,
+// the server flags a fleet shard shares with `serve`, and the refusal of a
+// dataset joined with too few embedding rows. Drives the built
+// entmatcher_cli (located via EM_CLI_PATH) as a child process.
 
 #include <fcntl.h>
 #include <signal.h>
@@ -96,7 +98,8 @@ class CliTest : public ::testing::Test {
   std::string Path(const std::string& name) const { return dir_ + "/" + name; }
 
   /// Runs the CLI with `args`; stdout and stderr go to `*output`. Returns the
-  /// exit code (-1 when killed by a signal).
+  /// exit code, as the shell reports it: 128 + N when signal N killed the
+  /// CLI (-1 when the shell itself was killed).
   int Run(const std::vector<std::string>& args, std::string* output) const {
     std::string command = "'" + cli_ + "'";
     for (const std::string& arg : args) command += " '" + arg + "'";
@@ -117,14 +120,19 @@ class CliTest : public ::testing::Test {
   /// it accepts connections. Returns the child's pid, or -1.
   pid_t StartServe(const std::string& src, const std::string& tgt,
                    const std::string& socket) const {
+    return StartServer({"serve", src, tgt, "--socket=" + socket,
+                        "--serve-workers=1", "--threads=1"},
+                       socket);
+  }
+
+  /// Starts the CLI with `cli_args` (a command that serves on `socket`,
+  /// logging to serve.log) and waits until it accepts connections. Returns
+  /// the child's pid, or -1.
+  pid_t StartServer(const std::vector<std::string>& cli_args,
+                    const std::string& socket) const {
     const std::string log = Path("serve.log");
-    std::vector<std::string> args = {cli_,
-                                     "serve",
-                                     src,
-                                     tgt,
-                                     "--socket=" + socket,
-                                     "--serve-workers=1",
-                                     "--threads=1"};
+    std::vector<std::string> args = {cli_};
+    args.insert(args.end(), cli_args.begin(), cli_args.end());
     std::vector<char*> argv;
     for (std::string& arg : args) argv.push_back(arg.data());
     argv.push_back(nullptr);
@@ -154,6 +162,20 @@ class CliTest : public ::testing::Test {
     ::kill(pid, SIGKILL);
     ::waitpid(pid, nullptr, 0);
     return -1;
+  }
+
+  /// Sends `shutdown` to the server on `socket` and expects child `pid` to
+  /// exit 0.
+  void ShutDown(const std::string& socket, pid_t pid) const {
+    Result<ServeClient> client = ServeClient::Connect(socket);
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    Result<WireRequest> shutdown = ParseRequest("shutdown");
+    ASSERT_TRUE(shutdown.ok());
+    EXPECT_TRUE(client->Call(*shutdown).ok());
+    int status = 0;
+    EXPECT_EQ(::waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << FileBytes(Path("serve.log"));
   }
 
   std::string cli_;
@@ -306,6 +328,177 @@ TEST_F(CliTest, MmapFlagIsUnknown) {
     std::string output;
     EXPECT_NE(Run(command, &output), 0);
     EXPECT_NE(output.find("usage:"), std::string::npos) << output;
+  }
+}
+
+// Every command reads its flags through one parser: a malformed number
+// names its flag, and an unknown flag gets the usage line, each exiting 1.
+// `query` hands an unknown word to the wire parser, which refuses it. Each
+// command is given missing inputs, so a build that took a bad flag fails
+// later instead of serving forever.
+TEST_F(CliTest, EveryCommandRefusesMalformedValuesAndUnknownFlags) {
+  const std::string never = "--socket=" + Path("never.sock");
+  // `serve`'s and `fleet serve`'s own numeric flags plus the server flags.
+  const auto with_server_flags = [](std::vector<std::string> flags) {
+    for (const char* flag : {"threads", "serve-workers", "cache-bytes",
+                             "max-batch", "flush-micros", "queue-capacity",
+                             "shed-watermark"}) {
+      flags.push_back(flag);
+    }
+    return flags;
+  };
+  struct Case {
+    std::vector<std::string> command;
+    std::vector<std::string> numbers;  // its flags that take a number
+  };
+  const std::vector<Case> cases = {
+      {{"index", "build", Path("a.tgt.emat"), Path("x.eidx")},
+       {"lists", "kmeans-iters", "seed", "M", "ef-construction"}},
+      {{"mmap", "synth-pair", Path("synth")},
+       {"rows", "dim", "clusters", "seed", "noise", "spread"}},
+      {{"match", "-", Path("missing.src"), Path("missing.tgt"), "CSLS"},
+       {"workspace-budget-bytes", "threads", "candidates", "nprobe", "ef"}},
+      {{"serve", Path("missing.src"), Path("missing.tgt"), never},
+       with_server_flags({"workspace-budget-bytes", "degrade-watermark",
+                          "degrade-candidates", "degrade-nprobe",
+                          "degrade-ef"})},
+      {{"swap", Path("b.src.emat"), Path("b.tgt.emat"), never}, {}},
+      {{"query", never, "stats"}, {"retries"}},
+      {{"fleet", "plan", "p", Path("missing.src"), Path("missing.tgt"),
+        "--out=" + Path("p.json")},
+       {"shards", "replicas"}},
+      {{"fleet", "serve", "--plan=" + Path("missing.json")},
+       with_server_flags({"shard", "hedge-micros", "retries",
+                          "breaker-failures", "breaker-cooldown-us"})},
+      {{"fleet", "query", never, "shards"}, {"retries"}},
+      {{"fleet", "swap", "p", Path("b.src.emat"), Path("b.tgt.emat"), never},
+       {}},
+      {{"fleet", "status", never}, {}},
+  };
+  for (const Case& c : cases) {
+    const std::string name = c.command[0] == "fleet" || c.command[0] == "index"
+                                 ? c.command[0] + " " + c.command[1]
+                                 : c.command[0];
+    SCOPED_TRACE(name);
+    std::string output;
+    for (const std::string& flag : c.numbers) {
+      SCOPED_TRACE(flag);
+      std::vector<std::string> args = c.command;
+      args.push_back("--" + flag + "=x");
+      EXPECT_EQ(Run(args, &output), 1) << output;
+      EXPECT_NE(output.find("error: bad --" + flag + "= value: x"),
+                std::string::npos)
+          << output;
+    }
+    std::vector<std::string> args = c.command;
+    args.push_back("--bogus=1");
+    EXPECT_EQ(Run(args, &output), 1) << output;
+    if (c.command[0] == "query" || name == "fleet query") {
+      EXPECT_NE(output.find("InvalidArgument: unknown option: --bogus=1"),
+                std::string::npos)
+          << output;
+    } else {
+      EXPECT_NE(output.find("usage:"), std::string::npos) << output;
+    }
+  }
+}
+
+// A fleet shard takes the server flags `serve` takes: it refuses a malformed
+// value of each of the seven, and starts with all seven set.
+TEST_F(CliTest, FleetShardTakesTheSevenServerFlags) {
+  const std::string plan_path = Path("shard_plan.json");
+  std::string output;
+  ASSERT_EQ(Run({"fleet", "plan", "p", Path("a.src.emat"), Path("a.tgt.emat"),
+                 "--shards=1", "--out=" + plan_path, "--socket-dir=" + dir_},
+                &output),
+            0)
+      << output;
+  Result<ShardPlan> plan = ShardPlan::Load(plan_path);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const std::string socket = plan->FindShard(0)->socket_path;
+  const std::vector<std::string> shard = {"fleet", "serve",
+                                          "--plan=" + plan_path, "--shard=0"};
+  const std::vector<std::string> set = {
+      "--threads=1",       "--serve-workers=2",   "--cache-bytes=65536",
+      "--max-batch=4",     "--flush-micros=100", "--queue-capacity=16",
+      "--shed-watermark=8"};
+  for (const std::string& flag : set) {
+    const std::string name = flag.substr(2, flag.find('=') - 2);
+    SCOPED_TRACE(name);
+    std::vector<std::string> args = shard;
+    args.push_back("--" + name + "=x");
+    EXPECT_EQ(Run(args, &output), 1) << output;
+    EXPECT_NE(output.find("error: bad --" + name + "= value: x"),
+              std::string::npos)
+        << output;
+  }
+
+  std::vector<std::string> args = shard;
+  args.insert(args.end(), set.begin(), set.end());
+  const pid_t pid = StartServer(args, socket);
+  ASSERT_GT(pid, 0);
+  Result<ServeClient> client = ServeClient::Connect(socket);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  Result<WireRequest> health = ParseRequest("health");
+  ASSERT_TRUE(health.ok());
+  Result<WireResponse> answer = client->Call(*health);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  for (const char* field : {"\"queue_capacity\": 16", "\"shed_watermark\": 8",
+                            "\"serve_workers\": 2"}) {
+    EXPECT_NE(answer->text.find(field), std::string::npos) << answer->text;
+  }
+  ShutDown(socket, pid);
+  EXPECT_NE(FileBytes(Path("serve.log"))
+                .find("shard 0 serving 1 pair(s) on " + socket),
+            std::string::npos)
+      << FileBytes(Path("serve.log"));
+}
+
+// `swap` and the `swap` verb through `query` send the same request: each
+// publishes the next version of the pair.
+TEST_F(CliTest, SwapAndQuerySwapEachPublishTheNextVersion) {
+  const std::string socket = Path("swap.sock");
+  const pid_t pid = StartServe(Path("a.src.emat"), Path("a.tgt.emat"), socket);
+  ASSERT_GT(pid, 0);
+  std::string output;
+  EXPECT_EQ(Run({"swap", Path("b.src.emat"), Path("b.tgt.emat"),
+                 "--socket=" + socket},
+                &output),
+            0)
+      << output;
+  EXPECT_NE(output.find("swapped default v2"), std::string::npos) << output;
+  EXPECT_EQ(Run({"query", "--socket=" + socket, "swap", "default",
+                 Path("a.src.emat"), Path("a.tgt.emat")},
+                &output),
+            0)
+      << output;
+  EXPECT_NE(output.find("swapped default v3"), std::string::npos) << output;
+  ShutDown(socket, pid);
+}
+
+// A dataset joined with embeddings of fewer entities is refused with the
+// first id that has no row, by `match` and by `index build --dataset`,
+// instead of being read past the end of the mapping.
+TEST_F(CliTest, DatasetLargerThanItsEmbeddingsIsRefused) {
+  std::string output;
+  ASSERT_EQ(Run({"generate", "D-Z", Path("ds"), "0.05"}, &output), 0)
+      << output;
+  ASSERT_EQ(Run({"mmap", "synth-pair", Path("tiny"), "--rows=10", "--dim=32"},
+                &output),
+            0)
+      << output;
+  const std::vector<std::vector<std::string>> commands = {
+      {"match", Path("ds"), Path("tiny.src.embf"), Path("tiny.tgt.embf"),
+       "DInf"},
+      {"index", "build", Path("tiny.tgt.embf"), Path("x.eidx"),
+       "--dataset=" + Path("ds")},
+  };
+  for (const std::vector<std::string>& command : commands) {
+    SCOPED_TRACE(command.front());
+    EXPECT_EQ(Run(command, &output), 1) << output;
+    EXPECT_NE(output.find("has no row in an embedding matrix of 10 rows"),
+              std::string::npos)
+        << output;
   }
 }
 

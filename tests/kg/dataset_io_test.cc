@@ -3,6 +3,8 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -18,6 +20,19 @@ class DatasetIoTest : public ::testing::Test {
            ("entmatcher_dsio_" + std::to_string(::getpid()));
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  /// Loads the saved dataset with `lines` as its unmatchable_src list and
+  /// expects the load refused as kIoError naming that file's line `line`.
+  void ExpectUnmatchablesRefused(const std::string& lines, int line) {
+    { std::ofstream(dir_ / "unmatchable_src") << lines; }
+    Result<KgPairDataset> loaded = LoadDatasetDir(dir_.string());
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+    EXPECT_NE(loaded.status().message().find("unmatchable_src:" +
+                                             std::to_string(line)),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
 
   std::filesystem::path dir_;
 };
@@ -72,6 +87,32 @@ TEST_F(DatasetIoTest, RoundTripPreservesUnmatchables) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->test_source_entities.size(),
             original.test_source_entities.size());
+}
+
+// Unmatchable ids are parsed strictly: none wraps into the 32-bit id space,
+// none is skipped, and none lies outside the graph.
+TEST_F(DatasetIoTest, UnmatchableIdPastThirtyTwoBitsIsRefused) {
+  ASSERT_TRUE(SaveDatasetDir(MakeDataset(0.3), dir_.string()).ok());
+  ExpectUnmatchablesRefused("0\n4294967297\n", 2);  // was read as entity 1
+}
+
+TEST_F(DatasetIoTest, NegativeUnmatchableIdIsRefused) {
+  ASSERT_TRUE(SaveDatasetDir(MakeDataset(0.3), dir_.string()).ok());
+  ExpectUnmatchablesRefused("-1\n", 1);  // was read as 4294967295
+}
+
+TEST_F(DatasetIoTest, NonNumericUnmatchableIdIsRefused) {
+  ASSERT_TRUE(SaveDatasetDir(MakeDataset(0.3), dir_.string()).ok());
+  ExpectUnmatchablesRefused("0\n\nx1\n2\n", 3);  // used to end the list
+}
+
+TEST_F(DatasetIoTest, UnmatchableIdPastTheGraphIsRefused) {
+  const KgPairDataset original = MakeDataset(0.3);
+  ASSERT_TRUE(SaveDatasetDir(original, dir_.string()).ok());
+  const size_t entities = original.source.num_entities();
+  { std::ofstream(dir_ / "unmatchable_src") << entities - 1 << "\n"; }
+  EXPECT_TRUE(LoadDatasetDir(dir_.string()).ok());
+  ExpectUnmatchablesRefused(std::to_string(entities) + "\n", 1);
 }
 
 TEST_F(DatasetIoTest, LoadMissingDirectoryFails) {

@@ -260,6 +260,67 @@ TEST(MmapStoreTest, MappedPairLivesAsLongAsTheServerHoldingIt) {
   EXPECT_EQ(tracker.stats().current_bytes, baseline);
 }
 
+// Rewriting a mapped file replaces it by rename: the reader's mapping keeps
+// the old inode, so it reads its old bytes (a rewrite in place truncated the
+// file under the mapping, and the next read of a lost page was SIGBUS).
+TEST(MmapStoreTest, RewriteLeavesALiveMappingItsOldBytes) {
+  const Matrix old_bytes = RandomMatrix(512, 16, 361);  // 8 pages of floats
+  const Matrix new_bytes = RandomMatrix(3, 5, 362);
+  const std::string path = TempPath("rewritten.embf");
+  ASSERT_TRUE(MmapStore::Write(old_bytes, path).ok());
+  Result<Matrix> mapped = ReadMatrixBinary(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+
+  ASSERT_TRUE(MmapStore::Write(new_bytes, path).ok());
+  ASSERT_EQ(mapped->rows(), old_bytes.rows());
+  // Last row first: it lies on a page past the new file's end.
+  for (size_t r = old_bytes.rows(); r-- > 0;) {
+    ASSERT_EQ(std::memcmp(mapped->Row(r).data(), old_bytes.Row(r).data(),
+                          old_bytes.cols() * sizeof(float)),
+              0)
+        << "row " << r;
+  }
+  Result<Matrix> reread = ReadMatrixBinary(path);
+  ASSERT_TRUE(reread.ok()) << reread.status().ToString();
+  ASSERT_EQ(reread->rows(), new_bytes.rows());
+  ASSERT_EQ(reread->cols(), new_bytes.cols());
+  EXPECT_EQ(std::memcmp(reread->data(), new_bytes.data(), new_bytes.ByteSize()),
+            0);
+  std::remove(path.c_str());
+}
+
+// A writer that fails or is dropped before Finish leaves the file it was
+// replacing byte-identical, and no temporary behind.
+TEST(MmapStoreTest, UnfinishedWriterLeavesTheOldFileUntouched) {
+  const std::string dir = TempPath("unfinished_writer");
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(std::filesystem::create_directory(dir));
+  const std::string path = dir + "/x.embf";
+  ASSERT_TRUE(MmapStore::Write(RandomMatrix(8, 4, 371), path).ok());
+  const std::string before = FileBytes(path);
+  const std::vector<float> row = {1.0f, 2.0f, 3.0f, 4.0f};
+  {
+    Result<EmbfWriter> dropped = EmbfWriter::Create(path, 2, 4);
+    ASSERT_TRUE(dropped.ok());
+    ASSERT_TRUE(dropped->Append(row).ok());
+  }
+  EXPECT_EQ(FileBytes(path), before);
+  {
+    Result<EmbfWriter> short_one = EmbfWriter::Create(path, 2, 4);
+    ASSERT_TRUE(short_one.ok());
+    ASSERT_TRUE(short_one->Append(row).ok());
+    EXPECT_FALSE(short_one->Finish().ok());  // one row short
+  }
+  EXPECT_EQ(FileBytes(path), before);
+  size_t entries = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().filename(), "x.embf");
+    ++entries;
+  }
+  EXPECT_EQ(entries, 1u);
+  std::filesystem::remove_all(dir);
+}
+
 // The whole point of the out-of-core path: feeding the engine borrowed
 // mmap-backed matrices changes where the bytes live, not a single bit of
 // what it computes.

@@ -133,6 +133,34 @@ TEST(RunMatchingTest, FailsWithoutCandidates) {
   EXPECT_FALSE(RunMatching(d, emb, MakePreset(AlgorithmPreset::kDInf)).ok());
 }
 
+// A dataset joined with embeddings of fewer entities is refused, naming the
+// first test candidate the matrix has no row for, instead of reading past
+// the matrix.
+TEST(RunMatchingTest, RefusesEmbeddingsWithFewerRowsThanTheDataset) {
+  KgPairDataset d = TinyDataset();
+  EmbeddingPair emb;
+  emb.source = Matrix(d.source.num_entities(), 8);
+  emb.target = Matrix(10, 8);
+  EntityId first_missing = 0;
+  for (EntityId e : d.test_target_entities) {
+    if (e >= 10) {
+      first_missing = e;
+      break;
+    }
+  }
+  ASSERT_GE(first_missing, 10u);
+  Result<MatchRun> run =
+      RunMatching(d, emb, MakePreset(AlgorithmPreset::kDInf));
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(run.status().message().find("entity id " +
+                                         std::to_string(first_missing)),
+            std::string::npos)
+      << run.status().ToString();
+  EXPECT_NE(run.status().message().find("of 10 rows"), std::string::npos)
+      << run.status().ToString();
+}
+
 TEST(RunMatchingTest, HungarianYieldsOneToOnePredictions) {
   KgPairDataset d = TinyDataset();
   auto emb = ComputeStructuralEmbeddings(d, GcnModelConfig(2));

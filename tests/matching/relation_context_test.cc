@@ -90,8 +90,8 @@ TEST(RelationContextRescoreTest, ImprovesGreedyOnGeneratedData) {
   auto emb = ComputeStructuralEmbeddings(*d, RreaModelConfig(2));
   ASSERT_TRUE(emb.ok());
 
-  const Matrix src = ExtractRows(emb->source, d->test_source_entities);
-  const Matrix tgt = ExtractRows(emb->target, d->test_target_entities);
+  const Matrix src = ExtractRows(emb->source, d->test_source_entities).value();
+  const Matrix tgt = ExtractRows(emb->target, d->test_target_entities).value();
   auto raw = ComputeSimilarity(src, tgt, SimilarityMetric::kCosine);
   ASSERT_TRUE(raw.ok());
 

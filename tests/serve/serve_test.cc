@@ -945,9 +945,15 @@ TEST_F(ServeTest, CallWithRetrySucceedsOnceTheServerDrains) {
   Result<ServeClient> client = ServeClient::Connect(socket_path);
   ASSERT_TRUE(client.ok());
 
-  // Recovery arrives while the client is backing off.
+  // Recovery arrives while the client is backing off: only once it has
+  // been shed, however late its first attempt comes.
   std::thread recovery([&server] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (server->Stats().shed == 0 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     ASSERT_TRUE(server->Start().ok());
   });
 
