@@ -140,7 +140,8 @@
 //       of refusing with kUnavailable.
 //   entmatcher_cli fleet query [--socket=PATH] [--retries=N] <request...>
 //       One query against the fleet front end (same grammar as `query`,
-//       plus `shards` for the plan + channel states).
+//       plus `shards`: the plan and every channel's state, admission and
+//       breaker {state, opens, half_opens, closes}).
 //   entmatcher_cli fleet swap <pair> <src.emat> <tgt.emat> [index=PATH]
 //                  [--socket=PATH]
 //       All-or-nothing swap fan-out: the router forwards the swap to every
@@ -148,13 +149,14 @@
 //       same new version. On partial failure reads spanning diverged
 //       shards refuse to merge until a repair swap converges the fleet.
 //   entmatcher_cli fleet status [--socket=PATH]
-//       The router's fleet health aggregate (per-shard channel state +
-//       live health payloads).
+//       The router's `health`: its stats, every channel as `shards` shows
+//       it plus that shard's own `health` (the shard's `stats` and six
+//       health fields), and the supervisor's policy and restart ledger.
+//       Like every status reply, one JSON document from one writer.
 //
 // --threads=N overrides the worker count for this process (equivalent to
 // the EM_NUM_THREADS environment variable; the flag wins).
 
-#include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
@@ -169,7 +171,6 @@
 #include "fleet/router.h"
 #include "fleet/shard_manager.h"
 #include "fleet/supervisor.h"
-#include "common/memory_tracker.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "datagen/benchmarks.h"
@@ -380,7 +381,8 @@ int RunServer(const MatchServerConfig& config,
   (*front)->Stop();
   (*server)->Shutdown();
   if (final_stats) {
-    std::cout << "final stats: " << (*server)->Stats().ToJson() << "\n";
+    std::cout << "final stats: " << (*server)->Stats().ToJson().Dump()
+              << "\n";
   }
   return EXIT_SUCCESS;
 }
@@ -670,37 +672,41 @@ int CmdMatch(int argc, char** argv) {
               << status.message() << ")\n";
     return EXIT_FAILURE;
   };
+  const auto print_peak = [](const MatchRun& run) {
+    std::cout << "peak tracked workspace: " << run.peak_workspace_bytes
+              << " bytes (" << FormatBytes(run.peak_workspace_bytes)
+              << "; arena high-water "
+              << FormatBytes(run.arena_high_water_bytes) << ")\n";
+  };
 
   if (raw_pair) {
     // Dataset-less mode: drive the engine over the raw pair. Row i of the
     // source is gold-matched to row i of the target (the synthetic EMBF
-    // convention), so identity hits stand in for test-split metrics.
+    // convention), so identity hits stand in for test-split metrics. The
+    // meter starts with both inputs read, where RunMatching's starts.
     const size_t n = src->rows();
-    MemoryTracker::Global().ResetPeak();
-    const auto start = std::chrono::steady_clock::now();
+    const MatchMeter meter;
     Result<MatchEngine> engine = MatchEngine::Create(
         std::move(src).value(), std::move(tgt).value(), options);
     if (!engine.ok()) return Fail(engine.status());
     Result<Assignment> assignment = engine->Match();
     if (!assignment.ok()) return refuse(assignment.status());
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
+    MatchRun run;
+    run.arena_high_water_bytes = engine->workspace().high_water_bytes();
+    meter.Stop(&run);
     size_t identity_hits = 0;
     for (size_t i = 0; i < assignment->size(); ++i) {
       identity_hits +=
           assignment->target_of_source[i] == static_cast<int32_t>(i);
     }
-    const MemoryTracker::Stats tracked = MemoryTracker::Global().stats();
     std::cout << PresetName(*algorithm) << ": matched "
               << assignment->NumMatched() << "/" << n << ", identity acc="
               << FormatDouble(n > 0 ? static_cast<double>(identity_hits) /
                                           static_cast<double>(n)
                                     : 0.0,
                               3)
-              << " (" << FormatDouble(seconds, 2) << "s)\n";
-    std::cout << "peak tracked workspace: " << tracked.peak_bytes
-              << " bytes (" << FormatBytes(tracked.peak_bytes) << ")\n";
+              << " (" << FormatDouble(run.seconds, 2) << "s)\n";
+    print_peak(run);
     if (!out_path.empty()) {
       std::ofstream out(out_path);
       if (!out) return Fail(Status::IoError("cannot write: " + out_path));
@@ -727,10 +733,7 @@ int CmdMatch(int argc, char** argv) {
             << " R=" << FormatDouble(m.recall, 3)
             << " F1=" << FormatDouble(m.f1, 3) << " ("
             << FormatDouble(run->seconds, 2) << "s)\n";
-  std::cout << "peak tracked workspace: " << run->peak_workspace_bytes
-            << " bytes (" << FormatBytes(run->peak_workspace_bytes)
-            << "; arena high-water "
-            << FormatBytes(run->arena_high_water_bytes) << ")\n";
+  print_peak(*run);
   if (!out_path.empty()) {
     Status s = WriteLinksTsv(run->predicted, out_path);
     if (!s.ok()) return Fail(s);
@@ -994,8 +997,9 @@ int CmdFleetServe(int argc, char** argv) {
             << plan->pairs.size() << " pair(s) on " << socket_path
             << (spawn ? "" : " (no-spawn)") << ", hedge="
             << router_config.hedge_micros << " us"
-            << (supervisor ? ", restart-policy=" + restart_policy.ToString()
-                           : "")
+            << (supervisor
+                    ? ", restart-policy=" + supervisor->policy().ToString()
+                    : "")
             << "; send `entmatcher_cli fleet query shutdown` to stop\n";
   (*front)->WaitForShutdown();
   (*front)->Stop();
@@ -1003,9 +1007,10 @@ int CmdFleetServe(int argc, char** argv) {
   // kills below stay final instead of racing a restart.
   if (supervisor) {
     supervisor->Stop();
-    std::cout << "supervisor: " << supervisor->StatusJson() << "\n";
+    std::cout << "supervisor: " << supervisor->StatusJson().Dump() << "\n";
   }
-  std::cout << "router stats: " << (*router)->Stats().ToJson() << "\n";
+  std::cout << "router stats: " << (*router)->Stats().ToJson().Dump()
+            << "\n";
   router->reset();  // drain stragglers before tearing down shards
   manager.StopAll();
   return EXIT_SUCCESS;

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -268,6 +269,32 @@ class Parser {
   size_t pos_ = 0;
 };
 
+// Appends `text` as a JSON string literal, quotes included.
+void AppendEscaped(std::string_view text, std::string* out) {
+  out->push_back('"');
+  for (char c : text) {
+    switch (c) {
+      case '"': out->append("\\\""); break;
+      case '\\': out->append("\\\\"); break;
+      case '\b': out->append("\\b"); break;
+      case '\f': out->append("\\f"); break;
+      case '\n': out->append("\\n"); break;
+      case '\r': out->append("\\r"); break;
+      case '\t': out->append("\\t"); break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out->append(buf);
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+  out->push_back('"');
+}
+
 void DumpTo(const JsonValue& value, std::string* out) {
   switch (value.kind()) {
     case JsonValue::Kind::kNull:
@@ -286,12 +313,13 @@ void DumpTo(const JsonValue& value, std::string* out) {
         break;
       }
       char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.17g", d);
-      out->append(buf);
+      const std::to_chars_result printed =
+          std::to_chars(buf, buf + sizeof(buf), d);
+      out->append(buf, printed.ptr);
       break;
     }
     case JsonValue::Kind::kString:
-      out->append(JsonEscape(value.AsString()));
+      AppendEscaped(value.AsString(), out);
       break;
     case JsonValue::Kind::kArray: {
       out->push_back('[');
@@ -310,7 +338,7 @@ void DumpTo(const JsonValue& value, std::string* out) {
       for (const auto& [key, member] : value.AsObject()) {
         if (!first) out->push_back(',');
         first = false;
-        out->append(JsonEscape(key));
+        AppendEscaped(key, out);
         out->push_back(':');
         DumpTo(member, out);
       }
@@ -330,6 +358,11 @@ const JsonValue* JsonValue::Find(const std::string& key) const {
   if (kind_ != Kind::kObject) return nullptr;
   auto it = object_.find(key);
   return it == object_.end() ? nullptr : &it->second;
+}
+
+JsonValue& JsonValue::operator[](const std::string& key) {
+  if (kind_ != Kind::kObject) *this = JsonValue(Object());
+  return object_[key];
 }
 
 Result<int64_t> JsonValue::GetInt(const std::string& key) const {
@@ -374,34 +407,6 @@ Result<const JsonValue::Array*> JsonValue::GetArray(
 std::string JsonValue::Dump() const {
   std::string out;
   DumpTo(*this, &out);
-  return out;
-}
-
-std::string JsonEscape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  out.push_back('"');
-  for (char c : text) {
-    switch (c) {
-      case '"': out.append("\\\""); break;
-      case '\\': out.append("\\\\"); break;
-      case '\b': out.append("\\b"); break;
-      case '\f': out.append("\\f"); break;
-      case '\n': out.append("\\n"); break;
-      case '\r': out.append("\\r"); break;
-      case '\t': out.append("\\t"); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out.append(buf);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
   return out;
 }
 

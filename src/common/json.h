@@ -12,10 +12,10 @@
 
 namespace entmatcher {
 
-/// A minimal JSON document model: just enough for the shard-plan file, the
-/// router's aggregation of per-shard health/stats payloads, and tests that
-/// assert on JSON fields. Deliberately dependency-free, mirroring the
-/// hand-rolled writers already used by ServerStats::ToJson.
+/// A minimal JSON document model and the one JSON writer: the shard-plan
+/// file, every status reply (`stats`, `health`, `shards`, `hello`), bench
+/// reports, and tests that assert on JSON fields all go through it.
+/// Deliberately dependency-free.
 ///
 /// Supported: null, booleans, numbers (stored as int64 when the literal is
 /// integral, double otherwise), strings with the standard escapes (\uXXXX
@@ -70,6 +70,10 @@ class JsonValue {
   /// Object member lookup; nullptr when absent or this is not an object.
   const JsonValue* Find(const std::string& key) const;
 
+  /// Object member for writing, inserted as null when absent. A value that
+  /// is not an object becomes an empty object first.
+  JsonValue& operator[](const std::string& key);
+
   /// Typed object accessors for config parsing: kInvalidArgument naming the
   /// missing/mistyped key, so plan errors point at the offending field.
   Result<int64_t> GetInt(const std::string& key) const;
@@ -79,8 +83,9 @@ class JsonValue {
                                   const std::string& fallback) const;
   Result<const Array*> GetArray(const std::string& key) const;
 
-  /// Serializes the value as compact JSON (doubles via %.17g so numeric
-  /// round-trips are exact; non-finite doubles render as null).
+  /// Serializes the value as compact JSON, object keys sorted. Doubles print
+  /// in the shortest form that parses back to the same value
+  /// (std::to_chars); non-finite doubles render as null.
   std::string Dump() const;
 
  private:
@@ -92,10 +97,6 @@ class JsonValue {
   Array array_;
   Object object_;
 };
-
-/// Escapes `text` as a JSON string literal (with quotes) — shared by Dump
-/// and the hand-rolled telemetry writers.
-std::string JsonEscape(std::string_view text);
 
 }  // namespace entmatcher
 

@@ -1,9 +1,5 @@
 #include "eval/experiment.h"
 
-#include <algorithm>
-
-#include "common/memory_tracker.h"
-#include "common/timer.h"
 #include "la/similarity.h"
 #include "la/topk.h"
 
@@ -66,29 +62,21 @@ Result<ExperimentResult> ExperimentSession::RunWithOptions(
                                     algorithm_name);
   }
 
-  // Measure exactly like RunMatching: candidates are already extracted, so
-  // the baseline starts at the same point and the reported peak matches the
-  // one-shot path byte for byte.
-  MemoryTracker& tracker = MemoryTracker::Global();
-  const size_t baseline_bytes = tracker.current_bytes();
-  tracker.ResetPeak();
-  Timer timer;
-
-  EM_ASSIGN_OR_RETURN(Assignment assignment, engine_->Match(options));
-
-  const double seconds = timer.ElapsedSeconds();
-  const MemoryTracker::Stats stats = tracker.stats();
-  const size_t tracked_peak =
-      stats.peak_bytes > baseline_bytes ? stats.peak_bytes - baseline_bytes : 0;
+  // Measured like RunMatching: candidates are already extracted, so the
+  // reported peak matches the one-shot path byte for byte.
+  const MatchMeter meter;
+  MatchRun run;
+  EM_ASSIGN_OR_RETURN(run.assignment, engine_->Match(options));
+  run.arena_high_water_bytes = engine_->workspace().high_water_bytes();
+  meter.Stop(&run);
 
   ExperimentResult result;
   result.dataset = dataset_->name;
   result.algorithm = algorithm_name;
-  result.metrics = EvaluatePredictions(AssignmentToPairs(*dataset_, assignment),
-                                       dataset_->split.test);
-  result.seconds = seconds;
-  result.peak_workspace_bytes =
-      std::max(tracked_peak, engine_->workspace().high_water_bytes());
+  result.metrics = EvaluatePredictions(
+      AssignmentToPairs(*dataset_, run.assignment), dataset_->split.test);
+  result.seconds = run.seconds;
+  result.peak_workspace_bytes = run.peak_workspace_bytes;
   return result;
 }
 

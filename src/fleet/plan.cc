@@ -189,7 +189,7 @@ Status ShardPlan::Validate() const {
   return Status::OK();
 }
 
-std::string ShardPlan::ToJson() const {
+JsonValue ShardPlan::ToJson() const {
   JsonValue::Object doc;
   doc["plan_version"] = JsonValue(kPlanVersion);
   JsonValue::Array shard_entries;
@@ -216,13 +216,13 @@ std::string ShardPlan::ToJson() const {
     pair_entries.push_back(JsonValue(std::move(entry)));
   }
   doc["pairs"] = JsonValue(std::move(pair_entries));
-  return JsonValue(std::move(doc)).Dump();
+  return JsonValue(std::move(doc));
 }
 
 Status ShardPlan::Save(const std::string& path) const {
   std::ofstream out(path, std::ios::trunc);
   if (!out) return Status::IoError("plan: cannot write " + path);
-  out << ToJson() << "\n";
+  out << ToJson().Dump() << "\n";
   out.flush();
   if (!out) return Status::IoError("plan: write to " + path + " failed");
   return Status::OK();

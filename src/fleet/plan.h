@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/status.h"
 
 namespace entmatcher {
@@ -69,10 +70,10 @@ struct ShardPlan {
   /// Structural validation (also run by FromJson/Load).
   Status Validate() const;
 
-  /// Serializes the plan as a JSON document (round-trips through FromJson).
-  std::string ToJson() const;
+  /// The plan as a JSON document (its Dump() round-trips through FromJson).
+  JsonValue ToJson() const;
 
-  /// Writes ToJson() to `path`.
+  /// Writes ToJson().Dump() to `path`.
   Status Save(const std::string& path) const;
 
   /// The shard with `id`, or nullptr.

@@ -30,23 +30,15 @@ const char* BreakerStateName(int state) {
 
 }  // namespace
 
-std::string RouterStatsSnapshot::ToJson() const {
-  std::string json = "{";
-  json += "\"queries\": " + std::to_string(queries);
-  json += ", \"ok\": " + std::to_string(ok);
-  json += ", \"failed\": " + std::to_string(failed);
-  json += ", \"degraded\": " + std::to_string(degraded);
-  json += ", \"subqueries\": " + std::to_string(subqueries);
-  json += ", \"hedges\": " + std::to_string(hedges);
-  json += ", \"failovers\": " + std::to_string(failovers);
-  json += ", \"version_mismatches\": " + std::to_string(version_mismatches);
-  json += ", \"swap_fanouts\": " + std::to_string(swap_fanouts);
-  json += ", \"swap_failures\": " + std::to_string(swap_failures);
-  json += ", \"breaker_opens\": " + std::to_string(breaker_opens);
-  json += ", \"breaker_half_opens\": " + std::to_string(breaker_half_opens);
-  json += ", \"breaker_closes\": " + std::to_string(breaker_closes);
-  json += "}";
-  return json;
+JsonValue RouterStatsSnapshot::ToJson() const {
+  return JsonValue::Object{
+      {"queries", queries}, {"ok", ok}, {"failed", failed},
+      {"degraded", degraded}, {"subqueries", subqueries}, {"hedges", hedges},
+      {"failovers", failovers}, {"version_mismatches", version_mismatches},
+      {"swap_fanouts", swap_fanouts}, {"swap_failures", swap_failures},
+      {"breaker_opens", breaker_opens},
+      {"breaker_half_opens", breaker_half_opens},
+      {"breaker_closes", breaker_closes}};
 }
 
 Result<std::unique_ptr<Router>> Router::Create(ShardPlan plan,
@@ -555,70 +547,56 @@ Result<std::string> Router::Swap(const WireRequest& request) {
          std::to_string(outcomes.size()) + " shards";
 }
 
+JsonValue Router::ChannelJson(const Channel& channel) {
+  return JsonValue::Object{
+      {"id", channel.id},
+      {"socket", channel.socket_path},
+      {"state", ChannelStateName(static_cast<int>(channel.state.load()))},
+      {"admitted", channel.admitted.load()},
+      {"breaker",
+       JsonValue::Object{
+           {"state",
+            BreakerStateName(static_cast<int>(channel.breaker.load()))},
+           {"opens", channel.opens.load()},
+           {"half_opens", channel.half_opens.load()},
+           {"closes", channel.closes.load()}}}};
+}
+
 std::string Router::FleetHealthJson() {
-  std::string json = "{\"role\": \"router\", \"protocol\": " +
-                     std::to_string(kProtocolVersion);
-  json += ", \"router_stats\": " + Stats().ToJson();
-  json += ", \"shards\": [";
   WireRequest health;
   health.verb = WireRequest::Verb::kHealth;
-  for (size_t i = 0; i < channels_.size(); ++i) {
-    Channel* channel = channels_[i].get();
-    Result<WireResponse> response = AttemptOnce(channel, health);
-    json += (i > 0 ? ", " : "");
-    json += "{\"id\": " + std::to_string(channel->id);
-    json += ", \"socket\": " + JsonEscape(channel->socket_path);
-    json += ", \"state\": \"" +
-            std::string(ChannelStateName(
-                static_cast<int>(channel->state.load()))) + "\"";
-    json += ", \"admitted\": " +
-            std::string(channel->admitted.load() ? "true" : "false");
-    json += ", \"breaker\": {\"state\": \"" +
-            std::string(BreakerStateName(
-                static_cast<int>(channel->breaker.load()))) + "\"";
-    json += ", \"opens\": " + std::to_string(channel->opens.load());
-    json += ", \"half_opens\": " + std::to_string(channel->half_opens.load());
-    json += ", \"closes\": " + std::to_string(channel->closes.load()) + "}";
-    if (response.ok() && response->status.ok() &&
-        JsonValue::Parse(response->text).ok()) {
-      json += ", \"health\": " + response->text;
-    } else {
-      const Status status = !response.ok() ? response.status()
-                            : !response->status.ok()
-                                ? response->status
-                                : Status::Internal("unparseable health JSON");
-      json += ", \"error\": " + JsonEscape(status.message());
+  JsonValue::Array shards;
+  for (const std::unique_ptr<Channel>& channel : channels_) {
+    Result<WireResponse> response = AttemptOnce(channel.get(), health);
+    JsonValue shard = ChannelJson(*channel);  // the state this probe left
+    Status status = response.ok() ? response->status : response.status();
+    if (status.ok()) {
+      Result<JsonValue> parsed = JsonValue::Parse(response->text);
+      if (parsed.ok()) {
+        shard["health"] = std::move(parsed).value();
+      } else {
+        status = Status::Internal("unparseable health JSON");
+      }
     }
-    json += "}";
+    if (!status.ok()) shard["error"] = status.message();
+    shards.push_back(std::move(shard));
   }
-  json += "]";
-  if (supervisor_status_) {
-    json += ", \"supervisor\": " + supervisor_status_();
-  }
-  json += "}";
-  return json;
+  JsonValue fleet = JsonValue::Object{{"role", "router"},
+                                      {"protocol", kProtocolVersion},
+                                      {"router_stats", Stats().ToJson()},
+                                      {"shards", std::move(shards)}};
+  if (supervisor_status_) fleet["supervisor"] = supervisor_status_();
+  return fleet.Dump();
 }
 
 std::string Router::ShardsJson() const {
-  std::string json = "{\"plan\": ";
-  json += plan_.ToJson();
-  json += ", \"channels\": [";
-  for (size_t i = 0; i < channels_.size(); ++i) {
-    const Channel* channel = channels_[i].get();
-    json += (i > 0 ? ", " : "");
-    json += "{\"id\": " + std::to_string(channel->id);
-    json += ", \"socket\": " + JsonEscape(channel->socket_path);
-    json += ", \"state\": \"" +
-            std::string(ChannelStateName(
-                static_cast<int>(channel->state.load()))) + "\"";
-    json += ", \"admitted\": " +
-            std::string(channel->admitted.load() ? "true" : "false");
-    json += ", \"breaker\": \"" +
-            std::string(BreakerStateName(
-                static_cast<int>(channel->breaker.load()))) + "\"}";
+  JsonValue::Array channels;
+  for (const std::unique_ptr<Channel>& channel : channels_) {
+    channels.push_back(ChannelJson(*channel));
   }
-  json += "]}";
-  return json;
+  return JsonValue(JsonValue::Object{{"plan", plan_.ToJson()},
+                                     {"channels", std::move(channels)}})
+      .Dump();
 }
 
 RouterStatsSnapshot Router::Stats() const {
@@ -649,7 +627,7 @@ std::string RouterHandler::Handle(const std::string& payload,
     case WireRequest::Verb::kHello:
       return EncodeTextResponse(HelloJson("router"));
     case WireRequest::Verb::kStats:
-      return EncodeTextResponse(router_->Stats().ToJson());
+      return EncodeTextResponse(router_->Stats().ToJson().Dump());
     case WireRequest::Verb::kHealth:
       return EncodeTextResponse(router_->FleetHealthJson());
     case WireRequest::Verb::kShards:

@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.h"
 #include "common/status.h"
 #include "fleet/merge.h"
 #include "fleet/plan.h"
@@ -96,7 +97,8 @@ struct RouterStatsSnapshot {
   uint64_t breaker_half_opens = 0;
   uint64_t breaker_closes = 0;
 
-  std::string ToJson() const;
+  /// The router's `stats` reply, and `health`'s router_stats member.
+  JsonValue ToJson() const;
 };
 
 /// The fleet's client-facing front end. Speaks the identical length-prefixed
@@ -170,18 +172,19 @@ class Router {
   Status Readmit(int shard_id);
 
   /// Supplies the supervisor's StatusJson for FleetHealthJson's
-  /// "supervisor" section (unset = section omitted). A function, not a
+  /// "supervisor" member (unset = member omitted). A function, not a
   /// pointer, to keep this header free of the supervisor type.
-  void SetSupervisorStatus(std::function<std::string()> status_fn) {
+  void SetSupervisorStatus(std::function<JsonValue()> status_fn) {
     supervisor_status_ = std::move(status_fn);
   }
 
-  /// Aggregated fleet health: router role/protocol + stats, and every
-  /// shard's channel state with its live `health` payload (or the error
-  /// string).
+  /// The router's `health` reply: role, protocol and router_stats, plus
+  /// every shard's ChannelJson with its parsed live `health` (or an
+  /// `error` string).
   std::string FleetHealthJson();
 
-  /// The plan plus per-shard channel state, without touching the network.
+  /// The `shards` reply: the plan plus every shard's ChannelJson, without
+  /// touching the network.
   std::string ShardsJson() const;
 
   RouterStatsSnapshot Stats() const;
@@ -260,6 +263,10 @@ class Router {
 
   Channel* FindChannel(int shard_id);
 
+  /// One channel as `health` and `shards` report it: id, socket, state,
+  /// admitted, and breaker {state, opens, half_opens, closes}.
+  static JsonValue ChannelJson(const Channel& channel);
+
   /// One attempt against one shard: breaker gate first (fail fast while
   /// open, probe when cooled down), then connect + hello if needed, then
   /// CallWithRetry. Marks the channel Up/Down/Incompatible by outcome and
@@ -293,7 +300,7 @@ class Router {
   RouterConfig config_;
   std::vector<std::unique_ptr<Channel>> channels_;
 
-  std::function<std::string()> supervisor_status_;
+  std::function<JsonValue()> supervisor_status_;
 
   std::atomic<uint64_t> queries_{0};
   std::atomic<uint64_t> ok_{0};

@@ -289,23 +289,4 @@ std::vector<ShardProcessStatus> ShardManager::Status_() const {
   return out;
 }
 
-std::string ShardManager::StatusJson() const {
-  const std::vector<ShardProcessStatus> statuses = Status_();
-  std::string json = "{\"shards\": [";
-  for (size_t i = 0; i < statuses.size(); ++i) {
-    const ShardProcessStatus& s = statuses[i];
-    json += (i > 0 ? ", " : "");
-    json += "{\"id\": " + std::to_string(s.shard_id);
-    json += ", \"pid\": " + std::to_string(s.pid);
-    json += ", \"running\": " + std::string(s.running ? "true" : "false");
-    json += ", \"exits\": " + std::to_string(s.exits);
-    json += ", \"spawns\": " + std::to_string(s.spawns);
-    json += ", \"last_exit_code\": " + std::to_string(s.last_exit_code);
-    json += ", \"last_term_signal\": " + std::to_string(s.last_term_signal);
-    json += "}";
-  }
-  json += "]}";
-  return json;
-}
-
 }  // namespace entmatcher

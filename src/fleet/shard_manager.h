@@ -55,7 +55,7 @@ struct ShardProcessStatus {
 /// The manager itself still does NOT decide to restart crashed shards:
 /// restart *policy* (backoff, strike budget, permanent failure) lives in
 /// FleetSupervisor. The manager provides the mechanism — Respawn re-forks
-/// one dead shard with its original argv, Kill injects faults, StatusJson
+/// one dead shard with its original argv, Kill injects faults, Status_
 /// observes, StopAll tears down (shutdown verb, then SIGTERM, then
 /// SIGKILL). Once StopAll begins, Respawn is refused for good: teardown
 /// must never race a restart into signaling a recycled PID.
@@ -96,9 +96,6 @@ class ShardManager {
 
   /// Process-level status for every managed shard.
   std::vector<ShardProcessStatus> Status_() const;
-
-  /// `{"shards": [{id, pid, running, exits, ...}, ...]}`.
-  std::string StatusJson() const;
 
  private:
   struct Child {

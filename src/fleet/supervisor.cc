@@ -438,33 +438,23 @@ std::vector<ShardRecoveryStatus> FleetSupervisor::Ledger() const {
   return out;
 }
 
-std::string FleetSupervisor::StatusJson() const {
-  const std::vector<ShardRecoveryStatus> ledger = Ledger();
+JsonValue FleetSupervisor::StatusJson() const {
   uint64_t total_restarts = 0;
-  for (const ShardRecoveryStatus& status : ledger) {
-    total_restarts += status.restarts;
+  JsonValue::Array shards;
+  for (const ShardRecoveryStatus& s : Ledger()) {
+    total_restarts += s.restarts;
+    shards.push_back(JsonValue::Object{
+        {"id", s.shard_id}, {"restarts", s.restarts},
+        {"spawn_failures", s.spawn_failures},
+        {"rejoin_failures", s.rejoin_failures},
+        {"boot_failures", s.boot_failures}, {"strikes", s.strikes},
+        {"permanently_failed", s.permanently_failed},
+        {"recovering", s.recovering},
+        {"last_restart_us", s.last_restart_micros}});
   }
-  std::string json = "{\"policy\": \"" + policy_.ToString() + "\"";
-  json += ", \"restarts\": " + std::to_string(total_restarts);
-  json += ", \"shards\": [";
-  for (size_t i = 0; i < ledger.size(); ++i) {
-    const ShardRecoveryStatus& s = ledger[i];
-    json += (i > 0 ? ", " : "");
-    json += "{\"id\": " + std::to_string(s.shard_id);
-    json += ", \"restarts\": " + std::to_string(s.restarts);
-    json += ", \"spawn_failures\": " + std::to_string(s.spawn_failures);
-    json += ", \"rejoin_failures\": " + std::to_string(s.rejoin_failures);
-    json += ", \"boot_failures\": " + std::to_string(s.boot_failures);
-    json += ", \"strikes\": " + std::to_string(s.strikes);
-    json += ", \"permanently_failed\": " +
-            std::string(s.permanently_failed ? "true" : "false");
-    json += ", \"recovering\": " +
-            std::string(s.recovering ? "true" : "false");
-    json += ", \"last_restart_us\": " + std::to_string(s.last_restart_micros);
-    json += "}";
-  }
-  json += "]}";
-  return json;
+  return JsonValue::Object{{"policy", policy_.ToString()},
+                           {"restarts", total_restarts},
+                           {"shards", std::move(shards)}};
 }
 
 std::vector<uint64_t> FleetSupervisor::RestartLatencies() const {

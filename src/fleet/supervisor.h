@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "fleet/plan.h"
@@ -127,8 +128,8 @@ class FleetSupervisor {
   std::vector<ShardRecoveryStatus> Ledger() const;
 
   /// {"policy": "...", "restarts": N, "shards": [...]} — the `supervisor`
-  /// section of the fleet health JSON and `fleet status`.
-  std::string StatusJson() const;
+  /// member of the router's `health` reply (`fleet status`).
+  JsonValue StatusJson() const;
 
   /// Reap→re-admission latencies of every completed recovery cycle, in
   /// completion order (bench_fleet's restart-latency percentiles).

@@ -10,6 +10,12 @@
 
 namespace entmatcher {
 
+/// The entity id space the TSV readers accept: an id at or above it is
+/// refused before any graph is sized from it. 1 << 24 is more than 160x the
+/// 100,000 entities of DWY100K-sim, the paper's largest benchmark, and keeps
+/// a graph's adjacency offsets under 128 MB.
+inline constexpr size_t kMaxEntities = size_t{1} << 24;
+
 /// An immutable knowledge graph: a set of triples over dense entity and
 /// relation id spaces, with a CSR adjacency index over both edge directions.
 ///

@@ -1,6 +1,7 @@
 #include "kg/io.h"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <fstream>
 
@@ -10,14 +11,42 @@ namespace entmatcher {
 
 namespace {
 
-Result<uint32_t> ParseU32(std::string_view text) {
-  uint32_t value = 0;
-  auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc() || ptr != text.data() + text.size()) {
-    return Status::IoError("failed to parse integer field: '" +
-                           std::string(text) + "'");
+// Reads the non-blank lines of `path` as rows of kWidth tab-separated
+// 32-bit ids and hands each row to `take`. The columns `entity` flags hold
+// entity ids, refused at or above kMaxEntities. Every refusal is kIoError
+// naming path:line.
+template <size_t kWidth, typename Take>
+Status ReadIdRows(const std::string& path,
+                  const std::array<bool, kWidth>& entity, Take take) {
+  std::ifstream in(path);
+  if (!in) return Status::IoError("cannot open for reading: " + path);
+  std::string line;
+  for (size_t line_no = 1; std::getline(in, line); ++line_no) {
+    const std::string_view stripped = StripWhitespace(line);
+    if (stripped.empty()) continue;
+    const std::string where = path + ":" + std::to_string(line_no) + ": ";
+    const std::vector<std::string_view> fields = SplitString(stripped, '\t');
+    if (fields.size() != kWidth) {
+      return Status::IoError(where + "expected " + std::to_string(kWidth) +
+                             " tab-separated fields in: " + line);
+    }
+    std::array<uint32_t, kWidth> ids;
+    for (size_t i = 0; i < kWidth; ++i) {
+      const char* end = fields[i].data() + fields[i].size();
+      const auto parsed = std::from_chars(fields[i].data(), end, ids[i]);
+      if (parsed.ec != std::errc() || parsed.ptr != end) {
+        return Status::IoError(where + "failed to parse integer field: '" +
+                               std::string(fields[i]) + "'");
+      }
+      if (entity[i] && ids[i] >= kMaxEntities) {
+        return Status::IoError(where + "entity id " + std::to_string(ids[i]) +
+                               " is not below " +
+                               std::to_string(kMaxEntities));
+      }
+    }
+    take(ids);
   }
-  return value;
+  return Status::OK();
 }
 
 }  // namespace
@@ -33,26 +62,15 @@ Status WriteTriplesTsv(const KnowledgeGraph& graph, const std::string& path) {
 }
 
 Result<KnowledgeGraph> ReadTriplesTsv(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open for reading: " + path);
   std::vector<Triple> triples;
   uint32_t max_entity = 0;
   uint32_t max_relation = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    std::string_view stripped = StripWhitespace(line);
-    if (stripped.empty()) continue;
-    auto fields = SplitString(stripped, '\t');
-    if (fields.size() != 3) {
-      return Status::IoError("expected 3 tab-separated fields in: " + line);
-    }
-    EM_ASSIGN_OR_RETURN(uint32_t s, ParseU32(fields[0]));
-    EM_ASSIGN_OR_RETURN(uint32_t p, ParseU32(fields[1]));
-    EM_ASSIGN_OR_RETURN(uint32_t o, ParseU32(fields[2]));
-    triples.push_back(Triple{s, p, o});
-    max_entity = std::max({max_entity, s, o});
-    max_relation = std::max(max_relation, p);
-  }
+  EM_RETURN_NOT_OK(ReadIdRows<3>(
+      path, {true, false, true}, [&](const std::array<uint32_t, 3>& spo) {
+        triples.push_back(Triple{spo[0], spo[1], spo[2]});
+        max_entity = std::max({max_entity, spo[0], spo[2]});
+        max_relation = std::max(max_relation, spo[1]);
+      }));
   const size_t num_entities = triples.empty() ? 0 : max_entity + 1;
   const size_t num_relations = triples.empty() ? 0 : max_relation + 1;
   return KnowledgeGraph::Create(num_entities, num_relations, std::move(triples));
@@ -69,21 +87,11 @@ Status WriteLinksTsv(const AlignmentSet& links, const std::string& path) {
 }
 
 Result<AlignmentSet> ReadLinksTsv(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open for reading: " + path);
   std::vector<EntityPair> pairs;
-  std::string line;
-  while (std::getline(in, line)) {
-    std::string_view stripped = StripWhitespace(line);
-    if (stripped.empty()) continue;
-    auto fields = SplitString(stripped, '\t');
-    if (fields.size() != 2) {
-      return Status::IoError("expected 2 tab-separated fields in: " + line);
-    }
-    EM_ASSIGN_OR_RETURN(uint32_t s, ParseU32(fields[0]));
-    EM_ASSIGN_OR_RETURN(uint32_t t, ParseU32(fields[1]));
-    pairs.push_back(EntityPair{s, t});
-  }
+  EM_RETURN_NOT_OK(ReadIdRows<2>(
+      path, {true, true}, [&pairs](const std::array<uint32_t, 2>& link) {
+        pairs.push_back(EntityPair{link[0], link[1]});
+      }));
   return AlignmentSet(std::move(pairs));
 }
 

@@ -15,12 +15,14 @@ namespace entmatcher {
 Status WriteTriplesTsv(const KnowledgeGraph& graph, const std::string& path);
 
 /// Reads TSV triples; entity/relation counts are inferred as max id + 1.
+/// kIoError naming path:line for a malformed line or an entity id at or
+/// above kMaxEntities.
 Result<KnowledgeGraph> ReadTriplesTsv(const std::string& path);
 
 /// Writes alignment links as TSV lines "source\ttarget".
 Status WriteLinksTsv(const AlignmentSet& links, const std::string& path);
 
-/// Reads TSV alignment links.
+/// Reads TSV alignment links, refusing them like ReadTriplesTsv.
 Result<AlignmentSet> ReadLinksTsv(const std::string& path);
 
 /// Writes entity surface names, one per line, indexed by entity id.

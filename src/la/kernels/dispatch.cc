@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <mutex>
 
+#include "common/json.h"
+
 namespace entmatcher {
 
 namespace {
@@ -139,7 +141,7 @@ std::string DetectedCpuFeatures() {
   return features;
 }
 
-std::string KernelStatusJson() {
+JsonValue KernelStatusJson() {
   std::string available;
   for (KernelTier tier :
        {KernelTier::kScalar, KernelTier::kAvx2, KernelTier::kAvx512}) {
@@ -147,14 +149,9 @@ std::string KernelStatusJson() {
     if (!available.empty()) available += ' ';
     available += KernelTierName(tier);
   }
-  std::string json = "{\"tier\":\"";
-  json += KernelTierName(ActiveKernelTier());
-  json += "\",\"available\":\"";
-  json += available;
-  json += "\",\"cpu\":\"";
-  json += DetectedCpuFeatures();
-  json += "\"}";
-  return json;
+  return JsonValue::Object{{"tier", KernelTierName(ActiveKernelTier())},
+                           {"available", available},
+                           {"cpu", DetectedCpuFeatures()}};
 }
 
 }  // namespace entmatcher

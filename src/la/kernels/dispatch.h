@@ -10,6 +10,8 @@
 
 namespace entmatcher {
 
+class JsonValue;  // common/json.h
+
 /// Vector-ISA tiers of the numeric kernel layer. The scalar tier is the
 /// original (pre-SIMD) C++ loops kept verbatim — it is the bit-exactness
 /// oracle every other tier is tested against. Vector tiers may reorder float
@@ -127,9 +129,9 @@ Status SetKernelTier(KernelTier tier);
 /// were compiled in. Empty string when none.
 std::string DetectedCpuFeatures();
 
-/// One JSON object for health/stats surfaces:
-/// {"tier": "avx512", "available": "scalar avx2 avx512", "cpu": "..."}.
-std::string KernelStatusJson();
+/// The `kernels` member of the health/stats replies:
+/// {"available": "scalar avx2 avx512", "cpu": "...", "tier": "avx512"}.
+JsonValue KernelStatusJson();
 
 // Per-tier registration hooks, null when the build does not include the
 // tier. kernels_scalar.cc defines the scalar one; each vector tier's

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/memory_tracker.h"
-#include "common/timer.h"
 #include "la/similarity.h"
 #include "matching/engine.h"
 #include "matching/gale_shapley.h"
@@ -74,6 +73,20 @@ AlignmentSet AssignmentToPairs(const KgPairDataset& dataset,
   return AlignmentSet(std::move(predicted));
 }
 
+MatchMeter::MatchMeter()
+    : baseline_bytes_(MemoryTracker::Global().current_bytes()) {
+  MemoryTracker::Global().ResetPeak();
+}
+
+void MatchMeter::Stop(MatchRun* run) const {
+  run->seconds = timer_.ElapsedSeconds();
+  const size_t peak = MemoryTracker::Global().peak_bytes();
+  const size_t tracked_peak =
+      peak > baseline_bytes_ ? peak - baseline_bytes_ : 0;
+  run->peak_workspace_bytes =
+      std::max(tracked_peak, run->arena_high_water_bytes);
+}
+
 Result<MatchRun> RunMatching(const KgPairDataset& dataset,
                              const EmbeddingPair& embeddings,
                              const MatchOptions& options) {
@@ -94,11 +107,7 @@ Result<MatchRun> RunMatching(const KgPairDataset& dataset,
   // The measured region starts after candidate extraction: a session that
   // extracted its candidates at Create time must report the same per-query
   // peak as this one-shot path.
-  MemoryTracker& tracker = MemoryTracker::Global();
-  const size_t baseline_bytes = tracker.current_bytes();
-  tracker.ResetPeak();
-  Timer timer;
-
+  const MatchMeter meter;
   MatchRun run;
   if (options.matcher == MatcherKind::kRl) {
     EM_ASSIGN_OR_RETURN(Matrix scores,
@@ -112,16 +121,7 @@ Result<MatchRun> RunMatching(const KgPairDataset& dataset,
     EM_ASSIGN_OR_RETURN(run.assignment, engine.Match());
     run.arena_high_water_bytes = engine.workspace().high_water_bytes();
   }
-
-  run.seconds = timer.ElapsedSeconds();
-  const MemoryTracker::Stats stats = tracker.stats();
-  const size_t tracked_peak =
-      stats.peak_bytes > baseline_bytes ? stats.peak_bytes - baseline_bytes : 0;
-  // Arena leases mirror into the tracker, so the two agree; max() guards the
-  // metric if a future caller measures around a pre-warmed engine whose
-  // buffers predate the baseline.
-  run.peak_workspace_bytes = std::max(tracked_peak, run.arena_high_water_bytes);
-
+  meter.Stop(&run);
   run.predicted = AssignmentToPairs(dataset, run.assignment);
   return run;
 }

@@ -2,6 +2,7 @@
 #define ENTMATCHER_MATCHING_PIPELINE_H_
 
 #include "common/status.h"
+#include "common/timer.h"
 #include "embedding/embedding.h"
 #include "kg/dataset.h"
 #include "la/matrix.h"
@@ -58,6 +59,27 @@ struct MatchRun {
   /// Peak bytes leased from the engine's workspace arena during the run
   /// (0 for the kRl path, which does not run through an engine).
   size_t arena_high_water_bytes = 0;
+};
+
+/// The one measurement of a matching run, shared by RunMatching,
+/// ExperimentSession and the CLI's raw-pair mode. Construct it once the
+/// run's inputs are in place (embeddings loaded or candidates extracted):
+/// it resets MemoryTracker's peak and starts the clock, so the inputs are
+/// not counted as workspace.
+class MatchMeter {
+ public:
+  MatchMeter();
+
+  /// Sets run->seconds, and run->peak_workspace_bytes to the tracked peak
+  /// above the bytes live at construction. Arena leases mirror into the
+  /// tracker, so the two agree; the peak is floored at
+  /// run->arena_high_water_bytes for a run over a pre-warmed engine whose
+  /// buffers predate the baseline.
+  void Stop(MatchRun* run) const;
+
+ private:
+  size_t baseline_bytes_;
+  Timer timer_;
 };
 
 /// Maps a candidate-space assignment (rows/columns over the dataset's test

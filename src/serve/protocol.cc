@@ -498,9 +498,10 @@ Result<uint64_t> ParseSwappedVersion(std::string_view reply) {
 }
 
 std::string HelloJson(std::string_view role) {
-  return "{\"protocol\":" + std::to_string(kProtocolVersion) +
-         ",\"build\":" + JsonEscape(EM_BUILD_VERSION) +
-         ",\"role\":" + JsonEscape(role) + "}";
+  return JsonValue(JsonValue::Object{{"protocol", kProtocolVersion},
+                                     {"build", EM_BUILD_VERSION},
+                                     {"role", std::string(role)}})
+      .Dump();
 }
 
 Status CheckHello(std::string_view hello_json, std::string_view peer_name) {

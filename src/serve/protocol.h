@@ -201,7 +201,7 @@ Result<WireResponse> ParseResponse(std::string_view payload);
 Result<AlgorithmPreset> ParseServableAlgorithm(std::string_view name);
 
 /// The `hello` handshake payload for a peer serving in `role` ("shard" or
-/// "router"): {"protocol":3,"build":"...","role":"..."}.
+/// "router"): {"build":"...","protocol":3,"role":"..."}.
 std::string HelloJson(std::string_view role);
 
 /// Parses a `hello` payload and checks the peer speaks kProtocolVersion.

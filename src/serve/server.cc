@@ -10,7 +10,6 @@
 #include "common/json.h"
 #include "common/string_util.h"
 #include "index/candidate_index.h"
-#include "la/kernels/dispatch.h"
 #include "la/topk.h"
 #include "matching/sparse_matchers.h"
 #include "matching/sparse_transforms.h"
@@ -431,40 +430,17 @@ ServerStatsSnapshot MatchServer::Stats() const {
 
 std::string MatchServer::HealthJson() const {
   const ServerStatsSnapshot snapshot = Stats();
-  const double shed_rate =
-      snapshot.submitted > 0
-          ? static_cast<double>(snapshot.shed) /
-                static_cast<double>(snapshot.submitted)
-          : 0.0;
-  std::string json = "{";
-  json += "\"queue_depth\": " + std::to_string(snapshot.queue_depth);
-  json += ", \"queue_capacity\": " + std::to_string(config_.queue_capacity);
-  json += ", \"shed_watermark\": " + std::to_string(config_.shed_watermark);
-  json +=
-      ", \"degrade_watermark\": " + std::to_string(config_.degrade_watermark);
-  json += ", \"serve_workers\": " + std::to_string(num_workers_);
-  json += ", \"submitted\": " + std::to_string(snapshot.submitted);
-  json += ", \"shed\": " + std::to_string(snapshot.shed);
-  json += ", \"degraded\": " + std::to_string(snapshot.degraded);
-  json += ", \"shed_rate\": " + std::to_string(shed_rate);
-  json += ", \"snapshot_swaps\": " + std::to_string(snapshot.snapshot_swaps);
-  json += ", \"cache_hits\": " + std::to_string(snapshot.cache_hits);
-  json += ", \"cache_misses\": " + std::to_string(snapshot.cache_misses);
-  json +=
-      ", \"cache_evictions\": " + std::to_string(snapshot.cache_evictions);
-  json += ", \"result_cache_bytes\": " +
-          std::to_string(snapshot.result_cache_bytes);
-  json += ", \"pairs\": {";
-  for (size_t i = 0; i < snapshot.pair_versions.size(); ++i) {
-    json += (i > 0 ? ", " : "") + JsonEscape(snapshot.pair_versions[i].first) +
-            ": " + std::to_string(snapshot.pair_versions[i].second);
-  }
-  json += "}";
-  json += ", \"fault_plan\": " +
-          JsonEscape(FaultInjector::Global().Fingerprint());
-  json += ", \"kernels\": " + KernelStatusJson();
-  json += "}";
-  return json;
+  JsonValue health = snapshot.ToJson();
+  health["queue_capacity"] = config_.queue_capacity;
+  health["shed_watermark"] = config_.shed_watermark;
+  health["degrade_watermark"] = config_.degrade_watermark;
+  health["serve_workers"] = num_workers_;
+  health["shed_rate"] =
+      snapshot.submitted > 0 ? static_cast<double>(snapshot.shed) /
+                                   static_cast<double>(snapshot.submitted)
+                             : 0.0;
+  health["fault_plan"] = FaultInjector::Global().Fingerprint();
+  return health.Dump();
 }
 
 void MatchServer::Shutdown() {

@@ -250,10 +250,9 @@ class MatchServer {
   /// call.
   ServerStatsSnapshot Stats() const;
 
-  /// Liveness summary as JSON: queue depth vs capacity/watermarks, shed and
-  /// degrade counts + shed rate, worker count, swap count, and the armed
-  /// fault-plan fingerprint — what a probe needs to tell "slow" from
-  /// "dying" without the full stats.
+  /// The `health` reply: the Stats() document plus queue capacity and
+  /// watermarks, worker count, shed rate and the armed fault-plan
+  /// fingerprint — what a probe needs to tell "slow" from "dying".
   std::string HealthJson() const;
 
   /// Stops accepting new work, lets the workers drain everything already

@@ -47,7 +47,7 @@ std::string MatchServerHandler::Handle(const std::string& payload,
     case WireRequest::Verb::kHello:
       return EncodeTextResponse(HelloJson("shard"));
     case WireRequest::Verb::kStats:
-      return EncodeTextResponse(server_->Stats().ToJson());
+      return EncodeTextResponse(server_->Stats().ToJson().Dump());
     case WireRequest::Verb::kHealth:
       return EncodeTextResponse(server_->HealthJson());
     case WireRequest::Verb::kShards:

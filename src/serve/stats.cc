@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/json.h"
 #include "la/kernels/dispatch.h"
@@ -156,38 +155,28 @@ ServerStatsSnapshot ServerStats::Snapshot(size_t queue_depth_now,
   return snap;
 }
 
-std::string ServerStatsSnapshot::ToJson() const {
-  std::ostringstream out;
-  out << "{\"submitted\": " << submitted << ", \"admitted\": " << admitted
-      << ", \"rejected\": " << rejected << ", \"timed_out\": " << timed_out
-      << ", \"completed\": " << completed << ", \"failed\": " << failed
-      << ", \"shed\": " << shed << ", \"degraded\": " << degraded
-      << ", \"queue_depth\": " << queue_depth
-      << ", \"max_queue_depth\": " << max_queue_depth
-      << ", \"batches\": " << batches
-      << ", \"batched_queries\": " << batched_queries
-      << ", \"batch_size_hist\": [";
-  for (size_t i = 0; i < batch_size_hist.size(); ++i) {
-    out << (i > 0 ? ", " : "") << batch_size_hist[i];
-  }
-  out << "], \"cache_hits\": " << cache_hits
-      << ", \"cache_misses\": " << cache_misses
-      << ", \"cache_evictions\": " << cache_evictions
-      << ", \"result_cache_bytes\": " << result_cache_bytes
-      << ", \"snapshot_swaps\": " << snapshot_swaps
-      << ", \"pairs\": {";
-  for (size_t i = 0; i < pair_versions.size(); ++i) {
-    out << (i > 0 ? ", " : "") << JsonEscape(pair_versions[i].first) << ": "
-        << pair_versions[i].second;
-  }
-  out << "}"
-      << ", \"latency_samples\": " << latency_samples
-      << ", \"latency_p50_micros\": " << latency_p50_micros
-      << ", \"latency_p99_micros\": " << latency_p99_micros
-      << ", \"latency_max_micros\": " << latency_max_micros
-      << ", \"latency_mean_micros\": " << latency_mean_micros
-      << ", \"kernels\": " << KernelStatusJson() << "}";
-  return out.str();
+JsonValue ServerStatsSnapshot::ToJson() const {
+  JsonValue::Object pairs;
+  for (const auto& [name, version] : pair_versions) pairs[name] = version;
+  return JsonValue::Object{
+      {"submitted", submitted}, {"admitted", admitted},
+      {"rejected", rejected}, {"timed_out", timed_out},
+      {"completed", completed}, {"failed", failed}, {"shed", shed},
+      {"degraded", degraded}, {"queue_depth", queue_depth},
+      {"max_queue_depth", max_queue_depth}, {"batches", batches},
+      {"batched_queries", batched_queries},
+      {"batch_size_hist",
+       JsonValue::Array(batch_size_hist.begin(), batch_size_hist.end())},
+      {"cache_hits", cache_hits}, {"cache_misses", cache_misses},
+      {"cache_evictions", cache_evictions},
+      {"result_cache_bytes", result_cache_bytes},
+      {"snapshot_swaps", snapshot_swaps}, {"pairs", std::move(pairs)},
+      {"latency_samples", latency_samples},
+      {"latency_p50_micros", latency_p50_micros},
+      {"latency_p99_micros", latency_p99_micros},
+      {"latency_max_micros", latency_max_micros},
+      {"latency_mean_micros", latency_mean_micros},
+      {"kernels", KernelStatusJson()}};
 }
 
 }  // namespace entmatcher

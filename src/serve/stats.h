@@ -9,6 +9,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.h"
+
 namespace entmatcher {
 
 /// A point-in-time copy of a MatchServer's serving counters, safe to read
@@ -71,9 +73,9 @@ struct ServerStatsSnapshot {
   double latency_max_micros = 0.0;
   double latency_mean_micros = 0.0;
 
-  /// Renders the snapshot as a JSON object (the `stats` query's payload and
-  /// the bench's per-mode record).
-  std::string ToJson() const;
+  /// The snapshot as a JSON object: the `stats` reply, and the part of the
+  /// `health` reply the two share.
+  JsonValue ToJson() const;
 };
 
 /// Thread-safe serving counters: admission outcomes, batch-size histogram,

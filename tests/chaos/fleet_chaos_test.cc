@@ -142,11 +142,11 @@ TEST_F(FleetChaosTest, SigkillMidStormKeepsLedgersExactAndMergesPure) {
 
   const RouterStatsSnapshot stats = (*router)->Stats();
   EXPECT_EQ(stats.queries, answered.load());
-  EXPECT_EQ(stats.queries, stats.ok + stats.failed) << stats.ToJson();
+  EXPECT_EQ(stats.queries, stats.ok + stats.failed) << stats.ToJson().Dump();
   EXPECT_EQ(stats.ok, succeeded.load());
   // No swap ran: a single mixed-version merge here means the router mixed
   // snapshots across shards on its own.
-  EXPECT_EQ(stats.version_mismatches, 0u) << stats.ToJson();
+  EXPECT_EQ(stats.version_mismatches, 0u) << stats.ToJson().Dump();
 
   // The reaper must have observed the kill as a signal death, not an exit.
   bool observed = false;

@@ -182,11 +182,11 @@ TEST_F(FleetRecoveryChaosTest, RotatingSigkillStormRecoversEveryShard) {
   const RouterStatsSnapshot stats = (*router)->Stats();
   EXPECT_EQ(stats.queries, answered.load());
   EXPECT_EQ(stats.queries, stats.ok + stats.degraded + stats.failed)
-      << stats.ToJson();
+      << stats.ToJson().Dump();
   EXPECT_EQ(stats.ok, succeeded.load());
-  EXPECT_EQ(stats.version_mismatches, 0u) << stats.ToJson();
+  EXPECT_EQ(stats.version_mismatches, 0u) << stats.ToJson().Dump();
   // Every breaker that opened must have reclosed through a half-open probe.
-  EXPECT_EQ(stats.breaker_opens, stats.breaker_closes) << stats.ToJson();
+  EXPECT_EQ(stats.breaker_opens, stats.breaker_closes) << stats.ToJson().Dump();
 
   supervisor.Stop();
   router->reset();

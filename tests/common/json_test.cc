@@ -83,9 +83,34 @@ TEST(JsonTest, DumpRoundTrips) {
 }
 
 TEST(JsonTest, JsonEscapeQuotesAndControls) {
-  EXPECT_EQ(JsonEscape("plain"), "\"plain\"");
-  EXPECT_EQ(JsonEscape("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-  EXPECT_EQ(JsonEscape(std::string_view("\x01", 1)), "\"\\u0001\"");
+  EXPECT_EQ(JsonValue("plain").Dump(), "\"plain\"");
+  EXPECT_EQ(JsonValue("a\"b\\c\nd").Dump(), "\"a\\\"b\\\\c\\nd\"");
+  EXPECT_EQ(JsonValue(std::string("\x01", 1)).Dump(), "\"\\u0001\"");
+}
+
+// Doubles print in their shortest round-trip form, so a latency reads as
+// it was measured and still parses back to the same bits.
+TEST(JsonTest, DumpPrintsShortestRoundTripDoubles) {
+  for (const double value : {638.879, 0.1, 1e-7, 2.5e300, -3.0}) {
+    const std::string text = JsonValue(value).Dump();
+    Result<JsonValue> parsed = JsonValue::Parse(text);
+    ASSERT_TRUE(parsed.ok()) << text;
+    EXPECT_EQ(parsed->AsDouble(), value) << text;
+  }
+  EXPECT_EQ(JsonValue(638.879).Dump(), "638.879");
+  EXPECT_EQ(JsonValue(0.1).Dump(), "0.1");
+}
+
+// Writing through operator[] inserts or replaces a member, and turns a
+// value that is not an object into one.
+TEST(JsonTest, MemberWritesBuildAnObject) {
+  JsonValue doc = JsonValue::Object{{"a", 1}};
+  doc["b"] = "x";
+  doc["a"] = 2;
+  EXPECT_EQ(doc.Dump(), R"({"a":2,"b":"x"})");
+  JsonValue scalar(7);
+  scalar["k"] = true;
+  EXPECT_EQ(scalar.Dump(), R"({"k":true})");
 }
 
 }  // namespace

@@ -134,8 +134,6 @@ TEST_F(FleetProcessTest, SpawnQueryKillFailoverAndStop) {
   for (const ShardProcessStatus& status : manager.Status_()) {
     EXPECT_FALSE(status.running) << "shard " << status.shard_id;
   }
-  EXPECT_NE(manager.StatusJson().find("\"running\": false"),
-            std::string::npos);
 }
 
 // Shards read their pair through the one embedding reader, so a plan may

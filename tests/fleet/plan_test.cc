@@ -30,16 +30,16 @@ TEST(ShardPlanTest, ValidPlanValidates) {
 
 TEST(ShardPlanTest, JsonRoundTrip) {
   const ShardPlan plan = TwoShardPlan();
-  Result<ShardPlan> parsed = ShardPlan::FromJson(plan.ToJson());
+  Result<ShardPlan> parsed = ShardPlan::FromJson(plan.ToJson().Dump());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->ToJson(), plan.ToJson());
+  EXPECT_EQ(parsed->ToJson().Dump(), plan.ToJson().Dump());
   EXPECT_EQ(parsed->shards.size(), 2u);
   EXPECT_EQ(parsed->pairs[0].ranges[1].begin, 5u);
   EXPECT_EQ(parsed->pairs[0].ranges[1].shards, std::vector<int>{1});
 }
 
 TEST(ShardPlanTest, RejectsWrongPlanVersion) {
-  std::string json = TwoShardPlan().ToJson();
+  std::string json = TwoShardPlan().ToJson().Dump();
   const size_t at = json.find("\"plan_version\":1");
   ASSERT_NE(at, std::string::npos);
   json.replace(at, 16, "\"plan_version\":9");

@@ -30,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "common/rng.h"
 #include "fleet/plan.h"
 #include "la/matrix_io.h"
@@ -616,7 +617,7 @@ TEST_F(RouterTest, CircuitBreakerOpensAndFailsFast) {
   EXPECT_FALSE(fleet.router().Query(request).ok());
   EXPECT_FALSE(fleet.router().Query(request).ok());
   const RouterStatsSnapshot stats = fleet.router().Stats();
-  EXPECT_EQ(stats.breaker_opens, 1u) << stats.ToJson();
+  EXPECT_EQ(stats.breaker_opens, 1u) << stats.ToJson().Dump();
   // Open: fails fast without dialing, and says so.
   Result<WireResponse> fast = fleet.router().Query(request);
   ASSERT_FALSE(fast.ok());
@@ -645,7 +646,7 @@ TEST_F(RouterTest, CircuitBreakerReclosesAfterCooldown) {
   Result<WireResponse> recovered = fleet.router().Query(request);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   const RouterStatsSnapshot stats = fleet.router().Stats();
-  EXPECT_EQ(stats.breaker_opens, 1u) << stats.ToJson();
+  EXPECT_EQ(stats.breaker_opens, 1u) << stats.ToJson().Dump();
   EXPECT_EQ(stats.breaker_half_opens, 1u);
   EXPECT_EQ(stats.breaker_closes, 1u);
 }
@@ -665,8 +666,13 @@ TEST_F(RouterTest, QuarantineExcludesChannelUntilReadmit) {
   EXPECT_EQ(refused.status().code(), StatusCode::kUnavailable);
   EXPECT_NE(refused.status().message().find("no admitted owner"),
             std::string::npos);
-  EXPECT_NE(fleet.router().FleetHealthJson().find("\"admitted\": false"),
-            std::string::npos);
+  Result<JsonValue> health = JsonValue::Parse(fleet.router().FleetHealthJson());
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  const JsonValue::Array* shards = health->GetArray("shards").value_or(nullptr);
+  ASSERT_TRUE(shards != nullptr && !shards->empty()) << health->Dump();
+  const JsonValue* admitted = (*shards)[0].Find("admitted");
+  ASSERT_NE(admitted, nullptr) << health->Dump();
+  EXPECT_FALSE(admitted->AsBool());
 
   ASSERT_TRUE(fleet.router().Readmit(0).ok());
   EXPECT_TRUE(fleet.router().Query(request).ok());
@@ -701,7 +707,7 @@ TEST_F(RouterTest, DegradePolicyAnswersCoveredRangesWhenOwnerDies) {
     }
   }
   const RouterStatsSnapshot stats = fleet.router().Stats();
-  EXPECT_EQ(stats.degraded, 1u) << stats.ToJson();
+  EXPECT_EQ(stats.degraded, 1u) << stats.ToJson().Dump();
   EXPECT_EQ(stats.queries, stats.ok + stats.degraded + stats.failed);
 
   // Full outage still refuses: degrade never fabricates from nothing.
@@ -713,13 +719,56 @@ TEST_F(RouterTest, FleetHealthAggregatesShardHealth) {
   Fleet fleet(source_, target_, 2, 1, 0);
   // Prime the channels.
   ASSERT_TRUE(fleet.router().Query(MatchRequest(AlgorithmPreset::kDInf)).ok());
-  const std::string health = fleet.router().FleetHealthJson();
-  EXPECT_NE(health.find("\"role\": \"router\""), std::string::npos);
-  EXPECT_NE(health.find("\"queue_depth\""), std::string::npos);
-  EXPECT_NE(health.find("\"pairs\""), std::string::npos);
+  Result<JsonValue> health = JsonValue::Parse(fleet.router().FleetHealthJson());
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(health->GetString("role").value_or(""), "router");
+  const JsonValue::Array* shards = health->GetArray("shards").value_or(nullptr);
+  ASSERT_TRUE(shards != nullptr && shards->size() == 2u) << health->Dump();
+  for (const JsonValue& shard : *shards) {
+    const JsonValue* shard_health = shard.Find("health");
+    ASSERT_NE(shard_health, nullptr) << shard.Dump();
+    EXPECT_NE(shard_health->Find("queue_depth"), nullptr);
+    EXPECT_NE(shard_health->Find("pairs"), nullptr);
+  }
   fleet.StopShard(1);
-  const std::string degraded = fleet.router().FleetHealthJson();
-  EXPECT_NE(degraded.find("\"error\""), std::string::npos);
+  Result<JsonValue> degraded =
+      JsonValue::Parse(fleet.router().FleetHealthJson());
+  ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
+  shards = degraded->GetArray("shards").value_or(nullptr);
+  ASSERT_TRUE(shards != nullptr && shards->size() == 2u) << degraded->Dump();
+  EXPECT_NE((*shards)[1].Find("error"), nullptr) << degraded->Dump();
+  EXPECT_EQ((*shards)[1].Find("health"), nullptr) << degraded->Dump();
+}
+
+// `health` and `shards` render a channel through one function: each entry
+// of health's shards is the same channel object as in `shards`, plus its
+// live `health`, and the breaker is {state, opens, half_opens, closes} in
+// both.
+TEST_F(RouterTest, HealthAndShardsRenderTheSameChannel) {
+  Fleet fleet(source_, target_, 2, 1, 0);
+  ASSERT_TRUE(fleet.router().Query(MatchRequest(AlgorithmPreset::kDInf)).ok());
+  Result<JsonValue> health = JsonValue::Parse(fleet.router().FleetHealthJson());
+  Result<JsonValue> shards = JsonValue::Parse(fleet.router().ShardsJson());
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  ASSERT_TRUE(shards.ok()) << shards.status().ToString();
+  const JsonValue::Array* in_health =
+      health->GetArray("shards").value_or(nullptr);
+  const JsonValue::Array* channels =
+      shards->GetArray("channels").value_or(nullptr);
+  ASSERT_TRUE(in_health != nullptr && channels != nullptr);
+  ASSERT_EQ(in_health->size(), 2u);
+  ASSERT_EQ(channels->size(), 2u);
+  for (size_t i = 0; i < channels->size(); ++i) {
+    JsonValue::Object channel = (*in_health)[i].AsObject();
+    EXPECT_EQ(channel.erase("health"), 1u);
+    EXPECT_EQ(JsonValue(channel).Dump(), (*channels)[i].Dump());
+    const JsonValue* breaker = (*channels)[i].Find("breaker");
+    ASSERT_NE(breaker, nullptr) << (*channels)[i].Dump();
+    EXPECT_EQ(breaker->GetString("state").value_or(""), "closed");
+    for (const char* key : {"opens", "half_opens", "closes"}) {
+      EXPECT_EQ(breaker->GetInt(key).value_or(-1), 0) << key;
+    }
+  }
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/rng.h"
 #include "fleet/plan.h"
 #include "fleet/router.h"
@@ -216,8 +217,11 @@ TEST_F(SupervisorTest, RestartsKilledShardAndReadmitsIt) {
   EXPECT_GT(ledger[0].last_restart_micros, 0u);
   EXPECT_EQ(ledger[1].restarts, 0u);
   EXPECT_EQ(supervisor.RestartLatencies().size(), 2u);
-  EXPECT_NE(supervisor.StatusJson().find("\"restarts\": 2"),
-            std::string::npos);
+  const JsonValue status = supervisor.StatusJson();
+  EXPECT_EQ(status.GetInt("restarts").value_or(-1), 2) << status.Dump();
+  const JsonValue::Array* shards = status.GetArray("shards").value_or(nullptr);
+  ASSERT_TRUE(shards != nullptr && shards->size() == 2u) << status.Dump();
+  EXPECT_EQ((*shards)[0].GetInt("restarts").value_or(-1), 2);
   EXPECT_EQ(supervisor.WaitRestarts(99, 1, 1000).code(),
             StatusCode::kNotFound);
 
@@ -322,8 +326,12 @@ TEST_F(SupervisorTest, UnrecoverableShardPermanentlyFailsAfterStrikes) {
   EXPECT_TRUE(ledger[0].permanently_failed);
   EXPECT_EQ(ledger[0].restarts, 0u);
   EXPECT_GE(ledger[0].strikes, 3u);
-  EXPECT_NE(supervisor.StatusJson().find("\"permanently_failed\": true"),
-            std::string::npos);
+  const JsonValue status = supervisor.StatusJson();
+  const JsonValue::Array* shards = status.GetArray("shards").value_or(nullptr);
+  ASSERT_TRUE(shards != nullptr && !shards->empty()) << status.Dump();
+  const JsonValue* retired = (*shards)[0].Find("permanently_failed");
+  ASSERT_NE(retired, nullptr) << status.Dump();
+  EXPECT_TRUE(retired->AsBool());
 
   // The fleet soldiers on: shard 1 replicates every range, so reads still
   // answer around the retired shard.

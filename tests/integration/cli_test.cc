@@ -25,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "common/rng.h"
 #include "fleet/plan.h"
 #include "la/matrix_io.h"
@@ -114,6 +115,17 @@ class CliTest : public ::testing::Test {
     }
     const int status = ::pclose(pipe);
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  }
+
+  /// Runs the CLI with `args` and parses its whole output as one JSON
+  /// document.
+  Result<JsonValue> RunJson(const std::vector<std::string>& args) const {
+    std::string output;
+    const int code = Run(args, &output);
+    if (code != 0) {
+      return Status::Internal("exit " + std::to_string(code) + ": " + output);
+    }
+    return JsonValue::Parse(output);
   }
 
   /// Starts `entmatcher_cli serve <src> <tgt>` on `socket` and waits until
@@ -443,15 +455,111 @@ TEST_F(CliTest, FleetShardTakesTheSevenServerFlags) {
   ASSERT_TRUE(health.ok());
   Result<WireResponse> answer = client->Call(*health);
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
-  for (const char* field : {"\"queue_capacity\": 16", "\"shed_watermark\": 8",
-                            "\"serve_workers\": 2"}) {
-    EXPECT_NE(answer->text.find(field), std::string::npos) << answer->text;
-  }
+  Result<JsonValue> doc = JsonValue::Parse(answer->text);
+  ASSERT_TRUE(doc.ok()) << answer->text;
+  EXPECT_EQ(doc->GetInt("queue_capacity").value_or(-1), 16) << answer->text;
+  EXPECT_EQ(doc->GetInt("shed_watermark").value_or(-1), 8) << answer->text;
+  EXPECT_EQ(doc->GetInt("serve_workers").value_or(-1), 2) << answer->text;
   ShutDown(socket, pid);
   EXPECT_NE(FileBytes(Path("serve.log"))
                 .find("shard 0 serving 1 pair(s) on " + socket),
             std::string::npos)
       << FileBytes(Path("serve.log"));
+}
+
+// Every status reply of the real binaries is one JSON document: `health`
+// holds every key of `stats`, the router's `health` and `shards` carry the
+// same channel objects, and `fleet serve` announces the restart policy its
+// supervisor runs, as `fleet status` reports it.
+TEST_F(CliTest, StatusRepliesAreOneDocumentEach) {
+  const std::string socket = Path("status.sock");
+  const pid_t pid = StartServe(Path("a.src.emat"), Path("a.tgt.emat"), socket);
+  ASSERT_GT(pid, 0);
+  const Result<JsonValue> stats =
+      RunJson({"query", "--socket=" + socket, "stats"});
+  const Result<JsonValue> health =
+      RunJson({"query", "--socket=" + socket, "health"});
+  ShutDown(socket, pid);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  for (const auto& [key, value] : stats->AsObject()) {
+    EXPECT_NE(health->Find(key), nullptr) << key;
+  }
+
+  const std::string plan_path = Path("status_plan.json");
+  std::string output;
+  ASSERT_EQ(Run({"fleet", "plan", "p", Path("a.src.emat"), Path("a.tgt.emat"),
+                 "--shards=2", "--out=" + plan_path, "--socket-dir=" + dir_},
+                &output),
+            0)
+      << output;
+  const std::string router = Path("router.sock");
+  const pid_t fleet =
+      StartServer({"fleet", "serve", "--plan=" + plan_path,
+                   "--socket=" + router, "--serve-workers=1", "--threads=1"},
+                  router);
+  ASSERT_GT(fleet, 0);
+  const Result<JsonValue> status =
+      RunJson({"fleet", "status", "--socket=" + router});
+  const Result<JsonValue> router_stats =
+      RunJson({"fleet", "query", "--socket=" + router, "stats"});
+  const Result<JsonValue> shards =
+      RunJson({"fleet", "query", "--socket=" + router, "shards"});
+  ShutDown(router, fleet);
+  ASSERT_TRUE(status.ok()) << status.status().ToString();
+  ASSERT_TRUE(router_stats.ok()) << router_stats.status().ToString();
+  ASSERT_TRUE(shards.ok()) << shards.status().ToString();
+
+  const JsonValue* in_health_stats = status->Find("router_stats");
+  ASSERT_NE(in_health_stats, nullptr) << status->Dump();
+  for (const auto& [key, value] : router_stats->AsObject()) {
+    EXPECT_NE(in_health_stats->Find(key), nullptr) << key;
+  }
+  const JsonValue::Array* in_health =
+      status->GetArray("shards").value_or(nullptr);
+  const JsonValue::Array* channels =
+      shards->GetArray("channels").value_or(nullptr);
+  ASSERT_TRUE(in_health != nullptr && in_health->size() == 2u)
+      << status->Dump();
+  ASSERT_TRUE(channels != nullptr && channels->size() == 2u)
+      << shards->Dump();
+  for (size_t i = 0; i < channels->size(); ++i) {
+    JsonValue::Object channel = (*in_health)[i].AsObject();
+    EXPECT_EQ(channel.erase("health"), 1u) << status->Dump();
+    EXPECT_EQ(JsonValue(channel).Dump(), (*channels)[i].Dump());
+  }
+
+  const std::string log = FileBytes(Path("serve.log"));
+  const std::string label = "restart-policy=";
+  const size_t at = log.find(label);
+  ASSERT_NE(at, std::string::npos) << log;
+  const size_t begin = at + label.size();
+  const std::string announced = log.substr(begin, log.find(';', begin) - begin);
+  const JsonValue* supervisor = status->Find("supervisor");
+  ASSERT_NE(supervisor, nullptr) << status->Dump();
+  EXPECT_EQ(supervisor->GetString("policy").value_or(""), announced) << log;
+}
+
+// `match -` reports the workspace its query allocates, measured from where
+// RunMatching measures: for DInf that is the n x m score matrix alone, not
+// the two inputs the CLI read before the query.
+TEST_F(CliTest, RawPairMatchCountsOnlyTheQueryWorkspace) {
+  const std::string peak = "peak tracked workspace: " +
+                           std::to_string(kRows * kTargets * sizeof(float)) +
+                           " bytes (";
+  for (const char* format : {"emat", "embf"}) {
+    SCOPED_TRACE(format);
+    const std::string ext = std::string(".") + format;
+    std::string output;
+    ASSERT_EQ(Run({"match", "-", Path("a.src" + ext), Path("a.tgt" + ext),
+                   "DInf"},
+                  &output),
+              0)
+        << output;
+    EXPECT_NE(output.find(peak), std::string::npos) << output;
+    EXPECT_NE(output.find("; arena high-water "), std::string::npos)
+        << output;
+  }
 }
 
 // `swap` and the `swap` verb through `query` send the same request: each
@@ -500,6 +608,21 @@ TEST_F(CliTest, DatasetLargerThanItsEmbeddingsIsRefused) {
               std::string::npos)
         << output;
   }
+}
+
+// A dataset entity id at or above kMaxEntities is refused, naming the file
+// and line, before any graph is sized from it: `ent_links` used to grow the
+// source graph to 4e9 entities and abort with std::bad_alloc.
+TEST_F(CliTest, DatasetEntityIdPastTheBoundIsRefused) {
+  std::string output;
+  ASSERT_EQ(Run({"generate", "D-Z", Path("ds"), "0.05"}, &output), 0)
+      << output;
+  { std::ofstream(Path("ds/ent_links"), std::ios::app) << "4000000000\t0\n"; }
+  EXPECT_EQ(Run({"stats", Path("ds")}, &output), 1) << output;
+  EXPECT_NE(output.find("ent_links:"), std::string::npos) << output;
+  EXPECT_NE(output.find("entity id 4000000000 is not below"),
+            std::string::npos)
+      << output;
 }
 
 }  // namespace

@@ -115,6 +115,23 @@ TEST_F(DatasetIoTest, UnmatchableIdPastTheGraphIsRefused) {
   ExpectUnmatchablesRefused(std::to_string(entities) + "\n", 1);
 }
 
+// LoadDatasetDir grows each graph to its largest link id + 1, so a link id
+// at or above kMaxEntities is refused, naming ent_links and its line,
+// instead of sizing a 4e9-entity graph.
+TEST_F(DatasetIoTest, LinkIdPastTheEntityBoundIsRefused) {
+  const KgPairDataset original = MakeDataset();
+  ASSERT_TRUE(SaveDatasetDir(original, dir_.string()).ok());
+  { std::ofstream(dir_ / "ent_links", std::ios::app) << "4000000000\t0\n"; }
+  Result<KgPairDataset> loaded = LoadDatasetDir(dir_.string());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+  EXPECT_NE(loaded.status().message().find(
+                "ent_links:" + std::to_string(original.gold.size() + 1) +
+                ": entity id 4000000000"),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
 TEST_F(DatasetIoTest, LoadMissingDirectoryFails) {
   EXPECT_FALSE(LoadDatasetDir((dir_ / "missing").string()).ok());
 }

@@ -84,6 +84,70 @@ TEST_F(IoTest, ReadMalformedTriplesFails) {
   EXPECT_FALSE(ReadTriplesTsv(path).ok());
 }
 
+// Every refusal names the file and the line.
+TEST_F(IoTest, MalformedLinesNameTheFileAndLine) {
+  const std::string path = Path("bad.tsv");
+  std::ofstream(path) << "0\t0\t1\n\n1\t2\n";
+  Result<KnowledgeGraph> short_line = ReadTriplesTsv(path);
+  ASSERT_FALSE(short_line.ok());
+  EXPECT_EQ(short_line.status().code(), StatusCode::kIoError);
+  EXPECT_NE(short_line.status().message().find(
+                path + ":3: expected 3 tab-separated fields"),
+            std::string::npos)
+      << short_line.status().ToString();
+
+  std::ofstream(path) << "1\tx\n";
+  Result<AlignmentSet> not_a_number = ReadLinksTsv(path);
+  ASSERT_FALSE(not_a_number.ok());
+  EXPECT_NE(not_a_number.status().message().find(
+                path + ":1: failed to parse integer field: 'x'"),
+            std::string::npos)
+      << not_a_number.status().ToString();
+}
+
+// Entity ids size the graph, so a triple naming one at or above
+// kMaxEntities is refused before anything is allocated from it.
+TEST_F(IoTest, TripleEntityIdPastTheBoundIsRefused) {
+  const std::string path = Path("big.tsv");
+  std::ofstream(path) << "0\t0\t1\n2\t0\t" << kMaxEntities << "\n";
+  Result<KnowledgeGraph> object = ReadTriplesTsv(path);
+  ASSERT_FALSE(object.ok());
+  EXPECT_EQ(object.status().code(), StatusCode::kIoError);
+  EXPECT_NE(object.status().message().find(
+                path + ":2: entity id " + std::to_string(kMaxEntities) +
+                " is not below " + std::to_string(kMaxEntities)),
+            std::string::npos)
+      << object.status().ToString();
+
+  std::ofstream(path) << "3000000000\t0\t5\n";
+  Result<KnowledgeGraph> subject = ReadTriplesTsv(path);
+  ASSERT_FALSE(subject.ok());
+  EXPECT_NE(subject.status().message().find(path + ":1: entity id 3000000000"),
+            std::string::npos)
+      << subject.status().ToString();
+}
+
+TEST_F(IoTest, LinkEntityIdPastTheBoundIsRefused) {
+  const std::string path = Path("links.tsv");
+  std::ofstream(path) << "1\t2\n\n4000000000\t0\n";
+  Result<AlignmentSet> source = ReadLinksTsv(path);
+  ASSERT_FALSE(source.ok());
+  EXPECT_EQ(source.status().code(), StatusCode::kIoError);
+  EXPECT_NE(source.status().message().find(path + ":3: entity id 4000000000"),
+            std::string::npos)
+      << source.status().ToString();
+
+  std::ofstream(path) << "1\t" << kMaxEntities << "\n";
+  Result<AlignmentSet> target = ReadLinksTsv(path);
+  ASSERT_FALSE(target.ok());
+  EXPECT_NE(target.status().message().find(path + ":1: entity id"),
+            std::string::npos)
+      << target.status().ToString();
+
+  std::ofstream(path) << "1\t" << kMaxEntities - 1 << "\n";
+  EXPECT_TRUE(ReadLinksTsv(path).ok());
+}
+
 TEST_F(IoTest, ReadSkipsBlankLines) {
   const std::string path = Path("blank.tsv");
   std::ofstream(path) << "0\t0\t1\n\n  \n2\t0\t1\n";

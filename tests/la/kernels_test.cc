@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "la/kernels/vector_kernels.h"
@@ -129,10 +130,10 @@ TEST_F(KernelsTest, DispatchSurface) {
   EXPECT_TRUE(KernelTierAvailable(BestAvailableKernelTier()));
   ASSERT_TRUE(SetKernelTier(KernelTier::kScalar).ok());
   EXPECT_EQ(ActiveKernelTier(), KernelTier::kScalar);
-  const std::string json = KernelStatusJson();
-  EXPECT_NE(json.find("\"tier\":\"scalar\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"available\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"cpu\""), std::string::npos) << json;
+  const JsonValue status = KernelStatusJson();
+  EXPECT_EQ(status.GetString("tier").value(), "scalar") << status.Dump();
+  EXPECT_NE(status.Find("available"), nullptr) << status.Dump();
+  EXPECT_NE(status.Find("cpu"), nullptr) << status.Dump();
 }
 
 TEST_F(KernelsTest, ElementwiseOpsBitIdenticalToScalar) {

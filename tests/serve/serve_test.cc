@@ -450,15 +450,41 @@ TEST_F(ServeTest, HealthJsonReportsWatermarksAndShedRate) {
   std::unique_ptr<MatchServer> server = MakeServer(config);
   ASSERT_TRUE(server->Query(MatchRequest(AlgorithmPreset::kCsls)).status.ok());
 
-  const std::string health = server->HealthJson();
-  EXPECT_NE(health.find("\"queue_depth\""), std::string::npos);
-  EXPECT_NE(health.find("\"queue_capacity\": 4"), std::string::npos);
-  EXPECT_NE(health.find("\"shed_watermark\": 3"), std::string::npos);
-  EXPECT_NE(health.find("\"submitted\": 1"), std::string::npos);
-  EXPECT_NE(health.find("\"shed\": 0"), std::string::npos);
-  EXPECT_NE(health.find("\"shed_rate\""), std::string::npos);
+  Result<JsonValue> health = JsonValue::Parse(server->HealthJson());
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_NE(health->Find("queue_depth"), nullptr);
+  EXPECT_EQ(health->GetInt("queue_capacity").value_or(-1), 4);
+  EXPECT_EQ(health->GetInt("shed_watermark").value_or(-1), 3);
+  EXPECT_EQ(health->GetInt("submitted").value_or(-1), 1);
+  EXPECT_EQ(health->GetInt("shed").value_or(-1), 0);
+  EXPECT_NE(health->Find("shed_rate"), nullptr);
   // No plan armed in the default test binary.
-  EXPECT_NE(health.find("\"fault_plan\": \"off\""), std::string::npos);
+  EXPECT_EQ(health->GetString("fault_plan").value_or(""), "off");
+}
+
+// `health` is the `stats` document plus the six fields only `health` has:
+// every stats key is there with the same value, nothing else is added.
+TEST_F(ServeTest, HealthIsTheStatsDocumentPlusSixFields) {
+  std::unique_ptr<MatchServer> server = MakeServer(MatchServerConfig());
+  ASSERT_TRUE(server->Query(MatchRequest(AlgorithmPreset::kCsls)).status.ok());
+  const JsonValue stats = server->Stats().ToJson();
+  Result<JsonValue> health = JsonValue::Parse(server->HealthJson());
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  std::vector<std::string> extra;
+  for (const auto& [key, value] : health->AsObject()) {
+    const JsonValue* in_stats = stats.Find(key);
+    if (in_stats == nullptr) {
+      extra.push_back(key);
+    } else {
+      EXPECT_EQ(value.Dump(), in_stats->Dump()) << key;
+    }
+  }
+  EXPECT_EQ(extra, (std::vector<std::string>{
+                       "degrade_watermark", "fault_plan", "queue_capacity",
+                       "serve_workers", "shed_rate", "shed_watermark"}));
+  for (const auto& [key, value] : stats.AsObject()) {
+    EXPECT_NE(health->Find(key), nullptr) << key;
+  }
 }
 
 // FaultPlan::Parse takes any bytes before ':' as a point name, and the
@@ -731,15 +757,19 @@ TEST_F(ServeTest, SocketRoundTripMatchesInProcessQuery) {
   Result<WireResponse> stats_wire = client->Call(stats);
   ASSERT_TRUE(stats_wire.ok());
   ASSERT_TRUE(stats_wire->status.ok());
-  EXPECT_NE(stats_wire->text.find("\"completed\": 1"), std::string::npos);
+  Result<JsonValue> stats_doc = JsonValue::Parse(stats_wire->text);
+  ASSERT_TRUE(stats_doc.ok()) << stats_wire->text;
+  EXPECT_EQ(stats_doc->GetInt("completed").value_or(-1), 1);
 
   WireRequest health;
   health.verb = WireRequest::Verb::kHealth;
   Result<WireResponse> health_wire = client->Call(health);
   ASSERT_TRUE(health_wire.ok()) << health_wire.status().ToString();
   ASSERT_TRUE(health_wire->status.ok());
-  EXPECT_NE(health_wire->text.find("\"queue_depth\""), std::string::npos);
-  EXPECT_NE(health_wire->text.find("\"fault_plan\""), std::string::npos);
+  Result<JsonValue> health_doc = JsonValue::Parse(health_wire->text);
+  ASSERT_TRUE(health_doc.ok()) << health_wire->text;
+  EXPECT_NE(health_doc->Find("queue_depth"), nullptr);
+  EXPECT_NE(health_doc->Find("fault_plan"), nullptr);
 
   WireRequest bad;
   bad.verb = WireRequest::Verb::kTopK;
@@ -1202,18 +1232,20 @@ TEST_F(ServeTest, HealthJsonCarriesCacheCountersAndPairVersions) {
   ASSERT_TRUE(second.status.ok());
   EXPECT_TRUE(second.cached);
 
-  const std::string health = server->HealthJson();
-  EXPECT_NE(health.find("\"cache_hits\": 1"), std::string::npos) << health;
-  EXPECT_NE(health.find("\"cache_misses\": 1"), std::string::npos) << health;
-  EXPECT_NE(health.find("\"cache_evictions\": 0"), std::string::npos);
-  EXPECT_NE(health.find("\"result_cache_bytes\""), std::string::npos);
-  EXPECT_NE(health.find("\"pairs\": {\"default\": 1}"), std::string::npos)
-      << health;
+  Result<JsonValue> health = JsonValue::Parse(server->HealthJson());
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(health->GetInt("cache_hits").value_or(-1), 1) << health->Dump();
+  EXPECT_EQ(health->GetInt("cache_misses").value_or(-1), 1);
+  EXPECT_EQ(health->GetInt("cache_evictions").value_or(-1), 0);
+  EXPECT_NE(health->Find("result_cache_bytes"), nullptr);
+  const JsonValue* pairs = health->Find("pairs");
+  ASSERT_NE(pairs, nullptr) << health->Dump();
+  EXPECT_EQ(pairs->Dump(), R"({"default":1})");
 
   // The same fields surface in the stats JSON.
-  const std::string stats = server->Stats().ToJson();
-  EXPECT_NE(stats.find("\"cache_hits\": 1"), std::string::npos) << stats;
-  EXPECT_NE(stats.find("\"cache_misses\": 1"), std::string::npos) << stats;
+  const JsonValue stats = server->Stats().ToJson();
+  EXPECT_EQ(stats.GetInt("cache_hits").value_or(-1), 1) << stats.Dump();
+  EXPECT_EQ(stats.GetInt("cache_misses").value_or(-1), 1) << stats.Dump();
 }
 
 // Fleet satellite — the route verb over the socket: the response echoes the
