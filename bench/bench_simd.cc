@@ -134,10 +134,6 @@ int main() {
   constexpr double kF = sizeof(float);
   constexpr double kD = sizeof(double);
   const std::vector<OpCase> cases = {
-      vector_op("dot", 2 * kDim * kF,
-                [&](const KernelOps& ops, size_t) {
-                  return ops.dot(va.data(), vb.data(), kDim);
-                }),
       vector_op("manhattan", 2 * kDim * kF,
                 [&](const KernelOps& ops, size_t) {
                   return ops.manhattan(va.data(), vb.data(), kDim);

@@ -100,7 +100,7 @@ inline unsigned HardwareThreads() {
 ///    "host":    {"hardware_threads": 4, "kernel_tier": "avx512",
 ///                "cpu": "sse4.2 avx avx2 ..."},
 ///    "metrics": [{"layer": "kernel", "metric": "throughput",
-///                 "labels": {"op": "dot", "tier": "avx2"},
+///                 "labels": {"op": "sum", "tier": "avx2"},
 ///                 "value": 41.2, "unit": "GB/s", "better": "higher"}, ...],
 ///    "gates":   [{"name": "...", "result": "pass" | "fail" | "skipped",
 ///                 "detail": "..."}, ...]}

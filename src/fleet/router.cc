@@ -239,6 +239,10 @@ Result<WireResponse> Router::AttemptOnce(Channel* channel,
     channel->hello_checked = false;
     channel->state.store(ChannelState::kDown);
     channel->last_error = response.status().message();
+  } else if (channel->state.load() != ChannelState::kIncompatible) {
+    // The shard replied, so the channel is up. A protocol refusal stands:
+    // only Readmit clears it.
+    channel->state.store(ChannelState::kUp);
   }
   return response;
 }

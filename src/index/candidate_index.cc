@@ -106,17 +106,19 @@ Status CandidateIndex::FillSparseScores(const Matrix& source,
   ParallelFor(0, n, 16, [&](size_t begin, size_t end) {
     CandidateScratch scratch;
     std::vector<uint32_t> collected;
+    std::vector<float> scores;
     std::vector<std::pair<float, uint32_t>> candidates;
     for (size_t i = begin; i < end; ++i) {
       collected.clear();
       backend->Collect(target, source.Row(i).data(), effective, &scratch,
                        &collected);
       // Exact rerank of every collected candidate.
+      scores.resize(collected.size());
+      PairSimilarities(source, target, i, collected, metric, cache,
+                       scores.data());
       candidates.clear();
-      candidates.reserve(collected.size());
-      for (uint32_t j : collected) {
-        candidates.emplace_back(
-            PairSimilarity(source, target, i, j, metric, cache), j);
+      for (size_t e = 0; e < collected.size(); ++e) {
+        candidates.emplace_back(scores[e], collected[e]);
       }
       const size_t keep = std::min(stride, candidates.size());
       std::partial_sort(candidates.begin(), candidates.begin() + keep,

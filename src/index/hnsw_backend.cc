@@ -5,6 +5,7 @@
 
 #include "common/fault.h"
 #include "common/rng.h"
+#include "la/kernels/dispatch.h"
 
 namespace entmatcher {
 
@@ -33,10 +34,7 @@ int HnswBackend::LevelFor(uint32_t id) const {
 
 float HnswBackend::ScoreAgainst(const Matrix& target, const float* x,
                                 uint32_t j) const {
-  const float* row = target.Row(j).data();
-  float dot = 0.0f;
-  for (size_t d = 0; d < dim_; ++d) dot += x[d] * row[d];
-  return dot * inv_norms_[j];
+  return Dot(x, target.Row(j).data(), dim_) * inv_norms_[j];
 }
 
 float HnswBackend::CosineBetween(const Matrix& target, uint32_t a,

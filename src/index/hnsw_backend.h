@@ -81,7 +81,7 @@ class HnswBackend final : public CandidateBackend {
   int LevelFor(uint32_t id) const;
 
   /// Cosine ordering score of stored node `j` against query vector `x`:
-  /// dot(x, row_j) · inv_norm_j on the plain scalar loop — candidate
+  /// Dot(x, row_j) · inv_norm_j, Dot being la's scalar loop — candidate
   /// coverage must never depend on EM_KERNEL_TIER.
   float ScoreAgainst(const Matrix& target, const float* x, uint32_t j) const;
 

@@ -5,6 +5,7 @@
 
 #include "common/fault.h"
 #include "common/rng.h"
+#include "la/kernels/dispatch.h"
 #include "la/kmeans.h"
 
 namespace entmatcher {
@@ -90,10 +91,8 @@ void IvfBackend::ProbeLists(
   // Rank cells by centroid dot product. Centroids are unit-norm, so the
   // query's own norm cannot change the ordering.
   for (size_t l = 0; l < lists; ++l) {
-    const float* mu = centroids_.Row(l).data();
-    float dot = 0.0f;
-    for (size_t d = 0; d < dim_; ++d) dot += x[d] * mu[d];
-    (*scratch)[l] = {dot, static_cast<uint32_t>(l)};
+    (*scratch)[l] = {Dot(x, centroids_.Row(l).data(), dim_),
+                     static_cast<uint32_t>(l)};
   }
   std::partial_sort(scratch->begin(), scratch->begin() + probes,
                     scratch->end(), CandidateBetter);

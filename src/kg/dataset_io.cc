@@ -103,10 +103,23 @@ Result<KgPairDataset> LoadDatasetDir(const std::string& dir) {
     return Status::NotFound("dataset directory does not exist: " + dir);
   }
 
-  EM_ASSIGN_OR_RETURN(KnowledgeGraph source,
-                      ReadTriplesTsv((base / "rel_triples_1").string()));
-  EM_ASSIGN_OR_RETURN(KnowledgeGraph target,
-                      ReadTriplesTsv((base / "rel_triples_2").string()));
+  const std::string source_triples = (base / "rel_triples_1").string();
+  const std::string target_triples = (base / "rel_triples_2").string();
+  EM_ASSIGN_OR_RETURN(KnowledgeGraph source, ReadTriplesTsv(source_triples));
+  EM_ASSIGN_OR_RETURN(KnowledgeGraph target, ReadTriplesTsv(target_triples));
+  // Compared by division: the product of two 32-bit counts can wrap. A side
+  // with no relations counts as one, so it cannot wave the other through.
+  const size_t src_relations = source.num_relations();
+  const size_t tgt_relations = target.num_relations();
+  if (std::max<size_t>(src_relations, 1) >
+      kMaxRelationPairs / std::max<size_t>(tgt_relations, 1)) {
+    return Status::IoError(
+        source_triples + " and " + target_triples + " span " +
+        std::to_string(src_relations) + " x " +
+        std::to_string(tgt_relations) + " relations, more than the " +
+        std::to_string(kMaxRelationPairs) + " relation pairs a dataset may "
+        "span");
+  }
   EM_ASSIGN_OR_RETURN(AlignmentSet gold,
                       ReadLinksTsv((base / "ent_links").string()));
   AlignmentSplit split;

@@ -16,6 +16,17 @@ namespace entmatcher {
 /// a graph's adjacency offsets under 128 MB.
 inline constexpr size_t kMaxEntities = size_t{1} << 24;
 
+/// The relation pairs a dataset may span: LoadDatasetDir refuses a pair of
+/// graphs whose n_rel_src * n_rel_tgt exceeds it, a side without relations
+/// counting as one. Embedding and matching size tables from that product:
+/// TransE's relation co-occurrence counts hold n_rel_src * n_rel_tgt
+/// doubles, RelationCorrespondence's four times as many (both directions on
+/// each side); and from each side's count, such as the structural
+/// embedding's per-relation weights. 1 << 23 admits DBP15K ZH-EN's
+/// 2,830 x 2,317 relations (6,557,110 pairs), the paper's largest
+/// vocabularies, and bounds the two product tables at 64 MiB and 256 MiB.
+inline constexpr size_t kMaxRelationPairs = size_t{1} << 23;
+
 /// An immutable knowledge graph: a set of triples over dense entity and
 /// relation id spaces, with a CSR adjacency index over both edge directions.
 ///

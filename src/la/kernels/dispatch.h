@@ -14,10 +14,11 @@ class JsonValue;  // common/json.h
 
 /// Vector-ISA tiers of the numeric kernel layer. The scalar tier is the
 /// original (pre-SIMD) C++ loops kept verbatim — it is the bit-exactness
-/// oracle every other tier is tested against. Vector tiers may reorder float
-/// accumulation (per-cell |Δ| ≤ 1e-5 against scalar, pinned by the `kernels`
-/// test label) but are individually deterministic: a given tier produces the
-/// same bits at every thread count, every run.
+/// oracle every other tier is tested against. Vector tiers match it byte for
+/// byte except in the three reductions that reassociate (per value
+/// |Δ| ≤ 1e-5 relative, pinned by the `kernels` test label), and each is
+/// deterministic: a given tier produces the same bits at every thread count,
+/// every run.
 enum class KernelTier {
   kScalar = 0,
   kAvx2 = 1,
@@ -30,9 +31,10 @@ enum class KernelTier {
 /// row pointers.
 ///
 /// Bit-exactness contracts (load-bearing — tests assert them):
-///  - `dot` and each cell of `matmul_tile` share one accumulation order per
-///    tier, so the candidate-index rerank (PairSimilarity → dot) emits entries
-///    bit-identical to the dense matmul cells at EVERY tier, not just scalar.
+///  - Every cell of `matmul_tile` is byte-equal to `Dot` (below) at every
+///    tier, so the candidate-index rerank (PairSimilarities → DotRows) emits
+///    entries byte-equal to the dense matmul cells, and every tier's
+///    MatMulTransposedRange output is byte-equal to the scalar tier's.
 ///  - Elementwise ops (scale, scale_copy, cosine_scale_row, accumulate_max,
 ///    accumulate_cols, mul_cols, max, argmax, mask_*) are bit-identical to
 ///    scalar at every tier: same arithmetic per element, no reassociation.
@@ -41,12 +43,9 @@ struct KernelOps {
   KernelTier tier = KernelTier::kScalar;
   const char* name = "scalar";
 
-  /// Inner product of two d-length rows, accumulated in float.
-  float (*dot)(const float* a, const float* b, size_t d);
-
-  /// C[r * c_stride + j] = dot(a + r * a_stride, b + j * b_stride) for
-  /// r < rows, j < cols. Register-blocked per tier; each output cell replays
-  /// `dot`'s accumulation order exactly.
+  /// C[r * c_stride + j] = Dot(a + r * a_stride, b + j * b_stride, d) for
+  /// r < rows, j < cols, byte for byte: the vector tiers sum many cells at
+  /// once, but each cell's own sum runs in Dot's order.
   void (*matmul_tile)(const float* a, size_t a_stride, size_t rows,
                       const float* b, size_t b_stride, size_t cols, size_t d,
                       float* c, size_t c_stride);
@@ -132,6 +131,21 @@ std::string DetectedCpuFeatures();
 /// The `kernels` member of the health/stats replies:
 /// {"available": "scalar avx2 avx512", "cpu": "...", "tier": "avx512"}.
 JsonValue KernelStatusJson();
+
+/// The library's one inner product: a[k] * b[k] summed for k = 0, 1, ...,
+/// d - 1 in that order, from 0.0f, each product rounded to float before its
+/// add. It is not a table op: every tier's matmul_tile cells equal it. The
+/// library builds with -ffp-contract=off, so no compiler fuses a product
+/// into its add anywhere. Defined in kernels_scalar.cc, which no -m flag
+/// reaches, so the index probes and k-means that call it run scalar float
+/// arithmetic.
+float Dot(const float* a, const float* b, size_t d);
+
+/// out[c] = Dot(a, b + rows[c] * b_stride, d) for c < count. Eight sums run
+/// side by side, each in Dot's order, so their adds overlap instead of each
+/// waiting on the one before it.
+void DotRows(const float* a, const float* b, size_t b_stride,
+             const uint32_t* rows, size_t count, size_t d, float* out);
 
 // Per-tier registration hooks, null when the build does not include the
 // tier. kernels_scalar.cc defines the scalar one; each vector tier's

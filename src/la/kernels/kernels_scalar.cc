@@ -1,6 +1,8 @@
-// Scalar reference tier. Every loop here is the pre-SIMD implementation kept
-// verbatim — the EM_KERNEL_TIER=scalar output must stay bit-identical to the
-// code it replaced, and the vector tiers are tested against these ops.
+// The library's one inner product (Dot, and DotRows for the rerank), and the
+// scalar reference tier. Every tier loop here is the pre-SIMD implementation
+// kept verbatim — the EM_KERNEL_TIER=scalar output must stay bit-identical
+// to the code it replaced, and the vector tiers are tested against these
+// ops.
 
 #include <algorithm>
 #include <cmath>
@@ -8,13 +10,33 @@
 #include "la/kernels/dispatch.h"
 
 namespace entmatcher {
-namespace {
 
-float DotScalar(const float* a, const float* b, size_t d) {
+float Dot(const float* a, const float* b, size_t d) {
   float acc = 0.0f;
   for (size_t k = 0; k < d; ++k) acc += a[k] * b[k];
   return acc;
 }
+
+void DotRows(const float* a, const float* b, size_t b_stride,
+             const uint32_t* rows, size_t count, size_t d, float* out) {
+  constexpr size_t kChains = 8;
+  for (size_t c = 0; c < count; c += kChains) {
+    // A short last group repeats its last row; the spare sums are dropped.
+    const size_t live = std::min(kChains, count - c);
+    const float* group[kChains];
+    for (size_t l = 0; l < kChains; ++l) {
+      group[l] = b + rows[c + std::min(l, live - 1)] * b_stride;
+    }
+    // Dot's loop, once per row: the sums share no state.
+    float acc[kChains] = {};
+    for (size_t k = 0; k < d; ++k) {
+      for (size_t l = 0; l < kChains; ++l) acc[l] += a[k] * group[l][k];
+    }
+    std::copy_n(acc, live, out + c);
+  }
+}
+
+namespace {
 
 // The original MatMulTransposedRange body: row/column blocks of 32 around the
 // scalar dot. Blocking only changes cell visit order, never a cell's value,
@@ -32,7 +54,7 @@ void MatMulTileScalar(const float* a, size_t a_stride, size_t rows,
         const float* arow = a + i * a_stride;
         float* crow = c + i * c_stride;
         for (size_t j = jb; j < j_end; ++j) {
-          crow[j] = DotScalar(arow, b + j * b_stride, d);
+          crow[j] = Dot(arow, b + j * b_stride, d);
         }
       }
     }
@@ -122,7 +144,6 @@ uint64_t MaskGtScalarScalarTier(const float* a, float threshold, size_t n) {
 const KernelOps kScalarOps = {
     /*tier=*/KernelTier::kScalar,
     /*name=*/"scalar",
-    /*dot=*/DotScalar,
     /*matmul_tile=*/MatMulTileScalar,
     /*squared_norm=*/SquaredNormScalar,
     /*manhattan=*/ManhattanScalar,

@@ -11,12 +11,13 @@
 // How the dispatch.h contracts hold:
 //  - Elementwise ops, max/argmax and the masks do the scalar tier's
 //    arithmetic per lane: an ordered `>` and a select, so NaN is rejected
-//    exactly as by the scalar `>`, and no multiply is fused into an add the
-//    scalar code rounds separately.
-//  - `dot` and every `matmul_tile` cell run the same Dot. Its FMA comes from
-//    the compiler contracting `acc += a * b` (GCC's default for C++ when
-//    optimizing; the x86 tiers build with -mfma); a build that does not
-//    contract still meets every contract, at a multiply and an add per lane.
+//    exactly as by the scalar `>`.
+//  - Each `matmul_tile` cell is one lane of an outer product that adds its
+//    products in k order, the order of Dot (kernels_scalar.cc). No multiply
+//    is fused into its add: the library builds with -ffp-contract=off, so
+//    although the x86 tiers build with -mfma, the compiler emits no FMA
+//    (CI counts them in the tier objects). With contraction a cell would
+//    round once per k step instead of twice and leave Dot's bits.
 //  - Reductions reassociate: lane accumulators, then a halving tree.
 //
 // Only two helpers depend on the ISA, chosen by the target macros: GtBits
@@ -32,6 +33,7 @@
 #include <cstring>
 #include <limits>
 #include <utility>
+#include <vector>
 
 #if defined(__AVX2__) || defined(__AVX512F__)
 #include <immintrin.h>
@@ -116,9 +118,9 @@ uint32_t GtBits(Vec<float, W> a, Vec<float, W> b) {
 }
 
 // ISA helper 2: the first n < W floats at p, the other lanes +0.0f. Dead
-// lanes leave an accumulator unchanged (0 * 0 + acc == acc, |0 - 0| == 0),
-// so a reduction folds its last d % W elements into the vector accumulators
-// instead of finishing with a scalar loop. Only AVX-512 has a masked load;
+// lanes leave Manhattan's accumulators unchanged (|0 - 0| == 0), so it folds
+// its last d % W elements into them instead of finishing with a scalar
+// loop. Only AVX-512 has a masked load;
 // kMaskedTail<W> says whether MaskedTail<W> exists.
 template <size_t W>
 constexpr bool kMaskedTail = false;
@@ -166,46 +168,70 @@ struct VectorKernels {
     for (; k < n; ++k) body.template operator()<float>(k);
   }
 
-  // Always inlined into the matmul_tile cells: left to its heuristics, GCC
-  // calls the 16-lane instantiation once per cell.
-  [[gnu::always_inline]] static float Dot(const float* a, const float* b,
-                                          size_t d) {
-    F acc0{}, acc1{}, acc2{}, acc3{};
-    size_t k = 0;
-    for (; k + 4 * W <= d; k += 4 * W) {
-      acc0 += Load<F>(a + k) * Load<F>(b + k);
-      acc1 += Load<F>(a + k + W) * Load<F>(b + k + W);
-      acc2 += Load<F>(a + k + 2 * W) * Load<F>(b + k + 2 * W);
-      acc3 += Load<F>(a + k + 3 * W) * Load<F>(b + k + 3 * W);
-    }
-    for (; k + W <= d; k += W) acc0 += Load<F>(a + k) * Load<F>(b + k);
-    if constexpr (kMaskedTail<W>) {
-      if (k < d) {
-        acc1 += MaskedTail<W>(a + k, d - k) * MaskedTail<W>(b + k, d - k);
-      }
-      return HorizontalSum<float, W>((acc0 + acc1) + (acc2 + acc3));
-    }
-    float r = HorizontalSum<float, W>((acc0 + acc1) + (acc2 + acc3));
-    for (; k < d; ++k) r += a[k] * b[k];
-    return r;
-  }
+  // The matmul tile as an outer product. Up to kBlockCols target rows are
+  // copied into a k-major block (block[k * kBlockCols + j] = b_j[k]); each
+  // group of 4 source rows walks it in strips of 2W columns with 4 x 2 lane
+  // accumulators, broadcasting one element per source row into two
+  // multiplies and two adds per k step. Each lane sums one cell from k = 0
+  // upward, each product rounded before its add (-ffp-contract=off): Dot's
+  // loop, for every d, row tail and column tail. The block is the call's
+  // own, sized by d alone: a Workspace lease would move a query's arena
+  // high-water.
+  static constexpr size_t kBlockCols = 64;  // a whole number of strips
 
-  // Row and column blocks of 32, as in the scalar tier, so B rows stay hot
-  // in L1 while a block of A rows streams over them; each cell is one Dot.
   static void MatMulTile(const float* a, size_t a_stride, size_t rows,
                          const float* b, size_t b_stride, size_t cols,
                          size_t d, float* c, size_t c_stride) {
-    constexpr size_t kBlock = 32;
-    for (size_t ib = 0; ib < rows; ib += kBlock) {
-      const size_t i_end = std::min(rows, ib + kBlock);
-      for (size_t jb = 0; jb < cols; jb += kBlock) {
-        const size_t j_end = std::min(cols, jb + kBlock);
-        for (size_t i = ib; i < i_end; ++i) {
-          const float* arow = a + i * a_stride;
-          float* crow = c + i * c_stride;
-          for (size_t j = jb; j < j_end; ++j) {
-            crow[j] = Dot(arow, b + j * b_stride, d);
-          }
+    // Strips<R> for R = 1..4 rows; the last group takes rows % 4.
+    constexpr void (*kStrips[])(const float*, size_t, const float*, size_t,
+                                size_t, float*, size_t) = {
+        nullptr, Strips<1>, Strips<2>, Strips<3>, Strips<4>};
+    // Strip lanes past the last column read what an earlier block left
+    // there (or the initial zeros) and are never stored.
+    std::vector<float> block(kBlockCols * d);
+    for (size_t jb = 0; jb < cols; jb += kBlockCols) {
+      const size_t width = std::min(kBlockCols, cols - jb);
+      for (size_t j = 0; j < width; ++j) {
+        const float* brow = b + (jb + j) * b_stride;
+        for (size_t k = 0; k < d; ++k) block[k * kBlockCols + j] = brow[k];
+      }
+      for (size_t i = 0; i < rows; i += 4) {
+        kStrips[std::min<size_t>(4, rows - i)](a + i * a_stride, a_stride,
+                                               block.data(), d, width,
+                                               c + i * c_stride + jb, c_stride);
+      }
+    }
+  }
+
+  // R source rows against the block's first `width` columns.
+  template <size_t R>
+  static void Strips(const float* a, size_t a_stride, const float* block,
+                     size_t d, size_t width, float* c, size_t c_stride) {
+    for (size_t s = 0; s < width; s += 2 * W) {
+      F acc[R][2] = {};
+      const float* bk = block + s;
+      for (size_t k = 0; k < d; ++k, bk += kBlockCols) {
+        const F b0 = Load<F>(bk);
+        const F b1 = Load<F>(bk + W);
+#pragma GCC unroll 4
+        for (size_t r = 0; r < R; ++r) {
+          const F x = Splat<F>(a[r * a_stride + k]);
+          acc[r][0] += x * b0;
+          acc[r][1] += x * b1;
+        }
+      }
+      const size_t live = std::min(2 * W, width - s);
+#pragma GCC unroll 4
+      for (size_t r = 0; r < R; ++r) {
+        float* out = c + r * c_stride + s;
+        if (live == 2 * W) {
+          Store(out, acc[r][0]);
+          Store(out + W, acc[r][1]);
+        } else {
+          float lanes[2 * W];
+          Store(lanes, acc[r][0]);
+          Store(lanes + W, acc[r][1]);
+          std::copy_n(lanes, live, out);
         }
       }
     }
@@ -376,10 +402,10 @@ struct VectorKernels {
 template <size_t W>
 constexpr KernelOps VectorKernelOps(KernelTier tier, const char* name) {
   using K = VectorKernels<W>;
-  return {.tier = tier, .name = name, .dot = K::Dot,
-          .matmul_tile = K::MatMulTile, .squared_norm = K::SquaredNorm,
-          .manhattan = K::Manhattan, .scale = K::Scale,
-          .scale_copy = K::ScaleCopy, .cosine_scale_row = K::CosineScaleRow,
+  return {.tier = tier, .name = name, .matmul_tile = K::MatMulTile,
+          .squared_norm = K::SquaredNorm, .manhattan = K::Manhattan,
+          .scale = K::Scale, .scale_copy = K::ScaleCopy,
+          .cosine_scale_row = K::CosineScaleRow,
           .sum = K::Sum, .max = K::Max, .argmax = K::Argmax,
           .accumulate_max = K::AccumulateMax,
           .accumulate_cols = K::AccumulateCols, .mul_cols = K::MulCols,

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "la/kernels/dispatch.h"
+
 namespace entmatcher {
 
 KMeansResult CosineKMeans(const Matrix& points, size_t k, size_t iterations,
@@ -35,9 +37,7 @@ KMeansResult CosineKMeans(const Matrix& points, size_t k, size_t iterations,
       float best = -std::numeric_limits<float>::infinity();
       uint32_t best_c = 0;
       for (size_t c = 0; c < k; ++c) {
-        const float* mu = centroids.Row(c).data();
-        float dot = 0.0f;
-        for (size_t d = 0; d < dim; ++d) dot += x[d] * mu[d];
+        const float dot = Dot(x, centroids.Row(c).data(), dim);
         if (dot > best) {
           best = dot;
           best_c = static_cast<uint32_t>(c);

@@ -74,13 +74,13 @@ Status MatMulTransposedRange(const Matrix& a, const Matrix& b,
     return Status::InvalidArgument(
         "MatMulTransposedRange: output shape mismatch");
   }
-  // The active tier's matmul_tile runs per chunk: it walks 32 x 32 cell
-  // blocks, and each cell is one `dot` of an A row and a B row (no register
-  // blocking), both traversed row-wise, which is contiguous for the B^T
-  // formulation. Each output row
-  // depends only on its own inputs, so A's rows are split across the pool,
-  // and every cell is an independent dot product — chunk boundaries never
-  // change a value.
+  // The active tier's matmul_tile runs per chunk. The vector tiers compute
+  // it as an outer product over a k-major copy of 64 B rows at a time, 4 A
+  // rows by 2W columns of lane accumulators; the scalar tier runs one Dot
+  // per cell. Either way each cell is Dot of its A row and B row, summed in
+  // k order, so every tier writes the same bytes. Each output row depends
+  // only on its own inputs, so A's rows are split across the pool, and chunk
+  // boundaries never change a value.
   const KernelOps& ops = ActiveKernels();
   ParallelFor(0, count, 32, [&](size_t chunk_begin, size_t chunk_end) {
     ops.matmul_tile(a.Row(row_begin + chunk_begin).data(), a.cols(),

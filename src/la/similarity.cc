@@ -179,34 +179,34 @@ Status ComputeSimilarityRange(const Matrix& source, const Matrix& target,
   return Status::InvalidArgument("ComputeSimilarity: unknown metric");
 }
 
-float PairSimilarity(const Matrix& source, const Matrix& target, size_t i,
-                     size_t j, SimilarityMetric metric,
-                     const SimilarityCache& cache) {
+void PairSimilarities(const Matrix& source, const Matrix& target, size_t i,
+                      std::span<const uint32_t> cols, SimilarityMetric metric,
+                      const SimilarityCache& cache, float* out) {
   const float* a = source.Row(i).data();
-  const float* b = target.Row(j).data();
   const size_t d = source.cols();
-  // ops.dot is the same accumulation the dense matmul performs per cell at
-  // this tier, so a sparse rerank entry is bit-identical to the dense score
-  // it stands in for — at every tier, not just scalar.
-  const KernelOps& ops = ActiveKernels();
-  switch (metric) {
-    case SimilarityMetric::kCosine: {
-      // Matches the dense post-scale `row[j] *= si * inv_tgt[j]`: the two
-      // inverse norms are multiplied together first.
-      return ops.dot(a, b, d) *
-             (cache.inv_source_norms[i] * cache.inv_target_norms[j]);
+  if (metric == SimilarityMetric::kNegManhattan) {
+    const KernelOps& ops = ActiveKernels();
+    for (size_t e = 0; e < cols.size(); ++e) {
+      out[e] = -ops.manhattan(a, target.Row(cols[e]).data(), d);
     }
-    case SimilarityMetric::kNegEuclidean: {
-      const float acc = ops.dot(a, b, d);
-      double sq =
-          cache.source_sq_norms[i] + cache.target_sq_norms[j] - 2.0 * acc;
-      if (sq < 0.0) sq = 0.0;  // numeric guard
-      return -static_cast<float>(std::sqrt(sq));
-    }
-    case SimilarityMetric::kNegManhattan:
-      return -ops.manhattan(a, b, d);
+    return;
   }
-  return 0.0f;
+  // DotRows sums each product in Dot's order, which is the order of every
+  // dense matmul cell at every tier; the rest replays the dense post-pass.
+  DotRows(a, target.data(), target.cols(), cols.data(), cols.size(), d, out);
+  for (size_t e = 0; e < cols.size(); ++e) {
+    const size_t j = cols[e];
+    if (metric == SimilarityMetric::kCosine) {
+      // The dense `row[j] *= si * inv_tgt[j]`: the two inverse norms are
+      // multiplied together first.
+      out[e] *= cache.inv_source_norms[i] * cache.inv_target_norms[j];
+    } else {
+      double sq =
+          cache.source_sq_norms[i] + cache.target_sq_norms[j] - 2.0 * out[e];
+      if (sq < 0.0) sq = 0.0;  // numeric guard
+      out[e] = -static_cast<float>(std::sqrt(sq));
+    }
+  }
 }
 
 Result<Matrix> ComputeSimilarity(const Matrix& source, const Matrix& target,

@@ -1,6 +1,8 @@
 #ifndef ENTMATCHER_LA_SIMILARITY_H_
 #define ENTMATCHER_LA_SIMILARITY_H_
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -56,14 +58,15 @@ Status ComputeSimilarityRange(const Matrix& source, const Matrix& target,
                               const SimilarityCache& cache, size_t row_begin,
                               size_t row_end, Matrix* out);
 
-/// Exact score of one (source row i, target row j) pair. Bit-identical to
-/// cell (i, j) of ComputeSimilarity: each branch replays the dense kernel's
-/// accumulation order and float expression grouping, which is what lets the
-/// candidate index rerank produce entries interchangeable with dense scores.
-/// `cache` must have been built for (source, target, metric).
-float PairSimilarity(const Matrix& source, const Matrix& target, size_t i,
-                     size_t j, SimilarityMetric metric,
-                     const SimilarityCache& cache);
+/// Exact scores of source row i against target rows `cols`: out[e] is
+/// byte-equal to cell (i, cols[e]) of ComputeSimilarity at every kernel tier.
+/// Each metric replays the dense kernel's accumulation order and float
+/// expression grouping, which is what lets the candidate index rerank
+/// produce entries interchangeable with dense scores. `cache` must have been
+/// built for (source, target, metric).
+void PairSimilarities(const Matrix& source, const Matrix& target, size_t i,
+                      std::span<const uint32_t> cols, SimilarityMetric metric,
+                      const SimilarityCache& cache, float* out);
 
 }  // namespace entmatcher
 

@@ -143,6 +143,22 @@ class AlienHelloHandler : public WireHandler {
   }
 };
 
+/// Each channel's `state` in the router's `shards` reply, in plan order.
+std::vector<std::string> ChannelStates(const Router& router) {
+  std::vector<std::string> states;
+  Result<JsonValue> shards = JsonValue::Parse(router.ShardsJson());
+  EXPECT_TRUE(shards.ok()) << shards.status().ToString();
+  if (!shards.ok()) return states;
+  const JsonValue::Array* channels =
+      shards->GetArray("channels").value_or(nullptr);
+  EXPECT_NE(channels, nullptr) << shards->Dump();
+  if (channels == nullptr) return states;
+  for (const JsonValue& channel : *channels) {
+    states.push_back(channel.GetString("state").value_or(""));
+  }
+  return states;
+}
+
 /// An in-process fleet: one full-pair MatchServer + SocketServer per shard,
 /// fronted by a Router built from an EvenSplit plan.
 class Fleet {
@@ -386,6 +402,15 @@ TEST_F(RouterTest, IncompatibleHelloRefusedPermanently) {
   EXPECT_EQ(read.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(read.status().message().find("protocol"), std::string::npos);
   // Still refused without re-dialing (the channel is poisoned, not Down).
+  EXPECT_EQ(fleet.router()
+                .Query(MatchRequest(AlgorithmPreset::kDInf))
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
+  // A health probe that the peer answers does not clear the refusal.
+  fleet.router().FleetHealthJson();
+  EXPECT_EQ(ChannelStates(fleet.router()),
+            (std::vector<std::string>{"incompatible", "up"}));
   EXPECT_EQ(fleet.router()
                 .Query(MatchRequest(AlgorithmPreset::kDInf))
                 .status()
@@ -738,6 +763,19 @@ TEST_F(RouterTest, FleetHealthAggregatesShardHealth) {
   ASSERT_TRUE(shards != nullptr && shards->size() == 2u) << degraded->Dump();
   EXPECT_NE((*shards)[1].Find("error"), nullptr) << degraded->Dump();
   EXPECT_EQ((*shards)[1].Find("health"), nullptr) << degraded->Dump();
+  EXPECT_EQ(ChannelStates(fleet.router()),
+            (std::vector<std::string>{"up", "down"}));
+}
+
+// A channel the router has only probed through `health` reads `up`, as one a
+// query went through does.
+TEST_F(RouterTest, HealthProbeMarksAnsweringChannelsUp) {
+  Fleet fleet(source_, target_, 2, 1, 0);
+  EXPECT_EQ(ChannelStates(fleet.router()),
+            (std::vector<std::string>{"unknown", "unknown"}));
+  fleet.router().FleetHealthJson();
+  EXPECT_EQ(ChannelStates(fleet.router()),
+            (std::vector<std::string>{"up", "up"}));
 }
 
 // `health` and `shards` render a channel through one function: each entry

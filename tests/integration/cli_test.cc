@@ -625,5 +625,24 @@ TEST_F(CliTest, DatasetEntityIdPastTheBoundIsRefused) {
       << output;
 }
 
+// A relation id that makes the pair span more than kMaxRelationPairs is
+// refused at load, naming both triple files: `embed` used to abort with
+// std::bad_alloc sizing a table by the 3e9 relations.
+TEST_F(CliTest, DatasetRelationPairsPastTheBoundAreRefused) {
+  std::string output;
+  ASSERT_EQ(Run({"generate", "D-Z", Path("ds"), "0.05"}, &output), 0)
+      << output;
+  {
+    std::ofstream(Path("ds/rel_triples_1"), std::ios::app)
+        << "0\t3000000000\t1\n";
+  }
+  EXPECT_EQ(Run({"embed", Path("ds"), "R", Path("emb")}, &output), 1)
+      << output;
+  EXPECT_NE(output.find("rel_triples_1 and "), std::string::npos) << output;
+  EXPECT_NE(output.find("relation pairs a dataset may span"),
+            std::string::npos)
+      << output;
+}
+
 }  // namespace
 }  // namespace entmatcher

@@ -132,6 +132,38 @@ TEST_F(DatasetIoTest, LinkIdPastTheEntityBoundIsRefused) {
       << loaded.status().ToString();
 }
 
+// TransE and RelationCorrespondence size tables by n_rel_src * n_rel_tgt,
+// so a pair spanning more than kMaxRelationPairs is refused, naming both
+// triple files. Against a 1-relation target, and against an empty one
+// (which counts as one), a source of exactly kMaxRelationPairs relations is
+// admitted and one more is refused.
+TEST_F(DatasetIoTest, RelationPairsPastTheBoundAreRefused) {
+  const KgPairDataset original = MakeDataset();
+  ASSERT_TRUE(SaveDatasetDir(original, dir_.string()).ok());
+  {
+    std::ofstream(dir_ / "rel_triples_1", std::ios::app)
+        << "0\t3000000000\t1\n";
+  }
+  Result<KgPairDataset> loaded = LoadDatasetDir(dir_.string());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+  for (const char* file : {"rel_triples_1 and ", "rel_triples_2 span "}) {
+    EXPECT_NE(loaded.status().message().find(file), std::string::npos)
+        << loaded.status().ToString();
+  }
+
+  for (const char* target_triples : {"0\t0\t1\n", ""}) {
+    { std::ofstream(dir_ / "rel_triples_2") << target_triples; }
+    for (const size_t relations : {kMaxRelationPairs, kMaxRelationPairs + 1}) {
+      std::ofstream(dir_ / "rel_triples_1")
+          << "0\t" << relations - 1 << "\t1\n";
+      EXPECT_EQ(LoadDatasetDir(dir_.string()).ok(),
+                relations == kMaxRelationPairs)
+          << relations << " against '" << target_triples << "'";
+    }
+  }
+}
+
 TEST_F(DatasetIoTest, LoadMissingDirectoryFails) {
   EXPECT_FALSE(LoadDatasetDir((dir_ / "missing").string()).ok());
 }

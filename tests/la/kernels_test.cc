@@ -26,10 +26,11 @@ namespace {
 //    verbatim);
 //  - elementwise ops, argmax/max, the mask filters, RowTopKIndices, and
 //    ColTopKMean are bit-identical to scalar at EVERY tier;
-//  - reassociating reductions (dot, squared_norm, sum, manhattan,
-//    RowTopKMean) agree within 1e-5 per value;
-//  - each tier's matmul_tile cell replays that tier's `dot` exactly, which is
-//    what makes the sparse rerank bit-identical to dense cells at any tier.
+//  - every tier's matmul_tile cells are byte-equal to Dot, so every tier's
+//    MatMulTransposedRange output is byte-equal to the scalar tier's, and
+//    the sparse rerank (DotRows) is byte-equal to dense cells at any tier;
+//  - reassociating reductions (squared_norm, sum, manhattan, RowTopKMean)
+//    agree within 1e-5 per value.
 //
 // Adversarial lengths straddle every vector width in play: 4 (the W4
 // table), 8 (AVX2), 16 (AVX-512), 64 (mask chunks), each +/- the remainders
@@ -241,7 +242,6 @@ TEST_F(KernelsTest, ReductionsWithinToleranceOfScalar) {
       const auto near = [](float want, float got) {
         EXPECT_NEAR(want, got, 1e-5 * std::max(1.0, std::abs(double{want})));
       };
-      near(scalar.dot(a.data(), b.data(), d), ops.dot(a.data(), b.data(), d));
       near(scalar.squared_norm(a.data(), d), ops.squared_norm(a.data(), d));
       near(scalar.sum(a.data(), d), ops.sum(a.data(), d));
       near(scalar.manhattan(a.data(), b.data(), d),
@@ -251,22 +251,63 @@ TEST_F(KernelsTest, ReductionsWithinToleranceOfScalar) {
 }
 
 TEST_F(KernelsTest, MatmulTileCellsReplayDotExactlyPerTier) {
-  for (const KernelOps* table : VectorTables()) {
-    const KernelOps& ops = *table;
-    for (size_t d : {size_t(1), size_t(7), size_t(16), size_t(33),
-                     size_t(65)}) {
-      SCOPED_TRACE(std::string(ops.name) + " d=" + std::to_string(d));
-      const Matrix a = RandomMatrix(5, d, 800 + d);
-      const Matrix b = RandomMatrix(7, d, 900 + d);
-      Matrix c(5, 7);
-      ops.matmul_tile(a.data(), a.cols(), a.rows(), b.data(), b.cols(),
-                      b.rows(), d, c.data(), c.cols());
-      for (size_t i = 0; i < a.rows(); ++i) {
-        for (size_t j = 0; j < b.rows(); ++j) {
-          EXPECT_EQ(c.At(i, j), ops.dot(a.Row(i).data(), b.Row(j).data(), d))
-              << i << "," << j;
-        }
+  // 7 rows: one group of 4 and a tail of 3. 70 columns: one 64-column block
+  // and a block of 6, which is not a whole strip of 2W at any W.
+  const size_t rows = 7;
+  const size_t cols = 70;
+  std::vector<uint32_t> reversed(cols);
+  for (size_t j = 0; j < cols; ++j) reversed[j] = cols - 1 - j;
+  for (size_t d : {size_t(1), size_t(3), size_t(15), size_t(16), size_t(17),
+                   size_t(31), size_t(33), size_t(64), size_t(65),
+                   size_t(300)}) {
+    SCOPED_TRACE("d=" + std::to_string(d));
+    const Matrix a = RandomMatrix(rows, d, 800 + d);
+    const Matrix b = RandomMatrix(cols, d, 900 + d);
+    Matrix want(rows, cols);
+    GetScalarKernels()->matmul_tile(a.data(), d, rows, b.data(), d, cols, d,
+                                    want.data(), cols);
+    std::vector<float> dot_rows(cols);
+    for (size_t i = 0; i < rows; ++i) {
+      for (size_t j = 0; j < cols; ++j) {
+        EXPECT_EQ(want.At(i, j), Dot(a.Row(i).data(), b.Row(j).data(), d))
+            << i << "," << j;
       }
+      // Eight sums at a time, 70 = 8 * 8 + 6, in any row order.
+      DotRows(a.Row(i).data(), b.data(), d, reversed.data(), cols, d,
+              dot_rows.data());
+      for (size_t e = 0; e < cols; ++e) {
+        EXPECT_EQ(want.At(i, reversed[e]), dot_rows[e]) << i << "," << e;
+      }
+    }
+    for (const KernelOps* table : VectorTables()) {
+      SCOPED_TRACE(table->name);
+      Matrix c(rows, cols);
+      table->matmul_tile(a.data(), d, rows, b.data(), d, cols, d, c.data(),
+                         cols);
+      EXPECT_TRUE(BitIdentical(want, c));
+    }
+  }
+
+  // Through MatMulTransposedRange at every registered tier and at two thread
+  // counts, whole and from row 5 on.
+  const Matrix a = RandomMatrix(45, 67, 81);
+  const Matrix b = RandomMatrix(131, 67, 82);
+  ASSERT_TRUE(SetKernelTier(KernelTier::kScalar).ok());
+  Result<Matrix> want = MatMulTransposed(a, b);
+  ASSERT_TRUE(want.ok());
+  for (KernelTier tier : AvailableVectorTiers()) {
+    ASSERT_TRUE(SetKernelTier(tier).ok());
+    for (size_t threads : {size_t(1), size_t(3)}) {
+      SetNumThreads(threads);
+      SCOPED_TRACE(std::string(KernelTierName(tier)) + " threads " +
+                   std::to_string(threads));
+      Result<Matrix> got = MatMulTransposed(a, b);
+      ASSERT_TRUE(got.ok());
+      EXPECT_TRUE(BitIdentical(*want, *got));
+      Matrix ranged(38, b.rows());
+      ASSERT_TRUE(MatMulTransposedRange(a, b, 5, 43, &ranged).ok());
+      EXPECT_EQ(0, std::memcmp(ranged.data(), want->Row(5).data(),
+                               ranged.ByteSize()));
     }
   }
 }
@@ -340,14 +381,20 @@ TEST_F(KernelsTest, SimilarityWithinTolerancePairExactPerTier) {
               << i << "," << j;
         }
       }
-      // The sparse-rerank identity: PairSimilarity must reproduce THIS
-      // tier's dense cells bit-for-bit (cosine/euclidean ride on `dot`
-      // replayed by matmul_tile; manhattan is the same kernel both ways).
+      // The sparse-rerank identity: PairSimilarities must reproduce THIS
+      // tier's dense cells bit-for-bit (cosine/euclidean ride on Dot, which
+      // every matmul_tile cell equals; manhattan is the same kernel both
+      // ways). All 17 columns, last first: DotRows' two groups of eight
+      // and a short one.
+      std::vector<uint32_t> cols(tgt.rows());
+      for (size_t e = 0; e < cols.size(); ++e) {
+        cols[e] = static_cast<uint32_t>(cols.size() - 1 - e);
+      }
+      std::vector<float> pair(cols.size());
       for (size_t i = 0; i < src.rows(); i += 5) {
-        for (size_t j = 0; j < tgt.rows(); j += 3) {
-          EXPECT_EQ(got->At(i, j),
-                    PairSimilarity(src, tgt, i, j, metric, cache))
-              << i << "," << j;
+        PairSimilarities(src, tgt, i, cols, metric, cache, pair.data());
+        for (size_t e = 0; e < cols.size(); ++e) {
+          EXPECT_EQ(got->At(i, cols[e]), pair[e]) << i << "," << cols[e];
         }
       }
     }
