@@ -157,6 +157,7 @@
 // --threads=N overrides the worker count for this process (equivalent to
 // the EM_NUM_THREADS environment variable; the flag wins).
 
+#include <climits>
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
@@ -216,12 +217,18 @@ struct Flag {
   bool bare = false;
 };
 
-/// An unsigned decimal flag handed to `store`.
-Flag Uint(const std::string& name, std::function<void(uint64_t)> store) {
-  return {name, [name, store](const std::string& text) {
+/// An unsigned decimal flag handed to `store`; a value above `max` is
+/// refused, not wrapped.
+Flag Uint(const std::string& name, std::function<void(uint64_t)> store,
+          uint64_t max = UINT64_MAX) {
+  return {name, [name, store, max](const std::string& text) {
             uint64_t value = 0;
             if (!ParseUint64(text, &value)) {
               return "bad --" + name + "= value: " + text;
+            }
+            if (value > max) {
+              return "bad --" + name + "= value: " + text + " is above " +
+                     std::to_string(max);
             }
             store(value);
             return std::string();
@@ -230,8 +237,9 @@ Flag Uint(const std::string& name, std::function<void(uint64_t)> store) {
 
 /// An unsigned decimal flag stored into `*dest`.
 template <typename T>
-Flag Uint(const std::string& name, T* dest) {
-  return Uint(name, [dest](uint64_t value) { *dest = static_cast<T>(value); });
+Flag Uint(const std::string& name, T* dest, uint64_t max = UINT64_MAX) {
+  return Uint(
+      name, [dest](uint64_t value) { *dest = static_cast<T>(value); }, max);
 }
 
 Flag Double(const std::string& name, double* dest) {
@@ -838,8 +846,9 @@ int CmdFleetPlan(int argc, char** argv) {
   uint64_t replicas = 0;
   if (!ParseArgs(argc, argv, 6,
                  {Text("out", &out_path), Text("socket-dir", &socket_dir),
-                  Text("index", &index_path), Uint("shards", &num_shards),
-                  Uint("replicas", &replicas)})) {
+                  Text("index", &index_path),
+                  Uint("shards", &num_shards, INT_MAX),
+                  Uint("replicas", &replicas, INT_MAX)})) {
     return EXIT_FAILURE;
   }
   if (out_path.empty() || num_shards == 0) return Usage();
@@ -899,7 +908,7 @@ int CmdFleetServe(int argc, char** argv) {
           }
           return std::string();
         }},
-       Uint("shard", [&shard_id](uint64_t id) { shard_id = id; }),
+       Uint("shard", [&shard_id](uint64_t id) { shard_id = id; }, INT_MAX),
        Uint("hedge-micros", &router_config.hedge_micros),
        Uint("retries",
             [&router_config](uint64_t n) {
@@ -955,17 +964,6 @@ int CmdFleetServe(int argc, char** argv) {
       return Fail(healthy);
     }
   }
-  // Declared before the router so the on_swap_converged lambda's capture
-  // outlives every router callback.
-  std::unique_ptr<FleetSupervisor> supervisor;
-  router_config.on_swap_converged =
-      [&supervisor](const std::string& pair, const std::string& source_path,
-                    const std::string& target_path,
-                    const std::string& index_path, uint64_t /*version*/) {
-        if (supervisor) {
-          supervisor->RecordSwap(pair, source_path, target_path, index_path);
-        }
-      };
   Result<std::unique_ptr<Router>> router =
       Router::Create(*plan, router_config);
   if (!router.ok()) {
@@ -974,6 +972,7 @@ int CmdFleetServe(int argc, char** argv) {
   }
   // Self-healing only makes sense when this process owns the shard
   // lifecycle: in --no-spawn mode an external operator does.
+  std::unique_ptr<FleetSupervisor> supervisor;
   if (spawn && restart_policy.enabled) {
     supervisor = std::make_unique<FleetSupervisor>(
         &manager, router->get(), *plan, restart_policy);

@@ -367,9 +367,9 @@ JsonValue& JsonValue::operator[](const std::string& key) {
 
 Result<int64_t> JsonValue::GetInt(const std::string& key) const {
   const JsonValue* member = Find(key);
-  if (member == nullptr || !member->is_number()) {
+  if (member == nullptr || !member->is_int()) {
     return Status(StatusCode::kInvalidArgument,
-                  "json: missing or non-numeric field \"" + key + "\"");
+                  "json: missing or non-integer field \"" + key + "\"");
   }
   return member->AsInt();
 }

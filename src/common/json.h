@@ -51,15 +51,17 @@ class JsonValue {
   bool is_number() const {
     return kind_ == Kind::kInt || kind_ == Kind::kDouble;
   }
+  /// An integer: a literal with no fraction or exponent that fits int64 (a
+  /// wider one parses as a double).
+  bool is_int() const { return kind_ == Kind::kInt; }
   bool is_string() const { return kind_ == Kind::kString; }
   bool is_array() const { return kind_ == Kind::kArray; }
   bool is_object() const { return kind_ == Kind::kObject; }
 
   bool AsBool() const { return bool_; }
-  /// Integral view of a number (truncates a double).
-  int64_t AsInt() const {
-    return kind_ == Kind::kDouble ? static_cast<int64_t>(double_) : int_;
-  }
+  /// The value of an integer literal; 0 for any other kind (a double is
+  /// never truncated or cast).
+  int64_t AsInt() const { return int_; }
   double AsDouble() const {
     return kind_ == Kind::kInt ? static_cast<double>(int_) : double_;
   }
@@ -76,6 +78,8 @@ class JsonValue {
 
   /// Typed object accessors for config parsing: kInvalidArgument naming the
   /// missing/mistyped key, so plan errors point at the offending field.
+  /// GetInt takes only an integer literal: 1.5, 1e3 and integers past int64
+  /// are refused.
   Result<int64_t> GetInt(const std::string& key) const;
   Result<std::string> GetString(const std::string& key) const;
   /// Missing key yields `fallback` (mistyped still errors).

@@ -1,6 +1,7 @@
 #include "fleet/plan.h"
 
 #include <algorithm>
+#include <climits>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -10,6 +11,19 @@
 namespace entmatcher {
 
 namespace {
+
+/// The shard id `value` holds, for the plan field `field`: an integer
+/// literal in [0, INT_MAX], never truncated or wrapped into one.
+Result<int> ShardIdFromJson(const JsonValue* value, const std::string& field) {
+  if (value == nullptr || !value->is_int() || value->AsInt() < 0 ||
+      value->AsInt() > INT_MAX) {
+    return Status::InvalidArgument(
+        "plan: " + field + " must be an integer in [0, " +
+        std::to_string(INT_MAX) + "], got " +
+        (value == nullptr ? "nothing" : value->Dump()));
+  }
+  return static_cast<int>(value->AsInt());
+}
 
 Result<RangeSpec> RangeFromJson(const JsonValue& value) {
   RangeSpec range;
@@ -23,10 +37,9 @@ Result<RangeSpec> RangeFromJson(const JsonValue& value) {
   EM_ASSIGN_OR_RETURN(const JsonValue::Array* shards,
                       value.GetArray("shards"));
   for (const JsonValue& shard : *shards) {
-    if (!shard.is_number()) {
-      return Status::InvalidArgument("plan: range shard ids must be numbers");
-    }
-    range.shards.push_back(static_cast<int>(shard.AsInt()));
+    EM_ASSIGN_OR_RETURN(const int id,
+                        ShardIdFromJson(&shard, "ranges[].shards[]"));
+    range.shards.push_back(id);
   }
   return range;
 }
@@ -58,8 +71,8 @@ Result<ShardPlan> ShardPlan::FromJson(const std::string& json) {
   EM_ASSIGN_OR_RETURN(const JsonValue::Array* shards, doc.GetArray("shards"));
   for (const JsonValue& entry : *shards) {
     ShardSpec shard;
-    EM_ASSIGN_OR_RETURN(const int64_t id, entry.GetInt("id"));
-    shard.id = static_cast<int>(id);
+    EM_ASSIGN_OR_RETURN(shard.id,
+                        ShardIdFromJson(entry.Find("id"), "shards[].id"));
     EM_ASSIGN_OR_RETURN(shard.socket_path, entry.GetString("socket"));
     plan.shards.push_back(std::move(shard));
   }

@@ -59,6 +59,14 @@ Router::Router(ShardPlan plan, RouterConfig config)
   for (const std::unique_ptr<Channel>& channel : channels_) {
     channel->thread = std::thread([this, c = channel.get()] { RunChannel(c); });
   }
+  for (const PairSpec& pair : plan_.pairs) {
+    WireRequest& served = served_[pair.name];
+    served.verb = WireRequest::Verb::kSwap;
+    served.pair = pair.name;
+    served.source_path = pair.source_path;
+    served.target_path = pair.target_path;
+    served.index_path = pair.index_path;
+  }
 }
 
 Router::~Router() {
@@ -453,7 +461,47 @@ Result<WireResponse> Router::Query(const WireRequest& request) {
   return response;
 }
 
+std::vector<int> Router::Owners(const PairSpec& pair) const {
+  std::vector<int> owners;
+  for (const ShardSpec& shard : plan_.shards) {
+    for (const RangeSpec& range : pair.ranges) {
+      if (std::find(range.shards.begin(), range.shards.end(), shard.id) !=
+          range.shards.end()) {
+        owners.push_back(shard.id);
+        break;
+      }
+    }
+  }
+  return owners;
+}
+
+Result<uint64_t> Router::ProbeVersion(Channel* channel,
+                                      const std::string& pair) {
+  WireRequest health;
+  health.verb = WireRequest::Verb::kHealth;
+  Result<WireResponse> probed = AttemptOnce(channel, health);
+  if (!probed.ok()) return probed.status();
+  if (!probed->status.ok()) return probed->status;
+  return HealthPairVersion(probed->text, pair);
+}
+
+Result<std::string> Router::SwapPinned(Channel* channel,
+                                       const WireRequest& pinned) {
+  Result<WireResponse> response = AttemptOnce(channel, pinned);
+  if (!response.ok()) return response.status();
+  if (!response->status.ok()) return response->status;
+  EM_ASSIGN_OR_RETURN(const uint64_t version,
+                      ParseSwappedVersion(response->text));
+  if (version != pinned.swap_min_version) {
+    return Status::Internal("published v" + std::to_string(version) +
+                            ", not the pinned v" +
+                            std::to_string(pinned.swap_min_version));
+  }
+  return std::move(response->text);
+}
+
 Result<std::string> Router::Swap(const WireRequest& request) {
+  std::lock_guard<std::mutex> lock(swap_mu_);
   swap_fanouts_.fetch_add(1);
   const PairSpec* pair = plan_.FindPair(request.pair);
   if (pair == nullptr) {
@@ -468,32 +516,22 @@ Result<std::string> Router::Swap(const WireRequest& request) {
   // publish the same pinned version, which is what lets a repair swap
   // re-converge a diverged fleet. An unreachable owner fails the swap
   // BEFORE anything mutates — all-or-nothing starts at the probe.
-  std::vector<int> owners;
-  uint64_t target_version = request.swap_min_version;
-  for (const ShardSpec& shard : plan_.shards) {
-    const std::vector<std::string> owned = plan_.PairsOwnedBy(shard.id);
-    if (std::find(owned.begin(), owned.end(), request.pair) == owned.end()) {
-      continue;
-    }
-    owners.push_back(shard.id);
-    Channel* channel = FindChannel(shard.id);
-    WireRequest health;
-    health.verb = WireRequest::Verb::kHealth;
-    Result<WireResponse> probed = AttemptOnce(channel, health);
-    if (!probed.ok() || !probed->status.ok()) {
+  const std::vector<int> owners = Owners(*pair);
+  WireRequest pinned = request;
+  for (const int shard_id : owners) {
+    const Result<uint64_t> current =
+        ProbeVersion(FindChannel(shard_id), request.pair);
+    if (!current.ok()) {
       swap_failures_.fetch_add(1);
-      const Status status = probed.ok() ? probed->status : probed.status();
       return Status::Unavailable(
           "router: swap aborted before any shard mutated — shard " +
-          std::to_string(shard.id) + " is unreachable: " + status.message());
+          std::to_string(shard_id) +
+          " is unreachable: " + current.status().message());
     }
-    const uint64_t current = HealthPairVersion(probed->text, request.pair);
-    if (current > 0) target_version = std::max(target_version, current + 1);
-  }
-  if (owners.empty()) {
-    swap_failures_.fetch_add(1);
-    return Status::Internal("router: no shard owns pair '" + request.pair +
-                            "'");
+    if (*current > 0) {
+      pinned.swap_min_version =
+          std::max(pinned.swap_min_version, *current + 1);
+    }
   }
 
   // Phase 1 — sequential fan-out, never retried (a replayed swap
@@ -501,54 +539,66 @@ Result<std::string> Router::Swap(const WireRequest& request) {
   // divergence the fleet is left mixed — reads stay safe (the merge refuses
   // mixed versions) and the error names exactly which shards need the
   // repair re-swap.
-  WireRequest pinned = request;
-  pinned.swap_min_version = target_version;
-  std::vector<std::string> outcomes;
-  bool uniform = true;
+  std::string outcomes;
   size_t failures = 0;
   for (const int shard_id : owners) {
-    Channel* channel = FindChannel(shard_id);
-    Result<WireResponse> response = AttemptOnce(channel, pinned);
-    const std::string label = "shard " + std::to_string(shard_id);
-    if (!response.ok()) {
-      ++failures;
-      outcomes.push_back(label + ": " + response.status().message());
-      continue;
-    }
-    if (!response->status.ok()) {
-      ++failures;
-      outcomes.push_back(label + ": " + response->status.message());
-      continue;
-    }
-    const Result<uint64_t> shard_version =
-        ParseSwappedVersion(response->text);
-    if (!shard_version.ok() || *shard_version != target_version) {
-      uniform = false;
-    }
-    outcomes.push_back(label + ": " + response->text);
+    const Result<std::string> swapped =
+        SwapPinned(FindChannel(shard_id), pinned);
+    if (!swapped.ok()) ++failures;
+    outcomes += (outcomes.empty() ? "shard " : "; shard ") +
+                std::to_string(shard_id) + ": " +
+                (swapped.ok() ? *swapped : swapped.status().message());
   }
-  const uint64_t version = target_version;
-  if (failures > 0 || !uniform) {
+  if (failures > 0) {
     swap_failures_.fetch_add(1);
-    std::string detail;
-    for (const std::string& outcome : outcomes) {
-      detail += (detail.empty() ? "" : "; ") + outcome;
-    }
     return Status::Internal(
         "router: swap fan-out did not converge (" +
         std::to_string(failures) + " failures); reads that span diverged "
         "shards will refuse to merge until a repair swap converges the "
-        "fleet. Outcomes: " + detail);
+        "fleet. Outcomes: " + outcomes);
   }
-  if (config_.on_swap_converged) {
-    // Tell the supervisor what the fleet now serves, so a shard restarted
-    // from here on converges onto the swapped files, not the plan's.
-    config_.on_swap_converged(request.pair, request.source_path,
-                              request.target_path, request.index_path,
-                              version);
+  served_[request.pair] = pinned;
+  return "swapped " + request.pair + " v" +
+         std::to_string(pinned.swap_min_version) + " on " +
+         std::to_string(owners.size()) + " shards";
+}
+
+Status Router::Converge(int shard_id) {
+  std::lock_guard<std::mutex> lock(swap_mu_);
+  Channel* newcomer = FindChannel(shard_id);
+  if (newcomer == nullptr) {
+    return Status::NotFound("router: no channel for shard " +
+                            std::to_string(shard_id));
   }
-  return "swapped " + request.pair + " v" + std::to_string(version) + " on " +
-         std::to_string(outcomes.size()) + " shards";
+  for (const std::string& pair : plan_.PairsOwnedBy(shard_id)) {
+    const Result<uint64_t> mine = ProbeVersion(newcomer, pair);
+    if (!mine.ok()) {
+      return Status::Unavailable("router: re-joining shard " +
+                                 std::to_string(shard_id) +
+                                 " stopped answering: " +
+                                 mine.status().message());
+    }
+    // The version the pair serves: the record's, raised to what the other
+    // owners report. A peer that does not answer sets no floor.
+    WireRequest pinned = served_.at(pair);
+    for (const int peer : Owners(*plan_.FindPair(pair))) {
+      if (peer == shard_id) continue;
+      const Result<uint64_t> theirs = ProbeVersion(FindChannel(peer), pair);
+      if (theirs.ok()) {
+        pinned.swap_min_version = std::max(pinned.swap_min_version, *theirs);
+      }
+    }
+    if (pinned.swap_min_version <= *mine) continue;
+    const Result<std::string> swapped = SwapPinned(newcomer, pinned);
+    if (!swapped.ok()) {
+      return Status(swapped.status().code(),
+                    "router: re-join swap of shard " +
+                        std::to_string(shard_id) + " to " + pair +
+                        " v" + std::to_string(pinned.swap_min_version) +
+                        ": " + swapped.status().message());
+    }
+  }
+  return Status::OK();
 }
 
 JsonValue Router::ChannelJson(const Channel& channel) {

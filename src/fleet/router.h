@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -40,7 +41,9 @@ enum class PartialPolicy {
   kDegrade,
 };
 
-/// Router tuning knobs (the fleet-level options object).
+/// Router tuning knobs (the fleet-level options object). What each pair
+/// serves is not among them: the router records it from its own swaps
+/// (see Router).
 struct RouterConfig {
   /// Per-sub-query retry discipline (idempotent reads only — swap fan-out
   /// never retries). Honors shard retry-after hints via ServeClient.
@@ -61,14 +64,6 @@ struct RouterConfig {
   uint64_t breaker_cooldown_micros = 100000;
   /// What to do when a range has no live owner (see PartialPolicy).
   PartialPolicy partial_policy = PartialPolicy::kUnavailable;
-  /// Called after a successful swap fan-out with the converged state
-  /// (pair, source/target/index paths, published version). FleetSupervisor
-  /// hooks this to keep its re-join registry current, so a shard restarted
-  /// after a swap converges onto the swapped files, not the plan's.
-  std::function<void(const std::string& pair, const std::string& source_path,
-                     const std::string& target_path,
-                     const std::string& index_path, uint64_t version)>
-      on_swap_converged;
 };
 
 /// Point-in-time router counters. The query ledger is exact once in-flight
@@ -137,6 +132,12 @@ struct RouterStatsSnapshot {
 /// and the no-mixed-version merge guarantee means reads refuse to splice
 /// old and new answers until a repair swap converges the fleet (re-issue
 /// the same swap; converged shards just republish the same files).
+///
+/// The router keeps the one record of what each pair serves: the files and
+/// version of its last converged swap, or the plan's files at version 0
+/// until one converges. Converge re-joins a restarted shard onto that
+/// record. Swap and Converge run under one mutex, so a re-join never
+/// interleaves with a fan-out.
 class Router {
  public:
   /// Validates `plan`, builds the channel set and starts one attempt thread
@@ -164,11 +165,17 @@ class Router {
   /// Supervision hooks (FleetSupervisor). Quarantine bars a shard's channel
   /// from every query path — a dead or restarting shard must not be dialed,
   /// and above all a restarted-but-unconverged shard must not contribute
-  /// parts (the structural no-mixed-version guarantee across crash cycles).
-  /// Readmit reverses it once the supervisor has converged the newcomer:
-  /// breaker reset to closed, state back to unknown, connection redialed
-  /// lazily. Both kNotFound for an unknown shard id.
+  /// parts (a newcomer boots at version 1 on the plan's files). Converge
+  /// re-joins it: for each pair the shard owns, it swaps the shard onto the
+  /// pair's recorded files at max(recorded version, the versions the pair's
+  /// other reachable owners report), unless the shard already reports that
+  /// version or a later one. An unreachable peer sets no floor; an
+  /// unreachable newcomer, or a swap that does not land on the target,
+  /// fails the re-join. Readmit then opens the channel: breaker reset to
+  /// closed, state back to unknown, connection redialed lazily. All
+  /// kNotFound for an unknown shard id.
   Status Quarantine(int shard_id);
+  Status Converge(int shard_id);
   Status Readmit(int shard_id);
 
   /// Supplies the supervisor's StatusJson for FleetHealthJson's
@@ -188,8 +195,6 @@ class Router {
   std::string ShardsJson() const;
 
   RouterStatsSnapshot Stats() const;
-
-  const ShardPlan& plan() const { return plan_; }
 
  private:
   enum class ChannelState { kUnknown, kUp, kDown, kIncompatible };
@@ -291,16 +296,33 @@ class Router {
   /// outcome into its gather record.
   void RunChannel(Channel* channel);
 
-  /// Plain single-shot call used by health aggregation (no retry, short
-  /// path).
+  /// Plain single-shot call used by health aggregation, swap and re-join
+  /// (no retry, short path).
   Result<WireResponse> AttemptOnce(Channel* channel,
                                    const WireRequest& request);
+
+  /// The steps Swap and Converge share. Owners: every shard listed on one
+  /// of the pair's ranges, in plan order. ProbeVersion: one owner's version
+  /// of `pair` from its `health` reply (0 when it lists no such pair), or
+  /// the failure when the owner does not answer. SwapPinned: sends the swap
+  /// `pinned` to one owner and confirms that it published exactly
+  /// pinned.swap_min_version; the owner's reply text.
+  std::vector<int> Owners(const PairSpec& pair) const;
+  Result<uint64_t> ProbeVersion(Channel* channel, const std::string& pair);
+  Result<std::string> SwapPinned(Channel* channel, const WireRequest& pinned);
 
   ShardPlan plan_;
   RouterConfig config_;
   std::vector<std::unique_ptr<Channel>> channels_;
 
   std::function<JsonValue()> supervisor_status_;
+
+  /// Serializes Swap and Converge, and guards served_.
+  std::mutex swap_mu_;
+  /// What each pair serves, by pair name, as the swap that puts an owner
+  /// on it: the files and pinned version of its last converged swap, or
+  /// the plan's files at version 0.
+  std::map<std::string, WireRequest> served_;
 
   std::atomic<uint64_t> queries_{0};
   std::atomic<uint64_t> ok_{0};

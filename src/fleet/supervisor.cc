@@ -114,11 +114,8 @@ std::string RestartPolicy::ToString() const {
 }
 
 FleetSupervisor::FleetSupervisor(ShardManager* manager, Router* router,
-                                 ShardPlan plan, RestartPolicy policy)
-    : manager_(manager),
-      router_(router),
-      plan_(std::move(plan)),
-      policy_(policy) {
+                                 const ShardPlan& plan, RestartPolicy policy)
+    : manager_(manager), router_(router), policy_(policy) {
   // Resolve the jitter seed once so StatusJson/ToString report the stream
   // actually used: explicit seed > EM_FAULT_SEED > the library default.
   if (policy_.jitter_seed == 0) {
@@ -127,8 +124,8 @@ FleetSupervisor::FleetSupervisor(ShardManager* manager, Router* router,
     if (policy_.jitter_seed == 0) policy_.jitter_seed = kDefaultJitterSeed;
   }
   const Rng base(policy_.jitter_seed);
-  tracked_.reserve(plan_.shards.size());
-  for (const ShardSpec& shard : plan_.shards) {
+  tracked_.reserve(plan.shards.size());
+  for (const ShardSpec& shard : plan.shards) {
     Tracked tracked;
     tracked.shard_id = shard.id;
     tracked.socket_path = shard.socket_path;
@@ -136,13 +133,6 @@ FleetSupervisor::FleetSupervisor(ShardManager* manager, Router* router,
     // seed (labels offset by 1: Fork(0) would collide with a default fork).
     tracked.rng = base.Fork(static_cast<uint64_t>(shard.id) + 1);
     tracked_.push_back(std::move(tracked));
-  }
-  for (const PairSpec& pair : plan_.pairs) {
-    RejoinSource source;
-    source.source_path = pair.source_path;
-    source.target_path = pair.target_path;
-    source.index_path = pair.index_path;
-    rejoin_sources_[pair.name] = std::move(source);
   }
 }
 
@@ -172,17 +162,6 @@ void FleetSupervisor::Stop() {
   stop_.store(true);
   cv_.notify_all();
   if (watcher_.joinable()) watcher_.join();
-}
-
-void FleetSupervisor::RecordSwap(const std::string& pair,
-                                 const std::string& source_path,
-                                 const std::string& target_path,
-                                 const std::string& index_path) {
-  std::lock_guard<std::mutex> lock(mu_);
-  RejoinSource& source = rejoin_sources_[pair];
-  source.source_path = source_path;
-  source.target_path = target_path;
-  source.index_path = index_path;
 }
 
 void FleetSupervisor::WatchLoop() {
@@ -288,9 +267,13 @@ void FleetSupervisor::StepRecovery(std::unique_lock<std::mutex>& lock,
   }
 
   // Version-converged re-join, THEN admission: the router must not see the
-  // channel until the newcomer serves the fleet's snapshot version.
+  // channel until the newcomer serves what its pairs serve. An injected
+  // `fleet.rejoin.swap` fault fails the re-join before it starts: a strike
+  // and a backoff retry, never a half-joined shard.
   lock.unlock();
-  const Status converged = Converge(tracked);
+  Status converged = FaultInjector::Global().InjectedStatus(
+      "fleet.rejoin.swap", StatusCode::kUnavailable);
+  if (converged.ok()) converged = router_->Converge(tracked.shard_id);
   lock.lock();
   if (!converged.ok()) {
     ++tracked.rejoin_failures;
@@ -327,69 +310,6 @@ void FleetSupervisor::StepRecovery(std::unique_lock<std::mutex>& lock,
           .count());
   restart_latencies_.push_back(tracked.last_restart_micros);
   cv_.notify_all();
-}
-
-Status FleetSupervisor::Converge(const Tracked& tracked) {
-  // The re-join fault point: an injected failure here leaves the shard
-  // un-admitted (a strike + backoff retry), never half-joined.
-  EM_INJECT_FAULT("fleet.rejoin.swap", StatusCode::kUnavailable);
-
-  std::map<std::string, RejoinSource> sources;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    sources = rejoin_sources_;
-  }
-
-  Result<std::string> mine = ProbeHealth(tracked.socket_path);
-  if (!mine.ok()) {
-    return Status::Unavailable("newcomer stopped answering health: " +
-                               mine.status().message());
-  }
-  for (const std::string& pair_name : plan_.PairsOwnedBy(tracked.shard_id)) {
-    const uint64_t my_version = HealthPairVersion(*mine, pair_name);
-    // The fleet's converged version = max over the surviving owners. A
-    // dead peer contributes no floor; if EVERY other owner is down there
-    // is nothing to diverge from and the newcomer's version IS the floor.
-    uint64_t fleet_version = 0;
-    for (const ShardSpec& shard : plan_.shards) {
-      if (shard.id == tracked.shard_id) continue;
-      const std::vector<std::string> owned = plan_.PairsOwnedBy(shard.id);
-      if (std::find(owned.begin(), owned.end(), pair_name) == owned.end()) {
-        continue;
-      }
-      Result<std::string> peer = ProbeHealth(shard.socket_path);
-      if (!peer.ok()) continue;
-      fleet_version =
-          std::max(fleet_version, HealthPairVersion(*peer, pair_name));
-    }
-    if (fleet_version <= my_version) continue;
-
-    // Drive the newcomer (and ONLY the newcomer — survivors already serve
-    // this version) to the fleet's version via the shard-side swap floor,
-    // onto the files of the last fleet-wide swap.
-    const RejoinSource& source = sources[pair_name];
-    WireRequest swap;
-    swap.verb = WireRequest::Verb::kSwap;
-    swap.pair = pair_name;
-    swap.source_path = source.source_path;
-    swap.target_path = source.target_path;
-    swap.index_path = source.index_path;
-    swap.swap_min_version = fleet_version;
-    Result<std::string> reply = CallOnce(tracked.socket_path, swap);
-    if (!reply.ok()) {
-      return Status(reply.status().code(),
-                    "re-join swap: " + reply.status().message());
-    }
-    // Confirm the swap landed exactly on the fleet version.
-    Result<uint64_t> swapped = ParseSwappedVersion(*reply);
-    EM_RETURN_NOT_OK(swapped.status());
-    if (*swapped != fleet_version) {
-      return Status::Internal("re-join swap landed on v" +
-                              std::to_string(*swapped) + ", fleet is at v" +
-                              std::to_string(fleet_version));
-    }
-  }
-  return Status::OK();
 }
 
 void FleetSupervisor::Strike(Tracked& tracked) {

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -88,24 +87,21 @@ struct ShardRecoveryStatus {
 /// with every step under the RestartPolicy. The step that makes crash
 /// cycles safe is *version-converged re-join*: a restarted shard boots cold
 /// from the plan's files at snapshot version 1, so before re-admission the
-/// supervisor probes the surviving owners' versions and, when the fleet has
-/// moved on (a swap happened), drives the shard-side `swap version=` floor
-/// to bring the newcomer to the fleet's converged version — using the paths
-/// of the last fleet-wide swap (RecordSwap / the router's
-/// on_swap_converged hook), not the stale plan. Until that succeeds the
-/// router never dials the channel, so a mixed-version merge is structurally
-/// impossible across crash/restart cycles, not just unlikely.
+/// supervisor calls Router::Converge, which moves the newcomer onto what
+/// each of its pairs serves (the router's record of the last converged
+/// swap). Until that succeeds the router never dials the channel, so a
+/// restarted shard never answers at a version its peers do not serve.
 ///
 /// Fault points: `fleet.spawn` fires inside ShardManager::Respawn;
-/// `fleet.rejoin.swap` fires before the convergence swap — an injected
-/// failure leaves the shard un-admitted and retries under the policy.
+/// `fleet.rejoin.swap` fires before Router::Converge — an injected failure
+/// leaves the shard un-admitted and retries under the policy.
 class FleetSupervisor {
  public:
   /// `manager` and `router` must outlive the supervisor. Call Stop() (or
   /// destroy the supervisor) BEFORE ShardManager::StopAll so teardown kills
   /// stay final — the manager refuses respawns once stopping anyway.
-  FleetSupervisor(ShardManager* manager, Router* router, ShardPlan plan,
-                  RestartPolicy policy);
+  FleetSupervisor(ShardManager* manager, Router* router,
+                  const ShardPlan& plan, RestartPolicy policy);
   ~FleetSupervisor();
 
   FleetSupervisor(const FleetSupervisor&) = delete;
@@ -116,13 +112,6 @@ class FleetSupervisor {
 
   /// Stops and joins the watch thread. Idempotent.
   void Stop();
-
-  /// Updates the re-join source registry after a fleet-wide swap: shards
-  /// restarted from now on converge onto these files. Wired to
-  /// RouterConfig::on_swap_converged by the CLI.
-  void RecordSwap(const std::string& pair, const std::string& source_path,
-                  const std::string& target_path,
-                  const std::string& index_path);
 
   /// Per-shard recovery ledger snapshot.
   std::vector<ShardRecoveryStatus> Ledger() const;
@@ -147,12 +136,6 @@ class FleetSupervisor {
 
  private:
   using Clock = std::chrono::steady_clock;
-
-  struct RejoinSource {
-    std::string source_path;
-    std::string target_path;
-    std::string index_path;
-  };
 
   /// Recovery state machine instance for one shard (guarded by mu_).
   struct Tracked {
@@ -184,9 +167,6 @@ class FleetSupervisor {
   /// around socket I/O.
   void StepRecovery(std::unique_lock<std::mutex>& lock, Tracked& tracked,
                     const ShardProcessStatus& process);
-  /// Drives the newcomer to the surviving owners' max snapshot version via
-  /// the shard-side swap version= floor. Carries `fleet.rejoin.swap`.
-  Status Converge(const Tracked& tracked);
   /// Records one strike; flips permanently_failed when the window budget is
   /// spent. mu_ held.
   void Strike(Tracked& tracked);
@@ -195,13 +175,11 @@ class FleetSupervisor {
 
   ShardManager* manager_;
   Router* router_;
-  ShardPlan plan_;
   RestartPolicy policy_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::vector<Tracked> tracked_;
-  std::map<std::string, RejoinSource> rejoin_sources_;
   std::vector<uint64_t> restart_latencies_;
 
   std::thread watcher_;

@@ -481,7 +481,9 @@ uint64_t HealthPairVersion(std::string_view health_json,
   if (!doc.ok()) return 0;
   const JsonValue* pairs = doc->Find("pairs");
   const JsonValue* version = pairs != nullptr ? pairs->Find(pair) : nullptr;
-  if (version == nullptr || version->AsInt() <= 0) return 0;
+  if (version == nullptr || !version->is_int() || version->AsInt() <= 0) {
+    return 0;
+  }
   return static_cast<uint64_t>(version->AsInt());
 }
 

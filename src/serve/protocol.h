@@ -93,8 +93,8 @@ namespace entmatcher {
 // that long before retrying.
 
 /// The snapshot version a `health` reply reports for `pair` (its
-/// "pairs": {"<pair>": V, ...} member); 0 when the reply does not parse or
-/// lists no such pair.
+/// "pairs": {"<pair>": V, ...} member); 0 when the reply does not parse,
+/// lists no such pair, or gives a V that is not a positive integer.
 uint64_t HealthPairVersion(std::string_view health_json,
                            const std::string& pair);
 

@@ -241,7 +241,7 @@ Result<uint64_t> MatchServer::SwapPair(const std::string& name, Matrix source,
   EM_ASSIGN_OR_RETURN(const uint64_t version,
                       registry_.Publish(name, std::move(snapshot),
                                         min_version));
-  stats_.RecordSwap();
+  stats_.RecordSnapshotSwap();
   // Correctness does not need this (the version is in every cache key);
   // reclaiming the dead entries' bytes eagerly does.
   cache_.InvalidatePair(name);

@@ -103,7 +103,9 @@ void ServerStats::RecordCacheHit() { cache_hits_.fetch_add(1, kRelaxed); }
 
 void ServerStats::RecordCacheMiss() { cache_misses_.fetch_add(1, kRelaxed); }
 
-void ServerStats::RecordSwap() { snapshot_swaps_.fetch_add(1, kRelaxed); }
+void ServerStats::RecordSnapshotSwap() {
+  snapshot_swaps_.fetch_add(1, kRelaxed);
+}
 
 ServerStatsSnapshot ServerStats::Snapshot(size_t queue_depth_now,
                                           uint64_t cache_evictions,

@@ -119,7 +119,7 @@ class ServerStats {
   void RecordCacheHit();
   void RecordCacheMiss();
   /// A successful hot swap (snapshot publish after the initial load).
-  void RecordSwap();
+  void RecordSnapshotSwap();
 
   /// `cache_evictions`/`cache_bytes` are sampled by the caller (the cache
   /// owns them), like `queue_depth_now`.

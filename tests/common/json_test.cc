@@ -72,6 +72,25 @@ TEST(JsonTest, TypedAccessorsNameTheOffendingKey) {
   EXPECT_EQ(doc->GetStringOr("absent", "dflt").value(), "dflt");
 }
 
+// GetInt takes integer literals only: it used to truncate 1.5 to 1 and to
+// cast an integer past int64 (parsed as a double) to int64_t, which is
+// undefined behaviour.
+TEST(JsonTest, GetIntRefusesNumbersThatAreNotIntegerLiterals) {
+  Result<JsonValue> doc = JsonValue::Parse(
+      R"({"half": 1.5, "exp": 1e3, "whole": 2.0, "big": 9223372036854775808,)"
+      R"( "huge": 1e300, "max": 9223372036854775807, "min": -7})");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  for (const char* key : {"half", "exp", "whole", "big", "huge"}) {
+    SCOPED_TRACE(key);
+    Result<int64_t> value = doc->GetInt(key);
+    ASSERT_FALSE(value.ok());
+    EXPECT_EQ(value.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(value.status().message().find(key), std::string::npos);
+  }
+  EXPECT_EQ(doc->GetInt("max").value(), INT64_MAX);
+  EXPECT_EQ(doc->GetInt("min").value(), -7);
+}
+
 TEST(JsonTest, DumpRoundTrips) {
   const std::string text =
       R"({"a":[1,2.5,"x"],"b":{"c":true,"d":null},"e":-3})";

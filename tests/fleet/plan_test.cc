@@ -47,6 +47,39 @@ TEST(ShardPlanTest, RejectsWrongPlanVersion) {
   EXPECT_EQ(parsed.status().code(), StatusCode::kFailedPrecondition);
 }
 
+// A shard id must be an integer in [0, INT_MAX]: 4294967297 used to load
+// as shard 1, and 1.5 as shard 1. The error names the field.
+TEST(ShardPlanTest, RejectsShardIdsOutsideTheIntRange) {
+  const std::string valid = TwoShardPlan().ToJson().Dump();
+  const struct {
+    const char* from;
+    const char* to;
+    const char* field;
+  } cases[] = {
+      {"\"id\":1", "\"id\":4294967297", "shards[].id"},
+      {"\"id\":1", "\"id\":2147483648", "shards[].id"},
+      {"\"id\":1", "\"id\":-1", "shards[].id"},
+      {"\"id\":1", "\"id\":1.5", "shards[].id"},
+      {"\"id\":1", "\"id\":1e0", "shards[].id"},
+      {"\"shards\":[1]", "\"shards\":[4294967297]", "ranges[].shards[]"},
+      {"\"shards\":[1]", "\"shards\":[-1]", "ranges[].shards[]"},
+      {"\"shards\":[1]", "\"shards\":[1.5]", "ranges[].shards[]"},
+      {"\"shards\":[1]", "\"shards\":[\"1\"]", "ranges[].shards[]"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.to);
+    std::string json = valid;
+    const size_t at = json.find(c.from);
+    ASSERT_NE(at, std::string::npos) << json;
+    json.replace(at, std::string(c.from).size(), c.to);
+    Result<ShardPlan> parsed = ShardPlan::FromJson(json);
+    ASSERT_FALSE(parsed.ok()) << json;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find(c.field), std::string::npos)
+        << parsed.status().ToString();
+  }
+}
+
 TEST(ShardPlanTest, RejectsGapsOverlapsAndBadOwners) {
   ShardPlan gap = TwoShardPlan();
   gap.pairs[0].ranges[1].begin = 6;  // 5 is unowned

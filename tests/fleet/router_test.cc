@@ -10,7 +10,9 @@
 //   - hedged requests winning against a slow primary, with no thread
 //     started per query;
 //   - all-or-nothing swap fan-out with partial-failure reporting + repair,
-//     and a swap to EMBF files.
+//     and a swap to EMBF files;
+//   - re-join: Converge moves a restarted shard onto the files of the last
+//     converged swap, and never interleaves with a swap fan-out.
 
 #include "fleet/router.h"
 
@@ -63,13 +65,17 @@ std::vector<AlgorithmPreset> SparseCapablePresets() {
           AlgorithmPreset::kRinfPb};
 }
 
-/// A WireHandler decorator that holds routed sub-queries until Release(),
-/// or until `cap` has passed since its construction, so that a test can
-/// tell whether an answer came while the primary still held its frame.
+/// A WireHandler decorator that holds the frames starting with `prefix`
+/// (routed sub-queries by default) until Release(), or until `cap` has
+/// passed since its construction, so that a test can tell whether an answer
+/// came while the primary still held its frame.
 class GateHandler : public WireHandler {
  public:
-  GateHandler(WireHandler* inner, std::chrono::milliseconds cap)
-      : inner_(inner), open_at_(std::chrono::steady_clock::now() + cap) {}
+  GateHandler(WireHandler* inner, std::chrono::milliseconds cap,
+              std::string prefix = "route ")
+      : inner_(inner),
+        open_at_(std::chrono::steady_clock::now() + cap),
+        prefix_(std::move(prefix)) {}
 
   void Release() {
     std::lock_guard<std::mutex> lock(mu_);
@@ -77,13 +83,13 @@ class GateHandler : public WireHandler {
     cv_.notify_all();
   }
 
-  /// Routed frames that have gone through the gate so far.
+  /// Gated frames that have gone through the gate so far.
   size_t passed() {
     std::lock_guard<std::mutex> lock(mu_);
     return passed_;
   }
 
-  /// Waits until a routed frame has reached the gate, i.e. until a shard
+  /// Waits until a gated frame has reached the gate, i.e. until a shard
   /// connection thread is handling one; false after `timeout`.
   bool WaitForArrival(std::chrono::milliseconds timeout) {
     std::unique_lock<std::mutex> lock(mu_);
@@ -91,7 +97,7 @@ class GateHandler : public WireHandler {
   }
 
   std::string Handle(const std::string& payload, bool* shutdown) override {
-    if (payload.rfind("route ", 0) == 0) {
+    if (payload.rfind(prefix_, 0) == 0) {
       std::unique_lock<std::mutex> lock(mu_);
       ++arrived_;
       cv_.notify_all();
@@ -104,6 +110,7 @@ class GateHandler : public WireHandler {
  private:
   WireHandler* inner_;
   const std::chrono::steady_clock::time_point open_at_;
+  const std::string prefix_;
   std::mutex mu_;
   std::condition_variable cv_;
   bool released_ = false;
@@ -165,7 +172,8 @@ class Fleet {
  public:
   Fleet(const Matrix& source, const Matrix& target, int num_shards,
         size_t serve_workers, int replicas, RouterConfig router_config = {},
-        const std::string& pair_name = "p") {
+        const std::string& pair_name = "p")
+      : serve_workers_(serve_workers), pair_name_(pair_name) {
     const std::string dir =
         "/tmp/em_fleet_" + std::to_string(::getpid()) + "_" +
         std::to_string(instance_counter_++);
@@ -178,16 +186,7 @@ class Fleet {
     std::string cmd_path = dir;
     ::mkdir(cmd_path.c_str(), 0755);
     for (int i = 0; i < num_shards; ++i) {
-      MatchServerConfig config;
-      config.serve_workers = serve_workers;
-      Result<std::unique_ptr<MatchServer>> server =
-          MatchServer::Create(config);
-      EXPECT_TRUE(server.ok()) << server.status().ToString();
-      EXPECT_TRUE((*server)
-                      ->LoadPair(pair_name, Matrix(source), Matrix(target))
-                      .ok());
-      EXPECT_TRUE((*server)->Start().ok());
-      servers_.push_back(std::move(server).value());
+      servers_.push_back(LoadedServer(source, target));
       handlers_.push_back(
           std::make_unique<MatchServerHandler>(servers_.back().get()));
     }
@@ -237,12 +236,44 @@ class Fleet {
     fronts_[i] = std::move(front).value();
   }
 
+  /// Replaces shard `i` by a fresh server over (source, target), as a
+  /// restarted shard process comes back: at version 1, on those files.
+  void ReplaceShard(size_t i, const Matrix& source, const Matrix& target) {
+    fronts_[i]->Stop();
+    servers_[i]->Shutdown();
+    servers_[i] = LoadedServer(source, target);
+    handlers_[i] = std::make_unique<MatchServerHandler>(servers_[i].get());
+    RestartShard(i);
+  }
+
+  /// Shard `i`'s version of the pair, as its own `health` reports it.
+  uint64_t ShardVersion(size_t i) const {
+    WireRequest health;
+    health.verb = WireRequest::Verb::kHealth;
+    Result<std::string> reply = CallOnce(plan_.shards[i].socket_path, health);
+    EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+    return reply.ok() ? HealthPairVersion(*reply, pair_name_) : 0;
+  }
+
   Router& router() { return *router_; }
   const ShardPlan& plan() const { return plan_; }
   MatchServer& server(size_t i) { return *servers_[i]; }
   WireHandler* handler(size_t i) { return handlers_[i].get(); }
 
  private:
+  /// A started server over (source, target).
+  std::unique_ptr<MatchServer> LoadedServer(const Matrix& source,
+                                            const Matrix& target) const {
+    MatchServerConfig config;
+    config.serve_workers = serve_workers_;
+    Result<std::unique_ptr<MatchServer>> server = MatchServer::Create(config);
+    EXPECT_TRUE(server.ok()) << server.status().ToString();
+    EXPECT_TRUE(
+        (*server)->LoadPair(pair_name_, Matrix(source), Matrix(target)).ok());
+    EXPECT_TRUE((*server)->Start().ok());
+    return std::move(server).value();
+  }
+
   void StartSockets() {
     for (size_t i = 0; i < servers_.size(); ++i) {
       Result<std::unique_ptr<SocketServer>> front =
@@ -254,6 +285,8 @@ class Fleet {
   }
 
   static std::atomic<int> instance_counter_;
+  const size_t serve_workers_;
+  const std::string pair_name_;
   ShardPlan plan_;
   std::vector<std::unique_ptr<MatchServer>> servers_;
   std::vector<std::unique_ptr<MatchServerHandler>> handlers_;
@@ -301,6 +334,34 @@ class RouterTest : public ::testing::Test {
     request.algorithm = preset;
     request.pair = "p";
     return request;
+  }
+
+  /// Writes (source, target) to EMAT files named after `name` and returns
+  /// the swap of pair "p" onto them.
+  static WireRequest SwapTo(const Matrix& source, const Matrix& target,
+                            const std::string& name) {
+    const std::string prefix =
+        "/tmp/em_" + name + "_" + std::to_string(::getpid());
+    EXPECT_TRUE(WriteMatrixBinary(source, prefix + ".src.emat").ok());
+    EXPECT_TRUE(WriteMatrixBinary(target, prefix + ".tgt.emat").ok());
+    WireRequest swap;
+    swap.verb = WireRequest::Verb::kSwap;
+    swap.pair = "p";
+    swap.source_path = prefix + ".src.emat";
+    swap.target_path = prefix + ".tgt.emat";
+    return swap;
+  }
+
+  /// A solo engine's CSLS assignment over (source, target).
+  static std::vector<int32_t> SoloCsls(const Matrix& source,
+                                       const Matrix& target) {
+    Result<MatchEngine> engine = MatchEngine::Create(
+        Matrix(source), Matrix(target), MakePreset(AlgorithmPreset::kCsls));
+    EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+    if (!engine.ok()) return {};
+    Result<Assignment> solo = engine->Match();
+    EXPECT_TRUE(solo.ok()) << solo.status().ToString();
+    return solo.ok() ? solo->target_of_source : std::vector<int32_t>{};
   }
 
   static WireRequest TopKRequest(AlgorithmPreset preset, size_t k) {
@@ -703,6 +764,83 @@ TEST_F(RouterTest, QuarantineExcludesChannelUntilReadmit) {
   EXPECT_TRUE(fleet.router().Query(request).ok());
   EXPECT_EQ(fleet.router().Quarantine(99).code(), StatusCode::kNotFound);
   EXPECT_EQ(fleet.router().Readmit(99).code(), StatusCode::kNotFound);
+}
+
+// Re-join: a shard restarted from the first pair (v1) after the fleet
+// swapped to a second one is moved by Converge onto the second pair's files
+// at the swapped version, so the readmitted fleet answers as a solo engine
+// over the second pair.
+TEST_F(RouterTest, ConvergeDrivesANewcomerOntoTheSwappedFiles) {
+  Fleet fleet(source_, target_, 2, 1, /*replicas=*/0);
+  const Matrix source2 = RandomEmbeddings(kRows, /*seed=*/25);
+  const Matrix target2 = RandomEmbeddings(kTargets, /*seed=*/28);
+  const WireRequest second = SwapTo(source2, target2, "second");
+  Result<std::string> swapped = fleet.router().Swap(second);
+  ASSERT_TRUE(swapped.ok()) << swapped.status().ToString();
+
+  fleet.ReplaceShard(0, source_, target_);
+  EXPECT_EQ(fleet.ShardVersion(0), 1u);
+  ASSERT_TRUE(fleet.router().Quarantine(0).ok());
+  const Status converged = fleet.router().Converge(0);
+  ASSERT_TRUE(converged.ok()) << converged.ToString();
+  ASSERT_TRUE(fleet.router().Readmit(0).ok());
+
+  Result<WireResponse> routed =
+      fleet.router().Query(MatchRequest(AlgorithmPreset::kCsls));
+  ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+  EXPECT_EQ(routed->version, 2u);
+  EXPECT_EQ(routed->values, SoloCsls(source2, target2));
+  EXPECT_EQ(fleet.router().Converge(99).code(), StatusCode::kNotFound);
+  ::unlink(second.source_path.c_str());
+  ::unlink(second.target_path.c_str());
+}
+
+// Converge and Swap share one mutex: with the newcomer's first swap frame
+// held at a latch, a re-join and a swap to a third pair race on two
+// threads. Whichever runs first, the other waits for all of it, so every
+// shard ends on one version and the fleet answers as a solo engine over the
+// third pair.
+TEST_F(RouterTest, ConvergeAndSwapDoNotInterleave) {
+  Fleet fleet(source_, target_, 2, 1, /*replicas=*/0);
+  const WireRequest second = SwapTo(RandomEmbeddings(kRows, 25),
+                                    RandomEmbeddings(kTargets, 28), "second");
+  Result<std::string> swapped = fleet.router().Swap(second);
+  ASSERT_TRUE(swapped.ok()) << swapped.status().ToString();
+  fleet.ReplaceShard(0, source_, target_);
+  ASSERT_TRUE(fleet.router().Quarantine(0).ok());
+  // The cap only turns a deadlock into a failure instead of a hang.
+  auto owned_latch = std::make_unique<GateHandler>(
+      fleet.handler(0), std::chrono::milliseconds(10'000), "swap ");
+  GateHandler& latch = *owned_latch;
+  fleet.WrapHandler(0, std::move(owned_latch));
+
+  const Matrix source3 = RandomEmbeddings(kRows, /*seed=*/35);
+  const Matrix target3 = RandomEmbeddings(kTargets, /*seed=*/38);
+  const WireRequest third = SwapTo(source3, target3, "third");
+  Status converged;
+  Result<std::string> reswapped = Status::Internal("swap never ran");
+  std::thread rejoin([&] { converged = fleet.router().Converge(0); });
+  std::thread swap([&] { reswapped = fleet.router().Swap(third); });
+  EXPECT_TRUE(latch.WaitForArrival(std::chrono::milliseconds(10'000)));
+  latch.Release();
+  rejoin.join();
+  swap.join();
+  ASSERT_TRUE(converged.ok()) << converged.ToString();
+  ASSERT_TRUE(reswapped.ok()) << reswapped.status().ToString();
+  ASSERT_TRUE(fleet.router().Readmit(0).ok());
+
+  const uint64_t version = fleet.ShardVersion(1);
+  EXPECT_EQ(fleet.ShardVersion(0), version);
+  Result<WireResponse> routed =
+      fleet.router().Query(MatchRequest(AlgorithmPreset::kCsls));
+  ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+  EXPECT_EQ(routed->version, version);
+  EXPECT_EQ(routed->values, SoloCsls(source3, target3));
+  EXPECT_EQ(fleet.router().Stats().version_mismatches, 0u);
+  for (const WireRequest& request : {second, third}) {
+    ::unlink(request.source_path.c_str());
+    ::unlink(request.target_path.c_str());
+  }
 }
 
 // Partial-coverage policy: with degrade on, losing every owner of a range

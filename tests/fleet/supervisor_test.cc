@@ -1,9 +1,10 @@
 // FleetSupervisor: RestartPolicy parsing, and the full recovery state
 // machine against REAL shard processes (EM_CLI_PATH) — a SIGKILLed shard is
-// quarantined, respawned, version-converged onto the files of the last
-// fleet-wide swap, and only then re-admitted; a shard that can never come
-// back (its files deleted) burns its strike budget and permanently fails
-// while the rest of the fleet keeps serving.
+// quarantined, respawned, converged by the router onto the files of the
+// last fleet-wide swap (also when it was the pair's only owner), and only
+// then re-admitted; a shard that can never come back (its files deleted)
+// burns its strike budget and permanently fails while the rest of the
+// fleet keeps serving.
 
 #include "fleet/supervisor.h"
 
@@ -143,6 +144,24 @@ class SupervisorTest : public ::testing::Test {
     ASSERT_TRUE(WriteMatrixBinary(target_, dir_ + "/tgt.emat").ok());
   }
 
+  /// Writes a second version of the pair (src2/tgt2) and swaps the fleet
+  /// onto it through `router`.
+  void SwapToSecondPair(Router* router) {
+    ASSERT_TRUE(
+        WriteMatrixBinary(RandomEmbeddings(kRows, 21), dir_ + "/src2.emat")
+            .ok());
+    ASSERT_TRUE(WriteMatrixBinary(RandomEmbeddings(kRows + 6, 22),
+                                  dir_ + "/tgt2.emat")
+                    .ok());
+    WireRequest swap;
+    swap.verb = WireRequest::Verb::kSwap;
+    swap.pair = "p";
+    swap.source_path = dir_ + "/src2.emat";
+    swap.target_path = dir_ + "/tgt2.emat";
+    Result<std::string> swapped = router->Swap(swap);
+    ASSERT_TRUE(swapped.ok()) << swapped.status().ToString();
+  }
+
   ShardPlan MakePlan(int shards, int replicas) {
     Result<ShardPlan> plan = ShardPlan::EvenSplit(
         "p", dir_ + "/src.emat", dir_ + "/tgt.emat", "", kRows, shards, dir_,
@@ -242,51 +261,69 @@ TEST_F(SupervisorTest, RejoinConvergesRestartedShardToSwappedVersion) {
           .ok());
   ASSERT_TRUE(manager.WaitHealthy(20'000'000).ok());
 
-  RouterConfig config;
-  std::unique_ptr<FleetSupervisor> supervisor;
-  config.on_swap_converged =
-      [&supervisor](const std::string& pair, const std::string& src,
-                    const std::string& tgt, const std::string& index,
-                    uint64_t) {
-        if (supervisor) supervisor->RecordSwap(pair, src, tgt, index);
-      };
-  Result<std::unique_ptr<Router>> router = Router::Create(plan, config);
+  Result<std::unique_ptr<Router>> router = Router::Create(plan, {});
   ASSERT_TRUE(router.ok());
-  supervisor = std::make_unique<FleetSupervisor>(&manager, router->get(),
-                                                 plan, TestPolicy());
-  ASSERT_TRUE(supervisor->Start().ok());
+  FleetSupervisor supervisor(&manager, router->get(), plan, TestPolicy());
+  ASSERT_TRUE(supervisor.Start().ok());
 
   // Fleet-wide swap onto DIFFERENT files: the v2 truth a restarted shard
   // cannot reach from the stale plan alone.
-  const Matrix source2 = RandomEmbeddings(kRows, 21);
-  const Matrix target2 = RandomEmbeddings(kRows + 6, 22);
-  ASSERT_TRUE(WriteMatrixBinary(source2, dir_ + "/src2.emat").ok());
-  ASSERT_TRUE(WriteMatrixBinary(target2, dir_ + "/tgt2.emat").ok());
-  WireRequest swap;
-  swap.verb = WireRequest::Verb::kSwap;
-  swap.pair = "p";
-  swap.source_path = dir_ + "/src2.emat";
-  swap.target_path = dir_ + "/tgt2.emat";
-  Result<std::string> swapped = (*router)->Swap(swap);
-  ASSERT_TRUE(swapped.ok()) << swapped.status().ToString();
-
+  SwapToSecondPair(router->get());
   const Result<WireResponse> v2_answer = (*router)->Query(MatchRequest());
   ASSERT_TRUE(v2_answer.ok()) << v2_answer.status().ToString();
   ASSERT_EQ(v2_answer->version, 2u);
 
   ASSERT_TRUE(manager.Kill(0, SIGKILL).ok());
-  Status recovered = supervisor->WaitRestarts(0, 1, 30'000'000);
+  Status recovered = supervisor.WaitRestarts(0, 1, 30'000'000);
   ASSERT_TRUE(recovered.ok()) << recovered.ToString();
 
   // The recovered fleet answers at v2, bit-identical to pre-kill, and the
-  // structural guarantee held: zero mixed-version merge refusals.
+  // version tag held: zero mixed-version merge refusals.
   Result<WireResponse> after = (*router)->Query(MatchRequest());
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ(after->version, 2u);
   EXPECT_EQ(after->values, v2_answer->values);
   EXPECT_EQ((*router)->Stats().version_mismatches, 0u);
 
-  supervisor->Stop();
+  supervisor.Stop();
+  router->reset();
+  manager.StopAll();
+}
+
+// A pair whose every owner restarts has no peer left to read the fleet's
+// version from: the router's record of the last converged swap alone must
+// bring the newcomer back on the swapped files at v2, not on the plan's at
+// v1.
+TEST_F(SupervisorTest, EveryOwnerRestartedComesBackOnTheSwappedFiles) {
+  const ShardPlan plan = MakePlan(/*shards=*/1, /*replicas=*/0);
+  ShardManager manager;
+  ASSERT_TRUE(
+      manager.Start(plan, ShardCommand::SelfServe(plan_path_, cli_path_))
+          .ok());
+  ASSERT_TRUE(manager.WaitHealthy(20'000'000).ok());
+  Result<std::unique_ptr<Router>> router = Router::Create(plan, {});
+  ASSERT_TRUE(router.ok());
+  FleetSupervisor supervisor(&manager, router->get(), plan, TestPolicy());
+  ASSERT_TRUE(supervisor.Start().ok());
+
+  const Result<WireResponse> v1_answer = (*router)->Query(MatchRequest());
+  ASSERT_TRUE(v1_answer.ok()) << v1_answer.status().ToString();
+  SwapToSecondPair(router->get());
+  const Result<WireResponse> v2_answer = (*router)->Query(MatchRequest());
+  ASSERT_TRUE(v2_answer.ok()) << v2_answer.status().ToString();
+  ASSERT_EQ(v2_answer->version, 2u);
+  ASSERT_NE(v2_answer->values, v1_answer->values);
+
+  ASSERT_TRUE(manager.Kill(0, SIGKILL).ok());
+  Status recovered = supervisor.WaitRestarts(0, 1, 30'000'000);
+  ASSERT_TRUE(recovered.ok()) << recovered.ToString();
+
+  Result<WireResponse> after = (*router)->Query(MatchRequest());
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->version, 2u);
+  EXPECT_EQ(after->values, v2_answer->values);
+
+  supervisor.Stop();
   router->reset();
   manager.StopAll();
 }

@@ -467,6 +467,49 @@ TEST_F(CliTest, FleetShardTakesTheSevenServerFlags) {
       << FileBytes(Path("serve.log"));
 }
 
+// A shard id past INT_MAX is refused, not wrapped: --shard=4294967297 on a
+// 2-shard plan used to start shard 1. So are --shards= and --replicas= past
+// INT_MAX, which `fleet plan` narrows to int.
+TEST_F(CliTest, FleetShardIdsPastIntMaxAreRefused) {
+  const std::string plan_path = Path("wrap_plan.json");
+  std::string output;
+  ASSERT_EQ(Run({"fleet", "plan", "p", Path("a.src.emat"), Path("a.tgt.emat"),
+                 "--shards=2", "--out=" + plan_path, "--socket-dir=" + dir_},
+                &output),
+            0)
+      << output;
+  for (const char* id : {"4294967297", "2147483648"}) {
+    SCOPED_TRACE(id);
+    EXPECT_EQ(Run({"fleet", "serve", "--plan=" + plan_path,
+                   std::string("--shard=") + id},
+                  &output),
+              1)
+        << output;
+    EXPECT_NE(output.find(std::string("error: bad --shard= value: ") + id +
+                          " is above 2147483647"),
+              std::string::npos)
+        << output;
+    EXPECT_EQ(output.find("serving"), std::string::npos) << output;
+  }
+  EXPECT_EQ(Run({"fleet", "serve", "--plan=" + plan_path, "--shard=7"},
+                &output),
+            1)
+      << output;
+  EXPECT_NE(output.find("plan defines no shard 7"), std::string::npos)
+      << output;
+  for (const char* flag : {"--shards=4294967297", "--replicas=4294967296"}) {
+    SCOPED_TRACE(flag);
+    EXPECT_EQ(Run({"fleet", "plan", "p", Path("a.src.emat"),
+                   Path("a.tgt.emat"), "--shards=2", flag,
+                   "--out=" + Path("wrapped.json"), "--socket-dir=" + dir_},
+                  &output),
+              1)
+        << output;
+    EXPECT_NE(output.find(" is above 2147483647"), std::string::npos)
+        << output;
+  }
+}
+
 // Every status reply of the real binaries is one JSON document: `health`
 // holds every key of `stats`, the router's `health` and `shards` carry the
 // same channel objects, and `fleet serve` announces the restart policy its

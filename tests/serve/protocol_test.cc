@@ -345,6 +345,16 @@ TEST(ProtocolReply, HealthPairVersion) {
   EXPECT_EQ(HealthPairVersion("{\"pairs\": {\"a\": -4}}", "a"), 0u);
   EXPECT_EQ(HealthPairVersion("not json", "a"), 0u);
   EXPECT_EQ(HealthPairVersion("{}", "a"), 0u);
+  // A version that is not an integer literal is no version: not 2.5
+  // truncated to 2, and not a double past int64 cast to an integer.
+  for (const char* version :
+       {"2.5", "3e0", "18446744073709551616", "1e300", "\"3\"", "true"}) {
+    SCOPED_TRACE(version);
+    EXPECT_EQ(HealthPairVersion(std::string("{\"pairs\": {\"a\": ") +
+                                    version + "}}",
+                                "a"),
+              0u);
+  }
 }
 
 TEST(ProtocolRequest, SwapVersionFloorRoundTrip) {
