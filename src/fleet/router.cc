@@ -231,28 +231,42 @@ Status Router::Readmit(int shard_id) {
 Result<WireResponse> Router::AttemptOnce(Channel* channel,
                                          const WireRequest& request) {
   std::lock_guard<std::mutex> lock(channel->mu);
-  if (!channel->client.has_value()) {
-    Result<ServeClient> connected = ServeClient::Connect(channel->socket_path);
-    if (!connected.ok()) {
-      channel->state.store(ChannelState::kDown);
-      channel->last_error = connected.status().message();
-      return connected.status();
+  // A cached connection outlives a restart of the shard's socket server,
+  // and then writing the request fails (EPIPE). A failed write means the
+  // shard never read the whole frame, so that case alone redials and
+  // resends, once. A failure after the write stands: the shard may have
+  // acted on the request.
+  bool may_redial = channel->client.has_value();
+  for (;;) {
+    if (!channel->client.has_value()) {
+      Result<ServeClient> connected =
+          ServeClient::Connect(channel->socket_path);
+      if (!connected.ok()) {
+        channel->state.store(ChannelState::kDown);
+        channel->last_error = connected.status().message();
+        return connected.status();
+      }
+      channel->client.emplace(std::move(connected).value());
+      channel->hello_checked = false;
     }
-    channel->client.emplace(std::move(connected).value());
-    channel->hello_checked = false;
+    bool unsent = false;
+    Result<WireResponse> response = channel->client->Call(request, &unsent);
+    if (!response.ok()) {
+      channel->client.reset();
+      channel->hello_checked = false;
+      if (unsent && may_redial) {
+        may_redial = false;
+        continue;
+      }
+      channel->state.store(ChannelState::kDown);
+      channel->last_error = response.status().message();
+    } else if (channel->state.load() != ChannelState::kIncompatible) {
+      // The shard replied, so the channel is up. A protocol refusal stands:
+      // only Readmit clears it.
+      channel->state.store(ChannelState::kUp);
+    }
+    return response;
   }
-  Result<WireResponse> response = channel->client->Call(request);
-  if (!response.ok()) {
-    channel->client.reset();
-    channel->hello_checked = false;
-    channel->state.store(ChannelState::kDown);
-    channel->last_error = response.status().message();
-  } else if (channel->state.load() != ChannelState::kIncompatible) {
-    // The shard replied, so the channel is up. A protocol refusal stands:
-    // only Readmit clears it.
-    channel->state.store(ChannelState::kUp);
-  }
-  return response;
 }
 
 std::vector<int> Router::FailoverOrder(const RangeSpec& range) {

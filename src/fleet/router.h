@@ -296,8 +296,9 @@ class Router {
   /// outcome into its gather record.
   void RunChannel(Channel* channel);
 
-  /// Plain single-shot call used by health aggregation, swap and re-join
-  /// (no retry, short path).
+  /// Plain single-shot call used by health aggregation, swap and re-join.
+  /// No retry, except one redial and resend when the request's write fails
+  /// on a cached connection (the shard's socket server restarted since).
   Result<WireResponse> AttemptOnce(Channel* channel,
                                    const WireRequest& request);
 

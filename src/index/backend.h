@@ -88,10 +88,11 @@ struct CandidateListStats {
 /// callers pass back in at query time. That is what lets the same backend
 /// serve an in-memory Matrix or an mmap-backed store without copies.
 ///
-/// Determinism contract (shared with the facade): Collect runs scalar float
-/// arithmetic only — candidate *coverage* must never depend on
-/// EM_KERNEL_TIER — and resolves every score tie by lower id, so the emitted
-/// set is a pure function of (index state, query row, params).
+/// Determinism contract (shared with the facade): Collect scores only
+/// through Dot and LaneDot, which are not tier ops — candidate *coverage*
+/// must never depend on EM_KERNEL_TIER — and resolves every score tie by
+/// lower id, so the emitted set is a pure function of (index state, query
+/// row, params).
 class CandidateBackend {
  public:
   virtual ~CandidateBackend() = default;

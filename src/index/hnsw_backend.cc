@@ -34,7 +34,7 @@ int HnswBackend::LevelFor(uint32_t id) const {
 
 float HnswBackend::ScoreAgainst(const Matrix& target, const float* x,
                                 uint32_t j) const {
-  return Dot(x, target.Row(j).data(), dim_) * inv_norms_[j];
+  return LaneDot(x, target.Row(j).data(), dim_) * inv_norms_[j];
 }
 
 float HnswBackend::CosineBetween(const Matrix& target, uint32_t a,

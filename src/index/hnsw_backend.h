@@ -23,15 +23,19 @@ namespace entmatcher {
 /// like IVF — only candidate *coverage* is approximate and every emitted
 /// sparse entry is bit-identical to its dense score cell.
 ///
-/// Graph navigation orders nodes by cosine (scalar dot × stored inverse
-/// norm; the query's own norm cannot change the ordering), matching the IVF
-/// probe geometry. For the euclidean/manhattan metrics the graph is a
-/// cosine-proxy candidate generator, again mirroring IVF's centroid probes;
-/// the rerank always uses the exact metric.
+/// Graph navigation orders nodes by cosine (LaneDot × stored inverse norm;
+/// the query's own norm cannot change the ordering), matching the IVF probe
+/// geometry. LaneDot sums in sixteen lanes, so its scores can differ from
+/// Dot's in the last bits; they only steer the walk, and the rerank rescores
+/// every candidate with the exact metric. For the euclidean/manhattan
+/// metrics the graph is a cosine-proxy candidate generator, again mirroring
+/// IVF's centroid probes.
 ///
 /// Determinism: the level of node id is a pure hash of (seed, id), nodes are
-/// inserted in ascending id order, and every score tie resolves by lower id,
-/// so builds are bit-reproducible given the seed (the tests pin this down).
+/// inserted in ascending id order, every score tie resolves by lower id, and
+/// LaneDot is one plain C++ loop with a fixed lane order, so builds are
+/// bit-reproducible given the seed, at every kernel tier and thread count
+/// (tests/index/index_bytes_test.cc pins the bytes).
 ///
 /// Storage is O(m · 2M) link slots plus one float norm per row; the target
 /// matrix itself is never retained, so the backend works unchanged over an
@@ -81,8 +85,9 @@ class HnswBackend final : public CandidateBackend {
   int LevelFor(uint32_t id) const;
 
   /// Cosine ordering score of stored node `j` against query vector `x`:
-  /// Dot(x, row_j) · inv_norm_j, Dot being la's scalar loop — candidate
-  /// coverage must never depend on EM_KERNEL_TIER.
+  /// LaneDot(x, row_j) · inv_norm_j. LaneDot is not a tier op, so candidate
+  /// coverage never depends on EM_KERNEL_TIER. Every navigation score, at
+  /// build and probe time, goes through here.
   float ScoreAgainst(const Matrix& target, const float* x, uint32_t j) const;
 
   /// Full cosine between stored nodes (both inverse norms applied) — the

@@ -132,13 +132,19 @@ std::string DetectedCpuFeatures();
 /// {"available": "scalar avx2 avx512", "cpu": "...", "tier": "avx512"}.
 JsonValue KernelStatusJson();
 
-/// The library's one inner product: a[k] * b[k] summed for k = 0, 1, ...,
-/// d - 1 in that order, from 0.0f, each product rounded to float before its
-/// add. It is not a table op: every tier's matmul_tile cells equal it. The
-/// library builds with -ffp-contract=off, so no compiler fuses a product
-/// into its add anywhere. Defined in kernels_scalar.cc, which no -m flag
-/// reaches, so the index probes and k-means that call it run scalar float
-/// arithmetic.
+/// The library's two inner products. Neither is a table op, and both are
+/// defined in kernels_scalar.cc, which no -m flag reaches, so each gives the
+/// same bits at every tier. The library builds with -ffp-contract=off, so
+/// no compiler fuses a product into its add anywhere. Who calls which:
+///  - Dot (and DotRows) for every emitted score: every tier's matmul_tile
+///    cells and the candidate rerank (PairSimilarities → DotRows). Also IVF
+///    centroid probing and k-means, so IVF indexes keep their bytes.
+///  - LaneDot for HNSW graph navigation only (descent, beam search, neighbor
+///    selection, back-links), at build and probe time. It never reaches an
+///    emitted score: the rerank rescores every HNSW candidate with DotRows.
+///
+/// Dot: a[k] * b[k] summed for k = 0, 1, ..., d - 1 in that order, from
+/// 0.0f, each product rounded to float before its add.
 float Dot(const float* a, const float* b, size_t d);
 
 /// out[c] = Dot(a, b + rows[c] * b_stride, d) for c < count. Eight sums run
@@ -146,6 +152,16 @@ float Dot(const float* a, const float* b, size_t d);
 /// waiting on the one before it.
 void DotRows(const float* a, const float* b, size_t b_stride,
              const uint32_t* rows, size_t count, size_t d, float* out);
+
+/// LaneDot: sixteen lanes, each from 0.0f. Lane l (0–15) sums a[k] * b[k]
+/// for k ≡ l (mod 16) in increasing k, each product rounded to float before
+/// its add: whole blocks of 16, then the last d mod 16 products into lanes
+/// 0 to d mod 16 − 1 (the other lanes untouched). The lanes then fold upper
+/// half onto lower: lane[l] += lane[l + 8] for l < 8, then + 4, + 2, + 1,
+/// and lane 0 is the result. A chain of d / 16 + 4 dependent adds instead
+/// of Dot's d, in one plain C++ implementation, so the HNSW graph is the
+/// same at every tier.
+float LaneDot(const float* a, const float* b, size_t d);
 
 // Per-tier registration hooks, null when the build does not include the
 // tier. kernels_scalar.cc defines the scalar one; each vector tier's

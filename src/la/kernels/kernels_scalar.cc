@@ -1,8 +1,8 @@
-// The library's one inner product (Dot, and DotRows for the rerank), and the
-// scalar reference tier. Every tier loop here is the pre-SIMD implementation
-// kept verbatim — the EM_KERNEL_TIER=scalar output must stay bit-identical
-// to the code it replaced, and the vector tiers are tested against these
-// ops.
+// The library's inner products (Dot, DotRows for the rerank, LaneDot for
+// HNSW navigation), and the scalar reference tier. Every tier loop here is
+// the pre-SIMD implementation kept verbatim — the EM_KERNEL_TIER=scalar
+// output must stay bit-identical to the code it replaced, and the vector
+// tiers are tested against these ops.
 
 #include <algorithm>
 #include <cmath>
@@ -34,6 +34,20 @@ void DotRows(const float* a, const float* b, size_t b_stride,
     }
     std::copy_n(acc, live, out + c);
   }
+}
+
+float LaneDot(const float* a, const float* b, size_t d) {
+  constexpr size_t kLanes = 16;
+  float lane[kLanes] = {};
+  size_t k = 0;
+  for (; k + kLanes <= d; k += kLanes) {
+    for (size_t l = 0; l < kLanes; ++l) lane[l] += a[k + l] * b[k + l];
+  }
+  for (size_t l = 0; k + l < d; ++l) lane[l] += a[k + l] * b[k + l];
+  for (size_t l = 0; l < 8; ++l) lane[l] += lane[l + 8];
+  for (size_t l = 0; l < 4; ++l) lane[l] += lane[l + 4];
+  for (size_t l = 0; l < 2; ++l) lane[l] += lane[l + 2];
+  return lane[0] + lane[1];
 }
 
 namespace {

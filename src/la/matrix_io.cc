@@ -1,6 +1,7 @@
 #include "la/matrix_io.h"
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -77,6 +78,17 @@ Result<Matrix> ReadMatrixBinary(const std::string& path) {
 Status ValidateMatrixFinite(const Matrix& matrix, const std::string& context) {
   for (size_t r = 0; r < matrix.rows(); ++r) {
     auto row = matrix.Row(r);
+    // NaN and ±inf are the floats whose exponent bits are all ones. OR that
+    // test across the row with no branch, so the scan vectorizes; only a
+    // row that fails is searched for its first bad column.
+    constexpr uint32_t kExponent = 0x7f800000u;
+    uint32_t non_finite = 0;
+    for (const float value : row) {
+      uint32_t bits;
+      std::memcpy(&bits, &value, sizeof(bits));
+      non_finite |= static_cast<uint32_t>((bits & kExponent) == kExponent);
+    }
+    if (non_finite == 0) continue;
     for (size_t c = 0; c < row.size(); ++c) {
       if (!std::isfinite(row[c])) {
         return Status::InvalidArgument(

@@ -86,9 +86,11 @@ Status ServeClient::Reconnect() {
   return Status::OK();
 }
 
-Result<WireResponse> ServeClient::Call(const WireRequest& request) {
+Result<WireResponse> ServeClient::Call(const WireRequest& request,
+                                       bool* unsent) {
   if (fd_ < 0) return Status::FailedPrecondition("ServeClient: not connected");
   const Status wrote = WriteFrame(fd_, EncodeRequest(request));
+  if (unsent != nullptr) *unsent = !wrote.ok();
   if (!wrote.ok()) return AsTransportFailure(wrote);
   auto payload = ReadFrame(fd_);
   if (!payload.ok()) return AsTransportFailure(payload.status());

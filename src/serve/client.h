@@ -55,10 +55,13 @@ class ServeClient {
 
   ~ServeClient();
 
-  /// Sends one request and waits for its response frame. IoError if the
-  /// connection drops; a server-side failure comes back in
-  /// WireResponse::status.
-  Result<WireResponse> Call(const WireRequest& request);
+  /// Sends one request and waits for its response frame. kUnavailable if
+  /// the connection drops; a server-side failure comes back in
+  /// WireResponse::status. When `unsent` is given, it is set to whether the
+  /// request's own write failed: then no server read the whole frame, so
+  /// none acted on it, and resending is safe for any verb.
+  Result<WireResponse> Call(const WireRequest& request,
+                            bool* unsent = nullptr);
 
   /// Call with the RetryPolicy applied. A transport failure closes and
   /// reopens the connection before the next attempt (the request frame may

@@ -795,6 +795,37 @@ TEST_F(RouterTest, ConvergeDrivesANewcomerOntoTheSwappedFiles) {
   ::unlink(second.target_path.c_str());
 }
 
+// A swap leaves a cached connection to every owner. Once shard 1's socket
+// server restarts, writing the next swap's version probe on that connection
+// fails with EPIPE before the shard reads a frame, so the router redials
+// and resends once, and the second swap lands on both shards.
+TEST_F(RouterTest, SwapRedialsAfterAShardSocketServerRestarts) {
+  Fleet fleet(source_, target_, 2, 1, /*replicas=*/0);
+  const WireRequest second = SwapTo(RandomEmbeddings(kRows, 25),
+                                    RandomEmbeddings(kTargets, 28), "second");
+  Result<std::string> swapped = fleet.router().Swap(second);
+  ASSERT_TRUE(swapped.ok()) << swapped.status().ToString();
+  fleet.StopShard(1);
+  fleet.RestartShard(1);
+
+  const Matrix source3 = RandomEmbeddings(kRows, /*seed=*/35);
+  const Matrix target3 = RandomEmbeddings(kTargets, /*seed=*/38);
+  const WireRequest third = SwapTo(source3, target3, "third");
+  Result<std::string> reswapped = fleet.router().Swap(third);
+  ASSERT_TRUE(reswapped.ok()) << reswapped.status().ToString();
+  EXPECT_EQ(fleet.ShardVersion(0), 3u);
+  EXPECT_EQ(fleet.ShardVersion(1), 3u);
+  Result<WireResponse> routed =
+      fleet.router().Query(MatchRequest(AlgorithmPreset::kCsls));
+  ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+  EXPECT_EQ(routed->version, 3u);
+  EXPECT_EQ(routed->values, SoloCsls(source3, target3));
+  for (const WireRequest& request : {second, third}) {
+    ::unlink(request.source_path.c_str());
+    ::unlink(request.target_path.c_str());
+  }
+}
+
 // Converge and Swap share one mutex: with the newcomer's first swap frame
 // held at a latch, a re-join and a swap to a third pair race on two
 // threads. Whichever runs first, the other waits for all of it, so every

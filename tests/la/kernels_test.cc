@@ -29,6 +29,7 @@ namespace {
 //  - every tier's matmul_tile cells are byte-equal to Dot, so every tier's
 //    MatMulTransposedRange output is byte-equal to the scalar tier's, and
 //    the sparse rerank (DotRows) is byte-equal to dense cells at any tier;
+//  - LaneDot (HNSW navigation, not a tier op) follows its stated lane order;
 //  - reassociating reductions (squared_norm, sum, manhattan, RowTopKMean)
 //    agree within 1e-5 per value.
 //
@@ -310,6 +311,64 @@ TEST_F(KernelsTest, MatmulTileCellsReplayDotExactlyPerTier) {
                                ranged.ByteSize()));
     }
   }
+}
+
+// LaneDot's stated order, spelled out independently: sixteen accumulators
+// indexed k % 16, then the upper half folded onto the lower, four times.
+float LaneDotReference(const float* a, const float* b, size_t d) {
+  float acc[16] = {};
+  for (size_t k = 0; k < d; ++k) {
+    const float product = a[k] * b[k];
+    acc[k % 16] += product;
+  }
+  float fold8[8];
+  for (size_t l = 0; l < 8; ++l) fold8[l] = acc[l] + acc[l + 8];
+  float fold4[4];
+  for (size_t l = 0; l < 4; ++l) fold4[l] = fold8[l] + fold8[l + 4];
+  const float fold2[2] = {fold4[0] + fold4[2], fold4[1] + fold4[3]};
+  return fold2[0] + fold2[1];
+}
+
+TEST_F(KernelsTest, LaneDotFollowsItsStatedOrder) {
+  size_t order_sensitive = 0;
+  for (size_t d : {size_t(1), size_t(3), size_t(15), size_t(16), size_t(17),
+                   size_t(31), size_t(33), size_t(64), size_t(65),
+                   size_t(300)}) {
+    for (uint64_t trial = 0; trial < 8; ++trial) {
+      SCOPED_TRACE("d=" + std::to_string(d) + " trial " +
+                   std::to_string(trial));
+      // Magnitudes spread over 2^-12..2^12, so partial sums round and a
+      // sum taken in another order shows in the bits, with signed zeros,
+      // subnormals and large magnitudes mixed in.
+      Rng rng(1000 * d + trial);
+      std::vector<float> a(d);
+      std::vector<float> b(d);
+      for (size_t k = 0; k < d; ++k) {
+        a[k] = std::ldexp(static_cast<float>(rng.NextGaussian()),
+                          static_cast<int>(rng.NextBounded(25)) - 12);
+        b[k] = static_cast<float>(rng.NextGaussian());
+        switch (rng.NextBounded(8)) {
+          case 0: a[k] = -0.0f; break;
+          case 1: b[k] = std::numeric_limits<float>::denorm_min() * 3; break;
+          case 2: a[k] = 1e-39f; break;
+          case 3: a[k] *= 1e15f; break;
+          default: break;
+        }
+      }
+      const float got = LaneDot(a.data(), b.data(), d);
+      const float want = LaneDotReference(a.data(), b.data(), d);
+      EXPECT_EQ(0, std::memcmp(&got, &want, sizeof(float)))
+          << got << " vs " << want;
+      const float serial = Dot(a.data(), b.data(), d);
+      order_sensitive += std::memcmp(&got, &serial, sizeof(float)) != 0;
+    }
+  }
+  // The inputs have teeth: Dot's serial order gives other bits somewhere.
+  EXPECT_GT(order_sensitive, 0u);
+  // Every product is -0.0: the lanes start at +0.0, and so does the result.
+  const float neg_zero[3] = {-0.0f, -0.0f, -0.0f};
+  const float ones[3] = {1.0f, 1.0f, 1.0f};
+  EXPECT_FALSE(std::signbit(LaneDot(neg_zero, ones, 3)));
 }
 
 TEST_F(KernelsTest, TopKOpsAgreeWithScalarTier) {

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 
 #include <gtest/gtest.h>
@@ -124,6 +125,39 @@ TEST_F(MatrixIoTest, BinaryRejectsNonFiniteNamingRowAndColumn) {
 
 TEST_F(MatrixIoTest, ValidateMatrixFiniteAcceptsCleanMatrix) {
   Matrix m = Matrix::FromRows({{1.0f, -2.0f}, {0.0f, 3.5f}});
+  EXPECT_TRUE(ValidateMatrixFinite(m, "test").ok());
+}
+
+// The scan tests whole rows before it looks for a column: a bad value in
+// the last column of a row 19 wide, past its last whole block of 16, is
+// still found and named.
+TEST_F(MatrixIoTest, ValidateMatrixFiniteNamesTheLastColumnOfAnOddRow) {
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    SCOPED_TRACE(bad);
+    Matrix m(3, 19);
+    m.At(1, 18) = bad;
+    const Status status = ValidateMatrixFinite(m, "test");
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(status.message(), "non-finite value at row 1, column 18 in test");
+  }
+}
+
+// Only an all-ones exponent is refused: signed zeros, subnormals and the
+// largest finite magnitudes pass.
+TEST_F(MatrixIoTest, ValidateMatrixFiniteAcceptsEveryFiniteExtreme) {
+  const float extremes[] = {-0.0f,
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            std::numeric_limits<float>::min() / 2.0f,
+                            std::numeric_limits<float>::max(),
+                            -std::numeric_limits<float>::max()};
+  Matrix m(2, 19);
+  for (size_t c = 0; c < m.cols(); ++c) {
+    m.At(0, c) = extremes[c % std::size(extremes)];
+    m.At(1, c) = extremes[(c + 3) % std::size(extremes)];
+  }
   EXPECT_TRUE(ValidateMatrixFinite(m, "test").ok());
 }
 
