@@ -592,17 +592,12 @@ Status Router::Converge(int shard_id) {
                                  " stopped answering: " +
                                  mine.status().message());
     }
-    // The version the pair serves: the record's, raised to what the other
-    // owners report. A peer that does not answer sets no floor.
-    WireRequest pinned = served_.at(pair);
-    for (const int peer : Owners(*plan_.FindPair(pair))) {
-      if (peer == shard_id) continue;
-      const Result<uint64_t> theirs = ProbeVersion(FindChannel(peer), pair);
-      if (theirs.ok()) {
-        pinned.swap_min_version = std::max(pinned.swap_min_version, *theirs);
-      }
-    }
-    if (pinned.swap_min_version <= *mine) continue;
+    // The record's version and files, exactly: a peer left ahead by a
+    // partial fan-out serves other files, so raising the newcomer to its
+    // version would give one version two contents. Reads that span the
+    // two refuse until a repair swap.
+    const WireRequest& pinned = served_.at(pair);
+    if (pinned.swap_min_version <= *mine) continue;  // a retried re-join
     const Result<std::string> swapped = SwapPinned(newcomer, pinned);
     if (!swapped.ok()) {
       return Status(swapped.status().code(),

@@ -167,13 +167,14 @@ class Router {
   /// and above all a restarted-but-unconverged shard must not contribute
   /// parts (a newcomer boots at version 1 on the plan's files). Converge
   /// re-joins it: for each pair the shard owns, it swaps the shard onto the
-  /// pair's recorded files at max(recorded version, the versions the pair's
-  /// other reachable owners report), unless the shard already reports that
-  /// version or a later one. An unreachable peer sets no floor; an
-  /// unreachable newcomer, or a swap that does not land on the target,
-  /// fails the re-join. Readmit then opens the channel: breaker reset to
-  /// closed, state back to unknown, connection redialed lazily. All
-  /// kNotFound for an unknown shard id.
+  /// pair's recorded files at exactly the recorded version (the last swap
+  /// fan-out that converged), unless the shard already reports that version
+  /// or a later one. A peer left ahead by a partial fan-out is not
+  /// followed: reads spanning it and the newcomer refuse as mixed versions
+  /// until a repair swap. An unreachable newcomer, or a swap that does not
+  /// land on the target, fails the re-join. Readmit then opens the channel:
+  /// breaker reset to closed, state back to unknown, connection redialed
+  /// lazily. All kNotFound for an unknown shard id.
   Status Quarantine(int shard_id);
   Status Converge(int shard_id);
   Status Readmit(int shard_id);
@@ -302,7 +303,7 @@ class Router {
   Result<WireResponse> AttemptOnce(Channel* channel,
                                    const WireRequest& request);
 
-  /// The steps Swap and Converge share. Owners: every shard listed on one
+  /// The steps of Swap and Converge. Owners: every shard listed on one
   /// of the pair's ranges, in plan order. ProbeVersion: one owner's version
   /// of `pair` from its `health` reply (0 when it lists no such pair), or
   /// the failure when the owner does not answer. SwapPinned: sends the swap

@@ -5,6 +5,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -18,6 +19,10 @@
 namespace entmatcher {
 
 namespace {
+
+// How often the waits below reap the children and probe their sockets: the
+// FleetSupervisor's status poll interval.
+constexpr std::chrono::milliseconds kPollTick{5};
 
 std::string Substitute(std::string token, const std::string& plan_path,
                        int shard_id, const std::string& socket_path) {
@@ -170,7 +175,7 @@ Status ShardManager::WaitHealthy(uint64_t budget_micros) {
       return Status::DeadlineExceeded("shards not healthy in time: " +
                                       unhealthy);
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+    std::this_thread::sleep_for(kPollTick);
   }
 }
 
@@ -237,33 +242,36 @@ void ShardManager::StopAll() {
   for (const std::string& socket : live_sockets) {
     (void)CallOnce(socket, shutdown);
   }
-  // Phase 2: wait out the grace period, reaping as shards exit, then
-  // SIGTERM the stragglers and SIGKILL what survives that.
-  const auto grace_end = std::chrono::steady_clock::now() +
-                         std::chrono::milliseconds(2000);
-  for (;;) {
-    bool any_running = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      Reap(/*block=*/false);
-      for (const Child& child : children_) {
-        if (child.running) any_running = true;
+  // Phase 2: reap the shards as they exit, for up to a 2 s grace, then
+  // SIGTERM the ones still running and SIGKILL what survives 100 ms more.
+  // Each step returns as soon as every child is reaped.
+  const auto reaped_within = [this](std::chrono::milliseconds budget) {
+    const auto end = std::chrono::steady_clock::now() + budget;
+    for (;;) {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        Reap(/*block=*/false);
+        if (std::none_of(children_.begin(), children_.end(),
+                         [](const Child& child) { return child.running; })) {
+          return true;
+        }
       }
+      if (std::chrono::steady_clock::now() >= end) return false;
+      std::this_thread::sleep_for(kPollTick);
     }
-    if (!any_running) break;
-    if (std::chrono::steady_clock::now() >= grace_end) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
+  };
   const auto signal_running = [this](int sig) {
     std::lock_guard<std::mutex> lock(mu_);
-    Reap(/*block=*/false);
     for (const Child& child : children_) {
       if (child.running) ::kill(child.pid, sig);
     }
   };
-  signal_running(SIGTERM);
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  signal_running(SIGKILL);
+  if (!reaped_within(std::chrono::milliseconds(2000))) {
+    signal_running(SIGTERM);
+    if (!reaped_within(std::chrono::milliseconds(100))) {
+      signal_running(SIGKILL);
+    }
+  }
   // Final blocking reap so no zombie outlives the manager.
   std::lock_guard<std::mutex> lock(mu_);
   Reap(/*block=*/true);

@@ -89,9 +89,11 @@ class ShardManager {
   /// fault point, so chaos plans can make the exec fail deterministically.
   Status Respawn(int shard_id);
 
-  /// Orderly teardown: `shutdown` over the socket where it still answers,
-  /// SIGTERM for the rest, SIGKILL after a grace period, then reap
-  /// everything. Idempotent.
+  /// Orderly teardown: `shutdown` over the socket where it still answers;
+  /// SIGTERM for the shards still running after a 2 s grace, and SIGKILL
+  /// for those still running 100 ms later; then reap everything. It reaps
+  /// every 5 ms, so it returns as soon as the last shard is reaped.
+  /// Idempotent.
   void StopAll();
 
   /// Process-level status for every managed shard.

@@ -89,8 +89,9 @@ struct ShardRecoveryStatus {
 /// from the plan's files at snapshot version 1, so before re-admission the
 /// supervisor calls Router::Converge, which moves the newcomer onto what
 /// each of its pairs serves (the router's record of the last converged
-/// swap). Until that succeeds the router never dials the channel, so a
-/// restarted shard never answers at a version its peers do not serve.
+/// swap, at exactly its version). Until that succeeds the router never
+/// dials the channel, so a restarted shard answers only at a version the
+/// router recorded, on that version's files.
 ///
 /// Fault points: `fleet.spawn` fires inside ShardManager::Respawn;
 /// `fleet.rejoin.swap` fires before Router::Converge — an injected failure

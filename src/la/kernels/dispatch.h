@@ -12,13 +12,12 @@ namespace entmatcher {
 
 class JsonValue;  // common/json.h
 
-/// Vector-ISA tiers of the numeric kernel layer. The scalar tier is the
-/// original (pre-SIMD) C++ loops kept verbatim — it is the bit-exactness
-/// oracle every other tier is tested against. Vector tiers match it byte for
-/// byte except in the three reductions that reassociate (per value
-/// |Δ| ≤ 1e-5 relative, pinned by the `kernels` test label), and each is
-/// deterministic: a given tier produces the same bits at every thread count,
-/// every run.
+/// Vector-ISA tiers of the numeric kernel layer. Every op of every tier
+/// returns the scalar tier's bytes for finite inputs (only `max` keeps a
+/// caveat, the sign of a zero maximum), so EM_KERNEL_TIER changes speed but
+/// never a result, at every thread count, every run. This replaces the
+/// contract under which squared_norm, sum and manhattan reassociated per
+/// tier within 1e-5 relative of the scalar loops.
 enum class KernelTier {
   kScalar = 0,
   kAvx2 = 1,
@@ -37,8 +36,10 @@ enum class KernelTier {
 ///    MatMulTransposedRange output is byte-equal to the scalar tier's.
 ///  - Elementwise ops (scale, scale_copy, cosine_scale_row, accumulate_max,
 ///    accumulate_cols, mul_cols, max, argmax, mask_*) are bit-identical to
-///    scalar at every tier: same arithmetic per element, no reassociation.
-///  - Reductions (squared_norm, sum, manhattan) may reassociate.
+///    scalar at every tier (but for the sign of a zero `max`): same
+///    arithmetic per element, no reassociation.
+///  - Reductions (squared_norm, sum, manhattan) sum in LaneDot's lane order
+///    (below) at every tier, where they used to reassociate per tier.
 struct KernelOps {
   KernelTier tier = KernelTier::kScalar;
   const char* name = "scalar";
@@ -70,7 +71,7 @@ struct KernelOps {
   /// Sum accumulated in double (Sinkhorn row sums).
   double (*sum)(const float* v, size_t d);
 
-  /// Maximum element (first maximum; order-independent value).
+  /// Maximum element (first maximum; a vector tier may return the other zero).
   float (*max)(const float* v, size_t d);
 
   /// Index of the maximum element, ties to the lowest index.
@@ -153,14 +154,14 @@ float Dot(const float* a, const float* b, size_t d);
 void DotRows(const float* a, const float* b, size_t b_stride,
              const uint32_t* rows, size_t count, size_t d, float* out);
 
-/// LaneDot: sixteen lanes, each from 0.0f. Lane l (0–15) sums a[k] * b[k]
-/// for k ≡ l (mod 16) in increasing k, each product rounded to float before
-/// its add: whole blocks of 16, then the last d mod 16 products into lanes
-/// 0 to d mod 16 − 1 (the other lanes untouched). The lanes then fold upper
-/// half onto lower: lane[l] += lane[l + 8] for l < 8, then + 4, + 2, + 1,
-/// and lane 0 is the result. A chain of d / 16 + 4 dependent adds instead
-/// of Dot's d, in one plain C++ implementation, so the HNSW graph is the
-/// same at every tier.
+/// LaneDot: a[k] * b[k], each product rounded to float, summed in the lane
+/// order of every reduction and of HNSW navigation. Sixteen lanes from +0:
+/// lane l (0–15) sums the terms k ≡ l (mod 16) over the whole blocks of 16
+/// in increasing k. The lanes then fold upper half onto lower, lane[l] +=
+/// lane[l + 8] for l < 8, then + 4, + 2, + 1, and the last d mod 16 terms
+/// are added to lane 0 in increasing k. About d / 16 + 4 + d mod 16
+/// dependent adds instead of Dot's d, in one plain C++ implementation, so
+/// the HNSW graph is the same at every tier.
 float LaneDot(const float* a, const float* b, size_t d);
 
 // Per-tier registration hooks, null when the build does not include the

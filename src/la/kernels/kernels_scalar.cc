@@ -1,8 +1,7 @@
 // The library's inner products (Dot, DotRows for the rerank, LaneDot for
-// HNSW navigation), and the scalar reference tier. Every tier loop here is
-// the pre-SIMD implementation kept verbatim — the EM_KERNEL_TIER=scalar
-// output must stay bit-identical to the code it replaced, and the vector
-// tiers are tested against these ops.
+// HNSW navigation), the lane order every reduction follows (LaneSum), and
+// the scalar tier: plain loops that every vector tier reproduces byte for
+// byte (dispatch.h).
 
 #include <algorithm>
 #include <cmath>
@@ -36,55 +35,49 @@ void DotRows(const float* a, const float* b, size_t b_stride,
   }
 }
 
-float LaneDot(const float* a, const float* b, size_t d) {
+namespace {
+
+// The lane order of dispatch.h: lane l (0-15) sums term(k) for k ≡ l
+// (mod 16) over the whole blocks of 16 in increasing k, from +0; the lanes
+// fold upper half onto lower (+8, +4, +2, +1); then term(k) for the last
+// d mod 16 values of k is added to lane 0 in increasing k.
+template <typename T, typename Term>
+T LaneSum(size_t d, Term term) {
   constexpr size_t kLanes = 16;
-  float lane[kLanes] = {};
+  T lane[kLanes] = {};
   size_t k = 0;
   for (; k + kLanes <= d; k += kLanes) {
-    for (size_t l = 0; l < kLanes; ++l) lane[l] += a[k + l] * b[k + l];
+    // Unrolled, the lanes stay in registers.
+#pragma GCC unroll 16
+    for (size_t l = 0; l < kLanes; ++l) lane[l] += term(k + l);
   }
-  for (size_t l = 0; k + l < d; ++l) lane[l] += a[k + l] * b[k + l];
   for (size_t l = 0; l < 8; ++l) lane[l] += lane[l + 8];
   for (size_t l = 0; l < 4; ++l) lane[l] += lane[l + 4];
   for (size_t l = 0; l < 2; ++l) lane[l] += lane[l + 2];
-  return lane[0] + lane[1];
+  T sum = lane[0] + lane[1];
+  for (; k < d; ++k) sum += term(k);
+  return sum;
 }
 
-namespace {
-
-// The original MatMulTransposedRange body: row/column blocks of 32 around the
-// scalar dot. Blocking only changes cell visit order, never a cell's value,
-// but it is kept anyway so the scalar tier is the old code, not merely
-// equivalent to it.
+// One Dot per cell: Dot's chain of d dependent adds bounds it, not memory,
+// so it needs no cache blocking.
 void MatMulTileScalar(const float* a, size_t a_stride, size_t rows,
                       const float* b, size_t b_stride, size_t cols, size_t d,
                       float* c, size_t c_stride) {
-  constexpr size_t kBlock = 32;
-  for (size_t ib = 0; ib < rows; ib += kBlock) {
-    const size_t i_end = std::min(rows, ib + kBlock);
-    for (size_t jb = 0; jb < cols; jb += kBlock) {
-      const size_t j_end = std::min(cols, jb + kBlock);
-      for (size_t i = ib; i < i_end; ++i) {
-        const float* arow = a + i * a_stride;
-        float* crow = c + i * c_stride;
-        for (size_t j = jb; j < j_end; ++j) {
-          crow[j] = Dot(arow, b + j * b_stride, d);
-        }
-      }
+  for (size_t i = 0; i < rows; ++i) {
+    for (size_t j = 0; j < cols; ++j) {
+      c[i * c_stride + j] = Dot(a + i * a_stride, b + j * b_stride, d);
     }
   }
 }
 
 double SquaredNormScalar(const float* v, size_t d) {
-  double sq = 0.0;
-  for (size_t k = 0; k < d; ++k) sq += static_cast<double>(v[k]) * v[k];
-  return sq;
+  return LaneSum<double>(
+      d, [v](size_t k) { return static_cast<double>(v[k]) * v[k]; });
 }
 
 float ManhattanScalar(const float* a, const float* b, size_t d) {
-  float dist = 0.0f;
-  for (size_t k = 0; k < d; ++k) dist += std::fabs(a[k] - b[k]);
-  return dist;
+  return LaneSum<float>(d, [a, b](size_t k) { return std::fabs(a[k] - b[k]); });
 }
 
 void ScaleScalar(float* v, size_t d, float factor) {
@@ -101,9 +94,7 @@ void CosineScaleRowScalar(float* row, const float* inv_tgt, size_t m,
 }
 
 double SumScalar(const float* v, size_t d) {
-  double sum = 0.0;
-  for (size_t k = 0; k < d; ++k) sum += v[k];
-  return sum;
+  return LaneSum<double>(d, [v](size_t k) { return double{v[k]}; });
 }
 
 float MaxScalar(const float* v, size_t d) {
@@ -175,6 +166,10 @@ const KernelOps kScalarOps = {
 };
 
 }  // namespace
+
+float LaneDot(const float* a, const float* b, size_t d) {
+  return LaneSum<float>(d, [a, b](size_t k) { return a[k] * b[k]; });
+}
 
 const KernelOps* GetScalarKernels() { return &kScalarOps; }
 

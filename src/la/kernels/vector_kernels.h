@@ -18,10 +18,12 @@
 //    although the x86 tiers build with -mfma, the compiler emits no FMA
 //    (CI counts them in the tier objects). With contraction a cell would
 //    round once per k step instead of twice and leave Dot's bits.
-//  - Reductions reassociate: lane accumulators, then a halving tree.
+//  - The reductions (squared_norm, sum, manhattan) hold dispatch.h's 16
+//    lanes in 16 / N vectors of N lanes and fold them in its order
+//    (LaneSum), whatever W is.
 //
-// Only two helpers depend on the ISA, chosen by the target macros: GtBits
-// (the lane mask of a compare) and MaskedTail (AVX-512's masked load).
+// Only one helper depends on the ISA, chosen by the target macros: GtBits
+// (the lane mask of a compare).
 
 #ifndef ENTMATCHER_LA_KERNELS_VECTOR_KERNELS_H_
 #define ENTMATCHER_LA_KERNELS_VECTOR_KERNELS_H_
@@ -32,6 +34,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -95,7 +98,7 @@ T HorizontalSum(Vec<T, N> v) {
   return HalvingFold<T, N>(v, [](auto lo, auto hi) { return lo + hi; });
 }
 
-// ISA helper 1: bit l set iff a[l] > b[l], the ordered compare of the
+// The ISA helper: bit l set iff a[l] > b[l], the ordered compare of the
 // scalar `>`.
 template <size_t W>
 uint32_t GtBits(Vec<float, W> a, Vec<float, W> b) {
@@ -117,25 +120,6 @@ uint32_t GtBits(Vec<float, W> a, Vec<float, W> b) {
   return static_cast<uint32_t>(HorizontalSum<int32_t, W>((a > b) & bit));
 }
 
-// ISA helper 2: the first n < W floats at p, the other lanes +0.0f. Dead
-// lanes leave Manhattan's accumulators unchanged (|0 - 0| == 0), so it folds
-// its last d % W elements into them instead of finishing with a scalar
-// loop. Only AVX-512 has a masked load;
-// kMaskedTail<W> says whether MaskedTail<W> exists.
-template <size_t W>
-constexpr bool kMaskedTail = false;
-template <size_t W>
-Vec<float, W> MaskedTail(const float* p, size_t n);
-#if defined(__AVX512F__)
-template <>
-constexpr bool kMaskedTail<16> = true;
-template <>
-inline Vec<float, 16> MaskedTail<16>(const float* p, size_t n) {
-  return reinterpret_cast<Vec<float, 16>>(
-      _mm512_maskz_loadu_ps(static_cast<__mmask16>((1u << n) - 1u), p));
-}
-#endif
-
 template <size_t W>
 struct VectorKernels {
   using F = Vec<float, W>;
@@ -144,17 +128,24 @@ struct VectorKernels {
   using H = Vec<float, W / 2>;   // converts to and from D
   using D = Vec<double, W / 2>;  // the bytes of one F
 
-  // Lane by lane: GCC 12 lowers __builtin_convertvector here to half-width
-  // converts plus an insert, this to one vcvtps2pd.
-  static D Widen(H h) {
-    return [h]<size_t... L>(std::index_sequence<L...>) {
-      return D{static_cast<double>(h[L])...};
-    }(std::make_index_sequence<W / 2>());
+  // The floats at p as V: one double, or a D converted lane by lane (GCC 12
+  // lowers __builtin_convertvector here to half-width converts plus an
+  // insert, this to one vcvtps2pd).
+  template <typename V = D>
+  static V Widen(const float* p) {
+    if constexpr (std::is_same_v<V, double>) {
+      return *p;
+    } else {
+      return [h = Load<H>(p)]<size_t... L>(std::index_sequence<L...>) {
+        return D{static_cast<double>(h[L])...};
+      }(std::make_index_sequence<W / 2>());
+    }
   }
 
   static F Abs(F x) {
     return reinterpret_cast<F>(reinterpret_cast<I>(x) & 0x7FFFFFFF);
   }
+  static float Abs(float x) { return std::fabs(x); }
 
   static uint32_t Gt(F a, F b) { return GtBits<W>(a, b); }
   static uint32_t Gt(float a, float b) { return a > b; }
@@ -237,37 +228,53 @@ struct VectorKernels {
     }
   }
 
-  static double SquaredNorm(const float* v, size_t d) {
-    D acc0{}, acc1{};
-    size_t k = 0;
-    for (; k + W <= d; k += W) {
-      const D x0 = Widen(Load<H>(v + k));
-      const D x1 = Widen(Load<H>(v + k + W / 2));
-      acc0 += x0 * x0;
-      acc1 += x1 * x1;
+  // Folds n vectors upper half onto lower, acc[i] += acc[i + n / 2], until
+  // one is left: HalvingFold across vectors instead of lanes.
+  template <typename V, size_t n>
+  static V FoldVectors(V* acc) {
+    if constexpr (n == 1) {
+      return acc[0];
+    } else {
+#pragma GCC unroll 8
+      for (size_t i = 0; i < n / 2; ++i) acc[i] += acc[i + n / 2];
+      return FoldVectors<V, n / 2>(acc);
     }
-    double r = HorizontalSum<double, W / 2>(acc0 + acc1);
-    for (; k < d; ++k) r += static_cast<double>(v[k]) * v[k];
-    return r;
+  }
+
+  // dispatch.h's lane order over d terms of type T, its 16 lanes held in
+  // kVecs vectors V of N lanes: term.template operator()<V>(k) gives the
+  // terms k to k + N - 1, <T>(k) the term k alone. Vector i holds lanes
+  // iN to iN + N - 1, so FoldVectors and then HalvingFold add lane l + 8,
+  // + 4, + 2, + 1 as LaneSum in kernels_scalar.cc does. Unrolled (the
+  // pragmas), the vectors stay in registers.
+  template <typename T, typename V, typename Term>
+  static T LaneSum(size_t d, Term term) {
+    constexpr size_t N = sizeof(V) / sizeof(T);
+    constexpr size_t kVecs = 16 / N;
+    V acc[kVecs] = {};
+    size_t k = 0;
+    for (; k + 16 <= d; k += 16) {
+#pragma GCC unroll 16
+      for (size_t i = 0; i < kVecs; ++i) {
+        acc[i] += term.template operator()<V>(k + i * N);
+      }
+    }
+    T sum = HorizontalSum<T, N>(FoldVectors<V, kVecs>(acc));
+    for (; k < d; ++k) sum += term.template operator()<T>(k);
+    return sum;
+  }
+
+  static double SquaredNorm(const float* v, size_t d) {
+    return LaneSum<double, D>(d, [v]<typename V>(size_t k) {
+      const V x = Widen<V>(v + k);
+      return x * x;
+    });
   }
 
   static float Manhattan(const float* a, const float* b, size_t d) {
-    F acc0{}, acc1{};
-    size_t k = 0;
-    for (; k + 2 * W <= d; k += 2 * W) {
-      acc0 += Abs(Load<F>(a + k) - Load<F>(b + k));
-      acc1 += Abs(Load<F>(a + k + W) - Load<F>(b + k + W));
-    }
-    for (; k + W <= d; k += W) acc0 += Abs(Load<F>(a + k) - Load<F>(b + k));
-    if constexpr (kMaskedTail<W>) {
-      if (k < d) {
-        acc1 += Abs(MaskedTail<W>(a + k, d - k) - MaskedTail<W>(b + k, d - k));
-      }
-      return HorizontalSum<float, W>(acc0 + acc1);
-    }
-    float r = HorizontalSum<float, W>(acc0 + acc1);
-    for (; k < d; ++k) r += std::fabs(a[k] - b[k]);
-    return r;
+    return LaneSum<float, F>(d, [a, b]<typename V>(size_t k) {
+      return Abs(Load<V>(a + k) - Load<V>(b + k));
+    });
   }
 
   static void Scale(float* v, size_t d, float factor) {
@@ -290,15 +297,8 @@ struct VectorKernels {
   }
 
   static double Sum(const float* v, size_t d) {
-    D acc0{}, acc1{};
-    size_t k = 0;
-    for (; k + W <= d; k += W) {
-      acc0 += Widen(Load<H>(v + k));
-      acc1 += Widen(Load<H>(v + k + W / 2));
-    }
-    double r = HorizontalSum<double, W / 2>(acc0 + acc1);
-    for (; k < d; ++k) r += v[k];
-    return r;
+    return LaneSum<double, D>(
+        d, [v]<typename V>(size_t k) { return Widen<V>(v + k); });
   }
 
   // Lane l keeps the largest value among indices ≡ l (mod W), starting from
@@ -366,7 +366,7 @@ struct VectorKernels {
   static void AccumulateCols(double* acc, const float* row, size_t d) {
     size_t k = 0;
     for (; k + W / 2 <= d; k += W / 2) {
-      Store(acc + k, Load<D>(acc + k) + Widen(Load<H>(row + k)));
+      Store(acc + k, Load<D>(acc + k) + Widen(row + k));
     }
     for (; k < d; ++k) acc[k] += row[k];
   }
@@ -375,7 +375,7 @@ struct VectorKernels {
                       size_t d) {
     size_t k = 0;
     for (; k + W / 2 <= d; k += W / 2) {
-      const D p = Widen(Load<H>(src + k)) * Load<D>(col_inv + k);
+      const D p = Widen(src + k) * Load<D>(col_inv + k);
       Store(dst + k, __builtin_convertvector(p, H));
     }
     for (; k < d; ++k) dst[k] = static_cast<float>(src[k] * col_inv[k]);

@@ -59,11 +59,14 @@ size_t RowArgmax(std::span<const float> row);
 float RowTopKMean(std::span<const float> row, size_t k,
                   std::vector<float>* scratch);
 
-/// Orders *positions so its first min(k, size) entries are the positions of
-/// the largest values by (value desc, position asc), via partial_sort at
-/// every tier; returns that count.
+/// The one row selection, at every kernel tier: sets *positions to the
+/// positions of the kk = min(k, size) largest values of `row`, by (value
+/// desc, position asc), and *values to those values in that order; returns
+/// kk. RowTopKIndices, RowTopKMean and MeanRowTopKStd select the same way,
+/// and the means sum the values in this order.
 size_t RowTopKPositions(std::span<const float> row, size_t k,
-                        std::vector<uint32_t>* positions);
+                        std::vector<uint32_t>* positions,
+                        std::vector<float>* values);
 
 /// Per-column min-heaps (root first, -inf filled) of the largest values
 /// offered: the one column top-k accumulator. A heap sees its values in

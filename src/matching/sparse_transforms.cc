@@ -107,6 +107,7 @@ void TargetCandidates(const CandidateScoreRows& rows,
   ParallelFor(0, rows.cols(), 8, [&](size_t begin, size_t end) {
     std::vector<float> adjusted;
     std::vector<uint32_t> idx;
+    std::vector<float> top;
     for (size_t j = begin; j < end; ++j) {
       const size_t off = gather.offsets[j];
       adjusted.resize(gather.offsets[j + 1] - off);
@@ -114,7 +115,7 @@ void TargetCandidates(const CandidateScoreRows& rows,
         adjusted[q] = values[gather.entries[off + q]] -
                       row_max[gather.rows[off + q]];
       }
-      const size_t keep = RowTopKPositions(adjusted, c, &idx);
+      const size_t keep = RowTopKPositions(adjusted, c, &idx, &top);
       (*lengths)[j] = keep;
       for (size_t q = 0; q < keep; ++q) {
         (*candidates)[j * c + q] = gather.rows[off + idx[q]];

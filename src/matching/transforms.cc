@@ -143,6 +143,7 @@ Status RinfPbRows(const Rows& rows, size_t candidates) {
   ParallelFor(0, n, 8, [&](size_t begin, size_t end) {
     std::vector<float> adjusted;
     std::vector<uint32_t> idx;
+    std::vector<float> top;
     for (size_t i = begin; i < end; ++i) {
       const auto values = rows.Values(i);
       const auto cols = rows.Cols(i);
@@ -150,7 +151,7 @@ Status RinfPbRows(const Rows& rows, size_t candidates) {
       for (size_t p = 0; p < values.size(); ++p) {
         adjusted[p] = values[p] - col_max[cols[p]];
       }
-      src_len[i] = RowTopKPositions(adjusted, c, &idx);
+      src_len[i] = RowTopKPositions(adjusted, c, &idx, &top);
       std::copy(idx.begin(), idx.begin() + src_len[i],
                 src_cand.begin() + i * c);
     }
@@ -221,11 +222,12 @@ void TargetCandidates(const DenseScoreRows& rows,
   ParallelFor(0, scores.cols(), 8, [&](size_t begin, size_t end) {
     std::vector<float> adjusted(n);
     std::vector<uint32_t> idx;
+    std::vector<float> top;
     for (size_t j = begin; j < end; ++j) {
       for (size_t i = 0; i < n; ++i) {
         adjusted[i] = scores.At(i, j) - row_max[i];
       }
-      RowTopKPositions(adjusted, c, &idx);
+      RowTopKPositions(adjusted, c, &idx, &top);
       std::copy(idx.begin(), idx.begin() + c, candidates->begin() + j * c);
     }
   });

@@ -118,13 +118,22 @@ Result<WireResponse> ServeClient::CallWithRetry(const WireRequest& request,
   uint64_t server_hint_micros = 0;
   Result<WireResponse> last =
       Status::Internal("ServeClient: retry loop never ran");
+  bool unsent = false;  // the last attempt's write failed: no server read it
   for (uint32_t attempt = 0; attempt < attempts; ++attempt) {
     if (attempt > 0) {
-      // Full-jitter sleep over [backoff/2, backoff], raised to the server's
-      // retry-after hint when it gave one — even when the attempt that
-      // followed the hint died at the transport level.
-      uint64_t sleep_micros =
-          backoff / 2 + (backoff > 1 ? jitter.NextBounded(backoff / 2 + 1) : 0);
+      // Full-jitter sleep over [backoff/2, backoff], none after an unsent
+      // write, raised to the server's retry-after hint when it gave one —
+      // even when the attempt that followed the hint died at the transport
+      // level.
+      uint64_t sleep_micros = 0;
+      if (!unsent) {
+        sleep_micros = backoff / 2 +
+                       (backoff > 1 ? jitter.NextBounded(backoff / 2 + 1) : 0);
+        backoff = std::min<uint64_t>(
+            policy.max_backoff_micros,
+            static_cast<uint64_t>(static_cast<double>(backoff) *
+                                  std::max(1.0, policy.multiplier)));
+      }
       if (server_hint_micros > sleep_micros) {
         sleep_micros = server_hint_micros;
       }
@@ -136,21 +145,18 @@ Result<WireResponse> ServeClient::CallWithRetry(const WireRequest& request,
         if (spent + sleep_micros >= policy.budget_micros) break;
       }
       std::this_thread::sleep_for(std::chrono::microseconds(sleep_micros));
-      backoff = std::min<uint64_t>(
-          policy.max_backoff_micros,
-          static_cast<uint64_t>(static_cast<double>(backoff) *
-                                std::max(1.0, policy.multiplier)));
       if (fd_ < 0 || !last.ok()) {
         // Transport died last attempt; the old connection's framing state is
         // unknown, so start clean.
         const Status reconnected = Reconnect();
         if (!reconnected.ok()) {
           last = reconnected;
+          unsent = false;  // no server to redial: back off
           continue;
         }
       }
     }
-    last = Call(request);
+    last = Call(request, &unsent);
     if (last.ok() && last->retry_after_micros > 0) {
       server_hint_micros = last->retry_after_micros;
     }

@@ -66,7 +66,10 @@ class ServeClient {
   /// Call with the RetryPolicy applied. A transport failure closes and
   /// reopens the connection before the next attempt (the request frame may
   /// have died mid-write; only idempotent verbs get here, so replaying is
-  /// safe). Returns the last failure when retries are exhausted.
+  /// safe). When the request's own write failed (Call's `unsent`), no
+  /// server read it, so the next attempt redials without the local backoff
+  /// (a server's retry-after hint still holds); it still counts against
+  /// max_attempts. Returns the last failure when retries are exhausted.
   Result<WireResponse> CallWithRetry(const WireRequest& request,
                                      const RetryPolicy& policy);
 

@@ -17,6 +17,7 @@
 #include <atomic>
 #include <csignal>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,6 +58,10 @@ class FleetChaosTest : public ::testing::Test {
     target_ = RandomEmbeddings(kRows + 8, 12);
     ASSERT_TRUE(WriteMatrixBinary(source_, dir_ + "/src.emat").ok());
     ASSERT_TRUE(WriteMatrixBinary(target_, dir_ + "/tgt.emat").ok());
+  }
+
+  void TearDown() override {
+    if (!dir_.empty()) std::filesystem::remove_all(dir_);
   }
 
   std::string cli_path_;

@@ -13,6 +13,7 @@
 
 #include <csignal>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -61,7 +62,10 @@ class FleetFaultsChaosTest : public ::testing::Test {
     ASSERT_TRUE(WriteMatrixBinary(target_, dir_ + "/tgt.emat").ok());
   }
 
-  void TearDown() override { FaultInjector::Global().Disarm(); }
+  void TearDown() override {
+    FaultInjector::Global().Disarm();
+    if (!dir_.empty()) std::filesystem::remove_all(dir_);
+  }
 
   std::string cli_path_;
   std::string dir_;

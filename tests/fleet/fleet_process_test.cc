@@ -14,6 +14,7 @@
 #include <atomic>
 #include <csignal>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,6 +56,12 @@ class FleetProcessTest : public ::testing::Test {
     target_ = RandomEmbeddings(kRows + 6, 4);
     ASSERT_TRUE(WriteMatrixBinary(source_, dir_ + "/src.emat").ok());
     ASSERT_TRUE(WriteMatrixBinary(target_, dir_ + "/tgt.emat").ok());
+  }
+
+  // The shards have been stopped by now: the test body's ShardManager is
+  // gone. Removes the embeddings, the plan and any socket left behind.
+  void TearDown() override {
+    if (!dir_.empty()) std::filesystem::remove_all(dir_);
   }
 
   /// An EvenSplit plan over the written files (dir_/src.<extension> and

@@ -11,8 +11,9 @@
 //     started per query;
 //   - all-or-nothing swap fan-out with partial-failure reporting + repair,
 //     and a swap to EMBF files;
-//   - re-join: Converge moves a restarted shard onto the files of the last
-//     converged swap, and never interleaves with a swap fan-out.
+//   - re-join: Converge moves a restarted shard onto the files and version
+//     of the last converged swap, exactly (also after a partial fan-out),
+//     and never interleaves with a swap fan-out.
 
 #include "fleet/router.h"
 
@@ -26,6 +27,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -173,18 +175,17 @@ class Fleet {
   Fleet(const Matrix& source, const Matrix& target, int num_shards,
         size_t serve_workers, int replicas, RouterConfig router_config = {},
         const std::string& pair_name = "p")
-      : serve_workers_(serve_workers), pair_name_(pair_name) {
-    const std::string dir =
-        "/tmp/em_fleet_" + std::to_string(::getpid()) + "_" +
-        std::to_string(instance_counter_++);
+      : serve_workers_(serve_workers),
+        pair_name_(pair_name),
+        dir_("/tmp/em_fleet_" + std::to_string(::getpid()) + "_" +
+             std::to_string(instance_counter_++)) {
     Result<ShardPlan> plan = ShardPlan::EvenSplit(
         pair_name, "unused.src", "unused.tgt", "", source.rows(), num_shards,
-        dir, replicas);
+        dir_, replicas);
     EXPECT_TRUE(plan.ok()) << plan.status().ToString();
     plan_ = std::move(plan).value();
     // mkdir for the sockets (EvenSplit only names them).
-    std::string cmd_path = dir;
-    ::mkdir(cmd_path.c_str(), 0755);
+    ::mkdir(dir_.c_str(), 0755);
     for (int i = 0; i < num_shards; ++i) {
       servers_.push_back(LoadedServer(source, target));
       handlers_.push_back(
@@ -205,6 +206,7 @@ class Fleet {
     for (std::unique_ptr<MatchServer>& server : servers_) {
       server->Shutdown();
     }
+    std::filesystem::remove_all(dir_);
     // wrappers_ is destroyed after this body, so only once every socket
     // thread that could call a wrapper has been joined.
   }
@@ -287,6 +289,7 @@ class Fleet {
   static std::atomic<int> instance_counter_;
   const size_t serve_workers_;
   const std::string pair_name_;
+  const std::string dir_;  // the shards' sockets
   ShardPlan plan_;
   std::vector<std::unique_ptr<MatchServer>> servers_;
   std::vector<std::unique_ptr<MatchServerHandler>> handlers_;
@@ -301,7 +304,14 @@ class RouterTest : public ::testing::Test {
  protected:
   RouterTest()
       : source_(RandomEmbeddings(kRows, /*seed=*/5)),
-        target_(RandomEmbeddings(kTargets, /*seed=*/8)) {}
+        target_(RandomEmbeddings(kTargets, /*seed=*/8)),
+        dir_("/tmp/em_router_" + std::to_string(::getpid())) {
+    ::mkdir(dir_.c_str(), 0755);
+  }
+
+  // Every file a test writes lives in dir_, so a failed assertion leaves
+  // nothing behind either.
+  ~RouterTest() override { std::filesystem::remove_all(dir_); }
 
   /// The same query answered by a dedicated single-process server.
   std::vector<int32_t> SoloAnswer(const WireRequest& request,
@@ -313,8 +323,7 @@ class RouterTest : public ::testing::Test {
     EXPECT_TRUE(
         (*server)->LoadPair("p", Matrix(source_), Matrix(target_)).ok());
     EXPECT_TRUE((*server)->Start().ok());
-    const std::string socket =
-        "/tmp/em_solo_" + std::to_string(::getpid()) + ".sock";
+    const std::string socket = dir_ + "/solo.sock";
     Result<std::unique_ptr<SocketServer>> front =
         SocketServer::Start(server->get(), socket);
     EXPECT_TRUE(front.ok());
@@ -338,10 +347,9 @@ class RouterTest : public ::testing::Test {
 
   /// Writes (source, target) to EMAT files named after `name` and returns
   /// the swap of pair "p" onto them.
-  static WireRequest SwapTo(const Matrix& source, const Matrix& target,
-                            const std::string& name) {
-    const std::string prefix =
-        "/tmp/em_" + name + "_" + std::to_string(::getpid());
+  WireRequest SwapTo(const Matrix& source, const Matrix& target,
+                     const std::string& name) const {
+    const std::string prefix = dir_ + "/" + name;
     EXPECT_TRUE(WriteMatrixBinary(source, prefix + ".src.emat").ok());
     EXPECT_TRUE(WriteMatrixBinary(target, prefix + ".tgt.emat").ok());
     WireRequest swap;
@@ -375,6 +383,7 @@ class RouterTest : public ::testing::Test {
 
   Matrix source_;
   Matrix target_;
+  const std::string dir_;
 };
 
 // The tentpole acceptance property: for every sparse-capable preset, at
@@ -423,18 +432,10 @@ TEST_F(RouterTest, RefusesRouteVerbAndUnknownPair) {
 TEST_F(RouterTest, MixedVersionsRefusedAfterDirectShardSwap) {
   Fleet fleet(source_, target_, 2, 1, 0);
   // Swap ONE shard behind the router's back: the fleet now has v1 and v2.
-  const std::string prefix =
-      "/tmp/em_mixed_" + std::to_string(::getpid());
-  ASSERT_TRUE(WriteMatrixBinary(source_, prefix + ".src.emat").ok());
-  ASSERT_TRUE(WriteMatrixBinary(target_, prefix + ".tgt.emat").ok());
+  const WireRequest swap = SwapTo(source_, target_, "mixed");
   Result<ServeClient> direct =
       ServeClient::Connect(fleet.plan().shards[0].socket_path);
   ASSERT_TRUE(direct.ok());
-  WireRequest swap;
-  swap.verb = WireRequest::Verb::kSwap;
-  swap.pair = "p";
-  swap.source_path = prefix + ".src.emat";
-  swap.target_path = prefix + ".tgt.emat";
   Result<WireResponse> swapped = direct->Call(swap);
   ASSERT_TRUE(swapped.ok()) << swapped.status().ToString();
   ASSERT_TRUE(swapped->status.ok()) << swapped->status.ToString();
@@ -584,14 +585,7 @@ TEST_F(RouterTest, ConcurrentHedgedQueriesStartNoThreads) {
 
 TEST_F(RouterTest, SwapFanOutIsAllOrNothingWithRepair) {
   Fleet fleet(source_, target_, 2, 1, 0);
-  const std::string prefix = "/tmp/em_fan_" + std::to_string(::getpid());
-  ASSERT_TRUE(WriteMatrixBinary(source_, prefix + ".src.emat").ok());
-  ASSERT_TRUE(WriteMatrixBinary(target_, prefix + ".tgt.emat").ok());
-  WireRequest swap;
-  swap.verb = WireRequest::Verb::kSwap;
-  swap.pair = "p";
-  swap.source_path = prefix + ".src.emat";
-  swap.target_path = prefix + ".tgt.emat";
+  const WireRequest swap = SwapTo(source_, target_, "fan");
 
   auto owned_flaky = std::make_unique<FailSwapHandler>(fleet.handler(1));
   FailSwapHandler& flaky = *owned_flaky;
@@ -626,7 +620,7 @@ TEST_F(RouterTest, SwapFanOutReadsEmbfFiles) {
   Fleet fleet(source_, target_, 2, 1, 0);
   const Matrix source = RandomEmbeddings(kRows, /*seed=*/15);
   const Matrix target = RandomEmbeddings(kTargets, /*seed=*/18);
-  const std::string prefix = "/tmp/em_fan_embf_" + std::to_string(::getpid());
+  const std::string prefix = dir_ + "/fan_embf";
   ASSERT_TRUE(MmapStore::Write(source, prefix + ".src.embf").ok());
   ASSERT_TRUE(MmapStore::Write(target, prefix + ".tgt.embf").ok());
   WireRequest swap;
@@ -648,8 +642,6 @@ TEST_F(RouterTest, SwapFanOutReadsEmbfFiles) {
     ASSERT_TRUE(routed.ok()) << routed.status().ToString();
     EXPECT_EQ(routed->values, solo->target_of_source);
   }
-  ::unlink(swap.source_path.c_str());
-  ::unlink(swap.target_path.c_str());
 }
 
 TEST_F(RouterTest, RouterHandlerSpeaksTheWireProtocol) {
@@ -791,8 +783,60 @@ TEST_F(RouterTest, ConvergeDrivesANewcomerOntoTheSwappedFiles) {
   EXPECT_EQ(routed->version, 2u);
   EXPECT_EQ(routed->values, SoloCsls(source2, target2));
   EXPECT_EQ(fleet.router().Converge(99).code(), StatusCode::kNotFound);
-  ::unlink(second.source_path.c_str());
-  ::unlink(second.target_path.c_str());
+}
+
+// Re-join after a partial fan-out: the fleet swaps to pair B (v2), a swap
+// to pair C then lands on shard 0 only (v3), and shard 1 restarts and
+// re-joins. Converge pins the record, B at v2, exactly, so no version
+// serves two pairs: a routed answer is a solo answer over one pair or a
+// mixed-version refusal, and a repair swap puts both shards on C.
+TEST_F(RouterTest, RejoinAfterAPartialSwapLandsOnTheRecord) {
+  Fleet fleet(source_, target_, 2, 1, /*replicas=*/0);
+  const Matrix source_b = RandomEmbeddings(kRows, /*seed=*/25);
+  const Matrix target_b = RandomEmbeddings(kTargets, /*seed=*/28);
+  const Matrix source_c = RandomEmbeddings(kRows, /*seed=*/35);
+  const Matrix target_c = RandomEmbeddings(kTargets, /*seed=*/38);
+  const WireRequest to_b = SwapTo(source_b, target_b, "b");
+  const WireRequest to_c = SwapTo(source_c, target_c, "c");
+  Result<std::string> swapped = fleet.router().Swap(to_b);
+  ASSERT_TRUE(swapped.ok()) << swapped.status().ToString();
+
+  auto owned_flaky = std::make_unique<FailSwapHandler>(fleet.handler(1));
+  owned_flaky->Arm(true);
+  fleet.WrapHandler(1, std::move(owned_flaky));
+  ASSERT_FALSE(fleet.router().Swap(to_c).ok());
+  EXPECT_EQ(fleet.ShardVersion(0), 3u);
+  EXPECT_EQ(fleet.ShardVersion(1), 2u);
+
+  fleet.ReplaceShard(1, source_, target_);
+  ASSERT_TRUE(fleet.router().Quarantine(1).ok());
+  const Status converged = fleet.router().Converge(1);
+  ASSERT_TRUE(converged.ok()) << converged.ToString();
+  ASSERT_TRUE(fleet.router().Readmit(1).ok());
+  EXPECT_EQ(fleet.ShardVersion(1), 2u);
+
+  const std::vector<int32_t> solo_b = SoloCsls(source_b, target_b);
+  const std::vector<int32_t> solo_c = SoloCsls(source_c, target_c);
+  for (int query = 0; query < 3; ++query) {
+    Result<WireResponse> routed =
+        fleet.router().Query(MatchRequest(AlgorithmPreset::kCsls));
+    if (routed.ok()) {
+      EXPECT_TRUE(routed->values == solo_b || routed->values == solo_c)
+          << "v" << routed->version << " answers from two pairs";
+    } else {
+      EXPECT_NE(routed.status().message().find("mixed snapshot versions"),
+                std::string::npos)
+          << routed.status().ToString();
+    }
+  }
+
+  Result<std::string> repaired = fleet.router().Swap(to_c);
+  ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
+  EXPECT_EQ(fleet.ShardVersion(0), fleet.ShardVersion(1));
+  Result<WireResponse> routed =
+      fleet.router().Query(MatchRequest(AlgorithmPreset::kCsls));
+  ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+  EXPECT_EQ(routed->values, solo_c);
 }
 
 // A swap leaves a cached connection to every owner. Once shard 1's socket
@@ -820,10 +864,6 @@ TEST_F(RouterTest, SwapRedialsAfterAShardSocketServerRestarts) {
   ASSERT_TRUE(routed.ok()) << routed.status().ToString();
   EXPECT_EQ(routed->version, 3u);
   EXPECT_EQ(routed->values, SoloCsls(source3, target3));
-  for (const WireRequest& request : {second, third}) {
-    ::unlink(request.source_path.c_str());
-    ::unlink(request.target_path.c_str());
-  }
 }
 
 // Converge and Swap share one mutex: with the newcomer's first swap frame
@@ -868,10 +908,6 @@ TEST_F(RouterTest, ConvergeAndSwapDoNotInterleave) {
   EXPECT_EQ(routed->version, version);
   EXPECT_EQ(routed->values, SoloCsls(source3, target3));
   EXPECT_EQ(fleet.router().Stats().version_mismatches, 0u);
-  for (const WireRequest& request : {second, third}) {
-    ::unlink(request.source_path.c_str());
-    ::unlink(request.target_path.c_str());
-  }
 }
 
 // Partial-coverage policy: with degrade on, losing every owner of a range

@@ -15,6 +15,7 @@
 
 #include <csignal>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -142,6 +143,12 @@ class SupervisorTest : public ::testing::Test {
     target_ = RandomEmbeddings(kRows + 6, 4);
     ASSERT_TRUE(WriteMatrixBinary(source_, dir_ + "/src.emat").ok());
     ASSERT_TRUE(WriteMatrixBinary(target_, dir_ + "/tgt.emat").ok());
+  }
+
+  // The shards have been stopped by now: the test body's ShardManager is
+  // gone. Removes the embeddings, the plan and any socket left behind.
+  void TearDown() override {
+    if (!dir_.empty()) std::filesystem::remove_all(dir_);
   }
 
   /// Writes a second version of the pair (src2/tgt2) and swaps the fleet

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <string>
+#include <iterator>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,30 +13,31 @@
 #include "common/json.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "index/candidate_index.h"
 #include "la/kernels/vector_kernels.h"
 #include "la/matrix.h"
 #include "la/similarity.h"
 #include "la/topk.h"
+#include "matching/engine.h"
 #include "matching/pipeline.h"
 
 namespace entmatcher {
 namespace {
 
-// The kernel-tier contract (DESIGN.md "Kernel tiers"):
-//  - the scalar tier is the bit-exactness oracle (the pre-SIMD loops kept
-//    verbatim);
-//  - elementwise ops, argmax/max, the mask filters, RowTopKIndices, and
-//    ColTopKMean are bit-identical to scalar at EVERY tier;
+// The kernel-tier contract (DESIGN.md "Kernel tiers"): every op of every
+// tier returns the scalar tier's bytes, so no result depends on the tier.
+//  - elementwise ops, argmax/max, the mask filters, RowTopKIndices,
+//    RowTopKMean and ColTopKMean are bit-identical to scalar at EVERY tier;
 //  - every tier's matmul_tile cells are byte-equal to Dot, so every tier's
 //    MatMulTransposedRange output is byte-equal to the scalar tier's, and
 //    the sparse rerank (DotRows) is byte-equal to dense cells at any tier;
-//  - LaneDot (HNSW navigation, not a tier op) follows its stated lane order;
-//  - reassociating reductions (squared_norm, sum, manhattan, RowTopKMean)
-//    agree within 1e-5 per value.
+//  - the reductions (squared_norm, sum, manhattan) and LaneDot (HNSW
+//    navigation, not a tier op) follow one stated lane order at every tier
+//    and every lane count.
 //
 // Adversarial lengths straddle every vector width in play: 4 (the W4
-// table), 8 (AVX2), 16 (AVX-512), 64 (mask chunks), each +/- the remainders
-// 1..width-1.
+// table), 8 (AVX2), 16 (AVX-512 and the lane order), 64 (mask chunks), each
+// +/- the remainders 1..width-1.
 const size_t kLengths[] = {1,  2,  3,  5,  7,  8,  9,  15, 16, 17,
                            23, 31, 32, 33, 48, 63, 64, 65, 67, 130};
 
@@ -82,8 +84,7 @@ Matrix RandomMatrix(size_t rows, size_t cols, uint64_t seed) {
 }
 
 // Well-separated pair: target rows are cluster centers, source rows are the
-// same centers lightly perturbed — assignments are insensitive to <=1e-5
-// score wiggle, so every tier must produce identical decisions.
+// same centers lightly perturbed.
 void ClusteredPair(size_t n, size_t d, uint64_t seed, Matrix* src,
                    Matrix* tgt) {
   *tgt = RandomMatrix(n, d, seed);
@@ -97,9 +98,29 @@ void ClusteredPair(size_t n, size_t d, uint64_t seed, Matrix* src,
   }
 }
 
+// Gaussian entries rounded to half steps: scores full of ties.
+Matrix HalfStepMatrix(size_t rows, size_t cols, uint64_t seed) {
+  Matrix m = RandomMatrix(rows, cols, seed);
+  for (size_t r = 0; r < rows; ++r) {
+    for (float& v : m.Row(r)) v = std::round(2.0f * v) / 2.0f;
+  }
+  return m;
+}
+
 bool BitIdentical(const Matrix& a, const Matrix& b) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
   return std::memcmp(a.data(), b.data(), a.ByteSize()) == 0;
+}
+
+template <typename T>
+bool SameBits(T a, T b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+template <typename T>
+bool SameBytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
 }
 
 // Restores the entry tier and thread count around every test, so a failing
@@ -230,27 +251,6 @@ TEST_F(KernelsTest, NanRejectionMatchesScalarStrictCompares) {
   }
 }
 
-TEST_F(KernelsTest, ReductionsWithinToleranceOfScalar) {
-  const KernelOps& scalar = *GetScalarKernels();
-  for (const KernelOps* table : VectorTables()) {
-    const KernelOps& ops = *table;
-    for (size_t d : kLengths) {
-      SCOPED_TRACE(std::string(ops.name) + " d=" + std::to_string(d));
-      const std::vector<float> a = RandomVec(d, 600 + d);
-      const std::vector<float> b = RandomVec(d, 700 + d);
-      // Reassociated accumulation: tolerance is relative to the magnitude
-      // (an absolute 1e-5 is unreachable for sums of ~d unit-scale terms).
-      const auto near = [](float want, float got) {
-        EXPECT_NEAR(want, got, 1e-5 * std::max(1.0, std::abs(double{want})));
-      };
-      near(scalar.squared_norm(a.data(), d), ops.squared_norm(a.data(), d));
-      near(scalar.sum(a.data(), d), ops.sum(a.data(), d));
-      near(scalar.manhattan(a.data(), b.data(), d),
-           ops.manhattan(a.data(), b.data(), d));
-    }
-  }
-}
-
 TEST_F(KernelsTest, MatmulTileCellsReplayDotExactlyPerTier) {
   // 7 rows: one group of 4 and a tail of 3. 70 columns: one 64-column block
   // and a block of 6, which is not a whole strip of 2W at any W.
@@ -313,62 +313,89 @@ TEST_F(KernelsTest, MatmulTileCellsReplayDotExactlyPerTier) {
   }
 }
 
-// LaneDot's stated order, spelled out independently: sixteen accumulators
-// indexed k % 16, then the upper half folded onto the lower, four times.
-float LaneDotReference(const float* a, const float* b, size_t d) {
-  float acc[16] = {};
-  for (size_t k = 0; k < d; ++k) {
-    const float product = a[k] * b[k];
-    acc[k % 16] += product;
-  }
-  float fold8[8];
+// The lane order of dispatch.h, spelled out independently: sixteen
+// accumulators indexed k % 16 over the whole blocks of 16, the upper half
+// folded onto the lower four times, then the last d % 16 terms in order.
+template <typename T, typename Term>
+T LaneOrderReference(size_t d, Term term) {
+  const size_t whole = d - d % 16;
+  T acc[16] = {};
+  for (size_t k = 0; k < whole; ++k) acc[k % 16] += term(k);
+  T fold8[8];
   for (size_t l = 0; l < 8; ++l) fold8[l] = acc[l] + acc[l + 8];
-  float fold4[4];
+  T fold4[4];
   for (size_t l = 0; l < 4; ++l) fold4[l] = fold8[l] + fold8[l + 4];
-  const float fold2[2] = {fold4[0] + fold4[2], fold4[1] + fold4[3]};
-  return fold2[0] + fold2[1];
+  const T fold2[2] = {fold4[0] + fold4[2], fold4[1] + fold4[3]};
+  T result = fold2[0] + fold2[1];
+  for (size_t k = whole; k < d; ++k) result += term(k);
+  return result;
 }
 
-TEST_F(KernelsTest, LaneDotFollowsItsStatedOrder) {
-  size_t order_sensitive = 0;
-  for (size_t d : {size_t(1), size_t(3), size_t(15), size_t(16), size_t(17),
-                   size_t(31), size_t(33), size_t(64), size_t(65),
-                   size_t(300)}) {
-    for (uint64_t trial = 0; trial < 8; ++trial) {
-      SCOPED_TRACE("d=" + std::to_string(d) + " trial " +
-                   std::to_string(trial));
-      // Magnitudes spread over 2^-12..2^12, so partial sums round and a
-      // sum taken in another order shows in the bits, with signed zeros,
-      // subnormals and large magnitudes mixed in.
-      Rng rng(1000 * d + trial);
-      std::vector<float> a(d);
-      std::vector<float> b(d);
-      for (size_t k = 0; k < d; ++k) {
-        a[k] = std::ldexp(static_cast<float>(rng.NextGaussian()),
-                          static_cast<int>(rng.NextBounded(25)) - 12);
-        b[k] = static_cast<float>(rng.NextGaussian());
-        switch (rng.NextBounded(8)) {
-          case 0: a[k] = -0.0f; break;
-          case 1: b[k] = std::numeric_limits<float>::denorm_min() * 3; break;
-          case 2: a[k] = 1e-39f; break;
-          case 3: a[k] *= 1e15f; break;
-          default: break;
-        }
-      }
-      const float got = LaneDot(a.data(), b.data(), d);
-      const float want = LaneDotReference(a.data(), b.data(), d);
-      EXPECT_EQ(0, std::memcmp(&got, &want, sizeof(float)))
-          << got << " vs " << want;
-      const float serial = Dot(a.data(), b.data(), d);
-      order_sensitive += std::memcmp(&got, &serial, sizeof(float)) != 0;
+// Magnitudes spread over 2^-40..2^40, so partial sums round and a sum taken
+// in another order shows in the bits, with -0.0 and subnormals mixed in.
+std::vector<float> LaneOrderInput(size_t d, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> v(d);
+  for (float& x : v) {
+    x = std::ldexp(static_cast<float>(rng.NextGaussian()),
+                   static_cast<int>(rng.NextBounded(81)) - 40);
+    switch (rng.NextBounded(8)) {
+      case 0: x = -0.0f; break;
+      case 1: x = std::numeric_limits<float>::denorm_min() * 3; break;
+      case 2: x = -1e-39f; break;
+      default: break;
     }
   }
-  // The inputs have teeth: Dot's serial order gives other bits somewhere.
+  return v;
+}
+
+// squared_norm, sum and manhattan of the scalar table, of every available
+// vector tier and of the W = 4 table, and LaneDot, against the lane order
+// written out above: the one order, so every tier gives the same bytes.
+TEST_F(KernelsTest, ReductionsFollowTheLaneOrderAtEveryTier) {
+  std::vector<const KernelOps*> tables = VectorTables();
+  tables.insert(tables.begin(), GetScalarKernels());
+  std::vector<size_t> lengths(std::begin(kLengths), std::end(kLengths));
+  lengths.insert(lengths.end(), {100, 128, 300});
+  size_t order_sensitive = 0;
+  for (size_t d : lengths) {
+    for (uint64_t trial = 0; trial < 4; ++trial) {
+      SCOPED_TRACE("d=" + std::to_string(d) + " trial " +
+                   std::to_string(trial));
+      const std::vector<float> a = LaneOrderInput(d, 1000 * d + trial);
+      const std::vector<float> b = LaneOrderInput(d, 5000 * d + trial);
+      const float* pa = a.data();
+      const float* pb = b.data();
+      const double want_sq = LaneOrderReference<double>(
+          d, [pa](size_t k) { return static_cast<double>(pa[k]) * pa[k]; });
+      const double want_sum = LaneOrderReference<double>(
+          d, [pa](size_t k) { return static_cast<double>(pa[k]); });
+      const float want_l1 = LaneOrderReference<float>(
+          d, [pa, pb](size_t k) { return std::fabs(pa[k] - pb[k]); });
+      const float want_dot = LaneOrderReference<float>(
+          d, [pa, pb](size_t k) { return pa[k] * pb[k]; });
+      for (const KernelOps* table : tables) {
+        SCOPED_TRACE(table->name);
+        EXPECT_TRUE(SameBits(table->squared_norm(pa, d), want_sq));
+        EXPECT_TRUE(SameBits(table->sum(pa, d), want_sum));
+        EXPECT_TRUE(SameBits(table->manhattan(pa, pb, d), want_l1));
+      }
+      EXPECT_TRUE(SameBits(LaneDot(pa, pb, d), want_dot));
+      // Teeth: a serial sum gives other bits somewhere.
+      double serial_sum = 0.0;
+      for (size_t k = 0; k < d; ++k) serial_sum += a[k];
+      order_sensitive += !SameBits(serial_sum, want_sum);
+      order_sensitive += !SameBits(Dot(pa, pb, d), want_dot);
+    }
+  }
   EXPECT_GT(order_sensitive, 0u);
-  // Every product is -0.0: the lanes start at +0.0, and so does the result.
+  // Every term is -0.0: the lanes start at +0.0, and so does the result.
   const float neg_zero[3] = {-0.0f, -0.0f, -0.0f};
   const float ones[3] = {1.0f, 1.0f, 1.0f};
   EXPECT_FALSE(std::signbit(LaneDot(neg_zero, ones, 3)));
+  for (const KernelOps* table : tables) {
+    EXPECT_FALSE(std::signbit(table->sum(neg_zero, 3))) << table->name;
+  }
 }
 
 TEST_F(KernelsTest, TopKOpsAgreeWithScalarTier) {
@@ -379,43 +406,41 @@ TEST_F(KernelsTest, TopKOpsAgreeWithScalarTier) {
       scores.At(r, c) = scores.At(r, c - 1);
     }
   }
+  const size_t ks[] = {1, 2, 7, 64, 67, 100};
   ASSERT_TRUE(SetKernelTier(KernelTier::kScalar).ok());
   std::vector<std::vector<uint32_t>> want_idx;
   std::vector<std::vector<float>> want_colmean, want_rowmean;
+  std::vector<double> want_std;
   std::vector<uint32_t> want_argmax = RowArgmax(scores);
   std::vector<float> want_rowmax = RowMax(scores);
   std::vector<float> want_colmax = ColMax(scores);
-  for (size_t k : {size_t(1), size_t(2), size_t(7), size_t(64), size_t(67),
-                   size_t(100)}) {
+  for (size_t k : ks) {
     want_idx.push_back(RowTopKIndices(scores, k));
     want_colmean.push_back(ColTopKMean(scores, k));
     want_rowmean.push_back(RowTopKMean(scores, k));
+    want_std.push_back(MeanRowTopKStd(scores, k));
   }
   for (KernelTier tier : AvailableVectorTiers()) {
     ASSERT_TRUE(SetKernelTier(tier).ok());
     SCOPED_TRACE(KernelTierName(tier));
     EXPECT_EQ(RowArgmax(scores), want_argmax);
-    EXPECT_EQ(RowMax(scores), want_rowmax);
-    EXPECT_EQ(ColMax(scores), want_colmax);
-    size_t ki = 0;
-    for (size_t k : {size_t(1), size_t(2), size_t(7), size_t(64), size_t(67),
-                     size_t(100)}) {
-      SCOPED_TRACE("k=" + std::to_string(k));
-      // Selection order is preserved exactly: indices and the column means
-      // are bit-identical, only the row-mean summation order may differ.
-      EXPECT_EQ(RowTopKIndices(scores, k), want_idx[ki]);
-      EXPECT_EQ(ColTopKMean(scores, k), want_colmean[ki]);
-      const std::vector<float> got = RowTopKMean(scores, k);
-      ASSERT_EQ(got.size(), want_rowmean[ki].size());
-      for (size_t i = 0; i < got.size(); ++i) {
-        EXPECT_NEAR(got[i], want_rowmean[ki][i], 1e-5) << "row " << i;
-      }
-      ++ki;
+    EXPECT_TRUE(SameBytes(RowMax(scores), want_rowmax));
+    EXPECT_TRUE(SameBytes(ColMax(scores), want_colmax));
+    for (size_t ki = 0; ki < std::size(ks); ++ki) {
+      SCOPED_TRACE("k=" + std::to_string(ks[ki]));
+      // One selection at every tier: the same indices, and the same values
+      // summed in the same order.
+      EXPECT_EQ(RowTopKIndices(scores, ks[ki]), want_idx[ki]);
+      EXPECT_TRUE(SameBytes(ColTopKMean(scores, ks[ki]), want_colmean[ki]));
+      EXPECT_TRUE(SameBytes(RowTopKMean(scores, ks[ki]), want_rowmean[ki]));
+      EXPECT_TRUE(SameBits(MeanRowTopKStd(scores, ks[ki]), want_std[ki]));
     }
   }
 }
 
-TEST_F(KernelsTest, SimilarityWithinTolerancePairExactPerTier) {
+// Every metric's similarity matrix is byte-identical at every tier, and so
+// are the candidate rerank's pair scores.
+TEST_F(KernelsTest, SimilarityBitIdenticalAcrossTiers) {
   const Matrix src = RandomMatrix(13, 33, 51);
   const Matrix tgt = RandomMatrix(17, 33, 52);
   for (SimilarityMetric metric :
@@ -430,21 +455,13 @@ TEST_F(KernelsTest, SimilarityWithinTolerancePairExactPerTier) {
                    SimilarityMetricName(metric));
       Result<Matrix> got = ComputeSimilarity(src, tgt, metric);
       ASSERT_TRUE(got.ok());
+      EXPECT_TRUE(BitIdentical(*want, *got));
+      // The sparse-rerank identity: PairSimilarities reproduces the dense
+      // cells bit for bit (cosine/euclidean ride on Dot, which every
+      // matmul_tile cell equals; manhattan is the same kernel both ways).
+      // All 17 columns, last first: DotRows' two groups of eight and a
+      // short one.
       const SimilarityCache cache = BuildSimilarityCache(src, tgt, metric);
-      for (size_t i = 0; i < want->rows(); ++i) {
-        for (size_t j = 0; j < want->cols(); ++j) {
-          // Relative bound: manhattan cells sum d ~unit-scale terms, so an
-          // absolute 1e-5 is below the reassociation noise floor.
-          EXPECT_NEAR(want->At(i, j), got->At(i, j),
-                      1e-5 * std::max(1.0, std::abs(double{want->At(i, j)})))
-              << i << "," << j;
-        }
-      }
-      // The sparse-rerank identity: PairSimilarities must reproduce THIS
-      // tier's dense cells bit-for-bit (cosine/euclidean ride on Dot, which
-      // every matmul_tile cell equals; manhattan is the same kernel both
-      // ways). All 17 columns, last first: DotRows' two groups of eight
-      // and a short one.
       std::vector<uint32_t> cols(tgt.rows());
       for (size_t e = 0; e < cols.size(); ++e) {
         cols[e] = static_cast<uint32_t>(cols.size() - 1 - e);
@@ -453,7 +470,8 @@ TEST_F(KernelsTest, SimilarityWithinTolerancePairExactPerTier) {
       for (size_t i = 0; i < src.rows(); i += 5) {
         PairSimilarities(src, tgt, i, cols, metric, cache, pair.data());
         for (size_t e = 0; e < cols.size(); ++e) {
-          EXPECT_EQ(got->At(i, cols[e]), pair[e]) << i << "," << cols[e];
+          EXPECT_TRUE(SameBits(got->At(i, cols[e]), pair[e]))
+              << i << "," << cols[e];
         }
       }
     }
@@ -484,47 +502,109 @@ TEST_F(KernelsTest, ScalarCosineBitIdenticalToLegacyFormulation) {
   EXPECT_TRUE(BitIdentical(*reference, *got));
 }
 
+// The bytes of what one match computes: the transformed scores (through
+// the pipeline, or the sparse batch's values when `options` names a
+// candidate index) and the assignment. Empty on a failure, which it reports.
+std::string MatchBytes(const Matrix& src, const Matrix& tgt,
+                       const MatchOptions& options) {
+  std::string bytes;
+  const auto append = [&bytes](const void* data, size_t size) {
+    bytes.append(static_cast<const char*>(data), size);
+  };
+  Result<Assignment> assignment = Status::Internal("not run");
+  if (options.candidate_index == nullptr) {
+    Result<Matrix> scores = ComputeScores(src, tgt, options);
+    EXPECT_TRUE(scores.ok()) << scores.status().ToString();
+    if (!scores.ok()) return "";
+    append(scores->data(), scores->ByteSize());
+    assignment = MatchEmbeddings(src, tgt, options);
+  } else {
+    Result<MatchEngine> engine = MatchEngine::Create(src, tgt, options);
+    EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+    if (!engine.ok()) return "";
+    Result<MatchEngine::ScoredBatch> batch = engine->BeginBatch(options);
+    EXPECT_TRUE(batch.ok() && batch->is_sparse());
+    if (!batch.ok()) return "";
+    const SparseScores& sparse = batch->sparse_scores();
+    append(sparse.values(), sparse.nnz() * sizeof(float));
+    assignment = batch->Match(options);
+  }
+  EXPECT_TRUE(assignment.ok()) << assignment.status().ToString();
+  if (!assignment.ok()) return "";
+  append(assignment->target_of_source.data(),
+         assignment->size() * sizeof(int32_t));
+  return bytes;
+}
+
+// Every preset's transformed scores and assignment at the cosine metric,
+// CSLS and Sinkhorn also at the Euclidean and Manhattan ones, and sparse
+// CSLS and RInf-pb over complete candidate lists, on three pairs: the
+// clustered one, a Gaussian one and a tie-heavy half-step one, the last two
+// with d and m off every multiple of 16. All of it is byte-identical at
+// every tier and at 1 and 7 threads.
 TEST_F(KernelsTest, PresetAssignmentsIdenticalAcrossTiersAndThreads) {
-  Matrix src, tgt;
-  ClusteredPair(48, 24, 71, &src, &tgt);
-  std::vector<MatchOptions> presets;
+  struct Pair {
+    const char* name;
+    Matrix src;
+    Matrix tgt;
+  };
+  std::vector<Pair> pairs(3);
+  pairs[0].name = "clustered";
+  ClusteredPair(48, 24, 71, &pairs[0].src, &pairs[0].tgt);
+  pairs[1] = {"gaussian", RandomMatrix(37, 33, 72), RandomMatrix(45, 33, 73)};
+  pairs[2] = {"half-step", HalfStepMatrix(30, 20, 74),
+              HalfStepMatrix(35, 20, 75)};
+
+  std::vector<MatchOptions> dense;
   for (AlgorithmPreset p :
        {AlgorithmPreset::kDInf, AlgorithmPreset::kCsls, AlgorithmPreset::kRinf,
         AlgorithmPreset::kRinfWr, AlgorithmPreset::kRinfPb,
         AlgorithmPreset::kSinkhorn, AlgorithmPreset::kHungarian,
         AlgorithmPreset::kStableMatch}) {
-    presets.push_back(MakePreset(p));
+    dense.push_back(MakePreset(p));
   }
-  ASSERT_TRUE(SetKernelTier(KernelTier::kScalar).ok());
-  std::vector<Assignment> want;
-  std::vector<Matrix> want_scores;
-  for (const MatchOptions& options : presets) {
-    Result<Matrix> scores = ComputeScores(src, tgt, options);
-    ASSERT_TRUE(scores.ok());
-    want_scores.push_back(std::move(scores).value());
-    Result<Assignment> assignment = MatchEmbeddings(src, tgt, options);
-    ASSERT_TRUE(assignment.ok());
-    want.push_back(std::move(assignment).value());
+  for (SimilarityMetric metric :
+       {SimilarityMetric::kNegEuclidean, SimilarityMetric::kNegManhattan}) {
+    for (AlgorithmPreset p :
+         {AlgorithmPreset::kCsls, AlgorithmPreset::kSinkhorn}) {
+      dense.push_back(MakePreset(p));
+      dense.back().metric = metric;
+    }
   }
-  for (KernelTier tier : AvailableVectorTiers()) {
-    ASSERT_TRUE(SetKernelTier(tier).ok());
-    for (size_t threads : {size_t(1), size_t(7)}) {
-      SetNumThreads(threads);
-      for (size_t p = 0; p < presets.size(); ++p) {
-        SCOPED_TRACE(std::string(KernelTierName(tier)) + " preset " +
-                     std::to_string(p) + " threads " +
-                     std::to_string(threads));
-        Result<Matrix> scores = ComputeScores(src, tgt, presets[p]);
-        ASSERT_TRUE(scores.ok());
-        for (size_t i = 0; i < scores->rows(); ++i) {
-          for (size_t j = 0; j < scores->cols(); ++j) {
-            ASSERT_NEAR(want_scores[p].At(i, j), scores->At(i, j), 1e-5)
-                << i << "," << j;
-          }
+
+  std::vector<KernelTier> tiers = AvailableVectorTiers();
+  tiers.insert(tiers.begin(), KernelTier::kScalar);
+  for (const Pair& pair : pairs) {
+    CandidateIndexOptions index_options;
+    index_options.backend = CandidateBackendKind::kExact;
+    Result<CandidateIndex> index =
+        CandidateIndex::Build(pair.tgt, index_options);
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    std::vector<MatchOptions> options = dense;
+    for (AlgorithmPreset p :
+         {AlgorithmPreset::kCsls, AlgorithmPreset::kRinfPb}) {
+      options.push_back(MakePreset(p));
+      options.back().candidate_index = &*index;
+      options.back().num_candidates = pair.tgt.rows();
+    }
+
+    ASSERT_TRUE(SetKernelTier(KernelTier::kScalar).ok());
+    SetNumThreads(1);
+    std::vector<std::string> want;
+    for (const MatchOptions& o : options) {
+      want.push_back(MatchBytes(pair.src, pair.tgt, o));
+    }
+    for (KernelTier tier : tiers) {
+      ASSERT_TRUE(SetKernelTier(tier).ok());
+      for (size_t threads : {size_t(1), size_t(7)}) {
+        SetNumThreads(threads);
+        for (size_t o = 0; o < options.size(); ++o) {
+          SCOPED_TRACE(std::string(pair.name) + " " + KernelTierName(tier) +
+                       " option " + std::to_string(o) + " threads " +
+                       std::to_string(threads));
+          EXPECT_FALSE(want[o].empty());
+          EXPECT_TRUE(MatchBytes(pair.src, pair.tgt, options[o]) == want[o]);
         }
-        Result<Assignment> assignment = MatchEmbeddings(src, tgt, presets[p]);
-        ASSERT_TRUE(assignment.ok());
-        EXPECT_EQ(assignment->target_of_source, want[p].target_of_source);
       }
     }
   }

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <set>
@@ -262,6 +263,35 @@ TEST(OrderTest, NanOrdersAsNegativeInfinityWhenNoneIsPresent) {
     RowRankMatrixInPlace(&inf_ranks);
     EXPECT_TRUE(std::equal(nan_ranks.Row(0).begin(), nan_ranks.Row(0).end(),
                            inf_ranks.Row(0).begin()));
+  }
+}
+
+// RowTopKPositions, the one row selection, against the comparator sort: on
+// Gaussian and tie-heavy half-step rows (which mix -0 and +0), on the empty
+// row, and with k past the row length.
+TEST(TopkTest, RowTopKPositionsMatchesSortReference) {
+  std::vector<uint32_t> positions;
+  std::vector<float> values;
+  for (size_t len : {size_t(0), size_t(1), size_t(2), size_t(63), size_t(64),
+                     size_t(65), size_t(2000)}) {
+    for (bool half_steps : {false, true}) {
+      const std::vector<float> row = OrderTestRow(len, half_steps, 5);
+      const std::vector<uint32_t> expected = ComparatorOrder(row);
+      for (size_t k : {size_t(1), size_t(5), size_t(64), size_t(3000)}) {
+        SCOPED_TRACE(::testing::Message() << "len " << len << " half_steps "
+                                          << half_steps << " k " << k);
+        const size_t kk = RowTopKPositions(row, k, &positions, &values);
+        ASSERT_EQ(kk, std::min(k, len));
+        EXPECT_EQ(positions, std::vector<uint32_t>(expected.begin(),
+                                                   expected.begin() + kk));
+        ASSERT_EQ(values.size(), kk);
+        for (size_t p = 0; p < kk; ++p) {
+          EXPECT_EQ(std::memcmp(&values[p], &row[expected[p]], sizeof(float)),
+                    0)
+              << "rank " << p;
+        }
+      }
+    }
   }
 }
 

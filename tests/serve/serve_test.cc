@@ -900,6 +900,44 @@ TEST_F(ServeTest, CallWithRetryKeepsServerHintAcrossTransportFailure) {
   EXPECT_GE(elapsed_micros, 2 * 30000u - 5000u);
 }
 
+// A socket server restarted between two calls leaves the client a dead
+// connection: the next request's write fails before any server reads it,
+// so CallWithRetry redials at once instead of sleeping its backoff. With a
+// 10 s initial backoff, a sleep would overrun the 1 s budget and fail.
+TEST_F(ServeTest, CallWithRetryRedialsAtOnceAfterAnUnsentWrite) {
+  const std::string socket_path =
+      "/tmp/em_retry_redial_test_" + std::to_string(::getpid()) + ".sock";
+  std::unique_ptr<MatchServer> server = MakeServer(MatchServerConfig());
+  Result<std::unique_ptr<SocketServer>> front =
+      SocketServer::Start(server.get(), socket_path);
+  ASSERT_TRUE(front.ok()) << front.status().ToString();
+  Result<ServeClient> client = ServeClient::Connect(socket_path);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  RetryPolicy policy;
+  policy.max_attempts = 2;
+  policy.initial_backoff_micros = 10'000'000;
+  policy.max_backoff_micros = 10'000'000;
+  policy.budget_micros = 1'000'000;
+  WireRequest match;
+  match.verb = WireRequest::Verb::kMatch;
+  match.algorithm = AlgorithmPreset::kCsls;
+  Result<WireResponse> first = client->CallWithRetry(match, policy);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(first->status.ok()) << first->status.ToString();
+
+  (*front)->Stop();
+  front = SocketServer::Start(server.get(), socket_path);
+  ASSERT_TRUE(front.ok()) << front.status().ToString();
+  Result<WireResponse> second = client->CallWithRetry(match, policy);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ASSERT_TRUE(second->status.ok()) << second->status.ToString();
+  EXPECT_EQ(second->values, first->values);
+
+  (*front)->Stop();
+  server->Shutdown();
+}
+
 // Virtual memory of this process in kB (VmSize in /proc/self/status).
 size_t VmSizeKb() {
   std::ifstream status("/proc/self/status");
