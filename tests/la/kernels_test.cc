@@ -349,16 +349,22 @@ std::vector<float> LaneOrderInput(size_t d, uint64_t seed) {
   return v;
 }
 
+// The lengths the lane-order tests run: kLengths, plus lengths with whole
+// blocks of 16 and a tail, and with whole blocks only.
+std::vector<size_t> LaneOrderLengths() {
+  std::vector<size_t> lengths(std::begin(kLengths), std::end(kLengths));
+  lengths.insert(lengths.end(), {100, 128, 300});
+  return lengths;
+}
+
 // squared_norm, sum and manhattan of the scalar table, of every available
-// vector tier and of the W = 4 table, and LaneDot, against the lane order
-// written out above: the one order, so every tier gives the same bytes.
+// vector tier and of the W = 4 table, against the lane order written out
+// above: the one order, so every tier gives the same bytes.
 TEST_F(KernelsTest, ReductionsFollowTheLaneOrderAtEveryTier) {
   std::vector<const KernelOps*> tables = VectorTables();
   tables.insert(tables.begin(), GetScalarKernels());
-  std::vector<size_t> lengths(std::begin(kLengths), std::end(kLengths));
-  lengths.insert(lengths.end(), {100, 128, 300});
   size_t order_sensitive = 0;
-  for (size_t d : lengths) {
+  for (size_t d : LaneOrderLengths()) {
     for (uint64_t trial = 0; trial < 4; ++trial) {
       SCOPED_TRACE("d=" + std::to_string(d) + " trial " +
                    std::to_string(trial));
@@ -372,29 +378,69 @@ TEST_F(KernelsTest, ReductionsFollowTheLaneOrderAtEveryTier) {
           d, [pa](size_t k) { return static_cast<double>(pa[k]); });
       const float want_l1 = LaneOrderReference<float>(
           d, [pa, pb](size_t k) { return std::fabs(pa[k] - pb[k]); });
-      const float want_dot = LaneOrderReference<float>(
-          d, [pa, pb](size_t k) { return pa[k] * pb[k]; });
       for (const KernelOps* table : tables) {
         SCOPED_TRACE(table->name);
         EXPECT_TRUE(SameBits(table->squared_norm(pa, d), want_sq));
         EXPECT_TRUE(SameBits(table->sum(pa, d), want_sum));
         EXPECT_TRUE(SameBits(table->manhattan(pa, pb, d), want_l1));
       }
-      EXPECT_TRUE(SameBits(LaneDot(pa, pb, d), want_dot));
       // Teeth: a serial sum gives other bits somewhere.
       double serial_sum = 0.0;
       for (size_t k = 0; k < d; ++k) serial_sum += a[k];
       order_sensitive += !SameBits(serial_sum, want_sum);
-      order_sensitive += !SameBits(Dot(pa, pb, d), want_dot);
     }
   }
   EXPECT_GT(order_sensitive, 0u);
   // Every term is -0.0: the lanes start at +0.0, and so does the result.
   const float neg_zero[3] = {-0.0f, -0.0f, -0.0f};
-  const float ones[3] = {1.0f, 1.0f, 1.0f};
-  EXPECT_FALSE(std::signbit(LaneDot(neg_zero, ones, 3)));
   for (const KernelOps* table : tables) {
     EXPECT_FALSE(std::signbit(table->sum(neg_zero, 3))) << table->name;
+  }
+}
+
+// LaneDot (HNSW navigation, not a tier op) sums its products in the same
+// lane order, each product rounded to float before its add.
+TEST_F(KernelsTest, LaneDotFollowsItsStatedOrder) {
+  size_t order_sensitive = 0;
+  for (size_t d : LaneOrderLengths()) {
+    for (uint64_t trial = 0; trial < 4; ++trial) {
+      SCOPED_TRACE("d=" + std::to_string(d) + " trial " +
+                   std::to_string(trial));
+      const std::vector<float> a = LaneOrderInput(d, 1000 * d + trial);
+      const std::vector<float> b = LaneOrderInput(d, 5000 * d + trial);
+      const float* pa = a.data();
+      const float* pb = b.data();
+      const float want = LaneOrderReference<float>(
+          d, [pa, pb](size_t k) { return pa[k] * pb[k]; });
+      EXPECT_TRUE(SameBits(LaneDot(pa, pb, d), want));
+      // Teeth: Dot's serial order gives other bits somewhere.
+      order_sensitive += !SameBits(Dot(pa, pb, d), want);
+    }
+  }
+  EXPECT_GT(order_sensitive, 0u);
+  // Every product is -0.0: the lanes start at +0.0, and so does the result.
+  const float neg_zero[3] = {-0.0f, -0.0f, -0.0f};
+  const float ones[3] = {1.0f, 1.0f, 1.0f};
+  EXPECT_FALSE(std::signbit(LaneDot(neg_zero, ones, 3)));
+}
+
+// Each vector table's reductions against the scalar table's on plain
+// Gaussian data. The tolerance is zero: with one lane order at every tier,
+// a vector tier's reduction is the scalar tier's bytes.
+TEST_F(KernelsTest, ReductionsWithinToleranceOfScalar) {
+  const KernelOps& scalar = *GetScalarKernels();
+  for (const KernelOps* table : VectorTables()) {
+    const KernelOps& ops = *table;
+    for (size_t d : kLengths) {
+      SCOPED_TRACE(std::string(ops.name) + " d=" + std::to_string(d));
+      const std::vector<float> a = RandomVec(d, 600 + d);
+      const std::vector<float> b = RandomVec(d, 700 + d);
+      EXPECT_TRUE(SameBits(scalar.squared_norm(a.data(), d),
+                           ops.squared_norm(a.data(), d)));
+      EXPECT_TRUE(SameBits(scalar.sum(a.data(), d), ops.sum(a.data(), d)));
+      EXPECT_TRUE(SameBits(scalar.manhattan(a.data(), b.data(), d),
+                           ops.manhattan(a.data(), b.data(), d)));
+    }
   }
 }
 
